@@ -1,53 +1,39 @@
-"""Decomposition terms and bound-statement evaluation.
+"""Decomposition terms, the bound-statement table and its evaluation.
 
 The decomposition splits a margin of epistemic error into task variability
 (alpha), approximation bias B, lack of convergence C and distribution shift
-D (or its learner-perceived variant).  ``evaluate_bound`` turns one
-statement plus one instance into a BoundReport holding every component, the
-margin and the tail probability delta, all re-derivable from the stored
-fields.
+D (or its learner-perceived variant).  Every statement has the form
+``P_{Q ~ target}(loss(predictor, Q) >= margin) <= delta`` and is defined
+once, in ``STATEMENTS``.  ``evaluate_bound`` turns one statement plus one
+instance into a BoundReport holding every component, the margin and the
+tail probability delta, all re-derivable from the stored fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .distributions import (
+    PROB_TOL,
     Categorical,
     FirstOrderDistribution,
-    FiniteTaskDistribution,
     TaskDistribution,
     as_finite,
     barycenter,
+    diameter,
     distribution_from_dict,
-    distributions_close,
     max_first_order_b,
     max_second_order_b,
     sup_variance,
     task_distribution_tv,
-    task_distributions_equal,
 )
-from .divergences import entropy, tv_exact
+from .divergences import hellinger_sq, kl_exact, tv_exact
 from .errors import InvalidArgument, InvalidModelClass, PreconditionViolated
-
-STATEMENT_IDS = (
-    "lemma1",
-    "lemma2",
-    "thm1",
-    "thm2",
-    "cor_bayesian",
-    "cor_eps",
-    "cor_eps_dist",
-    "cor_bayes_eps",
-    "cor_bayes_eps_dist",
-    "cor_ce",
-    "cor_l1",
-    "cor_hellinger",
-)
 
 CSV_HEADER = "statement_id,alpha,B,C,D,D_learner,margin,delta,epsilon,b_S,b_T"
 
@@ -162,6 +148,125 @@ def chebyshev_delta(tasks: TaskDistribution, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The statement table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Precondition:
+    """A hypothesis of a statement: its name and a predicate on the components."""
+
+    assumption: str
+    holds: Callable[[Any], bool]
+    detail: str
+
+
+@dataclass(frozen=True)
+class Statement:
+    """``P_{Q ~ target}(loss(predictor, Q) >= margin) <= delta``.
+
+    ``margin`` and ``delta`` take the components and alpha.  Components are
+    read by name: objects computed on first use in ``evaluate_bound``,
+    stored values in ``BoundReport.rederive``, exact arrays in the oracle.
+    """
+
+    loss: str  # a key of LOSSES
+    margin: Callable[[Any, float], float]
+    delta: Callable[[Any, float], float]
+    preconditions: tuple[Precondition, ...] = ()
+
+    def unmet(self, comp) -> Optional[Precondition]:
+        """The first precondition that fails on ``comp``, else None."""
+        return next((p for p in self.preconditions if not p.holds(comp)), None)
+
+
+# per-task losses on (predictor, task); the oracle keeps exact arrays under the same names
+LOSSES = {
+    "tv": tv_exact,
+    "l1": lambda p, q: 2.0 * tv_exact(p, q),
+    "hellinger_sq": hellinger_sq,
+    "excess_ce": lambda p, q: kl_exact(q, p),  # CE(Q, pred) - H(Q) = KL(Q || pred)
+}
+
+
+def _sum_thm1(c, a: float) -> float:
+    return a + c.B + c.C + c.D
+
+
+def _sum_bayes(c, a: float) -> float:
+    return a + c.B + c.param_tv + c.D
+
+
+def _chebyshev(c, a: float) -> float:
+    return c.sup_var_target / a**2
+
+
+def _eps_tasks_delta(c, a: float) -> float:
+    return (1.0 - c.b_T) / (c.b_S * a**2) * (c.sup_var_source + (c.diam_source + c.epsilon) ** 2)
+
+
+def _eps_dist_delta(c, a: float) -> float:
+    return (1.0 - c.b_T) / (c.b_S * a**2) * (c.sup_var_source + c.epsilon**2)
+
+
+_NO_SHIFT = Precondition("no_shift", lambda c: c.no_shift, "source and target differ")
+_PERFECT_LEARNING = Precondition(
+    "perfect_learning", lambda c: c.tv_pred_bary_s <= 1e-12,
+    "predictor is not the source barycenter",
+)
+_BOUNDED = (
+    Precondition("eps_domain", lambda c: 0.0 < c.epsilon < 1.0, "epsilon must lie in (0,1)"),
+    Precondition(
+        "source_boundedness", lambda c: 0.0 < c.b_S < 1.0 and c.max_b_S >= c.b_S,
+        "source must be first- and second-order b_S-bounded",
+    ),
+    Precondition(
+        "target_boundedness", lambda c: 0.0 < c.b_T < 1.0 and c.max_b_T >= c.b_T,
+        "target must be first-order b_T-bounded",
+    ),
+)
+_EPS_TASKS = _BOUNDED + (Precondition(
+    "eps_neighborhood", lambda c: c.max_tv_to_source <= c.epsilon + 1e-12,
+    "a target task exceeds TV epsilon from every source task",
+),)
+_EPS_DIST = _BOUNDED + (Precondition(
+    "eps_distribution_distance", lambda c: c.dist_tv <= c.epsilon + 1e-12,
+    "TV between task distributions exceeds epsilon",
+),)
+_CE = (
+    Precondition(
+        "finite_sample_space", lambda c: c.finite_space,
+        "cross-entropy bound requires a shared finite sample space",
+    ),
+    Precondition(
+        "predictor_boundedness", lambda c: c.b_pred > 0, "predictor must be b-bounded with b > 0"
+    ),
+    Precondition(
+        "predictor_boundedness", lambda c: c.support_covered,
+        "a target task puts mass outside the predictor's support",
+    ),
+)
+
+STATEMENTS = {
+    "lemma1": Statement("tv", lambda c, a: a, _chebyshev, (_NO_SHIFT, _PERFECT_LEARNING)),
+    "lemma2": Statement("tv", lambda c, a: a + c.B + c.C, _chebyshev, (_NO_SHIFT,)),
+    "thm1": Statement("tv", _sum_thm1, _chebyshev),
+    "thm2": Statement("tv", lambda c, a: a + c.B + c.C + c.D_learner, _chebyshev),
+    "cor_bayesian": Statement("tv", _sum_bayes, _chebyshev),
+    "cor_eps": Statement("tv", _sum_thm1, _eps_tasks_delta, _EPS_TASKS),
+    "cor_eps_dist": Statement("tv", _sum_thm1, _eps_dist_delta, _EPS_DIST),
+    "cor_bayes_eps": Statement("tv", _sum_bayes, _eps_tasks_delta, _EPS_TASKS),
+    "cor_bayes_eps_dist": Statement("tv", _sum_bayes, _eps_dist_delta, _EPS_DIST),
+    "cor_ce": Statement(
+        "excess_ce", lambda c, a: (2.0 / c.b_pred) * _sum_thm1(c, a) ** 2, _chebyshev, _CE
+    ),
+    "cor_l1": Statement("l1", lambda c, a: 2.0 * _sum_thm1(c, a), _chebyshev),
+    "cor_hellinger": Statement("hellinger_sq", _sum_thm1, _chebyshev),
+}
+STATEMENT_IDS = tuple(STATEMENTS)
+
+
+# ---------------------------------------------------------------------------
 # Bound reports
 # ---------------------------------------------------------------------------
 
@@ -180,34 +285,10 @@ class BoundReport:
 
     def rederive(self) -> tuple[float, float]:
         """Recompute (margin, delta) from stored components."""
-        a, B, C, D = self.alpha, self.B, self.C, self.D
-        x = self.extras
-        sum_thm1 = a + B + C + D
-        margins = {
-            "lemma1": a,
-            "lemma2": a + B + C,
-            "thm1": sum_thm1,
-            "thm2": a + B + C + self.D_learner,
-            "cor_bayesian": a + B + x.get("param_tv", 0.0) + D,
-            "cor_eps": sum_thm1,
-            "cor_eps_dist": sum_thm1,
-            "cor_bayes_eps": a + B + x.get("param_tv", 0.0) + D,
-            "cor_bayes_eps_dist": a + B + x.get("param_tv", 0.0) + D,
-            "cor_ce": (2.0 / x["b_pred"]) * sum_thm1**2 + x["entropy_E"] if "b_pred" in x else math.nan,
-            "cor_l1": 2.0 * sum_thm1,
-            "cor_hellinger": sum_thm1,
-        }
-        if self.statement_id in ("cor_eps", "cor_bayes_eps"):
-            delta = (
-                (1.0 - x["b_T"])
-                / (x["b_S"] * a**2)
-                * (x["sup_var_source"] + (x["diam_source"] + x["epsilon"]) ** 2)
-            )
-        elif self.statement_id in ("cor_eps_dist", "cor_bayes_eps_dist"):
-            delta = (1.0 - x["b_T"]) / (x["b_S"] * a**2) * (x["sup_var_source"] + x["epsilon"] ** 2)
-        else:
-            delta = x["sup_var_target"] / a**2
-        return margins[self.statement_id], delta
+        statement = STATEMENTS[self.statement_id]
+        comp = SimpleNamespace(B=self.B, C=self.C, D=self.D, D_learner=self.D_learner,
+                               **self.extras)
+        return statement.margin(comp, self.alpha), statement.delta(comp, self.alpha)
 
     def to_dict(self) -> dict:
         return {
@@ -260,22 +341,25 @@ def _param_tv(posterior, best) -> float:
     raise InvalidArgument("parameter distributions must both be categorical or both Gaussian")
 
 
-def _require(condition: bool, assumption: str, detail: str = "") -> None:
-    if not condition:
-        raise PreconditionViolated(assumption, detail)
+def _given(value, name: str):
+    if value is None:
+        raise InvalidArgument(f"this statement requires {name}")
+    return value
 
 
-def _check_assumption1(
-    source: FiniteTaskDistribution, target: FiniteTaskDistribution, epsilon: float
-) -> None:
-    """Every target support task lies within TV epsilon of some source task."""
-    for w, t in zip(target.weights, target.tasks):
-        if w <= 0:
-            continue
-        if not any(tv_exact(t, s) <= epsilon + 1e-12 for s in source.tasks):
-            raise PreconditionViolated(
-                "eps_neighborhood", f"a target task exceeds TV {epsilon} from every source task"
-            )
+class _Lazy:
+    """Components computed on first read; ``reads`` records every read."""
+
+    def __init__(self, makers: dict):
+        self._makers, self._values, self.reads = makers, {}, {}
+
+    def __getattr__(self, name: str):
+        if name not in self._values:
+            if name not in self._makers:
+                raise AttributeError(name)
+            self._values[name] = self._makers[name]()
+        value = self.reads[name] = self._values[name]
+        return value
 
 
 def evaluate_bound(
@@ -299,23 +383,51 @@ def evaluate_bound(
     Raises PreconditionViolated when the statement's hypotheses fail on the
     instance (perfect learning, no shift, boundedness, neighborhood
     membership), InvalidModelClass / EventMismatch on malformed inputs.
+    The report's extras hold sup_var_target and every component the
+    statement's margin and delta read, so ``rederive`` can recompute them.
     """
-    if statement_id not in STATEMENT_IDS:
+    statement = STATEMENTS.get(statement_id)
+    if statement is None:
         raise InvalidArgument(f"unknown statement id {statement_id!r}")
     if alpha <= 0:
         raise InvalidArgument(f"alpha must be > 0, got {alpha}")
 
     src = as_finite(source, components, seed)
     tgt = as_finite(target, components, seed if source is target else seed + 1)
-    bary_s = barycenter(src)
-    bary_t = barycenter(tgt)
-
+    bary_s, bary_t = barycenter(src), barycenter(tgt)
     best, B = best_approximation(model, bary_s)
     C = convergence_gap(predictor, best)
     D = tv_exact(bary_s, bary_t)
     D_learner = distribution_shift_learner(best, bary_t, B)
-    sup_var_target = sup_variance(tgt)
-    extras: dict = {"sup_var_target": sup_var_target}
+    # every other component is computed only if the statement reads it: the
+    # diameter and sup-variance of a reified parametric source take seconds
+    comp = _Lazy({
+        "B": lambda: B, "C": lambda: C, "D": lambda: D, "D_learner": lambda: D_learner,
+        "sup_var_target": lambda: sup_variance(tgt),
+        "sup_var_source": lambda: sup_variance(src),
+        "diam_source": lambda: diameter(src),
+        "param_tv": lambda: _param_tv(_given(param_posterior, "param_posterior"),
+                                      _given(param_best, "param_best")),
+        "epsilon": lambda: _given(epsilon, "epsilon"),
+        "max_b_S": lambda: min(max_first_order_b(src), max_second_order_b(src)),
+        "b_S": lambda: max(comp.max_b_S, 0.0) if b_source is None else b_source,
+        "max_b_T": lambda: max_first_order_b(tgt),
+        "b_T": lambda: max(comp.max_b_T, 0.0) if b_target is None else b_target,
+        "dist_tv": lambda: task_distribution_tv(src, tgt),
+        "no_shift": lambda: comp.dist_tv <= PROB_TOL,
+        "tv_pred_bary_s": lambda: tv_exact(predictor, bary_s),
+        "max_tv_to_source": lambda: max(
+            min(tv_exact(t, s) for s in src.tasks)
+            for w, t in zip(tgt.weights, tgt.tasks) if w > 0
+        ),
+        "finite_space": lambda: isinstance(predictor, Categorical) and not tgt.is_continuous,
+        "b_pred": lambda: float(predictor.p[predictor.p > 0].min()) if b_pred is None else b_pred,
+        "support_covered": lambda: not any(
+            np.any((t.p > 0) & (predictor.p <= 0))
+            for w, t in zip(tgt.weights, tgt.tasks) if w > 0
+        ),
+    })
+    extras: dict = {"sup_var_target": comp.sup_var_target}
     if tgt.is_continuous:
         # suprema over continuous events use the declared half-line grid
         from .distributions import DEFAULT_THRESHOLD_SPAN, DEFAULT_THRESHOLDS
@@ -324,92 +436,12 @@ def evaluate_bound(
             f"half_lines({DEFAULT_THRESHOLDS} thresholds, +-{DEFAULT_THRESHOLD_SPAN} pooled sd)"
         )
 
-    if statement_id in ("lemma1", "lemma2"):
-        _require(task_distributions_equal(src, tgt), "no_shift", "source and target differ")
-    if statement_id == "lemma1":
-        _require(
-            tv_exact(predictor, bary_s) <= 1e-12,
-            "perfect_learning",
-            "predictor is not the source barycenter",
-        )
-
-    if statement_id in ("cor_bayesian", "cor_bayes_eps", "cor_bayes_eps_dist"):
-        if param_posterior is None or param_best is None:
-            raise InvalidArgument(f"{statement_id} requires param_posterior and param_best")
-        extras["param_tv"] = _param_tv(param_posterior, param_best)
-
-    if statement_id in ("cor_eps", "cor_eps_dist", "cor_bayes_eps", "cor_bayes_eps_dist"):
-        if epsilon is None:
-            raise InvalidArgument(f"{statement_id} requires epsilon")
-        _require(0.0 < epsilon < 1.0, "eps_domain", f"epsilon must lie in (0,1), got {epsilon}")
-        b_S = max(min(max_first_order_b(src), max_second_order_b(src)), 0.0) if b_source is None else b_source
-        b_T = max(max_first_order_b(tgt), 0.0) if b_target is None else b_target
-        _require(
-            0.0 < b_S < 1.0 and min(max_first_order_b(src), max_second_order_b(src)) >= b_S,
-            "source_boundedness",
-            "source must be first- and second-order b_S-bounded",
-        )
-        _require(
-            0.0 < b_T < 1.0 and max_first_order_b(tgt) >= b_T,
-            "target_boundedness",
-            "target must be first-order b_T-bounded",
-        )
-        sup_var_source = sup_variance(src)
-        extras.update({"epsilon": epsilon, "b_S": b_S, "b_T": b_T, "sup_var_source": sup_var_source})
-        if statement_id in ("cor_eps", "cor_bayes_eps"):
-            _check_assumption1(src, tgt, epsilon)
-            from .distributions import diameter as diam_fn
-
-            diam = diam_fn(src)
-            extras["diam_source"] = diam
-            delta = (1.0 - b_T) / (b_S * alpha**2) * (sup_var_source + (diam + epsilon) ** 2)
-        else:
-            _require(
-                task_distribution_tv(src, tgt) <= epsilon + 1e-12,
-                "eps_distribution_distance",
-                "TV between task distributions exceeds epsilon",
-            )
-            delta = (1.0 - b_T) / (b_S * alpha**2) * (sup_var_source + epsilon**2)
-    else:
-        delta = sup_var_target / alpha**2
-
-    if statement_id == "cor_ce":
-        _require(
-            isinstance(predictor, Categorical) and not tgt.is_continuous,
-            "finite_sample_space",
-            "cross-entropy bound requires a shared finite sample space",
-        )
-        assert isinstance(predictor, Categorical)
-        if b_pred is None:
-            support = predictor.p[predictor.p > 0]
-            b_pred = float(support.min())
-        _require(b_pred > 0, "predictor_boundedness", "predictor must be b-bounded with b > 0")
-        for w, t in zip(tgt.weights, tgt.tasks):
-            assert isinstance(t, Categorical)
-            if w > 0:
-                _require(
-                    not np.any((t.p > 0) & (predictor.p <= 0)),
-                    "predictor_boundedness",
-                    "a target task puts mass outside the predictor's support",
-                )
-        entropy_e = float(tgt.weights @ np.array([entropy(t) for t in tgt.tasks]))
-        extras.update({"b_pred": b_pred, "entropy_E": entropy_e})
-
-    sum_thm1 = alpha + B + C + D
-    margins = {
-        "lemma1": alpha,
-        "lemma2": alpha + B + C,
-        "thm1": sum_thm1,
-        "thm2": alpha + B + C + D_learner,
-        "cor_bayesian": alpha + B + extras.get("param_tv", 0.0) + D,
-        "cor_eps": sum_thm1,
-        "cor_eps_dist": sum_thm1,
-        "cor_bayes_eps": alpha + B + extras.get("param_tv", 0.0) + D,
-        "cor_bayes_eps_dist": alpha + B + extras.get("param_tv", 0.0) + D,
-        "cor_ce": (2.0 / b_pred) * sum_thm1**2 + extras["entropy_E"] if statement_id == "cor_ce" else None,
-        "cor_l1": 2.0 * sum_thm1,
-        "cor_hellinger": sum_thm1,
-    }
+    unmet = statement.unmet(comp)
+    if unmet is not None:
+        raise PreconditionViolated(unmet.assumption, unmet.detail)
+    comp.reads.clear()
+    margin, delta = statement.margin(comp, alpha), statement.delta(comp, alpha)
+    extras.update((k, v) for k, v in comp.reads.items() if k not in ("B", "C", "D", "D_learner"))
     return BoundReport(
         statement_id=statement_id,
         alpha=alpha,
@@ -417,7 +449,7 @@ def evaluate_bound(
         C=C,
         D=D,
         D_learner=D_learner,
-        margin=float(margins[statement_id]),
+        margin=float(margin),
         delta=float(delta),
         extras=extras,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import CSV_HEADER as BOUND_CSV_HEADER
-from .bounds import ModelClass, evaluate_bound
+from .bounds import evaluate_bound
 from .errors import EpiboundError
 from .experiments import (
     ExperimentConfig,
@@ -128,44 +128,30 @@ def _cmd_oracle(args) -> int:
     return VIOLATION_ERROR if report.total_violations else 0
 
 
-def _instance_from_dict(data: dict):
-    from .distributions import distribution_from_dict, task_distribution_from_dict
-
+def _load_setup(path: str) -> dict:
+    """A bound instance or verify setup file, deserialized; missing keys are usage errors."""
     try:
-        model = ModelClass.from_dict(data["model"])
-        predictor = distribution_from_dict(data["predictor"])
-        source = task_distribution_from_dict(data["source"])
-        target = task_distribution_from_dict(data["target"])
+        return setup_from_dict(_load_json(path))
     except KeyError as exc:
-        raise SystemExit(_usage_fail(f"instance file missing key {exc}"))
-    extras = {}
-    for key in ("param_posterior", "param_best"):
-        if data.get(key) is not None:
-            raw = data[key]
-            if raw.get("kind") == "gaussian_param":
-                from .bayes import GaussianParamDist
-
-                extras[key] = GaussianParamDist.from_dict(raw)
-            else:
-                extras[key] = distribution_from_dict(raw)
-    return model, predictor, source, target, extras
+        raise SystemExit(_usage_fail(f"{path} is missing key {exc}"))
 
 
 def _cmd_bound(args) -> int:
-    data = _load_json(args.instance)
-    model, predictor, source, target, extras = _instance_from_dict(data)
+    setup = _load_setup(args.instance)
+    if setup.get("model") is None:
+        raise SystemExit(_usage_fail(f"{args.instance} is missing key 'model'"))
     report = evaluate_bound(
         args.statement,
-        model=model,
-        predictor=predictor,
-        source=source,
-        target=target,
+        model=setup["model"],
+        predictor=setup["predictor"],
+        source=setup["source"],
+        target=setup["target"],
         alpha=args.alpha,
         epsilon=args.epsilon,
         b_source=args.bS,
         b_target=args.bT,
-        param_posterior=extras.get("param_posterior"),
-        param_best=extras.get("param_best"),
+        param_posterior=setup.get("param_posterior"),
+        param_best=setup.get("param_best"),
     )
     print(BOUND_CSV_HEADER)
     print(report.to_csv_row())
@@ -216,8 +202,7 @@ def _cmd_experiment_negative_transfer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    raw = _load_json(args.setup)
-    setup = setup_from_dict(raw)
+    setup = _load_setup(args.setup)
     result = monte_carlo_verify(setup, trials=args.trials, seed=args.seed)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0 if result["pass"] else VIOLATION_ERROR

@@ -446,19 +446,6 @@ def _event_masks(m: int) -> np.ndarray:
     return np.array(list(itertools.product((0.0, 1.0), repeat=m)))
 
 
-def categorical_event_family(m: int) -> list[DiscreteEvent]:
-    """All 2^m events of an m-outcome space (refused for m > 12)."""
-    if m > SUP_ENUM_MAX_OUTCOMES:
-        raise InvalidArgument(
-            f"exhaustive event enumeration refused for m={m} > {SUP_ENUM_MAX_OUTCOMES}; "
-            "pass an explicit event family instead"
-        )
-    return [
-        DiscreteEvent(tuple(i for i in range(m) if mask & (1 << i)))
-        for mask in range(2**m)
-    ]
-
-
 def threshold_events(
     tasks: FiniteTaskDistribution,
     n_thresholds: int = DEFAULT_THRESHOLDS,
@@ -584,12 +571,6 @@ def task_distribution_tv(
         total += abs(wa - wb)
     total += float(sum(w for w, u in zip(b.weights, used) if not u))
     return 0.5 * total
-
-
-def task_distributions_equal(
-    a: FiniteTaskDistribution, b: FiniteTaskDistribution, tol: float = PROB_TOL
-) -> bool:
-    return task_distribution_tv(a, b, tol) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .bayes import (
     posterior_predictive,
     posterior_update,
 )
-from .bounds import ModelClass, evaluate_bound
+from .bounds import LOSSES, STATEMENTS, ModelClass, evaluate_bound
 from .distributions import (
     FiniteTaskDistribution,
     Gaussian,
@@ -46,7 +46,7 @@ from .distributions import (
     distribution_from_dict,
     task_distribution_from_dict,
 )
-from .divergences import tv_exact, tv_upper_pinsker
+from .divergences import tv_upper_pinsker
 from .errors import InvalidArgument, SupportViolation
 from .seeding import derive_seed, normalize_seed
 
@@ -381,8 +381,11 @@ def monte_carlo_verify(setup: dict, trials: int, seed: int) -> dict:
 
     ``setup`` carries predictor, source/target task distributions, a
     statement id, alpha, and optionally a model class and the statement's
-    extra inputs.  Passes when the exceedance frequency stays within two
-    binomial standard errors of delta (vacuously when delta >= 1).
+    extra inputs.  Each trial draws a target task Q and scores the
+    statement's own loss (TV, L1, squared Hellinger or excess cross-entropy,
+    from ``bounds.STATEMENTS``) against its margin.  Passes when the
+    exceedance frequency stays within two binomial standard errors of delta
+    (vacuously when delta >= 1).
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
@@ -404,16 +407,19 @@ def monte_carlo_verify(setup: dict, trials: int, seed: int) -> dict:
         param_best=setup.get("param_best"),
         b_pred=setup.get("b_pred"),
     )
+    loss = LOSSES[STATEMENTS[report.statement_id].loss]
     rng = np.random.default_rng(normalize_seed(seed))
     if isinstance(target, FiniteTaskDistribution):
-        ers = np.array([tv_exact(predictor, t) for t in target.tasks])
+        # zero-weight tasks are never drawn, and may lie outside the loss's domain
+        values = np.array([loss(predictor, t) if w > 0 else 0.0
+                           for w, t in zip(target.weights, target.tasks)])
         idx = rng.choice(target.n_tasks, size=trials, p=target.weights)
-        exceed = ers[idx] >= report.margin
+        exceed = values[idx] >= report.margin
     else:
         exceed = np.empty(trials, dtype=bool)
         for t in range(trials):
             task = target.sample_task(rng)
-            exceed[t] = tv_exact(predictor, task) >= report.margin
+            exceed[t] = loss(predictor, task) >= report.margin
     freq = float(exceed.mean())
     stderr = math.sqrt(freq * (1.0 - freq) / trials)
     passed = report.delta >= 1.0 or freq <= report.delta + 2.0 * stderr
@@ -429,7 +435,10 @@ def monte_carlo_verify(setup: dict, trials: int, seed: int) -> dict:
 
 
 def setup_from_dict(data: dict) -> dict:
-    """Deserialize a monte_carlo_verify setup from its JSON form."""
+    """Deserialize a bound instance or a monte_carlo_verify setup from its JSON form.
+
+    Raises KeyError when the predictor, source or target is missing.
+    """
     out = dict(data)
     out["predictor"] = distribution_from_dict(data["predictor"])
     out["source"] = task_distribution_from_dict(data["source"])

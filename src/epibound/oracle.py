@@ -11,10 +11,10 @@ construction.
 
 from __future__ import annotations
 
-import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,10 +22,12 @@ import numpy as np
 from .distributions import (
     Categorical,
     FiniteTaskDistribution,
+    _event_masks,
     max_first_order_b,
     max_second_order_b,
+    task_distribution_tv,
 )
-from .bounds import ModelClass
+from .bounds import STATEMENTS, ModelClass
 from .errors import GenerationFailure, InvalidArgument
 from .seeding import derive_seed, normalize_seed
 
@@ -35,8 +37,28 @@ SLACK_TOL = 1e-10      # deterministic lemma inequalities must have slack >= -SL
 
 CONSTRAINT_MODES = ("none", "no_shift", "perfect_no_shift", "assumption1", "assumption2")
 
-PROB_STATEMENTS = ("lemma1", "lemma2", "thm1", "thm2", "cor_eps", "cor_eps_dist",
-                   "cor_ce", "cor_l1", "cor_hellinger", "cor_bayesian")
+# the statements each constraint mode attempts; a statement whose preconditions
+# fail on an instance is skipped there
+_MODE_STATEMENTS = {
+    "none": ["thm1", "thm2", "cor_l1", "cor_hellinger", "cor_ce",
+             "lemma_b2", "lemma_b7", "prop1"],
+    "no_shift": ["lemma2", "thm1", "thm2", "cor_l1", "cor_hellinger", "cor_ce",
+                 "lemma_b2", "lemma_b7", "prop1"],
+    "perfect_no_shift": ["lemma1", "lemma2", "thm1", "thm2", "cor_l1", "cor_hellinger",
+                         "cor_ce", "lemma_b2", "lemma_b7", "prop1"],
+    "assumption1": ["thm1", "thm2", "cor_eps", "cor_l1", "cor_hellinger", "cor_ce",
+                    "lemma_b2", "lemma_b7", "lemma_b9", "prop1"],
+    "assumption2": ["thm1", "thm2", "cor_eps", "cor_eps_dist", "cor_l1", "cor_hellinger",
+                    "cor_ce", "lemma_b2", "lemma_b7", "lemma_b8", "lemma_b9", "lemma_b10",
+                    "prop1"],
+}
+_INSTANCE_STATEMENTS = {
+    sid for sids in _MODE_STATEMENTS.values() for sid in sids if sid in STATEMENTS
+}
+_THETA_STATEMENTS = ("cor_bayesian",)  # verified on finite-theta instances
+PROB_STATEMENTS = tuple(
+    sid for sid in STATEMENTS if sid in _INSTANCE_STATEMENTS or sid in _THETA_STATEMENTS
+)
 LEMMA_STATEMENTS = ("lemma_b2", "lemma_b6", "lemma_b7", "lemma_b8", "lemma_b9",
                     "lemma_b10", "prop1")
 ALL_STATEMENTS = PROB_STATEMENTS + LEMMA_STATEMENTS
@@ -181,6 +203,8 @@ def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> O
 
 @dataclass(frozen=True)
 class _Components:
+    """Exact components of one instance, under the names ``bounds.STATEMENTS`` reads."""
+
     instance: OracleInstance
     B: float
     C: float
@@ -189,24 +213,25 @@ class _Components:
     sup_var_target: float
     sup_var_source: float
     diam_source: float
+    epsilon: float            # NaN when the instance has none
+    b_S: float                # the largest b the source is first- and second-order bounded by
+    b_T: float                # the largest b the target is first-order bounded by
+    b_pred: float             # the predictor's smallest positive probability
     tv_pred_bary_s: float
     tv_pred_bary_t: float
-    ers: np.ndarray           # tv(predictor, Q_t) per target support task
-    hell_t: np.ndarray        # squared Hellinger(predictor, Q_t)
     t_weights: np.ndarray
+    losses: dict              # loss name -> its value on each target support task
     var_s_events: np.ndarray  # per-event source variances (2^m,)
     var_t_events: np.ndarray
     shared_support: bool      # identical task tuples (weights may differ)
     no_shift: bool            # identical task distributions
-    min_tv_to_source: np.ndarray  # per target task: min TV to the source support
+    max_tv_to_source: float   # over target tasks: TV to the nearest source task
     dist_tv: float            # TV between the two task distributions
-    kl_t_pred: np.ndarray     # KL(Q_t || predictor); inf where support leaks
-    ent_t: np.ndarray         # entropy of each target task
-    b_pred: float
-
-
-def _event_masks(m: int) -> np.ndarray:
-    return np.array(list(itertools.product((0.0, 1.0), repeat=m)))
+    support_covered: bool     # every target task inside the predictor's support
+    finite_space = True  # oracle instances are categorical
+    # b_S and b_T are already the largest valid values
+    max_b_S = property(lambda self: self.b_S)
+    max_b_T = property(lambda self: self.b_T)
 
 
 def compute_components(inst: OracleInstance) -> _Components:
@@ -234,25 +259,19 @@ def compute_components(inst: OracleInstance) -> _Components:
     hell_t = 0.5 * ((np.sqrt(T) - np.sqrt(pred)[None, :]) ** 2).sum(axis=1)
 
     cross = 0.5 * np.abs(T[:, None, :] - S[None, :, :]).sum(axis=2)  # (k_t, k_s)
-    min_tv = cross.min(axis=1)
     shared = len(inst.target.tasks) == len(inst.source.tasks) and all(
         a is b for a, b in zip(inst.target.tasks, inst.source.tasks)
     )
     if shared:
         dist_tv = float(0.5 * np.abs(w_s - w_t).sum())
     else:
-        from .distributions import task_distribution_tv
-
         dist_tv = task_distribution_tv(inst.source, inst.target)
-    no_shift = shared and dist_tv <= 1e-12
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(T > 0, T / np.where(pred > 0, pred, np.nan), 1.0)
         kl_rows = np.where(T > 0, T * np.log(ratio), 0.0)
-    kl_t_pred = np.where(np.isnan(kl_rows).any(axis=1), np.inf, np.nansum(kl_rows, axis=1))
-    ent_rows = np.where(T > 0, -T * np.log(np.where(T > 0, T, 1.0)), 0.0)
-    ent_t = ent_rows.sum(axis=1)
-    b_pred = float(pred[pred > 0].min())
+    leaks = np.isnan(kl_rows).any(axis=1)
+    kl_t_pred = np.where(leaks, np.inf, np.nansum(kl_rows, axis=1))
 
     return _Components(
         instance=inst,
@@ -263,20 +282,21 @@ def compute_components(inst: OracleInstance) -> _Components:
         sup_var_target=float(var_t.max()),
         sup_var_source=float(var_s.max()),
         diam_source=diam,
+        epsilon=np.nan if inst.epsilon is None else inst.epsilon,
+        b_S=min(inst.b_source_first, inst.b_source_second),
+        b_T=inst.b_target_first,
+        b_pred=float(pred[pred > 0].min()),
         tv_pred_bary_s=float(0.5 * np.abs(pred - bary_s).sum()),
         tv_pred_bary_t=float(0.5 * np.abs(pred - bary_t).sum()),
-        ers=ers,
-        hell_t=hell_t,
         t_weights=w_t,
+        losses={"tv": ers, "l1": 2.0 * ers, "hellinger_sq": hell_t, "excess_ce": kl_t_pred},
         var_s_events=var_s,
         var_t_events=var_t,
         shared_support=shared,
-        no_shift=no_shift,
-        min_tv_to_source=min_tv,
+        no_shift=shared and dist_tv <= 1e-12,
+        max_tv_to_source=float(cross.min(axis=1).max()),
         dist_tv=dist_tv,
-        kl_t_pred=kl_t_pred,
-        ent_t=ent_t,
-        b_pred=b_pred,
+        support_covered=not leaks.any(),
     )
 
 
@@ -322,83 +342,23 @@ class StatementReport:
         self.max_slack = max(self.max_slack, slack)
 
 
-def _exceedance(comp: _Components, values: np.ndarray, margin: float) -> float:
-    return float(comp.t_weights[values >= margin].sum())
-
-
 def _skip(report: StatementReport, reason: str) -> None:
     report.skips += 1
     report.skip_reason = reason
 
 
-def _verify_probability_statement(
-    comp: _Components,
-    statement_id: str,
-    alphas: Sequence[float],
-    report: StatementReport,
-) -> None:
-    inst = comp.instance
-    eps = inst.epsilon
-
-    if statement_id == "lemma1":
-        if not comp.no_shift:
-            _skip(report, "requires no shift")
-            return
-        if comp.tv_pred_bary_s > 1e-12:
-            _skip(report, "requires perfect learning")
-            return
-    if statement_id == "lemma2" and not comp.no_shift:
-        _skip(report, "requires no shift")
+def _verify_probability_statement(comp, alphas: Sequence[float], report: StatementReport) -> None:
+    """Exact ``P(loss >= margin)`` against delta, per alpha, for ``report``'s statement."""
+    statement = STATEMENTS[report.statement_id]
+    unmet = statement.unmet(comp)
+    if unmet is not None:
+        _skip(report, unmet.assumption)
         return
-    if statement_id in ("cor_eps", "cor_eps_dist"):
-        b_S = min(inst.b_source_first, inst.b_source_second)
-        b_T = inst.b_target_first
-        if eps is None or not (0 < eps < 1):
-            _skip(report, "requires an epsilon in (0,1)")
-            return
-        if b_S <= 0 or b_T <= 0:
-            _skip(report, "boundedness precondition fails")
-            return
-        if statement_id == "cor_eps" and comp.min_tv_to_source.max() > eps + 1e-12:
-            _skip(report, "a target task exceeds the per-task TV neighborhood")
-            return
-        if statement_id == "cor_eps_dist" and comp.dist_tv > eps + 1e-12:
-            _skip(report, "task-distribution TV exceeds epsilon")
-            return
-    if statement_id == "cor_ce" and not np.all(np.isfinite(comp.kl_t_pred)):
-        _skip(report, "a target task leaks outside the predictor's support")
-        return
-
-    margin_base = {
-        "lemma1": lambda a: a,
-        "lemma2": lambda a: a + comp.B + comp.C,
-        "thm2": lambda a: a + comp.B + comp.C + comp.D_learner,
-    }.get(statement_id, lambda a: a + comp.B + comp.C + comp.D)
-
+    losses = comp.losses[statement.loss]
     for a in alphas:
-        margin = margin_base(a)
-        if statement_id == "cor_eps":
-            delta = (1.0 - inst.b_target_first) / (
-                min(inst.b_source_first, inst.b_source_second) * a**2
-            ) * (comp.sup_var_source + (comp.diam_source + eps) ** 2)
-            exc = _exceedance(comp, comp.ers, margin)
-        elif statement_id == "cor_eps_dist":
-            delta = (1.0 - inst.b_target_first) / (
-                min(inst.b_source_first, inst.b_source_second) * a**2
-            ) * (comp.sup_var_source + eps**2)
-            exc = _exceedance(comp, comp.ers, margin)
-        else:
-            delta = comp.sup_var_target / a**2
-            if statement_id == "cor_l1":
-                exc = _exceedance(comp, 2.0 * comp.ers, 2.0 * margin)
-            elif statement_id == "cor_hellinger":
-                exc = _exceedance(comp, comp.hell_t, margin)
-            elif statement_id == "cor_ce":
-                ce = comp.kl_t_pred + comp.ent_t
-                ce_margin = (2.0 / comp.b_pred) * margin**2 + comp.ent_t
-                exc = float(comp.t_weights[ce >= ce_margin].sum())
-            else:
-                exc = _exceedance(comp, comp.ers, margin)
+        margin = statement.margin(comp, a)
+        delta = statement.delta(comp, a)
+        exc = float(comp.t_weights[losses >= margin].sum())
         slack = delta - exc
         report.record(AlphaOutcome(a, exc, delta, slack, exc > delta + VIOLATION_TOL))
 
@@ -412,7 +372,7 @@ def _verify_lemma(comp: _Components, statement_id: str, report: StatementReport)
     elif statement_id == "prop1":
         report.record_slack(comp.D - comp.D_learner)
     elif statement_id == "lemma_b9":
-        if inst.epsilon is None or comp.min_tv_to_source.max() > inst.epsilon + 1e-12:
+        if inst.epsilon is None or comp.max_tv_to_source > inst.epsilon + 1e-12:
             _skip(report, "requires a per-task TV neighborhood")
             return
         report.record_slack(comp.diam_source + inst.epsilon - comp.D)
@@ -439,32 +399,29 @@ def verify_statement(
     instance: OracleInstance,
     statement_id: str,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    n_target_draws: Optional[int] = None,
 ) -> StatementReport:
-    """Exactly verify one statement on one instance over an alpha grid.
+    """Exactly verify one statement on one instance.
 
-    Exceedance probabilities are exact weighted sums over the enumerated
-    target support, so ``n_target_draws`` is accepted for interface
-    compatibility and ignored: enumeration supersedes sampling.
+    A probability statement gets one outcome per alpha: the exceedance
+    ``P(loss >= margin)`` is a weighted sum over the enumerated target
+    support, compared with delta.  A deterministic lemma gets one slack.
+    ``cor_bayesian`` needs a finite-theta instance (``verify_theta_instance``).
     """
-    del n_target_draws
     report = StatementReport(statement_id, keep_outcomes=True)
     comp = compute_components(instance)
-    if statement_id in PROB_STATEMENTS:
-        if statement_id == "cor_bayesian":
-            raise InvalidArgument("cor_bayesian is verified on finite-theta instances")
-        _verify_probability_statement(comp, statement_id, alphas, report)
-    elif statement_id in LEMMA_STATEMENTS:
+    if statement_id in LEMMA_STATEMENTS:
         _verify_lemma(comp, statement_id, report)
+    elif statement_id in _INSTANCE_STATEMENTS:
+        _verify_probability_statement(comp, alphas, report)
     else:
-        raise InvalidArgument(f"unknown statement id {statement_id!r}")
+        raise InvalidArgument(f"{statement_id!r} is not verified on finite instances")
     return report
 
 
 def looseness(instance: OracleInstance) -> float:
     """Mean over exact target weights of tv(pred, Q_t), minus (C + D)."""
     comp = compute_components(instance)
-    return float(comp.t_weights @ comp.ers) - (comp.C + comp.D)
+    return float(comp.t_weights @ comp.losses["tv"]) - (comp.C + comp.D)
 
 
 # ---------------------------------------------------------------------------
@@ -519,35 +476,21 @@ def verify_theta_instance(
     T = np.stack([t.p for t in inst.target.tasks])  # type: ignore[union-attr]
     w_t = inst.target.weights
     bary_t = w_t @ T
-    D = float(0.5 * np.abs(bary_s - bary_t).sum())
     masks = _event_masks(T.shape[1])
-    sup_var_t = float((w_t @ ((T @ masks.T) - bary_t @ masks.T) ** 2).max())
-    ers = _tv_vec(T, predictor)
-    for a in alphas:
-        margin = a + B + param_tv + D
-        delta = sup_var_t / a**2
-        exc = float(w_t[ers >= margin].sum())
-        slack = delta - exc
-        bayes_report.record(AlphaOutcome(a, exc, delta, slack, exc > delta + VIOLATION_TOL))
+    comp = SimpleNamespace(
+        B=B,
+        param_tv=param_tv,
+        D=float(0.5 * np.abs(bary_s - bary_t).sum()),
+        sup_var_target=float((w_t @ ((T @ masks.T) - bary_t @ masks.T) ** 2).max()),
+        t_weights=w_t,
+        losses={"tv": _tv_vec(T, predictor)},
+    )
+    _verify_probability_statement(comp, alphas, bayes_report)
 
 
 # ---------------------------------------------------------------------------
 # Suite runner
 # ---------------------------------------------------------------------------
-
-_MODE_STATEMENTS = {
-    "none": ["thm1", "thm2", "cor_l1", "cor_hellinger", "cor_ce",
-             "lemma_b2", "lemma_b7", "prop1"],
-    "no_shift": ["lemma2", "thm1", "thm2", "cor_l1", "cor_hellinger", "cor_ce",
-                 "lemma_b2", "lemma_b7", "prop1"],
-    "perfect_no_shift": ["lemma1", "lemma2", "thm1", "thm2", "cor_l1", "cor_hellinger",
-                         "cor_ce", "lemma_b2", "lemma_b7", "prop1"],
-    "assumption1": ["thm1", "thm2", "cor_eps", "cor_l1", "cor_hellinger", "cor_ce",
-                    "lemma_b2", "lemma_b7", "lemma_b9", "prop1"],
-    "assumption2": ["thm1", "thm2", "cor_eps", "cor_eps_dist", "cor_l1", "cor_hellinger",
-                    "cor_ce", "lemma_b2", "lemma_b7", "lemma_b8", "lemma_b9", "lemma_b10",
-                    "prop1"],
-}
 
 
 @dataclass
@@ -614,12 +557,12 @@ def _run_range(args) -> dict:
             rep = statements[sid]
             before = rep.violations
             if sid in PROB_STATEMENTS:
-                _verify_probability_statement(comp, sid, alphas, rep)
+                _verify_probability_statement(comp, alphas, rep)
             else:
                 _verify_lemma(comp, sid, rep)
             if rep.violations > before and len(details) < 50:
                 details.append({"statement": sid, "instance_seed": inst.seed, "mode": mode})
-        loos.append(float(comp.t_weights @ comp.ers) - (comp.C + comp.D))
+        loos.append(float(comp.t_weights @ comp.losses["tv"]) - (comp.C + comp.D))
         theta = generate_theta_instance(derive_seed(seed, i, 777))
         verify_theta_instance(theta, alphas, statements["lemma_b6"], statements["cor_bayesian"])
     return {"statements": statements, "looseness": loos, "details": details}

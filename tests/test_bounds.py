@@ -1,7 +1,5 @@
 """Decomposition components and bound-statement evaluation."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -173,9 +171,30 @@ class TestEvaluateBound:
         rep = evaluate_bound("cor_ce", model=binary_model, predictor=binary_predictor,
                              source=binary_source, target=binary_target, alpha=0.15)
         assert rep.extras["b_pred"] == pytest.approx(0.25)
-        ent = -(0.6 * math.log(0.6) + 0.4 * math.log(0.4))
-        assert rep.extras["entropy_E"] == pytest.approx(ent, abs=1e-12)
-        assert rep.margin == pytest.approx((2 / 0.25) * 0.70**2 + ent, abs=1e-10)
+        # the loss is the excess cross-entropy KL(Q || pred): no entropy term in the margin
+        assert "entropy_E" not in rep.extras
+        assert rep.margin == pytest.approx((2 / 0.25) * 0.70**2, abs=1e-10)
+
+    def test_cor_ce_margin_holds_on_witness(self):
+        # perfect learning, no shift: the cross-entropy paired with a margin
+        # carrying E[H(Q)] is exceeded with probability 0.151 > delta here;
+        # the statement's loss, the excess cross-entropy, stays within delta
+        from epibound.bounds import LOSSES, STATEMENTS
+        from epibound.divergences import cross_entropy, entropy
+        from epibound.oracle import InstanceConfig, generate_instance
+
+        inst = generate_instance(414947387446761141, InstanceConfig(constraint="perfect_no_shift"))
+        rep = evaluate_bound("cor_ce", model=inst.model, predictor=inst.predictor,
+                             source=inst.source, target=inst.target, alpha=0.1)
+        w, tasks = inst.target.weights, inst.target.tasks
+        loss = LOSSES[STATEMENTS["cor_ce"].loss]
+        values = np.array([loss(inst.predictor, t) for t in tasks])
+        ce = np.array([cross_entropy(t, inst.predictor) for t in tasks])
+        ent = np.array([entropy(t) for t in tasks])
+        np.testing.assert_allclose(values, ce - ent, atol=1e-12)
+        assert w[values >= rep.margin].sum() <= rep.delta
+        ce_exceedance = w[ce >= rep.margin + w @ ent].sum()
+        assert ce_exceedance == pytest.approx(0.151, abs=1e-3) and ce_exceedance > rep.delta
 
     def test_cor_bayesian_with_gaussian_params(self, binary_model, binary_predictor,
                                                binary_source, binary_target):

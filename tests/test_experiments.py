@@ -12,7 +12,9 @@ from epibound import (
     InvalidArgument,
     InverseGammaGaussianTasks,
     ModelClass,
+    barycenter,
     finite_tasks,
+    l1_distance,
     monte_carlo_verify,
     neighborhood_target,
     run_negative_transfer_experiment,
@@ -243,6 +245,33 @@ class TestMonteCarloVerify:
         stderr = math.sqrt(max(exact * (1 - exact), 1e-12) / 10**4)
         assert abs(res["empirical_freq"] - exact) <= 3 * stderr + 1e-9
         assert res["pass"]
+
+    def test_cor_l1_scores_l1(self):
+        # perfect learner, no shift: margin = 2 * alpha, and one task in three
+        # sits at TV 0.15 > alpha from the predictor, so P(L1 >= margin) = 0.3
+        # while P(TV >= margin) = 0
+        source = finite_tasks([
+            (Categorical([0.45, 0.55]), 0.5),
+            (Categorical([0.65, 0.35]), 0.3),
+            (Categorical([0.4, 0.6]), 0.2),
+        ])
+        bary = barycenter(source)
+        setup = {
+            "predictor": bary,
+            "source": source,
+            "target": source,
+            "model": ModelClass((bary,)),
+            "statement_id": "cor_l1",
+            "alpha": 0.12,
+        }
+        trials = 10**4
+        res = monte_carlo_verify(setup, trials=trials, seed=12)
+        assert res["margin"] == pytest.approx(0.24, abs=1e-12)
+        l1 = np.array([l1_distance(bary, t) for t in source.tasks])
+        exact = float(source.weights[l1 >= res["margin"]].sum())
+        assert exact == pytest.approx(0.3)
+        stderr = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(res["empirical_freq"] - exact) <= 3 * stderr
 
     def test_margin_past_one(self, binary_model, binary_predictor, binary_source, binary_target):
         setup = {

@@ -9,16 +9,23 @@ from epibound import (
     InstanceConfig,
     ModelClass,
     OracleInstance,
+    PreconditionViolated,
+    barycenter,
+    best_approximation,
+    evaluate_bound,
     generate_instance,
     looseness,
+    monte_carlo_verify,
     negative_transfer_scan,
     run_suite,
     verify_statement,
 )
+from epibound.bounds import LOSSES, STATEMENT_IDS, STATEMENTS
 from epibound.distributions import max_first_order_b, max_second_order_b
-from epibound.divergences import tv_exact
+from epibound.divergences import cross_entropy, entropy, hellinger_sq, l1_distance, tv_exact
 from epibound.oracle import (
     DEFAULT_ALPHAS,
+    compute_components,
     generate_theta_instance,
     verify_theta_instance,
     StatementReport,
@@ -175,39 +182,120 @@ class TestLooseness:
             assert -looseness(inst) <= 2 * c + 1e-12
 
 
+# the constraint mode whose instances meet each statement's preconditions
+STATEMENT_MODES = {"lemma1": "perfect_no_shift", "lemma2": "no_shift",
+                   "cor_eps": "assumption1", "cor_eps_dist": "assumption2",
+                   "cor_bayes_eps": "assumption1", "cor_bayes_eps_dist": "assumption2"}
+
+# each statement's per-task loss, computed without the statement table
+EXACT_LOSSES = {
+    "tv": tv_exact,
+    "l1": l1_distance,
+    "hellinger_sq": hellinger_sq,
+    "excess_ce": lambda pred, q: cross_entropy(q, pred) - entropy(q),
+}
+
+
+def exact_exceedance(statement_id, predictor, target, margin):
+    loss = EXACT_LOSSES[STATEMENTS[statement_id].loss]
+    values = np.array([loss(predictor, t) for t in target.tasks])
+    return float(target.weights[values >= margin].sum())
+
+
+def check_verify_agrees(rep, setup):
+    res = monte_carlo_verify(dict(setup, statement_id=rep.statement_id, alpha=rep.alpha),
+                             trials=20, seed=0)
+    assert (res["margin"], res["delta"]) == (rep.margin, rep.delta)
+
+
 class TestAgreementWithEvaluateBound:
     def test_margins_and_deltas_match_public_path(self):
-        # the suite's cached-component arithmetic must agree with the
-        # single-shot evaluate_bound on the same instances
-        from epibound import evaluate_bound
-        from epibound.oracle import compute_components
-
+        # evaluate_bound, rederive, the oracle and monte_carlo_verify agree on
+        # every statement the oracle verifies on finite instances, at every alpha
+        sids = [s for s in STATEMENT_IDS if not s.startswith("cor_bayes")]
         rng = np.random.default_rng(77)
-        for seed in rng.integers(0, 10**6, size=25):
-            inst = generate_instance(int(seed))
-            comp = compute_components(inst)
-            for sid in ("thm1", "thm2", "cor_l1", "cor_hellinger"):
-                rep = evaluate_bound(sid, model=inst.model, predictor=inst.predictor,
-                                     source=inst.source, target=inst.target, alpha=0.2)
-                out = verify_statement(inst, sid, alphas=[0.2]).outcomes[0]
-                assert out.delta == pytest.approx(rep.delta, abs=1e-12)
+        exceeded = dict.fromkeys(EXACT_LOSSES, 0)  # outcomes with a positive exceedance
+        for sid in sids:
+            modes = [STATEMENT_MODES[sid]] if sid in STATEMENT_MODES else [
+                "none", "no_shift", "perfect_no_shift"]
+            trials = 0
+            for i, seed in enumerate(rng.integers(0, 10**6, size=12)):
+                inst = generate_instance(int(seed), InstanceConfig(constraint=modes[i % len(modes)]))
+                setup = {"model": inst.model, "predictor": inst.predictor,
+                         "source": inst.source, "target": inst.target, "epsilon": inst.epsilon}
+                out = verify_statement(inst, sid, alphas=DEFAULT_ALPHAS)
+                try:
+                    reps = [evaluate_bound(sid, alpha=a, **setup) for a in DEFAULT_ALPHAS]
+                except PreconditionViolated:
+                    assert out.skips == 1 and out.trials == 0, sid
+                    continue
+                trials += out.trials
+                comp = compute_components(inst)
                 assert (comp.B, comp.C, comp.D) == (
-                    pytest.approx(rep.B, abs=1e-12),
-                    pytest.approx(rep.C, abs=1e-12),
-                    pytest.approx(rep.D, abs=1e-12),
+                    pytest.approx(reps[0].B, abs=1e-12),
+                    pytest.approx(reps[0].C, abs=1e-12),
+                    pytest.approx(reps[0].D, abs=1e-12),
                 )
+                # verify scores the table's loss on objects, the oracle its exact array
+                loss = STATEMENTS[sid].loss
+                values = [LOSSES[loss](inst.predictor, t) for t in inst.target.tasks]
+                np.testing.assert_allclose(values, comp.losses[loss], rtol=0, atol=1e-12)
+                for rep, outcome in zip(reps, out.outcomes):
+                    assert (rep.margin, rep.delta) == rep.rederive(), sid
+                    assert outcome.delta == pytest.approx(rep.delta, rel=1e-12, abs=1e-15), sid
+                    assert outcome.exceedance == exact_exceedance(
+                        sid, inst.predictor, inst.target, rep.margin), sid
+                    exceeded[STATEMENTS[sid].loss] += outcome.exceedance > 0
+                check_verify_agrees(reps[0], setup)
+            assert trials > 0, f"{sid} never met its preconditions"
+        assert all(exceeded.values()), exceeded
 
     def test_eps_delta_matches_public_path(self):
         rng = np.random.default_rng(78)
         for seed in rng.integers(0, 10**6, size=15):
             inst = generate_instance(int(seed), InstanceConfig(constraint="assumption1"))
-            from epibound import evaluate_bound
-
             rep = evaluate_bound("cor_eps", model=inst.model, predictor=inst.predictor,
                                  source=inst.source, target=inst.target, alpha=0.25,
                                  epsilon=inst.epsilon)
             out = verify_statement(inst, "cor_eps", alphas=[0.25]).outcomes[0]
             assert out.delta == pytest.approx(rep.delta, rel=1e-12)
+
+    def test_bayesian_statements_match_public_path(self):
+        # cor_bayesian: the oracle's finite-theta check against evaluate_bound on
+        # the same world, with the categorical posterior and best parameter
+        for seed in range(20):
+            theta = generate_theta_instance(seed)
+            source = FiniteTaskDistribution(
+                tuple(Categorical(p) for p in theta.theta_pmfs), theta.source_weights)
+            model = ModelClass(tuple(Categorical(c @ theta.theta_pmfs) for c in theta.candidates))
+            setup = {"model": model, "predictor": Categorical(theta.p1 @ theta.theta_pmfs),
+                     "source": source, "target": theta.target,
+                     "param_posterior": Categorical(theta.p1)}
+            best, _ = best_approximation(model, barycenter(source))
+            setup["param_best"] = Categorical(theta.candidates[model.members.index(best)])
+            rep = evaluate_bound("cor_bayesian", alpha=0.3, **setup)
+            assert (rep.margin, rep.delta) == rep.rederive()
+            report = StatementReport("cor_bayesian", keep_outcomes=True)
+            verify_theta_instance(theta, [0.3], StatementReport("lemma_b6"), report)
+            outcome = report.outcomes[0]
+            assert outcome.delta == pytest.approx(rep.delta, rel=1e-12, abs=1e-15)
+            assert outcome.exceedance == exact_exceedance(
+                "cor_bayesian", setup["predictor"], theta.target, rep.margin)
+            check_verify_agrees(rep, setup)
+
+        # the epsilon variants, which the oracle does not verify
+        rng = np.random.default_rng(79)
+        for sid in ("cor_bayes_eps", "cor_bayes_eps_dist"):
+            for seed in rng.integers(0, 10**6, size=10):
+                inst = generate_instance(int(seed), InstanceConfig(constraint=STATEMENT_MODES[sid]))
+                p1, pstar = (Categorical(rng.dirichlet(np.ones(4))) for _ in range(2))
+                setup = {"model": inst.model, "predictor": inst.predictor,
+                         "source": inst.source, "target": inst.target, "epsilon": inst.epsilon,
+                         "param_posterior": p1, "param_best": pstar}
+                rep = evaluate_bound(sid, alpha=0.2, **setup)
+                assert rep.extras["param_tv"] == tv_exact(p1, pstar)
+                assert (rep.margin, rep.delta) == rep.rederive()
+                check_verify_agrees(rep, setup)
 
 
 class TestThetaInstances:
