@@ -116,7 +116,7 @@ class Categorical(FirstOrderDistribution):
             raise InvalidArgument("probability vector must be 1-D and nonempty")
         if np.any(p < 0):
             raise InvalidArgument("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > PROB_TOL:
+        if not abs(p.sum() - 1.0) <= PROB_TOL:  # written so that a NaN sum fails
             raise InvalidArgument(f"probabilities must sum to 1 within {PROB_TOL}, got {p.sum()!r}")
         _freeze(self, "p", p)
 
@@ -159,8 +159,10 @@ class Gaussian(FirstOrderDistribution):
     def __post_init__(self):
         object.__setattr__(self, "mean", float(self.mean))
         object.__setattr__(self, "stddev", float(self.stddev))
-        if not self.stddev > 0:
-            raise InvalidArgument(f"stddev must be strictly positive, got {self.stddev}")
+        if not math.isfinite(self.mean):
+            raise InvalidArgument(f"mean must be finite, got {self.mean}")
+        if not 0 < self.stddev < math.inf:
+            raise InvalidArgument(f"stddev must be finite and strictly positive, got {self.stddev}")
 
     def event_probability(self, event: EventSet) -> float:
         if not isinstance(event, Interval):
@@ -204,13 +206,18 @@ class GaussianMixture(FirstOrderDistribution):
             raise InvalidArgument("weights, means, stddevs must be equal-length 1-D arrays")
         if np.any(w < 0):
             raise InvalidArgument("mixture weights must be nonnegative")
-        if abs(w.sum() - 1.0) > PROB_TOL:
+        if not abs(w.sum() - 1.0) <= PROB_TOL:
             raise InvalidArgument(f"mixture weights must sum to 1 within {PROB_TOL}")
-        if np.any(sd <= 0):
-            raise InvalidArgument("mixture stddevs must be strictly positive")
+        if not np.all(np.isfinite(mu)):
+            raise InvalidArgument("mixture means must be finite")
+        if not np.all((sd > 0) & (sd < math.inf)):
+            raise InvalidArgument("mixture stddevs must be finite and strictly positive")
         _freeze(self, "weights", w)
         _freeze(self, "means", mu)
         _freeze(self, "stddevs", sd)
+        with np.errstate(divide="ignore"):  # a zero-weight component has log-weight -inf
+            _freeze(self, "_log_weights", np.log(w))
+        _freeze(self, "_log_stddevs", np.log(sd))
 
     def event_probability(self, event: EventSet) -> float:
         if not isinstance(event, Interval):
@@ -224,13 +231,23 @@ class GaussianMixture(FirstOrderDistribution):
         return float(self.weights @ (hi - lo))
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
+        # Log-sum-exp over components in one (n, k) buffer, updated in place.
+        # The order of the steps, and the three separate per-component
+        # constants, are fixed: each rounds exactly as the plain expression
+        # -0.5*z**2 - log(sd) - 0.5*LOG_2PI + log(w), and the experiment CSV
+        # bytes depend on every last bit of these values.
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = (x[:, None] - self.means[None, :]) / self.stddevs[None, :]
-        comp = -0.5 * z**2 - np.log(self.stddevs)[None, :] - 0.5 * LOG_2PI
-        with np.errstate(divide="ignore"):
-            comp = comp + np.log(self.weights)[None, :]
+        comp = np.subtract(x[:, None], self.means)
+        comp /= self.stddevs
+        np.square(comp, out=comp)
+        comp *= -0.5
+        comp -= self._log_stddevs
+        comp -= 0.5 * LOG_2PI
+        comp += self._log_weights
         mx = comp.max(axis=1, keepdims=True)
-        return (mx[:, 0] + np.log(np.exp(comp - mx).sum(axis=1)))
+        comp -= mx
+        np.exp(comp, out=comp)
+        return mx[:, 0] + np.log(comp.sum(axis=1))
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(x))
@@ -306,7 +323,7 @@ class FiniteTaskDistribution:
             raise InvalidTaskDistribution("one weight per task required")
         if np.any(w < 0):
             raise InvalidTaskDistribution("task weights must be nonnegative")
-        if abs(w.sum() - 1.0) > PROB_TOL:
+        if not abs(w.sum() - 1.0) <= PROB_TOL:
             raise InvalidTaskDistribution(f"task weights must sum to 1 within {PROB_TOL}")
         for t in tasks[1:]:
             if not same_space(tasks[0], t):
@@ -353,8 +370,10 @@ class InverseGammaGaussianTasks:
         object.__setattr__(self, "mean", float(self.mean))
         object.__setattr__(self, "shape", float(self.shape))
         object.__setattr__(self, "rate", float(self.rate))
-        if self.shape <= 0 or self.rate <= 0:
-            raise InvalidTaskDistribution("inverse gamma parameters must be positive")
+        if not math.isfinite(self.mean):
+            raise InvalidTaskDistribution(f"task mean must be finite, got {self.mean}")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise InvalidTaskDistribution("inverse gamma parameters must be finite and positive")
 
     @property
     def is_continuous(self) -> bool:

@@ -77,6 +77,22 @@ class TestBoundCommand:
                      "--alpha", "0.1"])
         assert code == 2
 
+    def test_nan_probabilities_rejected(self, tmp_path, capsys):
+        nan = {"kind": "categorical", "p": [float("nan"), float("nan")]}
+        instance = {
+            "model": {"members": [nan, nan]},
+            "predictor": nan,
+            "source": {"kind": "finite_tasks", "tasks": [{"w": 1.0, "dist": nan}]},
+            "target": {"kind": "finite_tasks", "tasks": [{"w": 1.0, "dist": nan}]},
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(instance))
+        code = main(["bound", "--statement", "thm1", "--instance", str(path), "--alpha", "0.1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "probabilities must sum to 1" in captured.err and "nan" in captured.err
+        assert captured.out == ""
+
 
 class TestOracleCommand:
     def test_clean_run_exits_zero(self, tmp_path, capsys):

@@ -47,6 +47,8 @@ class TestConstruction:
     def test_categorical_rejects_bad_sum(self):
         with pytest.raises(InvalidArgument):
             Categorical([0.5, 0.5 + 1e-6])
+        with pytest.raises(InvalidArgument):
+            Categorical([math.nan, math.nan])
 
     def test_categorical_accepts_tolerated_sum(self):
         Categorical([0.5, 0.5 + 1e-13])
@@ -58,10 +60,28 @@ class TestConstruction:
     def test_gaussian_rejects_nonpositive_stddev(self):
         with pytest.raises(InvalidArgument):
             Gaussian(0.0, 0.0)
+        with pytest.raises(InvalidArgument):
+            Gaussian(0.0, math.inf)
+        with pytest.raises(InvalidArgument):
+            Gaussian(math.nan, 1.0)
 
     def test_mixture_rejects_bad_weights(self):
         with pytest.raises(InvalidArgument):
             GaussianMixture([0.6, 0.6], [0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(InvalidArgument):
+            GaussianMixture([math.nan, math.nan], [0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(InvalidArgument):
+            GaussianMixture([0.5, 0.5], [0.0, math.inf], [1.0, 1.0])
+        with pytest.raises(InvalidArgument):
+            GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, math.nan])
+
+    def test_task_distributions_reject_non_finite_parameters(self):
+        with pytest.raises(InvalidTaskDistribution):
+            FiniteTaskDistribution((Categorical([1.0]),) * 2, [math.nan, math.nan])
+        with pytest.raises(InvalidTaskDistribution):
+            InverseGammaGaussianTasks(0.0, math.nan, 1.0)
+        with pytest.raises(InvalidTaskDistribution):
+            InverseGammaGaussianTasks(math.nan, 2.0, 1.0)
 
     def test_empty_task_list(self):
         with pytest.raises(InvalidTaskDistribution):
@@ -89,6 +109,47 @@ class TestConstruction:
     def test_interval_ordering(self):
         with pytest.raises(InvalidArgument):
             Interval(2.0, 1.0)
+
+
+def reference_mixture_logpdf(mix: GaussianMixture, x) -> np.ndarray:
+    """The allocating log-sum-exp that GaussianMixture.logpdf must match bit for bit."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = (x[:, None] - mix.means[None, :]) / mix.stddevs[None, :]
+    comp = -0.5 * z**2 - np.log(mix.stddevs)[None, :] - 0.5 * math.log(2.0 * math.pi)
+    with np.errstate(divide="ignore"):
+        comp = comp + np.log(mix.weights)[None, :]
+    mx = comp.max(axis=1, keepdims=True)
+    return mx[:, 0] + np.log(np.exp(comp - mx).sum(axis=1))
+
+
+class TestMixtureLogpdf:
+    def test_bitwise_equal_to_reference_on_sampled_barycenter(self):
+        mix = barycenter(InverseGammaGaussianTasks(10.0 / 19.0, 3.0, 2.0), components=256, seed=5)
+        assert mix.weights.size == 256
+        x = sample(mix, 400, seed=7)
+        before = x.copy()
+        got = mix.logpdf(x)
+        assert got.shape == (400,)
+        assert np.array_equal(got, reference_mixture_logpdf(mix, x))
+        assert np.array_equal(x, before)
+
+    def test_scalar_and_list_inputs(self):
+        mix = GaussianMixture([0.2, 0.3, 0.5], [-1.0, 0.5, 2.0], [0.7, 1.0, 2.5])
+        for x in (0.3, [-4.0, 0.0, 1.25, 9.0]):
+            assert np.array_equal(mix.logpdf(x), reference_mixture_logpdf(mix, x))
+        assert mix.logpdf(0.3).shape == (1,)
+
+    def test_zero_weight_component(self):
+        mix = GaussianMixture([0.0, 0.4, 0.6], [5.0, 0.0, 1.0], [1.0, 1.0, 2.0])
+        x = np.linspace(-3.0, 8.0, 23)
+        got = mix.logpdf(x)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, reference_mixture_logpdf(mix, x))
+
+    def test_one_component_equals_gaussian(self):
+        x = np.linspace(-6.0, 7.0, 41)
+        mix = GaussianMixture([1.0], [0.75], [1.3])
+        assert np.array_equal(mix.logpdf(x), Gaussian(0.75, 1.3).logpdf(x))
 
 
 class TestBarycenter:

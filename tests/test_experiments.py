@@ -1,5 +1,6 @@
 """Synthetic experiment runners, records, and the Monte Carlo verifier."""
 
+import hashlib
 import json
 import math
 
@@ -161,6 +162,16 @@ class TestNegativeTransferExperiment:
         a = records_to_csv(run_negative_transfer_experiment(cfg))
         b = records_to_csv(run_negative_transfer_experiment(cfg))
         assert a == b
+
+    def test_csv_bytes_pinned(self):
+        # Any change to the arithmetic behind the fitted predictors, kl_mc or
+        # the mixture log-density changes these bytes. Recorded with numpy 2.4
+        # on x86-64; a numpy build whose exp/log round differently changes them too.
+        cfg = ExperimentConfig.negative_transfer("neg", n_grid=(1, 4), sims=3, master_seed=13)
+        csv = records_to_csv(run_negative_transfer_experiment(cfg))
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "75c16ca027506bb233c1d3ccfa84c329fc40f88a3d5cd8324d9d294041cd95b4"
+        )
 
     def test_pinsker_upper_bounds_exact_tv(self):
         # the Pinsker proxy with exact KL dominates the exact TV on the same
