@@ -142,9 +142,13 @@ def epistemic_error(
 
 def chebyshev_delta(tasks: TaskDistribution, alpha: float) -> float:
     """sup-variance over alpha^2, unclipped (values > 1 signal vacuity)."""
-    if alpha <= 0:
-        raise InvalidArgument(f"alpha must be > 0, got {alpha}")
-    return sup_variance(tasks) / alpha**2
+    _require_alpha(alpha)
+    return sup_variance(tasks) / (alpha * alpha)
+
+
+def _require_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):  # also rejects NaN
+        raise InvalidArgument(f"alpha must be finite and > 0, got {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,13 @@ LOSSES = {
 }
 
 
+# Margins and deltas take a float alpha or an array of alphas and round the
+# same either way, so every square of an alpha-dependent term is written as a
+# product: numpy squares an array as x * x, while Python's x**2 calls pow,
+# which can differ in the last bit.  Squares of components are floats on every
+# path and keep ** 2, which the recorded oracle reports depend on.
+
+
 def _sum_thm1(c, a: float) -> float:
     return a + c.B + c.C + c.D
 
@@ -198,15 +209,21 @@ def _sum_bayes(c, a: float) -> float:
 
 
 def _chebyshev(c, a: float) -> float:
-    return c.sup_var_target / a**2
+    return c.sup_var_target / (a * a)
 
 
 def _eps_tasks_delta(c, a: float) -> float:
-    return (1.0 - c.b_T) / (c.b_S * a**2) * (c.sup_var_source + (c.diam_source + c.epsilon) ** 2)
+    spread = c.sup_var_source + (c.diam_source + c.epsilon) ** 2
+    return (1.0 - c.b_T) / (c.b_S * (a * a)) * spread
 
 
 def _eps_dist_delta(c, a: float) -> float:
-    return (1.0 - c.b_T) / (c.b_S * a**2) * (c.sup_var_source + c.epsilon**2)
+    return (1.0 - c.b_T) / (c.b_S * (a * a)) * (c.sup_var_source + c.epsilon**2)
+
+
+def _ce_margin(c, a: float) -> float:
+    s = _sum_thm1(c, a)
+    return (2.0 / c.b_pred) * (s * s)
 
 
 _NO_SHIFT = Precondition("no_shift", lambda c: c.no_shift, "source and target differ")
@@ -257,9 +274,7 @@ STATEMENTS = {
     "cor_eps_dist": Statement("tv", _sum_thm1, _eps_dist_delta, _EPS_DIST),
     "cor_bayes_eps": Statement("tv", _sum_bayes, _eps_tasks_delta, _EPS_TASKS),
     "cor_bayes_eps_dist": Statement("tv", _sum_bayes, _eps_dist_delta, _EPS_DIST),
-    "cor_ce": Statement(
-        "excess_ce", lambda c, a: (2.0 / c.b_pred) * _sum_thm1(c, a) ** 2, _chebyshev, _CE
-    ),
+    "cor_ce": Statement("excess_ce", _ce_margin, _chebyshev, _CE),
     "cor_l1": Statement("l1", lambda c, a: 2.0 * _sum_thm1(c, a), _chebyshev),
     "cor_hellinger": Statement("hellinger_sq", _sum_thm1, _chebyshev),
 }
@@ -389,8 +404,7 @@ def evaluate_bound(
     statement = STATEMENTS.get(statement_id)
     if statement is None:
         raise InvalidArgument(f"unknown statement id {statement_id!r}")
-    if alpha <= 0:
-        raise InvalidArgument(f"alpha must be > 0, got {alpha}")
+    _require_alpha(alpha)
 
     src = as_finite(source, components, seed)
     tgt = as_finite(target, components, seed if source is target else seed + 1)

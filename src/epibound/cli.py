@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -36,8 +37,8 @@ def _parse_alphas(text: str) -> tuple:
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad alpha list: {text!r}")
-    if not values or any(a <= 0 for a in values):
-        raise argparse.ArgumentTypeError("alphas must be positive")
+    if not values or not all(math.isfinite(a) and a > 0 for a in values):
+        raise argparse.ArgumentTypeError("alphas must be finite and positive")
     return values
 
 

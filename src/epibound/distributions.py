@@ -14,10 +14,11 @@ call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr
@@ -37,6 +38,17 @@ def _freeze(obj, name: str, value: np.ndarray) -> None:
     arr = np.asarray(value, dtype=float)
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
+
+
+def _check_rows(P: np.ndarray, error=InvalidArgument, what: str = "probabilities") -> None:
+    """Every row of ``P`` (or ``P`` itself when 1-D) is nonnegative and sums to 1."""
+    if (P < 0).any():
+        raise error(f"{what} must be nonnegative")
+    gaps = abs(P.sum(axis=-1) - 1.0)
+    if not (gaps if P.ndim == 1 else gaps.max()) <= PROB_TOL:  # so that a NaN sum fails
+        sums = np.atleast_1d(P.sum(axis=-1))
+        bad = sums[~(abs(sums - 1.0) <= PROB_TOL)][0]
+        raise error(f"{what} must sum to 1 within {PROB_TOL}, got {bad!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +126,7 @@ class Categorical(FirstOrderDistribution):
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidArgument("probability vector must be 1-D and nonempty")
-        if np.any(p < 0):
-            raise InvalidArgument("probabilities must be nonnegative")
-        if not abs(p.sum() - 1.0) <= PROB_TOL:  # written so that a NaN sum fails
-            raise InvalidArgument(f"probabilities must sum to 1 within {PROB_TOL}, got {p.sum()!r}")
+        _check_rows(p)
         _freeze(self, "p", p)
 
     @property
@@ -321,10 +330,7 @@ class FiniteTaskDistribution:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(tasks),):
             raise InvalidTaskDistribution("one weight per task required")
-        if np.any(w < 0):
-            raise InvalidTaskDistribution("task weights must be nonnegative")
-        if not abs(w.sum() - 1.0) <= PROB_TOL:
-            raise InvalidTaskDistribution(f"task weights must sum to 1 within {PROB_TOL}")
+        _check_rows(w, InvalidTaskDistribution, "task weights")
         for t in tasks[1:]:
             if not same_space(tasks[0], t):
                 raise InvalidTaskDistribution("all tasks must share one sample space")
@@ -461,8 +467,12 @@ def variance_at(
     return float(fin.weights @ (qa - ba) ** 2)
 
 
+@functools.lru_cache(maxsize=None)
 def _event_masks(m: int) -> np.ndarray:
-    return np.array(list(itertools.product((0.0, 1.0), repeat=m)))
+    """All 2^m events of an m-outcome space as 0/1 rows; one shared read-only array per m."""
+    masks = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
+    masks.flags.writeable = False
+    return masks
 
 
 def threshold_events(
@@ -538,7 +548,11 @@ class BoundednessReport:
 
 def max_first_order_b(tasks: FiniteTaskDistribution) -> float:
     """Largest b with every support weight in [b, 1-b] (<= 0 means unbounded)."""
-    w = tasks.weights[tasks.weights > 0]
+    return _first_order_b(tasks.weights)
+
+
+def _first_order_b(weights: np.ndarray) -> float:
+    w = weights[weights > 0]
     return float(min(w.min(), 1.0 - w.max()))
 
 
@@ -551,13 +565,14 @@ def max_second_order_b(tasks: FiniteTaskDistribution) -> float:
     """
     if tasks.is_continuous:
         return 0.0
-    best = 1.0
-    for t in tasks.tasks:
-        assert isinstance(t, Categorical)
-        if np.any(t.p <= 0):
-            return 0.0
-        best = min(best, float(t.p.min()))
-    return best
+    return _second_order_b(np.stack([t.p for t in tasks.tasks]))  # type: ignore[union-attr]
+
+
+def _second_order_b(P: np.ndarray) -> float:
+    """``max_second_order_b`` of categorical tasks given as the rows of ``P``."""
+    if (P <= 0).any():
+        return 0.0
+    return min(1.0, float(P.min()))
 
 
 def check_boundedness(tasks: FiniteTaskDistribution, b: float) -> BoundednessReport:
@@ -578,17 +593,24 @@ def task_distribution_tv(
     Support tasks are matched by parameter equality within ``match_tol``;
     unmatched tasks contribute their full weight.
     """
-    used = [False] * b.n_tasks
+    return _matched_tv(
+        a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j], match_tol)
+    )
+
+
+def _matched_tv(w_a: np.ndarray, w_b: np.ndarray, close: Callable[[int, int], bool]) -> float:
+    """Greedy-matching TV: each a-task takes the first unused b-task ``close`` to it."""
+    used = [False] * len(w_b)
     total = 0.0
-    for wa, ta in zip(a.weights, a.tasks):
+    for i, wa in enumerate(w_a):
         wb = 0.0
-        for j, tb in enumerate(b.tasks):
-            if not used[j] and distributions_close(ta, tb, match_tol):
+        for j in range(len(w_b)):
+            if not used[j] and close(i, j):
                 used[j] = True
-                wb = float(b.weights[j])
+                wb = float(w_b[j])
                 break
         total += abs(wa - wb)
-    total += float(sum(w for w, u in zip(b.weights, used) if not u))
+    total += float(sum(w for w, u in zip(w_b, used) if not u))
     return 0.5 * total
 
 

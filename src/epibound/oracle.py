@@ -14,21 +14,25 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .distributions import (
+    PROB_TOL,
     Categorical,
     FiniteTaskDistribution,
+    _check_rows,
     _event_masks,
-    max_first_order_b,
-    max_second_order_b,
-    task_distribution_tv,
+    _freeze,
+    _first_order_b,
+    _matched_tv,
+    _second_order_b,
 )
-from .bounds import STATEMENTS, ModelClass
-from .errors import GenerationFailure, InvalidArgument
+from .bounds import STATEMENTS, ModelClass, _require_alpha
+from .errors import GenerationFailure, InvalidArgument, InvalidTaskDistribution
 from .seeding import derive_seed, normalize_seed
 
 DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 11))
@@ -80,21 +84,98 @@ class InstanceConfig:
             raise InvalidArgument("oracle instances need m <= 12 for exhaustive event families")
 
 
+def _check_tasks(P: np.ndarray, w: Optional[np.ndarray], m: Optional[int]) -> None:
+    """Bulk form of the Categorical checks on the rows of ``P``, and of
+    FiniteTaskDistribution's on the weights ``w`` when given."""
+    if P.ndim != 2 or P.shape[0] == 0 or (m is not None and P.shape[1] != m):
+        raise InvalidArgument(f"expected a nonempty (k, {m or 'm'}) array of probability rows, "
+                              f"got shape {P.shape}")
+    _check_rows(P)
+    if w is not None:
+        if w.shape != P.shape[:1]:
+            raise InvalidTaskDistribution("one weight per task required")
+        _check_rows(w, InvalidTaskDistribution, "task weights")
+
+
 @dataclass(frozen=True, eq=False)
 class OracleInstance:
-    """One desk-scale world: source/target tasks, model class, predictor."""
+    """One desk-scale world as arrays: source/target tasks, model class, predictor.
 
-    m: int
-    source: FiniteTaskDistribution
-    target: FiniteTaskDistribution
-    model: ModelClass
-    predictor: Categorical
+    ``S`` and ``T`` hold the source and target tasks as rows, ``w_s`` and
+    ``w_t`` their weights, ``members`` the model class in enumeration order.
+    ``shared`` is true when the target reuses the source tasks (``T is S``);
+    under no shift it reuses the weights too (``w_t is w_s``).  The arrays
+    are read-only.  ``source``, ``target``, ``model`` and ``predictor`` are
+    distribution views, built on first access.
+    """
+
+    S: np.ndarray
+    w_s: np.ndarray
+    T: np.ndarray
+    w_t: np.ndarray
+    members: np.ndarray
+    pred: np.ndarray
     seed: int
     constraint: str
     epsilon: Optional[float]
-    b_source_first: float
-    b_source_second: float
-    b_target_first: float
+    shared: bool = field(init=False)
+
+    def __post_init__(self):
+        for name in ("S", "w_s", "T", "w_t", "members", "pred"):
+            _freeze(self, name, getattr(self, name))
+        object.__setattr__(self, "shared", self.T is self.S)
+        if self.pred.ndim != 1 or self.pred.size == 0:
+            raise InvalidArgument("probability vector must be 1-D and nonempty")
+        _check_rows(self.pred)
+        _check_tasks(self.S, self.w_s, self.m)
+        if not (self.shared and self.w_t is self.w_s):
+            _check_tasks(self.T, self.w_t, self.m)
+        _check_tasks(self.members, None, self.m)
+
+    @classmethod
+    def from_distributions(
+        cls,
+        source: FiniteTaskDistribution,
+        target: FiniteTaskDistribution,
+        model: ModelClass,
+        predictor: Categorical,
+        seed: int = 0,
+        constraint: str = "none",
+        epsilon: Optional[float] = None,
+    ) -> "OracleInstance":
+        """An instance from categorical distribution objects, which become its views."""
+        S = np.stack([t.p for t in source.tasks])  # type: ignore[union-attr]
+        shared = target.tasks == source.tasks  # Categorical compares by identity
+        T = S if shared else np.stack([t.p for t in target.tasks])  # type: ignore[union-attr]
+        members = np.stack([mm.p for mm in model.members])  # type: ignore[union-attr]
+        inst = cls(S, source.weights, T, target.weights, members, predictor.p,
+                   seed, constraint, epsilon)
+        inst.__dict__.update(source=source, target=target, model=model, predictor=predictor)
+        return inst
+
+    @property
+    def m(self) -> int:
+        return self.pred.size
+
+    @cached_property
+    def source(self) -> FiniteTaskDistribution:
+        return FiniteTaskDistribution(tuple(Categorical(p) for p in self.S), self.w_s)
+
+    @cached_property
+    def target(self) -> FiniteTaskDistribution:
+        if not self.shared:
+            return FiniteTaskDistribution(tuple(Categorical(p) for p in self.T), self.w_t)
+        if self.w_t is self.w_s:
+            return self.source
+        return FiniteTaskDistribution(self.source.tasks, self.w_t)
+
+    @cached_property
+    def model(self) -> ModelClass:
+        return ModelClass(tuple(Categorical(p) for p in self.members))
+
+    @cached_property
+    def predictor(self) -> Categorical:
+        return Categorical(self.pred)
 
     def to_dict(self) -> dict:
         return {
@@ -134,39 +215,36 @@ def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> O
     k_s = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
     k_t = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
 
-    S = rng.dirichlet(np.ones(m), size=k_s)
-    w_s = rng.dirichlet(np.ones(k_s))
-    source = FiniteTaskDistribution(tuple(Categorical(p) for p in S), w_s)
-    bary_s = w_s @ S
+    flat_m, flat_s, flat_t = np.ones(m), np.ones(k_s), np.ones(k_t)  # Dirichlet parameters
+
+    S = rng.dirichlet(flat_m, size=k_s)
+    w_s = rng.dirichlet(flat_s)
 
     n_members = int(rng.integers(config.members_range[0], config.members_range[1] + 1))
-    members = rng.dirichlet(np.ones(m), size=n_members)
-    model = ModelClass(tuple(Categorical(p) for p in members))
+    members = rng.dirichlet(flat_m, size=n_members)
 
     if config.constraint == "perfect_no_shift":
-        predictor = Categorical(bary_s)
+        pred = w_s @ S
     elif rng.random() < 0.5:
-        predictor = Categorical(members[int(rng.integers(n_members))])
+        pred = members[int(rng.integers(n_members))]
     else:
-        predictor = Categorical(rng.dirichlet(np.ones(m)))
+        pred = rng.dirichlet(flat_m)
 
     epsilon = config.epsilon
     if config.constraint in ("assumption1", "assumption2") and epsilon is None:
         epsilon = float(rng.uniform(0.02, 0.5))
 
     if config.constraint in ("no_shift", "perfect_no_shift"):
-        target = source
+        T, w_t = S, w_s
     elif config.constraint == "assumption1":
         rows = []
         for _ in range(k_t):
             anchor = S[int(rng.integers(k_s))]
-            raw = rng.dirichlet(np.ones(m))
+            raw = rng.dirichlet(flat_m)
             rows.append(_project_into_ball(raw, anchor, epsilon, config.max_attempts))
-        target = FiniteTaskDistribution(
-            tuple(Categorical(p) for p in rows), rng.dirichlet(np.ones(k_t))
-        )
+        T, w_t = np.stack(rows), rng.dirichlet(flat_t)
     elif config.constraint == "assumption2":
-        raw = rng.dirichlet(np.ones(k_s))
+        raw = rng.dirichlet(flat_s)
         dist = 0.5 * np.abs(w_s - raw).sum()
         if dist > epsilon:
             raw = w_s + (epsilon / dist) * (1.0 - 1e-12) * (raw - w_s)
@@ -174,26 +252,12 @@ def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> O
             raw = raw / raw.sum()
         if 0.5 * np.abs(w_s - raw).sum() > epsilon:
             raise GenerationFailure("assumption-2 weight projection failed")
-        target = FiniteTaskDistribution(source.tasks, raw)
+        T, w_t = S, raw
     else:
-        T = rng.dirichlet(np.ones(m), size=k_t)
-        target = FiniteTaskDistribution(
-            tuple(Categorical(p) for p in T), rng.dirichlet(np.ones(k_t))
-        )
+        T = rng.dirichlet(flat_m, size=k_t)
+        w_t = rng.dirichlet(flat_t)
 
-    return OracleInstance(
-        m=m,
-        source=source,
-        target=target,
-        model=model,
-        predictor=predictor,
-        seed=seed,
-        constraint=config.constraint,
-        epsilon=epsilon,
-        b_source_first=max_first_order_b(source),
-        b_source_second=max_second_order_b(source),
-        b_target_first=max_first_order_b(target),
-    )
+    return OracleInstance(S, w_s, T, w_t, members, pred, seed, config.constraint, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +269,6 @@ def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> O
 class _Components:
     """Exact components of one instance, under the names ``bounds.STATEMENTS`` reads."""
 
-    instance: OracleInstance
     B: float
     C: float
     D: float
@@ -215,6 +278,7 @@ class _Components:
     diam_source: float
     epsilon: float            # NaN when the instance has none
     b_S: float                # the largest b the source is first- and second-order bounded by
+    b_S_first: float          # the largest b the source is first-order bounded by
     b_T: float                # the largest b the target is first-order bounded by
     b_pred: float             # the predictor's smallest positive probability
     tv_pred_bary_s: float
@@ -235,12 +299,9 @@ class _Components:
 
 
 def compute_components(inst: OracleInstance) -> _Components:
-    S = np.stack([t.p for t in inst.source.tasks])  # type: ignore[union-attr]
-    T = np.stack([t.p for t in inst.target.tasks])  # type: ignore[union-attr]
-    w_s, w_t = inst.source.weights, inst.target.weights
+    S, T, w_s, w_t = inst.S, inst.T, inst.w_s, inst.w_t
+    members, pred = inst.members, inst.pred
     bary_s, bary_t = w_s @ S, w_t @ T
-    members = np.stack([mm.p for mm in inst.model.members])  # type: ignore[union-attr]
-    pred = inst.predictor.p
 
     dists = _tv_vec(members, bary_s)
     best_idx = int(np.argmin(dists))  # np.argmin returns the first minimum
@@ -258,23 +319,24 @@ def compute_components(inst: OracleInstance) -> _Components:
     ers = _tv_vec(T, pred)
     hell_t = 0.5 * ((np.sqrt(T) - np.sqrt(pred)[None, :]) ** 2).sum(axis=1)
 
-    cross = 0.5 * np.abs(T[:, None, :] - S[None, :, :]).sum(axis=2)  # (k_t, k_s)
-    shared = len(inst.target.tasks) == len(inst.source.tasks) and all(
-        a is b for a, b in zip(inst.target.tasks, inst.source.tasks)
-    )
-    if shared:
+    gaps = np.abs(T[:, None, :] - S[None, :, :])  # (k_t, k_s, m)
+    cross = 0.5 * gaps.sum(axis=2)
+    if inst.shared:
         dist_tv = float(0.5 * np.abs(w_s - w_t).sum())
     else:
-        dist_tv = task_distribution_tv(inst.source, inst.target)
+        # task_distribution_tv's matching, with source task i close to target task j
+        close = (gaps.max(axis=2) <= PROB_TOL).T
+        dist_tv = _matched_tv(w_s, w_t, lambda i, j: close[i, j])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(T > 0, T / np.where(pred > 0, pred, np.nan), 1.0)
         kl_rows = np.where(T > 0, T * np.log(ratio), 0.0)
-    leaks = np.isnan(kl_rows).any(axis=1)
-    kl_t_pred = np.where(leaks, np.inf, np.nansum(kl_rows, axis=1))
+    nan = np.isnan(kl_rows)  # target mass where the predictor has none
+    leaks = nan.any(axis=1)
+    kl_t_pred = np.where(leaks, np.inf, np.where(nan, 0.0, kl_rows).sum(axis=1))
 
+    b_S_first = _first_order_b(w_s)
     return _Components(
-        instance=inst,
         B=B,
         C=C,
         D=D,
@@ -283,8 +345,9 @@ def compute_components(inst: OracleInstance) -> _Components:
         sup_var_source=float(var_s.max()),
         diam_source=diam,
         epsilon=np.nan if inst.epsilon is None else inst.epsilon,
-        b_S=min(inst.b_source_first, inst.b_source_second),
-        b_T=inst.b_target_first,
+        b_S=min(b_S_first, _second_order_b(S)),
+        b_S_first=b_S_first,
+        b_T=_first_order_b(w_t),
         b_pred=float(pred[pred > 0].min()),
         tv_pred_bary_s=float(0.5 * np.abs(pred - bary_s).sum()),
         tv_pred_bary_t=float(0.5 * np.abs(pred - bary_t).sum()),
@@ -292,8 +355,8 @@ def compute_components(inst: OracleInstance) -> _Components:
         losses={"tv": ers, "l1": 2.0 * ers, "hellinger_sq": hell_t, "excess_ce": kl_t_pred},
         var_s_events=var_s,
         var_t_events=var_t,
-        shared_support=shared,
-        no_shift=shared and dist_tv <= 1e-12,
+        shared_support=inst.shared,
+        no_shift=inst.shared and dist_tv <= 1e-12,
         max_tv_to_source=float(cross.min(axis=1).max()),
         dist_tv=dist_tv,
         support_covered=not leaks.any(),
@@ -326,13 +389,21 @@ class StatementReport:
     keep_outcomes: bool = False
     outcomes: list = field(default_factory=list)
 
-    def record(self, outcome: AlphaOutcome) -> None:
-        self.trials += 1
-        self.violations += int(outcome.violated)
-        self.min_slack = min(self.min_slack, outcome.slack)
-        self.max_slack = max(self.max_slack, outcome.slack)
+    def record_batch(self, alphas: np.ndarray, exceedances: np.ndarray,
+                     deltas: np.ndarray) -> None:
+        """One outcome per alpha; ``AlphaOutcome``s are kept only with ``keep_outcomes``."""
+        if not alphas.size:
+            return
+        slacks = deltas - exceedances
+        violated = exceedances > deltas + VIOLATION_TOL
+        self.trials += alphas.size
+        self.violations += int(np.count_nonzero(violated))
+        slack_list = slacks.tolist()  # Python's min over a few floats beats a numpy reduction
+        self.min_slack = min(self.min_slack, *slack_list)
+        self.max_slack = max(self.max_slack, *slack_list)
         if self.keep_outcomes:
-            self.outcomes.append(outcome)
+            self.outcomes.extend(map(AlphaOutcome, alphas.tolist(), exceedances.tolist(),
+                                     deltas.tolist(), slack_list, violated.tolist()))
 
     def record_slack(self, slack: float) -> None:
         self.trials += 1
@@ -347,24 +418,30 @@ def _skip(report: StatementReport, reason: str) -> None:
     report.skip_reason = reason
 
 
-def _verify_probability_statement(comp, alphas: Sequence[float], report: StatementReport) -> None:
-    """Exact ``P(loss >= margin)`` against delta, per alpha, for ``report``'s statement."""
+def _alpha_array(alphas: Sequence[float]) -> np.ndarray:
+    values = [float(a) for a in alphas]
+    for a in values:
+        _require_alpha(a)
+    return np.array(values)
+
+
+def _verify_probability_statement(comp, alphas: np.ndarray, report: StatementReport) -> None:
+    """Exact ``P(loss >= margin)`` against delta at every alpha, for ``report``'s statement."""
     statement = STATEMENTS[report.statement_id]
     unmet = statement.unmet(comp)
     if unmet is not None:
         _skip(report, unmet.assumption)
         return
+    margins = statement.margin(comp, alphas)
+    deltas = statement.delta(comp, alphas)
     losses = comp.losses[statement.loss]
-    for a in alphas:
-        margin = statement.margin(comp, a)
-        delta = statement.delta(comp, a)
-        exc = float(comp.t_weights[losses >= margin].sum())
-        slack = delta - exc
-        report.record(AlphaOutcome(a, exc, delta, slack, exc > delta + VIOLATION_TOL))
+    # one row per alpha; adding the zeros of the masked-out tasks in index order
+    # gives the sum of the selected weights for up to 7 target tasks, bit for bit
+    exceedances = np.where(losses >= margins[:, None], comp.t_weights, 0.0).sum(axis=1)
+    report.record_batch(alphas, exceedances, deltas)
 
 
 def _verify_lemma(comp: _Components, statement_id: str, report: StatementReport) -> None:
-    inst = comp.instance
     if statement_id == "lemma_b2":
         report.record_slack(comp.B + comp.C - comp.tv_pred_bary_s)
     elif statement_id == "lemma_b7":
@@ -372,20 +449,20 @@ def _verify_lemma(comp: _Components, statement_id: str, report: StatementReport)
     elif statement_id == "prop1":
         report.record_slack(comp.D - comp.D_learner)
     elif statement_id == "lemma_b9":
-        if inst.epsilon is None or comp.max_tv_to_source > inst.epsilon + 1e-12:
+        if not comp.max_tv_to_source <= comp.epsilon + 1e-12:  # false for a NaN epsilon
             _skip(report, "requires a per-task TV neighborhood")
             return
-        report.record_slack(comp.diam_source + inst.epsilon - comp.D)
+        report.record_slack(comp.diam_source + comp.epsilon - comp.D)
     elif statement_id == "lemma_b10":
-        if inst.epsilon is None or comp.dist_tv > inst.epsilon + 1e-12:
+        if not comp.dist_tv <= comp.epsilon + 1e-12:
             _skip(report, "requires the distribution-level TV neighborhood")
             return
-        report.record_slack(inst.epsilon - comp.D)
+        report.record_slack(comp.epsilon - comp.D)
     elif statement_id == "lemma_b8":
         if not comp.shared_support:
             _skip(report, "requires target support inside the source support")
             return
-        b_S, b_T = inst.b_source_first, inst.b_target_first
+        b_S, b_T = comp.b_S_first, comp.b_T
         if b_S <= 0 or b_T <= 0:
             _skip(report, "first-order boundedness fails")
             return
@@ -407,12 +484,13 @@ def verify_statement(
     support, compared with delta.  A deterministic lemma gets one slack.
     ``cor_bayesian`` needs a finite-theta instance (``verify_theta_instance``).
     """
+    alpha_arr = _alpha_array(alphas)
     report = StatementReport(statement_id, keep_outcomes=True)
     comp = compute_components(instance)
     if statement_id in LEMMA_STATEMENTS:
         _verify_lemma(comp, statement_id, report)
     elif statement_id in _INSTANCE_STATEMENTS:
-        _verify_probability_statement(comp, alphas, report)
+        _verify_probability_statement(comp, alpha_arr, report)
     else:
         raise InvalidArgument(f"{statement_id!r} is not verified on finite instances")
     return report
@@ -437,8 +515,18 @@ class ThetaInstance:
     source_weights: np.ndarray  # (j,) true mixing weights, source tasks = components
     candidates: np.ndarray      # (r, j) parameter distributions the learner may select
     p1: np.ndarray              # (j,) the learner's posterior over theta
-    target: FiniteTaskDistribution
+    T: np.ndarray               # (k_t, m) target tasks
+    w_t: np.ndarray             # (k_t,) their weights
     seed: int
+
+    def __post_init__(self):
+        for name in ("T", "w_t"):
+            _freeze(self, name, getattr(self, name))
+        _check_tasks(self.T, self.w_t, None)
+
+    @cached_property
+    def target(self) -> FiniteTaskDistribution:
+        return FiniteTaskDistribution(tuple(Categorical(p) for p in self.T), self.w_t)
 
 
 def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> ThetaInstance:
@@ -452,10 +540,8 @@ def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> Th
     candidates = rng.dirichlet(np.ones(j), size=r)
     p1 = rng.dirichlet(np.ones(j))
     T = rng.dirichlet(np.ones(m), size=k_t)
-    target = FiniteTaskDistribution(
-        tuple(Categorical(p) for p in T), rng.dirichlet(np.ones(k_t))
-    )
-    return ThetaInstance(theta_pmfs, source_weights, candidates, p1, target, seed)
+    w_t = rng.dirichlet(np.ones(k_t))
+    return ThetaInstance(theta_pmfs, source_weights, candidates, p1, T, w_t, seed)
 
 
 def verify_theta_instance(
@@ -473,8 +559,7 @@ def verify_theta_instance(
     param_tv = float(0.5 * np.abs(inst.p1 - inst.candidates[star]).sum())
     b6_report.record_slack(param_tv - C)
 
-    T = np.stack([t.p for t in inst.target.tasks])  # type: ignore[union-attr]
-    w_t = inst.target.weights
+    T, w_t = inst.T, inst.w_t
     bary_t = w_t @ T
     masks = _event_masks(T.shape[1])
     comp = SimpleNamespace(
@@ -485,7 +570,7 @@ def verify_theta_instance(
         t_weights=w_t,
         losses={"tv": _tv_vec(T, predictor)},
     )
-    _verify_probability_statement(comp, alphas, bayes_report)
+    _verify_probability_statement(comp, np.asarray(alphas, dtype=float), bayes_report)
 
 
 # ---------------------------------------------------------------------------
@@ -542,16 +627,15 @@ class OracleReport:
 
 def _run_range(args) -> dict:
     seed, start, stop, alphas, max_outcomes = args
+    alphas = np.asarray(alphas)
     statements = {sid: StatementReport(sid) for sid in ALL_STATEMENTS}
     loos: list[float] = []
     details: list[dict] = []
     modes = CONSTRAINT_MODES
+    configs = {mode: InstanceConfig(m_range=(2, max_outcomes), constraint=mode) for mode in modes}
     for i in range(start, stop):
         mode = modes[i % len(modes)]
-        inst = generate_instance(
-            derive_seed(seed, i),
-            InstanceConfig(m_range=(2, max_outcomes), constraint=mode),
-        )
+        inst = generate_instance(derive_seed(seed, i), configs[mode])
         comp = compute_components(inst)
         for sid in _MODE_STATEMENTS[mode]:
             rep = statements[sid]
@@ -591,7 +675,7 @@ def run_suite(
     are identical for any ``threads`` value: the index range is partitioned
     and partial aggregates merge in order.
     """
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(_alpha_array(alphas).tolist())
     if threads <= 1 or n_instances < 2 * threads:
         chunks = [_run_range((seed, 0, n_instances, alphas, max_outcomes))]
     else:

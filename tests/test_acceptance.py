@@ -50,7 +50,6 @@ from epibound.oracle import (
     OracleInstance,
     generate_instance,
 )
-from epibound.distributions import max_first_order_b, max_second_order_b
 from helpers_oracle import grid_posterior_moments
 
 ORACLE_INSTANCES = 10_000
@@ -124,13 +123,9 @@ class TestCounterexample:
         bary = Categorical(np.full(3, 1.0 / 3.0))
         from epibound import ModelClass
 
-        inst = OracleInstance(
-            m=3, source=tasks, target=tasks, model=ModelClass((bary,)),
-            predictor=Categorical(tasks.weights @ np.stack(rows)), seed=0,
-            constraint="perfect_no_shift", epsilon=None,
-            b_source_first=max_first_order_b(tasks),
-            b_source_second=max_second_order_b(tasks),
-            b_target_first=max_first_order_b(tasks),
+        inst = OracleInstance.from_distributions(
+            tasks, tasks, ModelClass((bary,)), Categorical(tasks.weights @ np.stack(rows)),
+            constraint="perfect_no_shift",
         )
         rep = verify_statement(inst, "lemma1", alphas=[0.55])
         out = rep.outcomes[0]

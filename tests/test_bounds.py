@@ -1,5 +1,7 @@
 """Decomposition components and bound-statement evaluation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -22,7 +24,7 @@ from epibound import (
     evaluate_bound,
     finite_tasks,
 )
-from epibound.bounds import CSV_HEADER, STATEMENT_IDS
+from epibound.bounds import CSV_HEADER, STATEMENT_IDS, STATEMENTS
 
 
 class TestBestApproximation:
@@ -97,8 +99,9 @@ class TestComponents:
         point = finite_tasks([(Categorical([0.2, 0.8]), 1.0)])
         assert chebyshev_delta(point, 0.3) == 0.0
         assert chebyshev_delta(binary_source, 0.05) == pytest.approx(4.0, abs=1e-10)  # vacuous
-        with pytest.raises(InvalidArgument):
-            chebyshev_delta(binary_source, 0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgument):
+                chebyshev_delta(binary_source, bad)
 
 
 class TestEvaluateBound:
@@ -319,3 +322,24 @@ class TestInvariants:
 
     def test_all_statement_ids_known(self):
         assert len(STATEMENT_IDS) == 12
+
+    def test_array_alphas_round_like_scalar_alphas(self):
+        # the oracle evaluates margins and deltas on an array of alphas,
+        # evaluate_bound on one float: both must give the same bits
+        rng = np.random.default_rng(81)
+        comp = SimpleNamespace(
+            B=0.13, C=0.07, D=0.21, D_learner=0.05, param_tv=0.11, sup_var_target=0.031,
+            sup_var_source=0.027, diam_source=0.43, epsilon=0.17, b_S=0.09, b_T=0.2, b_pred=0.04)
+        alphas = rng.uniform(1e-3, 1.0, size=10_000)
+        for sid, statement in STATEMENTS.items():
+            for part in (statement.margin, statement.delta):
+                batch = part(comp, alphas)
+                one_by_one = np.array([part(comp, a) for a in alphas.tolist()])
+                assert np.array_equal(batch.view(np.int64), one_by_one.view(np.int64)), sid
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0])
+    def test_evaluate_bound_rejects_bad_alpha(self, binary_model, binary_predictor, binary_source,
+                                              binary_target, alpha):
+        with pytest.raises(InvalidArgument):
+            evaluate_bound("thm1", binary_model, binary_predictor, binary_source, binary_target,
+                           alpha=alpha)

@@ -93,6 +93,14 @@ class TestBoundCommand:
         assert "probabilities must sum to 1" in captured.err and "nan" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, instance_file, capsys, alpha):
+        code = main(["bound", "--statement", "thm1", "--instance", str(instance_file),
+                     "--alpha", alpha])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "alpha must be finite" in captured.err and captured.out == ""
+
 
 class TestOracleCommand:
     def test_clean_run_exits_zero(self, tmp_path, capsys):
@@ -106,6 +114,12 @@ class TestOracleCommand:
     def test_alpha_flag(self, capsys):
         code = main(["oracle", "--instances", "10", "--seed", "4", "--alphas", "0.2,0.4"])
         assert code == 0
+
+    @pytest.mark.parametrize("alphas", ["nan", "0.1,nan", "inf"])
+    def test_non_finite_alphas_rejected(self, capsys, alphas):
+        code = main(["oracle", "--instances", "3", "--alphas", alphas])
+        assert code == 2
+        assert "alphas must be finite and positive" in capsys.readouterr().err
 
     def test_report_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

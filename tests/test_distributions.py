@@ -265,6 +265,15 @@ class TestSupVariance:
         assert v1 == v2
         assert 0.0 <= v1 <= 0.25
 
+    def test_event_masks_shared_and_read_only(self):
+        from epibound.distributions import _event_masks
+
+        masks = _event_masks(3)
+        assert masks is _event_masks(3)
+        assert not masks.flags.writeable
+        assert masks.shape == (8, 3) and {tuple(r) for r in masks} == {
+            (a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)}
+
 
 class TestDiameter:
     def test_two_task_example(self):

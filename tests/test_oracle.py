@@ -1,5 +1,9 @@
 """Instance generation, exact statement verification and the suite runner."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from epibound import (
     Categorical,
     FiniteTaskDistribution,
     InstanceConfig,
+    InvalidArgument,
     ModelClass,
     OracleInstance,
     PreconditionViolated,
@@ -21,10 +26,12 @@ from epibound import (
     verify_statement,
 )
 from epibound.bounds import LOSSES, STATEMENT_IDS, STATEMENTS
-from epibound.distributions import max_first_order_b, max_second_order_b
+from epibound.errors import InvalidTaskDistribution
 from epibound.divergences import cross_entropy, entropy, hellinger_sq, l1_distance, tv_exact
 from epibound.oracle import (
+    CONSTRAINT_MODES,
     DEFAULT_ALPHAS,
+    ThetaInstance,
     compute_components,
     generate_theta_instance,
     verify_theta_instance,
@@ -33,19 +40,8 @@ from epibound.oracle import (
 
 
 def make_instance(source, target, model, predictor, constraint="none", epsilon=None, seed=0):
-    return OracleInstance(
-        m=source.tasks[0].n_outcomes,
-        source=source,
-        target=target,
-        model=model,
-        predictor=predictor,
-        seed=seed,
-        constraint=constraint,
-        epsilon=epsilon,
-        b_source_first=max_first_order_b(source),
-        b_source_second=max_second_order_b(source),
-        b_target_first=max_first_order_b(target),
-    )
+    return OracleInstance.from_distributions(source, target, model, predictor, seed=seed,
+                                             constraint=constraint, epsilon=epsilon)
 
 
 class TestGeneration:
@@ -86,6 +82,83 @@ class TestGeneration:
     def test_epsilon_drawn_when_unspecified(self):
         inst = generate_instance(7, InstanceConfig(constraint="assumption1"))
         assert inst.epsilon is not None and 0.02 <= inst.epsilon <= 0.5
+
+    def test_instance_dicts_pinned(self):
+        # bound files are written from to_dict; these are the bytes of the
+        # object-backed generator this one replaced
+        dicts = [generate_instance(seed, InstanceConfig(constraint=mode)).to_dict()
+                 for mode in CONSTRAINT_MODES for seed in range(5)]
+        digest = hashlib.sha256(json.dumps(dicts, sort_keys=True).encode()).hexdigest()
+        assert digest == "49a93d0e2ecb1fa581f58772db31a04b2e2a46f7bb186633d8e2fd51b600d6a3"
+
+
+class TestArrayInstances:
+    def test_views_built_on_first_access(self):
+        inst = generate_instance(11, InstanceConfig(constraint="assumption2"))
+        compute_components(inst)
+        verify_statement(inst, "thm1")
+        assert not {"source", "target", "model", "predictor"} & set(vars(inst))
+        assert inst.shared and inst.T is inst.S
+        assert inst.target.tasks is inst.source.tasks  # shared task tuple
+        assert inst.target.weights is inst.w_t
+        assert inst.source is inst.source  # cached
+        np.testing.assert_array_equal(inst.model.members[3].p, inst.members[3])
+        assert inst.predictor.p is inst.pred
+
+    def test_arrays_read_only(self):
+        inst = generate_instance(12)
+        for arr in (inst.S, inst.w_s, inst.T, inst.w_t, inst.members, inst.pred):
+            assert not arr.flags.writeable
+        assert not generate_theta_instance(12).T.flags.writeable
+
+    @pytest.mark.parametrize("mode", CONSTRAINT_MODES)
+    def test_from_distributions_matches_generated(self, mode):
+        for seed in range(20):
+            inst = generate_instance(seed, InstanceConfig(constraint=mode))
+            rebuilt = OracleInstance.from_distributions(
+                inst.source, inst.target, inst.model, inst.predictor,
+                seed=inst.seed, constraint=inst.constraint, epsilon=inst.epsilon)
+            assert rebuilt.shared == inst.shared
+            assert rebuilt.to_dict() == inst.to_dict()
+            got, want = compute_components(rebuilt), compute_components(inst)
+            for f in dataclasses.fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, dict):
+                    assert a.keys() == b.keys(), f.name
+                    for key in b:
+                        np.testing.assert_array_equal(a[key], b[key], err_msg=key, strict=True)
+                else:
+                    np.testing.assert_array_equal(a, b, err_msg=f.name, strict=True)
+
+    @pytest.mark.parametrize("field", ["S", "T", "members", "pred", "w_s", "w_t"])
+    def test_bulk_checks_reject_bad_rows(self, field):
+        inst = generate_instance(13)  # unconstrained: T is not S
+        arrays = {f: np.array(getattr(inst, f)) for f in ("S", "w_s", "T", "w_t", "members", "pred")}
+        for corrupt in ("negative", "off_sum", "nan"):
+            bad = arrays[field].copy()
+            row = bad[0] if bad.ndim == 2 else bad
+            if corrupt == "negative":
+                row[0], row[1] = -row[1], row[0] + 2 * row[1]  # still sums to 1
+            elif corrupt == "off_sum":
+                row[0] += 1e-9
+            else:
+                row[:] = np.nan
+            with pytest.raises(InvalidArgument if field[0] != "w" else InvalidTaskDistribution):
+                OracleInstance(**dict(arrays, **{field: bad}), seed=0, constraint="none",
+                               epsilon=None)
+
+    def test_bulk_checks_reject_shape_mismatch(self):
+        inst = generate_instance(14, InstanceConfig(m_range=(3, 3)))
+        with pytest.raises(InvalidArgument):
+            OracleInstance(inst.S, inst.w_s, inst.T, inst.w_t, inst.members[:, :2],
+                           inst.pred, 0, "none", None)
+        with pytest.raises(InvalidTaskDistribution):
+            OracleInstance(inst.S, inst.w_s[:-1], inst.T, inst.w_t, inst.members,
+                           inst.pred, 0, "none", None)
+        theta = generate_theta_instance(14)
+        with pytest.raises(InvalidArgument):
+            ThetaInstance(theta.theta_pmfs, theta.source_weights, theta.candidates, theta.p1,
+                          -theta.T, theta.w_t, 0)
 
 
 class TestVerifyStatement:
@@ -323,6 +396,18 @@ class TestSuite:
         a = run_suite(60, seed=9, threads=1)
         b = run_suite(60, seed=9, threads=2)
         assert a.to_dict() == b.to_dict()
+
+    def test_report_bytes_pinned(self):
+        # the report of the object-backed oracle this one replaced
+        digest = hashlib.sha256(run_suite(200, seed=2024).to_json().encode()).hexdigest()
+        assert digest == "d08a5a32d516fcd56db3d82afcf6e402c9e74f2deccaf466c95b43f26edd9756"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_rejects_bad_alphas(self, bad):
+        with pytest.raises(InvalidArgument):
+            run_suite(5, alphas=(0.1, bad))
+        with pytest.raises(InvalidArgument):
+            verify_statement(generate_instance(1), "thm1", alphas=[bad])
 
     def test_report_serializes(self):
         report = run_suite(20, seed=5)
