@@ -21,6 +21,7 @@ import numpy as np
 from .distributions import (
     PROB_TOL,
     Categorical,
+    FiniteTaskDistribution,
     FirstOrderDistribution,
     TaskDistribution,
     as_finite,
@@ -32,7 +33,7 @@ from .distributions import (
     sup_variance,
     task_distribution_tv,
 )
-from .divergences import hellinger_sq, kl_exact, tv_exact
+from .divergences import hellinger_sq, kl_exact, l1_distance, tv_exact
 from .errors import InvalidArgument, InvalidModelClass, PreconditionViolated
 
 CSV_HEADER = "statement_id,alpha,B,C,D,D_learner,margin,delta,epsilon,b_S,b_T"
@@ -116,14 +117,23 @@ def convergence_gap(predictor: FirstOrderDistribution, best: FirstOrderDistribut
     return tv_exact(predictor, best)
 
 
+def _reify_pair(
+    source: TaskDistribution, target: TaskDistribution, components: int, seed: int
+) -> tuple[FiniteTaskDistribution, FiniteTaskDistribution]:
+    """Finite source and target; a distinct target is reified with ``seed + 1``."""
+    src = as_finite(source, components, seed)
+    return src, as_finite(target, components, seed if source is target else seed + 1)
+
+
 def distribution_shift(
     source: TaskDistribution,
     target: TaskDistribution,
     components: int = 256,
     seed: int = 0,
 ) -> float:
-    """TV between the source and target barycenters (D)."""
-    return tv_exact(barycenter(source, components, seed), barycenter(target, components, seed))
+    """TV between the source and target barycenters (D), as ``evaluate_bound`` reifies them."""
+    src, tgt = _reify_pair(source, target, components, seed)
+    return tv_exact(barycenter(src), barycenter(tgt))
 
 
 def distribution_shift_learner(
@@ -187,7 +197,7 @@ class Statement:
 # per-task losses on (predictor, task); the oracle keeps exact arrays under the same names
 LOSSES = {
     "tv": tv_exact,
-    "l1": lambda p, q: 2.0 * tv_exact(p, q),
+    "l1": l1_distance,
     "hellinger_sq": hellinger_sq,
     "excess_ce": lambda p, q: kl_exact(q, p),  # CE(Q, pred) - H(Q) = KL(Q || pred)
 }
@@ -406,8 +416,7 @@ def evaluate_bound(
         raise InvalidArgument(f"unknown statement id {statement_id!r}")
     _require_alpha(alpha)
 
-    src = as_finite(source, components, seed)
-    tgt = as_finite(target, components, seed if source is target else seed + 1)
+    src, tgt = _reify_pair(source, target, components, seed)
     bary_s, bary_t = barycenter(src), barycenter(tgt)
     best, B = best_approximation(model, bary_s)
     C = convergence_gap(predictor, best)

@@ -174,14 +174,11 @@ class Gaussian(FirstOrderDistribution):
             raise InvalidArgument(f"stddev must be finite and strictly positive, got {self.stddev}")
 
     def event_probability(self, event: EventSet) -> float:
-        if not isinstance(event, Interval):
-            raise EventMismatch("gaussian distribution takes interval events")
-        return float(self.cdf(event.hi) - self.cdf(event.lo))
+        return _interval_probability(self, event)
 
-    def cdf(self, x: float) -> float:
-        if math.isinf(x):
-            return 1.0 if x > 0 else 0.0
-        return float(ndtr((x - self.mean) / self.stddev))
+    def cdf(self, x):
+        """P(X <= x) at a float or an array of points; ndtr gives 0 and 1 at -inf and inf."""
+        return ndtr((x - self.mean) / self.stddev)
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - self.mean) / self.stddev
@@ -229,15 +226,13 @@ class GaussianMixture(FirstOrderDistribution):
         _freeze(self, "_log_stddevs", np.log(sd))
 
     def event_probability(self, event: EventSet) -> float:
-        if not isinstance(event, Interval):
-            raise EventMismatch("gaussian mixture takes interval events")
-        hi = ndtr((event.hi - self.means) / self.stddevs) if not math.isinf(event.hi) else (
-            np.ones_like(self.means) if event.hi > 0 else np.zeros_like(self.means)
-        )
-        lo = ndtr((event.lo - self.means) / self.stddevs) if not math.isinf(event.lo) else (
-            np.ones_like(self.means) if event.lo > 0 else np.zeros_like(self.means)
-        )
-        return float(self.weights @ (hi - lo))
+        return _interval_probability(self, event)
+
+    def cdf(self, x):
+        """P(X <= x) at a float or an array of points, one component column per mean."""
+        z = np.subtract.outer(x, self.means)
+        z /= self.stddevs
+        return ndtr(z, out=z) @ self.weights
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         # Log-sum-exp over components in one (n, k) buffer, updated in place.
@@ -277,6 +272,12 @@ class GaussianMixture(FirstOrderDistribution):
             "means": self.means.tolist(),
             "stddevs": self.stddevs.tolist(),
         }
+
+
+def _interval_probability(d: Union[Gaussian, GaussianMixture], event: EventSet) -> float:
+    if not isinstance(event, Interval):
+        raise EventMismatch(f"{d.kind} distribution takes interval events")
+    return float(d.cdf(event.hi) - d.cdf(event.lo))
 
 
 def same_space(a: FirstOrderDistribution, b: FirstOrderDistribution) -> bool:
@@ -475,18 +476,49 @@ def _event_masks(m: int) -> np.ndarray:
     return masks
 
 
+def _thresholds(
+    tasks: FiniteTaskDistribution,
+    n_thresholds: int = DEFAULT_THRESHOLDS,
+    span: float = DEFAULT_THRESHOLD_SPAN,
+) -> np.ndarray:
+    """The pooled-moment grid of thresholds t_k behind ``threshold_events``."""
+    moments = np.array([t.mean_std() for t in tasks.tasks])
+    pooled_mean = float(tasks.weights @ moments[:, 0])
+    pooled_second = float(tasks.weights @ (moments[:, 1] ** 2 + moments[:, 0] ** 2))
+    pooled_std = math.sqrt(max(pooled_second - pooled_mean**2, 1e-300))
+    return np.linspace(pooled_mean - span * pooled_std, pooled_mean + span * pooled_std,
+                       n_thresholds)
+
+
 def threshold_events(
     tasks: FiniteTaskDistribution,
     n_thresholds: int = DEFAULT_THRESHOLDS,
     span: float = DEFAULT_THRESHOLD_SPAN,
 ) -> list[Interval]:
     """Left-open half-line events (-inf, t_k] on a pooled-moment grid."""
-    moments = np.array([t.mean_std() for t in tasks.tasks])
-    pooled_mean = float(tasks.weights @ moments[:, 0])
-    pooled_second = float(tasks.weights @ (moments[:, 1] ** 2 + moments[:, 0] ** 2))
-    pooled_std = math.sqrt(max(pooled_second - pooled_mean**2, 1e-300))
-    ts = np.linspace(pooled_mean - span * pooled_std, pooled_mean + span * pooled_std, n_thresholds)
-    return [Interval(-math.inf, float(t)) for t in ts]
+    return [Interval(-math.inf, float(t)) for t in _thresholds(tasks, n_thresholds, span)]
+
+
+def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
+    """``max(variance_at(fin, e) for e in threshold_events(fin))`` without the events.
+
+    The (thresholds, tasks) matrix of Q((-inf, t]) is built in one buffer,
+    one task's CDF column at a time.  Each row's variance then takes the
+    same two ``w @ row`` dot products as ``variance_at``, so Gaussian tasks
+    give bitwise the same result: one matrix-vector product over all rows
+    would sum in another order.
+    """
+    ts = _thresholds(fin)
+    qa = np.empty((ts.size, fin.n_tasks))
+    for i, t in enumerate(fin.tasks):
+        qa[:, i] = t.cdf(ts)
+    w = fin.weights
+    best = 0.0
+    for row in qa:  # rows are written in place once read
+        row -= w @ row
+        np.square(row, out=row)
+        best = max(best, w @ row)
+    return float(best)
 
 
 def sup_variance(
@@ -516,7 +548,7 @@ def sup_variance(
             qa = P @ masks.T  # (k, 2^m)
             ba = fin.weights @ qa
             return float((fin.weights @ (qa - ba) ** 2).max())
-        events = threshold_events(fin)
+        return _half_line_sup_variance(fin)
     return max(variance_at(fin, e) for e in events)
 
 

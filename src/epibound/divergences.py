@@ -1,17 +1,18 @@
 """Distances and divergences between first-order distributions.
 
-Exact paths (categorical summation, Gaussian closed forms) are preferred
-wherever they exist.  Quadrature backs the remaining continuous cases, and a
-seeded Monte Carlo KL estimator with the Pinsker upper bound sqrt(KL/2)
-mirrors the methodology of the synthetic experiments, which select it
-explicitly.
+Exact paths (categorical summation, Gaussian closed forms, continuous TV
+from the density crossings) are preferred wherever they exist.  Quadrature
+backs the remaining continuous cases of Hellinger, KL, entropy and
+cross-entropy, and a seeded Monte Carlo KL estimator with the Pinsker upper
+bound sqrt(KL/2) mirrors the methodology of the synthetic experiments, which
+select it explicitly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,6 +30,10 @@ from .errors import EventMismatch, InvalidArgument, SupportViolation
 QUAD_ABS_TOL = 1e-9
 QUAD_SPAN = 10.0  # integration window: each mean +- span * stddev, merged
 DEFAULT_MC_SAMPLES = 400
+CROSSING_GRID_PER_SD = 16   # crossing-search grid points per smallest component stddev
+CROSSING_GRID_MAX = 1 << 20  # wider windows get a coarser grid, plus every component mean
+CROSSING_CHUNK = 1 << 16     # (points x components) per density evaluation
+CROSSING_BISECTIONS = 30     # halvings of each bracket, from the grid spacing
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,8 @@ def tv_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
 
     Categorical pairs use half the L1 distance of probability vectors;
     equal-stddev Gaussian pairs the closed form 2*Phi(|dmu|/(2*sigma)) - 1;
-    remaining continuous pairs adaptive quadrature of |density gap| / 2.
+    other continuous pairs split the line where the densities cross and sum
+    the CDF mass gaps of the pieces.
     """
     require_same_space(p, q)
     if isinstance(p, Categorical) and isinstance(q, Categorical):
@@ -108,18 +114,57 @@ def tv_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
     if isinstance(p, Gaussian) and isinstance(q, Gaussian):
         if abs(p.stddev - q.stddev) <= 1e-12 * max(p.stddev, q.stddev):
             return float(2.0 * ndtr(abs(p.mean - q.mean) / (2.0 * p.stddev)) - 1.0)
-    pf, qf = _pdf(p), _pdf(q)
-    lo, hi = _window(p, q)
-    return min(1.0, 0.5 * _quad(lambda x: abs(pf(x) - qf(x)), lo, hi))
+    return _crossing_tv(_as_mixture(p), _as_mixture(q))
 
 
 def l1_distance(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
-    require_same_space(p, q)
-    if isinstance(p, Categorical) and isinstance(q, Categorical):
-        return float(np.abs(p.p - q.p).sum())
-    pf, qf = _pdf(p), _pdf(q)
+    """L1 distance between the densities (or pmfs): twice the TV distance."""
+    return 2.0 * tv_exact(p, q)
+
+
+def _as_mixture(d: Union[Gaussian, GaussianMixture]) -> GaussianMixture:
+    if isinstance(d, GaussianMixture):
+        return d
+    return GaussianMixture(np.ones(1), np.array([d.mean]), np.array([d.stddev]))
+
+
+def _log_gap(p: GaussianMixture, q: GaussianMixture, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log p(x) - log q(x) into ``out``, in chunks that bound the (points, components) buffers."""
+    step = max(1, CROSSING_CHUNK // max(p.weights.size, q.weights.size))
+    for i in range(0, x.size, step):
+        np.subtract(p.logpdf(x[i:i + step]), q.logpdf(x[i:i + step]), out=out[i:i + step])
+    return out
+
+
+def _crossing_tv(p: GaussianMixture, q: GaussianMixture) -> float:
+    """TV as (1/2) sum_i |P(I_i) - Q(I_i)| over the pieces I_i between density crossings.
+
+    The crossings are the sign changes of log p - log q on a grid over the
+    quadrature window, spaced at a fraction of the smallest component
+    stddev and holding every component mean, refined together by bisection;
+    grid points where the gap is exactly 0 are cuts as they are.  Any
+    partition gives a lower bound on TV, and P(A) - Q(A) is stationary at
+    the crossings, so a root error e costs O(e^2), from below.
+    """
     lo, hi = _window(p, q)
-    return _quad(lambda x: abs(pf(x) - qf(x)), lo, hi)
+    smallest = min(p.stddevs[p.weights > 0].min(), q.stddevs[q.weights > 0].min())
+    n = min(CROSSING_GRID_MAX, math.ceil((hi - lo) / smallest * CROSSING_GRID_PER_SD) + 1)
+    means = np.concatenate([p.means, q.means])
+    xs = np.union1d(np.linspace(lo, hi, n), means[(means > lo) & (means < hi)])
+    side = np.sign(_log_gap(p, q, xs, np.empty_like(xs)))
+    i = np.flatnonzero(side[:-1] * side[1:] < 0)
+    a, b, side_a = xs[i], xs[i + 1], side[i]
+    mid, side_mid = np.empty_like(a), np.empty_like(a)
+    for _ in range(CROSSING_BISECTIONS):
+        np.add(a, b, out=mid)
+        mid *= 0.5
+        np.sign(_log_gap(p, q, mid, side_mid), out=side_mid)
+        same = side_mid == side_a
+        np.copyto(a, mid, where=same | (side_mid == 0))  # an exact zero closes the bracket
+        np.copyto(b, mid, where=~same)
+    cuts = np.sort(np.concatenate([xs[side == 0], 0.5 * (a + b)]))
+    gaps = p.cdf(cuts) - q.cdf(cuts)  # P - Q on (-inf, cut]; 0 at both ends of the line
+    return min(1.0, 0.5 * float(np.abs(np.diff(gaps, prepend=0.0, append=0.0)).sum()))
 
 
 def hellinger_sq(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:

@@ -549,6 +549,7 @@ def verify_theta_instance(
     bayes_report: StatementReport,
 ) -> None:
     """Check mixture contraction (C <= parameter TV) and the Bayesian bound."""
+    alphas = _alpha_array(alphas)
     bary_s = inst.source_weights @ inst.theta_pmfs
     predictives = inst.candidates @ inst.theta_pmfs  # (r, m)
     dists = _tv_vec(predictives, bary_s)
@@ -570,7 +571,7 @@ def verify_theta_instance(
         t_weights=w_t,
         losses={"tv": _tv_vec(T, predictor)},
     )
-    _verify_probability_statement(comp, np.asarray(alphas, dtype=float), bayes_report)
+    _verify_probability_statement(comp, alphas, bayes_report)
 
 
 # ---------------------------------------------------------------------------

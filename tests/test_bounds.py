@@ -13,6 +13,7 @@ from epibound import (
     GaussianParamDist,
     InvalidArgument,
     InvalidModelClass,
+    InverseGammaGaussianTasks,
     ModelClass,
     PreconditionViolated,
     best_approximation,
@@ -79,6 +80,22 @@ class TestComponents:
         a = finite_tasks([(Categorical([1.0, 0.0]), 1.0)])
         b = finite_tasks([(Categorical([0.0, 1.0]), 1.0)])
         assert distribution_shift(a, b) == pytest.approx(1.0)
+
+    def test_distribution_shift_is_the_reported_d(self, binary_source, binary_target):
+        # D as evaluate_bound computes it: a distinct target is reified with seed + 1
+        ig_s = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
+        ig_t = InverseGammaGaussianTasks(1.3, 17.0, 9.0)
+        model = ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8)
+        for source, target, model, predictor in (
+            (ig_s, ig_t, model, Gaussian(1.1, 0.8)),
+            (ig_s, ig_s, model, Gaussian(1.1, 0.8)),
+            (binary_source, binary_target, ModelClass.binary_grid([0.3, 0.5]),
+             Categorical([0.4, 0.6])),
+        ):
+            for seed in (0, 7):
+                report = evaluate_bound("thm1", model, predictor, source, target, alpha=0.2,
+                                        components=64, seed=seed)
+                assert distribution_shift(source, target, components=64, seed=seed) == report.D
 
     def test_learner_shift(self):
         v = distribution_shift_learner(Categorical([0.5, 0.5]), Categorical([0.6, 0.4]), bias=0.1)

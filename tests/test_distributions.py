@@ -275,6 +275,64 @@ class TestSupVariance:
             (a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)}
 
 
+def reference_sup_variance(tasks):
+    """The per-event loop that the half-line sup-variance replaced."""
+    return max(variance_at(tasks, e) for e in threshold_events(tasks))
+
+
+class TestHalfLineSupVariance:
+    @pytest.mark.parametrize("components", [16, 64, 256])
+    def test_bitwise_equal_to_event_loop_on_ig_reifications(self, components):
+        rng = np.random.default_rng(components)
+        for _ in range(8):
+            family = InverseGammaGaussianTasks(rng.uniform(-2, 2), rng.uniform(1, 30),
+                                               rng.uniform(0.5, 15))
+            tasks = family.reify(components, seed=int(rng.integers(2**31)))
+            assert sup_variance(tasks) == reference_sup_variance(tasks)
+
+    def test_mixture_tasks_match_event_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            tasks = finite_tasks([
+                (GaussianMixture(rng.dirichlet(np.ones(k)), rng.uniform(-2, 2, k),
+                                 rng.uniform(0.2, 2.0, k)), w)
+                for k, w in zip(rng.integers(1, 6, size=5), rng.dirichlet(np.ones(5)))
+            ] + [(Gaussian(0.3, 0.9), 0.0)])
+            assert sup_variance(tasks) == pytest.approx(reference_sup_variance(tasks), abs=1e-15)
+
+
+class TestCdf:
+    DISTS = (Gaussian(0.4, 1.7), GaussianMixture([0.25, 0.0, 0.75], [-1.0, 3.0, 0.5],
+                                                 [0.4, 1.0, 2.2]))
+
+    @pytest.mark.parametrize("dist", DISTS, ids=["gaussian", "mixture"])
+    def test_infinite_points(self, dist):
+        # every component's ndtr gives exactly 0 and 1; a mixture sums its weights
+        assert dist.cdf(math.inf) == pytest.approx(1.0, abs=1e-15)
+        assert dist.cdf(-math.inf) == 0.0
+        assert Gaussian(0.4, 1.7).cdf(math.inf) == 1.0
+        np.testing.assert_array_equal(dist.cdf(np.array([-math.inf, math.inf])),
+                                      [0.0, dist.cdf(math.inf)])
+        assert dist.event_probability(Interval(-math.inf, math.inf)) == dist.cdf(math.inf)
+
+    @pytest.mark.parametrize("dist", DISTS, ids=["gaussian", "mixture"])
+    def test_scalar_and_array_calls_agree(self, dist):
+        xs = np.array([-7.5, -1.0, 0.0, 0.4, 2.25, 30.0])
+        got = dist.cdf(xs)
+        assert got.shape == xs.shape
+        assert [dist.cdf(float(x)) for x in xs] == list(got)
+        np.testing.assert_array_equal(dist.cdf(xs.reshape(2, 3)), got.reshape(2, 3))
+        for lo, hi in ((-1.0, 0.4), (-math.inf, 2.25), (0.0, math.inf)):
+            assert dist.event_probability(Interval(lo, hi)) == float(dist.cdf(hi) - dist.cdf(lo))
+
+    def test_mixture_cdf_is_weighted_component_cdfs(self):
+        mix = self.DISTS[1]
+        for x in (-2.0, 0.1, 1.7):
+            parts = [w * Gaussian(m, s).cdf(x)
+                     for w, m, s in zip(mix.weights, mix.means, mix.stddevs)]
+            assert mix.cdf(x) == pytest.approx(sum(parts), abs=1e-16)
+
+
 class TestDiameter:
     def test_two_task_example(self):
         assert diameter(two_task_binary()) == pytest.approx(0.2, abs=1e-12)

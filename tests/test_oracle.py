@@ -381,6 +381,13 @@ class TestThetaInstances:
         assert b6.min_slack >= -1e-10
         assert cb.violations == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_rejects_bad_alphas(self, bad):
+        cb = StatementReport("cor_bayesian")
+        with pytest.raises(InvalidArgument):
+            verify_theta_instance(generate_theta_instance(1), [bad], StatementReport("lemma_b6"), cb)
+        assert cb.trials == 0
+
 
 class TestSuite:
     def test_small_suite_statements_clean(self):
