@@ -203,11 +203,20 @@ LOSSES = {
 }
 
 
-# Margins and deltas take a float alpha or an array of alphas and round the
-# same either way, so every square of an alpha-dependent term is written as a
-# product: numpy squares an array as x * x, while Python's x**2 calls pow,
-# which can differ in the last bit.  Squares of components are floats on every
-# path and keep ** 2, which the recorded oracle reports depend on.
+# Margins, deltas and preconditions take floats or arrays and round the same
+# either way: the oracle passes (batch, 1) component columns and an alpha row.
+# Every square of an alpha-dependent term is written as a product, since numpy
+# squares an array as x * x while Python's x ** 2 calls libm pow, which differs
+# in the last bit for about 0.1 % of values.  Squares of components go through
+# _pow2, which keeps Python's rounding on arrays; the recorded oracle reports
+# depend on it.
+
+
+def _pow2(x):
+    """``x ** 2``, rounded as Python rounds a float's ``** 2`` in every element of an array."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+    return x ** 2
 
 
 def _sum_thm1(c, a: float) -> float:
@@ -223,12 +232,12 @@ def _chebyshev(c, a: float) -> float:
 
 
 def _eps_tasks_delta(c, a: float) -> float:
-    spread = c.sup_var_source + (c.diam_source + c.epsilon) ** 2
+    spread = c.sup_var_source + _pow2(c.diam_source + c.epsilon)
     return (1.0 - c.b_T) / (c.b_S * (a * a)) * spread
 
 
 def _eps_dist_delta(c, a: float) -> float:
-    return (1.0 - c.b_T) / (c.b_S * (a * a)) * (c.sup_var_source + c.epsilon**2)
+    return (1.0 - c.b_T) / (c.b_S * (a * a)) * (c.sup_var_source + _pow2(c.epsilon))
 
 
 def _ce_margin(c, a: float) -> float:
@@ -242,24 +251,27 @@ _PERFECT_LEARNING = Precondition(
     "predictor is not the source barycenter",
 )
 _BOUNDED = (
-    Precondition("eps_domain", lambda c: 0.0 < c.epsilon < 1.0, "epsilon must lie in (0,1)"),
+    Precondition("eps_domain", lambda c: (0.0 < c.epsilon) & (c.epsilon < 1.0),
+                 "epsilon must lie in (0,1)"),
     Precondition(
-        "source_boundedness", lambda c: 0.0 < c.b_S < 1.0 and c.max_b_S >= c.b_S,
+        "source_boundedness", lambda c: (0.0 < c.b_S) & (c.b_S < 1.0) & (c.max_b_S >= c.b_S),
         "source must be first- and second-order b_S-bounded",
     ),
     Precondition(
-        "target_boundedness", lambda c: 0.0 < c.b_T < 1.0 and c.max_b_T >= c.b_T,
+        "target_boundedness", lambda c: (0.0 < c.b_T) & (c.b_T < 1.0) & (c.max_b_T >= c.b_T),
         "target must be first-order b_T-bounded",
     ),
 )
-_EPS_TASKS = _BOUNDED + (Precondition(
+_EPS_NEIGHBORHOOD = Precondition(
     "eps_neighborhood", lambda c: c.max_tv_to_source <= c.epsilon + 1e-12,
     "a target task exceeds TV epsilon from every source task",
-),)
-_EPS_DIST = _BOUNDED + (Precondition(
+)
+_EPS_DISTANCE = Precondition(
     "eps_distribution_distance", lambda c: c.dist_tv <= c.epsilon + 1e-12,
     "TV between task distributions exceeds epsilon",
-),)
+)
+_EPS_TASKS = _BOUNDED + (_EPS_NEIGHBORHOOD,)
+_EPS_DIST = _BOUNDED + (_EPS_DISTANCE,)
 _CE = (
     Precondition(
         "finite_sample_space", lambda c: c.finite_space,

@@ -586,12 +586,13 @@ class BoundednessReport:
 
 def max_first_order_b(tasks: FiniteTaskDistribution) -> float:
     """Largest b with every support weight in [b, 1-b] (<= 0 means unbounded)."""
-    return _first_order_b(tasks.weights)
+    return float(_first_order_b(tasks.weights))
 
 
-def _first_order_b(weights: np.ndarray) -> float:
-    w = weights[weights > 0]
-    return float(min(w.min(), 1.0 - w.max()))
+def _first_order_b(weights: np.ndarray) -> np.ndarray:
+    """``max_first_order_b`` of each row of weights; zero weights are off the support."""
+    return np.minimum(np.where(weights > 0, weights, np.inf).min(axis=-1),
+                      1.0 - weights.max(axis=-1))
 
 
 def max_second_order_b(tasks: FiniteTaskDistribution) -> float:
@@ -603,14 +604,8 @@ def max_second_order_b(tasks: FiniteTaskDistribution) -> float:
     """
     if tasks.is_continuous:
         return 0.0
-    return _second_order_b(np.stack([t.p for t in tasks.tasks]))  # type: ignore[union-attr]
-
-
-def _second_order_b(P: np.ndarray) -> float:
-    """``max_second_order_b`` of categorical tasks given as the rows of ``P``."""
-    if (P <= 0).any():
-        return 0.0
-    return min(1.0, float(P.min()))
+    P = np.stack([t.p for t in tasks.tasks])  # type: ignore[union-attr]
+    return 0.0 if (P <= 0).any() else min(1.0, float(P.min()))
 
 
 def check_boundedness(tasks: FiniteTaskDistribution, b: float) -> BoundednessReport:

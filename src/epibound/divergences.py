@@ -172,6 +172,12 @@ def hellinger_sq(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
     require_same_space(p, q)
     if isinstance(p, Categorical) and isinstance(q, Categorical):
         return float(0.5 * ((np.sqrt(p.p) - np.sqrt(q.p)) ** 2).sum())
+    if isinstance(p, Gaussian) and isinstance(q, Gaussian):
+        # 1 - sqrt(2 s1 s2 / (s1^2 + s2^2)) * exp(-(m1 - m2)^2 / (4 (s1^2 + s2^2)))
+        spread = p.stddev**2 + q.stddev**2
+        log_bc = 0.5 * math.log(2.0 * p.stddev * q.stddev / spread) - (
+            (p.mean - q.mean) ** 2 / (4.0 * spread))
+        return max(0.0, -math.expm1(log_bc))  # log_bc <= 0 up to rounding
     pf, qf = _pdf(p), _pdf(q)
     lo, hi = _window(p, q)
     return min(1.0, 0.5 * _quad(lambda x: (math.sqrt(pf(x)) - math.sqrt(qf(x))) ** 2, lo, hi))

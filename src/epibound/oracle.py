@@ -6,14 +6,17 @@ probability is a finite sum, so each statement's tail probability is
 computed exactly by enumeration: zero sampling noise.  Constraint modes
 force the hypotheses of the conditional statements (no shift, perfect
 learning, the two total-variation-neighborhood assumptions) to hold by
-construction.
+construction.  A suite draws each instance from its own seed and checks
+them a chunk at a time, as padded arrays, with the per-instance results
+bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -26,12 +29,19 @@ from .distributions import (
     FiniteTaskDistribution,
     _check_rows,
     _event_masks,
-    _freeze,
     _first_order_b,
+    _freeze,
     _matched_tv,
-    _second_order_b,
 )
-from .bounds import STATEMENTS, ModelClass, _require_alpha
+from .bounds import (
+    _EPS_DISTANCE,
+    _EPS_NEIGHBORHOOD,
+    STATEMENTS,
+    ModelClass,
+    Precondition,
+    _pow2,
+    _require_alpha,
+)
 from .errors import GenerationFailure, InvalidArgument, InvalidTaskDistribution
 from .seeding import derive_seed, normalize_seed
 
@@ -196,10 +206,6 @@ class OracleInstance:
         }
 
 
-def _tv_vec(P: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(P - q[None, :]).sum(axis=1)
-
-
 def _project_into_ball(t: np.ndarray, s: np.ndarray, eps: float, attempts: int) -> np.ndarray:
     """Clip t into an L-inf box around s, renormalize, shrink until TV <= eps."""
     eta = eps
@@ -267,107 +273,222 @@ def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> O
 
 
 # ---------------------------------------------------------------------------
-# Exact per-instance components
+# Exact components, a batch of instances at a time
 # ---------------------------------------------------------------------------
+
+_CHUNK = 256  # instances generated and checked together; bounds the padded arrays' memory
+
+
+def _groups(sizes: Sequence[tuple]) -> list[np.ndarray]:
+    """Indices of a batch, grouped so that padding leaves every sum bit for bit the same.
+
+    ``sizes`` holds one tuple per instance: the lengths of the axes that get
+    summed.  numpy adds fewer than 8 values one at a time, so trailing zeros
+    leave such a sum unchanged; it adds 8 or more in blocks, so an axis that
+    long has one length within a group.
+    """
+    groups: dict = {}
+    for i, row in enumerate(sizes):
+        groups.setdefault(tuple(s if s >= 8 else 0 for s in row), []).append(i)
+    return [np.array(g) for g in groups.values()]
+
+
+def _put_rows(out: np.ndarray, P: np.ndarray) -> None:
+    """``P`` into the top-left of ``out``, its first row repeated below it."""
+    k, m = P.shape
+    out[:k, :m] = P
+    out[k:, :m] = P[0]
+
+
+def _tv(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """TV between matching probability rows (last axis), broadcast."""
+    return 0.5 * np.abs(P - Q).sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class _Components:
-    """Exact components of one instance, under the names ``bounds.STATEMENTS`` reads."""
+    """Exact components of a batch of instances, under the names ``bounds.STATEMENTS`` reads.
 
-    B: float
-    C: float
-    D: float
-    D_learner: float
-    sup_var_target: float
-    sup_var_source: float
-    diam_source: float
-    epsilon: float            # NaN when the instance has none
-    b_S: float                # the largest b the source is first- and second-order bounded by
-    b_S_first: float          # the largest b the source is first-order bounded by
-    b_T: float                # the largest b the target is first-order bounded by
-    b_pred: float             # the predictor's smallest positive probability
-    tv_pred_bary_s: float
-    tv_pred_bary_t: float
+    A scalar component is a (batch, 1) column, so that a margin or delta
+    broadcasts it against a row of alphas.  Per-task arrays are (batch, k),
+    padded past an instance's ``k_t`` target tasks with zero-weight copies of
+    its first one; per-event variances are (batch, 2^m), padded with copies
+    of the first event's.  ``instance`` cuts one instance out.
+    """
+
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    D_learner: np.ndarray
+    sup_var_target: np.ndarray
+    sup_var_source: np.ndarray
+    diam_source: np.ndarray
+    epsilon: np.ndarray           # NaN where the instance has none
+    b_S: np.ndarray               # the largest b the source is first- and second-order bounded by
+    b_S_first: np.ndarray         # the largest b the source is first-order bounded by
+    b_T: np.ndarray               # the largest b the target is first-order bounded by
+    b_pred: np.ndarray            # the predictor's smallest positive probability
+    tv_pred_bary_s: np.ndarray
+    tv_pred_bary_t: np.ndarray
+    shared_support: np.ndarray    # identical task tuples (weights may differ)
+    no_shift: np.ndarray          # identical task distributions
+    max_tv_to_source: np.ndarray  # over drawable target tasks: TV to the nearest source task
+    dist_tv: np.ndarray           # TV between the two task distributions
+    support_covered: np.ndarray   # every drawable target task inside the predictor's support
     t_weights: np.ndarray
-    losses: dict              # loss name -> its value on each target support task
-    var_s_events: np.ndarray  # per-event source variances (2^m,)
+    losses: dict                  # loss name -> its value on each target task
+    var_s_events: np.ndarray      # per-event source variances
     var_t_events: np.ndarray
-    shared_support: bool      # identical task tuples (weights may differ)
-    no_shift: bool            # identical task distributions
-    max_tv_to_source: float   # over drawable target tasks: TV to the nearest source task
-    dist_tv: float            # TV between the two task distributions
-    support_covered: bool     # every drawable target task inside the predictor's support
+    k_t: np.ndarray               # (batch,) target task counts
+    m: np.ndarray                 # (batch,) outcome counts
     finite_space = True  # oracle instances are categorical
     # b_S and b_T are already the largest valid values
     max_b_S = property(lambda self: self.b_S)
     max_b_T = property(lambda self: self.b_T)
 
+    def instance(self, b: int) -> "_Components":
+        """Instance ``b`` alone: Python scalars, (k_t,) per-task and (2^m,) per-event arrays."""
+        k, m = int(self.k_t[b]), int(self.m[b])
+        return _Components(
+            **{name: getattr(self, name)[b, 0].item() for name in _SCALARS},
+            t_weights=self.t_weights[b, :k],
+            losses={name: v[b, :k] for name, v in self.losses.items()},
+            var_s_events=self.var_s_events[b, :2**m],
+            var_t_events=self.var_t_events[b, :2**m],
+            k_t=k,
+            m=m,
+        )
 
-def compute_components(inst: OracleInstance) -> _Components:
-    S, T, w_s, w_t = inst.S, inst.T, inst.w_s, inst.w_t
-    members, pred = inst.members, inst.pred
-    bary_s, bary_t = w_s @ S, w_t @ T
 
-    dists = _tv_vec(members, bary_s)
-    best_idx = int(np.argmin(dists))  # np.argmin returns the first minimum
-    best = members[best_idx]
-    B = float(dists[best_idx])
-    C = float(0.5 * np.abs(pred - best).sum())
-    D = float(0.5 * np.abs(bary_s - bary_t).sum())
-    D_learner = float(0.5 * np.abs(best - bary_t).sum()) - B
+_SCALARS = tuple(f.name for f in fields(_Components)
+                 if f.name not in ("t_weights", "losses", "var_s_events", "var_t_events",
+                                   "k_t", "m"))
 
-    masks = _event_masks(inst.m)
-    var_s = w_s @ ((S @ masks.T) - bary_s @ masks.T) ** 2
-    var_t = w_t @ ((T @ masks.T) - bary_t @ masks.T) ** 2
-    diam = float(0.5 * np.abs(S[:, None, :] - S[None, :, :]).sum(axis=2).max())
 
-    ers = _tv_vec(T, pred)
-    hell_t = 0.5 * ((np.sqrt(T) - np.sqrt(pred)[None, :]) ** 2).sum(axis=1)
+def _instance_groups(insts: Sequence[OracleInstance]) -> list[np.ndarray]:
+    return _groups([(inst.m, inst.S.shape[0], inst.T.shape[0]) for inst in insts])
 
-    gaps = np.abs(T[:, None, :] - S[None, :, :])  # (k_t, k_s, m)
-    cross = 0.5 * gaps.sum(axis=2)
-    if inst.shared:
-        dist_tv = float(0.5 * np.abs(w_s - w_t).sum())
-    else:
+
+def _components(insts: Sequence[OracleInstance]) -> _Components:
+    """Exact components of a batch of instances that ``_instance_groups`` put together.
+
+    The instances are stacked into padded arrays: tasks and members padded
+    with copies of row 0 (weight 0 for tasks), outcomes with zero columns.
+    Every matrix product (barycenters, per-event variances) runs on one
+    instance's own arrays, because BLAS rounds a product by its shape.  The
+    rest is elementwise, sums over padded axes that the grouping keeps exact,
+    and minima and maxima, which copies leave unchanged; ``argmin`` returns
+    the first minimum, so a padded member is never the best one.
+    """
+    n = len(insts)
+    m = max(inst.m for inst in insts)
+    k_s = max(inst.S.shape[0] for inst in insts)
+    k_t = max(inst.T.shape[0] for inst in insts)
+    events = 2 ** m
+    S, T = np.zeros((n, k_s, m)), np.zeros((n, k_t, m))
+    members = np.zeros((n, max(inst.members.shape[0] for inst in insts), m))
+    w_s, w_t = np.zeros((n, k_s)), np.zeros((n, k_t))
+    pred, bary_s, bary_t = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m))
+    var_s, var_t = np.empty((n, events)), np.empty((n, events))
+    for b, inst in enumerate(insts):
+        _put_rows(S[b], inst.S)
+        _put_rows(T[b], inst.T)
+        _put_rows(members[b], inst.members)
+        w_s[b, :inst.w_s.size] = inst.w_s
+        w_t[b, :inst.w_t.size] = inst.w_t
+        pred[b, :inst.m] = inst.pred
+        bary_s[b, :inst.m] = bs = inst.w_s @ inst.S
+        bary_t[b, :inst.m] = bt = inst.w_t @ inst.T
+        masks = _event_masks(inst.m)
+        s_events = inst.S @ masks.T
+        vs = inst.w_s @ (s_events - bs @ masks.T) ** 2
+        if inst.w_t is inst.w_s:  # no shift: the same products
+            vt = vs
+        else:
+            vt = inst.w_t @ ((s_events if inst.shared else inst.T @ masks.T) - bt @ masks.T) ** 2
+        var_s[b, :vs.size], var_s[b, vs.size:] = vs, vs[0]
+        var_t[b, :vt.size], var_t[b, vt.size:] = vt, vt[0]
+
+    rows = np.arange(n)
+    dists = _tv(members, bary_s[:, None, :])
+    best_idx = dists.argmin(axis=1)
+    best = members[rows, best_idx]
+    B = dists[rows, best_idx]
+    diam = _tv(S[:, :, None, :], S[:, None, :, :]).max(axis=(1, 2))
+    outcomes = np.arange(m) < np.array([inst.m for inst in insts])[:, None]
+    s_min = np.where(outcomes[:, None, :], S, np.inf).min(axis=(1, 2))  # padding excluded
+    b_S_first = _first_order_b(w_s)
+
+    ers = _tv(T, pred[:, None, :])
+    hell_t = 0.5 * ((np.sqrt(T) - np.sqrt(pred)[:, None, :]) ** 2).sum(axis=2)
+    gaps = np.abs(T[:, :, None, :] - S[:, None, :, :])  # (batch, k_t, k_s, m)
+    cross = 0.5 * gaps.sum(axis=3)
+    shared = np.array([inst.shared for inst in insts])
+    # a shared instance has k_s == k_t <= k, and the grouping makes k its own
+    # task count when k >= 8, so this sum is exact where it is used
+    k = min(k_s, k_t)
+    dist_tv = _tv(w_s[:, :k], w_t[:, :k])
+    if not shared.all():
         # task_distribution_tv's matching, with source task i close to target task j
-        close = (gaps.max(axis=2) <= PROB_TOL).T
-        dist_tv = _matched_tv(w_s, w_t, lambda i, j: close[i, j])
+        close = (gaps.max(axis=3) <= PROB_TOL).transpose(0, 2, 1).tolist()
+        for b in np.flatnonzero(~shared):
+            near = close[b]
+            dist_tv[b] = _matched_tv(insts[b].w_s, insts[b].w_t, lambda i, j: near[i][j])
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(T > 0, T / np.where(pred > 0, pred, np.nan), 1.0)
+        ratio = np.where(T > 0, T / np.where(pred > 0, pred, np.nan)[:, None, :], 1.0)
         kl_rows = np.where(T > 0, T * np.log(ratio), 0.0)
     nan = np.isnan(kl_rows)  # target mass where the predictor has none
-    leaks = nan.any(axis=1)
-    kl_t_pred = np.where(leaks, np.inf, np.where(nan, 0.0, kl_rows).sum(axis=1))
-    live = w_t > 0  # zero-weight target tasks are never drawn
+    leaks = nan.any(axis=2)
+    kl_t_pred = np.where(leaks, np.inf, np.where(nan, 0.0, kl_rows).sum(axis=2))
+    live = w_t > 0  # zero-weight target tasks, padding included, are never drawn
 
-    b_S_first = _first_order_b(w_s)
+    def col(v) -> np.ndarray:
+        return np.asarray(v)[:, None]
+
     return _Components(
-        B=B,
-        C=C,
-        D=D,
-        D_learner=D_learner,
-        sup_var_target=float(var_t.max()),
-        sup_var_source=float(var_s.max()),
-        diam_source=diam,
-        epsilon=np.nan if inst.epsilon is None else inst.epsilon,
-        b_S=min(b_S_first, _second_order_b(S)),
-        b_S_first=b_S_first,
-        b_T=_first_order_b(w_t),
-        b_pred=float(pred[pred > 0].min()),
-        tv_pred_bary_s=float(0.5 * np.abs(pred - bary_s).sum()),
-        tv_pred_bary_t=float(0.5 * np.abs(pred - bary_t).sum()),
+        B=col(B),
+        C=col(_tv(pred, best)),
+        D=col(_tv(bary_s, bary_t)),
+        D_learner=col(_tv(best, bary_t) - B),
+        sup_var_target=col(var_t.max(axis=1)),
+        sup_var_source=col(var_s.max(axis=1)),
+        diam_source=col(diam),
+        epsilon=col([np.nan if inst.epsilon is None else inst.epsilon for inst in insts]),
+        b_S=col(np.minimum(b_S_first, np.where(s_min <= 0, 0.0, np.minimum(1.0, s_min)))),
+        b_S_first=col(b_S_first),
+        b_T=col(_first_order_b(w_t)),
+        b_pred=col(np.where(pred > 0, pred, np.inf).min(axis=1)),
+        tv_pred_bary_s=col(_tv(pred, bary_s)),
+        tv_pred_bary_t=col(_tv(pred, bary_t)),
+        shared_support=col(shared),
+        no_shift=col(dist_tv <= PROB_TOL),
+        max_tv_to_source=col(np.where(live, cross.min(axis=2), -np.inf).max(axis=1)),
+        dist_tv=col(dist_tv),
+        support_covered=col(~(leaks & live).any(axis=1)),
         t_weights=w_t,
         losses={"tv": ers, "l1": 2.0 * ers, "hellinger_sq": hell_t, "excess_ce": kl_t_pred},
         var_s_events=var_s,
         var_t_events=var_t,
-        shared_support=inst.shared,
-        no_shift=dist_tv <= PROB_TOL,
-        max_tv_to_source=float(cross.min(axis=1)[live].max()),
-        dist_tv=dist_tv,
-        support_covered=not leaks[live].any(),
+        k_t=np.array([inst.T.shape[0] for inst in insts]),
+        m=np.array([inst.m for inst in insts]),
     )
+
+
+def compute_components(inst: OracleInstance) -> _Components:
+    """Exact components of one instance: a batch of one."""
+    return _components([inst]).instance(0)
+
+
+def _looseness(insts: Sequence[OracleInstance], comp: _Components) -> np.ndarray:
+    """Per instance: the mean of tv(pred, Q_t) over the exact target weights, minus (C + D)."""
+    er = [inst.w_t @ tv[:inst.w_t.size] for inst, tv in zip(insts, comp.losses["tv"])]
+    return np.array(er) - (comp.C + comp.D)[:, 0]
+
+
+def looseness(instance: OracleInstance) -> float:
+    """Mean over exact target weights of tv(pred, Q_t), minus (C + D)."""
+    return float(_looseness([instance], _components([instance]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,39 +511,44 @@ class StatementReport:
     trials: int = 0
     violations: int = 0
     skips: int = 0
-    skip_reason: Optional[str] = None
+    skip_reasons: Counter = field(default_factory=Counter)  # unmet hypothesis -> skips
     min_slack: float = np.inf
     max_slack: float = -np.inf
     keep_outcomes: bool = False
     outcomes: list = field(default_factory=list)
 
+    def skip(self, reason: str, count: int) -> None:
+        self.skips += count
+        self.skip_reasons[reason] += count
+
+    def _record(self, slacks: np.ndarray, violated: np.ndarray) -> None:
+        if slacks.size:
+            self.trials += slacks.size
+            self.violations += int(np.count_nonzero(violated))
+            self.min_slack = min(self.min_slack, float(slacks.min()))
+            self.max_slack = max(self.max_slack, float(slacks.max()))
+
     def record_batch(self, alphas: np.ndarray, exceedances: np.ndarray,
-                     deltas: np.ndarray) -> None:
-        """One outcome per alpha; ``AlphaOutcome``s are kept only with ``keep_outcomes``."""
-        if not alphas.size:
-            return
+                     deltas: np.ndarray) -> np.ndarray:
+        """One outcome per instance (row) and alpha (column); True where violated.
+
+        ``AlphaOutcome``s are kept only with ``keep_outcomes``.
+        """
         slacks = deltas - exceedances
         violated = exceedances > deltas + VIOLATION_TOL
-        self.trials += alphas.size
-        self.violations += int(np.count_nonzero(violated))
-        slack_list = slacks.tolist()  # Python's min over a few floats beats a numpy reduction
-        self.min_slack = min(self.min_slack, *slack_list)
-        self.max_slack = max(self.max_slack, *slack_list)
+        self._record(slacks, violated)
         if self.keep_outcomes:
-            self.outcomes.extend(map(AlphaOutcome, alphas.tolist(), exceedances.tolist(),
-                                     deltas.tolist(), slack_list, violated.tolist()))
+            self.outcomes.extend(map(
+                AlphaOutcome, np.broadcast_to(alphas, slacks.shape).ravel().tolist(),
+                exceedances.ravel().tolist(), deltas.ravel().tolist(), slacks.ravel().tolist(),
+                violated.ravel().tolist()))
+        return violated
 
-    def record_slack(self, slack: float) -> None:
-        self.trials += 1
-        violated = slack < -SLACK_TOL
-        self.violations += int(violated)
-        self.min_slack = min(self.min_slack, slack)
-        self.max_slack = max(self.max_slack, slack)
-
-
-def _skip(report: StatementReport, reason: str) -> None:
-    report.skips += 1
-    report.skip_reason = reason
+    def record_slacks(self, slacks: np.ndarray) -> np.ndarray:
+        """One deterministic inequality per slack; True where violated."""
+        violated = slacks < -SLACK_TOL
+        self._record(slacks, violated)
+        return violated
 
 
 def _alpha_array(alphas: Sequence[float]) -> np.ndarray:
@@ -432,51 +558,67 @@ def _alpha_array(alphas: Sequence[float]) -> np.ndarray:
     return np.array(values)
 
 
-def _verify_probability_statement(comp, alphas: np.ndarray, report: StatementReport) -> None:
-    """Exact ``P(loss >= margin)`` against delta at every alpha, for ``report``'s statement."""
-    statement = STATEMENTS[report.statement_id]
-    unmet = statement.unmet(comp)
-    if unmet is not None:
-        _skip(report, unmet.assumption)
-        return
-    margins = statement.margin(comp, alphas)
-    deltas = statement.delta(comp, alphas)
-    losses = comp.losses[statement.loss]
-    # one row per alpha; adding the zeros of the masked-out tasks in index order
-    # gives the sum of the selected weights for up to 7 target tasks, bit for bit
-    exceedances = np.where(losses >= margins[:, None], comp.t_weights, 0.0).sum(axis=1)
-    report.record_batch(alphas, exceedances, deltas)
+def _b8_slack(c) -> np.ndarray:
+    bound = (1.0 - c.b_T) / c.b_S_first * (c.var_s_events + _pow2(c.D))
+    return (bound - c.var_t_events).min(axis=1, keepdims=True)
 
 
-def _verify_lemma(comp: _Components, statement_id: str, report: StatementReport) -> None:
-    if statement_id == "lemma_b2":
-        report.record_slack(comp.B + comp.C - comp.tv_pred_bary_s)
-    elif statement_id == "lemma_b7":
-        report.record_slack(comp.B + comp.C + comp.D_learner - comp.tv_pred_bary_t)
-    elif statement_id == "prop1":
-        report.record_slack(comp.D - comp.D_learner)
-    elif statement_id == "lemma_b9":
-        if not comp.max_tv_to_source <= comp.epsilon + 1e-12:  # false for a NaN epsilon
-            _skip(report, "requires a per-task TV neighborhood")
-            return
-        report.record_slack(comp.diam_source + comp.epsilon - comp.D)
-    elif statement_id == "lemma_b10":
-        if not comp.dist_tv <= comp.epsilon + 1e-12:
-            _skip(report, "requires the distribution-level TV neighborhood")
-            return
-        report.record_slack(comp.epsilon - comp.D)
-    elif statement_id == "lemma_b8":
-        if not comp.shared_support:
-            _skip(report, "requires target support inside the source support")
-            return
-        b_S, b_T = comp.b_S_first, comp.b_T
-        if b_S <= 0 or b_T <= 0:
-            _skip(report, "first-order boundedness fails")
-            return
-        bound = (1.0 - b_T) / b_S * (comp.var_s_events + comp.D**2)
-        report.record_slack(float((bound - comp.var_t_events).min()))
+# each deterministic lemma on finite instances: its slack, and the hypotheses it needs
+_LEMMAS = {
+    "lemma_b2": (lambda c: c.B + c.C - c.tv_pred_bary_s, ()),
+    "lemma_b7": (lambda c: c.B + c.C + c.D_learner - c.tv_pred_bary_t, ()),
+    "prop1": (lambda c: c.D - c.D_learner, ()),
+    "lemma_b9": (lambda c: c.diam_source + c.epsilon - c.D, (_EPS_NEIGHBORHOOD,)),
+    "lemma_b10": (lambda c: c.epsilon - c.D, (_EPS_DISTANCE,)),
+    "lemma_b8": (_b8_slack, (
+        Precondition("shared_support", lambda c: c.shared_support,
+                     "requires target support inside the source support"),
+        Precondition("first_order_boundedness", lambda c: (c.b_S_first > 0) & (c.b_T > 0),
+                     "first-order boundedness fails"),
+    )),
+}
+
+
+_NO_HITS = np.zeros(0, dtype=int)
+
+
+def _check(statement_id: str, comp, alphas: np.ndarray, attempted: np.ndarray,
+           report: StatementReport) -> np.ndarray:
+    """Check one statement on the ``attempted`` instances of a batch.
+
+    A probability statement's exceedance ``P(loss >= margin)`` at every alpha
+    of every instance is one masked sum over the target tasks; a lemma gets
+    one slack per instance.  An instance whose hypotheses fail is skipped
+    under the first failing one.  Components are (batch, 1) columns, so every
+    value rounds as it does for one instance and one alpha.  Returns the
+    batch positions of the instances with a violation.
+    """
+    statement = STATEMENTS.get(statement_id)
+    if statement is None:
+        slack, preconditions = _LEMMAS[statement_id]
     else:
-        raise InvalidArgument(f"unknown lemma id {statement_id!r}")
+        preconditions = statement.preconditions
+    ok, before = attempted, report.violations
+    with np.errstate(divide="ignore", invalid="ignore"):  # raised by the skipped instances
+        for p in preconditions:
+            holds = np.ravel(p.holds(comp))
+            failed = int(np.count_nonzero(ok & ~holds))
+            if failed:
+                report.skip(p.assumption, failed)
+                ok = ok & holds
+        if statement is None:
+            violated = report.record_slacks(slack(comp)[ok, 0])
+        else:
+            margins = statement.margin(comp, alphas)
+            deltas = np.broadcast_to(statement.delta(comp, alphas), (ok.size, alphas.size))
+            # one row of alphas per instance; the grouping keeps each sum bit for bit
+            # the sum of the selected weights of the instance's own target tasks
+            exceedances = np.where(comp.losses[statement.loss][:, None, :] >= margins[..., None],
+                                   comp.t_weights[:, None, :], 0.0).sum(axis=2)
+            violated = report.record_batch(alphas, exceedances[ok], deltas[ok])
+    if report.violations == before:
+        return _NO_HITS
+    return np.flatnonzero(ok)[violated.reshape(violated.shape[0], -1).any(axis=1)]
 
 
 def verify_statement(
@@ -492,21 +634,11 @@ def verify_statement(
     ``cor_bayesian`` needs a finite-theta instance (``verify_theta_instance``).
     """
     alpha_arr = _alpha_array(alphas)
-    report = StatementReport(statement_id, keep_outcomes=True)
-    comp = compute_components(instance)
-    if statement_id in LEMMA_STATEMENTS:
-        _verify_lemma(comp, statement_id, report)
-    elif statement_id in _INSTANCE_STATEMENTS:
-        _verify_probability_statement(comp, alpha_arr, report)
-    else:
+    if statement_id not in _LEMMAS and statement_id not in _INSTANCE_STATEMENTS:
         raise InvalidArgument(f"{statement_id!r} is not verified on finite instances")
+    report = StatementReport(statement_id, keep_outcomes=True)
+    _check(statement_id, _components([instance]), alpha_arr, np.ones(1, dtype=bool), report)
     return report
-
-
-def looseness(instance: OracleInstance) -> float:
-    """Mean over exact target weights of tv(pred, Q_t), minus (C + D)."""
-    comp = compute_components(instance)
-    return float(comp.t_weights @ comp.losses["tv"]) - (comp.C + comp.D)
 
 
 # ---------------------------------------------------------------------------
@@ -551,34 +683,59 @@ def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> Th
     return ThetaInstance(theta_pmfs, source_weights, candidates, p1, T, w_t, seed)
 
 
+def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
+    """The components ``cor_bayesian`` and ``lemma_b6`` read, for a batch as ``_components``."""
+    n = len(insts)
+    m = max(inst.T.shape[1] for inst in insts)
+    j = max(inst.p1.size for inst in insts)
+    r = max(inst.candidates.shape[0] for inst in insts)
+    k_t = max(inst.T.shape[0] for inst in insts)
+    predictives, candidates = np.zeros((n, r, m)), np.zeros((n, r, j))
+    T, w_t, p1 = np.zeros((n, k_t, m)), np.zeros((n, k_t)), np.zeros((n, j))
+    bary_s, bary_t, predictor = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m))
+    sup_var = np.empty(n)
+    for b, inst in enumerate(insts):
+        mb = inst.T.shape[1]
+        bary_s[b, :mb] = inst.source_weights @ inst.theta_pmfs
+        _put_rows(predictives[b], inst.candidates @ inst.theta_pmfs)
+        _put_rows(candidates[b], inst.candidates)
+        p1[b, :inst.p1.size] = inst.p1
+        predictor[b, :mb] = inst.p1 @ inst.theta_pmfs
+        _put_rows(T[b], inst.T)
+        w_t[b, :inst.w_t.size] = inst.w_t
+        bary_t[b, :mb] = bt = inst.w_t @ inst.T
+        masks = _event_masks(mb)
+        sup_var[b] = (inst.w_t @ ((inst.T @ masks.T) - bt @ masks.T) ** 2).max()
+
+    rows = np.arange(n)
+    dists = _tv(predictives, bary_s[:, None, :])
+    star = dists.argmin(axis=1)
+    return SimpleNamespace(
+        B=dists[rows, star][:, None],
+        C=_tv(predictor, predictives[rows, star])[:, None],
+        param_tv=_tv(p1, candidates[rows, star])[:, None],
+        D=_tv(bary_s, bary_t)[:, None],
+        sup_var_target=sup_var[:, None],
+        t_weights=w_t,
+        losses={"tv": _tv(T, predictor[:, None, :])},
+    )
+
+
+def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,
+                   b6_report: StatementReport, bayes_report: StatementReport) -> None:
+    """``verify_theta_instance`` on each instance, one group of like sizes at a time."""
+    for group in _groups([(inst.T.shape[1], inst.p1.size, inst.T.shape[0]) for inst in insts]):
+        comp = _theta_components([insts[g] for g in group])
+        b6_report.record_slacks((comp.param_tv - comp.C)[:, 0])
+        _check("cor_bayesian", comp, alphas, np.ones(group.size, dtype=bool), bayes_report)
+
+
 def verify_theta_instance(
     inst: ThetaInstance, alphas: Sequence[float], b6_report: StatementReport,
     bayes_report: StatementReport,
 ) -> None:
     """Check mixture contraction (C <= parameter TV) and the Bayesian bound."""
-    alphas = _alpha_array(alphas)
-    bary_s = inst.source_weights @ inst.theta_pmfs
-    predictives = inst.candidates @ inst.theta_pmfs  # (r, m)
-    dists = _tv_vec(predictives, bary_s)
-    star = int(np.argmin(dists))
-    B = float(dists[star])
-    predictor = inst.p1 @ inst.theta_pmfs
-    C = float(0.5 * np.abs(predictor - predictives[star]).sum())
-    param_tv = float(0.5 * np.abs(inst.p1 - inst.candidates[star]).sum())
-    b6_report.record_slack(param_tv - C)
-
-    T, w_t = inst.T, inst.w_t
-    bary_t = w_t @ T
-    masks = _event_masks(T.shape[1])
-    comp = SimpleNamespace(
-        B=B,
-        param_tv=param_tv,
-        D=float(0.5 * np.abs(bary_s - bary_t).sum()),
-        sup_var_target=float((w_t @ ((T @ masks.T) - bary_t @ masks.T) ** 2).max()),
-        t_weights=w_t,
-        losses={"tv": _tv_vec(T, predictor)},
-    )
-    _verify_probability_statement(comp, alphas, bayes_report)
+    _verify_thetas([inst], _alpha_array(alphas), b6_report, bayes_report)
 
 
 # ---------------------------------------------------------------------------
@@ -629,42 +786,52 @@ class OracleReport:
         for sid, rep in sorted(self.statements.items()):
             ms = "-" if rep.trials == 0 else f"{rep.min_slack:.3e}"
             lines.append(f"{sid:<16} {rep.trials:>8} {rep.violations:>10} {rep.skips:>7} {ms:>12}")
+        for sid, rep in sorted(self.statements.items()):
+            for reason, count in sorted(rep.skip_reasons.items()):
+                lines.append(f"{sid} skipped {count}: {reason}")
         lines.append(f"total violations: {self.total_violations}")
         return lines
+
+
+# every statement checked on finite instances, and for each mode whether it attempts it
+_CHECKED = tuple(sid for sid in ALL_STATEMENTS if sid in _INSTANCE_STATEMENTS or sid in _LEMMAS)
+_ATTEMPTS = {mode: [sid in sids for sid in _CHECKED] for mode, sids in _MODE_STATEMENTS.items()}
 
 
 def _run_range(args) -> dict:
     seed, start, stop, alphas, max_outcomes = args
     alphas = np.asarray(alphas)
     statements = {sid: StatementReport(sid) for sid in ALL_STATEMENTS}
-    loos: list[float] = []
-    details: list[dict] = []
+    loos = np.empty(stop - start)
+    violated: list[tuple] = []  # (instance index, rank in its mode's statements, id, seed)
     modes = CONSTRAINT_MODES
     configs = {mode: InstanceConfig(m_range=(2, max_outcomes), constraint=mode) for mode in modes}
-    for i in range(start, stop):
-        mode = modes[i % len(modes)]
-        inst = generate_instance(derive_seed(seed, i), configs[mode])
-        comp = compute_components(inst)
-        for sid in _MODE_STATEMENTS[mode]:
-            rep = statements[sid]
-            before = rep.violations
-            if sid in PROB_STATEMENTS:
-                _verify_probability_statement(comp, alphas, rep)
-            else:
-                _verify_lemma(comp, sid, rep)
-            if rep.violations > before and len(details) < 50:
-                details.append({"statement": sid, "instance_seed": inst.seed, "mode": mode})
-        loos.append(float(comp.t_weights @ comp.losses["tv"]) - (comp.C + comp.D))
-        theta = generate_theta_instance(derive_seed(seed, i, 777))
-        verify_theta_instance(theta, alphas, statements["lemma_b6"], statements["cor_bayesian"])
-    return {"statements": statements, "looseness": loos, "details": details}
+    for lo in range(start, stop, _CHUNK):
+        index = range(lo, min(lo + _CHUNK, stop))
+        insts = [generate_instance(derive_seed(seed, i), configs[modes[i % len(modes)]])
+                 for i in index]
+        for group in _instance_groups(insts):
+            batch = [insts[g] for g in group]
+            comp = _components(batch)
+            loos[group + (lo - start)] = _looseness(batch, comp)
+            attempts = np.array([_ATTEMPTS[inst.constraint] for inst in batch])
+            for s, sid in enumerate(_CHECKED):
+                if attempts[:, s].any():
+                    hits = _check(sid, comp, alphas, attempts[:, s], statements[sid])
+                    violated.extend((lo + g, _MODE_STATEMENTS[insts[g].constraint].index(sid),
+                                     sid, insts[g].seed) for g in group[hits])
+        thetas = [generate_theta_instance(derive_seed(seed, i, 777)) for i in index]
+        _verify_thetas(thetas, alphas, statements["lemma_b6"], statements["cor_bayesian"])
+    details = [{"statement": sid, "instance_seed": inst_seed, "mode": modes[i % len(modes)]}
+               for i, _, sid, inst_seed in sorted(violated)[:50]]
+    return {"statements": statements, "looseness": loos.tolist(), "details": details}
 
 
 def _merge_reports(into: StatementReport, other: StatementReport) -> None:
     into.trials += other.trials
     into.violations += other.violations
     into.skips += other.skips
-    into.skip_reason = into.skip_reason or other.skip_reason
+    into.skip_reasons.update(other.skip_reasons)
     into.min_slack = min(into.min_slack, other.min_slack)
     into.max_slack = max(into.max_slack, other.max_slack)
 

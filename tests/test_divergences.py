@@ -313,6 +313,21 @@ class TestEntropyFamily:
         assert v == pytest.approx(0.0211, abs=1e-4)
         assert v <= tv_exact(P37, P55)
 
+    def test_hellinger_gaussians_closed_form(self):
+        # against quadrature of (sqrt p - sqrt q)^2 over both means +- 40 stddevs
+        rng = np.random.default_rng(41)
+        for _ in range(24):
+            p = Gaussian(float(rng.uniform(-3, 3)), float(rng.uniform(0.05, 4)))
+            q = Gaussian(float(rng.uniform(-3, 3)), float(rng.uniform(0.05, 4)))
+            width = 40 * max(p.stddev, q.stddev)
+            cuts = sorted([p.mean, q.mean, min(p.mean, q.mean) - width, max(p.mean, q.mean) + width])
+            want = 0.5 * sum(quad(lambda x: (math.sqrt(p.pdf(x)) - math.sqrt(q.pdf(x))) ** 2,
+                                  lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)[0]
+                             for lo, hi in zip(cuts, cuts[1:]))
+            assert hellinger_sq(p, q) == pytest.approx(want, abs=1e-9)
+        assert hellinger_sq(Gaussian(0.3, 1.7), Gaussian(0.3, 1.7)) == 0.0
+        assert hellinger_sq(Gaussian(0.0, 1.0), Gaussian(50.0, 1.0)) == 1.0
+
     def test_cross_entropy_identity(self):
         assert cross_entropy(P37, P55) - entropy(P37) - kl_exact(P37, P55) == pytest.approx(0.0, abs=1e-10)
         p, q = Gaussian(0.2, 1.1), Gaussian(-0.3, 0.9)

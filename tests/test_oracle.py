@@ -1,6 +1,7 @@
 """Instance generation, exact statement verification and the suite runner."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -29,6 +30,7 @@ from epibound import (
 from epibound.bounds import LOSSES, STATEMENT_IDS, STATEMENTS
 from epibound.errors import InvalidTaskDistribution
 from epibound.divergences import cross_entropy, entropy, hellinger_sq, l1_distance, tv_exact
+from epibound import oracle
 from epibound.oracle import (
     CONSTRAINT_MODES,
     DEFAULT_ALPHAS,
@@ -38,6 +40,7 @@ from epibound.oracle import (
     verify_theta_instance,
     StatementReport,
 )
+from helpers_oracle import reference_components
 
 
 def make_instance(source, target, model, predictor, constraint="none", epsilon=None, seed=0):
@@ -404,6 +407,157 @@ class TestAgreementWithEvaluateBound:
                 check_verify_agrees(rep, setup)
 
 
+def handmade_instances():
+    """Instances with copied, zero-weight and out-of-support target rows."""
+    p = [Categorical(v) for v in ([0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0])]
+    source = finite_tasks([(p[0], 0.5), (p[1], 0.5)])
+    model = ModelClass((Categorical([0.4, 0.6]), p[2], Categorical([0.4, 0.6])))
+    targets = [
+        finite_tasks([(Categorical([0.3, 0.7]), 0.5), (Categorical([0.5, 0.5]), 0.5)]),
+        finite_tasks([(p[2], 1.0), (p[3], 0.0)]),
+        finite_tasks([(p[0], 0.25), (p[0], 0.25), (p[1], 0.5)]),
+        finite_tasks([(p[3], 1.0)]),
+        source,
+        FiniteTaskDistribution(source.tasks, np.array([0.0, 1.0])),
+    ]
+    insts = [make_instance(source, t, model, pred, constraint=mode, epsilon=eps)
+             for t in targets for pred in (p[0], p[2])
+             for mode, eps in (("none", None), ("assumption1", 0.1))]
+    one = finite_tasks([(p[2], 1.0)])
+    insts.append(make_instance(one, one, ModelClass((p[2],)), p[2]))
+    rng = np.random.default_rng(5)
+    for m in (3, 8, 9):
+        tasks = finite_tasks([(Categorical(rng.dirichlet(np.ones(m))), w)
+                              for w in rng.dirichlet(np.ones(9))])
+        model = ModelClass(tuple(Categorical(rng.dirichlet(np.ones(m))) for _ in range(4)))
+        insts.append(make_instance(tasks, tasks, model, model.members[2],
+                                   constraint="assumption2", epsilon=0.3))
+    return insts
+
+
+def component_instances():
+    insts = handmade_instances()
+    configs = [InstanceConfig(), InstanceConfig(m_range=(2, 7)), InstanceConfig(m_range=(2, 8)),
+               InstanceConfig(m_range=(2, 12)), InstanceConfig(tasks_range=(2, 12)),
+               InstanceConfig(tasks_range=(1, 3), members_range=(1, 4))]
+    for c, config in enumerate(configs):
+        for mode in CONSTRAINT_MODES:
+            insts += [generate_instance(1000 * c + seed, dataclasses.replace(config, constraint=mode))
+                      for seed in range(12)]
+    return insts
+
+
+def assert_matches_reference(got, want, where):
+    for name, value in want.items():
+        if name == "losses":
+            assert got.losses.keys() == value.keys(), where
+            for key in value:
+                np.testing.assert_array_equal(got.losses[key], value[key], strict=True,
+                                              err_msg=f"{where}: {key}")
+        else:
+            np.testing.assert_array_equal(getattr(got, name), value, strict=True,
+                                          err_msg=f"{where}: {name}")
+
+
+class TestBatchedComponents:
+    """The batched pass against the per-instance computation it replaced."""
+
+    def test_mixed_batches_match_reference(self):
+        insts = component_instances()
+        wants = [reference_components(inst) for inst in insts]
+        rng = np.random.default_rng(3)
+        order = rng.permutation(len(insts))
+        start = 0
+        while start < len(order):
+            chunk = order[start:start + int(rng.integers(1, 40))]
+            start += chunk.size
+            for group in oracle._instance_groups([insts[i] for i in chunk]):
+                comp = oracle._components([insts[i] for i in chunk[group]])
+                for b, i in enumerate(chunk[group]):
+                    assert_matches_reference(comp.instance(b), wants[i], f"instance {i}")
+        for i in range(0, len(insts), 7):
+            assert_matches_reference(compute_components(insts[i]), wants[i], f"single {i}")
+
+    def test_margins_and_deltas_match_single_instance(self):
+        # the table on (batch, 1) columns and an alpha row, against the table on
+        # one instance's Python floats and one alpha, as the old oracle called it
+        insts = component_instances()
+        alphas = np.array(DEFAULT_ALPHAS)
+        for group in oracle._instance_groups(insts):
+            comp = oracle._components([insts[g] for g in group])
+            for sid in oracle._INSTANCE_STATEMENTS:
+                statement = STATEMENTS[sid]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    margins = np.broadcast_to(statement.margin(comp, alphas), (group.size, 10))
+                    deltas = statement.delta(comp, alphas)
+                for b in range(group.size):
+                    one = comp.instance(b)
+                    if statement.unmet(one) is not None:
+                        continue
+                    for a, alpha in enumerate(DEFAULT_ALPHAS):
+                        assert margins[b, a] == statement.margin(one, alpha), sid
+                        assert deltas[b, a] == statement.delta(one, alpha), sid
+
+    def test_squares_keep_python_rounding(self):
+        from epibound.bounds import _pow2
+
+        x = np.random.default_rng(8).random(100_000) * 2.0
+        want = np.array([v ** 2 for v in x.tolist()])
+        assert not np.array_equal(x * x, want)  # numpy's square rounds differently
+        np.testing.assert_array_equal(_pow2(x), want, strict=True)
+        np.testing.assert_array_equal(_pow2(x.reshape(-1, 1)), want.reshape(-1, 1), strict=True)
+        assert _pow2(0.3) == 0.3 ** 2
+
+    def test_looseness_matches_reference(self):
+        insts = component_instances()
+        for group in oracle._instance_groups(insts):
+            batch = [insts[g] for g in group]
+            got = oracle._looseness(batch, oracle._components(batch))
+            for inst, value in zip(batch, got.tolist()):
+                want = reference_components(inst)
+                assert value == float(want["t_weights"] @ want["losses"]["tv"]) - (
+                    want["C"] + want["D"])
+                assert looseness(inst) == value
+
+    def test_chunk_equals_batches_of_one(self):
+        insts = component_instances()
+        alphas = np.array(DEFAULT_ALPHAS)
+        for group in oracle._instance_groups(insts):
+            batch = [insts[g] for g in group]
+            comp = oracle._components(batch)
+            for sid in oracle._CHECKED:
+                together = StatementReport(sid, keep_outcomes=True)
+                hits = oracle._check(sid, comp, alphas, np.ones(len(batch), dtype=bool), together)
+                alone = StatementReport(sid, keep_outcomes=True)
+                hit_alone = []
+                for b, inst in enumerate(batch):
+                    rep = verify_statement(inst, sid, alphas)
+                    oracle._merge_reports(alone, rep)
+                    alone.outcomes += rep.outcomes
+                    if rep.violations:
+                        hit_alone.append(b)
+                assert hits.tolist() == hit_alone, sid
+                assert dataclasses.asdict(together) == dataclasses.asdict(alone), sid
+
+    def test_theta_chunk_equals_batches_of_one(self):
+        thetas = [generate_theta_instance(seed) for seed in range(40)]
+        thetas += [generate_theta_instance(seed, m_range=(7, 9), theta_range=(7, 10))
+                   for seed in range(40)]
+        order = np.random.default_rng(4).permutation(len(thetas))
+        b6, cb = StatementReport("lemma_b6"), StatementReport("cor_bayesian", keep_outcomes=True)
+        oracle._verify_thetas([thetas[i] for i in order], np.array(DEFAULT_ALPHAS), b6, cb)
+        b6_alone = StatementReport("lemma_b6")
+        cb_alone = StatementReport("cor_bayesian", keep_outcomes=True)
+        for i in order:
+            verify_theta_instance(thetas[i], DEFAULT_ALPHAS, b6_alone, cb_alone)
+        assert dataclasses.asdict(b6) == dataclasses.asdict(b6_alone)
+        # the batch checks each group of like-sized instances in turn
+        cb.outcomes.sort(key=dataclasses.astuple)
+        cb_alone.outcomes.sort(key=dataclasses.astuple)
+        assert dataclasses.asdict(cb) == dataclasses.asdict(cb_alone)
+        assert cb.trials == len(thetas) * len(DEFAULT_ALPHAS)
+
+
 class TestThetaInstances:
     def test_b6_and_bayesian_bound(self):
         b6 = StatementReport("lemma_b6")
@@ -441,6 +595,41 @@ class TestSuite:
         # the report of the object-backed oracle this one replaced
         digest = hashlib.sha256(run_suite(200, seed=2024).to_json().encode()).hexdigest()
         assert digest == "d08a5a32d516fcd56db3d82afcf6e402c9e74f2deccaf466c95b43f26edd9756"
+
+    def test_report_bytes_pinned_up_to_12_outcomes(self):
+        # recorded with the per-instance oracle; instances with 8 or more
+        # outcomes sum over that axis in blocks, so the batch groups them by m
+        digest = hashlib.sha256(run_suite(100, seed=7, max_outcomes=12).to_json().encode())
+        assert digest.hexdigest() == (
+            "7e46ad7cf3e89fd776050c9e601aff71685f966dcb53b1908931e2a813cd6afa")
+
+    def test_report_bytes_pinned_up_to_12_tasks(self, monkeypatch):
+        # recorded with the per-instance oracle, every instance drawn with 2 to
+        # 12 source and target tasks: the long sums over target tasks
+        monkeypatch.setattr(oracle, "InstanceConfig",
+                            functools.partial(InstanceConfig, tasks_range=(2, 12)))
+        digest = hashlib.sha256(run_suite(100, seed=7).to_json().encode()).hexdigest()
+        assert digest == "01788854cd54b4f570e463026df223676ecce7d71bd65ffc14e8aec8a26b6b11"
+
+    def test_chunks_of_one_match(self, monkeypatch):
+        want = run_suite(60, seed=9, max_outcomes=9).to_dict()
+        monkeypatch.setattr(oracle, "_CHUNK", 1)
+        assert run_suite(60, seed=9, max_outcomes=9).to_dict() == want
+
+    def test_skip_reasons_counted(self):
+        rep = StatementReport("cor_eps")
+        for inst in handmade_instances():
+            oracle._merge_reports(rep, verify_statement(inst, "cor_eps"))
+        assert len(rep.skip_reasons) >= 2 and sum(rep.skip_reasons.values()) == rep.skips
+        report = run_suite(20, seed=5)
+        text = report.to_json()
+        assert not any(r.skips for r in report.statements.values())  # modes meet hypotheses
+        oracle._merge_reports(report.statements["cor_eps"], rep)
+        lines = report.summary_lines()
+        for reason, count in rep.skip_reasons.items():
+            assert f"cor_eps skipped {count}: {reason}" in lines
+        assert sum(" skipped " in line for line in lines) == len(rep.skip_reasons)
+        assert "skip_reasons" not in report.to_json() and "skip_reasons" not in text
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
     def test_rejects_bad_alphas(self, bad):
