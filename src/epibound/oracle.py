@@ -400,12 +400,8 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
         bary_s[b, :inst.m] = bs = inst.w_s @ inst.S
         bary_t[b, :inst.m] = bt = inst.w_t @ inst.T
         masks = _event_masks(inst.m)
-        s_events = inst.S @ masks.T
-        vs = inst.w_s @ (s_events - bs @ masks.T) ** 2
-        if inst.w_t is inst.w_s:  # no shift: the same products
-            vt = vs
-        else:
-            vt = inst.w_t @ ((s_events if inst.shared else inst.T @ masks.T) - bt @ masks.T) ** 2
+        vs = inst.w_s @ (inst.S @ masks.T - bs @ masks.T) ** 2
+        vt = inst.w_t @ (inst.T @ masks.T - bt @ masks.T) ** 2
         var_s[b, :vs.size], var_s[b, vs.size:] = vs, vs[0]
         var_t[b, :vt.size], var_t[b, vt.size:] = vt, vt[0]
 
@@ -545,7 +541,7 @@ class StatementReport:
         return violated
 
     def record_slacks(self, slacks: np.ndarray) -> np.ndarray:
-        """One deterministic inequality per slack; True where violated."""
+        """One deterministic inequality per slack, a (batch, 1) column; True where violated."""
         violated = slacks < -SLACK_TOL
         self._record(slacks, violated)
         return violated
@@ -579,9 +575,6 @@ _LEMMAS = {
 }
 
 
-_NO_HITS = np.zeros(0, dtype=int)
-
-
 def _check(statement_id: str, comp, alphas: np.ndarray, attempted: np.ndarray,
            report: StatementReport) -> np.ndarray:
     """Check one statement on the ``attempted`` instances of a batch.
@@ -598,7 +591,7 @@ def _check(statement_id: str, comp, alphas: np.ndarray, attempted: np.ndarray,
         slack, preconditions = _LEMMAS[statement_id]
     else:
         preconditions = statement.preconditions
-    ok, before = attempted, report.violations
+    ok = attempted
     with np.errstate(divide="ignore", invalid="ignore"):  # raised by the skipped instances
         for p in preconditions:
             holds = np.ravel(p.holds(comp))
@@ -607,7 +600,7 @@ def _check(statement_id: str, comp, alphas: np.ndarray, attempted: np.ndarray,
                 report.skip(p.assumption, failed)
                 ok = ok & holds
         if statement is None:
-            violated = report.record_slacks(slack(comp)[ok, 0])
+            violated = report.record_slacks(slack(comp)[ok])
         else:
             margins = statement.margin(comp, alphas)
             deltas = np.broadcast_to(statement.delta(comp, alphas), (ok.size, alphas.size))
@@ -616,9 +609,7 @@ def _check(statement_id: str, comp, alphas: np.ndarray, attempted: np.ndarray,
             exceedances = np.where(comp.losses[statement.loss][:, None, :] >= margins[..., None],
                                    comp.t_weights[:, None, :], 0.0).sum(axis=2)
             violated = report.record_batch(alphas, exceedances[ok], deltas[ok])
-    if report.violations == before:
-        return _NO_HITS
-    return np.flatnonzero(ok)[violated.reshape(violated.shape[0], -1).any(axis=1)]
+    return np.flatnonzero(ok)[violated.any(axis=1)]
 
 
 def verify_statement(
@@ -726,7 +717,7 @@ def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,
     """``verify_theta_instance`` on each instance, one group of like sizes at a time."""
     for group in _groups([(inst.T.shape[1], inst.p1.size, inst.T.shape[0]) for inst in insts]):
         comp = _theta_components([insts[g] for g in group])
-        b6_report.record_slacks((comp.param_tv - comp.C)[:, 0])
+        b6_report.record_slacks(comp.param_tv - comp.C)
         _check("cor_bayesian", comp, alphas, np.ones(group.size, dtype=bool), bayes_report)
 
 

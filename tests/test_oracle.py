@@ -408,7 +408,10 @@ class TestAgreementWithEvaluateBound:
 
 
 def handmade_instances():
-    """Instances with copied, zero-weight and out-of-support target rows."""
+    """Instances with copied, zero-weight and out-of-support target rows.
+
+    One target reuses the source's weights array with other tasks.
+    """
     p = [Categorical(v) for v in ([0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0])]
     source = finite_tasks([(p[0], 0.5), (p[1], 0.5)])
     model = ModelClass((Categorical([0.4, 0.6]), p[2], Categorical([0.4, 0.6])))
@@ -419,6 +422,7 @@ def handmade_instances():
         finite_tasks([(p[3], 1.0)]),
         source,
         FiniteTaskDistribution(source.tasks, np.array([0.0, 1.0])),
+        FiniteTaskDistribution((p[2], p[3]), source.weights),  # other tasks, same weights array
     ]
     insts = [make_instance(source, t, model, pred, constraint=mode, epsilon=eps)
              for t in targets for pred in (p[0], p[2])
