@@ -2,11 +2,9 @@
 
 The learner fits a Normal-Inverse-Gamma model to one observation per source
 task, updating only the coefficient distribution: the regression noise
-variance is plugged in as the prior mean of the inverse-gamma component
-(policy ``"plug_in"``), leaving the variance distribution at its prior.  A
-non-conjugate alternative that conditions on the per-task Student-t marginal
-likelihood is available as policy ``"student_marginal"`` (Laplace-
-approximated posterior).
+variance is plugged in as the prior mean of the inverse-gamma component,
+leaving the variance distribution at its prior.  The coefficient posterior
+is then a closed-form bivariate Gaussian.
 """
 
 from __future__ import annotations
@@ -179,71 +177,21 @@ def empty_dataset() -> SourceDataset:
 # ---------------------------------------------------------------------------
 
 
-def posterior_update(
-    model: NIGModel,
-    data: SourceDataset,
-    noise_variance: Optional[float] = None,
-    policy: str = "plug_in",
-) -> GaussianParamDist:
+def posterior_update(model: NIGModel, data: SourceDataset) -> GaussianParamDist:
     """Posterior over the coefficients given the source data.
 
-    ``plug_in`` (default) conditions with a fixed noise variance, the prior
-    mean of the inverse-gamma component (overridable via ``noise_variance``);
-    the variance distribution stays at its prior.  ``student_marginal``
-    integrates the per-task variance out of each row's likelihood and
-    Laplace-approximates the resulting non-conjugate posterior.
+    Conditions with a fixed noise variance, the prior mean of the
+    inverse-gamma component; the variance distribution stays at its prior.
     """
-    if policy == "plug_in":
-        nv = model.prior_noise_variance if noise_variance is None else float(noise_variance)
-        if nv <= 0:
-            raise InvalidArgument(f"noise variance must be > 0, got {nv}")
-        X = data.xi
-        precision = np.eye(2) / model.sigma0_sq + X.T @ X / nv
-        try:
-            cov = np.linalg.inv(precision)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - sigma0_sq finite
-            raise NumericalFailure("singular posterior precision") from exc
-        mean = cov @ (model.beta0 / model.sigma0_sq + X.T @ data.x / nv)
-        return GaussianParamDist(mean, 0.5 * (cov + cov.T))
-    if policy == "student_marginal":
-        return _student_marginal_posterior(model, data)
-    raise InvalidArgument(f"unknown noise variance policy {policy!r}")
-
-
-def _student_marginal_posterior(model: NIGModel, data: SourceDataset) -> GaussianParamDist:
-    """Laplace approximation under per-row Student-t marginal likelihoods.
-
-    Integrating s2 ~ IG(a, d) out of N(x | beta.xi, s2) gives a t density
-    with df = 2a and scale^2 = d/a.  Newton iterations on the log posterior.
-    """
-    nu = 2.0 * model.alpha0
-    scale_sq = model.delta0 / model.alpha0
-    X, y = data.xi, data.x
-    prior_prec = np.eye(2) / model.sigma0_sq
-
-    beta = model.beta0.copy()
-    for _ in range(200):
-        r = y - X @ beta
-        denom = nu * scale_sq + r**2
-        grad = prior_prec @ (beta - model.beta0) - X.T @ ((nu + 1.0) * r / denom)
-        w = (nu + 1.0) * (nu * scale_sq - r**2) / denom**2
-        hess = prior_prec + X.T @ (w[:, None] * X)
-        eig = np.linalg.eigvalsh(hess)
-        if eig.min() <= 0:
-            hess = hess + (abs(eig.min()) + 1e-6) * np.eye(2)
-        step = np.linalg.solve(hess, grad)
-        beta = beta - step
-        if np.abs(step).max() < 1e-12:
-            break
-    r = y - X @ beta
-    denom = nu * scale_sq + r**2
-    w = (nu + 1.0) * (nu * scale_sq - r**2) / denom**2
-    hess = prior_prec + X.T @ (w[:, None] * X)
-    eig = np.linalg.eigvalsh(hess)
-    if eig.min() <= 0:
-        raise NumericalFailure("Laplace Hessian not positive definite at the mode")
-    cov = np.linalg.inv(hess)
-    return GaussianParamDist(beta, 0.5 * (cov + cov.T))
+    nv = model.prior_noise_variance
+    X = data.xi
+    precision = np.eye(2) / model.sigma0_sq + X.T @ X / nv
+    try:
+        cov = np.linalg.inv(precision)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - sigma0_sq finite
+        raise NumericalFailure("singular posterior precision") from exc
+    mean = cov @ (model.beta0 / model.sigma0_sq + X.T @ data.x / nv)
+    return GaussianParamDist(mean, 0.5 * (cov + cov.T))
 
 
 def posterior_predictive(
@@ -280,9 +228,7 @@ def param_tv_upper(p1: GaussianParamDist, p2: GaussianParamDist) -> float:
     return math.sqrt(max(gaussian_param_kl(p1, p2), 0.0) / 2.0)
 
 
-def posterior_mass_near(
-    post: GaussianParamDist, center, radius: float, tol: float = 1e-6
-) -> float:
+def posterior_mass_near(post: GaussianParamDist, center, radius: float) -> float:
     """Probability of the axis-aligned square of half-width ``radius``.
 
     The outer coordinate is integrated by adaptive quadrature against the
@@ -309,5 +255,5 @@ def posterior_mass_near(
         z = (u - m1) / sd1
         return float(inner) * math.exp(-0.5 * z * z) / (sd1 * math.sqrt(2.0 * math.pi))
 
-    val, _ = quad(integrand, center[0] - radius, center[0] + radius, epsabs=tol, epsrel=1e-9, limit=200)
+    val, _ = quad(integrand, center[0] - radius, center[0] + radius, epsabs=1e-6, epsrel=1e-9, limit=200)
     return min(max(val, 0.0), 1.0)

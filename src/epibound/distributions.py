@@ -461,14 +461,9 @@ def barycenter(
     return GaussianMixture(np.asarray(weights), np.asarray(means), np.asarray(stds))
 
 
-def variance_at(
-    tasks: TaskDistribution,
-    event: EventSet,
-    components: int = DEFAULT_REIFY_COMPONENTS,
-    seed: int = 0,
-) -> float:
+def variance_at(tasks: TaskDistribution, event: EventSet) -> float:
     """E_{Q ~ tasks}[(Q(event) - bary(event))^2]; always within [0, 1/4]."""
-    fin = as_finite(tasks, components, seed)
+    fin = as_finite(tasks)
     qa = fin.event_probabilities(event)
     ba = float(fin.weights @ qa)
     return float(fin.weights @ (qa - ba) ** 2)
@@ -482,27 +477,33 @@ def _event_masks(m: int) -> np.ndarray:
     return masks
 
 
-def _thresholds(
-    tasks: FiniteTaskDistribution,
-    n_thresholds: int = DEFAULT_THRESHOLDS,
-    span: float = DEFAULT_THRESHOLD_SPAN,
-) -> np.ndarray:
+def _event_variances(P: np.ndarray, w: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """``variance_at`` of every event of ``_event_masks``, for tasks ``P`` with weights ``w``.
+
+    ``bary`` is ``w @ P``.  The one kernel behind every categorical
+    sup-variance, in ``sup_variance`` and the oracle alike, so that both
+    round every per-event variance the same way.
+    """
+    masks = _event_masks(P.shape[1])
+    return w @ (P @ masks.T - bary @ masks.T) ** 2
+
+
+def _thresholds(tasks: FiniteTaskDistribution, n_thresholds: int = DEFAULT_THRESHOLDS) -> np.ndarray:
     """The pooled-moment grid of thresholds t_k behind ``threshold_events``."""
     moments = np.array([t.mean_std() for t in tasks.tasks])
     pooled_mean = float(tasks.weights @ moments[:, 0])
     pooled_second = float(tasks.weights @ (moments[:, 1] ** 2 + moments[:, 0] ** 2))
     pooled_std = math.sqrt(max(pooled_second - pooled_mean**2, 1e-300))
+    span = DEFAULT_THRESHOLD_SPAN
     return np.linspace(pooled_mean - span * pooled_std, pooled_mean + span * pooled_std,
                        n_thresholds)
 
 
 def threshold_events(
-    tasks: FiniteTaskDistribution,
-    n_thresholds: int = DEFAULT_THRESHOLDS,
-    span: float = DEFAULT_THRESHOLD_SPAN,
+    tasks: FiniteTaskDistribution, n_thresholds: int = DEFAULT_THRESHOLDS
 ) -> list[Interval]:
     """Left-open half-line events (-inf, t_k] on a pooled-moment grid."""
-    return [Interval(-math.inf, float(t)) for t in _thresholds(tasks, n_thresholds, span)]
+    return [Interval(-math.inf, float(t)) for t in _thresholds(tasks, n_thresholds)]
 
 
 def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
@@ -550,31 +551,23 @@ def sup_variance(
                     f"{SUP_ENUM_MAX_OUTCOMES}; pass an explicit event family"
                 )
             P = np.stack([t.p for t in fin.tasks])
-            masks = _event_masks(m)  # (2^m, m)
-            qa = P @ masks.T  # (k, 2^m)
-            ba = fin.weights @ qa
-            return float((fin.weights @ (qa - ba) ** 2).max())
+            return float(_event_variances(P, fin.weights, fin.weights @ P).max())
         return _half_line_sup_variance(fin)
     return max(variance_at(fin, e) for e in events)
 
 
-def diameter(
-    tasks: TaskDistribution,
-    tv=None,
-    components: int = DEFAULT_REIFY_COMPONENTS,
-    seed: int = 0,
-) -> float:
+def diameter(tasks: TaskDistribution) -> float:
     """Max pairwise TV distance over the support."""
-    if tv is None:
-        from .divergences import tv_exact as tv
-    fin = as_finite(tasks, components, seed)
+    from .divergences import tv_exact
+
+    fin = as_finite(tasks)
     if isinstance(fin.tasks[0], Categorical):
         P = np.stack([t.p for t in fin.tasks])
         return float(0.5 * np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2).max())
     best = 0.0
     for i in range(fin.n_tasks):
         for j in range(i + 1, fin.n_tasks):
-            best = max(best, tv(fin.tasks[i], fin.tasks[j]))
+            best = max(best, tv_exact(fin.tasks[i], fin.tasks[j]))
     return best
 
 
@@ -618,16 +611,14 @@ def check_boundedness(tasks: FiniteTaskDistribution, b: float) -> BoundednessRep
     )
 
 
-def task_distribution_tv(
-    a: FiniteTaskDistribution, b: FiniteTaskDistribution, match_tol: float = PROB_TOL
-) -> float:
+def task_distribution_tv(a: FiniteTaskDistribution, b: FiniteTaskDistribution) -> float:
     """TV distance between two finite task distributions over a merged support.
 
-    Support tasks are matched by parameter equality within ``match_tol``;
+    Support tasks are matched by parameter equality within ``PROB_TOL``;
     unmatched tasks contribute their full weight.
     """
     return _matched_tv(
-        a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j], match_tol)
+        a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j])
     )
 
 

@@ -189,49 +189,6 @@ def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def sample_source_data(config: ExperimentConfig, n: int, seed: int) -> SourceDataset:
-    """n source tasks, one observation each: xi ~ U(0,1)^2, x ~ N(beta.xi, sd_i).
-
-    Task noise variances draw i.i.d. from IG(ig_source); they ride along in
-    ``task_variances`` for target construction but are not learner-visible.
-    """
-    rng = np.random.default_rng(normalize_seed(seed))
-    if n == 0:
-        from .bayes import empty_dataset
-
-        return empty_dataset()
-    a, d = config.ig_source
-    variances = 1.0 / rng.gamma(a, 1.0 / d, size=n)
-    xi = rng.uniform(0.0, 1.0, size=(n, 2))
-    x = rng.normal(xi @ config.beta_source, np.sqrt(variances))
-    return SourceDataset(xi, x, np.arange(1, n + 1), task_variances=variances)
-
-
-def target_task(config: ExperimentConfig, seed: int) -> Gaussian:
-    """One realized target task at the fixed covariates xi = (1, 1)."""
-    rng = np.random.default_rng(normalize_seed(seed))
-    a, d = config.ig_target
-    variance = float(1.0 / rng.gamma(a, 1.0 / d))
-    return Gaussian(float(config.beta_target @ TARGET_COVARIATES), math.sqrt(variance))
-
-
-def neighborhood_target(
-    source_task: Gaussian, eps_tilde: float, direction: float = 1.0
-) -> Gaussian:
-    """Gaussian at exact TV distance ``eps_tilde`` from ``source_task``.
-
-    Same scale; the mean shifts by the closed-form inverse of the
-    equal-variance Gaussian TV formula 2*Phi(dmu / (2 sigma)) - 1.
-    """
-    if not 0.0 <= eps_tilde < 1.0:
-        raise InvalidArgument(f"eps_tilde must lie in [0, 1), got {eps_tilde}")
-    if eps_tilde == 0.0:
-        return source_task
-    dmu = 2.0 * source_task.stddev * float(ndtri((1.0 + eps_tilde) / 2.0))
-    sign = 1.0 if direction >= 0 else -1.0
-    return Gaussian(source_task.mean + sign * dmu, source_task.stddev)
-
-
 def _task_distribution_at_target(
     config: ExperimentConfig, which: str
 ) -> InverseGammaGaussianTasks:
@@ -243,6 +200,43 @@ def _task_distribution_at_target(
         mean = float(config.beta_target @ TARGET_COVARIATES)
         a, d = config.ig_target
     return InverseGammaGaussianTasks(mean, a, d)
+
+
+def sample_source_data(config: ExperimentConfig, n: int, seed: int) -> SourceDataset:
+    """n source tasks, one observation each: xi ~ U(0,1)^2, x ~ N(beta.xi, sd_i).
+
+    Task noise variances draw i.i.d. from IG(ig_source); they ride along in
+    ``task_variances`` for target construction but are not learner-visible.
+    """
+    rng = np.random.default_rng(normalize_seed(seed))
+    if n == 0:
+        from .bayes import empty_dataset
+
+        return empty_dataset()
+    variances = _task_distribution_at_target(config, "source").sample_variances(n, rng)
+    xi = rng.uniform(0.0, 1.0, size=(n, 2))
+    x = rng.normal(xi @ config.beta_source, np.sqrt(variances))
+    return SourceDataset(xi, x, np.arange(1, n + 1), task_variances=variances)
+
+
+def target_task(config: ExperimentConfig, seed: int) -> Gaussian:
+    """One realized target task at the fixed covariates xi = (1, 1)."""
+    rng = np.random.default_rng(normalize_seed(seed))
+    return _task_distribution_at_target(config, "target").sample_task(rng)
+
+
+def neighborhood_target(source_task: Gaussian, eps_tilde: float) -> Gaussian:
+    """Gaussian at exact TV distance ``eps_tilde`` from ``source_task``.
+
+    Same scale; the mean shifts up by the closed-form inverse of the
+    equal-variance Gaussian TV formula 2*Phi(dmu / (2 sigma)) - 1.
+    """
+    if not 0.0 <= eps_tilde < 1.0:
+        raise InvalidArgument(f"eps_tilde must lie in [0, 1), got {eps_tilde}")
+    if eps_tilde == 0.0:
+        return source_task
+    dmu = 2.0 * source_task.stddev * float(ndtri((1.0 + eps_tilde) / 2.0))
+    return Gaussian(source_task.mean + dmu, source_task.stddev)
 
 
 def _fit_predictor(

@@ -28,7 +28,7 @@ from .distributions import (
     Categorical,
     FiniteTaskDistribution,
     _check_rows,
-    _event_masks,
+    _event_variances,
     _first_order_b,
     _freeze,
     _matched_tv,
@@ -85,7 +85,6 @@ class InstanceConfig:
     members_range: tuple[int, int] = (3, 20)
     constraint: str = "none"
     epsilon: Optional[float] = None  # drawn from U[0.02, 0.5] when None and constrained
-    max_attempts: int = 1000
 
     def __post_init__(self):
         if self.constraint not in CONSTRAINT_MODES:
@@ -206,10 +205,10 @@ class OracleInstance:
         }
 
 
-def _project_into_ball(t: np.ndarray, s: np.ndarray, eps: float, attempts: int) -> np.ndarray:
+def _project_into_ball(t: np.ndarray, s: np.ndarray, eps: float) -> np.ndarray:
     """Clip t into an L-inf box around s, renormalize, shrink until TV <= eps."""
     eta = eps
-    for _ in range(attempts):
+    for _ in range(1000):
         clipped = np.clip(t, np.maximum(s - eta, 0.0), np.minimum(s + eta, 1.0))
         total = clipped.sum()
         if total > 0:
@@ -253,7 +252,7 @@ def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> O
         for _ in range(k_t):
             anchor = S[int(rng.integers(k_s))]
             raw = rng.dirichlet(flat_m)
-            rows.append(_project_into_ball(raw, anchor, epsilon, config.max_attempts))
+            rows.append(_project_into_ball(raw, anchor, epsilon))
         T, w_t = np.stack(rows), rng.dirichlet(flat_t)
     elif config.constraint == "assumption2":
         raw = rng.dirichlet(flat_s)
@@ -399,9 +398,8 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
         pred[b, :inst.m] = inst.pred
         bary_s[b, :inst.m] = bs = inst.w_s @ inst.S
         bary_t[b, :inst.m] = bt = inst.w_t @ inst.T
-        masks = _event_masks(inst.m)
-        vs = inst.w_s @ (inst.S @ masks.T - bs @ masks.T) ** 2
-        vt = inst.w_t @ (inst.T @ masks.T - bt @ masks.T) ** 2
+        vs = _event_variances(inst.S, inst.w_s, bs)
+        vt = _event_variances(inst.T, inst.w_t, bt)
         var_s[b, :vs.size], var_s[b, vs.size:] = vs, vs[0]
         var_t[b, :vt.size], var_t[b, vt.size:] = vt, vt[0]
 
@@ -650,9 +648,18 @@ class ThetaInstance:
     seed: int
 
     def __post_init__(self):
-        for name in ("T", "w_t"):
+        for name in ("theta_pmfs", "source_weights", "candidates", "p1", "T", "w_t"):
             _freeze(self, name, getattr(self, name))
         _check_tasks(self.T, self.w_t, None)
+        _check_tasks(self.theta_pmfs, None, self.T.shape[1])
+        j = self.theta_pmfs.shape[0]
+        _check_tasks(self.candidates, None, j)
+        for name in ("source_weights", "p1"):
+            weights = getattr(self, name)
+            if weights.shape != (j,):
+                raise InvalidArgument(f"{name} needs one weight per theta ({j}), "
+                                      f"got shape {weights.shape}")
+            _check_rows(weights, what=name)
 
     @cached_property
     def target(self) -> FiniteTaskDistribution:
@@ -660,7 +667,7 @@ class ThetaInstance:
 
 
 def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> ThetaInstance:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(normalize_seed(seed))
     m = int(rng.integers(m_range[0], m_range[1] + 1))
     j = int(rng.integers(theta_range[0], theta_range[1] + 1))
     r = int(rng.integers(2, 9))
@@ -695,8 +702,7 @@ def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
         _put_rows(T[b], inst.T)
         w_t[b, :inst.w_t.size] = inst.w_t
         bary_t[b, :mb] = bt = inst.w_t @ inst.T
-        masks = _event_masks(mb)
-        sup_var[b] = (inst.w_t @ ((inst.T @ masks.T) - bt @ masks.T) ** 2).max()
+        sup_var[b] = _event_variances(inst.T, inst.w_t, bt).max()
 
     rows = np.arange(n)
     dists = _tv(predictives, bary_s[:, None, :])
@@ -897,15 +903,14 @@ def negative_transfer_scan(
     seed: int = 0,
     n_instances: int = 100,
     n_points: int = 101,
-    min_separation: float = 0.05,
 ) -> dict:
     """Monotonicity of epistemic error along predictor interpolation paths.
 
-    For each instance the predictor moves linearly from a start point toward
-    the source barycenter.  In the positive-transfer geometry (target beyond
-    the barycenter) error must strictly decrease at every step; in the
-    negative-transfer geometry (target behind the start point) it must
-    strictly increase.
+    For each instance the predictor moves linearly from a start point, drawn
+    at TV >= 0.05 from the source barycenter, toward that barycenter.  In the
+    positive-transfer geometry (target beyond the barycenter) error must
+    strictly decrease at every step; in the negative-transfer geometry
+    (target behind the start point) it must strictly increase.
     """
     rng_master = np.random.default_rng(normalize_seed(seed))
     lambdas = np.linspace(0.0, 1.0, n_points)
@@ -917,7 +922,7 @@ def negative_transfer_scan(
             S = rng_master.dirichlet(np.ones(m), size=k)
             bary = rng_master.dirichlet(np.ones(k)) @ S
             p0 = rng_master.dirichlet(np.ones(m))
-            if 0.5 * np.abs(p0 - bary).sum() >= min_separation:
+            if 0.5 * np.abs(p0 - bary).sum() >= 0.05:
                 break
         else:
             raise GenerationFailure("could not separate the start predictor from the barycenter")

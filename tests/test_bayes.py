@@ -89,47 +89,6 @@ class TestPosteriorUpdate:
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
         np.testing.assert_allclose(a.covariance, b.covariance, atol=1e-12)
 
-    def test_student_marginal_close_to_plug_in(self):
-        # with alpha0 = 20 the t marginal is nearly Gaussian: policies agree
-        rng = np.random.default_rng(24)
-        xi = rng.uniform(size=(12, 2))
-        x = rng.normal(xi @ np.array([0.0, 1.0]), 0.7)
-        data = SourceDataset(xi, x, np.arange(1, 13))
-        a = posterior_update(NIGModel(), data)
-        b = posterior_update(NIGModel(), data, policy="student_marginal")
-        assert np.abs(a.mean - b.mean).max() < 0.05
-        assert np.linalg.eigvalsh(b.covariance).min() > 0
-
-    def test_student_marginal_grid_oracle(self):
-        # mode of the exact t-likelihood posterior on a fine grid must match
-        # the Laplace location; grid mean agrees within Laplace accuracy
-        rng = np.random.default_rng(27)
-        model = NIGModel()
-        nu = 2 * model.alpha0
-        scale_sq = model.delta0 / model.alpha0
-        for _ in range(5):
-            n = int(rng.integers(1, 7))
-            xi = rng.uniform(size=(n, 2))
-            x = rng.normal(xi @ np.array([0.5, -0.5]), 0.8)
-            data = SourceDataset(xi, x, np.arange(1, n + 1))
-            post = posterior_update(model, data, policy="student_marginal")
-
-            g = np.linspace(-5, 5, 501)
-            b1, b2 = np.meshgrid(g, g, indexing="ij")
-            logp = -(b1**2 + b2**2) / (2 * model.sigma0_sq)
-            for row, y in zip(xi, x):
-                r = y - (b1 * row[0] + b2 * row[1])
-                logp -= (nu + 1) / 2 * np.log1p(r**2 / (nu * scale_sq))
-            logp -= logp.max()
-            w = np.exp(logp)
-            z = w.sum()
-            grid_mean = np.array([(w * b1).sum() / z, (w * b2).sum() / z])
-            np.testing.assert_allclose(post.mean, grid_mean, atol=2e-2)
-
-    def test_unknown_policy(self):
-        with pytest.raises(InvalidArgument):
-            posterior_update(NIGModel(), empty_dataset(), policy="mcmc")
-
 
 class TestPosteriorPredictive:
     def test_prior_predictive(self):

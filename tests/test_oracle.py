@@ -359,6 +359,38 @@ class TestAgreementWithEvaluateBound:
         assert out.outcomes[0].delta == pytest.approx(rep.delta, rel=1e-12, abs=1e-15)
         assert out.outcomes[0].exceedance == 0.0  # the one drawable task is the predictor
 
+    def test_sup_variances_and_chebyshev_deltas_agree_exactly(self):
+        # evaluate_bound and the oracle share one per-event variance kernel, so
+        # sup_var_target, sup_var_source and every Chebyshev delta agree bit for bit
+        chebyshev = [sid for sid, st in STATEMENTS.items()
+                     if st.delta is STATEMENTS["thm1"].delta and not sid.startswith("cor_bayes")]
+        checked = dict.fromkeys(chebyshev, 0)
+        eps_checked = 0
+        for i in range(2000):
+            inst = generate_instance(i, InstanceConfig(constraint=CONSTRAINT_MODES[i % 5]))
+            setup = {"model": inst.model, "predictor": inst.predictor, "source": inst.source,
+                     "target": inst.target, "epsilon": inst.epsilon}
+            comp = compute_components(inst)
+            sid, alpha = chebyshev[i % len(chebyshev)], DEFAULT_ALPHAS[i % len(DEFAULT_ALPHAS)]
+            try:
+                rep = evaluate_bound(sid, alpha=alpha, **setup)
+            except PreconditionViolated:
+                rep = evaluate_bound("thm1", alpha=alpha, **setup)
+            else:
+                assert verify_statement(inst, sid, [alpha]).outcomes[0].delta == rep.delta, i
+                checked[sid] += 1
+            assert rep.extras["sup_var_target"] == comp.sup_var_target, i
+            if inst.epsilon is not None:
+                for eps_sid in ("cor_eps_dist", "cor_eps"):
+                    try:
+                        rep = evaluate_bound(eps_sid, alpha=alpha, **setup)
+                    except PreconditionViolated:
+                        continue
+                    assert rep.extras["sup_var_source"] == comp.sup_var_source, i
+                    eps_checked += 1
+                    break
+        assert all(checked.values()) and eps_checked > 0, (checked, eps_checked)
+
     def test_eps_delta_matches_public_path(self):
         rng = np.random.default_rng(78)
         for seed in rng.integers(0, 10**6, size=15):
@@ -571,6 +603,51 @@ class TestThetaInstances:
         assert b6.violations == 0
         assert b6.min_slack >= -1e-10
         assert cb.violations == 0
+
+    def test_arrays_read_only(self):
+        theta = generate_theta_instance(12)
+        for name in ("theta_pmfs", "source_weights", "candidates", "p1", "T", "w_t"):
+            assert not getattr(theta, name).flags.writeable, name
+
+    @pytest.mark.parametrize("name", ["theta_pmfs", "source_weights", "candidates", "p1"])
+    def test_rejects_bad_rows(self, name):
+        theta = generate_theta_instance(3)
+        arrays = {f: np.array(getattr(theta, f))
+                  for f in ("theta_pmfs", "source_weights", "candidates", "p1", "T", "w_t")}
+        for corrupt in ("negative", "off_sum", "nan"):
+            bad = arrays[name].copy()
+            row = bad[0] if bad.ndim == 2 else bad
+            if corrupt == "negative":
+                row[0], row[1] = -row[1], row[0] + 2 * row[1]  # still sums to 1
+            elif corrupt == "off_sum":
+                row[0] += 1e-9
+            else:
+                row[:] = np.nan
+            with pytest.raises(InvalidArgument):
+                ThetaInstance(**dict(arrays, **{name: bad}), seed=0)
+
+    def test_rejects_shape_mismatch(self):
+        theta = generate_theta_instance(3)
+        j, m = theta.theta_pmfs.shape
+        rng = np.random.default_rng(0)
+        arrays = {f: getattr(theta, f)
+                  for f in ("theta_pmfs", "source_weights", "candidates", "p1", "T", "w_t")}
+        for name, bad in [
+            ("T", rng.dirichlet(np.ones(m + 1), size=theta.T.shape[0])),  # 7 outcomes, not 6
+            ("theta_pmfs", rng.dirichlet(np.ones(m), size=j + 1)),
+            ("candidates", rng.dirichlet(np.ones(j + 1), size=3)),
+            ("source_weights", rng.dirichlet(np.ones(j + 1))),
+            ("p1", rng.dirichlet(np.ones(j - 1))),
+            ("p1", rng.dirichlet(np.ones(j), size=2)),
+        ]:
+            with pytest.raises(InvalidArgument):
+                ThetaInstance(**dict(arrays, **{name: bad}), seed=0)
+
+    def test_negative_seed_normalized(self):
+        # like generate_instance, any 64-bit seed maps onto SeedSequence's domain
+        a, b = generate_theta_instance(-1), generate_theta_instance(2**64 - 1)
+        for name in ("theta_pmfs", "source_weights", "candidates", "p1", "T", "w_t"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
     def test_rejects_bad_alphas(self, bad):
