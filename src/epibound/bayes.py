@@ -52,23 +52,6 @@ class NIGModel:
             raise InvalidArgument("prior mean of the noise variance needs alpha0 > 1")
         return self.delta0 / (self.alpha0 - 1.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "beta0": self.beta0.tolist(),
-            "sigma0_sq": self.sigma0_sq,
-            "alpha0": self.alpha0,
-            "delta0": self.delta0,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NIGModel":
-        return cls(
-            beta0=np.asarray(data.get("beta0", [0.0, 0.0]), dtype=float),
-            sigma0_sq=float(data.get("sigma0_sq", 1.0)),
-            alpha0=float(data.get("alpha0", 20.0)),
-            delta0=float(data.get("delta0", 10.0)),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianParamDist:

@@ -118,21 +118,16 @@ def convergence_gap(predictor: FirstOrderDistribution, best: FirstOrderDistribut
 
 
 def _reify_pair(
-    source: TaskDistribution, target: TaskDistribution, components: int, seed: int
+    source: TaskDistribution, target: TaskDistribution
 ) -> tuple[FiniteTaskDistribution, FiniteTaskDistribution]:
-    """Finite source and target; a distinct target is reified with ``seed + 1``."""
-    src = as_finite(source, components, seed)
-    return src, as_finite(target, components, seed if source is target else seed + 1)
+    """Finite source and target; the source is reified with seed 0, a distinct target with 1."""
+    src = as_finite(source)
+    return src, (src if source is target else as_finite(target, seed=1))
 
 
-def distribution_shift(
-    source: TaskDistribution,
-    target: TaskDistribution,
-    components: int = 256,
-    seed: int = 0,
-) -> float:
+def distribution_shift(source: TaskDistribution, target: TaskDistribution) -> float:
     """TV between the source and target barycenters (D), as ``evaluate_bound`` reifies them."""
-    src, tgt = _reify_pair(source, target, components, seed)
+    src, tgt = _reify_pair(source, target)
     return tv_exact(barycenter(src), barycenter(tgt))
 
 
@@ -412,8 +407,6 @@ def evaluate_bound(
     param_posterior=None,
     param_best=None,
     b_pred: Optional[float] = None,
-    components: int = 256,
-    seed: int = 0,
 ) -> BoundReport:
     """Evaluate one bound statement into a BoundReport.
 
@@ -428,7 +421,7 @@ def evaluate_bound(
         raise InvalidArgument(f"unknown statement id {statement_id!r}")
     _require_alpha(alpha)
 
-    src, tgt = _reify_pair(source, target, components, seed)
+    src, tgt = _reify_pair(source, target)
     bary_s, bary_t = barycenter(src), barycenter(tgt)
     best, B = best_approximation(model, bary_s)
     C = convergence_gap(predictor, best)

@@ -8,6 +8,7 @@ sufficient to reproduce its outputs byte-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -273,10 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: it costs as much as a finite bound request."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:

@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 from scipy.special import ndtr
@@ -292,22 +292,20 @@ def require_same_space(a: FirstOrderDistribution, b: FirstOrderDistribution) -> 
         raise EventMismatch(f"distributions on different spaces: {a.kind} vs {b.kind}")
 
 
-def distributions_close(
-    a: FirstOrderDistribution, b: FirstOrderDistribution, tol: float = PROB_TOL
-) -> bool:
-    """Parameter-level equality within ``tol`` (same kind required)."""
+def distributions_close(a: FirstOrderDistribution, b: FirstOrderDistribution) -> bool:
+    """Parameter-level equality within ``PROB_TOL`` (same kind required)."""
     if a.kind != b.kind:
         return False
     if isinstance(a, Categorical):
-        return a.n_outcomes == b.n_outcomes and bool(np.all(np.abs(a.p - b.p) <= tol))
+        return a.n_outcomes == b.n_outcomes and bool(np.all(np.abs(a.p - b.p) <= PROB_TOL))
     if isinstance(a, Gaussian):
-        return abs(a.mean - b.mean) <= tol and abs(a.stddev - b.stddev) <= tol
+        return abs(a.mean - b.mean) <= PROB_TOL and abs(a.stddev - b.stddev) <= PROB_TOL
     assert isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture)
     return (
         a.weights.size == b.weights.size
-        and bool(np.all(np.abs(a.weights - b.weights) <= tol))
-        and bool(np.all(np.abs(a.means - b.means) <= tol))
-        and bool(np.all(np.abs(a.stddevs - b.stddevs) <= tol))
+        and bool(np.all(np.abs(a.weights - b.weights) <= PROB_TOL))
+        and bool(np.all(np.abs(a.means - b.means) <= PROB_TOL))
+        and bool(np.all(np.abs(a.stddevs - b.stddevs) <= PROB_TOL))
     )
 
 
@@ -412,15 +410,11 @@ class InverseGammaGaussianTasks:
 TaskDistribution = Union[FiniteTaskDistribution, InverseGammaGaussianTasks]
 
 
-def as_finite(
-    tasks: TaskDistribution,
-    components: int = DEFAULT_REIFY_COMPONENTS,
-    seed: int = 0,
-) -> FiniteTaskDistribution:
-    """Reify parametric task distributions; pass finite ones through."""
+def as_finite(tasks: TaskDistribution, seed: int = 0) -> FiniteTaskDistribution:
+    """Reify parametric task distributions by their default 256 tasks; pass finite ones through."""
     if isinstance(tasks, FiniteTaskDistribution):
         return tasks
-    return tasks.reify(components, seed)
+    return tasks.reify(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +482,7 @@ def _event_variances(P: np.ndarray, w: np.ndarray, bary: np.ndarray) -> np.ndarr
     return w @ (P @ masks.T - bary @ masks.T) ** 2
 
 
-def _thresholds(tasks: FiniteTaskDistribution, n_thresholds: int = DEFAULT_THRESHOLDS) -> np.ndarray:
+def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
     """The pooled-moment grid of thresholds t_k behind ``threshold_events``."""
     moments = np.array([t.mean_std() for t in tasks.tasks])
     pooled_mean = float(tasks.weights @ moments[:, 0])
@@ -496,14 +490,12 @@ def _thresholds(tasks: FiniteTaskDistribution, n_thresholds: int = DEFAULT_THRES
     pooled_std = math.sqrt(max(pooled_second - pooled_mean**2, 1e-300))
     span = DEFAULT_THRESHOLD_SPAN
     return np.linspace(pooled_mean - span * pooled_std, pooled_mean + span * pooled_std,
-                       n_thresholds)
+                       DEFAULT_THRESHOLDS)
 
 
-def threshold_events(
-    tasks: FiniteTaskDistribution, n_thresholds: int = DEFAULT_THRESHOLDS
-) -> list[Interval]:
+def threshold_events(tasks: FiniteTaskDistribution) -> list[Interval]:
     """Left-open half-line events (-inf, t_k] on a pooled-moment grid."""
-    return [Interval(-math.inf, float(t)) for t in _thresholds(tasks, n_thresholds)]
+    return [Interval(-math.inf, float(t)) for t in _thresholds(tasks)]
 
 
 def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
@@ -528,32 +520,25 @@ def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
     return float(best)
 
 
-def sup_variance(
-    tasks: TaskDistribution,
-    events: Sequence[EventSet] | None = None,
-    components: int = DEFAULT_REIFY_COMPONENTS,
-    seed: int = 0,
-) -> float:
+def sup_variance(tasks: TaskDistribution) -> float:
     """Max of variance_at over an event family.
 
-    Categorical spaces enumerate all 2^m events (m <= 12, else an explicit
-    family is required); continuous spaces use a half-line threshold grid
-    unless a family is declared.
+    Categorical spaces enumerate all 2^m events (m <= 12); continuous spaces
+    use the half-line threshold grid of ``threshold_events``.  A parametric
+    family is reified as ``as_finite`` reifies it.
     """
-    fin = as_finite(tasks, components, seed)
+    fin = as_finite(tasks)
     first = fin.tasks[0]
-    if events is None:
-        if isinstance(first, Categorical):
-            m = first.n_outcomes
-            if m > SUP_ENUM_MAX_OUTCOMES:
-                raise InvalidArgument(
-                    f"sup_variance refuses exhaustive enumeration for m={m} > "
-                    f"{SUP_ENUM_MAX_OUTCOMES}; pass an explicit event family"
-                )
-            P = np.stack([t.p for t in fin.tasks])
-            return float(_event_variances(P, fin.weights, fin.weights @ P).max())
-        return _half_line_sup_variance(fin)
-    return max(variance_at(fin, e) for e in events)
+    if isinstance(first, Categorical):
+        m = first.n_outcomes
+        if m > SUP_ENUM_MAX_OUTCOMES:
+            raise InvalidArgument(
+                f"sup-variance enumerates all 2^m events of an m-outcome space, for at "
+                f"most {SUP_ENUM_MAX_OUTCOMES} outcomes; this space has {m}"
+            )
+        P = np.stack([t.p for t in fin.tasks])
+        return float(_event_variances(P, fin.weights, fin.weights @ P).max())
+    return _half_line_sup_variance(fin)
 
 
 def diameter(tasks: TaskDistribution) -> float:

@@ -22,7 +22,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,6 +63,10 @@ SCENARIO_BETAS = {
     "negative_transfer_posneg": (np.array([0.0, 2.0]), np.array([0.0, 1.0])),
 }
 
+IG_TASKS = (20.0, 10.0)  # (concentration, rate) of the source and target task variances
+PRIOR = NIGModel()
+POSTERIOR_MASS_RADIUS = 0.25
+
 _EXP_NEIGHBORHOOD = 1
 _EXP_NEGATIVE_TRANSFER = 2
 _EXP_BARYCENTER = 3
@@ -73,17 +77,12 @@ class ExperimentConfig:
     scenario: str = "custom"
     beta_source: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
     beta_target: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
-    ig_source: tuple[float, float] = (20.0, 10.0)  # (concentration, rate)
-    ig_target: tuple[float, float] = (20.0, 10.0)
     epsilon_grid: tuple[float, ...] = ()
     n_grid: tuple[int, ...] = ()
     sims: int = 500
     kl_samples: int = 400
-    barycenter_components: int = 256
     master_seed: int = 0
     n_source_tasks: int = 10  # neighborhood experiment
-    posterior_mass_radius: float = 0.25
-    prior: NIGModel = field(default_factory=NIGModel)
 
     def __post_init__(self):
         for name in ("beta_source", "beta_target"):
@@ -99,8 +98,6 @@ class ExperimentConfig:
             raise InvalidArgument(f"epsilons must lie in [0, 1], got {self.epsilon_grid}")
         if any(n < 0 for n in self.n_grid):
             raise InvalidArgument(f"n grid entries must be >= 0, got {self.n_grid}")
-        if any(v <= 0 for v in (*self.ig_source, *self.ig_target)):
-            raise InvalidArgument("inverse gamma parameters must be positive")
 
     @classmethod
     def neighborhood(
@@ -129,30 +126,23 @@ class ExperimentConfig:
             "scenario": self.scenario,
             "beta_source": self.beta_source.tolist(),
             "beta_target": self.beta_target.tolist(),
-            "ig_source": list(self.ig_source),
-            "ig_target": list(self.ig_target),
             "epsilon_grid": list(self.epsilon_grid),
             "n_grid": list(self.n_grid),
             "sims": self.sims,
             "kl_samples": self.kl_samples,
-            "barycenter_components": self.barycenter_components,
             "master_seed": self.master_seed,
             "n_source_tasks": self.n_source_tasks,
-            "posterior_mass_radius": self.posterior_mass_radius,
-            "prior": self.prior.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidArgument(f"unknown experiment config keys: {', '.join(unknown)}")
         kw = dict(data)
-        if "prior" in kw:
-            kw["prior"] = NIGModel.from_dict(kw["prior"])
         for key in ("beta_source", "beta_target"):
             if key in kw:
                 kw[key] = np.asarray(kw[key], dtype=float)
-        for key in ("ig_source", "ig_target"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
         return cls(**kw)
 
 
@@ -167,7 +157,6 @@ class ExperimentRecord:
     D: Optional[float]
     looseness: Optional[float]
     posterior_mass: Optional[float]
-    runtime_ms: Optional[float] = None
 
     def to_csv_row(self) -> str:
         def fmt(v) -> str:
@@ -176,7 +165,8 @@ class ExperimentRecord:
         return ",".join([
             str(self.sim), str(self.seed), str(self.n), fmt(self.epsilon),
             fmt(self.epistemic_error), fmt(self.C), fmt(self.D),
-            fmt(self.looseness), fmt(self.posterior_mass), fmt(self.runtime_ms),
+            fmt(self.looseness), fmt(self.posterior_mass),
+            "",  # runtime_ms stays blank: wall time would break determinism
         ])
 
 
@@ -193,19 +183,14 @@ def _task_distribution_at_target(
     config: ExperimentConfig, which: str
 ) -> InverseGammaGaussianTasks:
     """Source/target task distribution evaluated at the target covariates."""
-    if which == "source":
-        mean = float(config.beta_source @ TARGET_COVARIATES)
-        a, d = config.ig_source
-    else:
-        mean = float(config.beta_target @ TARGET_COVARIATES)
-        a, d = config.ig_target
-    return InverseGammaGaussianTasks(mean, a, d)
+    beta = config.beta_source if which == "source" else config.beta_target
+    return InverseGammaGaussianTasks(float(beta @ TARGET_COVARIATES), *IG_TASKS)
 
 
 def sample_source_data(config: ExperimentConfig, n: int, seed: int) -> SourceDataset:
     """n source tasks, one observation each: xi ~ U(0,1)^2, x ~ N(beta.xi, sd_i).
 
-    Task noise variances draw i.i.d. from IG(ig_source); they ride along in
+    Task noise variances draw i.i.d. from IG(IG_TASKS); they ride along in
     ``task_variances`` for target construction but are not learner-visible.
     """
     rng = np.random.default_rng(normalize_seed(seed))
@@ -239,12 +224,9 @@ def neighborhood_target(source_task: Gaussian, eps_tilde: float) -> Gaussian:
     return Gaussian(source_task.mean + dmu, source_task.stddev)
 
 
-def _fit_predictor(
-    config: ExperimentConfig, data: SourceDataset
-) -> tuple[GaussianParamDist, Gaussian]:
-    post = posterior_update(config.prior, data)
-    noise = config.prior.prior_noise_variance
-    return post, posterior_predictive(post, TARGET_COVARIATES, noise)
+def _fit_predictor(data: SourceDataset) -> tuple[GaussianParamDist, Gaussian]:
+    post = posterior_update(PRIOR, data)
+    return post, posterior_predictive(post, TARGET_COVARIATES, PRIOR.prior_noise_variance)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +238,7 @@ def _neighborhood_row(config: ExperimentConfig, g: int, s: int) -> ExperimentRec
     eps = config.epsilon_grid[g]
     row_seed = derive_seed(config.master_seed, _EXP_NEIGHBORHOOD, g, s)
     data = sample_source_data(config, config.n_source_tasks, derive_seed(row_seed, 0))
-    post, predictor = _fit_predictor(config, data)
+    post, predictor = _fit_predictor(data)
 
     rng = np.random.default_rng(normalize_seed(derive_seed(row_seed, 1)))
     i = int(rng.integers(config.n_source_tasks))
@@ -269,7 +251,7 @@ def _neighborhood_row(config: ExperimentConfig, g: int, s: int) -> ExperimentRec
 
     er = tv_upper_pinsker(predictor, target, n_samples=config.kl_samples,
                           seed=derive_seed(row_seed, 2), force_mc=True).value
-    mass = posterior_mass_near(post, config.beta_source, config.posterior_mass_radius)
+    mass = posterior_mass_near(post, config.beta_source, POSTERIOR_MASS_RADIUS)
     return ExperimentRecord(
         sim=s, seed=row_seed, n=config.n_source_tasks, epsilon=eps,
         epistemic_error=er, C=None, D=None, looseness=None, posterior_mass=mass,
@@ -281,7 +263,7 @@ def _negative_transfer_row(config: ExperimentConfig, g: int, s: int, bary_s: Gau
     n = config.n_grid[g]
     row_seed = derive_seed(config.master_seed, _EXP_NEGATIVE_TRANSFER, g, s)
     data = sample_source_data(config, n, derive_seed(row_seed, 0))
-    _, predictor = _fit_predictor(config, data)
+    _, predictor = _fit_predictor(data)
     target = target_task(config, derive_seed(row_seed, 1))
 
     er = tv_upper_pinsker(predictor, target, n_samples=config.kl_samples,
@@ -331,8 +313,8 @@ def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1)
     if not config.n_grid:
         raise InvalidArgument("negative-transfer experiment needs an n grid")
     bary_s, bary_t = (
-        barycenter(_task_distribution_at_target(config, which), config.barycenter_components,
-                   derive_seed(config.master_seed, _EXP_BARYCENTER, stream))
+        barycenter(_task_distribution_at_target(config, which),
+                   seed=derive_seed(config.master_seed, _EXP_BARYCENTER, stream))
         for stream, which in enumerate(("source", "target"))
     )
     row = functools.partial(_negative_transfer_row, bary_s=bary_s, bary_t=bary_t)

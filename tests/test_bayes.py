@@ -34,10 +34,6 @@ class TestNIGModel:
         with pytest.raises(InvalidArgument):
             NIGModel(alpha0=-1.0)
 
-    def test_roundtrip(self):
-        m = NIGModel(beta0=np.array([1.0, -1.0]), sigma0_sq=2.0)
-        assert NIGModel.from_dict(m.to_dict()).to_dict() == m.to_dict()
-
 
 class TestPosteriorUpdate:
     def test_empty_data_returns_prior(self):

@@ -1,5 +1,7 @@
 """Decomposition components and bound-statement evaluation."""
 
+import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from epibound import (
     InverseGammaGaussianTasks,
     ModelClass,
     PreconditionViolated,
+    barycenter,
     best_approximation,
     chebyshev_delta,
     convergence_gap,
@@ -24,8 +27,10 @@ from epibound import (
     epistemic_error,
     evaluate_bound,
     finite_tasks,
+    tv_exact,
 )
 from epibound.bounds import CSV_HEADER, STATEMENT_IDS, STATEMENTS
+from epibound.oracle import CONSTRAINT_MODES, InstanceConfig, generate_instance
 
 
 class TestBestApproximation:
@@ -82,7 +87,8 @@ class TestComponents:
         assert distribution_shift(a, b) == pytest.approx(1.0)
 
     def test_distribution_shift_is_the_reported_d(self, binary_source, binary_target):
-        # D as evaluate_bound computes it: a distinct target is reified with seed + 1
+        # D as evaluate_bound computes it: the source is reified with seed 0,
+        # a distinct target with seed 1
         ig_s = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
         ig_t = InverseGammaGaussianTasks(1.3, 17.0, 9.0)
         model = ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8)
@@ -92,10 +98,11 @@ class TestComponents:
             (binary_source, binary_target, ModelClass.binary_grid([0.3, 0.5]),
              Categorical([0.4, 0.6])),
         ):
-            for seed in (0, 7):
-                report = evaluate_bound("thm1", model, predictor, source, target, alpha=0.2,
-                                        components=64, seed=seed)
-                assert distribution_shift(source, target, components=64, seed=seed) == report.D
+            report = evaluate_bound("thm1", model, predictor, source, target, alpha=0.2)
+            assert distribution_shift(source, target) == report.D
+        assert distribution_shift(ig_s, ig_s) == 0.0
+        d = distribution_shift(ig_s, ig_t)
+        assert d == tv_exact(barycenter(ig_s.reify(seed=0)), barycenter(ig_t.reify(seed=1)))
 
     def test_learner_shift(self):
         v = distribution_shift_learner(Categorical([0.5, 0.5]), Categorical([0.6, 0.4]), bias=0.1)
@@ -360,3 +367,41 @@ class TestInvariants:
         with pytest.raises(InvalidArgument):
             evaluate_bound("thm1", binary_model, binary_predictor, binary_source, binary_target,
                            alpha=alpha)
+
+
+class TestReportBytes:
+    @staticmethod
+    def _reports() -> list:
+        """Reports (or the unmet hypothesis) over finite instances and an inverse-gamma pair."""
+        sids = [s for s in STATEMENT_IDS if not s.startswith("cor_bayes")]
+        out = []
+        for mode in CONSTRAINT_MODES:
+            for seed in range(4):
+                inst = generate_instance(7_000 + seed, InstanceConfig(constraint=mode))
+                for i, sid in enumerate(sids):
+                    try:
+                        rep = evaluate_bound(
+                            sid, model=inst.model, predictor=inst.predictor, source=inst.source,
+                            target=inst.target, alpha=(0.05, 0.2, 0.4)[i % 3],
+                            epsilon=inst.epsilon)
+                    except PreconditionViolated as exc:
+                        out.append({"skip": exc.assumption, "statement_id": sid})
+                    except InvalidArgument as exc:  # no epsilon outside the assumption modes
+                        out.append({"error": str(exc), "statement_id": sid})
+                    else:
+                        out.append(rep.to_dict())
+        ig_s = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
+        ig_t = InverseGammaGaussianTasks(1.3, 17.0, 9.0)
+        model = ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8)
+        for target in (ig_s, ig_t):
+            for sid in ("thm1", "thm2", "cor_hellinger"):
+                out.append(evaluate_bound(sid, model, Gaussian(1.1, 0.8), ig_s, target,
+                                          alpha=0.2).to_dict())
+        return out
+
+    def test_evaluate_bound_bytes_pinned(self):
+        # SHA-256 of the reports' JSON; any change to a component, margin,
+        # delta, extra or precondition verdict changes it
+        text = json.dumps(self._reports(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "746301e497f6e5e11be88a646e09c58f6bf05af16cca23dc0b394bbad202eabe")

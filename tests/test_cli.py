@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from epibound import cli
 from epibound.cli import main
 
 WORKED_INSTANCE = {
@@ -100,6 +101,37 @@ class TestBoundCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "alpha must be finite" in captured.err and captured.out == ""
+
+    def test_more_than_12_outcomes_is_usage_error(self, tmp_path, capsys):
+        # thm1's Chebyshev delta enumerates all 2^m events, for at most 12 outcomes
+        p = {"kind": "categorical", "p": [1.0 / 13] * 13}
+        tasks = {"kind": "finite_tasks", "tasks": [{"w": 1.0, "dist": p}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"model": {"members": [p]}, "predictor": p,
+                                    "source": tasks, "target": tasks}))
+        code = main(["bound", "--statement", "thm1", "--instance", str(path), "--alpha", "0.1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: sup-variance enumerates all 2^m events of an m-outcome space, "
+            "for at most 12 outcomes; this space has 13\n")
+        assert captured.out == ""
+
+    def test_parser_built_once_per_process(self, instance_file, capsys, monkeypatch):
+        argv = ["bound", "--statement", "thm1", "--instance", str(instance_file), "--alpha", "0.15"]
+        main(argv)  # builds the parser if no earlier call did
+        capsys.readouterr()
+
+        def fail():
+            raise AssertionError("build_parser called again")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("statement_id,alpha,") and outputs[0].err == ""
 
 
 class TestOracleCommand:

@@ -30,6 +30,7 @@ from epibound import (
     variance_at,
 )
 from epibound.distributions import (
+    DEFAULT_THRESHOLDS,
     max_first_order_b,
     max_second_order_b,
     threshold_events,
@@ -255,14 +256,12 @@ class TestSupVariance:
         assert sup_variance(point) == 0.0
 
     def test_explicit_event_family(self):
-        tasks = two_task_binary()
-        v = sup_variance(tasks, events=[DiscreteEvent((0,))])
-        assert v == pytest.approx(0.01, abs=1e-12)
+        assert variance_at(two_task_binary(), DiscreteEvent((0,))) == pytest.approx(0.01, abs=1e-12)
 
     def test_threshold_events_shape(self):
         tasks = finite_tasks([(Gaussian(0, 1), 1.0)])
-        events = threshold_events(tasks, n_thresholds=11)
-        assert len(events) == 11
+        events = threshold_events(tasks)
+        assert len(events) == DEFAULT_THRESHOLDS
         assert all(isinstance(e, Interval) and math.isinf(e.lo) for e in events)
 
     def test_interval_variance_matches_hand_value(self):
@@ -276,10 +275,9 @@ class TestSupVariance:
 
     def test_parametric_reified_sup_variance(self):
         fam = InverseGammaGaussianTasks(mean=0.0, shape=20.0, rate=10.0)
-        v1 = sup_variance(fam, components=64, seed=9)
-        v2 = sup_variance(fam, components=64, seed=9)
-        assert v1 == v2
-        assert 0.0 <= v1 <= 0.25
+        v = sup_variance(fam)
+        assert v == sup_variance(fam.reify(seed=0))
+        assert 0.0 <= v <= 0.25
 
     def test_event_masks_shared_and_read_only(self):
         from epibound.distributions import _event_masks

@@ -193,7 +193,7 @@ class TestNegativeTransferExperiment:
         # pairs; the MC realization can undershoot only within sampling noise
         cfg = ExperimentConfig.negative_transfer("pos", n_grid=[1, 20], sims=25, master_seed=35)
         from epibound.bayes import posterior_update, posterior_predictive
-        from epibound.experiments import TARGET_COVARIATES, _EXP_NEGATIVE_TRANSFER
+        from epibound.experiments import PRIOR, TARGET_COVARIATES, _EXP_NEGATIVE_TRANSFER
         from epibound.seeding import derive_seed
 
         mc_undershoots = 0
@@ -202,8 +202,8 @@ class TestNegativeTransferExperiment:
             for s in range(cfg.sims):
                 row_seed = derive_seed(cfg.master_seed, _EXP_NEGATIVE_TRANSFER, g, s)
                 data = sample_source_data(cfg, cfg.n_grid[g], derive_seed(row_seed, 0))
-                post = posterior_update(cfg.prior, data)
-                pred = posterior_predictive(post, TARGET_COVARIATES, cfg.prior.prior_noise_variance)
+                post = posterior_update(PRIOR, data)
+                pred = posterior_predictive(post, TARGET_COVARIATES, PRIOR.prior_noise_variance)
                 tgt = target_task(cfg, derive_seed(row_seed, 1))
                 exact_tv = tv_exact(pred, tgt)
                 assert tv_upper_pinsker(pred, tgt).value >= exact_tv - 1e-12
@@ -266,6 +266,14 @@ class TestRecordsAndManifest:
         assert manifest["outputs"] == ["neighborhood.csv"]
         back = ExperimentConfig.from_dict(manifest["config"])
         assert back.to_dict() == cfg.to_dict()
+
+    def test_from_dict_names_unknown_keys(self):
+        # manifests written before the prior, the inverse-gamma task law, the
+        # barycenter size and the mass radius became constants carry them
+        data = ExperimentConfig.neighborhood([0.2], sims=2).to_dict()
+        data.update(ig_source=[20.0, 10.0], prior={"alpha0": 20.0})
+        with pytest.raises(InvalidArgument, match="unknown experiment config keys: ig_source, prior"):
+            ExperimentConfig.from_dict(data)
 
     def test_manifest_has_versions(self):
         cfg = ExperimentConfig.neighborhood([0.1], sims=1)
