@@ -131,11 +131,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _load_setup(path: str) -> dict:
-    """A bound instance or verify setup file, deserialized; missing keys are usage errors."""
+    """A bound instance or verify setup file, deserialized; missing keys and values of
+    the wrong type are usage errors."""
+    data = _load_json(path)
     try:
-        return setup_from_dict(_load_json(path))
+        return setup_from_dict(data)
     except KeyError as exc:
         raise SystemExit(_usage_fail(f"{path} is missing key {exc}"))
+    except EpiboundError:  # a ValueError too, with its own message for main to print
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SystemExit(_usage_fail(f"{path} is malformed: {exc}"))
 
 
 def _cmd_bound(args) -> int:

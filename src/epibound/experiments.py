@@ -21,6 +21,7 @@ import functools
 import json
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
@@ -291,12 +292,16 @@ def _run_grid_point(payload) -> list:
 
 
 def _run_grid(row, config: ExperimentConfig, points: Sequence[str], threads: int) -> list:
-    """``row(config, g, s)`` over the grid points, named by ``points``, and the sims."""
+    """``row(config, g, s)`` over the grid points, named by ``points``, and the sims.
+
+    At most one worker process per grid point and per CPU starts.
+    """
     payloads = [(row, config, g, point) for g, point in enumerate(points)]
-    if threads <= 1 or len(payloads) == 1:
+    workers = min(threads, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         chunks = [_run_grid_point(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(payloads))) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_run_grid_point, payloads))
     return [rec for chunk in chunks for rec in chunk]
 

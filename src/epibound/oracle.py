@@ -6,20 +6,22 @@ probability is a finite sum, so each statement's tail probability is
 computed exactly by enumeration: zero sampling noise.  Constraint modes
 force the hypotheses of the conditional statements (no shift, perfect
 learning, the two total-variation-neighborhood assumptions) to hold by
-construction.  A suite draws each instance from its own seed and checks
-them a chunk at a time, as padded arrays, with the per-instance results
-bit for bit.
+construction.  A suite draws each instance from its own seed as raw
+arrays, builds no instance object, and checks them a chunk at a time as
+padded arrays: every probability row and weight vector once per chunk,
+then every statement, with the per-instance results bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -219,14 +221,43 @@ def _project_into_ball(t: np.ndarray, s: np.ndarray, eps: float) -> np.ndarray:
     raise GenerationFailure(f"could not project a task into the TV {eps}-ball")
 
 
-def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> OracleInstance:
-    """Deterministic instance from ``seed``; flat-simplex weights and tasks."""
+_FLAT = np.ones(64)  # flat-simplex Dirichlet parameters; a slice draws as np.ones(n) does
+
+
+def _flat(n: int) -> np.ndarray:
+    return _FLAT[:n] if n <= _FLAT.size else np.ones(n)
+
+
+class _Draw(NamedTuple):
+    """A generated instance as ``OracleInstance``'s fields, its rows not yet checked."""
+
+    S: np.ndarray
+    w_s: np.ndarray
+    T: np.ndarray
+    w_t: np.ndarray
+    members: np.ndarray
+    pred: np.ndarray
+    seed: int
+    constraint: str
+    epsilon: Optional[float]
+
+    @property
+    def m(self) -> int:
+        return self.pred.size
+
+    @property
+    def shared(self) -> bool:
+        return self.T is self.S
+
+
+def _draw_instance(seed: int, config: InstanceConfig) -> _Draw:
+    """``generate_instance``'s arrays; ``_components`` checks their rows."""
     rng = np.random.default_rng(normalize_seed(seed))
     m = int(rng.integers(config.m_range[0], config.m_range[1] + 1))
     k_s = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
     k_t = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
 
-    flat_m, flat_s, flat_t = np.ones(m), np.ones(k_s), np.ones(k_t)  # Dirichlet parameters
+    flat_m, flat_s, flat_t = _flat(m), _flat(k_s), _flat(k_t)
 
     S = rng.dirichlet(flat_m, size=k_s)
     w_s = rng.dirichlet(flat_s)
@@ -268,7 +299,12 @@ def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> O
         T = rng.dirichlet(flat_m, size=k_t)
         w_t = rng.dirichlet(flat_t)
 
-    return OracleInstance(S, w_s, T, w_t, members, pred, seed, config.constraint, epsilon)
+    return _Draw(S, w_s, T, w_t, members, pred, seed, config.constraint, epsilon)
+
+
+def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> OracleInstance:
+    """Deterministic instance from ``seed``; flat-simplex weights and tasks."""
+    return OracleInstance(*_draw_instance(seed, config))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +400,11 @@ _SCALARS = tuple(f.name for f in fields(_Components)
                                    "k_t", "m"))
 
 
-def _instance_groups(insts: Sequence[OracleInstance]) -> list[np.ndarray]:
+def _instance_groups(insts: Sequence[_Draw | OracleInstance]) -> list[np.ndarray]:
     return _groups([(inst.m, inst.S.shape[0], inst.T.shape[0]) for inst in insts])
 
 
-def _components(insts: Sequence[OracleInstance]) -> _Components:
+def _components(insts: Sequence[_Draw | OracleInstance]) -> _Components:
     """Exact components of a batch of instances that ``_instance_groups`` put together.
 
     The instances are stacked into padded arrays: tasks and members padded
@@ -378,6 +414,11 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
     rest is elementwise, sums over padded axes that the grouping keeps exact,
     and minima and maxima, which copies leave unchanged; ``argmin`` returns
     the first minimum, so a padded member is never the best one.
+
+    Every probability row and weight vector is checked in the padded arrays,
+    with ``OracleInstance``'s rules and error types.  Padding adds only copies
+    of row 0 and zeros, and the grouping keeps each row sum bit for bit, so a
+    row passes or fails as it does alone.
     """
     n = len(insts)
     m = max(inst.m for inst in insts)
@@ -402,6 +443,10 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
         vt = _event_variances(inst.T, inst.w_t, bt)
         var_s[b, :vs.size], var_s[b, vs.size:] = vs, vs[0]
         var_t[b, :vt.size], var_t[b, vt.size:] = vt, vt[0]
+    for P in (pred, S, T, members):
+        _check_rows(P)
+    for w in (w_s, w_t):
+        _check_rows(w, InvalidTaskDistribution, "task weights")
 
     rows = np.arange(n)
     dists = _tv(members, bary_s[:, None, :])
@@ -474,7 +519,7 @@ def compute_components(inst: OracleInstance) -> _Components:
     return _components([inst]).instance(0)
 
 
-def _looseness(insts: Sequence[OracleInstance], comp: _Components) -> np.ndarray:
+def _looseness(insts: Sequence[_Draw | OracleInstance], comp: _Components) -> np.ndarray:
     """Per instance: the mean of tv(pred, Q_t) over the exact target weights, minus (C + D)."""
     er = [inst.w_t @ tv[:inst.w_t.size] for inst, tv in zip(insts, comp.losses["tv"])]
     return np.array(er) - (comp.C + comp.D)[:, 0]
@@ -666,34 +711,59 @@ class ThetaInstance:
         return FiniteTaskDistribution(tuple(Categorical(p) for p in self.T), self.w_t)
 
 
-def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> ThetaInstance:
+class _ThetaDraw(NamedTuple):
+    """A generated finite-theta instance as ``ThetaInstance``'s fields, rows not yet checked."""
+
+    theta_pmfs: np.ndarray
+    source_weights: np.ndarray
+    candidates: np.ndarray
+    p1: np.ndarray
+    T: np.ndarray
+    w_t: np.ndarray
+    seed: int
+
+
+def _draw_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> _ThetaDraw:
+    """``generate_theta_instance``'s arrays; ``_theta_components`` checks their rows."""
     rng = np.random.default_rng(normalize_seed(seed))
     m = int(rng.integers(m_range[0], m_range[1] + 1))
     j = int(rng.integers(theta_range[0], theta_range[1] + 1))
     r = int(rng.integers(2, 9))
     k_t = int(rng.integers(2, 7))
-    theta_pmfs = rng.dirichlet(np.ones(m), size=j)
-    source_weights = rng.dirichlet(np.ones(j))
-    candidates = rng.dirichlet(np.ones(j), size=r)
-    p1 = rng.dirichlet(np.ones(j))
-    T = rng.dirichlet(np.ones(m), size=k_t)
-    w_t = rng.dirichlet(np.ones(k_t))
-    return ThetaInstance(theta_pmfs, source_weights, candidates, p1, T, w_t, seed)
+    flat_m, flat_j = _flat(m), _flat(j)
+    theta_pmfs = rng.dirichlet(flat_m, size=j)
+    source_weights = rng.dirichlet(flat_j)
+    candidates = rng.dirichlet(flat_j, size=r)
+    p1 = rng.dirichlet(flat_j)
+    T = rng.dirichlet(flat_m, size=k_t)
+    w_t = rng.dirichlet(_flat(k_t))
+    return _ThetaDraw(theta_pmfs, source_weights, candidates, p1, T, w_t, seed)
 
 
-def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
-    """The components ``cor_bayesian`` and ``lemma_b6`` read, for a batch as ``_components``."""
+def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> ThetaInstance:
+    """Deterministic finite-theta instance from ``seed``; flat-simplex draws throughout."""
+    return ThetaInstance(*_draw_theta_instance(seed, m_range, theta_range))
+
+
+def _theta_components(insts: Sequence[_ThetaDraw | ThetaInstance]) -> SimpleNamespace:
+    """The components ``cor_bayesian`` and ``lemma_b6`` read, for a batch as ``_components``.
+
+    Rows are checked in the padded arrays, as ``_components`` checks them.
+    """
     n = len(insts)
     m = max(inst.T.shape[1] for inst in insts)
     j = max(inst.p1.size for inst in insts)
     r = max(inst.candidates.shape[0] for inst in insts)
     k_t = max(inst.T.shape[0] for inst in insts)
     predictives, candidates = np.zeros((n, r, m)), np.zeros((n, r, j))
+    theta_pmfs, source_weights = np.zeros((n, j, m)), np.zeros((n, j))
     T, w_t, p1 = np.zeros((n, k_t, m)), np.zeros((n, k_t)), np.zeros((n, j))
     bary_s, bary_t, predictor = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m))
     sup_var = np.empty(n)
     for b, inst in enumerate(insts):
         mb = inst.T.shape[1]
+        _put_rows(theta_pmfs[b], inst.theta_pmfs)
+        source_weights[b, :inst.source_weights.size] = inst.source_weights
         bary_s[b, :mb] = inst.source_weights @ inst.theta_pmfs
         _put_rows(predictives[b], inst.candidates @ inst.theta_pmfs)
         _put_rows(candidates[b], inst.candidates)
@@ -703,6 +773,12 @@ def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
         w_t[b, :inst.w_t.size] = inst.w_t
         bary_t[b, :mb] = bt = inst.w_t @ inst.T
         sup_var[b] = _event_variances(inst.T, inst.w_t, bt).max()
+    _check_rows(T)
+    _check_rows(w_t, InvalidTaskDistribution, "task weights")
+    _check_rows(theta_pmfs)
+    _check_rows(candidates)
+    _check_rows(source_weights, what="source_weights")
+    _check_rows(p1, what="p1")
 
     rows = np.arange(n)
     dists = _tv(predictives, bary_s[:, None, :])
@@ -718,7 +794,7 @@ def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
     )
 
 
-def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,
+def _verify_thetas(insts: Sequence[_ThetaDraw | ThetaInstance], alphas: np.ndarray,
                    b6_report: StatementReport, bayes_report: StatementReport) -> None:
     """``verify_theta_instance`` on each instance, one group of like sizes at a time."""
     for group in _groups([(inst.T.shape[1], inst.p1.size, inst.T.shape[0]) for inst in insts]):
@@ -805,7 +881,7 @@ def _run_range(args) -> dict:
     configs = {mode: InstanceConfig(m_range=(2, max_outcomes), constraint=mode) for mode in modes}
     for lo in range(start, stop, _CHUNK):
         index = range(lo, min(lo + _CHUNK, stop))
-        insts = [generate_instance(derive_seed(seed, i), configs[modes[i % len(modes)]])
+        insts = [_draw_instance(derive_seed(seed, i), configs[modes[i % len(modes)]])
                  for i in index]
         for group in _instance_groups(insts):
             batch = [insts[g] for g in group]
@@ -817,7 +893,7 @@ def _run_range(args) -> dict:
                     hits = _check(sid, comp, alphas, attempts[:, s], statements[sid])
                     violated.extend((lo + g, _MODE_STATEMENTS[insts[g].constraint].index(sid),
                                      sid, insts[g].seed) for g in group[hits])
-        thetas = [generate_theta_instance(derive_seed(seed, i, 777)) for i in index]
+        thetas = [_draw_theta_instance(derive_seed(seed, i, 777)) for i in index]
         _verify_thetas(thetas, alphas, statements["lemma_b6"], statements["cor_bayesian"])
     details = [{"statement": sid, "instance_seed": inst_seed, "mode": modes[i % len(modes)]}
                for i, _, sid, inst_seed in sorted(violated)[:50]]
@@ -845,11 +921,13 @@ def run_suite(
     Constraint modes cycle deterministically by instance index, so every
     conditional statement sees instances satisfying its hypotheses.  Results
     are identical for any ``threads`` value: the index range is partitioned
-    and partial aggregates merge in order.
+    and partial aggregates merge in order.  At most ``os.cpu_count()``
+    worker processes start.
     """
     if n_instances < 1:
         raise InvalidArgument(f"n_instances must be >= 1, got {n_instances}")
     alphas = tuple(_alpha_array(alphas).tolist())
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or n_instances < 2 * threads:
         chunks = [_run_range((seed, 0, n_instances, alphas, max_outcomes))]
     else:

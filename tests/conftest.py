@@ -1,9 +1,13 @@
-"""Shared fixtures: the worked two-outcome instance used across modules."""
+"""Shared fixtures: the worked two-outcome instance used across modules, and a
+serial stand-in for process pools."""
+
+import os
 
 import numpy as np
 import pytest
 
-from epibound import Categorical, FiniteTaskDistribution, ModelClass, finite_tasks
+from epibound import Categorical, FiniteTaskDistribution, ModelClass, experiments, finite_tasks
+from epibound import oracle
 
 
 @pytest.fixture
@@ -31,3 +35,28 @@ def binary_predictor() -> Categorical:
 
 def random_categorical_pair(rng: np.random.Generator, m: int):
     return Categorical(rng.dirichlet(np.ones(m))), Categorical(rng.dirichlet(np.ones(m)))
+
+
+@pytest.fixture
+def serial_pools(monkeypatch) -> list:
+    """A 3-CPU machine whose process pools map in this process; lists each pool's
+    ``max_workers``, so a test can ask for thousands without starting any."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for module in (oracle, experiments):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", SerialPool)
+    return asked

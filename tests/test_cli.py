@@ -73,6 +73,32 @@ class TestBoundCommand:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("path, value", [
+        (("source",), 5),
+        (("predictor",), [0.5, 0.5]),
+        (("source", "tasks", 0, "w"), "a"),
+        (("predictor", "p"), "ab"),
+        (("model",), {"members": 3}),
+        ((), [WORKED_INSTANCE]),
+    ], ids=["source-int", "predictor-list", "weight-str", "p-str", "members-int", "list"])
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_malformed_instance_is_usage_error(self, path, value, command, tmp_path, capsys):
+        data = json.loads(json.dumps({**WORKED_INSTANCE, "statement_id": "thm1", "alpha": 0.2}))
+        if path:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            data = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        argv = (["bound", "--statement", "thm1", "--instance", str(bad), "--alpha", "0.2"]
+                if command == "bound" else ["verify", "--setup", str(bad), "--trials", "10"])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad} is malformed: ") and captured.out == ""
+
     def test_missing_file(self, capsys):
         code = main(["bound", "--statement", "thm1", "--instance", "/nonexistent.json",
                      "--alpha", "0.1"])

@@ -126,6 +126,14 @@ class TestNeighborhoodExperiment:
         b = records_to_csv(run_neighborhood_experiment(cfg, threads=2))
         assert a == b
 
+    def test_workers_capped_at_cpu_count_and_grid(self, serial_pools):
+        cfg = ExperimentConfig.neighborhood([0.0, 0.1, 0.2, 0.3], sims=2, master_seed=22)
+        want = records_to_csv(run_neighborhood_experiment(cfg))
+        assert records_to_csv(run_neighborhood_experiment(cfg, threads=5000)) == want
+        small = ExperimentConfig.neighborhood([0.1, 0.3], sims=2, master_seed=22)
+        run_neighborhood_experiment(small, threads=5000)
+        assert serial_pools == [3, 2]
+
     def test_csv_bytes_pinned(self):
         # Guards the source-data and target draws, the neighborhood target's
         # mean shift and posterior_mass_near. Recorded with numpy 2.4 on x86-64.

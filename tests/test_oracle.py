@@ -643,6 +643,19 @@ class TestThetaInstances:
             with pytest.raises(InvalidArgument):
                 ThetaInstance(**dict(arrays, **{name: bad}), seed=0)
 
+    def test_instance_bytes_pinned(self):
+        # recorded with the generator that built and checked each ThetaInstance
+        # from its own draws, before the raw-array drawer split off from it
+        h = hashlib.sha256()
+        for ranges in ({}, {"m_range": (7, 9), "theta_range": (7, 10)}):
+            for seed in range(50):
+                theta = generate_theta_instance(seed, **ranges)
+                for name in ("theta_pmfs", "source_weights", "candidates", "p1", "T", "w_t"):
+                    arr = getattr(theta, name)
+                    h.update(str(arr.shape).encode())
+                    h.update(arr.tobytes())
+        assert h.hexdigest() == "62033a71d87bee100448a9e978709a6c4c02d692369ca9027328ca4588b76557"
+
     def test_negative_seed_normalized(self):
         # like generate_instance, any 64-bit seed maps onto SeedSequence's domain
         a, b = generate_theta_instance(-1), generate_theta_instance(2**64 - 1)
@@ -696,6 +709,54 @@ class TestSuite:
         want = run_suite(60, seed=9, max_outcomes=9).to_dict()
         monkeypatch.setattr(oracle, "_CHUNK", 1)
         assert run_suite(60, seed=9, max_outcomes=9).to_dict() == want
+
+    @pytest.mark.parametrize("drawer, field, error", [
+        ("_draw_instance", "members", InvalidArgument),
+        ("_draw_instance", "w_t", InvalidTaskDistribution),
+        ("_draw_theta_instance", "theta_pmfs", InvalidArgument),
+        ("_draw_theta_instance", "source_weights", InvalidArgument),
+    ])
+    @pytest.mark.parametrize("corrupt", ["negative", "off_sum", "nan"])
+    def test_every_drawn_row_checked(self, monkeypatch, drawer, field, error, corrupt):
+        # one bad row in one of the 20 instances, as the instance constructors reject
+        # it; the last row, which padding never copies
+        draw, calls = getattr(oracle, drawer), []
+
+        def corrupted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            calls.append(None)
+            if len(calls) != 8:
+                return out
+            bad = getattr(out, field).copy()
+            row = bad[-1] if bad.ndim == 2 else bad
+            if corrupt == "negative":
+                row[0], row[1] = -row[1], row[0] + 2 * row[1]  # still sums to 1
+            elif corrupt == "off_sum":
+                row[0] += 1e-9
+            else:
+                row[:] = np.nan
+            return out._replace(**{field: bad})
+
+        monkeypatch.setattr(oracle, drawer, corrupted)
+        with pytest.raises(error):
+            run_suite(20)
+        assert len(calls) == 20
+
+    def test_suite_builds_no_instance_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        monkeypatch.setattr(OracleInstance, "__post_init__", refuse)
+        monkeypatch.setattr(ThetaInstance, "__post_init__", refuse)
+        # recorded with the suite that built both objects for every index
+        digest = hashlib.sha256(run_suite(20, seed=5).to_json().encode()).hexdigest()
+        assert digest == "38960e303269153ba3b59c10ea5b6c08db14e2cce80b4b53b82da5ca571843dd"
+
+    def test_workers_capped_at_cpu_count(self, serial_pools):
+        want = run_suite(60, seed=9).to_dict()
+        assert run_suite(60, seed=9, threads=5000).to_dict() == want
+        assert run_suite(60, seed=9, threads=2).to_dict() == want
+        assert serial_pools == [3, 2]
 
     def test_skip_reasons_counted(self):
         rep = StatementReport("cor_eps")
