@@ -9,7 +9,6 @@ is then a closed-form bivariate Gaussian.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -94,7 +93,7 @@ class SourceDataset:
 
     Task indices run contiguously 1..n.  ``task_variances`` optionally keeps
     the simulation-side noise variances of each task; it is not part of the
-    learner-visible data and is not serialized.
+    learner-visible data.
     """
 
     xi: np.ndarray  # (n, 2)
@@ -119,36 +118,6 @@ class SourceDataset:
             tv = np.asarray(self.task_variances, dtype=float)
             tv.flags.writeable = False
             object.__setattr__(self, "task_variances", tv)
-
-    @property
-    def n_rows(self) -> int:
-        return self.x.size
-
-    def task_counts(self) -> dict[int, int]:
-        uniq, counts = np.unique(self.task, return_counts=True)
-        return {int(u): int(c) for u, c in zip(uniq, counts)}
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("task,xi1,xi2,x\n")
-        for t, row, y in zip(self.task, self.xi, self.x):
-            buf.write(f"{int(t)},{float(row[0])!r},{float(row[1])!r},{float(y)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SourceDataset":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0].strip() != "task,xi1,xi2,x":
-            raise InvalidArgument("source dataset CSV must start with header 'task,xi1,xi2,x'")
-        task, xi, x = [], [], []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise InvalidArgument(f"malformed source dataset row: {ln!r}")
-            task.append(int(parts[0]))
-            xi.append([float(parts[1]), float(parts[2])])
-            x.append(float(parts[3]))
-        return cls(np.asarray(xi).reshape(-1, 2), np.asarray(x), np.asarray(task))
 
 
 def empty_dataset() -> SourceDataset:

@@ -26,6 +26,7 @@ from .experiments import (
     run_neighborhood_experiment,
     setup_from_dict,
     write_experiment_output,
+    write_output,
 )
 from .oracle import DEFAULT_ALPHAS, run_suite
 
@@ -41,6 +42,16 @@ def _parse_alphas(text: str) -> tuple:
     if not values or not all(math.isfinite(a) and a > 0 for a in values):
         raise argparse.ArgumentTypeError("alphas must be finite and positive")
     return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_floats(text: str) -> tuple:
@@ -72,10 +83,12 @@ def _parse_n_grid(text: str) -> tuple:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise SystemExit(_usage_fail(f"file not found: {path}"))
+    except UnicodeDecodeError:
+        raise SystemExit(_usage_fail(f"{path} is not UTF-8 text"))
     except json.JSONDecodeError as exc:
         raise SystemExit(
             _usage_fail(f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
@@ -93,11 +106,18 @@ def _out_dir(args) -> Path:
     return Path(override) if override else Path(args.out)
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = dict(payload)
-    payload["artifact_version"] = __version__
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_report(path: str, text: str, manifest: dict) -> str:
+    """Write a ``--out`` report and, beside it, the manifest that reproduces it.
+
+    Returns the line that announces the report; commands print it, and their
+    results, only once both files are written.
+    """
+    out = Path(path)
+    write_output(out, text)
+    manifest = {**manifest, "artifact_version": __version__}
+    write_output(out.with_suffix(".manifest.json"),
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return f"report written to {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +133,16 @@ def _cmd_oracle(args) -> int:
         max_outcomes=args.max_outcomes,
         threads=args.threads,
     )
-    for line in report.summary_lines():
-        print(line)
+    lines = report.summary_lines()
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n")
-        _write_manifest(out.with_suffix(".manifest.json"), {
+        lines.append(_write_report(args.out, report.to_json() + "\n", {
             "command": "oracle",
             "instances": args.instances,
             "seed": args.seed,
             "alphas": list(args.alphas),
             "max_outcomes": args.max_outcomes,
-        })
-        print(f"report written to {out}")
+        }))
+    print("\n".join(lines))
     return VIOLATION_ERROR if report.total_violations else 0
 
 
@@ -161,13 +177,10 @@ def _cmd_bound(args) -> int:
         param_posterior=setup.get("param_posterior"),
         param_best=setup.get("param_best"),
     )
-    print(BOUND_CSV_HEADER)
-    print(report.to_csv_row())
+    lines = [BOUND_CSV_HEADER, report.to_csv_row()]
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        _write_manifest(out.with_suffix(".manifest.json"), {
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        lines.append(_write_report(args.out, text, {
             "command": "bound",
             "statement": args.statement,
             "instance": str(args.instance),
@@ -175,8 +188,8 @@ def _cmd_bound(args) -> int:
             "epsilon": args.epsilon,
             "bS": args.bS,
             "bT": args.bT,
-        })
-        print(f"report written to {out}")
+        }))
+    print("\n".join(lines))
     return 0
 
 
@@ -234,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--max-outcomes", type=int, default=6, dest="max_outcomes")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--alphas", type=_parse_alphas, default=DEFAULT_ALPHAS)
-    p_oracle.add_argument("--threads", type=int, default=1)
+    p_oracle.add_argument("--threads", type=_positive_int, default=1)
     p_oracle.add_argument("--out", default=None, help="JSON report path")
     p_oracle.set_defaults(fn=_cmd_oracle)
 
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nb.add_argument("--seed", type=int, default=0)
     p_nb.add_argument("--kl-samples", type=int, default=400, dest="kl_samples")
     p_nb.add_argument("--source-tasks", type=int, default=10, dest="source_tasks")
-    p_nb.add_argument("--threads", type=int, default=1)
+    p_nb.add_argument("--threads", type=_positive_int, default=1)
     p_nb.add_argument("--out", required=True, help="output directory")
     p_nb.set_defaults(fn=_cmd_experiment_neighborhood)
 
@@ -267,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nt.add_argument("--sims", type=int, default=500)
     p_nt.add_argument("--seed", type=int, default=0)
     p_nt.add_argument("--kl-samples", type=int, default=400, dest="kl_samples")
-    p_nt.add_argument("--threads", type=int, default=1)
+    p_nt.add_argument("--threads", type=_positive_int, default=1)
     p_nt.add_argument("--out", required=True, help="output directory")
     p_nt.set_defaults(fn=_cmd_experiment_negative_transfer)
 

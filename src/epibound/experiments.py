@@ -22,8 +22,10 @@ import json
 import logging
 import math
 import os
+import stat
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -415,6 +417,31 @@ def setup_from_dict(data: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def write_output(path, text: str) -> None:
+    """Write ``text`` to ``path`` in place, creating its parent directories.
+
+    Every output file of the library goes through here.  The file is opened
+    without truncation and cut to the new length after the write: on ext4,
+    truncating a non-empty file to zero makes ``close()`` start a writeback
+    (``auto_da_alloc``), which costs far more than the write itself.  New
+    files get mode ``0o666 & ~umask``, symlinks are followed and an existing
+    file keeps its inode.  A crash mid-write can leave old and new bytes
+    mixed; every output can be rebuilt from its manifest.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # devices such as /dev/null cannot be cut
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def build_manifest(config: ExperimentConfig, outputs: Sequence[str]) -> dict:
     import numpy
     import scipy
@@ -433,13 +460,10 @@ def build_manifest(config: ExperimentConfig, outputs: Sequence[str]) -> dict:
 def write_experiment_output(records: Sequence[ExperimentRecord], config: ExperimentConfig,
                             out_dir, name: str) -> list:
     """Write <name>.csv plus a reproduction manifest; returns written paths."""
-    from pathlib import Path
-
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
-    csv_path.write_text(records_to_csv(records))
+    write_output(csv_path, records_to_csv(records))
     manifest_path = out / f"{name}_manifest.json"
     manifest = build_manifest(config, [csv_path.name])
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_output(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return [csv_path, manifest_path]

@@ -174,16 +174,3 @@ class TestSourceDataset:
     def test_contiguity_enforced(self):
         with pytest.raises(InvalidArgument):
             SourceDataset(np.zeros((2, 2)), np.zeros(2), np.array([1, 3]))
-
-    def test_csv_roundtrip(self):
-        data = SourceDataset(
-            np.array([[0.25, 0.5], [0.75, 1.0]]), np.array([1.5, -0.5]), np.array([1, 2])
-        )
-        back = SourceDataset.from_csv(data.to_csv())
-        np.testing.assert_allclose(back.xi, data.xi)
-        np.testing.assert_allclose(back.x, data.x)
-        assert back.task_counts() == {1: 1, 2: 1}
-
-    def test_csv_header_enforced(self):
-        with pytest.raises(InvalidArgument):
-            SourceDataset.from_csv("a,b,c\n1,2,3\n")

@@ -1,12 +1,15 @@
 """CLI subcommands: exit codes, output files, determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from epibound import cli
+import epibound
+from epibound import cli, experiments
 from epibound.cli import main
+from epibound.experiments import write_output
 
 WORKED_INSTANCE = {
     "model": {"members": [
@@ -98,6 +101,20 @@ class TestBoundCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad} is malformed: ") and captured.out == ""
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)),
+    ], ids=["utf16-bom", "binary"])
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_non_utf8_file_is_usage_error(self, content, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = (["bound", "--statement", "thm1", "--instance", str(bad), "--alpha", "0.2"]
+                if command == "bound" else ["verify", "--setup", str(bad), "--trials", "10"])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad} is not UTF-8 text\n" and captured.out == ""
 
     def test_missing_file(self, capsys):
         code = main(["bound", "--statement", "thm1", "--instance", "/nonexistent.json",
@@ -281,6 +298,34 @@ class TestUsage:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--instances", "2"],
+        ["experiment", "neighborhood", "--epsilons", "0.2", "--sims", "1"],
+        ["experiment", "negative-transfer", "--scenario", "pos", "--n-grid", "1", "--sims", "1"],
+    ], ids=["oracle", "neighborhood", "negative-transfer"])
+    def test_threads_below_one_is_usage_error(self, argv, threads, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = "out" if argv[0] == "experiment" else "report.json"
+        assert main([*argv, "--threads", threads, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert f"argument --threads: must be at least 1, got {threads}" in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--statement", "thm1", "--alpha", "0.15"],
+        ["oracle", "--instances", "3", "--seed", "1"],
+    ], ids=["bound", "oracle"])
+    def test_unwritable_out_prints_no_result(self, argv, instance_file, tmp_path, capsys):
+        if argv[0] == "bound":
+            argv = [*argv, "--instance", str(instance_file)]
+        out_dir = tmp_path / "taken"
+        out_dir.mkdir()
+        assert main([*argv, "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_flag(self, capsys):
         assert main(["oracle", "--bogus"]) == 2
 
@@ -292,3 +337,81 @@ class TestUsage:
 
     def test_bad_alpha_list(self, capsys):
         assert main(["oracle", "--alphas", "0.1,zebra"]) == 2
+
+
+class TestWriteOutput:
+    def test_shorter_rewrite_leaves_only_new_bytes(self, tmp_path):
+        path = tmp_path / "a" / "b" / "report.json"
+        write_output(path, "x" * 4096)
+        inode = path.stat().st_ino
+        write_output(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+        assert path.stat().st_ino == inode
+
+    def test_writes_through_symlink(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"old contents, longer than the new ones")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        write_output(link, "new")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new"
+
+    def test_writes_to_a_device(self):
+        write_output(os.devnull, "a device cannot be cut to length")
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_output(tmp_path / "new.json", "{}")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--statement", "thm1", "--alpha", "0.15", "--out", "report.json"],
+        ["oracle", "--instances", "5", "--seed", "2", "--out", "report.json"],
+        ["experiment", "neighborhood", "--epsilons", "0.2", "--sims", "2", "--seed", "3",
+         "--out", "out"],
+    ], ids=["bound", "oracle", "experiment"])
+    def test_bytes_equal_plain_text_write(self, argv, instance_file, tmp_path, monkeypatch, capsys):
+        if argv[0] == "bound":
+            argv = [*argv, "--instance", str(instance_file)]
+        monkeypatch.chdir(tmp_path)
+        written = []
+
+        def recording_write(path, text):
+            written.append((Path(path), text))
+            write_output(path, text)
+
+        monkeypatch.setattr(cli, "write_output", recording_write)
+        monkeypatch.setattr(experiments, "write_output", recording_write)
+        assert main(argv) == 0
+        for path, _ in written:  # a longer stale file must be cut back on the rerun
+            path.write_bytes(b"stale " * 10_000)
+        written.clear()
+        assert main(argv) == 0
+        assert len(written) == 2
+        for path, text in written:
+            plain = tmp_path / "plain"
+            plain.write_text(text)
+            assert path.read_bytes() == plain.read_bytes()
+
+    def test_never_truncates_on_open(self, instance_file, tmp_path, monkeypatch, capsys):
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        argv = ["bound", "--statement", "thm1", "--instance", str(instance_file),
+                "--alpha", "0.15", "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0 and main(argv) == 0
+        assert len(flags) == 4 and not any(f & os.O_TRUNC for f in flags)
+
+    def test_library_has_one_writer(self):
+        for path in Path(epibound.__file__).parent.rglob("*.py"):
+            text = path.read_text()
+            assert "write_text" not in text and "O_TRUNC" not in text, path
