@@ -5,6 +5,9 @@ task, updating only the coefficient distribution: the regression noise
 variance is plugged in as the prior mean of the inverse-gamma component,
 leaving the variance distribution at its prior.  The coefficient posterior
 is then a closed-form bivariate Gaussian.
+
+``scipy.integrate`` is loaded at the first quadrature
+(``posterior_mass_near``), not at import; see ``divergences.quad``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .distributions import Gaussian
+from .divergences import quad
 from .errors import InvalidArgument, NumericalFailure
 
 COV_SYM_TOL = 1e-12

@@ -6,6 +6,11 @@ backs the remaining continuous cases of Hellinger, KL, entropy and
 cross-entropy, and a seeded Monte Carlo KL estimator with the Pinsker upper
 bound sqrt(KL/2) mirrors the methodology of the synthetic experiments, which
 select it explicitly.
+
+``scipy.integrate`` is loaded at the first quadrature, not at import: it
+pulls in scipy.optimize, scipy.sparse.linalg and scipy.linalg, about a third
+of the package's import time, and only the mixture fallbacks here and
+``bayes.posterior_mass_near`` integrate.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .distributions import (
@@ -34,6 +38,27 @@ CROSSING_GRID_PER_SD = 16   # crossing-search grid points per smallest component
 CROSSING_GRID_MAX = 1 << 20  # wider windows get a coarser grid, plus every component mean
 CROSSING_CHUNK = 1 << 16     # (points x components) per density evaluation
 CROSSING_BISECTIONS = 30     # halvings of each bracket, from the grid spacing
+
+
+class _LazyQuad:
+    """``scipy.integrate.quad``, imported at the first call and kept.
+
+    An object rather than a function: every quadrature calls it through the
+    module global ``quad``, which perfbench's tracer replaces with a counting
+    wrapper, while it wraps each public module-level function as a span of
+    its own.
+    """
+
+    _quad = None
+
+    def __call__(self, *args, **kwargs):
+        if self._quad is None:
+            from scipy.integrate import quad
+            self._quad = quad
+        return self._quad(*args, **kwargs)
+
+
+quad = _LazyQuad()
 
 
 @dataclass(frozen=True)

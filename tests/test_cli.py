@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,11 +246,29 @@ class TestExperimentCommands:
         assert not (tmp_path / "flag").exists()
 
 
-class TestSubprocessDeterminism:
-    def test_fresh_processes_agree(self, tmp_path):
-        import subprocess
-        import sys
+IG_INSTANCE = {
+    "model": {"members": [{"kind": "gaussian", "mean": m, "stddev": 0.8} for m in (0.5, 1.0, 1.5)]},
+    "predictor": {"kind": "gaussian", "mean": 1.1, "stddev": 0.8},
+    "source": {"kind": "ig_gaussian_tasks", "mean": 1.0, "shape": 20.0, "rate": 10.0},
+    "target": {"kind": "ig_gaussian_tasks", "mean": 1.2, "shape": 18.0, "rate": 9.0},
+}
 
+
+class TestSubprocessDeterminism:
+    @pytest.mark.parametrize("instance", [WORKED_INSTANCE, IG_INSTANCE], ids=["finite", "ig"])
+    def test_fresh_bound_matches_in_process(self, instance, tmp_path, capsys):
+        path, out = tmp_path / "instance.json", tmp_path / "report.json"
+        path.write_text(json.dumps(instance))
+        argv = ["bound", "--statement", "thm1", "--instance", str(path), "--alpha", "0.2",
+                "--out", str(out)]
+        fresh = subprocess.run([sys.executable, "-m", "epibound.cli", *argv],
+                               check=True, capture_output=True)
+        fresh_report = out.read_bytes()
+        assert main(argv) == 0
+        assert fresh.stdout == capsys.readouterr().out.encode()
+        assert fresh_report == out.read_bytes()
+
+    def test_fresh_processes_agree(self, tmp_path):
         cmd = ["experiment", "neighborhood", "--epsilons", "0.2", "--sims", "3",
                "--seed", "19"]
         for d in ("p1", "p2"):
@@ -259,6 +279,57 @@ class TestSubprocessDeterminism:
         a = (tmp_path / "p1" / "neighborhood.csv").read_bytes()
         b = (tmp_path / "p2" / "neighborhood.csv").read_bytes()
         assert a == b
+
+
+# run in a fresh interpreter: argv[1] holds finite.json, ig.json and setup.json
+LAZY_QUAD_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+import numpy as np
+
+import epibound.cli
+
+work = Path(sys.argv[1])
+bound = ["bound", "--statement", "thm1", "--alpha", "0.15", "--out", str(work / "report.json")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [epibound.cli.main(bound + ["--instance", str(work / "finite.json")]),
+             epibound.cli.main(bound + ["--instance", str(work / "ig.json")]),
+             epibound.cli.main(["verify", "--setup", str(work / "setup.json"),
+                                "--trials", "200", "--seed", "2"])]
+after_cli = "scipy.integrate" in sys.modules
+
+from epibound import GaussianMixture, bayes, divergences
+
+p = GaussianMixture([0.3, 0.7], [-1.0, 1.5], [0.6, 1.2])
+q = GaussianMixture([0.5, 0.5], [0.0, 2.0], [1.0, 0.4])
+post = bayes.GaussianParamDist(np.array([0.2, -0.1]), np.array([[0.5, 0.2], [0.2, 0.3]]))
+
+def integrals():
+    return [divergences.hellinger_sq(p, q), bayes.posterior_mass_near(post, [0.1, 0.0], 0.6)]
+
+lazy = integrals()
+after_quad = "scipy.integrate" in sys.modules
+from scipy.integrate import quad
+divergences.quad = bayes.quad = quad
+print(json.dumps({"codes": codes, "after_cli": after_cli, "after_quad": after_quad,
+                  "lazy": lazy, "direct": integrals()}))
+"""
+
+
+class TestColdStart:
+    def test_cli_leaves_scipy_integrate_unloaded(self, tmp_path):
+        (tmp_path / "finite.json").write_text(json.dumps(WORKED_INSTANCE))
+        (tmp_path / "ig.json").write_text(json.dumps(IG_INSTANCE))
+        (tmp_path / "setup.json").write_text(
+            json.dumps({**WORKED_INSTANCE, "statement_id": "thm1", "alpha": 0.15}))
+        run = subprocess.run([sys.executable, "-c", LAZY_QUAD_SCRIPT, str(tmp_path)],
+                             check=True, capture_output=True, text=True)
+        out = json.loads(run.stdout)
+        assert out["codes"] == [0, 0, 0]
+        assert out["after_cli"] is False
+        assert out["after_quad"] is True
+        assert out["lazy"] == out["direct"]
 
 
 class TestVerifyCommand:

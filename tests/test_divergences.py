@@ -1,5 +1,6 @@
 """Divergence values, identities and estimator behavior."""
 
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from epibound import bayes, divergences
 from epibound import (
     Categorical,
     EventMismatch,
@@ -351,6 +353,30 @@ class TestMetricProperties:
         assert tv_exact(P37, Categorical([0.3, 0.7])) == 0.0
         assert tv_exact(P37, Categorical([0.3 + 1e-13, 0.7 - 1e-13])) < 1e-12
         assert tv_exact(P37, P55) > 0
+
+
+class TestLazyQuadrature:
+    def test_every_quadrature_calls_the_module_binding(self, monkeypatch):
+        calls = []
+        for module in (divergences, bayes):
+            assert not inspect.isfunction(module.quad)
+
+            def counting(*args, _quad=module.quad, _name=module.__name__, **kwargs):
+                calls.append(_name)
+                return _quad(*args, **kwargs)
+
+            monkeypatch.setattr(module, "quad", counting)
+        p = GaussianMixture([0.3, 0.7], [-1.0, 1.5], [0.6, 1.2])
+        q = GaussianMixture([0.5, 0.5], [0.0, 2.0], [1.0, 0.4])
+        for fn, args in ((hellinger_sq, (p, q)), (kl_exact, (p, q)), (entropy, (p,)),
+                         (cross_entropy, (p, q))):
+            calls.clear()
+            fn(*args)
+            assert calls and set(calls) == {"epibound.divergences"}, fn.__name__
+        calls.clear()
+        post = bayes.GaussianParamDist(np.array([0.2, -0.1]), np.array([[0.5, 0.2], [0.2, 0.3]]))
+        bayes.posterior_mass_near(post, [0.1, 0.0], 0.6)
+        assert calls and set(calls) == {"epibound.bayes"}
 
 
 @settings(deadline=None, max_examples=80)
