@@ -249,6 +249,7 @@ class GaussianMixture(FirstOrderDistribution):
         comp -= 0.5 * LOG_2PI
         comp += self._log_weights
         mx = comp.max(axis=1, keepdims=True)
+        mx[~np.isfinite(mx)] = 0.0  # a row of -inf stays -inf, not NaN, as in logsumexp
         comp -= mx
         np.exp(comp, out=comp)
         return mx[:, 0] + np.log(comp.sum(axis=1))
@@ -501,16 +502,24 @@ def threshold_events(tasks: FiniteTaskDistribution) -> list[Interval]:
 def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
     """``max(variance_at(fin, e) for e in threshold_events(fin))`` without the events.
 
-    The (thresholds, tasks) matrix of Q((-inf, t]) is built in one buffer,
-    one task's CDF column at a time.  Each row's variance then takes the
-    same two ``w @ row`` dot products as ``variance_at``, so Gaussian tasks
-    give bitwise the same result: one matrix-vector product over all rows
-    would sum in another order.
+    The (thresholds, tasks) matrix of Q((-inf, t]) is one ``ndtr`` call
+    when every task is a Gaussian, and is otherwise built one task's CDF
+    column at a time.  Each row's variance then takes the same two
+    ``w @ row`` dot products as ``variance_at``, so Gaussian tasks give
+    bitwise the same result: one matrix-vector product over all rows would
+    sum in another order.
     """
     ts = _thresholds(fin)
-    qa = np.empty((ts.size, fin.n_tasks))
-    for i, t in enumerate(fin.tasks):
-        qa[:, i] = t.cdf(ts)
+    if all(isinstance(t, Gaussian) for t in fin.tasks):
+        means = np.array([t.mean for t in fin.tasks])
+        stddevs = np.array([t.stddev for t in fin.tasks])
+        qa = np.subtract.outer(ts, means)
+        qa /= stddevs
+        ndtr(qa, out=qa)  # each entry rounds as Gaussian.cdf
+    else:
+        qa = np.empty((ts.size, fin.n_tasks))
+        for i, t in enumerate(fin.tasks):
+            qa[:, i] = t.cdf(ts)
     w = fin.weights
     best = 0.0
     for row in qa:  # rows are written in place once read

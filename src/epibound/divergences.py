@@ -29,7 +29,7 @@ from .distributions import (
     GaussianMixture,
     require_same_space,
 )
-from .errors import EventMismatch, InvalidArgument, SupportViolation
+from .errors import EventMismatch, InvalidArgument, NumericalFailure, SupportViolation
 
 QUAD_ABS_TOL = 1e-9
 QUAD_SPAN = 10.0  # integration window: each mean +- span * stddev, merged
@@ -37,7 +37,7 @@ DEFAULT_MC_SAMPLES = 400
 CROSSING_GRID_PER_SD = 16   # crossing-search grid points per smallest component stddev
 CROSSING_GRID_MAX = 1 << 20  # wider windows get a coarser grid, plus every component mean
 CROSSING_CHUNK = 1 << 16     # (points x components) per density evaluation
-CROSSING_BISECTIONS = 30     # halvings of each bracket, from the grid spacing
+CROSSING_BISECTIONS = 30     # halvings of each bracket, from the grid spacing; 3 per density pass
 
 
 class _LazyQuad:
@@ -166,30 +166,75 @@ def _crossing_tv(p: GaussianMixture, q: GaussianMixture) -> float:
 
     The crossings are the sign changes of log p - log q on a grid over the
     quadrature window, spaced at a fraction of the smallest component
-    stddev and holding every component mean, refined together by bisection;
-    grid points where the gap is exactly 0 are cuts as they are.  Any
-    partition gives a lower bound on TV, and P(A) - Q(A) is stationary at
-    the crossings, so a root error e costs O(e^2), from below.
+    stddev and holding every component mean, refined together by
+    ``_refine_crossings``; grid points where the gap is exactly 0 are cuts
+    as they are.  Any partition gives a lower bound on TV, and P(A) - Q(A)
+    is stationary at the crossings, so a root error e costs O(e^2), from
+    below.  A window or grid size that overflows raises NumericalFailure.
     """
     lo, hi = _window(p, q)
     smallest = min(p.stddevs[p.weights > 0].min(), q.stddevs[q.weights > 0].min())
-    n = min(CROSSING_GRID_MAX, math.ceil((hi - lo) / smallest * CROSSING_GRID_PER_SD) + 1)
+    size = (hi - lo) / smallest * CROSSING_GRID_PER_SD  # finite only if lo and hi are
+    if not math.isfinite(size):
+        raise NumericalFailure(
+            f"TV crossing search over [{lo}, {hi}] at {CROSSING_GRID_PER_SD} points per "
+            f"stddev {smallest} is not finite")
+    n = min(CROSSING_GRID_MAX, math.ceil(size) + 1)
     means = np.concatenate([p.means, q.means])
     xs = np.union1d(np.linspace(lo, hi, n), means[(means > lo) & (means < hi)])
     side = np.sign(_log_gap(p, q, xs, np.empty_like(xs)))
     i = np.flatnonzero(side[:-1] * side[1:] < 0)
-    a, b, side_a = xs[i], xs[i + 1], side[i]
-    mid, side_mid = np.empty_like(a), np.empty_like(a)
-    for _ in range(CROSSING_BISECTIONS):
-        np.add(a, b, out=mid)
-        mid *= 0.5
-        np.sign(_log_gap(p, q, mid, side_mid), out=side_mid)
-        same = side_mid == side_a
-        np.copyto(a, mid, where=same | (side_mid == 0))  # an exact zero closes the bracket
-        np.copyto(b, mid, where=~same)
-    cuts = np.sort(np.concatenate([xs[side == 0], 0.5 * (a + b)]))
+    a, b = _refine_crossings(p, q, xs[i].tolist(), xs[i + 1].tolist(), side[i].tolist())
+    cuts = np.sort(np.concatenate([xs[side == 0], 0.5 * (np.array(a) + np.array(b))]))
     gaps = p.cdf(cuts) - q.cdf(cuts)  # P - Q on (-inf, cut]; 0 at both ends of the line
     return min(1.0, 0.5 * float(np.abs(np.diff(gaps, prepend=0.0, append=0.0)).sum()))
+
+
+def _refine_crossings(p: GaussianMixture, q: GaussianMixture, a: list, b: list,
+                      side_a: list) -> tuple[list, list]:
+    """Halve every bracket [a_j, b_j] ``CROSSING_BISECTIONS`` times; the refined ends.
+
+    ``side_a[j]`` is the sign of the gap at ``a_j``.  Each halving moves
+    ``a_j`` to the midpoint where the gap there has that sign, closes the
+    bracket on the midpoint where the gap is exactly 0, and otherwise (NaN
+    included) moves ``b_j``.  The halvings run three at a time: one density
+    pass takes the 7 midpoints those three halvings can visit, and each
+    bracket then walks its own path through them.  The midpoints round as
+    one halving at a time would, so the ends are bit for bit those of
+    ``CROSSING_BISECTIONS`` single-halving passes, from a third of the
+    density calls; closed brackets drop out of later passes.
+    """
+    active = list(range(len(a)))
+    for _ in range(CROSSING_BISECTIONS // 3):
+        if not active:
+            break
+        mids = []
+        for j in active:
+            # heap order: node k halves its bracket at mids[k]; node 2k+1 then
+            # halves the half with the a end, node 2k+2 the half with the b end
+            lo, hi = a[j], b[j]
+            m = (lo + hi) * 0.5
+            left, right = (lo + m) * 0.5, (m + hi) * 0.5
+            mids += (m, left, right, (lo + left) * 0.5, (left + m) * 0.5, (m + right) * 0.5,
+                     (right + hi) * 0.5)
+        x = np.array(mids)
+        signs = np.sign(_log_gap(p, q, x, np.empty_like(x))).tolist()
+        still = []
+        for base, j in zip(range(0, len(mids), 7), active):
+            k = 0
+            for _ in range(3):
+                mid, s = mids[base + k], signs[base + k]
+                if s == side_a[j]:
+                    a[j], k = mid, 2 * k + 2
+                elif s == 0:
+                    a[j] = b[j] = mid
+                    break
+                else:
+                    b[j], k = mid, 2 * k + 1
+            else:
+                still.append(j)
+        active = still
+    return a, b
 
 
 def hellinger_sq(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:

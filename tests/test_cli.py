@@ -162,6 +162,35 @@ class TestBoundCommand:
             "for at most 12 outcomes; this space has 13\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("path, value", [
+        (("predictor", "stddev"), 1e200),
+        (("source", "mean"), 1e308),
+    ], ids=["predictor-stddev", "source-mean"])
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_non_finite_tv_search_is_usage_error(self, path, value, command, tmp_path, capsys):
+        data = json.loads(json.dumps({**IG_INSTANCE, "statement_id": "thm1", "alpha": 0.2}))
+        data[path[0]][path[1]] = value
+        bad = tmp_path / "ig.json"
+        bad.write_text(json.dumps(data))
+        argv = (["bound", "--statement", "thm1", "--instance", str(bad), "--alpha", "0.2"]
+                if command == "bound" else ["verify", "--setup", str(bad), "--trials", "10"])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: TV crossing search over ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_vanishing_predictor_stddev_is_full_tv(self, tmp_path, capsys):
+        # the predictor's log-density is -inf off its mean; a NaN there would make C read 0.0
+        data = json.loads(json.dumps(IG_INSTANCE))
+        data["predictor"]["stddev"] = 1e-300
+        path = tmp_path / "ig.json"
+        path.write_text(json.dumps(data))
+        argv = ["bound", "--statement", "thm1", "--instance", str(path), "--alpha", "0.2"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split(",")[3] == "C"
+        assert float(row.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
+
     def test_parser_built_once_per_process(self, instance_file, capsys, monkeypatch):
         argv = ["bound", "--statement", "thm1", "--instance", str(instance_file), "--alpha", "0.15"]
         main(argv)  # builds the parser if no earlier call did

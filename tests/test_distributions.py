@@ -147,6 +147,17 @@ class TestMixtureLogpdf:
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, reference_mixture_logpdf(mix, x))
 
+    def test_vanishing_row_is_minus_inf(self):
+        # z**2 overflows at stddevs near 1e-160: every component's log-density is
+        # -inf off the means, and so is the mixture's, not NaN
+        mix = GaussianMixture([0.5, 0.5], [1.0, 1.0 + 1e-159], [1e-160, 2e-160])
+        x = np.array([1.2, 1.0, -3.0])
+        got = mix.logpdf(x)
+        assert got[0] == got[2] == -np.inf
+        assert np.array_equal(got[1:2], reference_mixture_logpdf(mix, x[1:2]))
+        one = GaussianMixture([1.0], [1.0], [1e-160])
+        assert np.array_equal(one.logpdf(x), Gaussian(1.0, 1e-160).logpdf(x))
+
     def test_one_component_equals_gaussian(self):
         x = np.linspace(-6.0, 7.0, 41)
         mix = GaussianMixture([1.0], [0.75], [1.3])
@@ -313,6 +324,38 @@ class TestHalfLineSupVariance:
                 for k, w in zip(rng.integers(1, 6, size=5), rng.dirichlet(np.ones(5)))
             ] + [(Gaussian(0.3, 0.9), 0.0)])
             assert sup_variance(tasks) == pytest.approx(reference_sup_variance(tasks), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 256])
+    def test_bitwise_equal_to_event_loop_on_gaussian_lists(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(6):
+            weights = rng.dirichlet(np.ones(n))
+            if n > 2:
+                weights[1] = 0.0
+                weights /= weights.sum()
+            tasks = finite_tasks(
+                (Gaussian(m, s), w) for m, s, w in zip(
+                    rng.uniform(-3, 3, n), np.exp(rng.uniform(math.log(0.05), math.log(3.0), n)),
+                    weights))
+            assert sup_variance(tasks) == reference_sup_variance(tasks)
+
+    def test_gaussian_and_mixture_tasks_take_the_column_loop(self, monkeypatch):
+        calls = []
+        cdf = Gaussian.cdf
+
+        def counting(self, x):
+            calls.append(self)
+            return cdf(self, x)
+
+        rng = np.random.default_rng(9)
+        gaussians = [Gaussian(m, s) for m, s in zip(rng.uniform(-2, 2, 6), rng.uniform(0.3, 2, 6))]
+        tasks = finite_tasks(zip(
+            gaussians + [GaussianMixture([0.4, 0.6], [-1.0, 1.5], [0.5, 1.2])],
+            rng.dirichlet(np.ones(7))))
+        expected = reference_sup_variance(tasks)
+        monkeypatch.setattr(Gaussian, "cdf", counting)
+        assert sup_variance(tasks) == pytest.approx(expected, abs=1e-15)
+        assert calls == gaussians
 
 
 class TestCdf:

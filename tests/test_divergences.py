@@ -19,6 +19,7 @@ from epibound import (
     GaussianMixture,
     InverseGammaGaussianTasks,
     ModelClass,
+    NumericalFailure,
     SupportViolation,
     barycenter,
     cross_entropy,
@@ -211,6 +212,128 @@ class TestCrossingTV:
         same = GaussianMixture([0.2, 0.8], [0.0, 1.0], [0.3, 1.5])
         assert tv_exact(mix, same) == 0.0
         assert tv_exact(Gaussian(0.5, 2.0), GaussianMixture([1.0], [0.5], [2.0])) == 0.0
+
+
+def reference_crossing_tv(p, q):
+    """``tv_exact`` through the crossing search with one density pass per halving.
+
+    The loop that the three-halving passes replaced, kept as their bitwise
+    reference.  Returns the TV, the number of brackets, and the number of
+    midpoints where the gap was exactly 0.
+    """
+    p, q = divergences._as_mixture(p), divergences._as_mixture(q)
+    lo, hi = divergences._window(p, q)
+    smallest = min(p.stddevs[p.weights > 0].min(), q.stddevs[q.weights > 0].min())
+    n = min(divergences.CROSSING_GRID_MAX,
+            math.ceil((hi - lo) / smallest * divergences.CROSSING_GRID_PER_SD) + 1)
+    means = np.concatenate([p.means, q.means])
+    xs = np.union1d(np.linspace(lo, hi, n), means[(means > lo) & (means < hi)])
+    side = np.sign(divergences._log_gap(p, q, xs, np.empty_like(xs)))
+    i = np.flatnonzero(side[:-1] * side[1:] < 0)
+    a, b, side_a = xs[i], xs[i + 1], side[i]
+    mid, side_mid = np.empty_like(a), np.empty_like(a)
+    zeros = 0
+    for _ in range(divergences.CROSSING_BISECTIONS):
+        np.add(a, b, out=mid)
+        mid *= 0.5
+        np.sign(divergences._log_gap(p, q, mid, side_mid), out=side_mid)
+        zeros += int((side_mid == 0).sum())
+        same = side_mid == side_a
+        np.copyto(a, mid, where=same | (side_mid == 0))
+        np.copyto(b, mid, where=~same)
+    cuts = np.sort(np.concatenate([xs[side == 0], 0.5 * (a + b)]))
+    gaps = p.cdf(cuts) - q.cdf(cuts)
+    tv = min(1.0, 0.5 * float(np.abs(np.diff(gaps, prepend=0.0, append=0.0)).sum()))
+    return tv, i.size, zeros
+
+
+def mirrored_pair(w, c, s):
+    """Mixtures of N(-c, s) and N(c, s) with swapped weights: their gap is exactly 0 at x = 0."""
+    return (GaussianMixture([w, 1 - w], [-c, c], [s, s]),
+            GaussianMixture([1 - w, w], [-c, c], [s, s]))
+
+
+def refinement_corpus(seed=20261019):
+    """402 continuous pairs for the refinement's bit identity.
+
+    Random mixtures of up to 24 components with stddevs down to 0.05 (many
+    brackets), IG barycenters against Gaussians and each other, Gaussians
+    with unequal stddevs, and mirrored mixtures whose crossing at 0 is hit
+    exactly by a midpoint.
+    """
+    rng = np.random.default_rng(seed)
+
+    def mixture(largest):
+        k = int(rng.integers(1, largest + 1))
+        return GaussianMixture(rng.dirichlet(np.ones(k)), rng.uniform(-3, 3, k),
+                               np.exp(rng.uniform(math.log(0.05), math.log(2.0), k)))
+
+    def gaussian():
+        return Gaussian(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.05), math.log(3.0))))
+
+    pairs = [(mixture(12), mixture(12)) for _ in range(180)]
+    pairs += [(mixture(24), mixture(24)) for _ in range(40)]
+    pairs += [(mixture(12), gaussian()) for _ in range(40)]
+    for i in range(30):
+        mean = float(rng.uniform(0.5, 1.5))
+        source = InverseGammaGaussianTasks(mean, rng.uniform(15, 25), rng.uniform(8, 12))
+        target = InverseGammaGaussianTasks(mean + rng.uniform(-0.5, 0.5), rng.uniform(15, 25),
+                                           rng.uniform(8, 12))
+        predictor = Gaussian(mean + rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.0))
+        components = 256 if i % 3 == 0 else 64
+        bary_s = barycenter(source, components, seed=i)
+        bary_t = barycenter(target, components, seed=i + 1)
+        pairs += [(predictor, bary_s), (bary_s, bary_t), (bary_t, predictor)]
+    pairs += [(gaussian(), gaussian()) for _ in range(50)]
+    pairs += [mirrored_pair(0.3, 0.5, 0.5), mirrored_pair(0.2, 2.0, 0.25)]
+    return pairs
+
+
+class TestCrossingRefinement:
+    def test_bitwise_equal_to_one_pass_per_halving(self):
+        pairs = refinement_corpus()
+        assert len(pairs) >= 400
+        brackets, zeros = [], []
+        for p, q in pairs:
+            tv, count, hits = reference_crossing_tv(p, q)
+            assert tv_exact(p, q) == tv
+            brackets.append(count)
+            zeros.append(hits)
+        assert max(brackets) >= 10
+        assert zeros[-1] > 0 and zeros[-2] > 0  # the exact-0 rule closes the mirrored brackets
+
+    def test_ten_density_passes(self, monkeypatch):
+        calls = []
+
+        def counting(p, q, x, out):
+            calls.append(x.size)
+            return log_gap(p, q, x, out)
+
+        log_gap = divergences._log_gap
+        monkeypatch.setattr(divergences, "_log_gap", counting)
+        tv_exact(Gaussian(0.0, 1.0), Gaussian(0.5, 1.7))  # two crossings
+        assert len(calls) == 1 + 10 and calls[1:] == [2 * 7] * 10
+        calls.clear()
+        tv_exact(*mirrored_pair(0.3, 0.5, 0.5))  # one bracket, closed by its first midpoint
+        assert len(calls) == 1 + 1
+        calls.clear()
+        mix = GaussianMixture([0.2, 0.8], [0.0, 1.0], [0.3, 1.5])
+        tv_exact(mix, GaussianMixture([0.2, 0.8], [0.0, 1.0], [0.3, 1.5]))  # no crossing
+        assert len(calls) == 1
+
+    def test_vanishing_density_is_not_nan(self):
+        # N(1, 1e-160) has log-density -inf off its mean, where z**2 overflows; a NaN
+        # gap there would hide both crossings and give TV 0
+        assert tv_exact(Gaussian(1.0, 1e-160), Gaussian(1.2, 0.8)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p, q", [
+        (Gaussian(0.0, 1e200), Gaussian(0.0, 1.0)),  # the window's stddev overflows
+        (Gaussian(1e308, 1.0), Gaussian(-1e308, 2.0)),  # its width overflows
+        (Gaussian(0.0, 1e300), Gaussian(0.0, 1e-20)),  # its grid size overflows
+    ], ids=["stddev", "width", "grid"])
+    def test_non_finite_search_raises(self, p, q):
+        with pytest.raises(NumericalFailure, match="not finite"):
+            tv_exact(p, q)
 
 
 class TestKL:
