@@ -28,7 +28,6 @@ from .distributions import (
     Interval,
     InverseGammaGaussianTasks,
     barycenter,
-    check_boundedness,
     diameter,
     distribution_from_dict,
     finite_tasks,
@@ -99,7 +98,7 @@ __all__ = [
     # distributions
     "Categorical", "DiscreteEvent", "FiniteTaskDistribution",
     "FirstOrderDistribution", "Gaussian", "GaussianMixture", "Interval",
-    "InverseGammaGaussianTasks", "barycenter", "check_boundedness", "diameter",
+    "InverseGammaGaussianTasks", "barycenter", "diameter",
     "distribution_from_dict", "finite_tasks", "sample", "sample_task",
     "sup_variance", "task_distribution_from_dict", "task_distribution_tv",
     "variance_at",

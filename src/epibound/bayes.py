@@ -92,29 +92,22 @@ class GaussianParamDist:
 
 @dataclass(frozen=True, eq=False)
 class SourceDataset:
-    """One observation per source task: covariates, response, task index.
+    """One observation per source task, in task order: covariates and response.
 
-    Task indices run contiguously 1..n.  ``task_variances`` optionally keeps
-    the simulation-side noise variances of each task; it is not part of the
-    learner-visible data.
+    ``task_variances`` optionally keeps the simulation-side noise variances
+    of each task; it is not part of the learner-visible data.
     """
 
     xi: np.ndarray  # (n, 2)
     x: np.ndarray  # (n,)
-    task: np.ndarray  # (n,) int, 1-based
     task_variances: Optional[np.ndarray] = None
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=float).reshape(-1, 2)
         x = np.asarray(self.x, dtype=float).reshape(-1)
-        task = np.asarray(self.task, dtype=int).reshape(-1)
-        if not (xi.shape[0] == x.size == task.size):
-            raise InvalidArgument("xi, x and task must agree in length")
-        if x.size:
-            uniq = np.unique(task)
-            if uniq[0] != 1 or uniq[-1] != uniq.size:
-                raise InvalidArgument("task indices must be contiguous from 1")
-        for name, arr in (("xi", xi), ("x", x), ("task", task)):
+        if xi.shape[0] != x.size:
+            raise InvalidArgument("xi and x must agree in length")
+        for name, arr in (("xi", xi), ("x", x)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.task_variances is not None:
@@ -124,7 +117,7 @@ class SourceDataset:
 
 
 def empty_dataset() -> SourceDataset:
-    return SourceDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
+    return SourceDataset(np.zeros((0, 2)), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------

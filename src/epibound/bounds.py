@@ -14,15 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .bayes import GaussianParamDist, param_tv_upper
 from .distributions import (
+    CONTINUOUS_EVENT_FAMILY,
     PROB_TOL,
     Categorical,
     FiniteTaskDistribution,
     FirstOrderDistribution,
+    Gaussian,
     TaskDistribution,
     as_finite,
     barycenter,
@@ -30,6 +33,7 @@ from .distributions import (
     distribution_from_dict,
     max_first_order_b,
     max_second_order_b,
+    same_space,
     sup_variance,
     task_distribution_tv,
 )
@@ -58,8 +62,6 @@ class ModelClass:
         members = tuple(self.members)
         if not members:
             raise InvalidModelClass("model class must be nonempty")
-        from .distributions import same_space
-
         for m in members[1:]:
             if not same_space(members[0], m):
                 raise InvalidModelClass("model class members must share one sample space")
@@ -69,14 +71,7 @@ class ModelClass:
         return len(self.members)
 
     @classmethod
-    def binary_grid(cls, probs: Sequence[float]) -> "ModelClass":
-        """Members cat[p, 1-p] for p over ``probs`` in the given order."""
-        return cls(tuple(Categorical(np.array([p, 1.0 - p])) for p in probs))
-
-    @classmethod
     def gaussian_mean_grid(cls, lo: float, hi: float, step: float, stddev: float) -> "ModelClass":
-        from .distributions import Gaussian
-
         if step <= 0 or hi < lo:
             raise InvalidModelClass("grid requires step > 0 and hi >= lo")
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -120,9 +115,12 @@ def convergence_gap(predictor: FirstOrderDistribution, best: FirstOrderDistribut
 def _reify_pair(
     source: TaskDistribution, target: TaskDistribution
 ) -> tuple[FiniteTaskDistribution, FiniteTaskDistribution]:
-    """Finite source and target; the source is reified with seed 0, a distinct target with 1."""
+    """Finite source and target; the source is reified with seed 0, a target unequal to it with 1.
+
+    Equal parametric families compare equal by value and share one reification.
+    """
     src = as_finite(source)
-    return src, (src if source is target else as_finite(target, seed=1))
+    return src, (src if source == target else as_finite(target, seed=1))
 
 
 def distribution_shift(source: TaskDistribution, target: TaskDistribution) -> float:
@@ -366,8 +364,6 @@ def _param_tv(posterior, best) -> float:
     """TV (exact or the Pinsker proxy) between two parameter distributions."""
     if isinstance(posterior, Categorical) and isinstance(best, Categorical):
         return tv_exact(posterior, best)
-    from .bayes import GaussianParamDist, param_tv_upper
-
     if isinstance(posterior, GaussianParamDist) and isinstance(best, GaussianParamDist):
         return param_tv_upper(posterior, best)
     raise InvalidArgument("parameter distributions must both be categorical or both Gaussian")
@@ -457,12 +453,7 @@ def evaluate_bound(
     })
     extras: dict = {"sup_var_target": comp.sup_var_target}
     if tgt.is_continuous:
-        # suprema over continuous events use the declared half-line grid
-        from .distributions import DEFAULT_THRESHOLD_SPAN, DEFAULT_THRESHOLDS
-
-        extras["event_family"] = (
-            f"half_lines({DEFAULT_THRESHOLDS} thresholds, +-{DEFAULT_THRESHOLD_SPAN} pooled sd)"
-        )
+        extras["event_family"] = CONTINUOUS_EVENT_FAMILY
 
     unmet = statement.unmet(comp)
     if unmet is not None:

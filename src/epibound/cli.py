@@ -11,9 +11,10 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bounds import CSV_HEADER as BOUND_CSV_HEADER
@@ -100,12 +101,6 @@ def _usage_fail(msg: str) -> int:
     return USAGE_ERROR
 
 
-def _out_dir(args) -> Path:
-    # env override applies to the output directory only
-    override = os.environ.get("EPIBOUND_OUT_DIR")
-    return Path(override) if override else Path(args.out)
-
-
 def _write_report(path: str, text: str, manifest: dict) -> str:
     """Write a ``--out`` report and, beside it, the manifest that reproduces it.
 
@@ -146,12 +141,19 @@ def _cmd_oracle(args) -> int:
     return VIOLATION_ERROR if report.total_violations else 0
 
 
-def _load_setup(path: str) -> dict:
-    """A bound instance or verify setup file, deserialized; missing keys and values of
-    the wrong type are usage errors."""
+def _load_setup(path: str, verify: bool = False) -> dict:
+    """A bound instance or, with ``verify``, a verify setup file, deserialized; missing keys
+    and values of the wrong type are usage errors."""
     data = _load_json(path)
     try:
-        return setup_from_dict(data)
+        setup = setup_from_dict(data)
+        if verify:  # the statement and its scalar inputs come from the file
+            setup["statement_id"] = str(data["statement_id"])
+            setup["alpha"] = float(data["alpha"])
+            for key in ("epsilon", "b_source", "b_target", "b_pred"):
+                if data.get(key) is not None:
+                    setup[key] = float(data[key])
+        return setup
     except KeyError as exc:
         raise SystemExit(_usage_fail(f"{path} is missing key {exc}"))
     except EpiboundError:  # a ValueError too, with its own message for main to print
@@ -193,37 +195,23 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _cmd_experiment_neighborhood(args) -> int:
-    config = ExperimentConfig.neighborhood(
-        epsilons=args.epsilons,
-        sims=args.sims,
-        master_seed=args.seed,
-        kl_samples=args.kl_samples,
-        n_source_tasks=args.source_tasks,
-    )
-    records = run_neighborhood_experiment(config, threads=args.threads)
-    paths = write_experiment_output(records, config, _out_dir(args), "neighborhood")
-    print(f"{len(records)} rows -> {paths[0]}")
-    return 0
-
-
-def _cmd_experiment_negative_transfer(args) -> int:
-    config = ExperimentConfig.negative_transfer(
-        scenario=args.scenario,
-        n_grid=args.n_grid,
-        sims=args.sims,
-        master_seed=args.seed,
-        kl_samples=args.kl_samples,
-    )
-    records = run_negative_transfer_experiment(config, threads=args.threads)
-    name = f"negative_transfer_{args.scenario}"
-    paths = write_experiment_output(records, config, _out_dir(args), name)
+def _cmd_experiment(args) -> int:
+    common = dict(sims=args.sims, master_seed=args.seed, kl_samples=args.kl_samples)
+    if args.experiment == "neighborhood":
+        config = ExperimentConfig.neighborhood(
+            epsilons=args.epsilons, n_source_tasks=args.source_tasks, **common)
+        records = run_neighborhood_experiment(config, threads=args.threads)
+    else:
+        config = ExperimentConfig.negative_transfer(
+            scenario=args.scenario, n_grid=args.n_grid, **common)
+        records = run_negative_transfer_experiment(config, threads=args.threads)
+    paths = write_experiment_output(records, config, args.out, config.scenario)
     print(f"{len(records)} rows -> {paths[0]}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    setup = _load_setup(args.setup)
+    setup = _load_setup(args.setup, verify=True)
     result = monte_carlo_verify(setup, trials=args.trials, seed=args.seed)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0 if result["pass"] else VIOLATION_ERROR
@@ -262,27 +250,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(fn=_cmd_bound)
 
     p_exp = sub.add_parser("experiment", help="run a synthetic experiment")
+    p_exp.set_defaults(fn=_cmd_experiment)
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags of both experiments
+    common.add_argument("--sims", type=int, default=500)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--kl-samples", type=int, default=400, dest="kl_samples")
+    common.add_argument("--threads", type=_positive_int, default=1)
+    common.add_argument("--out", required=True, help="output directory")
 
-    p_nb = exp_sub.add_parser("neighborhood", help="TV-neighborhood sweep")
+    p_nb = exp_sub.add_parser("neighborhood", parents=[common], help="TV-neighborhood sweep")
     p_nb.add_argument("--epsilons", type=_parse_floats, required=True)
-    p_nb.add_argument("--sims", type=int, default=500)
-    p_nb.add_argument("--seed", type=int, default=0)
-    p_nb.add_argument("--kl-samples", type=int, default=400, dest="kl_samples")
     p_nb.add_argument("--source-tasks", type=int, default=10, dest="source_tasks")
-    p_nb.add_argument("--threads", type=_positive_int, default=1)
-    p_nb.add_argument("--out", required=True, help="output directory")
-    p_nb.set_defaults(fn=_cmd_experiment_neighborhood)
 
-    p_nt = exp_sub.add_parser("negative-transfer", help="source-size sweep")
+    p_nt = exp_sub.add_parser("negative-transfer", parents=[common], help="source-size sweep")
     p_nt.add_argument("--scenario", choices=("pos", "neg", "posneg"), required=True)
     p_nt.add_argument("--n-grid", type=_parse_n_grid, required=True, dest="n_grid")
-    p_nt.add_argument("--sims", type=int, default=500)
-    p_nt.add_argument("--seed", type=int, default=0)
-    p_nt.add_argument("--kl-samples", type=int, default=400, dest="kl_samples")
-    p_nt.add_argument("--threads", type=_positive_int, default=1)
-    p_nt.add_argument("--out", required=True, help="output directory")
-    p_nt.set_defaults(fn=_cmd_experiment_negative_transfer)
 
     p_verify = sub.add_parser("verify", help="Monte Carlo exceedance check of a bound")
     p_verify.add_argument("--setup", required=True, help="setup JSON path")
@@ -305,7 +288,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        # overflow in an extreme instance surfaces as one typed error, not numpy warnings
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (EpiboundError, OSError) as exc:

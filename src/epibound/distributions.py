@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import EventMismatch, InvalidArgument, InvalidTaskDistribution
+from .seeding import normalize_seed
 
 PROB_TOL = 1e-12          # normalization tolerance; out-of-tolerance input is rejected
 SUP_ENUM_MAX_OUTCOMES = 12  # full 2^m event enumeration refused above this
@@ -109,8 +110,8 @@ class FirstOrderDistribution:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
-    # Moments of the distribution as a whole (used for quadrature windows
-    # and threshold grids on continuous spaces).
+    # Moments of a continuous distribution as a whole (quadrature windows
+    # and threshold grids).
     def mean_std(self) -> tuple[float, float]:
         raise NotImplementedError
 
@@ -142,18 +143,8 @@ class Categorical(FirstOrderDistribution):
             )
         return float(self.p[list(event.indices)].sum())
 
-    def logpmf(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.p)[np.asarray(x, dtype=int)]
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.n_outcomes, size=count, p=self.p)
-
-    def mean_std(self) -> tuple[float, float]:
-        xs = np.arange(self.n_outcomes)
-        m = float(self.p @ xs)
-        v = float(self.p @ (xs - m) ** 2)
-        return m, math.sqrt(v)
 
     def to_dict(self) -> dict:
         return {"kind": "categorical", "p": self.p.tolist()}
@@ -210,10 +201,7 @@ class GaussianMixture(FirstOrderDistribution):
         sd = np.asarray(self.stddevs, dtype=float)
         if not (w.shape == mu.shape == sd.shape) or w.ndim != 1 or w.size == 0:
             raise InvalidArgument("weights, means, stddevs must be equal-length 1-D arrays")
-        if np.any(w < 0):
-            raise InvalidArgument("mixture weights must be nonnegative")
-        if not abs(w.sum() - 1.0) <= PROB_TOL:
-            raise InvalidArgument(f"mixture weights must sum to 1 within {PROB_TOL}")
+        _check_rows(w, InvalidArgument, "mixture weights")
         if not np.all(np.isfinite(mu)):
             raise InvalidArgument("mixture means must be finite")
         if not np.all((sd > 0) & (sd < math.inf)):
@@ -290,7 +278,9 @@ def same_space(a: FirstOrderDistribution, b: FirstOrderDistribution) -> bool:
 
 def require_same_space(a: FirstOrderDistribution, b: FirstOrderDistribution) -> None:
     if not same_space(a, b):
-        raise EventMismatch(f"distributions on different spaces: {a.kind} vs {b.kind}")
+        kinds = [f"{d.kind}({d.n_outcomes} outcomes)" if isinstance(d, Categorical) else d.kind
+                 for d in (a, b)]
+        raise EventMismatch(f"distributions on different spaces: {kinds[0]} vs {kinds[1]}")
 
 
 def distributions_close(a: FirstOrderDistribution, b: FirstOrderDistribution) -> bool:
@@ -483,6 +473,11 @@ def _event_variances(P: np.ndarray, w: np.ndarray, bary: np.ndarray) -> np.ndarr
     return w @ (P @ masks.T - bary @ masks.T) ** 2
 
 
+# the continuous event family of ``sup_variance``, as ``evaluate_bound`` labels it
+CONTINUOUS_EVENT_FAMILY = (
+    f"half_lines({DEFAULT_THRESHOLDS} thresholds, +-{DEFAULT_THRESHOLD_SPAN} pooled sd)")
+
+
 def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
     """The pooled-moment grid of thresholds t_k behind ``threshold_events``."""
     moments = np.array([t.mean_std() for t in tasks.tasks])
@@ -565,12 +560,6 @@ def diameter(tasks: TaskDistribution) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
-    first_order: bool
-    second_order: bool
-
-
 def max_first_order_b(tasks: FiniteTaskDistribution) -> float:
     """Largest b with every support weight in [b, 1-b] (<= 0 means unbounded)."""
     return float(_first_order_b(tasks.weights))
@@ -593,16 +582,6 @@ def max_second_order_b(tasks: FiniteTaskDistribution) -> float:
         return 0.0
     P = np.stack([t.p for t in tasks.tasks])  # type: ignore[union-attr]
     return 0.0 if (P <= 0).any() else min(1.0, float(P.min()))
-
-
-def check_boundedness(tasks: FiniteTaskDistribution, b: float) -> BoundednessReport:
-    """First- and second-order b-boundedness of a finite task distribution."""
-    if not 0 < b < 1:
-        raise InvalidArgument(f"b must lie in (0,1), got {b}")
-    return BoundednessReport(
-        first_order=max_first_order_b(tasks) >= b,
-        second_order=max_second_order_b(tasks) >= b,
-    )
 
 
 def task_distribution_tv(a: FiniteTaskDistribution, b: FiniteTaskDistribution) -> float:
@@ -639,16 +618,12 @@ def _matched_tv(w_a: np.ndarray, w_b: np.ndarray, close: Callable[[int, int], bo
 
 def sample(dist: FirstOrderDistribution, count: int, seed: int) -> np.ndarray:
     """Deterministic draw of ``count`` values; a private generator per call."""
-    from .seeding import normalize_seed
-
     if count < 1:
         raise InvalidArgument("count must be >= 1")
     return dist.sample(count, np.random.default_rng(normalize_seed(seed)))
 
 
 def sample_task(tasks: TaskDistribution, seed: int) -> FirstOrderDistribution:
-    from .seeding import normalize_seed
-
     return tasks.sample_task(np.random.default_rng(normalize_seed(seed)))
 
 

@@ -83,16 +83,6 @@ class DivergenceResult:
         if self.mc_samples is not None and self.mc_samples < 1:
             raise InvalidArgument("mc_samples must be >= 1")
 
-    def to_dict(self) -> dict:
-        d = {"value": self.value, "method": self.method}
-        if self.mc_samples is not None:
-            d["mc_samples"] = self.mc_samples
-        if self.stderr_estimate is not None:
-            d["stderr_estimate"] = self.stderr_estimate
-        if self.clamped:
-            d["clamped"] = True
-        return d
-
 
 # ---------------------------------------------------------------------------
 # Quadrature helpers
@@ -336,12 +326,6 @@ def kl_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log_density(d: FirstOrderDistribution, x: np.ndarray) -> np.ndarray:
-    if isinstance(d, Categorical):
-        return d.logpmf(x)
-    return d.logpdf(x)  # type: ignore[union-attr]
-
-
 def kl_mc(
     p: FirstOrderDistribution,
     q: FirstOrderDistribution,
@@ -361,7 +345,7 @@ def kl_mc(
         raise InvalidArgument("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     xs = p.sample(n_samples, rng)
-    log_ratio = _log_density(p, xs) - _log_density(q, xs)
+    log_ratio = p.logpdf(xs) - q.logpdf(xs)  # type: ignore[union-attr]
     if not np.all(np.isfinite(log_ratio)):
         raise SupportViolation("q density vanished at a sampled point")
     value = float(log_ratio.mean())

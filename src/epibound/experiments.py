@@ -23,12 +23,12 @@ import logging
 import math
 import os
 import stat
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 from scipy.special import ndtri
 
 from . import __version__ as _pkg_version
@@ -36,6 +36,7 @@ from .bayes import (
     GaussianParamDist,
     NIGModel,
     SourceDataset,
+    empty_dataset,
     posterior_mass_near,
     posterior_predictive,
     posterior_update,
@@ -54,6 +55,7 @@ from .distributions import (
 from .divergences import tv_upper_pinsker
 from .errors import InvalidArgument, SupportViolation
 from .seeding import derive_seed, normalize_seed
+from .workers import map_payloads
 
 log = logging.getLogger(__name__)
 
@@ -198,13 +200,11 @@ def sample_source_data(config: ExperimentConfig, n: int, seed: int) -> SourceDat
     """
     rng = np.random.default_rng(normalize_seed(seed))
     if n == 0:
-        from .bayes import empty_dataset
-
         return empty_dataset()
     variances = _task_distribution_at_target(config, "source").sample_variances(n, rng)
     xi = rng.uniform(0.0, 1.0, size=(n, 2))
     x = rng.normal(xi @ config.beta_source, np.sqrt(variances))
-    return SourceDataset(xi, x, np.arange(1, n + 1), task_variances=variances)
+    return SourceDataset(xi, x, task_variances=variances)
 
 
 def target_task(config: ExperimentConfig, seed: int) -> Gaussian:
@@ -296,15 +296,10 @@ def _run_grid_point(payload) -> list:
 def _run_grid(row, config: ExperimentConfig, points: Sequence[str], threads: int) -> list:
     """``row(config, g, s)`` over the grid points, named by ``points``, and the sims.
 
-    At most one worker process per grid point and per CPU starts.
+    One payload per grid point, in the processes ``workers.worker_count`` allows.
     """
     payloads = [(row, config, g, point) for g, point in enumerate(points)]
-    workers = min(threads, len(payloads), os.cpu_count() or 1)
-    if workers <= 1:
-        chunks = [_run_grid_point(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(_run_grid_point, payloads))
+    chunks = map_payloads(_run_grid_point, payloads, threads)
     return [rec for chunk in chunks for rec in chunk]
 
 
@@ -443,14 +438,11 @@ def write_output(path, text: str) -> None:
 
 
 def build_manifest(config: ExperimentConfig, outputs: Sequence[str]) -> dict:
-    import numpy
-    import scipy
-
     return {
         "config": config.to_dict(),
         "master_seed": config.master_seed,
         "artifact_version": _pkg_version,
-        "numpy_version": numpy.__version__,
+        "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "tv_method": f"pinsker_upper(mc_samples={config.kl_samples})",
         "outputs": list(outputs),

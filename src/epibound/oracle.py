@@ -15,9 +15,7 @@ then every statement, with the per-instance results bit for bit.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import SimpleNamespace
@@ -46,6 +44,7 @@ from .bounds import (
 )
 from .errors import GenerationFailure, InvalidArgument, InvalidTaskDistribution
 from .seeding import derive_seed, normalize_seed
+from .workers import map_payloads, worker_count
 
 DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 11))
 VIOLATION_TOL = 1e-12  # float guard on exact exceedance-vs-delta comparisons
@@ -920,24 +919,16 @@ def run_suite(
 
     Constraint modes cycle deterministically by instance index, so every
     conditional statement sees instances satisfying its hypotheses.  Results
-    are identical for any ``threads`` value: the index range is partitioned
-    and partial aggregates merge in order.  At most ``os.cpu_count()``
-    worker processes start.
+    are identical for any ``threads`` value: the index range is partitioned,
+    one range per worker process that ``workers.worker_count`` allows, and
+    partial aggregates merge in order.
     """
     if n_instances < 1:
         raise InvalidArgument(f"n_instances must be >= 1, got {n_instances}")
     alphas = tuple(_alpha_array(alphas).tolist())
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or n_instances < 2 * threads:
-        chunks = [_run_range((seed, 0, n_instances, alphas, max_outcomes))]
-    else:
-        bounds = np.linspace(0, n_instances, threads + 1).astype(int)
-        payloads = [
-            (seed, int(bounds[i]), int(bounds[i + 1]), alphas, max_outcomes)
-            for i in range(threads)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(_run_range, payloads))
+    bounds = np.linspace(0, n_instances, worker_count(threads, n_instances) + 1).astype(int)
+    payloads = [(seed, int(a), int(b), alphas, max_outcomes) for a, b in zip(bounds, bounds[1:])]
+    chunks = map_payloads(_run_range, payloads, threads)
 
     statements = {sid: StatementReport(sid) for sid in ALL_STATEMENTS}
     loos: list[float] = []

@@ -6,8 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from epibound import Categorical, FiniteTaskDistribution, ModelClass, experiments, finite_tasks
-from epibound import oracle
+from epibound import Categorical, FiniteTaskDistribution, ModelClass, finite_tasks, workers
 
 
 @pytest.fixture
@@ -25,7 +24,7 @@ def binary_target() -> FiniteTaskDistribution:
 
 @pytest.fixture
 def binary_model() -> ModelClass:
-    return ModelClass.binary_grid([0.0, 0.25, 0.5, 0.75, 1.0])
+    return ModelClass(tuple(Categorical([p, 1.0 - p]) for p in (0.0, 0.25, 0.5, 0.75, 1.0)))
 
 
 @pytest.fixture
@@ -57,6 +56,5 @@ def serial_pools(monkeypatch) -> list:
             return map(fn, payloads)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    for module in (oracle, experiments):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", SerialPool)
     return asked

@@ -210,7 +210,7 @@ class TestCriterion4BayesianGridOracle:
             n = int(rng.integers(0, 9))
             xi = rng.uniform(0.0, 1.0, size=(n, 2))
             x = rng.normal(xi @ np.array([0.0, 1.0]), 0.8)
-            data = SourceDataset(xi, x, np.arange(1, n + 1))
+            data = SourceDataset(xi, x)
             post = posterior_update(model, data)
             gm, gc = grid_posterior_moments(model, data, nv)
             worst = max(worst, float(np.abs(post.mean - gm).max()),

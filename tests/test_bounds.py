@@ -88,19 +88,21 @@ class TestComponents:
 
     def test_distribution_shift_is_the_reported_d(self, binary_source, binary_target):
         # D as evaluate_bound computes it: the source is reified with seed 0,
-        # a distinct target with seed 1
+        # a target unequal to it with seed 1
         ig_s = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
         ig_t = InverseGammaGaussianTasks(1.3, 17.0, 9.0)
         model = ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8)
+        binary_model = ModelClass((Categorical([0.3, 0.7]), Categorical([0.5, 0.5])))
         for source, target, model, predictor in (
             (ig_s, ig_t, model, Gaussian(1.1, 0.8)),
             (ig_s, ig_s, model, Gaussian(1.1, 0.8)),
-            (binary_source, binary_target, ModelClass.binary_grid([0.3, 0.5]),
-             Categorical([0.4, 0.6])),
+            (binary_source, binary_target, binary_model, Categorical([0.4, 0.6])),
         ):
             report = evaluate_bound("thm1", model, predictor, source, target, alpha=0.2)
             assert distribution_shift(source, target) == report.D
         assert distribution_shift(ig_s, ig_s) == 0.0
+        # an equal family, as a file read in twice gives it, shares the source's reification
+        assert distribution_shift(ig_s, InverseGammaGaussianTasks(1.0, 20.0, 10.0)) == 0.0
         d = distribution_shift(ig_s, ig_t)
         assert d == tv_exact(barycenter(ig_s.reify(seed=0)), barycenter(ig_t.reify(seed=1)))
 

@@ -10,6 +10,7 @@ import pytest
 
 import epibound
 from epibound import cli, experiments
+from epibound.bounds import evaluate_bound
 from epibound.cli import main
 from epibound.experiments import write_output
 
@@ -179,6 +180,40 @@ class TestBoundCommand:
         assert captured.err.startswith("error: TV crossing search over ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("path, value", [
+        (("predictor", "stddev"), 1e200),
+        (("source", "mean"), 1e308),
+    ], ids=["predictor-stddev", "source-mean"])
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_overflow_prints_no_numpy_warning(self, path, value, command, tmp_path):
+        # in a fresh interpreter, where no test runner captures the warnings
+        data = json.loads(json.dumps({**IG_INSTANCE, "statement_id": "thm1", "alpha": 0.2}))
+        data[path[0]][path[1]] = value
+        bad = tmp_path / "ig.json"
+        bad.write_text(json.dumps(data))
+        argv = (["bound", "--statement", "thm1", "--instance", str(bad), "--alpha", "0.2"]
+                if command == "bound" else ["verify", "--setup", str(bad), "--trials", "10"])
+        run = subprocess.run([sys.executable, "-m", "epibound.cli", *argv],
+                             capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: TV crossing search over ")
+        assert run.stderr.count("\n") == 1 and run.stdout == ""
+
+    def test_equal_families_share_one_reification(self, tmp_path, capsys):
+        # two equal families read from a file are two objects; they still mean no shift
+        data = json.loads(json.dumps({**IG_INSTANCE, "target": IG_INSTANCE["source"]}))
+        path = tmp_path / "ig.json"
+        path.write_text(json.dumps(data))
+        assert main(["bound", "--statement", "lemma2", "--instance", str(path),
+                     "--alpha", "0.2"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        setup = experiments.setup_from_dict(data)
+        tasks = setup["source"]
+        report = evaluate_bound("lemma2", setup["model"], setup["predictor"], tasks, tasks,
+                                alpha=0.2)
+        assert row == report.to_csv_row()
+        assert report.D == 0.0 and report.delta == pytest.approx(0.018915, abs=1e-6)
+
     def test_vanishing_predictor_stddev_is_full_tv(self, tmp_path, capsys):
         # the predictor's log-density is -inf off its mean; a NaN there would make C read 0.0
         data = json.loads(json.dumps(IG_INSTANCE))
@@ -267,12 +302,12 @@ class TestExperimentCommands:
         b = (tmp_path / "two" / "neighborhood.csv").read_bytes()
         assert a == b
 
-    def test_env_var_output_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EPIBOUND_OUT_DIR", str(tmp_path / "env"))
+    def test_out_flag_is_the_only_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EPIBOUND_OUT_DIR", str(tmp_path / "env"))  # ignored: --out is the one path
         main(["experiment", "neighborhood", "--epsilons", "0.2", "--sims", "1",
               "--seed", "1", "--out", str(tmp_path / "flag")])
-        assert (tmp_path / "env" / "neighborhood.csv").exists()
-        assert not (tmp_path / "flag").exists()
+        assert (tmp_path / "flag" / "neighborhood.csv").exists()
+        assert not (tmp_path / "env").exists()
 
 
 IG_INSTANCE = {
@@ -377,6 +412,27 @@ class TestVerifyCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["pass"] is True and out["empirical_freq"] == 0.0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("statement_id", None, "is missing key 'statement_id'"),
+        ("alpha", None, "is missing key 'alpha'"),
+        ("alpha", "null", "is malformed: "),
+        ("alpha", [0.15], "is malformed: "),
+        ("epsilon", "tenth", "is malformed: "),
+        ("b_source", "half", "is malformed: "),
+    ], ids=["no-statement", "no-alpha", "null-alpha", "list-alpha", "str-epsilon", "str-bS"])
+    def test_malformed_setup_is_usage_error(self, key, value, message, tmp_path, capsys):
+        setup = {**WORKED_INSTANCE, "statement_id": "cor_eps", "alpha": 0.15, "epsilon": 0.1}
+        if value is None:
+            del setup[key]
+        else:
+            setup[key] = None if value == "null" else value
+        path = tmp_path / "setup.json"
+        path.write_text(json.dumps(setup))
+        assert main(["verify", "--setup", str(path), "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path} {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 class TestUsage:

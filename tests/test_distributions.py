@@ -17,10 +17,12 @@ from epibound import (
     InvalidArgument,
     InvalidTaskDistribution,
     InverseGammaGaussianTasks,
+    ModelClass,
+    PreconditionViolated,
     barycenter,
-    check_boundedness,
     diameter,
     distribution_from_dict,
+    evaluate_bound,
     finite_tasks,
     sample,
     sample_task,
@@ -67,7 +69,9 @@ class TestConstruction:
             Gaussian(math.nan, 1.0)
 
     def test_mixture_rejects_bad_weights(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="mixture weights must be nonnegative"):
+            GaussianMixture([1.5, -0.5], [0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(InvalidArgument, match="mixture weights must sum to 1"):
             GaussianMixture([0.6, 0.6], [0.0, 1.0], [1.0, 1.0])
         with pytest.raises(InvalidArgument):
             GaussianMixture([math.nan, math.nan], [0.0, 1.0], [1.0, 1.0])
@@ -413,22 +417,17 @@ class TestDiameter:
 
 class TestBoundedness:
     def test_first_order_true(self):
-        rep = check_boundedness(two_task_binary(), 0.25)
-        assert rep.first_order is True
+        assert max_first_order_b(two_task_binary()) >= 0.25
 
     def test_first_order_impossible_b(self):
-        rep = check_boundedness(two_task_binary(), 0.6)
-        assert rep.first_order is False
+        assert max_first_order_b(two_task_binary()) < 0.6
 
     def test_second_order_point_mass_task(self):
         tasks = finite_tasks([(Categorical([1.0, 0.0]), 1.0)])
-        rep = check_boundedness(tasks, 0.1)
-        assert rep.second_order is False
+        assert max_second_order_b(tasks) == 0.0
 
     def test_second_order_full_support(self):
-        rep = check_boundedness(two_task_binary(), 0.25)
-        assert rep.second_order is True
-        assert check_boundedness(two_task_binary(), 0.31).second_order is False
+        assert 0.25 <= max_second_order_b(two_task_binary()) < 0.31
 
     def test_exact_max_b(self):
         tasks = two_task_binary()
@@ -436,8 +435,12 @@ class TestBoundedness:
         assert max_second_order_b(tasks) == pytest.approx(0.3)
 
     def test_b_out_of_domain(self):
-        with pytest.raises(InvalidArgument):
-            check_boundedness(two_task_binary(), 1.5)
+        model = ModelClass((Categorical([0.4, 0.6]),))
+        tasks = two_task_binary()
+        for b_source in (1.5, 0.0, -0.2):
+            with pytest.raises(PreconditionViolated, match="source_boundedness"):
+                evaluate_bound("cor_eps", model, Categorical([0.4, 0.6]), tasks, tasks,
+                               alpha=0.2, epsilon=0.1, b_source=b_source)
 
 
 class TestSampling:

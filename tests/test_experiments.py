@@ -57,7 +57,7 @@ class TestSourceData:
         cfg = ExperimentConfig()
         a = sample_source_data(cfg, 50, seed=3)
         b = sample_source_data(cfg, 50, seed=3)
-        for name in ("xi", "x", "task", "task_variances"):
+        for name in ("xi", "x", "task_variances"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_covariates_in_unit_square(self):
