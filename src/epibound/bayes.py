@@ -67,6 +67,9 @@ class GaussianParamDist:
         c = np.asarray(self.covariance, dtype=float)
         if m.shape != (2,) or c.shape != (2, 2):
             raise InvalidArgument("mean must be a 2-vector and covariance 2x2")
+        if not (np.isfinite(m).all() and np.isfinite(c).all()):
+            raise InvalidArgument(f"mean and covariance entries must be finite, got mean "
+                                  f"{m.tolist()} and covariance {c.tolist()}")
         if np.abs(c - c.T).max() > COV_SYM_TOL:
             raise NumericalFailure("covariance must be symmetric to 1e-12")
         c = 0.5 * (c + c.T)

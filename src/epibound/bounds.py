@@ -27,13 +27,14 @@ from .distributions import (
     FirstOrderDistribution,
     Gaussian,
     TaskDistribution,
+    _distributions_from_dicts,
+    _Rows,
+    _tv,
     as_finite,
     barycenter,
     diameter,
-    distribution_from_dict,
     max_first_order_b,
     max_second_order_b,
-    same_space,
     sup_variance,
     task_distribution_tv,
 )
@@ -49,26 +50,26 @@ CSV_HEADER = "statement_id,alpha,B,C,D,D_learner,margin,delta,epsilon,b_S,b_T"
 
 
 @dataclass(frozen=True, eq=False)
-class ModelClass:
+class ModelClass(_Rows):
     """Finite family of candidate predictive distributions.
 
     Enumeration order is part of the definition: argmin ties break toward
     the lowest index, and the order round-trips through serialization.
+    ``members`` is a tuple of distributions on one space or a (n, m) array of rows.
     """
 
     members: tuple[FirstOrderDistribution, ...]
+    P: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _ITEMS = "members"
 
     def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise InvalidModelClass("model class must be nonempty")
-        for m in members[1:]:
-            if not same_space(members[0], m):
-                raise InvalidModelClass("model class members must share one sample space")
-        object.__setattr__(self, "members", members)
+        _, one_space = self._init_rows(self.members,
+                                       InvalidModelClass("model class must be nonempty"))
+        if not one_space:
+            raise InvalidModelClass("model class members must share one sample space")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.members) if self.P is None else len(self.P)
 
     @classmethod
     def gaussian_mean_grid(cls, lo: float, hi: float, step: float, stddev: float) -> "ModelClass":
@@ -82,7 +83,7 @@ class ModelClass:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelClass":
-        return cls(tuple(distribution_from_dict(d) for d in data["members"]))
+        return cls(_distributions_from_dicts(data["members"]))
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +99,13 @@ def best_approximation(
     Ties break toward the lowest enumeration index.  The minimum is the
     approximation bias B when ``target`` is the source barycenter.
     """
-    best_idx = 0
-    best_val = tv_exact(model.members[0], target)
-    for i, member in enumerate(model.members[1:], start=1):
-        val = tv_exact(member, target)
-        if val < best_val:
-            best_idx, best_val = i, val
-    return model.members[best_idx], best_val
+    if (model.P is not None and isinstance(target, Categorical)
+            and model.P.shape[1] == target.n_outcomes):
+        dists = _tv(model.P, target.p)
+    else:  # continuous members; tv_exact raises on a target on another space
+        dists = np.array([tv_exact(member, target) for member in model.members])
+    best_idx = int(dists.argmin())
+    return model._item(best_idx), float(dists[best_idx])
 
 
 def convergence_gap(predictor: FirstOrderDistribution, best: FirstOrderDistribution) -> float:
@@ -440,16 +441,13 @@ def evaluate_bound(
         "dist_tv": lambda: task_distribution_tv(src, tgt),
         "no_shift": lambda: comp.dist_tv <= PROB_TOL,
         "tv_pred_bary_s": lambda: tv_exact(predictor, bary_s),
-        "max_tv_to_source": lambda: max(
-            min(tv_exact(t, s) for s in src.tasks)
-            for w, t in zip(tgt.weights, tgt.tasks) if w > 0
-        ),
+        # read only once the source is categorical, being b_S-bounded
+        "max_tv_to_source": lambda: float(
+            _tv(tgt.P[:, None, :], src.P).min(axis=1)[tgt.weights > 0].max()),
         "finite_space": lambda: isinstance(predictor, Categorical) and not tgt.is_continuous,
         "b_pred": lambda: float(predictor.p[predictor.p > 0].min()) if b_pred is None else b_pred,
-        "support_covered": lambda: not any(
-            np.any((t.p > 0) & (predictor.p <= 0))
-            for w, t in zip(tgt.weights, tgt.tasks) if w > 0
-        ),
+        # read only once finite_space holds
+        "support_covered": lambda: not ((tgt.P > 0) & (predictor.p <= 0))[tgt.weights > 0].any(),
     })
     extras: dict = {"sup_var_target": comp.sup_var_target}
     if tgt.is_continuous:

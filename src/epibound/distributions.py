@@ -14,11 +14,12 @@ call.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 from scipy.special import ndtr
@@ -42,14 +43,37 @@ def _freeze(obj, name: str, value: np.ndarray) -> None:
 
 
 def _check_rows(P: np.ndarray, error=InvalidArgument, what: str = "probabilities") -> None:
-    """Every row of ``P`` (or ``P`` itself when 1-D) is nonnegative and sums to 1."""
-    if (P < 0).any():
-        raise error(f"{what} must be nonnegative")
-    gaps = abs(P.sum(axis=-1) - 1.0)
-    if not (gaps if P.ndim == 1 else gaps.max()) <= PROB_TOL:  # so that a NaN sum fails
-        sums = np.atleast_1d(P.sum(axis=-1))
-        bad = sums[~(abs(sums - 1.0) <= PROB_TOL)][0]
-        raise error(f"{what} must sum to 1 within {PROB_TOL}, got {bad!r}")
+    """Every row of ``P`` (or ``P`` itself when 1-D) is nonnegative and sums to 1.
+
+    The first bad row gives the message, as checking the rows one at a time
+    would: a negative entry before a bad sum.
+    """
+    sums = P.sum(axis=-1)
+    gaps = abs(sums - 1.0)
+    if (P < 0).any() or not (gaps if P.ndim == 1 else gaps.max()) <= PROB_TOL:  # NaN fails
+        negative = np.ravel((P < 0).any(axis=-1))
+        first = np.flatnonzero(negative | ~(np.ravel(gaps) <= PROB_TOL))[0]
+        if negative[first]:
+            raise error(f"{what} must be nonnegative")
+        raise error(f"{what} must sum to 1 within {PROB_TOL}, got {np.ravel(sums)[first]!r}")
+
+
+def _check_tasks(P: np.ndarray, w: Optional[np.ndarray] = None, m: Optional[int] = None) -> None:
+    """Bulk form of the Categorical checks on the rows of ``P``, and of
+    FiniteTaskDistribution's on the weights ``w`` when given."""
+    if P.ndim != 2 or P.shape[0] == 0 or (m is not None and P.shape[1] != m):
+        raise InvalidArgument(f"expected a nonempty (k, {m or 'm'}) array of probability rows, "
+                              f"got shape {P.shape}")
+    _check_rows(P)
+    if w is not None:
+        if w.shape != P.shape[:1]:
+            raise InvalidTaskDistribution("one weight per task required")
+        _check_rows(w, InvalidTaskDistribution, "task weights")
+
+
+def _tv(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """TV between matching probability rows (last axis), broadcast, rounded as ``tv_exact``."""
+    return 0.5 * np.abs(P - Q).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +293,13 @@ def _interval_probability(d: Union[Gaussian, GaussianMixture], event: EventSet) 
     return float(d.cdf(event.hi) - d.cdf(event.lo))
 
 
-def same_space(a: FirstOrderDistribution, b: FirstOrderDistribution) -> bool:
-    """True when the two distributions live on a common sample space."""
-    if isinstance(a, Categorical) and isinstance(b, Categorical):
-        return a.n_outcomes == b.n_outcomes
-    return a.is_continuous and b.is_continuous
+def _space(d: FirstOrderDistribution) -> Optional[int]:
+    """The sample space of ``d``: its outcome count, or None for the real line."""
+    return d.n_outcomes if isinstance(d, Categorical) else None
 
 
 def require_same_space(a: FirstOrderDistribution, b: FirstOrderDistribution) -> None:
-    if not same_space(a, b):
+    if _space(a) != _space(b):
         kinds = [f"{d.kind}({d.n_outcomes} outcomes)" if isinstance(d, Categorical) else d.kind
                  for d in (a, b)]
         raise EventMismatch(f"distributions on different spaces: {kinds[0]} vs {kinds[1]}")
@@ -305,35 +327,84 @@ def distributions_close(a: FirstOrderDistribution, b: FirstOrderDistribution) ->
 # ---------------------------------------------------------------------------
 
 
+class _Rows:
+    """The tasks or members (``_ITEMS``) of a finite family, with their rows as one matrix.
+
+    Categorical items on one space are also kept as the read-only matrix ``P``
+    of their rows; ``P`` is None for continuous items.  Items given as a (k, m)
+    array are checked once, as a matrix, and are then ``Categorical`` views of
+    its rows, each made on first access and kept.
+    """
+
+    _ITEMS: str
+
+    def _init_rows(self, items, empty: Exception) -> tuple[int, bool]:
+        """Keep ``items``; returns their count and whether they share one sample space."""
+        array = isinstance(items, np.ndarray)
+        items = np.ascontiguousarray(items, dtype=float) if array else tuple(items)
+        if len(items) == 0:
+            raise empty
+        if array:
+            _check_tasks(items)
+            object.__delattr__(self, self._ITEMS)
+        else:
+            object.__setattr__(self, self._ITEMS, items)
+            spaces = set(map(_space, items))
+            if len(spaces) > 1 or spaces == {None}:
+                return len(items), len(spaces) == 1
+            items = np.stack([d.p for d in items])
+        _freeze(self, "P", items)
+        return len(items), True
+
+    def __getattr__(self, name: str):
+        if name != self._ITEMS or self.__dict__.get("P") is None:
+            raise AttributeError(name)
+        # setdefault keeps the first one made if two threads race
+        return self.__dict__.setdefault(name, tuple(map(self._item, range(len(self.P)))))
+
+    def _item(self, i: int) -> FirstOrderDistribution:
+        """Item ``i``, without making the other rows' views."""
+        if self._ITEMS in self.__dict__:
+            return self.__dict__[self._ITEMS][i]
+        views = self.__dict__.setdefault("_views", {})
+        if i not in views:  # a Categorical on a checked read-only row, not checked again
+            view = object.__new__(Categorical)
+            object.__setattr__(view, "p", self.P[i])
+            views.setdefault(i, view)
+        return views[i]
+
+
 @dataclass(frozen=True, eq=False)
-class FiniteTaskDistribution:
-    """Finitely many tasks with weights; the exact-computation workhorse."""
+class FiniteTaskDistribution(_Rows):
+    """Finitely many tasks with weights; the exact-computation workhorse.
+
+    ``tasks`` is a tuple of distributions on one space or a (k, m) array of rows.
+    """
 
     tasks: tuple[FirstOrderDistribution, ...]
     weights: np.ndarray
+    P: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     kind: str = field(default="finite_tasks", init=False, repr=False)
+    _ITEMS = "tasks"
 
     def __post_init__(self):
-        tasks = tuple(self.tasks)
-        if not tasks:
-            raise InvalidTaskDistribution("task list must be nonempty")
+        k, one_space = self._init_rows(self.tasks,
+                                       InvalidTaskDistribution("task list must be nonempty"))
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(tasks),):
+        if w.shape != (k,):
             raise InvalidTaskDistribution("one weight per task required")
         _check_rows(w, InvalidTaskDistribution, "task weights")
-        for t in tasks[1:]:
-            if not same_space(tasks[0], t):
-                raise InvalidTaskDistribution("all tasks must share one sample space")
-        object.__setattr__(self, "tasks", tasks)
+        if not one_space:
+            raise InvalidTaskDistribution("all tasks must share one sample space")
         _freeze(self, "weights", w)
 
     @property
     def n_tasks(self) -> int:
-        return len(self.tasks)
+        return self.weights.size
 
     @property
     def is_continuous(self) -> bool:
-        return self.tasks[0].is_continuous
+        return self.P is None
 
     def event_probabilities(self, event: EventSet) -> np.ndarray:
         """Q(event) for every support task."""
@@ -429,9 +500,8 @@ def barycenter(
         stddevs = tasks._sampled_stddevs(components, seed)
         k = stddevs.size
         return GaussianMixture(np.full(k, 1.0 / k), np.full(k, tasks.mean), stddevs)
-    if isinstance(tasks.tasks[0], Categorical):
-        P = np.stack([t.p for t in tasks.tasks])
-        return Categorical(tasks.weights @ P)
+    if tasks.P is not None:
+        return Categorical(tasks.weights @ tasks.P)
     weights, means, stds = [], [], []
     for w, t in zip(tasks.weights, tasks.tasks):
         if isinstance(t, Gaussian):
@@ -532,15 +602,13 @@ def sup_variance(tasks: TaskDistribution) -> float:
     family is reified as ``as_finite`` reifies it.
     """
     fin = as_finite(tasks)
-    first = fin.tasks[0]
-    if isinstance(first, Categorical):
-        m = first.n_outcomes
-        if m > SUP_ENUM_MAX_OUTCOMES:
+    P = fin.P
+    if P is not None:
+        if P.shape[1] > SUP_ENUM_MAX_OUTCOMES:
             raise InvalidArgument(
                 f"sup-variance enumerates all 2^m events of an m-outcome space, for at "
-                f"most {SUP_ENUM_MAX_OUTCOMES} outcomes; this space has {m}"
+                f"most {SUP_ENUM_MAX_OUTCOMES} outcomes; this space has {P.shape[1]}"
             )
-        P = np.stack([t.p for t in fin.tasks])
         return float(_event_variances(P, fin.weights, fin.weights @ P).max())
     return _half_line_sup_variance(fin)
 
@@ -550,9 +618,8 @@ def diameter(tasks: TaskDistribution) -> float:
     from .divergences import tv_exact
 
     fin = as_finite(tasks)
-    if isinstance(fin.tasks[0], Categorical):
-        P = np.stack([t.p for t in fin.tasks])
-        return float(0.5 * np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2).max())
+    if fin.P is not None:
+        return float(_tv(fin.P[:, None, :], fin.P).max())
     best = 0.0
     for i in range(fin.n_tasks):
         for j in range(i + 1, fin.n_tasks):
@@ -578,9 +645,9 @@ def max_second_order_b(tasks: FiniteTaskDistribution) -> float:
     is then the smallest outcome probability.  Continuous tasks admit events
     of arbitrarily small probability, hence are never second-order bounded.
     """
-    if tasks.is_continuous:
+    P = tasks.P
+    if P is None:
         return 0.0
-    P = np.stack([t.p for t in tasks.tasks])  # type: ignore[union-attr]
     return 0.0 if (P <= 0).any() else min(1.0, float(P.min()))
 
 
@@ -590,6 +657,9 @@ def task_distribution_tv(a: FiniteTaskDistribution, b: FiniteTaskDistribution) -
     Support tasks are matched by parameter equality within ``PROB_TOL``;
     unmatched tasks contribute their full weight.
     """
+    if a.P is not None and b.P is not None and a.P.shape[1] == b.P.shape[1]:
+        near = (np.abs(a.P[:, None, :] - b.P) <= PROB_TOL).all(axis=2).tolist()
+        return _matched_tv(a.weights, b.weights, lambda i, j: near[i][j])
     return _matched_tv(
         a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j])
     )
@@ -647,11 +717,25 @@ def distribution_from_dict(data: dict) -> FirstOrderDistribution:
     raise InvalidArgument(f"unknown first-order distribution kind: {kind!r}")
 
 
+def _distributions_from_dicts(items: list) -> Union[np.ndarray, tuple]:
+    """Tasks or members from their JSON forms: categorical rows as one (k, m) array.
+
+    Any other list, or rows that form no such array, becomes a tuple of objects
+    read one at a time, so that the first bad one raises its own error.
+    """
+    if items and all(isinstance(d, dict) and d.get("kind") == "categorical" for d in items):
+        with contextlib.suppress(TypeError, ValueError):
+            P = np.asarray([d.get("p") for d in items], dtype=float)
+            if P.ndim == 2 and P.shape[1] > 0:
+                return P
+    return tuple(distribution_from_dict(d) for d in items)
+
+
 def task_distribution_from_dict(data: dict) -> TaskDistribution:
     kind = data.get("kind")
     if kind == "finite_tasks":
         entries = data["tasks"]
-        tasks = tuple(distribution_from_dict(e["dist"]) for e in entries)
+        tasks = _distributions_from_dicts([e["dist"] for e in entries])
         weights = np.asarray([e["w"] for e in entries], dtype=float)
         return FiniteTaskDistribution(tasks, weights)
     if kind == "ig_gaussian_tasks":
@@ -662,8 +746,6 @@ def task_distribution_from_dict(data: dict) -> TaskDistribution:
 def finite_tasks(pairs: Iterable[tuple[FirstOrderDistribution, float]]) -> FiniteTaskDistribution:
     """Convenience constructor from (task, weight) pairs."""
     items = list(pairs)
-    if not items:
-        raise InvalidTaskDistribution("task list must be nonempty")
     return FiniteTaskDistribution(
         tuple(t for t, _ in items), np.asarray([w for _, w in items], dtype=float)
     )

@@ -28,10 +28,12 @@ from .distributions import (
     Categorical,
     FiniteTaskDistribution,
     _check_rows,
+    _check_tasks,
     _event_variances,
     _first_order_b,
     _freeze,
     _matched_tv,
+    _tv,
 )
 from .bounds import (
     _EPS_DISTANCE,
@@ -100,19 +102,6 @@ class InstanceConfig:
                 raise InvalidArgument(f"{name} must be an ordered pair from 1, got {(lo, hi)}")
 
 
-def _check_tasks(P: np.ndarray, w: Optional[np.ndarray], m: Optional[int]) -> None:
-    """Bulk form of the Categorical checks on the rows of ``P``, and of
-    FiniteTaskDistribution's on the weights ``w`` when given."""
-    if P.ndim != 2 or P.shape[0] == 0 or (m is not None and P.shape[1] != m):
-        raise InvalidArgument(f"expected a nonempty (k, {m or 'm'}) array of probability rows, "
-                              f"got shape {P.shape}")
-    _check_rows(P)
-    if w is not None:
-        if w.shape != P.shape[:1]:
-            raise InvalidTaskDistribution("one weight per task required")
-        _check_rows(w, InvalidTaskDistribution, "task weights")
-
-
 @dataclass(frozen=True, eq=False)
 class OracleInstance:
     """One desk-scale world as arrays: source/target tasks, model class, predictor.
@@ -160,12 +149,9 @@ class OracleInstance:
         epsilon: Optional[float] = None,
     ) -> "OracleInstance":
         """An instance from categorical distribution objects, which become its views."""
-        S = np.stack([t.p for t in source.tasks])  # type: ignore[union-attr]
         shared = target.tasks == source.tasks  # Categorical compares by identity
-        T = S if shared else np.stack([t.p for t in target.tasks])  # type: ignore[union-attr]
-        members = np.stack([mm.p for mm in model.members])  # type: ignore[union-attr]
-        inst = cls(S, source.weights, T, target.weights, members, predictor.p,
-                   seed, constraint, epsilon)
+        inst = cls(source.P, source.weights, source.P if shared else target.P, target.weights,
+                   model.P, predictor.p, seed, constraint, epsilon)
         inst.__dict__.update(source=source, target=target, model=model, predictor=predictor)
         return inst
 
@@ -175,19 +161,19 @@ class OracleInstance:
 
     @cached_property
     def source(self) -> FiniteTaskDistribution:
-        return FiniteTaskDistribution(tuple(Categorical(p) for p in self.S), self.w_s)
+        return FiniteTaskDistribution(self.S, self.w_s)
 
     @cached_property
     def target(self) -> FiniteTaskDistribution:
         if not self.shared:
-            return FiniteTaskDistribution(tuple(Categorical(p) for p in self.T), self.w_t)
+            return FiniteTaskDistribution(self.T, self.w_t)
         if self.w_t is self.w_s:
             return self.source
         return FiniteTaskDistribution(self.source.tasks, self.w_t)
 
     @cached_property
     def model(self) -> ModelClass:
-        return ModelClass(tuple(Categorical(p) for p in self.members))
+        return ModelClass(self.members)
 
     @cached_property
     def predictor(self) -> Categorical:
@@ -332,11 +318,6 @@ def _put_rows(out: np.ndarray, P: np.ndarray) -> None:
     k, m = P.shape
     out[:k, :m] = P
     out[k:, :m] = P[0]
-
-
-def _tv(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """TV between matching probability rows (last axis), broadcast."""
-    return 0.5 * np.abs(P - Q).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -707,7 +688,7 @@ class ThetaInstance:
 
     @cached_property
     def target(self) -> FiniteTaskDistribution:
-        return FiniteTaskDistribution(tuple(Categorical(p) for p in self.T), self.w_t)
+        return FiniteTaskDistribution(self.T, self.w_t)
 
 
 class _ThetaDraw(NamedTuple):

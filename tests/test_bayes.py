@@ -139,6 +139,16 @@ class TestParamTV:
         with pytest.raises(NumericalFailure):
             GaussianParamDist(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("mean, cov", [
+        ([math.nan, 0.0], np.eye(2)),
+        ([math.inf, 0.0], np.eye(2)),
+        ([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]]),
+    ], ids=["nan-mean", "inf-mean", "inf-cov", "nan-cov"])
+    def test_non_finite_parameters(self, mean, cov):
+        with pytest.raises(InvalidArgument, match="mean and covariance entries must be finite"):
+            GaussianParamDist(np.array(mean), np.array(cov))
+
 
 class TestPosteriorMass:
     def test_huge_radius(self):

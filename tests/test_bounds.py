@@ -57,6 +57,46 @@ class TestBestApproximation:
         assert bias == pytest.approx(0.25)
         np.testing.assert_allclose(best.p, [0.25, 0.75])
 
+    def test_matrix_components_equal_per_task_reference_loops(self):
+        # evaluate_bound's categorical components against the per-task loops
+        # they replaced, bit for bit
+        rng = np.random.default_rng(8)
+        for mode in CONSTRAINT_MODES:
+            for seed in range(6):
+                inst = generate_instance(int(rng.integers(2**31)), InstanceConfig(
+                    m_range=(2, 10), tasks_range=(2, 9), members_range=(1, 30),
+                    constraint=mode))
+                model, src, tgt = inst.model, inst.source, inst.target
+                if seed % 2:  # a zero-weight point mass, never drawn, far from the source
+                    tgt = FiniteTaskDistribution(np.vstack([inst.T, np.eye(inst.m)[0]]),
+                                                 np.r_[inst.w_t, 0.0])
+                bary = barycenter(src)
+                dists = [tv_exact(member, bary) for member in model.members]
+                best, bias = best_approximation(model, bary)
+                assert bias == min(dists) and best is model.members[dists.index(min(dists))]
+                live = [t for w, t in zip(tgt.weights, tgt.tasks) if w > 0]
+                # cor_eps holds exactly while max_tv_to_source <= epsilon + 1e-12
+                far = max(min(tv_exact(t, s) for s in src.tasks) for t in live)
+                for eps, holds in ((far, True), (far - 2e-12, False)):
+                    try:
+                        rep = evaluate_bound("cor_eps", model, inst.predictor, src, tgt,
+                                             alpha=0.2, epsilon=min(max(eps, 1e-3), 0.999),
+                                             b_source=1e-9, b_target=1e-9)
+                    except PreconditionViolated as exc:
+                        assert exc.assumption == "eps_neighborhood" and not holds
+                    else:
+                        assert holds or not 1e-3 < eps < 0.999
+                        assert rep.B == bias
+                gap = np.r_[0.0, inst.pred[1:] / inst.pred[1:].sum()]
+                for pred in (inst.predictor, Categorical(gap)):
+                    covered = not any(np.any((t.p > 0) & (pred.p <= 0)) for t in live)
+                    try:
+                        evaluate_bound("cor_ce", model, pred, src, tgt, alpha=0.2)
+                    except PreconditionViolated as exc:
+                        assert exc.assumption == "predictor_boundedness" and not covered
+                    else:
+                        assert covered
+
     def test_empty_class(self):
         with pytest.raises(InvalidModelClass):
             ModelClass(())

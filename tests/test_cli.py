@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, output files, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,151 @@ class TestBoundCommand:
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
         assert outputs[0].out.startswith("statement_id,alpha,") and outputs[0].err == ""
+
+
+def _categorical(p) -> dict:
+    return {"kind": "categorical", "p": p}
+
+
+def _with_source_rows(*rows) -> dict:
+    data = json.loads(json.dumps(WORKED_INSTANCE))
+    data["source"]["tasks"] = [{"w": 1.0 / len(rows), "dist": _categorical(r)} for r in rows]
+    return data
+
+
+def _edited(path: tuple, value) -> dict:
+    data = json.loads(json.dumps(WORKED_INSTANCE))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+_WIDE = _categorical([1.0 / 13] * 13)
+_WIDE_TASKS = {"kind": "finite_tasks", "tasks": [{"w": 1.0, "dist": _WIDE}]}
+_GAUSSIAN_MEMBER = {"kind": "gaussian", "mean": 0.0, "stddev": 1.0}
+_SUM = "probabilities must sum to 1 within 1e-12, got "
+
+# instance files the loader rejects, with the one error line each prints
+LOADER_ERRORS = {
+    "ragged-rows": (_with_source_rows([0.3, 0.7], [0.2, 0.3, 0.5]),
+                    "all tasks must share one sample space"),
+    "gaussian-member": (_edited(("model", "members"), [
+        _categorical([0.0, 1.0]), _GAUSSIAN_MEMBER, _categorical([0.5, 0.5])]),
+        "model class members must share one sample space"),
+    "no-tasks": (_edited(("source", "tasks"), []), "task list must be nonempty"),
+    "no-members": (_edited(("model", "members"), []), "model class must be nonempty"),
+    "null-weight": (_edited(("source", "tasks", 1, "w"), None),
+                    "task weights must sum to 1 within 1e-12, got np.float64(nan)"),
+    "2d-p": (_edited(("source", "tasks", 0, "dist", "p"), [[0.3, 0.7]]),
+             "probability vector must be 1-D and nonempty"),
+    "predictor-outcomes": (_edited(("predictor", "p"), [0.2, 0.3, 0.5]),
+                           "distributions on different spaces: categorical(3 outcomes) "
+                           "vs categorical(2 outcomes)"),
+    "13-outcomes": ({"model": {"members": [_WIDE]}, "predictor": _WIDE,
+                     "source": _WIDE_TASKS, "target": _WIDE_TASKS},
+                    "sup-variance enumerates all 2^m events of an m-outcome space, "
+                    "for at most 12 outcomes; this space has 13"),
+    # rows are checked in order, each for negative entries before its sum
+    "sum-then-negative": (_with_source_rows([0.3, 0.6], [0.5, 0.5], [-0.5, 1.5]),
+                          _SUM + "np.float64(0.8999999999999999)"),
+    "negative-then-sum": (_with_source_rows([0.5, 0.5], [-0.5, 1.5], [0.3, 0.6]),
+                          "probabilities must be nonnegative"),
+    "member-sum-then-negative": (_edited(("model", "members"), [
+        _categorical([0.5, 0.5]), _categorical([0.25, 0.5]), _categorical([1.5, -0.5])]),
+        _SUM + "np.float64(0.75)"),
+}
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("case", list(LOADER_ERRORS))
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_one_error_line(self, case, command, tmp_path, capsys):
+        data, message = LOADER_ERRORS[case]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({**data, "statement_id": "thm1", "alpha": 0.2}))
+        argv = (["bound", "--statement", "thm1", "--instance", str(path), "--alpha", "0.2"]
+                if command == "bound" else ["verify", "--setup", str(path), "--trials", "10"])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+class TestBayesianParameters:
+    @pytest.mark.parametrize("key, value", [
+        ("mean", [math.nan, 0.0]),
+        ("mean", [math.inf, 0.0]),
+        ("cov", [[math.inf, 0.0], [0.0, 1.0]]),
+        ("cov", [[1.0, math.nan], [math.nan, 1.0]]),
+    ], ids=["nan-mean", "inf-mean", "inf-cov", "nan-cov"])
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_non_finite_parameters_are_usage_errors(self, key, value, command, tmp_path,
+                                                     capsys):
+        param = {"kind": "gaussian_param", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        data = {**WORKED_INSTANCE, "param_posterior": {**param, key: value},
+                "param_best": param, "statement_id": "cor_bayesian", "alpha": 0.2}
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps(data))  # NaN and Infinity, as Python's json reads them
+        argv = (["bound", "--statement", "cor_bayesian", "--instance", str(path), "--alpha", "0.2"]
+                if command == "bound" else ["verify", "--setup", str(path), "--trials", "10"])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: mean and covariance entries must be finite, got ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_finite_parameters_pass(self, tmp_path, capsys):
+        param = {"kind": "gaussian_param", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps({**WORKED_INSTANCE, "param_posterior": param,
+                                    "param_best": param}))
+        assert main(["bound", "--statement", "cor_bayesian", "--instance", str(path),
+                     "--alpha", "0.2"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert math.isfinite(float(row[6]))  # the margin
+
+
+class TestArrayBackedRequests:
+    def test_categorical_objects_do_not_grow_with_tasks_or_members(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # a finite bound request holds its tasks and members as matrices: it makes
+        # the same number of Categorical objects, checked or views, for 3 members
+        # and 2 tasks as for 20 members and 6 tasks
+        from epibound import distributions
+        from epibound.bounds import STATEMENT_IDS
+        from epibound.oracle import InstanceConfig, generate_instance
+
+        made = []
+        post_init, item = distributions.Categorical.__post_init__, distributions._Rows._item
+
+        def counted_post_init(self):
+            made.append("checked")
+            post_init(self)
+
+        def counted_item(self, i):  # a view on a row, made on first access
+            made.append("view")
+            return item(self, i)
+
+        monkeypatch.setattr(distributions.Categorical, "__post_init__", counted_post_init)
+        monkeypatch.setattr(distributions._Rows, "_item", counted_item)
+        counts, codes = {}, {}
+        for size in (3, 20):
+            tasks = 2 if size == 3 else 6
+            config = InstanceConfig(tasks_range=(tasks, tasks), members_range=(size, size),
+                                    constraint="assumption2")
+            path = tmp_path / f"instance_{size}.json"
+            path.write_text(json.dumps(generate_instance(4, config).to_dict()))
+            for sid in STATEMENT_IDS:
+                made.clear()
+                codes[size, sid] = main(["bound", "--statement", sid, "--instance", str(path),
+                                         "--alpha", "0.2", "--epsilon", "0.3"])
+                counts[size, sid] = sorted(made)
+        capsys.readouterr()
+        for sid in STATEMENT_IDS:
+            assert codes[3, sid] == codes[20, sid], sid
+            assert counts[3, sid] == counts[20, sid], sid
+            assert len(counts[3, sid]) <= 4, sid  # predictor, two barycenters, best member
+        assert sum(code == 0 for code in codes.values()) >= 12
 
 
 class TestOracleCommand:

@@ -508,6 +508,123 @@ class TestSerialization:
             distribution_from_dict({"kind": "poisson", "lam": 2})
 
 
+class TestRowMatrices:
+    """Categorical tasks and members kept as one read-only matrix of rows."""
+
+    P = np.array([[0.3, 0.7], [0.5, 0.5], [1.0, 0.0]])
+
+    def test_loaded_tasks_are_views_built_on_first_access(self, monkeypatch):
+        data = {"kind": "finite_tasks", "tasks": [
+            {"w": w, "dist": {"kind": "categorical", "p": p}}
+            for w, p in zip([0.2, 0.3, 0.5], self.P.tolist())]}
+        tasks = task_distribution_from_dict(data)
+        assert "tasks" not in vars(tasks) and not tasks.P.flags.writeable
+        np.testing.assert_array_equal(tasks.P, self.P)
+        assert tasks.n_tasks == 3 and not tasks.is_continuous
+
+        def refuse(self):
+            raise AssertionError("view checked again")
+
+        monkeypatch.setattr(Categorical, "__post_init__", refuse)
+        views = tasks.tasks
+        assert tasks.tasks is views and len(views) == 3
+        assert all(isinstance(v, Categorical) and v.kind == "categorical" for v in views)
+        assert all(np.shares_memory(v.p, tasks.P) for v in views)
+        assert views[2].to_dict() == {"kind": "categorical", "p": [1.0, 0.0]}
+        assert tasks.to_dict() == data
+
+    def test_model_member_view_is_kept(self):
+        model = ModelClass.from_dict(
+            {"members": [{"kind": "categorical", "p": p} for p in self.P.tolist()]})
+        assert len(model) == 3 and "members" not in vars(model)
+        best = model._item(1)
+        assert "members" not in vars(model)  # the other rows have no views yet
+        assert model.members[1] is best and model._item(1) is best
+
+    def test_views_made_once_under_threads(self):
+        # threads racing to make the views all get the objects that are kept
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                model = ModelClass(np.tile(self.P, (40, 1)))
+                got, start = [], threading.Barrier(8)
+
+                def read(i):
+                    start.wait(timeout=10)
+                    got.append((i, model._item(i % 3), model.members))
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads) and len(got) == 8
+                assert all(members is model.members for _, _, members in got)
+                assert all(view is model.members[i % 3] for i, view, _ in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_tuples_keep_their_objects(self):
+        members = tuple(Categorical(p) for p in self.P)
+        model = ModelClass(members)
+        assert model.members is members and model._item(2) is members[2]
+        np.testing.assert_array_equal(model.P, self.P)
+        tasks = FiniteTaskDistribution(members, np.full(3, 1 / 3))
+        assert tasks.tasks is members and not tasks.P.flags.writeable
+        gaussians = finite_tasks([(Gaussian(0, 1), 0.5), (Gaussian(1, 2), 0.5)])
+        assert gaussians.P is None and gaussians.is_continuous
+
+    def test_array_input_is_checked(self):
+        with pytest.raises(InvalidTaskDistribution, match="task list must be nonempty"):
+            FiniteTaskDistribution(np.empty((0, 2)), np.empty(0))
+        with pytest.raises(InvalidArgument, match="array of probability rows"):
+            FiniteTaskDistribution(np.array([0.5, 0.5]), np.array([1.0]))
+        with pytest.raises(InvalidArgument, match="nonnegative"):
+            ModelClass(np.array([[0.5, 0.5], [1.5, -0.5]]))
+        with pytest.raises(InvalidTaskDistribution, match="one weight per task"):
+            FiniteTaskDistribution(self.P, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.5], [0.25, 0.5], [-0.5, 1.5]], "sum to 1 within 1e-12, got np.float64(0.75)"),
+        ([[0.5, 0.5], [-0.5, 1.5], [0.3, 0.6]], "must be nonnegative"),
+        ([[0.5, 0.5], [np.nan, 0.5], [-0.5, 1.5]], "got np.float64(nan)"),
+    ], ids=["sum-first", "negative-first", "nan-first"])
+    def test_first_bad_row_gives_the_message(self, rows, message):
+        # a matrix fails as its rows, checked one at a time, would
+        for build in (lambda: ModelClass(np.array(rows)),
+                      lambda: ModelClass(tuple(Categorical(r) for r in rows))):
+            with pytest.raises(InvalidArgument) as err:
+                build()
+            assert str(err.value).endswith(message)
+
+    def test_summaries_equal_per_task_reference_loops(self):
+        # the per-task loops the matrix code replaced, kept as the reference;
+        # the arithmetic is the same, so the results are bit for bit equal
+        from epibound import tv_exact
+        from epibound.distributions import _matched_tv, distributions_close
+
+        rng = np.random.default_rng(3)
+        for m in (2, 5, 9, 12):
+            S, T = rng.dirichlet(np.ones(m), size=7), rng.dirichlet(np.ones(m), size=4)
+            T[1], S[4, 0], S[4, 1] = S[2], 0.0, S[4, 0] + S[4, 1]
+            w_s, w_t = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(4))
+            src, tgt = FiniteTaskDistribution(S, w_s), FiniteTaskDistribution(T, w_t)
+            rows = np.stack([t.p for t in src.tasks])
+            np.testing.assert_array_equal(barycenter(src).p, w_s @ rows)
+            assert diameter(src) == max(tv_exact(a, b) for a in src.tasks for b in src.tasks)
+            assert max_second_order_b(src) == 0.0 and max_second_order_b(tgt) == T.min()
+            assert task_distribution_tv(src, tgt) == _matched_tv(
+                w_s, w_t, lambda i, j: distributions_close(src.tasks[i], tgt.tasks[j])) < 1.0
+            events = [DiscreteEvent(tuple(i for i in range(m) if bits >> i & 1))
+                      for bits in range(2**m)]
+            want = max(variance_at(src, e) for e in events)
+            assert sup_variance(src) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 class TestTaskDistributionTV:
     def test_shared_support_weights(self):
         a = two_task_binary()
