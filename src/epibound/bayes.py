@@ -6,8 +6,9 @@ variance is plugged in as the prior mean of the inverse-gamma component,
 leaving the variance distribution at its prior.  The coefficient posterior
 is then a closed-form bivariate Gaussian.
 
-``scipy.integrate`` is loaded at the first quadrature
-(``posterior_mass_near``), not at import; see ``divergences.quad``.
+``scipy.integrate`` and ``scipy.special`` are loaded at the first
+``posterior_mass_near``, not at import; see ``_deferred``.  Its ``quad`` is
+``divergences.quad``, and ``ndtr`` rebinds to scipy's ufunc at its first call.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._deferred import Deferred
 from .distributions import Gaussian
 from .divergences import quad
 from .errors import InvalidArgument, NumericalFailure
+
+ndtr = Deferred("scipy.special", "ndtr", globals())
 
 COV_SYM_TOL = 1e-12
 

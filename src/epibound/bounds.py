@@ -153,6 +153,8 @@ def chebyshev_delta(tasks: TaskDistribution, alpha: float) -> float:
 def _require_alpha(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 0):  # also rejects NaN
         raise InvalidArgument(f"alpha must be finite and > 0, got {alpha}")
+    if alpha * alpha == 0.0:  # every delta divides by alpha^2
+        raise InvalidArgument(f"alpha {alpha} is too small: alpha * alpha underflows to 0")
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +227,25 @@ def _chebyshev(c, a: float) -> float:
     return c.sup_var_target / (a * a)
 
 
+def _eps_scale(c, a: float) -> float:
+    """``(1 - b_T) / (b_S alpha^2)``, the factor of both Eps deltas.
+
+    A positive b_S whose product with alpha^2 underflows to 0 is rejected,
+    as ``_require_alpha`` rejects an alpha^2 that does: no delta divides by
+    an exact zero.  A b_S of 0 fails ``source_boundedness`` instead.
+    """
+    denom = c.b_S * (a * a)
+    if np.any((denom == 0.0) & (c.b_S > 0.0)):
+        raise InvalidArgument(f"b_S * alpha * alpha underflows to 0 at alpha {np.min(a)}")
+    return (1.0 - c.b_T) / denom
+
+
 def _eps_tasks_delta(c, a: float) -> float:
-    spread = c.sup_var_source + _pow2(c.diam_source + c.epsilon)
-    return (1.0 - c.b_T) / (c.b_S * (a * a)) * spread
+    return _eps_scale(c, a) * (c.sup_var_source + _pow2(c.diam_source + c.epsilon))
 
 
 def _eps_dist_delta(c, a: float) -> float:
-    return (1.0 - c.b_T) / (c.b_S * (a * a)) * (c.sup_var_source + _pow2(c.epsilon))
+    return _eps_scale(c, a) * (c.sup_var_source + _pow2(c.epsilon))
 
 
 def _ce_margin(c, a: float) -> float:

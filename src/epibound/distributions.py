@@ -10,6 +10,10 @@ by the synthetic experiments.
 All types are immutable values after construction and safe to share across
 threads.  Sampling takes an explicit seed and owns a private generator per
 call.
+
+``ndtr``, the Gaussian CDF, loads ``scipy.special`` at its first call (a
+Gaussian or mixture ``cdf``, or a thresholded task matrix) and then rebinds
+to scipy's ufunc; finite instances never load it.  See ``_deferred``.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._deferred import Deferred
 from .errors import EventMismatch, InvalidArgument, InvalidTaskDistribution
 from .seeding import normalize_seed
+
+ndtr = Deferred("scipy.special", "ndtr", globals())
 
 PROB_TOL = 1e-12          # normalization tolerance; out-of-tolerance input is rejected
 SUP_ENUM_MAX_OUTCOMES = 12  # full 2^m event enumeration refused above this

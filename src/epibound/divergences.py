@@ -7,10 +7,11 @@ cross-entropy, and a seeded Monte Carlo KL estimator with the Pinsker upper
 bound sqrt(KL/2) mirrors the methodology of the synthetic experiments, which
 select it explicitly.
 
-``scipy.integrate`` is loaded at the first quadrature, not at import: it
-pulls in scipy.optimize, scipy.sparse.linalg and scipy.linalg, about a third
-of the package's import time, and only the mixture fallbacks here and
-``bayes.posterior_mass_near`` integrate.
+``scipy.integrate`` is loaded at the first quadrature, and ``scipy.special``
+at the first Gaussian TV in closed form, not at import (see ``_deferred``).
+Only the mixture fallbacks here and ``bayes.posterior_mass_near`` integrate.
+Every quadrature calls the module global ``quad``, which stays the same
+forwarding object; ``ndtr`` rebinds to scipy's ufunc at its first call.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._deferred import Deferred
 from .distributions import (
     Categorical,
     FirstOrderDistribution,
@@ -39,26 +40,9 @@ CROSSING_GRID_MAX = 1 << 20  # wider windows get a coarser grid, plus every comp
 CROSSING_CHUNK = 1 << 16     # (points x components) per density evaluation
 CROSSING_BISECTIONS = 30     # halvings of each bracket, from the grid spacing; 3 per density pass
 
-
-class _LazyQuad:
-    """``scipy.integrate.quad``, imported at the first call and kept.
-
-    An object rather than a function: every quadrature calls it through the
-    module global ``quad``, which perfbench's tracer replaces with a counting
-    wrapper, while it wraps each public module-level function as a span of
-    its own.
-    """
-
-    _quad = None
-
-    def __call__(self, *args, **kwargs):
-        if self._quad is None:
-            from scipy.integrate import quad
-            self._quad = quad
-        return self._quad(*args, **kwargs)
-
-
-quad = _LazyQuad()
+ndtr = Deferred("scipy.special", "ndtr", globals())
+# never rebinds: perfbench's tracer replaces this binding with a counting wrapper
+quad = Deferred("scipy.integrate", "quad")
 
 
 @dataclass(frozen=True)

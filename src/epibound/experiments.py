@@ -13,6 +13,10 @@ All TV-distance proxies use the Pinsker upper bound on a seeded Monte Carlo
 KL estimate, selected explicitly to mirror the reference methodology.  Rows
 derive their random streams from (master seed, experiment id, grid index,
 sim index), so serial and parallel schedules write identical CSV bytes.
+
+``ndtri`` loads ``scipy.special`` at the first neighborhood target and then
+rebinds to scipy's ufunc; ``build_manifest`` imports ``scipy`` for its
+version.  Negative-transfer rows load neither.  See ``_deferred``.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
-from scipy.special import ndtri
 
 from . import __version__ as _pkg_version
+from ._deferred import Deferred
 from .bayes import (
     GaussianParamDist,
     NIGModel,
@@ -56,6 +59,8 @@ from .divergences import tv_upper_pinsker
 from .errors import InvalidArgument, SupportViolation
 from .seeding import derive_seed, normalize_seed
 from .workers import map_payloads
+
+ndtri = Deferred("scipy.special", "ndtri", globals())
 
 log = logging.getLogger(__name__)
 
@@ -438,6 +443,8 @@ def write_output(path, text: str) -> None:
 
 
 def build_manifest(config: ExperimentConfig, outputs: Sequence[str]) -> dict:
+    import scipy  # for its version only: every experiment row runs without it
+
     return {
         "config": config.to_dict(),
         "master_seed": config.master_seed,

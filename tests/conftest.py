@@ -38,8 +38,9 @@ def random_categorical_pair(rng: np.random.Generator, m: int):
 
 @pytest.fixture
 def serial_pools(monkeypatch) -> list:
-    """A 3-CPU machine whose process pools map in this process; lists each pool's
-    ``max_workers``, so a test can ask for thousands without starting any."""
+    """A 3-CPU machine, by count and by affinity, whose process pools map in this
+    process; lists each pool's ``max_workers``, so a test can ask for thousands
+    without starting any."""
     asked = []
 
     class SerialPool:
@@ -56,5 +57,6 @@ def serial_pools(monkeypatch) -> list:
             return map(fn, payloads)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(workers, "ProcessPoolExecutor", SerialPool)
     return asked

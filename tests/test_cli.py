@@ -299,6 +299,73 @@ LOADER_ERRORS = {
 }
 
 
+# the worked instance with its source tasks reweighted as the target: the Eps statements hold
+RESHIFTED_INSTANCE = {**WORKED_INSTANCE, "target": {"kind": "finite_tasks", "tasks": [
+    {"w": 0.6, "dist": {"kind": "categorical", "p": [0.3, 0.7]}},
+    {"w": 0.4, "dist": {"kind": "categorical", "p": [0.5, 0.5]}},
+]}}
+ALPHA_UNDERFLOW = "error: alpha 1e-300 is too small: alpha * alpha underflows to 0\n"
+EPS_UNDERFLOW = "error: b_S * alpha * alpha underflows to 0 at alpha 1e-12\n"
+
+
+class TestUnderflowingDeltaDenominator:
+    """An alpha^2, or a b_S * alpha^2, that underflows to 0 is one usage error on every path."""
+
+    def _run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def _file(self, tmp_path, data) -> str:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_bound_alpha(self, instance_file, capsys):
+        argv = ["bound", "--statement", "thm1", "--instance", str(instance_file),
+                "--alpha", "1e-300"]
+        assert self._run(argv, capsys) == (2, "", ALPHA_UNDERFLOW)
+
+    @pytest.mark.parametrize("statement", ["cor_eps", "cor_eps_dist"])
+    def test_bound_eps_scale(self, statement, tmp_path, capsys):
+        argv = ["bound", "--statement", statement, "--instance",
+                self._file(tmp_path, RESHIFTED_INSTANCE), "--epsilon", "0.2", "--bT", "0.3"]
+        assert self._run(argv + ["--alpha", "1e-12", "--bS", "1e-300"], capsys) == (
+            2, "", EPS_UNDERFLOW)
+        code, out, _ = self._run(argv + ["--alpha", "0.1", "--bS", "0.3"], capsys)
+        assert code == 0 and out.count("\n") == 2
+
+    @pytest.mark.parametrize("extra, err", [
+        ({"statement_id": "thm1", "alpha": 1e-300}, ALPHA_UNDERFLOW),
+        ({"statement_id": "cor_eps", "alpha": 1e-12, "epsilon": 0.2, "b_source": 1e-300,
+          "b_target": 0.3}, EPS_UNDERFLOW),
+    ], ids=["alpha", "eps-scale"])
+    def test_verify(self, extra, err, tmp_path, capsys):
+        setup = self._file(tmp_path, {**RESHIFTED_INSTANCE, **extra})
+        assert self._run(["verify", "--setup", setup, "--trials", "10"], capsys) == (2, "", err)
+
+    def test_oracle_alpha(self, capsys):
+        argv = ["oracle", "--instances", "3", "--alphas", "0.1,1e-300"]
+        assert self._run(argv, capsys) == (2, "", ALPHA_UNDERFLOW)
+
+    def test_oracle_eps_scale(self, capsys):
+        # 1e-160 squares to a subnormal; some drawn source's b_S times it underflows
+        code, out, err = self._run(["oracle", "--instances", "20", "--alphas", "1e-160"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: b_S * alpha * alpha underflows to 0 at alpha 1e-160\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--statement", "thm1"],
+        ["--statement", "cor_eps", "--epsilon", "0.2", "--bS", "0.3", "--bT", "0.3"],
+    ], ids=["thm1", "cor_eps"])
+    def test_subnormal_square_keeps_infinite_delta(self, argv, tmp_path, capsys):
+        argv = ["bound", "--instance", self._file(tmp_path, RESHIFTED_INSTANCE),
+                "--alpha", "1e-160", *argv]
+        code, out, err = self._run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[7] == "inf"
+
+
 class TestLoaderErrors:
     @pytest.mark.parametrize("case", list(LOADER_ERRORS))
     @pytest.mark.parametrize("command", ["bound", "verify"])
@@ -527,6 +594,61 @@ print(json.dumps({"codes": codes, "after_cli": after_cli, "after_quad": after_qu
 """
 
 
+# run in a fresh interpreter: argv[1] holds finite.json, ig.json and setup.json; with
+# argv[2] == "warm" scipy.special is imported before epibound
+DEFERRED_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+if sys.argv[2] == "warm":
+    import scipy.special
+
+import epibound.cli
+from epibound import bayes, distributions, divergences, experiments
+
+DEFERRED = ("scipy", "scipy.special", "scipy.integrate", "concurrent.futures.process")
+work = Path(sys.argv[1])
+
+
+def cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = epibound.cli.main(list(argv))
+    report = work / "report.json"
+    text = report.read_text() if "--out" in argv else ""
+    return [code, out.getvalue(), text]
+
+
+def loaded():
+    return [m for m in DEFERRED if m in sys.modules]
+
+
+after = {"import": loaded()}
+bound = ["bound", "--statement", "thm1", "--alpha", "0.15", "--out", str(work / "report.json")]
+outputs = [cli(*bound, "--instance", str(work / "finite.json"))]
+after["finite bound"] = loaded()
+outputs.append(cli("verify", "--setup", str(work / "setup.json"), "--trials", "200"))
+after["finite verify"] = loaded()
+outputs.append(cli("oracle", "--instances", "20", "--seed", "3"))
+after["oracle"] = loaded()
+config = experiments.ExperimentConfig.negative_transfer("pos", [2], sims=2, master_seed=5)
+outputs.append(experiments.records_to_csv(experiments.run_negative_transfer_experiment(config)))
+after["negative-transfer row"] = loaded()
+outputs.append(cli(*bound, "--instance", str(work / "ig.json")))
+config = experiments.ExperimentConfig.neighborhood([0.3], sims=1, master_seed=5, kl_samples=50)
+outputs.append(experiments.records_to_csv(experiments.run_neighborhood_experiment(config)))
+after["ig bound and neighborhood row"] = loaded()
+
+import scipy.special
+
+direct = {"distributions.ndtr": distributions.ndtr is scipy.special.ndtr,
+          "divergences.ndtr": divergences.ndtr is scipy.special.ndtr,
+          "bayes.ndtr": bayes.ndtr is scipy.special.ndtr,
+          "experiments.ndtri": experiments.ndtri is scipy.special.ndtri}
+print(json.dumps({"after": after, "outputs": outputs, "direct": direct}))
+"""
+
+
 class TestColdStart:
     def test_cli_leaves_scipy_integrate_unloaded(self, tmp_path):
         (tmp_path / "finite.json").write_text(json.dumps(WORKED_INSTANCE))
@@ -540,6 +662,25 @@ class TestColdStart:
         assert out["after_cli"] is False
         assert out["after_quad"] is True
         assert out["lazy"] == out["direct"]
+
+    def test_scipy_and_process_pool_load_at_first_use(self, tmp_path):
+        (tmp_path / "finite.json").write_text(json.dumps(WORKED_INSTANCE))
+        (tmp_path / "ig.json").write_text(json.dumps(IG_INSTANCE))
+        (tmp_path / "setup.json").write_text(
+            json.dumps({**WORKED_INSTANCE, "statement_id": "thm1", "alpha": 0.15}))
+        cold, warm = (
+            json.loads(subprocess.run([sys.executable, "-c", DEFERRED_SCRIPT, str(tmp_path), mode],
+                                      check=True, capture_output=True, text=True).stdout)
+            for mode in ("cold", "warm"))
+        after = cold["after"]
+        assert after.pop("ig bound and neighborhood row") == [
+            "scipy", "scipy.special", "scipy.integrate"]
+        assert after == dict.fromkeys(after, [])
+        assert [o[0] for o in cold["outputs"] if isinstance(o, list)] == [0, 0, 0, 0]
+        assert cold["outputs"] == warm["outputs"]
+        # the first call rebinds each module's name to scipy's ufunc: no wrapper is left
+        assert cold["direct"] == dict.fromkeys(cold["direct"], True)
+        assert warm["direct"] == cold["direct"]
 
 
 class TestVerifyCommand:
