@@ -29,7 +29,7 @@ import numpy as np
 
 from ._deferred import Deferred
 from .errors import EventMismatch, InvalidArgument, InvalidTaskDistribution
-from .seeding import normalize_seed
+from .seeding import generator
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
 
@@ -464,7 +464,7 @@ class InverseGammaGaussianTasks:
         """The stddevs of the ``components`` tasks that ``reify`` and ``barycenter`` draw."""
         if components < 1:
             raise InvalidArgument("component budget must be >= 1")
-        return np.sqrt(self.sample_variances(components, np.random.default_rng(seed)))
+        return np.sqrt(self.sample_variances(components, generator(seed)))
 
     def reify(self, components: int = DEFAULT_REIFY_COMPONENTS, seed: int = 0) -> FiniteTaskDistribution:
         """Equal-weight finite approximation by ``components`` sampled tasks."""
@@ -696,11 +696,11 @@ def sample(dist: FirstOrderDistribution, count: int, seed: int) -> np.ndarray:
     """Deterministic draw of ``count`` values; a private generator per call."""
     if count < 1:
         raise InvalidArgument("count must be >= 1")
-    return dist.sample(count, np.random.default_rng(normalize_seed(seed)))
+    return dist.sample(count, generator(seed))
 
 
 def sample_task(tasks: TaskDistribution, seed: int) -> FirstOrderDistribution:
-    return tasks.sample_task(np.random.default_rng(normalize_seed(seed)))
+    return tasks.sample_task(generator(seed))
 
 
 # ---------------------------------------------------------------------------

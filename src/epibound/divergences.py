@@ -31,6 +31,7 @@ from .distributions import (
     require_same_space,
 )
 from .errors import EventMismatch, InvalidArgument, NumericalFailure, SupportViolation
+from .seeding import generator
 
 QUAD_ABS_TOL = 1e-9
 QUAD_SPAN = 10.0  # integration window: each mean +- span * stddev, merged
@@ -314,21 +315,21 @@ def kl_mc(
     p: FirstOrderDistribution,
     q: FirstOrderDistribution,
     n_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> DivergenceResult:
     """Monte Carlo estimate of KL(p || q) from ``n_samples`` draws of p.
 
     Categorical pairs short-circuit to the exact summation.  The raw
     estimator is unbiased but can dip negative for near-identical
     distributions; negative estimates clamp to 0 with ``clamped`` set.
+    ``seed`` is any 64-bit integer, or a Generator to draw from.
     """
     require_same_space(p, q)
     if isinstance(p, Categorical) and isinstance(q, Categorical):
         return DivergenceResult(value=kl_exact(p, q), method="exact_discrete")
     if n_samples < 1:
         raise InvalidArgument("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    xs = p.sample(n_samples, rng)
+    xs = p.sample(n_samples, generator(seed))
     log_ratio = p.logpdf(xs) - q.logpdf(xs)  # type: ignore[union-attr]
     if not np.all(np.isfinite(log_ratio)):
         raise SupportViolation("q density vanished at a sampled point")
@@ -347,14 +348,15 @@ def tv_upper_pinsker(
     p: FirstOrderDistribution,
     q: FirstOrderDistribution,
     n_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     force_mc: bool = False,
 ) -> DivergenceResult:
     """Pinsker upper bound sqrt(KL/2) on the TV distance.
 
     KL comes from the exact path when one exists (categorical pairs, single
-    Gaussian pairs) unless ``force_mc`` selects the sampling estimator.
-    Negative Monte Carlo KL is clamped to 0 and flagged.
+    Gaussian pairs) unless ``force_mc`` selects the sampling estimator, which
+    draws with ``kl_mc``'s ``seed``.  Negative Monte Carlo KL is clamped to 0
+    and flagged.
     """
     require_same_space(p, q)
     exact_available = (isinstance(p, Categorical) and isinstance(q, Categorical)) or (

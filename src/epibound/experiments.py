@@ -12,7 +12,9 @@ Two experiment families over a two-covariate Bayesian linear regression:
 All TV-distance proxies use the Pinsker upper bound on a seeded Monte Carlo
 KL estimate, selected explicitly to mirror the reference methodology.  Rows
 derive their random streams from (master seed, experiment id, grid index,
-sim index), so serial and parallel schedules write identical CSV bytes.
+sim index): a run derives every row's seed, the child seeds (row seed, k)
+of its streams and their Generators' words in three hash passes before any
+row runs, so serial and parallel schedules write identical CSV bytes.
 
 ``ndtri`` loads ``scipy.special`` at the first neighborhood target and then
 rebinds to scipy's ufunc; ``build_manifest`` imports ``scipy`` for its
@@ -57,7 +59,7 @@ from .distributions import (
 )
 from .divergences import tv_upper_pinsker
 from .errors import InvalidArgument, SupportViolation
-from .seeding import derive_seed, normalize_seed
+from .seeding import derive_seed, derive_seeds, generator, generator_from_words, stream_words
 from .workers import map_payloads
 
 ndtri = Deferred("scipy.special", "ndtri", globals())
@@ -197,13 +199,15 @@ def _task_distribution_at_target(
     return InverseGammaGaussianTasks(float(beta @ TARGET_COVARIATES), *IG_TASKS)
 
 
-def sample_source_data(config: ExperimentConfig, n: int, seed: int) -> SourceDataset:
+def sample_source_data(config: ExperimentConfig, n: int,
+                       seed: int | np.random.Generator) -> SourceDataset:
     """n source tasks, one observation each: xi ~ U(0,1)^2, x ~ N(beta.xi, sd_i).
 
     Task noise variances draw i.i.d. from IG(IG_TASKS); they ride along in
     ``task_variances`` for target construction but are not learner-visible.
+    ``seed`` is an int or a Generator to draw from.
     """
-    rng = np.random.default_rng(normalize_seed(seed))
+    rng = generator(seed)
     if n == 0:
         return empty_dataset()
     variances = _task_distribution_at_target(config, "source").sample_variances(n, rng)
@@ -212,10 +216,9 @@ def sample_source_data(config: ExperimentConfig, n: int, seed: int) -> SourceDat
     return SourceDataset(xi, x, task_variances=variances)
 
 
-def target_task(config: ExperimentConfig, seed: int) -> Gaussian:
-    """One realized target task at the fixed covariates xi = (1, 1)."""
-    rng = np.random.default_rng(normalize_seed(seed))
-    return _task_distribution_at_target(config, "target").sample_task(rng)
+def target_task(config: ExperimentConfig, seed: int | np.random.Generator) -> Gaussian:
+    """One realized target task at the fixed covariates xi = (1, 1); ``seed`` may be a Generator."""
+    return _task_distribution_at_target(config, "target").sample_task(generator(seed))
 
 
 def neighborhood_target(source_task: Gaussian, eps_tilde: float) -> Gaussian:
@@ -242,15 +245,15 @@ def _fit_predictor(data: SourceDataset) -> tuple[GaussianParamDist, Gaussian]:
 # ---------------------------------------------------------------------------
 
 
-def _neighborhood_row(config: ExperimentConfig, g: int, s: int) -> ExperimentRecord:
+def _neighborhood_row(config: ExperimentConfig, g: int, s: int, row_seed: int,
+                      rngs: Sequence[np.random.Generator]) -> ExperimentRecord:
+    data_rng, pick_rng, kl_rng = rngs
     eps = config.epsilon_grid[g]
-    row_seed = derive_seed(config.master_seed, _EXP_NEIGHBORHOOD, g, s)
-    data = sample_source_data(config, config.n_source_tasks, derive_seed(row_seed, 0))
+    data = sample_source_data(config, config.n_source_tasks, data_rng)
     post, predictor = _fit_predictor(data)
 
-    rng = np.random.default_rng(normalize_seed(derive_seed(row_seed, 1)))
-    i = int(rng.integers(config.n_source_tasks))
-    eps_tilde = float(rng.uniform(0.0, eps))
+    i = int(pick_rng.integers(config.n_source_tasks))
+    eps_tilde = float(pick_rng.uniform(0.0, eps))
     source_task_i = Gaussian(
         float(config.beta_source @ TARGET_COVARIATES),
         math.sqrt(float(data.task_variances[i])),
@@ -258,7 +261,7 @@ def _neighborhood_row(config: ExperimentConfig, g: int, s: int) -> ExperimentRec
     target = neighborhood_target(source_task_i, eps_tilde)
 
     er = tv_upper_pinsker(predictor, target, n_samples=config.kl_samples,
-                          seed=derive_seed(row_seed, 2), force_mc=True).value
+                          seed=kl_rng, force_mc=True).value
     mass = posterior_mass_near(post, config.beta_source, POSTERIOR_MASS_RADIUS)
     return ExperimentRecord(
         sim=s, seed=row_seed, n=config.n_source_tasks, epsilon=eps,
@@ -266,20 +269,21 @@ def _neighborhood_row(config: ExperimentConfig, g: int, s: int) -> ExperimentRec
     )
 
 
-def _negative_transfer_row(config: ExperimentConfig, g: int, s: int, bary_s: GaussianMixture,
+def _negative_transfer_row(config: ExperimentConfig, g: int, s: int, row_seed: int,
+                           rngs: Sequence[np.random.Generator], bary_s: GaussianMixture,
                            bary_t: GaussianMixture) -> ExperimentRecord:
+    data_rng, target_rng, er_rng, c_rng, d_rng = rngs
     n = config.n_grid[g]
-    row_seed = derive_seed(config.master_seed, _EXP_NEGATIVE_TRANSFER, g, s)
-    data = sample_source_data(config, n, derive_seed(row_seed, 0))
+    data = sample_source_data(config, n, data_rng)
     _, predictor = _fit_predictor(data)
-    target = target_task(config, derive_seed(row_seed, 1))
+    target = target_task(config, target_rng)
 
     er = tv_upper_pinsker(predictor, target, n_samples=config.kl_samples,
-                          seed=derive_seed(row_seed, 2), force_mc=True).value
+                          seed=er_rng, force_mc=True).value
     c = tv_upper_pinsker(predictor, bary_s, n_samples=config.kl_samples,
-                         seed=derive_seed(row_seed, 3), force_mc=True).value
+                         seed=c_rng, force_mc=True).value
     d = tv_upper_pinsker(bary_s, bary_t, n_samples=config.kl_samples,
-                         seed=derive_seed(row_seed, 4), force_mc=True).value
+                         seed=d_rng, force_mc=True).value
     return ExperimentRecord(
         sim=s, seed=row_seed, n=n, epsilon=None, epistemic_error=er,
         C=c, D=d, looseness=er - (c + d), posterior_mass=None,
@@ -288,22 +292,32 @@ def _negative_transfer_row(config: ExperimentConfig, g: int, s: int, bary_s: Gau
 
 def _run_grid_point(payload) -> list:
     """Every sim of one grid point; a row whose divergence hits a support gap is dropped."""
-    row, config, g, point = payload
+    row, config, g, point, row_seeds, words = payload
     records = []
-    for s in range(config.sims):
+    for s, (row_seed, streams) in enumerate(zip(row_seeds, words)):
         try:
-            records.append(row(config, g, s))
+            records.append(row(config, g, s, row_seed, list(map(generator_from_words, streams))))
         except SupportViolation as exc:
             log.warning("%s row (%s, sim=%d) dropped: %s", config.scenario, point, s, exc)
     return records
 
 
-def _run_grid(row, config: ExperimentConfig, points: Sequence[str], threads: int) -> list:
-    """``row(config, g, s)`` over the grid points, named by ``points``, and the sims.
+def _run_grid(row, config: ExperimentConfig, exp_id: int, streams: int,
+              points: Sequence[str], threads: int) -> list:
+    """``row(config, g, s, row_seed, rngs)`` over the grid points, named by ``points``, and the sims.
 
-    One payload per grid point, in the processes ``workers.worker_count`` allows.
+    Row (g, s) has the seed ``derive_seed(master_seed, exp_id, g, s)`` and
+    ``streams`` Generators, stream k seeded with ``derive_seed(row_seed, k)``.
+    All of them are derived here, before dispatch; rows build their
+    Generators from the words.  One payload per grid point, in the
+    processes ``workers.worker_count`` allows.
     """
-    payloads = [(row, config, g, point) for g, point in enumerate(points)]
+    grid, sim = np.divmod(np.arange(len(points) * config.sims), config.sims)
+    row_seeds = derive_seeds(config.master_seed, exp_id, grid, sim)
+    children = derive_seeds(np.repeat(row_seeds, streams), np.tile(np.arange(streams), grid.size))
+    words = stream_words(children).reshape(len(points), config.sims, streams, 4)
+    row_seeds = row_seeds.reshape(len(points), config.sims).tolist()
+    payloads = [(row, config, g, point, row_seeds[g], words[g]) for g, point in enumerate(points)]
     chunks = map_payloads(_run_grid_point, payloads, threads)
     return [rec for chunk in chunks for rec in chunk]
 
@@ -312,7 +326,9 @@ def run_neighborhood_experiment(config: ExperimentConfig, threads: int = 1) -> l
     """Sweep over neighborhood sizes; one record per simulation."""
     if not config.epsilon_grid:
         raise InvalidArgument("neighborhood experiment needs an epsilon grid")
-    return _run_grid(_neighborhood_row, config, [f"eps={e}" for e in config.epsilon_grid], threads)
+    points = [f"eps={e}" for e in config.epsilon_grid]
+    # streams: source data, the source task and eps-tilde pick, the kl_mc draws
+    return _run_grid(_neighborhood_row, config, _EXP_NEIGHBORHOOD, 3, points, threads)
 
 
 def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1) -> list:
@@ -325,7 +341,9 @@ def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1)
         for stream, which in enumerate(("source", "target"))
     )
     row = functools.partial(_negative_transfer_row, bary_s=bary_s, bary_t=bary_t)
-    return _run_grid(row, config, [f"n={n}" for n in config.n_grid], threads)
+    points = [f"n={n}" for n in config.n_grid]
+    # streams: source data, target task, the kl_mc draws of er, C and D
+    return _run_grid(row, config, _EXP_NEGATIVE_TRANSFER, 5, points, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +383,7 @@ def monte_carlo_verify(setup: dict, trials: int, seed: int) -> dict:
         b_pred=setup.get("b_pred"),
     )
     loss = LOSSES[STATEMENTS[report.statement_id].loss]
-    rng = np.random.default_rng(normalize_seed(seed))
+    rng = generator(seed)
     if isinstance(target, FiniteTaskDistribution):
         # zero-weight tasks are never drawn, and may lie outside the loss's domain
         values = np.array([loss(predictor, t) if w > 0 else 0.0

@@ -9,7 +9,9 @@ learning, the two total-variation-neighborhood assumptions) to hold by
 construction.  A suite draws each instance from its own seed as raw
 arrays, builds no instance object, and checks them a chunk at a time as
 padded arrays: every probability row and weight vector once per chunk,
-then every statement, with the per-instance results bit for bit.
+then every statement, with the per-instance results bit for bit.  A
+chunk's seeds and Generators come from ``seeding``'s batch kernel, with
+the bytes of one ``derive_seed`` and one ``default_rng`` per instance.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .bounds import (
     _require_alpha,
 )
 from .errors import GenerationFailure, InvalidArgument, InvalidTaskDistribution
-from .seeding import derive_seed, normalize_seed
+from .seeding import derive_seeds, generator, generator_from_words, stream_words
 from .workers import map_payloads, worker_count
 
 DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 11))
@@ -235,9 +237,11 @@ class _Draw(NamedTuple):
         return self.T is self.S
 
 
-def _draw_instance(seed: int, config: InstanceConfig) -> _Draw:
-    """``generate_instance``'s arrays; ``_components`` checks their rows."""
-    rng = np.random.default_rng(normalize_seed(seed))
+def _draw_instance(seed: int, config: InstanceConfig, rng: np.random.Generator) -> _Draw:
+    """``generate_instance``'s arrays, drawn from ``rng``, the Generator of ``seed``.
+
+    ``_components`` checks their rows.
+    """
     m = int(rng.integers(config.m_range[0], config.m_range[1] + 1))
     k_s = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
     k_t = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
@@ -289,7 +293,7 @@ def _draw_instance(seed: int, config: InstanceConfig) -> _Draw:
 
 def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> OracleInstance:
     """Deterministic instance from ``seed``; flat-simplex weights and tasks."""
-    return OracleInstance(*_draw_instance(seed, config))
+    return OracleInstance(*_draw_instance(seed, config, generator(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +707,12 @@ class _ThetaDraw(NamedTuple):
     seed: int
 
 
-def _draw_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> _ThetaDraw:
-    """``generate_theta_instance``'s arrays; ``_theta_components`` checks their rows."""
-    rng = np.random.default_rng(normalize_seed(seed))
+def _draw_theta_instance(seed: int, rng: np.random.Generator, m_range=(2, 6),
+                         theta_range=(2, 8)) -> _ThetaDraw:
+    """``generate_theta_instance``'s arrays, drawn from ``rng``, the Generator of ``seed``.
+
+    ``_theta_components`` checks their rows.
+    """
     m = int(rng.integers(m_range[0], m_range[1] + 1))
     j = int(rng.integers(theta_range[0], theta_range[1] + 1))
     r = int(rng.integers(2, 9))
@@ -722,7 +729,7 @@ def _draw_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> _Thet
 
 def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> ThetaInstance:
     """Deterministic finite-theta instance from ``seed``; flat-simplex draws throughout."""
-    return ThetaInstance(*_draw_theta_instance(seed, m_range, theta_range))
+    return ThetaInstance(*_draw_theta_instance(seed, generator(seed), m_range, theta_range))
 
 
 def _theta_components(insts: Sequence[_ThetaDraw | ThetaInstance]) -> SimpleNamespace:
@@ -860,9 +867,13 @@ def _run_range(args) -> dict:
     modes = CONSTRAINT_MODES
     configs = {mode: InstanceConfig(m_range=(2, max_outcomes), constraint=mode) for mode in modes}
     for lo in range(start, stop, _CHUNK):
-        index = range(lo, min(lo + _CHUNK, stop))
-        insts = [_draw_instance(derive_seed(seed, i), configs[modes[i % len(modes)]])
-                 for i in index]
+        # the instance seeds (seed, i), the theta seeds (seed, i, 777) and the
+        # Generators of both, one hash pass each
+        index = np.arange(lo, min(lo + _CHUNK, stop))
+        inst_seeds, theta_seeds = derive_seeds(seed, index), derive_seeds(seed, index, 777)
+        words = stream_words(np.concatenate([inst_seeds, theta_seeds]))
+        insts = [_draw_instance(s, configs[modes[i % len(modes)]], generator_from_words(w))
+                 for i, s, w in zip(index.tolist(), inst_seeds.tolist(), words)]
         for group in _instance_groups(insts):
             batch = [insts[g] for g in group]
             comp = _components(batch)
@@ -873,7 +884,8 @@ def _run_range(args) -> dict:
                     hits = _check(sid, comp, alphas, attempts[:, s], statements[sid])
                     violated.extend((lo + g, _MODE_STATEMENTS[insts[g].constraint].index(sid),
                                      sid, insts[g].seed) for g in group[hits])
-        thetas = [_draw_theta_instance(derive_seed(seed, i, 777)) for i in index]
+        thetas = [_draw_theta_instance(s, generator_from_words(w))
+                  for s, w in zip(theta_seeds.tolist(), words[index.size:])]
         _verify_thetas(thetas, alphas, statements["lemma_b6"], statements["cor_bayesian"])
     details = [{"statement": sid, "instance_seed": inst_seed, "mode": modes[i % len(modes)]}
                for i, _, sid, inst_seed in sorted(violated)[:50]]
@@ -962,7 +974,7 @@ def negative_transfer_scan(
     strictly decrease at every step; in the negative-transfer geometry
     (target behind the start point) it must strictly increase.
     """
-    rng_master = np.random.default_rng(normalize_seed(seed))
+    rng_master = generator(seed)
     lambdas = np.linspace(0.0, 1.0, n_points)
     violations = {"positive": 0, "negative": 0}
     for _ in range(n_instances):

@@ -37,7 +37,7 @@ from epibound.experiments import (
     setup_from_dict,
     write_experiment_output,
 )
-from epibound.seeding import derive_seed
+from epibound.seeding import derive_seed, generator
 
 IG_MEAN = 10.0 / 19.0
 
@@ -64,6 +64,13 @@ class TestSourceData:
         data = sample_source_data(ExperimentConfig(), 100, seed=4)
         assert np.all((data.xi >= 0) & (data.xi <= 1))
 
+    @pytest.mark.parametrize("seed", [5, -1])
+    def test_generator_seed_draws_as_its_int(self, seed):
+        cfg = ExperimentConfig()
+        a, b = sample_source_data(cfg, 20, seed), sample_source_data(cfg, 20, generator(seed))
+        for name in ("xi", "x", "task_variances"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
 
 class TestTargetTask:
     def test_mean_is_coefficient_sum(self):
@@ -74,6 +81,11 @@ class TestTargetTask:
     def test_zero_coefficients(self):
         cfg = ExperimentConfig(beta_target=np.array([0.0, 0.0]))
         assert target_task(cfg, seed=1).mean == 0.0
+
+    def test_generator_seed_draws_as_its_int(self):
+        cfg = ExperimentConfig()
+        a, b = target_task(cfg, generator(-7)), target_task(cfg, 2**64 - 7)
+        assert (a.mean, a.stddev) == (b.mean, b.stddev)
 
 
 class TestNeighborhoodTarget:
@@ -144,6 +156,16 @@ class TestNeighborhoodExperiment:
             "11127135bccd081ed3e7da3ac8d0350f1f32070a837e6439708eb38f399b97b4"
         )
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_seeded_in_one_pass_pinned(self, threads):
+        # recorded with every row seeding itself one derive_seed at a time; a
+        # master seed above 2**32 makes each row path five words, past the pool
+        cfg = ExperimentConfig.neighborhood([0.05, 0.2, 0.45], sims=7, master_seed=2**40 + 3)
+        csv = records_to_csv(run_neighborhood_experiment(cfg, threads=threads))
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "4105e692025ad3bde60e75348c9b7dffd1103820d0ddedfdd6adca8f7cc743c0"
+        )
+
 
 class TestPosteriorMassAssociation:
     def test_association_recorded_not_asserted(self, capsys):
@@ -197,6 +219,14 @@ class TestNegativeTransferExperiment:
             "75c16ca027506bb233c1d3ccfa84c329fc40f88a3d5cd8324d9d294041cd95b4"
         )
 
+    def test_one_row_run_pinned(self):
+        # a batch of one row, recorded with per-row scalar seeding
+        cfg = ExperimentConfig.negative_transfer("posneg", n_grid=(3,), sims=1, master_seed=19)
+        csv = records_to_csv(run_negative_transfer_experiment(cfg))
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "c0afd16efc57a7d1b6c7964ec7f587f093dd960d34c5ee62f7f6950282fa2464"
+        )
+
     def test_pinsker_upper_bounds_exact_tv(self):
         # the Pinsker proxy with exact KL dominates the exact TV on the same
         # pairs; the MC realization can undershoot only within sampling noise
@@ -238,10 +268,12 @@ class TestDroppedRows:
             run, exp_id, point = run_negative_transfer_experiment, _EXP_NEGATIVE_TRANSFER, "n=4"
         clean = run(cfg)
         bad_row = derive_seed(cfg.master_seed, exp_id, 1, 2)  # grid point 1, sim 2
+        # rows hand kl_mc the Generator of their stream 2; this is that row's, undrawn
+        bad_state = generator(derive_seed(bad_row, 2)).bit_generator.state
         real = experiments.tv_upper_pinsker
 
         def flaky(*args, seed, **kw):
-            if seed == derive_seed(bad_row, 2):
+            if seed.bit_generator.state == bad_state:
                 raise SupportViolation("injected")
             return real(*args, seed=seed, **kw)
 

@@ -702,6 +702,12 @@ class TestSuite:
         digest = hashlib.sha256(run_suite(100, seed=7).to_json().encode()).hexdigest()
         assert digest == "01788854cd54b4f570e463026df223676ecce7d71bd65ffc14e8aec8a26b6b11"
 
+    def test_report_bytes_pinned_across_chunks(self):
+        # 300 instances: a full 256-instance chunk, then a partial one; recorded
+        # with one derive_seed and one default_rng per drawn instance
+        digest = hashlib.sha256(run_suite(300, seed=7).to_json().encode()).hexdigest()
+        assert digest == "1e310ca9135a18fc4a039eb04ad8dbd71a475849d56094f801594ffe6622e834"
+
     def test_chunks_of_one_match(self, monkeypatch):
         want = run_suite(60, seed=9, max_outcomes=9).to_dict()
         monkeypatch.setattr(oracle, "_CHUNK", 1)
