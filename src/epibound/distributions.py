@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from ._deferred import Deferred
-from .errors import EventMismatch, InvalidArgument, InvalidTaskDistribution
+from .errors import EventMismatch, InvalidArgument, InvalidTaskDistribution, NumericalFailure
 from .seeding import generator
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
@@ -242,6 +242,12 @@ class GaussianMixture(FirstOrderDistribution):
         with np.errstate(divide="ignore"):  # a zero-weight component has log-weight -inf
             _freeze(self, "_log_weights", np.log(w))
         _freeze(self, "_log_stddevs", np.log(sd))
+        # One common mean, or one common log-weight, lets logpdf subtract it,
+        # or add it, as a scalar; every IG barycenter and one-component
+        # mixture has both.
+        lw = self._log_weights
+        object.__setattr__(self, "_common_mean", mu[0] if (mu == mu[0]).all() else None)
+        object.__setattr__(self, "_common_log_weight", lw[0] if (lw == lw[0]).all() else None)
 
     def event_probability(self, event: EventSet) -> float:
         return _interval_probability(self, event)
@@ -257,15 +263,20 @@ class GaussianMixture(FirstOrderDistribution):
         # The order of the steps, and the three separate per-component
         # constants, are fixed: each rounds exactly as the plain expression
         # -0.5*z**2 - log(sd) - 0.5*LOG_2PI + log(w), and the experiment CSV
-        # bytes depend on every last bit of these values.
+        # bytes depend on every last bit of these values.  With one common
+        # mean, x - mu is taken once per point, and one common log-weight is
+        # added as a scalar: the same operands, so the same roundings.
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        comp = np.subtract(x[:, None], self.means)
-        comp /= self.stddevs
+        if self._common_mean is None:
+            comp = np.subtract(x[:, None], self.means)
+            comp /= self.stddevs
+        else:
+            comp = np.divide(np.subtract(x, self._common_mean)[:, None], self.stddevs)
         np.square(comp, out=comp)
         comp *= -0.5
         comp -= self._log_stddevs
         comp -= 0.5 * LOG_2PI
-        comp += self._log_weights
+        comp += self._log_weights if self._common_log_weight is None else self._common_log_weight
         mx = comp.max(axis=1, keepdims=True)
         mx[~np.isfinite(mx)] = 0.0  # a row of -inf stays -inf, not NaN, as in logsumexp
         comp -= mx
@@ -559,7 +570,12 @@ def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
     moments = np.array([t.mean_std() for t in tasks.tasks])
     pooled_mean = float(tasks.weights @ moments[:, 0])
     pooled_second = float(tasks.weights @ (moments[:, 1] ** 2 + moments[:, 0] ** 2))
-    pooled_std = math.sqrt(max(pooled_second - pooled_mean**2, 1e-300))
+    try:
+        pooled_std = math.sqrt(max(pooled_second - pooled_mean**2, 1e-300))
+    except OverflowError:
+        raise NumericalFailure(
+            f"half-line threshold grid: the square of the pooled mean {pooled_mean} "
+            f"overflows") from None
     span = DEFAULT_THRESHOLD_SPAN
     return np.linspace(pooled_mean - span * pooled_std, pooled_mean + span * pooled_std,
                        DEFAULT_THRESHOLDS)
@@ -575,10 +591,11 @@ def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
 
     The (thresholds, tasks) matrix of Q((-inf, t]) is one ``ndtr`` call
     when every task is a Gaussian, and is otherwise built one task's CDF
-    column at a time.  Each row's variance then takes the same two
-    ``w @ row`` dot products as ``variance_at``, so Gaussian tasks give
-    bitwise the same result: one matrix-vector product over all rows would
-    sum in another order.
+    column at a time.  Each row's variance then takes the same two dot
+    products with ``w`` as ``variance_at``: ``np.vecdot`` sums each row as
+    ``w @ row`` does, so Gaussian tasks give bitwise the same result, where
+    one matrix-vector product over all rows would sum in another order.  A
+    NaN variance raises NumericalFailure.
     """
     ts = _thresholds(fin)
     if all(isinstance(t, Gaussian) for t in fin.tasks):
@@ -592,12 +609,13 @@ def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
         for i, t in enumerate(fin.tasks):
             qa[:, i] = t.cdf(ts)
     w = fin.weights
-    best = 0.0
-    for row in qa:  # rows are written in place once read
-        row -= w @ row
-        np.square(row, out=row)
-        best = max(best, w @ row)
-    return float(best)
+    qa -= np.vecdot(qa, w)[:, None]
+    np.square(qa, out=qa)
+    variances = np.vecdot(qa, w)
+    if np.isnan(variances).any():
+        raise NumericalFailure(
+            f"half-line sup-variance is NaN on the thresholds [{ts[0]}, {ts[-1]}]")
+    return max(0.0, float(variances.max()))
 
 
 def sup_variance(tasks: TaskDistribution) -> float:

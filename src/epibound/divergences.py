@@ -10,6 +10,8 @@ select it explicitly.
 ``scipy.integrate`` is loaded at the first quadrature, and ``scipy.special``
 at the first Gaussian TV in closed form, not at import (see ``_deferred``).
 Only the mixture fallbacks here and ``bayes.posterior_mass_near`` integrate.
+A window that is not finite (overflowing or NaN moments) raises
+NumericalFailure, in quadrature and in the crossing search alike.
 Every quadrature calls the module global ``quad``, which stays the same
 forwarding object; ``ndtr`` rebinds to scipy's ufunc at its first call.
 """
@@ -75,16 +77,26 @@ class DivergenceResult:
 
 
 def _window(*dists: FirstOrderDistribution) -> tuple[float, float]:
+    """Each distribution's mean +- ``QUAD_SPAN`` stddevs, merged.
+
+    A NaN end (a mixture's overflowing moments) makes both ends NaN: Python's
+    ``min`` and ``max`` would drop it when it comes second, so the window
+    would depend on the argument order.
+    """
     los, his = [], []
     for d in dists:
         m, s = d.mean_std()
         s = max(s, 1e-12)
         los.append(m - QUAD_SPAN * s)
         his.append(m + QUAD_SPAN * s)
+    if any(map(math.isnan, los + his)):
+        return math.nan, math.nan
     return min(los), max(his)
 
 
 def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalFailure(f"quadrature window [{lo}, {hi}] is not finite")
     val, _ = quad(fn, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=400)
     return val
 

@@ -200,6 +200,24 @@ class TestBoundCommand:
         assert run.stderr.startswith("error: TV crossing search over ")
         assert run.stderr.count("\n") == 1 and run.stdout == ""
 
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_overflowing_task_mean_is_usage_error(self, command, tmp_path):
+        # a finite Gaussian target with one task at mean 1e160: its barycenter's
+        # moments and the threshold grid's squared pooled mean overflow
+        target = {"kind": "finite_tasks", "tasks": [
+            {"w": 0.5, "dist": {"kind": "gaussian", "mean": 0.0, "stddev": 1.0}},
+            {"w": 0.5, "dist": {"kind": "gaussian", "mean": 1e160, "stddev": 1.0}}]}
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps({**IG_INSTANCE, "target": target, "statement_id": "thm1",
+                                   "alpha": 0.2}))
+        argv = (["bound", "--statement", "thm1", "--instance", str(bad), "--alpha", "0.2"]
+                if command == "bound" else ["verify", "--setup", str(bad), "--trials", "10"])
+        run = subprocess.run([sys.executable, "-m", "epibound.cli", *argv],
+                             capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ") and run.stderr.endswith(" is not finite\n")
+        assert run.stderr.count("\n") == 1 and run.stdout == ""
+
     def test_equal_families_share_one_reification(self, tmp_path, capsys):
         # two equal families read from a file are two objects; they still mean no shift
         data = json.loads(json.dumps({**IG_INSTANCE, "target": IG_INSTANCE["source"]}))

@@ -18,6 +18,7 @@ from epibound import (
     InvalidTaskDistribution,
     InverseGammaGaussianTasks,
     ModelClass,
+    NumericalFailure,
     PreconditionViolated,
     barycenter,
     diameter,
@@ -127,7 +128,48 @@ def reference_mixture_logpdf(mix: GaussianMixture, x) -> np.ndarray:
     return mx[:, 0] + np.log(np.exp(comp - mx).sum(axis=1))
 
 
+# (mixture, whether it has one common mean, whether it has one common weight)
+LOGPDF_MIXTURES = {
+    "common-mean-equal-weights": (
+        barycenter(InverseGammaGaussianTasks(-0.4, 3.0, 2.0), components=64, seed=11), True, True),
+    "common-mean-unequal-weights": (
+        GaussianMixture([0.1, 0.2, 0.3, 0.4], [0.5] * 4, [0.3, 1.0, 2.0, 4.5]), True, False),
+    "distinct-means-equal-weights": (
+        GaussianMixture([0.25] * 4, [-1.0, 0.0, 0.5, 3.0], [0.7, 1.0, 1.5, 0.4]), False, True),
+    "distinct-means-unequal-weights": (
+        GaussianMixture([0.2, 0.3, 0.5], [-1.0, 0.5, 2.0], [0.7, 1.0, 2.5]), False, False),
+}
+
+
 class TestMixtureLogpdf:
+    @pytest.mark.parametrize("name", LOGPDF_MIXTURES)
+    def test_each_path_bitwise_equal_to_reference(self, name):
+        mix, common_mean, common_weight = LOGPDF_MIXTURES[name]
+        assert (mix._common_mean is not None) == common_mean
+        assert (mix._common_log_weight is not None) == common_weight
+        x = np.concatenate([sample(mix, 300, seed=3), mix.means, np.linspace(-12.0, 12.0, 97),
+                            [math.nan]])
+        got = mix.logpdf(x)
+        assert np.isnan(got[-1]) and np.all(np.isfinite(got[:-1]))
+        assert np.array_equal(got, reference_mixture_logpdf(mix, x), equal_nan=True)
+
+    @pytest.mark.parametrize("name", LOGPDF_MIXTURES)
+    def test_non_finite_rows_are_minus_inf(self, name):
+        # z**2 overflows (or x - mu is infinite) in every component; the reference's
+        # -inf - -inf gives NaN there
+        mix = LOGPDF_MIXTURES[name][0]
+        with np.errstate(over="ignore", divide="ignore"):
+            got = mix.logpdf([math.inf, -math.inf, 1e308, -1e308])
+        assert np.array_equal(got, np.full(4, -np.inf))
+
+    def test_tiny_stddev_scale_mixture(self):
+        mix = GaussianMixture([0.5, 0.5], [1.0, 1.0], [1e-160, 2e-160])
+        assert mix._common_mean == 1.0 and mix._common_log_weight == math.log(0.5)
+        with np.errstate(over="ignore", divide="ignore"):
+            got = mix.logpdf([1.2, 1.0, -3.0])
+        assert got[0] == got[2] == -np.inf
+        assert np.array_equal(got[1:2], reference_mixture_logpdf(mix, [1.0]))
+
     def test_bitwise_equal_to_reference_on_sampled_barycenter(self):
         mix = barycenter(InverseGammaGaussianTasks(10.0 / 19.0, 3.0, 2.0), components=256, seed=5)
         assert mix.weights.size == 256
@@ -166,6 +208,17 @@ class TestMixtureLogpdf:
         x = np.linspace(-6.0, 7.0, 41)
         mix = GaussianMixture([1.0], [0.75], [1.3])
         assert np.array_equal(mix.logpdf(x), Gaussian(0.75, 1.3).logpdf(x))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 300), st.floats(-50.0, 50.0), st.booleans(), st.integers(0, 2**31 - 1))
+def test_scale_mixture_logpdf_property(k, mean, equal_weights, seed):
+    rng = np.random.default_rng(seed)
+    stddevs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k))
+    weights = np.full(k, 1.0 / k) if equal_weights else rng.dirichlet(np.ones(k))
+    mix = GaussianMixture(weights, np.full(k, mean), stddevs)
+    x = np.append(sample(mix, 50, seed=seed), mean)
+    assert np.array_equal(mix.logpdf(x), reference_mixture_logpdf(mix, x))
 
 
 class TestBarycenter:
@@ -342,6 +395,44 @@ class TestHalfLineSupVariance:
                     rng.uniform(-3, 3, n), np.exp(rng.uniform(math.log(0.05), math.log(3.0), n)),
                     weights))
             assert sup_variance(tasks) == reference_sup_variance(tasks)
+
+    @pytest.mark.parametrize("components", [3, 64, 256])
+    def test_bitwise_equal_to_event_loop_on_reweighted_ig_reifications(self, components):
+        # one common mean, non-uniform weights, some of them zero
+        rng = np.random.default_rng(100 + components)
+        for _ in range(6):
+            family = InverseGammaGaussianTasks(rng.uniform(-2, 2), rng.uniform(1, 30),
+                                               rng.uniform(0.5, 15))
+            weights = rng.dirichlet(np.full(components, 0.5))
+            weights[::3] = 0.0
+            weights /= weights.sum()
+            tasks = FiniteTaskDistribution(family.reify(components, seed=7).tasks, weights)
+            assert sup_variance(tasks) == reference_sup_variance(tasks)
+
+    @pytest.mark.parametrize("n", [2, 9, 128])
+    def test_bitwise_equal_to_event_loop_on_spread_gaussian_families(self, n):
+        # distinct means far apart against stddevs over four decades
+        rng = np.random.default_rng(200 + n)
+        for _ in range(6):
+            tasks = finite_tasks((Gaussian(m, s), w) for m, s, w in zip(
+                rng.uniform(-40, 40, n), np.exp(rng.uniform(math.log(0.01), math.log(100.0), n)),
+                rng.dirichlet(np.full(n, 0.3))))
+            assert sup_variance(tasks) == reference_sup_variance(tasks)
+
+    @pytest.mark.parametrize("mixture", [False, True], ids=["gaussians", "with-mixture"])
+    def test_nan_variance_raises(self, mixture):
+        # a stddev of 1e200 makes the pooled stddev, and so the grid, infinite: its
+        # thresholds and rows are NaN, which a running max() would skip
+        last = (GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 2.0]) if mixture
+                else Gaussian(1.0, 1.0))
+        tasks = finite_tasks([(Gaussian(0.0, 1e200), 0.5), (last, 0.5)])
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="NaN"):
+            sup_variance(tasks)
+
+    def test_overflowing_pooled_mean_raises(self):
+        tasks = finite_tasks([(Gaussian(1e160, 1.0), 0.5), (Gaussian(0.0, 1.0), 0.5)])
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="overflows"):
+            sup_variance(tasks)
 
     def test_gaussian_and_mixture_tasks_take_the_column_loop(self, monkeypatch):
         calls = []

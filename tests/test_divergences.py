@@ -32,6 +32,8 @@ from epibound import (
     tv_upper_pinsker,
 )
 
+# means past 1.3e154: the mixture's second moment overflows and its stddev is NaN
+NAN_WINDOW_MIXTURE = GaussianMixture([0.5, 0.5], [1e160, 0.0], [1.0, 1.0])
 P37 = Categorical([0.3, 0.7])
 P55 = Categorical([0.5, 0.5])
 KL_37_55 = 0.3 * math.log(0.6) + 0.7 * math.log(1.4)  # hand formula
@@ -331,10 +333,13 @@ class TestCrossingRefinement:
         (Gaussian(0.0, 1e200), Gaussian(0.0, 1.0)),  # the window's stddev overflows
         (Gaussian(1e308, 1.0), Gaussian(-1e308, 2.0)),  # its width overflows
         (Gaussian(0.0, 1e300), Gaussian(0.0, 1e-20)),  # its grid size overflows
-    ], ids=["stddev", "width", "grid"])
+        (Gaussian(0.0, 1.0), NAN_WINDOW_MIXTURE),  # the mixture's moments are NaN
+    ], ids=["stddev", "width", "grid", "nan-moment"])
     def test_non_finite_search_raises(self, p, q):
-        with pytest.raises(NumericalFailure, match="not finite"):
-            tv_exact(p, q)
+        for a, b in ((p, q), (q, p)):  # a NaN window end counts in either order
+            with np.errstate(all="ignore"), pytest.raises(
+                    NumericalFailure, match=r"^TV crossing search over .* is not finite$"):
+                tv_exact(a, b)
 
 
 class TestKL:
@@ -453,6 +458,20 @@ class TestEntropyFamily:
         assert cross_entropy(P37, P55) - entropy(P37) - kl_exact(P37, P55) == pytest.approx(0.0, abs=1e-10)
         p, q = Gaussian(0.2, 1.1), Gaussian(-0.3, 0.9)
         assert cross_entropy(p, q) - entropy(p) - kl_exact(p, q) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fn", [hellinger_sq, kl_exact, cross_entropy])
+    def test_nan_window_raises_in_both_orders(self, fn):
+        # Python's min and max keep a NaN only when it comes first
+        p, q = Gaussian(0.0, 1.0), NAN_WINDOW_MIXTURE
+        for a, b in ((p, q), (q, p)):
+            with np.errstate(all="ignore"), pytest.raises(
+                    NumericalFailure, match=r"^quadrature window \[nan, nan\] is not finite$"):
+                fn(a, b)
+
+    def test_infinite_window_raises(self):
+        wide = GaussianMixture([0.5, 0.5], [0.0, 1.0], [1e200, 1.0])  # its variance overflows
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="not finite"):
+            entropy(wide)
 
     def test_cross_entropy_support_violation(self):
         with pytest.raises(SupportViolation):
