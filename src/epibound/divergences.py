@@ -11,13 +11,14 @@ select it explicitly.
 at the first Gaussian TV in closed form, not at import (see ``_deferred``).
 Only the mixture fallbacks here and ``bayes.posterior_mass_near`` integrate.
 A window that is not finite (overflowing or NaN moments) raises
-NumericalFailure, in quadrature and in the crossing search alike.
+NumericalFailure, in quadrature, the crossing search and the closed forms.
 Every quadrature calls the module global ``quad``, which stays the same
 forwarding object; ``ndtr`` rebinds to scipy's ufunc at its first call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -105,6 +106,35 @@ def _pdf(d: FirstOrderDistribution) -> Callable[[float], float]:
     if isinstance(d, Gaussian) or isinstance(d, GaussianMixture):
         return lambda x: float(d.pdf(np.array([x]))[0])
     raise EventMismatch(f"no density for kind {d.kind}")
+
+
+def _quad_on_p_support(p: FirstOrderDistribution, q: FirstOrderDistribution,
+                       term: Callable[[float, float], float]) -> float:
+    """The integral of ``term(p(x), q(x))`` where p(x) > 0; SupportViolation where q vanishes."""
+    pf, qf = _pdf(p), _pdf(q)
+    lo, hi = _window(p, q)
+
+    def integrand(x: float) -> float:
+        pv = pf(x)
+        if pv <= 0:
+            return 0.0
+        qv = qf(x)
+        if qv <= 0:
+            raise SupportViolation(f"q density vanished at x={x}")
+        return term(pv, qv)
+
+    return _quad(integrand, lo, hi)
+
+
+@contextlib.contextmanager
+def _closed_form(what: str, *dists: Gaussian):
+    """NumericalFailure for a Gaussian closed form whose float arithmetic fails: an
+    overflowing power, or a variance that underflows to 0 as a divisor or in a log."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError, ValueError):
+        at = " and ".join(f"Gaussian(mean={d.mean!r}, stddev={d.stddev!r})" for d in dists)
+        raise NumericalFailure(f"the closed form of {what} over- or underflows at {at}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +261,10 @@ def hellinger_sq(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
         return float(0.5 * ((np.sqrt(p.p) - np.sqrt(q.p)) ** 2).sum())
     if isinstance(p, Gaussian) and isinstance(q, Gaussian):
         # 1 - sqrt(2 s1 s2 / (s1^2 + s2^2)) * exp(-(m1 - m2)^2 / (4 (s1^2 + s2^2)))
-        spread = p.stddev**2 + q.stddev**2
-        log_bc = 0.5 * math.log(2.0 * p.stddev * q.stddev / spread) - (
-            (p.mean - q.mean) ** 2 / (4.0 * spread))
+        with _closed_form("the squared Hellinger distance", p, q):
+            spread = p.stddev**2 + q.stddev**2
+            log_bc = 0.5 * math.log(2.0 * p.stddev * q.stddev / spread) - (
+                (p.mean - q.mean) ** 2 / (4.0 * spread))
         return max(0.0, -math.expm1(log_bc))  # log_bc <= 0 up to rounding
     pf, qf = _pdf(p), _pdf(q)
     lo, hi = _window(p, q)
@@ -250,7 +281,8 @@ def entropy(p: FirstOrderDistribution) -> float:
         pos = p.p[p.p > 0]
         return float(-(pos * np.log(pos)).sum())
     if isinstance(p, Gaussian):
-        return 0.5 * math.log(2.0 * math.pi * math.e * p.stddev**2)
+        with _closed_form("the entropy", p):
+            return 0.5 * math.log(2.0 * math.pi * math.e * p.stddev**2)
     pf = _pdf(p)
     lo, hi = _window(p)
 
@@ -270,23 +302,12 @@ def cross_entropy(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float
             raise SupportViolation("q assigns zero mass inside p's support")
         return float(-(p.p[mask] * np.log(q.p[mask])).sum())
     if isinstance(p, Gaussian) and isinstance(q, Gaussian):
-        return (
-            0.5 * math.log(2.0 * math.pi * q.stddev**2)
-            + (p.stddev**2 + (p.mean - q.mean) ** 2) / (2.0 * q.stddev**2)
-        )
-    pf, qf = _pdf(p), _pdf(q)
-    lo, hi = _window(p, q)
-
-    def integrand(x: float) -> float:
-        pv = pf(x)
-        if pv <= 0:
-            return 0.0
-        qv = qf(x)
-        if qv <= 0:
-            raise SupportViolation(f"q density vanished at x={x}")
-        return -pv * math.log(qv)
-
-    return _quad(integrand, lo, hi)
+        with _closed_form("the cross-entropy", p, q):
+            return (
+                0.5 * math.log(2.0 * math.pi * q.stddev**2)
+                + (p.stddev**2 + (p.mean - q.mean) ** 2) / (2.0 * q.stddev**2)
+            )
+    return _quad_on_p_support(p, q, lambda pv, qv: -pv * math.log(qv))
 
 
 def kl_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
@@ -298,24 +319,13 @@ def kl_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
             raise SupportViolation("q assigns zero mass inside p's support")
         return float((p.p[mask] * np.log(p.p[mask] / q.p[mask])).sum())
     if isinstance(p, Gaussian) and isinstance(q, Gaussian):
-        return (
-            math.log(q.stddev / p.stddev)
-            + (p.stddev**2 + (p.mean - q.mean) ** 2) / (2.0 * q.stddev**2)
-            - 0.5
-        )
-    pf, qf = _pdf(p), _pdf(q)
-    lo, hi = _window(p, q)
-
-    def integrand(x: float) -> float:
-        pv = pf(x)
-        if pv <= 0:
-            return 0.0
-        qv = qf(x)
-        if qv <= 0:
-            raise SupportViolation(f"q density vanished at x={x}")
-        return pv * math.log(pv / qv)
-
-    return _quad(integrand, lo, hi)
+        with _closed_form("the KL divergence", p, q):
+            return (
+                math.log(q.stddev / p.stddev)
+                + (p.stddev**2 + (p.mean - q.mean) ** 2) / (2.0 * q.stddev**2)
+                - 0.5
+            )
+    return _quad_on_p_support(p, q, lambda pv, qv: pv * math.log(pv / qv))
 
 
 # ---------------------------------------------------------------------------

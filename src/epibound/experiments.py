@@ -364,6 +364,7 @@ def monte_carlo_verify(setup: dict, trials: int, seed: int) -> dict:
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
+    rng = generator(seed)  # a seed out of range fails before the bound is evaluated
     predictor = setup["predictor"]
     source: TaskDistribution = setup["source"]
     target: TaskDistribution = setup["target"]
@@ -383,7 +384,6 @@ def monte_carlo_verify(setup: dict, trials: int, seed: int) -> dict:
         b_pred=setup.get("b_pred"),
     )
     loss = LOSSES[STATEMENTS[report.statement_id].loss]
-    rng = generator(seed)
     if isinstance(target, FiniteTaskDistribution):
         # zero-weight tasks are never drawn, and may lie outside the loss's domain
         values = np.array([loss(predictor, t) if w > 0 else 0.0

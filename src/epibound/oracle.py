@@ -6,10 +6,10 @@ probability is a finite sum, so each statement's tail probability is
 computed exactly by enumeration: zero sampling noise.  Constraint modes
 force the hypotheses of the conditional statements (no shift, perfect
 learning, the two total-variation-neighborhood assumptions) to hold by
-construction.  A suite draws each instance from its own seed as raw
-arrays, builds no instance object, and checks them a chunk at a time as
-padded arrays: every probability row and weight vector once per chunk,
-then every statement, with the per-instance results bit for bit.  A
+construction.  A suite draws each instance from its own seed as an
+unchecked record, whose constructor never runs, and checks them a chunk at
+a time as padded arrays: every probability row and weight vector once per
+chunk, then every statement, with the per-instance results bit for bit.  A
 chunk's seeds and Generators come from ``seeding``'s batch kernel, with
 the bytes of one ``derive_seed`` and one ``default_rng`` per instance.
 """
@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .bounds import (
     _require_alpha,
 )
 from .errors import GenerationFailure, InvalidArgument, InvalidTaskDistribution
-from .seeding import derive_seeds, generator, generator_from_words, stream_words
+from .seeding import derive_seeds, generator, generator_from_words, normalize_seed, stream_words
 from .workers import map_payloads, worker_count
 
 DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 11))
@@ -125,12 +125,10 @@ class OracleInstance:
     seed: int
     constraint: str
     epsilon: Optional[float]
-    shared: bool = field(init=False)
 
     def __post_init__(self):
         for name in ("S", "w_s", "T", "w_t", "members", "pred"):
             _freeze(self, name, getattr(self, name))
-        object.__setattr__(self, "shared", self.T is self.S)
         if self.pred.ndim != 1 or self.pred.size == 0:
             raise InvalidArgument("probability vector must be 1-D and nonempty")
         _check_rows(self.pred)
@@ -160,6 +158,10 @@ class OracleInstance:
     @property
     def m(self) -> int:
         return self.pred.size
+
+    @property
+    def shared(self) -> bool:
+        return self.T is self.S
 
     @cached_property
     def source(self) -> FiniteTaskDistribution:
@@ -215,32 +217,18 @@ def _flat(n: int) -> np.ndarray:
     return _FLAT[:n] if n <= _FLAT.size else np.ones(n)
 
 
-class _Draw(NamedTuple):
-    """A generated instance as ``OracleInstance``'s fields, its rows not yet checked."""
-
-    S: np.ndarray
-    w_s: np.ndarray
-    T: np.ndarray
-    w_t: np.ndarray
-    members: np.ndarray
-    pred: np.ndarray
-    seed: int
-    constraint: str
-    epsilon: Optional[float]
-
-    @property
-    def m(self) -> int:
-        return self.pred.size
-
-    @property
-    def shared(self) -> bool:
-        return self.T is self.S
+def _unchecked(cls, **values):
+    """A ``cls`` record of ``values`` that skips ``__post_init__``: not checked, not frozen."""
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record
 
 
-def _draw_instance(seed: int, config: InstanceConfig, rng: np.random.Generator) -> _Draw:
-    """``generate_instance``'s arrays, drawn from ``rng``, the Generator of ``seed``.
+def _draw_instance(seed: int, config: InstanceConfig, rng: np.random.Generator) -> OracleInstance:
+    """``generate_instance``'s instance, drawn from ``rng``, the Generator of ``seed``, unchecked.
 
-    ``_components`` checks their rows.
+    Such a record stays inside ``_run_range``, where ``_components`` checks
+    its rows, with those of its chunk group, before any component is read.
     """
     m = int(rng.integers(config.m_range[0], config.m_range[1] + 1))
     k_s = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
@@ -288,12 +276,13 @@ def _draw_instance(seed: int, config: InstanceConfig, rng: np.random.Generator) 
         T = rng.dirichlet(flat_m, size=k_t)
         w_t = rng.dirichlet(flat_t)
 
-    return _Draw(S, w_s, T, w_t, members, pred, seed, config.constraint, epsilon)
+    return _unchecked(OracleInstance, S=S, w_s=w_s, T=T, w_t=w_t, members=members, pred=pred,
+                      seed=seed, constraint=config.constraint, epsilon=epsilon)
 
 
 def generate_instance(seed: int, config: InstanceConfig = InstanceConfig()) -> OracleInstance:
-    """Deterministic instance from ``seed``; flat-simplex weights and tasks."""
-    return OracleInstance(*_draw_instance(seed, config, generator(seed)))
+    """Deterministic instance from ``seed``; flat-simplex weights and tasks, checked."""
+    return replace(_draw_instance(seed, config, generator(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +373,11 @@ _SCALARS = tuple(f.name for f in fields(_Components)
                                    "k_t", "m"))
 
 
-def _instance_groups(insts: Sequence[_Draw | OracleInstance]) -> list[np.ndarray]:
+def _instance_groups(insts: Sequence[OracleInstance]) -> list[np.ndarray]:
     return _groups([(inst.m, inst.S.shape[0], inst.T.shape[0]) for inst in insts])
 
 
-def _components(insts: Sequence[_Draw | OracleInstance]) -> _Components:
+def _components(insts: Sequence[OracleInstance]) -> _Components:
     """Exact components of a batch of instances that ``_instance_groups`` put together.
 
     The instances are stacked into padded arrays: tasks and members padded
@@ -503,7 +492,7 @@ def compute_components(inst: OracleInstance) -> _Components:
     return _components([inst]).instance(0)
 
 
-def _looseness(insts: Sequence[_Draw | OracleInstance], comp: _Components) -> np.ndarray:
+def _looseness(insts: Sequence[OracleInstance], comp: _Components) -> np.ndarray:
     """Per instance: the mean of tv(pred, Q_t) over the exact target weights, minus (C + D)."""
     er = [inst.w_t @ tv[:inst.w_t.size] for inst, tv in zip(insts, comp.losses["tv"])]
     return np.array(er) - (comp.C + comp.D)[:, 0]
@@ -695,23 +684,12 @@ class ThetaInstance:
         return FiniteTaskDistribution(self.T, self.w_t)
 
 
-class _ThetaDraw(NamedTuple):
-    """A generated finite-theta instance as ``ThetaInstance``'s fields, rows not yet checked."""
-
-    theta_pmfs: np.ndarray
-    source_weights: np.ndarray
-    candidates: np.ndarray
-    p1: np.ndarray
-    T: np.ndarray
-    w_t: np.ndarray
-    seed: int
-
-
 def _draw_theta_instance(seed: int, rng: np.random.Generator, m_range=(2, 6),
-                         theta_range=(2, 8)) -> _ThetaDraw:
-    """``generate_theta_instance``'s arrays, drawn from ``rng``, the Generator of ``seed``.
+                         theta_range=(2, 8)) -> ThetaInstance:
+    """``generate_theta_instance``'s instance, drawn from ``rng``, the Generator of ``seed``.
 
-    ``_theta_components`` checks their rows.
+    The record is unchecked, as ``_draw_instance``'s is: ``_theta_components``
+    checks its rows, with those of its chunk group, before any component is read.
     """
     m = int(rng.integers(m_range[0], m_range[1] + 1))
     j = int(rng.integers(theta_range[0], theta_range[1] + 1))
@@ -724,15 +702,16 @@ def _draw_theta_instance(seed: int, rng: np.random.Generator, m_range=(2, 6),
     p1 = rng.dirichlet(flat_j)
     T = rng.dirichlet(flat_m, size=k_t)
     w_t = rng.dirichlet(_flat(k_t))
-    return _ThetaDraw(theta_pmfs, source_weights, candidates, p1, T, w_t, seed)
+    return _unchecked(ThetaInstance, theta_pmfs=theta_pmfs, source_weights=source_weights,
+                      candidates=candidates, p1=p1, T=T, w_t=w_t, seed=seed)
 
 
 def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> ThetaInstance:
-    """Deterministic finite-theta instance from ``seed``; flat-simplex draws throughout."""
-    return ThetaInstance(*_draw_theta_instance(seed, generator(seed), m_range, theta_range))
+    """Deterministic finite-theta instance from ``seed``; flat-simplex draws throughout, checked."""
+    return replace(_draw_theta_instance(seed, generator(seed), m_range, theta_range))
 
 
-def _theta_components(insts: Sequence[_ThetaDraw | ThetaInstance]) -> SimpleNamespace:
+def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
     """The components ``cor_bayesian`` and ``lemma_b6`` read, for a batch as ``_components``.
 
     Rows are checked in the padded arrays, as ``_components`` checks them.
@@ -781,7 +760,7 @@ def _theta_components(insts: Sequence[_ThetaDraw | ThetaInstance]) -> SimpleName
     )
 
 
-def _verify_thetas(insts: Sequence[_ThetaDraw | ThetaInstance], alphas: np.ndarray,
+def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,
                    b6_report: StatementReport, bayes_report: StatementReport) -> None:
     """``verify_theta_instance`` on each instance, one group of like sizes at a time."""
     for group in _groups([(inst.T.shape[1], inst.p1.size, inst.T.shape[0]) for inst in insts]):
@@ -918,6 +897,7 @@ def run_suite(
     """
     if n_instances < 1:
         raise InvalidArgument(f"n_instances must be >= 1, got {n_instances}")
+    normalize_seed(seed)  # a seed out of range fails here, before any worker starts
     alphas = tuple(_alpha_array(alphas).tolist())
     bounds = np.linspace(0, n_instances, worker_count(threads, n_instances) + 1).astype(int)
     payloads = [(seed, int(a), int(b), alphas, max_outcomes) for a, b in zip(bounds, bounds[1:])]

@@ -15,7 +15,7 @@ the scalar path: every element of a path is one 32-bit word below 2**32
 zero words at the end of a path of up to four words change nothing, so
 ``derive_seed(5, 7) == derive_seed(5, 7, 0)``.
 
-``generator`` is the one place where a seed becomes a Generator.
+``generator`` is the one place where a seed, an int in [-2**63, 2**64), becomes a Generator.
 ``numpy.random`` loads at first use, not at import.
 """
 
@@ -24,6 +24,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import InvalidArgument
 
 _MASK64 = (1 << 64) - 1
 
@@ -68,8 +70,13 @@ _CYCLE = np.arange(2 * 4) % _POOL
 
 
 def normalize_seed(seed: int) -> int:
-    """Map any 64-bit integer (negatives included) onto SeedSequence's domain."""
-    return int(seed) & _MASK64
+    """Map a seed in [-2**63, 2**64) onto SeedSequence's domain, a negative one mod 2**64.
+
+    Any other seed raises InvalidArgument: masked, it would draw as another seed."""
+    seed = int(seed)
+    if not -(1 << 63) <= seed < 1 << 64:
+        raise InvalidArgument(f"seed must lie in [-2**63, 2**64), got {seed}")
+    return seed & _MASK64
 
 
 def derive_seed(*path: int) -> int:
@@ -193,7 +200,7 @@ def generator_from_words(words: np.ndarray) -> np.random.Generator:
 
 
 def generator(seed: int | np.random.Generator) -> np.random.Generator:
-    """``default_rng`` over any 64-bit seed; a Generator passes through, as in numpy."""
+    """``default_rng`` over a seed in [-2**63, 2**64); a Generator passes through, as in numpy."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(normalize_seed(seed))

@@ -218,6 +218,22 @@ class TestBoundCommand:
         assert run.stderr.startswith("error: ") and run.stderr.endswith(" is not finite\n")
         assert run.stderr.count("\n") == 1 and run.stdout == ""
 
+    def test_overflowing_closed_form_is_usage_error(self, tmp_path):
+        # a Gaussian predictor at mean 1.5e154 and N(0, 1) everywhere else: the
+        # squared mean gap in the Hellinger closed form of the verify loss overflows
+        gaussian = {"kind": "gaussian", "mean": 0.0, "stddev": 1.0}
+        tasks = {"kind": "finite_tasks", "tasks": [{"w": 1.0, "dist": gaussian}]}
+        bad = tmp_path / "far.json"
+        bad.write_text(json.dumps({
+            "predictor": {**gaussian, "mean": 1.5e154}, "model": {"members": [gaussian]},
+            "source": tasks, "target": tasks, "statement_id": "cor_hellinger", "alpha": 0.2}))
+        run = subprocess.run([sys.executable, "-m", "epibound.cli", "verify", "--setup", str(bad),
+                              "--trials", "10"], capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith(
+            "error: the closed form of the squared Hellinger distance over- or underflows")
+        assert run.stderr.count("\n") == 1 and run.stdout == ""
+
     def test_equal_families_share_one_reification(self, tmp_path, capsys):
         # two equal families read from a file are two objects; they still mean no shift
         data = json.loads(json.dumps({**IG_INSTANCE, "target": IG_INSTANCE["source"]}))
@@ -539,6 +555,32 @@ class TestExperimentCommands:
               "--seed", "1", "--out", str(tmp_path / "flag")])
         assert (tmp_path / "flag" / "neighborhood.csv").exists()
         assert not (tmp_path / "env").exists()
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**64], ids=["below", "above"])
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--instances", "4", "--threads", "1"],
+        ["oracle", "--instances", "4", "--threads", "2"],
+        ["experiment", "neighborhood", "--epsilons", "0.2", "--sims", "2", "--threads", "2"],
+        ["experiment", "negative-transfer", "--scenario", "pos", "--n-grid", "1,2", "--sims", "2",
+         "--threads", "2"],
+        ["verify", "--trials", "10"],
+    ], ids=["oracle", "oracle-threads-2", "neighborhood", "negative-transfer", "verify"])
+    def test_out_of_range_seed_is_usage_error(self, argv, seed, tmp_path, capsys, serial_pools):
+        # rejected before any worker starts or any file is written
+        out = tmp_path / "out"
+        if argv[0] == "verify":
+            setup = tmp_path / "setup.json"
+            setup.write_text(json.dumps({**WORKED_INSTANCE, "statement_id": "thm1", "alpha": 0.15}))
+            argv = [*argv, "--setup", str(setup)]
+        else:
+            argv = [*argv, "--out", str(out / "report.json" if argv[0] == "oracle" else out)]
+        assert main([*argv, "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must lie in [-2**63, 2**64), got {seed}\n"
+        assert captured.out == ""
+        assert serial_pools == [] and not out.exists()
 
 
 IG_INSTANCE = {

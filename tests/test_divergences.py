@@ -477,6 +477,47 @@ class TestEntropyFamily:
         with pytest.raises(SupportViolation):
             cross_entropy(P55, Categorical([1.0, 0.0]))
 
+    @pytest.mark.parametrize("fn, dists", [
+        (hellinger_sq, (Gaussian(0.0, 1e200), Gaussian(0.0, 1.0))),  # stddev**2 overflows
+        (hellinger_sq, (Gaussian(1.5e154, 1.0), Gaussian(0.0, 1.0))),  # the mean gap squared
+        (entropy, (Gaussian(0.0, 1e200),)),
+        (entropy, (Gaussian(0.0, 1e-200),)),  # stddev**2 underflows: log(0)
+        (kl_exact, (Gaussian(0.0, 1.0), Gaussian(0.0, 1e-200))),  # divides by 0
+        (cross_entropy, (Gaussian(0.0, 1.0), Gaussian(0.0, 1e-200))),
+    ], ids=["hellinger-stddev", "hellinger-mean", "entropy-wide", "entropy-narrow", "kl",
+            "cross-entropy"])
+    def test_gaussian_closed_form_failure_is_typed(self, fn, dists):
+        with pytest.raises(NumericalFailure, match=r"^the closed form of .* over- or underflows"
+                           r" at Gaussian\(mean="):
+            fn(*dists)
+
+    def test_gaussian_closed_forms_keep_their_bits(self):
+        # the guarded expressions are the unguarded ones: x ** 2 stays libm pow
+        p, q = Gaussian(0.3, 1.7), Gaussian(-1.1, 0.45)
+        spread = p.stddev**2 + q.stddev**2
+        log_bc = 0.5 * math.log(2.0 * p.stddev * q.stddev / spread) - (
+            (p.mean - q.mean) ** 2 / (4.0 * spread))
+        assert hellinger_sq(p, q) == max(0.0, -math.expm1(log_bc))
+        assert entropy(p) == 0.5 * math.log(2.0 * math.pi * math.e * p.stddev**2)
+        gap = (p.stddev**2 + (p.mean - q.mean) ** 2) / (2.0 * q.stddev**2)
+        assert kl_exact(p, q) == math.log(q.stddev / p.stddev) + gap - 0.5
+        assert cross_entropy(p, q) == 0.5 * math.log(2.0 * math.pi * q.stddev**2) + gap
+
+    def test_quadrature_fallbacks_keep_their_bits(self):
+        # KL and cross-entropy share one integrand; a narrow p underflows to 0
+        # over most of the window of a wide q, where the integrand is 0
+        p = GaussianMixture([1.0], [0.0], [0.05])
+        q = GaussianMixture([0.3, 0.7], [0.0, 1.0], [5.0, 2.0])
+        pf, qf = divergences._pdf(p), divergences._pdf(q)
+        lo, hi = divergences._window(p, q)
+        assert pf(lo) == 0.0 and pf(hi) == 0.0
+
+        def reference(term):
+            return divergences._quad(lambda x: 0.0 if pf(x) <= 0 else term(pf(x), qf(x)), lo, hi)
+
+        assert kl_exact(p, q) == reference(lambda pv, qv: pv * math.log(pv / qv))
+        assert cross_entropy(p, q) == reference(lambda pv, qv: -pv * math.log(qv))
+
 
 class TestMetricProperties:
     def test_symmetry_and_triangle(self):

@@ -40,6 +40,7 @@ from epibound.oracle import (
     verify_theta_instance,
     StatementReport,
 )
+from epibound.seeding import generator
 from helpers_oracle import reference_components
 
 
@@ -163,6 +164,49 @@ class TestArrayInstances:
         with pytest.raises(InvalidArgument):
             ThetaInstance(theta.theta_pmfs, theta.source_weights, theta.candidates, theta.p1,
                           -theta.T, theta.w_t, 0)
+
+
+INSTANCE_ARRAYS = ("S", "w_s", "T", "w_t", "members", "pred")
+THETA_ARRAYS = ("theta_pmfs", "source_weights", "candidates", "p1", "T", "w_t")
+
+
+def assert_same_arrays(checked, drawn, names):
+    for name in names:
+        got, want = getattr(checked, name), getattr(drawn, name)
+        np.testing.assert_array_equal(got, want, err_msg=name, strict=True)
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+
+
+class TestOneRecord:
+    """The drawers return the public records, unchecked; ``generate_*`` checks them."""
+
+    @pytest.mark.parametrize("mode", CONSTRAINT_MODES)
+    def test_drawer_returns_the_public_record(self, mode):
+        config = InstanceConfig(constraint=mode)
+        for seed in range(10):
+            drawn = oracle._draw_instance(seed, config, generator(seed))
+            assert type(drawn) is OracleInstance
+            assert drawn.S.flags.writeable  # __post_init__ never ran
+            checked = generate_instance(seed, config)
+            assert type(checked) is OracleInstance
+            assert_same_arrays(checked, drawn, INSTANCE_ARRAYS)
+            assert (checked.seed, checked.constraint, checked.epsilon) == (
+                drawn.seed, drawn.constraint, drawn.epsilon)
+            shared = mode in ("no_shift", "perfect_no_shift", "assumption2")
+            assert checked.shared is drawn.shared is shared
+            assert (checked.w_t is checked.w_s) is (drawn.w_t is drawn.w_s)
+
+    @pytest.mark.parametrize("ranges", [{}, {"m_range": (7, 9), "theta_range": (7, 10)}])
+    def test_theta_drawer_returns_the_public_record(self, ranges):
+        for seed in range(10):
+            drawn = oracle._draw_theta_instance(seed, generator(seed), **ranges)
+            assert type(drawn) is ThetaInstance
+            assert drawn.T.flags.writeable
+            checked = generate_theta_instance(seed, **ranges)
+            assert type(checked) is ThetaInstance
+            assert_same_arrays(checked, drawn, THETA_ARRAYS)
+            assert checked.seed == drawn.seed == seed
 
 
 class TestVerifyStatement:
@@ -738,7 +782,7 @@ class TestSuite:
                 row[0] += 1e-9
             else:
                 row[:] = np.nan
-            return out._replace(**{field: bad})
+            return oracle._unchecked(type(out), **dict(vars(out), **{field: bad}))
 
         monkeypatch.setattr(oracle, drawer, corrupted)
         with pytest.raises(error):

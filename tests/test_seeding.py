@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epibound import Gaussian, InverseGammaGaussianTasks, barycenter
+from epibound import Gaussian, InverseGammaGaussianTasks, InvalidArgument, barycenter
 from epibound.divergences import kl_mc, tv_upper_pinsker
+from epibound.oracle import generate_instance, generate_theta_instance, run_suite
 from epibound.seeding import (
     derive_seed,
     derive_seeds,
@@ -100,6 +101,30 @@ def test_generator_helper():
     assert generator(rng) is rng
     assert generator(-1).bit_generator.state == generator(2**64 - 1).bit_generator.state
     assert generator(5).bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+class TestSeedRange:
+    """A seed is an integer in [-2**63, 2**64); any other raises InvalidArgument."""
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**64, 2**64 + 5],
+                             ids=["below", "above", "above-plus-5"])
+    def test_out_of_range_seed_rejected(self, seed):
+        # masked to 64 bits, 2**64 + 5 drew as 5 and wrote its own seed into the report
+        p, q = Gaussian(0.0, 1.0), Gaussian(0.0, 2.0)
+        calls = [normalize_seed, derive_seed, generator, lambda s: derive_seed(5, s),
+                 lambda s: derive_seeds(s, np.arange(3)), lambda s: kl_mc(p, q, seed=s),
+                 generate_instance, generate_theta_instance, lambda s: run_suite(4, seed=s)]
+        for call in calls:
+            with pytest.raises(InvalidArgument,
+                               match=rf"^seed must lie in \[-2\*\*63, 2\*\*64\), got {seed}$"):
+                call(seed)
+
+    def test_range_ends_accepted(self):
+        assert normalize_seed(-(2**63)) == 2**63
+        assert normalize_seed(2**64 - 1) == 2**64 - 1
+        assert derive_seed(-(2**63)) == derive_seed(2**63)
+        assert derive_seeds(-(2**63), np.arange(2)).tolist() == [derive_seed(2**63, i)
+                                                                 for i in range(2)]
 
 
 class TestNegativeSeeds:
