@@ -20,12 +20,10 @@ from .errors import (
 )
 from .distributions import (
     Categorical,
-    DiscreteEvent,
     FiniteTaskDistribution,
     FirstOrderDistribution,
     Gaussian,
     GaussianMixture,
-    Interval,
     InverseGammaGaussianTasks,
     barycenter,
     diameter,
@@ -36,7 +34,6 @@ from .distributions import (
     sup_variance,
     task_distribution_from_dict,
     task_distribution_tv,
-    variance_at,
 )
 from .divergences import (
     DivergenceResult,
@@ -96,12 +93,11 @@ __all__ = [
     "InvalidModelClass", "InvalidTaskDistribution", "NumericalFailure",
     "PreconditionViolated", "SupportViolation",
     # distributions
-    "Categorical", "DiscreteEvent", "FiniteTaskDistribution",
-    "FirstOrderDistribution", "Gaussian", "GaussianMixture", "Interval",
-    "InverseGammaGaussianTasks", "barycenter", "diameter",
-    "distribution_from_dict", "finite_tasks", "sample", "sample_task",
-    "sup_variance", "task_distribution_from_dict", "task_distribution_tv",
-    "variance_at",
+    "Categorical", "FiniteTaskDistribution", "FirstOrderDistribution",
+    "Gaussian", "GaussianMixture", "InverseGammaGaussianTasks", "barycenter",
+    "diameter", "distribution_from_dict", "finite_tasks", "sample",
+    "sample_task", "sup_variance", "task_distribution_from_dict",
+    "task_distribution_tv",
     # divergences
     "DivergenceResult", "cross_entropy", "entropy", "hellinger_sq", "kl_exact",
     "kl_mc", "l1_distance", "tv_exact", "tv_upper_pinsker",

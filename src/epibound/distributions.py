@@ -83,41 +83,6 @@ def _tv(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Events
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteEvent:
-    """A subset of outcome indices of a categorical space."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if len(set(idx)) != len(idx):
-            raise InvalidArgument("event indices must be unique")
-        if idx and idx[0] < 0:
-            raise InvalidArgument("event indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """An interval of the real line; endpoints may be infinite."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise InvalidArgument(f"interval endpoints must be ordered, got ({self.lo}, {self.hi})")
-
-
-EventSet = Union[DiscreteEvent, Interval]
-
-
-# ---------------------------------------------------------------------------
 # First-order distributions
 # ---------------------------------------------------------------------------
 
@@ -130,9 +95,6 @@ class FirstOrderDistribution:
     @property
     def is_continuous(self) -> bool:
         return self.kind != "categorical"
-
-    def event_probability(self, event: EventSet) -> float:
-        raise NotImplementedError
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -164,15 +126,6 @@ class Categorical(FirstOrderDistribution):
     def n_outcomes(self) -> int:
         return self.p.size
 
-    def event_probability(self, event: EventSet) -> float:
-        if not isinstance(event, DiscreteEvent):
-            raise EventMismatch("categorical distribution takes discrete events")
-        if event.indices and event.indices[-1] >= self.n_outcomes:
-            raise EventMismatch(
-                f"event index {event.indices[-1]} out of range for {self.n_outcomes} outcomes"
-            )
-        return float(self.p[list(event.indices)].sum())
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.n_outcomes, size=count, p=self.p)
 
@@ -193,9 +146,6 @@ class Gaussian(FirstOrderDistribution):
             raise InvalidArgument(f"mean must be finite, got {self.mean}")
         if not 0 < self.stddev < math.inf:
             raise InvalidArgument(f"stddev must be finite and strictly positive, got {self.stddev}")
-
-    def event_probability(self, event: EventSet) -> float:
-        return _interval_probability(self, event)
 
     def cdf(self, x):
         """P(X <= x) at a float or an array of points; ndtr gives 0 and 1 at -inf and inf."""
@@ -249,9 +199,6 @@ class GaussianMixture(FirstOrderDistribution):
         object.__setattr__(self, "_common_mean", mu[0] if (mu == mu[0]).all() else None)
         object.__setattr__(self, "_common_log_weight", lw[0] if (lw == lw[0]).all() else None)
 
-    def event_probability(self, event: EventSet) -> float:
-        return _interval_probability(self, event)
-
     def cdf(self, x):
         """P(X <= x) at a float or an array of points, one component column per mean."""
         z = np.subtract.outer(x, self.means)
@@ -302,12 +249,6 @@ class GaussianMixture(FirstOrderDistribution):
             "means": self.means.tolist(),
             "stddevs": self.stddevs.tolist(),
         }
-
-
-def _interval_probability(d: Union[Gaussian, GaussianMixture], event: EventSet) -> float:
-    if not isinstance(event, Interval):
-        raise EventMismatch(f"{d.kind} distribution takes interval events")
-    return float(d.cdf(event.hi) - d.cdf(event.lo))
 
 
 def _space(d: FirstOrderDistribution) -> Optional[int]:
@@ -423,10 +364,6 @@ class FiniteTaskDistribution(_Rows):
     def is_continuous(self) -> bool:
         return self.P is None
 
-    def event_probabilities(self, event: EventSet) -> np.ndarray:
-        """Q(event) for every support task."""
-        return np.array([t.event_probability(event) for t in self.tasks])
-
     def sample_task(self, rng: np.random.Generator) -> FirstOrderDistribution:
         return self.tasks[int(rng.choice(self.n_tasks, p=self.weights))]
 
@@ -533,14 +470,6 @@ def barycenter(
     return GaussianMixture(np.asarray(weights), np.asarray(means), np.asarray(stds))
 
 
-def variance_at(tasks: TaskDistribution, event: EventSet) -> float:
-    """E_{Q ~ tasks}[(Q(event) - bary(event))^2]; always within [0, 1/4]."""
-    fin = as_finite(tasks)
-    qa = fin.event_probabilities(event)
-    ba = float(fin.weights @ qa)
-    return float(fin.weights @ (qa - ba) ** 2)
-
-
 @functools.lru_cache(maxsize=None)
 def _event_masks(m: int) -> np.ndarray:
     """All 2^m events of an m-outcome space as 0/1 rows; one shared read-only array per m."""
@@ -550,7 +479,7 @@ def _event_masks(m: int) -> np.ndarray:
 
 
 def _event_variances(P: np.ndarray, w: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """``variance_at`` of every event of ``_event_masks``, for tasks ``P`` with weights ``w``.
+    """Var(Q(A)) of every event A of ``_event_masks``, for tasks ``P`` with weights ``w``.
 
     ``bary`` is ``w @ P``.  The one kernel behind every categorical
     sup-variance, in ``sup_variance`` and the oracle alike, so that both
@@ -566,7 +495,7 @@ CONTINUOUS_EVENT_FAMILY = (
 
 
 def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
-    """The pooled-moment grid of thresholds t_k behind ``threshold_events``."""
+    """The pooled-moment grid of thresholds t_k of the half-line events (-inf, t_k]."""
     moments = np.array([t.mean_std() for t in tasks.tasks])
     pooled_mean = float(tasks.weights @ moments[:, 0])
     pooled_second = float(tasks.weights @ (moments[:, 1] ** 2 + moments[:, 0] ** 2))
@@ -581,19 +510,14 @@ def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
                        DEFAULT_THRESHOLDS)
 
 
-def threshold_events(tasks: FiniteTaskDistribution) -> list[Interval]:
-    """Left-open half-line events (-inf, t_k] on a pooled-moment grid."""
-    return [Interval(-math.inf, float(t)) for t in _thresholds(tasks)]
-
-
 def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
-    """``max(variance_at(fin, e) for e in threshold_events(fin))`` without the events.
+    """The largest Var(Q((-inf, t])) over the thresholds t of ``_thresholds``.
 
     The (thresholds, tasks) matrix of Q((-inf, t]) is one ``ndtr`` call
     when every task is a Gaussian, and is otherwise built one task's CDF
-    column at a time.  Each row's variance then takes the same two dot
-    products with ``w`` as ``variance_at``: ``np.vecdot`` sums each row as
-    ``w @ row`` does, so Gaussian tasks give bitwise the same result, where
+    column at a time.  Each row q's variance is ``w @ (q - w @ q)**2``, two
+    dot products with ``w``: ``np.vecdot`` sums each row as ``w @ row``
+    does, so Gaussian tasks give bitwise the per-threshold result, where
     one matrix-vector product over all rows would sum in another order.  A
     NaN variance raises NumericalFailure.
     """
@@ -619,11 +543,11 @@ def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
 
 
 def sup_variance(tasks: TaskDistribution) -> float:
-    """Max of variance_at over an event family.
+    """Max of Var(Q(A)) = E_Q[(Q(A) - bary(A))^2] over an event family.
 
     Categorical spaces enumerate all 2^m events (m <= 12); continuous spaces
-    use the half-line threshold grid of ``threshold_events``.  A parametric
-    family is reified as ``as_finite`` reifies it.
+    use the half-lines (-inf, t] on the threshold grid of ``_thresholds``.  A
+    parametric family is reified as ``as_finite`` reifies it.
     """
     fin = as_finite(tasks)
     P = fin.P

@@ -83,6 +83,15 @@ LEMMA_STATEMENTS = ("lemma_b2", "lemma_b6", "lemma_b7", "lemma_b8", "lemma_b9",
 ALL_STATEMENTS = PROB_STATEMENTS + LEMMA_STATEMENTS
 
 
+def _require_range(name: str, pair, low: int) -> None:
+    """Reject a ``name`` that is not an ordered pair from ``low``; an ``m_range`` stops at 12."""
+    lo, hi = pair
+    if not low <= lo <= hi:
+        raise InvalidArgument(f"{name} must be an ordered pair from {low}, got {(lo, hi)}")
+    if name == "m_range" and hi > 12:
+        raise InvalidArgument("oracle instances need m <= 12 for exhaustive event families")
+
+
 @dataclass(frozen=True)
 class InstanceConfig:
     m_range: tuple[int, int] = (2, 6)
@@ -94,14 +103,9 @@ class InstanceConfig:
     def __post_init__(self):
         if self.constraint not in CONSTRAINT_MODES:
             raise InvalidArgument(f"unknown constraint mode {self.constraint!r}")
-        if not 2 <= self.m_range[0] <= self.m_range[1]:
-            raise InvalidArgument(f"m_range must be an ordered pair from 2, got {self.m_range}")
-        if self.m_range[1] > 12:
-            raise InvalidArgument("oracle instances need m <= 12 for exhaustive event families")
-        for name in ("tasks_range", "members_range"):
-            lo, hi = getattr(self, name)
-            if not 1 <= lo <= hi:
-                raise InvalidArgument(f"{name} must be an ordered pair from 1, got {(lo, hi)}")
+        _require_range("m_range", self.m_range, 2)
+        _require_range("tasks_range", self.tasks_range, 1)
+        _require_range("members_range", self.members_range, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,24 +140,6 @@ class OracleInstance:
         if not (self.shared and self.w_t is self.w_s):
             _check_tasks(self.T, self.w_t, self.m)
         _check_tasks(self.members, None, self.m)
-
-    @classmethod
-    def from_distributions(
-        cls,
-        source: FiniteTaskDistribution,
-        target: FiniteTaskDistribution,
-        model: ModelClass,
-        predictor: Categorical,
-        seed: int = 0,
-        constraint: str = "none",
-        epsilon: Optional[float] = None,
-    ) -> "OracleInstance":
-        """An instance from categorical distribution objects, which become its views."""
-        shared = target.tasks == source.tasks  # Categorical compares by identity
-        inst = cls(source.P, source.weights, source.P if shared else target.P, target.weights,
-                   model.P, predictor.p, seed, constraint, epsilon)
-        inst.__dict__.update(source=source, target=target, model=model, predictor=predictor)
-        return inst
 
     @property
     def m(self) -> int:
@@ -487,11 +473,6 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
     )
 
 
-def compute_components(inst: OracleInstance) -> _Components:
-    """Exact components of one instance: a batch of one."""
-    return _components([inst]).instance(0)
-
-
 def _looseness(insts: Sequence[OracleInstance], comp: _Components) -> np.ndarray:
     """Per instance: the mean of tv(pred, Q_t) over the exact target weights, minus (C + D)."""
     er = [inst.w_t @ tv[:inst.w_t.size] for inst, tv in zip(insts, comp.losses["tv"])]
@@ -638,7 +619,7 @@ def verify_statement(
     A probability statement gets one outcome per alpha: the exceedance
     ``P(loss >= margin)`` is a weighted sum over the enumerated target
     support, compared with delta.  A deterministic lemma gets one slack.
-    ``cor_bayesian`` needs a finite-theta instance (``verify_theta_instance``).
+    ``cor_bayesian`` is checked on ``run_suite``'s finite-theta instances.
     """
     alpha_arr = _alpha_array(alphas)
     if statement_id not in _LEMMAS and statement_id not in _INSTANCE_STATEMENTS:
@@ -707,7 +688,9 @@ def _draw_theta_instance(seed: int, rng: np.random.Generator, m_range=(2, 6),
 
 
 def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> ThetaInstance:
-    """Deterministic finite-theta instance from ``seed``; flat-simplex draws throughout, checked."""
+    """Deterministic finite-theta instance from ``seed``, with ranges as ``InstanceConfig``'s."""
+    _require_range("m_range", m_range, 2)
+    _require_range("theta_range", theta_range, 1)
     return replace(_draw_theta_instance(seed, generator(seed), m_range, theta_range))
 
 
@@ -762,19 +745,11 @@ def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
 
 def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,
                    b6_report: StatementReport, bayes_report: StatementReport) -> None:
-    """``verify_theta_instance`` on each instance, one group of like sizes at a time."""
+    """Check C <= parameter TV and the Bayesian bound, one group of like sizes at a time."""
     for group in _groups([(inst.T.shape[1], inst.p1.size, inst.T.shape[0]) for inst in insts]):
         comp = _theta_components([insts[g] for g in group])
         b6_report.record_slacks(comp.param_tv - comp.C)
         _check("cor_bayesian", comp, alphas, np.ones(group.size, dtype=bool), bayes_report)
-
-
-def verify_theta_instance(
-    inst: ThetaInstance, alphas: Sequence[float], b6_report: StatementReport,
-    bayes_report: StatementReport,
-) -> None:
-    """Check mixture contraction (C <= parameter TV) and the Bayesian bound."""
-    _verify_thetas([inst], _alpha_array(alphas), b6_report, bayes_report)
 
 
 # ---------------------------------------------------------------------------

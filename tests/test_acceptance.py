@@ -11,6 +11,8 @@ instances hit this at roughly 0.4% of (instance, alpha) pairs.  The
 verification is implemented faithfully and the assertion is allowed to
 fail; see the minimal counterexample in
 TestCounterexample::test_lemma1_sup_swap_counterexample below.
+TestCounterexample also pins a cor_eps_dist violation on a hand-built
+instance, which the suite's sampled instances do not reach.
 """
 
 import json
@@ -26,7 +28,7 @@ from epibound import (
     Gaussian,
     NIGModel,
     SourceDataset,
-    finite_tasks,
+    evaluate_bound,
     kl_exact,
     kl_mc,
     hellinger_sq,
@@ -119,19 +121,46 @@ class TestCounterexample:
             [b, 1 - 2 * b, b],
             [b, b, 1 - 2 * b],
         ]
-        tasks = finite_tasks([(Categorical(r), 1.0 / 3.0) for r in rows])
-        bary = Categorical(np.full(3, 1.0 / 3.0))
-        from epibound import ModelClass
-
-        inst = OracleInstance.from_distributions(
-            tasks, tasks, ModelClass((bary,)), Categorical(tasks.weights @ np.stack(rows)),
-            constraint="perfect_no_shift",
-        )
+        P, w = np.array(rows), np.full(3, 1.0 / 3.0)
+        inst = OracleInstance(P, w, P, w, np.full((1, 3), 1.0 / 3.0), w @ P, 0,
+                              "perfect_no_shift", None)
         rep = verify_statement(inst, "lemma1", alphas=[0.55])
         out = rep.outcomes[0]
         assert out.exceedance == 1.0
         assert out.delta < 1.0
         assert rep.violations == 1
+
+    def test_cor_eps_dist_variance_transfer_counterexample(self):
+        """A far target task at weight epsilon breaks the epsilon-distance corollary.
+
+        The target keeps the two source tasks at weight 0.45 each and adds
+        [1, 0] at weight 0.1, so the task distributions lie at TV 0.1 =
+        epsilon.  B = C = 0 and D = 0.051.  At alpha 0.44 only the far task
+        reaches the margin: exact exceedance 0.1 against delta 0.0978.  The
+        delta transfers the source sup-variance to the target as lemma_b8
+        does, but lemma_b8 needs a shared support, which fails here.  thm1,
+        thm2 and cor_l1 hold on the same instance.
+        """
+        S = np.array([[0.5, 0.5], [0.48, 0.52]])
+        pred = np.array([0.49, 0.51])
+        inst = OracleInstance(S, np.array([0.5, 0.5]), np.vstack([S, [[1.0, 0.0]]]),
+                              np.array([0.45, 0.45, 0.1]), pred[None, :], pred, 0,
+                              "assumption2", 0.1)
+        rep = verify_statement(inst, "cor_eps_dist", alphas=[0.44])
+        out = rep.outcomes[0]
+        assert out.exceedance == pytest.approx(0.1, abs=1e-15)
+        assert out.delta == pytest.approx(0.0978177, abs=5e-8)
+        assert rep.violations == 1
+        public = evaluate_bound("cor_eps_dist", model=inst.model, predictor=inst.predictor,
+                                source=inst.source, target=inst.target, alpha=0.44, epsilon=0.1)
+        assert (public.B, public.C, public.D) == (0.0, 0.0, pytest.approx(0.051, abs=1e-15))
+        assert public.delta == out.delta
+        for sid in ("thm1", "thm2", "cor_l1"):
+            held = verify_statement(inst, sid, alphas=[0.44])
+            assert held.violations == 0 and held.trials == 1, sid
+            assert held.outcomes[0].delta == pytest.approx(0.121379, abs=5e-7), sid
+        b8 = verify_statement(inst, "lemma_b8")
+        assert b8.trials == 0 and dict(b8.skip_reasons) == {"shared_support": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from epibound import (
     Categorical,
-    DiscreteEvent,
     FiniteTaskDistribution,
     Gaussian,
     GaussianMixture,
-    Interval,
     InvalidArgument,
     InvalidTaskDistribution,
     InverseGammaGaussianTasks,
@@ -30,14 +28,37 @@ from epibound import (
     sup_variance,
     task_distribution_from_dict,
     task_distribution_tv,
-    variance_at,
 )
 from epibound.distributions import (
     DEFAULT_THRESHOLDS,
+    _event_masks,
+    _event_variances,
+    _thresholds,
     max_first_order_b,
     max_second_order_b,
-    threshold_events,
 )
+
+
+def event_variance(w, q):
+    """Var(Q(A)) over tasks of weights ``w``, from their probabilities ``q`` = Q(A) of one event."""
+    return float(w @ (q - w @ q) ** 2)
+
+
+def outcome_probabilities(P, indices):
+    """Q(A) = p[A].sum() for every task row p of ``P``, on the event of outcome ``indices``."""
+    return P[:, list(indices)].sum(axis=1)
+
+
+def interval_probabilities(tasks, lo, hi):
+    """Q((lo, hi]) = cdf(hi) - cdf(lo) for every task of ``tasks``."""
+    return np.array([float(t.cdf(hi) - t.cdf(lo)) for t in tasks.tasks])
+
+
+def kernel_variances(tasks):
+    """The product's Var(Q(A)) of every event A of a categorical space, keyed by A's outcomes."""
+    v = _event_variances(tasks.P, tasks.weights, tasks.weights @ tasks.P)
+    return {tuple(np.flatnonzero(mask).tolist()): x
+            for mask, x in zip(_event_masks(tasks.P.shape[1]), v.tolist())}
 
 
 def two_task_binary():
@@ -101,20 +122,6 @@ class TestConstruction:
         c = Categorical([0.4, 0.6])
         with pytest.raises(ValueError):
             c.p[0] = 0.9
-
-    def test_event_out_of_range(self):
-        from epibound import EventMismatch
-
-        with pytest.raises(EventMismatch):
-            Categorical([0.4, 0.6]).event_probability(DiscreteEvent((0, 2)))
-
-    def test_event_duplicate_indices(self):
-        with pytest.raises(InvalidArgument):
-            DiscreteEvent((1, 1))
-
-    def test_interval_ordering(self):
-        with pytest.raises(InvalidArgument):
-            Interval(2.0, 1.0)
 
 
 def reference_mixture_logpdf(mix: GaussianMixture, x) -> np.ndarray:
@@ -247,9 +254,9 @@ class TestBarycenter:
                 for w in rng.dirichlet(np.ones(k))
             ])
             bary = barycenter(tasks)
-            event = DiscreteEvent(tuple(i for i in range(m) if rng.random() < 0.5))
-            probs = tasks.event_probabilities(event)
-            assert probs.min() - 1e-12 <= bary.event_probability(event) <= probs.max() + 1e-12
+            event = [i for i in range(m) if rng.random() < 0.5]
+            probs = outcome_probabilities(tasks.P, event)
+            assert probs.min() - 1e-12 <= bary.p[event].sum() <= probs.max() + 1e-12
 
     @pytest.mark.parametrize("k", [1, 16, 256])
     def test_parametric_equals_reified(self, k):
@@ -269,20 +276,22 @@ class TestBarycenter:
 
 
 class TestVariance:
+    """The per-event variances of ``_event_variances``, the kernel of every categorical
+    sup-variance, against the variance of each event's probabilities."""
+
     def test_two_task_example(self):
-        v = variance_at(two_task_binary(), DiscreteEvent((0,)))
-        assert v == pytest.approx(0.01, abs=1e-12)
+        assert kernel_variances(two_task_binary())[(0,)] == pytest.approx(0.01, abs=1e-12)
 
     def test_point_mass_zero(self):
         tasks = finite_tasks([(Categorical([0.2, 0.8]), 1.0)])
-        assert variance_at(tasks, DiscreteEvent((0,))) == 0.0
+        assert kernel_variances(tasks)[(0,)] == 0.0
 
     def test_full_space_zero(self):
-        assert variance_at(two_task_binary(), DiscreteEvent((0, 1))) == pytest.approx(0.0, abs=1e-15)
-        assert variance_at(two_task_binary(), DiscreteEvent(())) == 0.0
+        assert kernel_variances(two_task_binary())[(0, 1)] == pytest.approx(0.0, abs=1e-15)
+        assert kernel_variances(two_task_binary())[()] == 0.0
 
     def test_alternative_form(self):
-        # variance_at == E[Q(a)^2] - bary(a)^2 on random instances
+        # Var(Q(A)) == E[Q(A)^2] - bary(A)^2 on random instances, for every event
         rng = np.random.default_rng(1)
         for _ in range(200):
             m = int(rng.integers(2, 6))
@@ -291,11 +300,12 @@ class TestVariance:
             tasks = finite_tasks([
                 (Categorical(rng.dirichlet(np.ones(m))), w) for w in weights
             ])
-            event = DiscreteEvent(tuple(i for i in range(m) if rng.random() < 0.5))
-            qa = tasks.event_probabilities(event)
-            alt = float(weights @ qa**2) - float(weights @ qa) ** 2
-            assert variance_at(tasks, event) == pytest.approx(alt, abs=1e-10)
-            assert variance_at(tasks, event) <= 0.25 + 1e-12
+            for event, v in kernel_variances(tasks).items():
+                qa = outcome_probabilities(tasks.P, event)
+                alt = float(weights @ qa**2) - float(weights @ qa) ** 2
+                assert v == pytest.approx(alt, abs=1e-10)
+                assert v == pytest.approx(event_variance(weights, qa), abs=1e-15)
+                assert v <= 0.25 + 1e-12
 
 
 class TestSupVariance:
@@ -324,22 +334,27 @@ class TestSupVariance:
         assert sup_variance(point) == 0.0
 
     def test_explicit_event_family(self):
-        assert variance_at(two_task_binary(), DiscreteEvent((0,))) == pytest.approx(0.01, abs=1e-12)
+        variances = kernel_variances(two_task_binary())
+        assert len(variances) == 4 and variances[(0,)] == pytest.approx(0.01, abs=1e-12)
+        assert sup_variance(two_task_binary()) == max(variances.values())
 
     def test_threshold_events_shape(self):
-        tasks = finite_tasks([(Gaussian(0, 1), 1.0)])
-        events = threshold_events(tasks)
-        assert len(events) == DEFAULT_THRESHOLDS
-        assert all(isinstance(e, Interval) and math.isinf(e.lo) for e in events)
+        # the half-lines (-inf, t_k] on the pooled mean +- 6 pooled sd
+        ts = _thresholds(finite_tasks([(Gaussian(0, 1), 1.0)]))
+        assert ts.shape == (DEFAULT_THRESHOLDS,)
+        assert ts[0] == -6.0 and ts[-1] == 6.0 and (np.diff(ts) > 0).all()
 
     def test_interval_variance_matches_hand_value(self):
-        # Q((-inf, 1]) differs across the two tasks; variance by hand
+        # Q((-inf, 1]) differs across the two tasks; variance by hand.  The grid is
+        # centred on 1, where the half-line variance peaks.
         tasks = finite_tasks([(Gaussian(0, 1), 0.5), (Gaussian(2, 1), 0.5)])
         from scipy.special import ndtr
 
         qa = np.array([ndtr(1.0), ndtr(-1.0)])
         expected = 0.5 * ((qa[0] - qa.mean()) ** 2 + (qa[1] - qa.mean()) ** 2)
-        assert variance_at(tasks, Interval(-math.inf, 1.0)) == pytest.approx(expected, abs=1e-12)
+        got = event_variance(tasks.weights, interval_probabilities(tasks, -math.inf, 1.0))
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert sup_variance(tasks) == pytest.approx(expected, abs=1e-12)
 
     def test_parametric_reified_sup_variance(self):
         fam = InverseGammaGaussianTasks(mean=0.0, shape=20.0, rate=10.0)
@@ -358,8 +373,9 @@ class TestSupVariance:
 
 
 def reference_sup_variance(tasks):
-    """The per-event loop that the half-line sup-variance replaced."""
-    return max(variance_at(tasks, e) for e in threshold_events(tasks))
+    """The per-event loop that the half-line sup-variance replaced: one half-line at a time."""
+    return max(event_variance(tasks.weights, interval_probabilities(tasks, -math.inf, t))
+               for t in _thresholds(tasks).tolist())
 
 
 class TestHalfLineSupVariance:
@@ -453,6 +469,39 @@ class TestHalfLineSupVariance:
         assert calls == gaussians
 
 
+class TestIntervalGap:
+    """The half-line family of ``CONTINUOUS_EVENT_FAMILY`` misses a factor of 4 on the
+    experiments' task family.  Its tasks share one mean, so a symmetric interval
+    [mu - r, mu + r] has 4 times the variance of the half-line at mu - r.  The true
+    supremum lies between the interval maximum and E[TV(Q, bary)^2], since
+    |Q(A) - bary(A)| <= TV(Q, bary) for every A."""
+
+    def test_intervals_reach_four_times_the_half_lines(self):
+        from epibound import tv_exact
+        from epibound.distributions import as_finite
+
+        tasks = as_finite(InverseGammaGaussianTasks(1.0, 20.0, 10.0))
+        w, ts = tasks.weights, _thresholds(tasks)
+        cdfs = np.stack([interval_probabilities(tasks, -math.inf, t) for t in ts.tolist()])
+        best, where = 0.0, None
+        for i in range(ts.size - 1):  # every interval (t_i, t_j] with i < j, a row at a time
+            q = cdfs[i + 1:] - cdfs[i]
+            v = ((q - (q @ w)[:, None]) ** 2) @ w
+            if v.max() > best:
+                best, where = float(v.max()), (i, i + 1 + int(v.argmax()))
+        i, j = where
+        assert event_variance(w, interval_probabilities(tasks, ts[i], ts[j])) == pytest.approx(
+            best, rel=1e-12)
+        assert best == pytest.approx(3.026325e-3, abs=5e-10)
+        half = sup_variance(tasks)
+        assert half == pytest.approx(7.565813e-4, abs=5e-11)
+        assert best / half == pytest.approx(4.0, abs=1e-9)
+        bary = barycenter(tasks)
+        m2_tv = float(w @ np.array([tv_exact(t, bary) for t in tasks.tasks]) ** 2)
+        assert m2_tv == pytest.approx(3.0749e-3, abs=5e-8)
+        assert half < best < m2_tv
+
+
 class TestCdf:
     DISTS = (Gaussian(0.4, 1.7), GaussianMixture([0.25, 0.0, 0.75], [-1.0, 3.0, 0.5],
                                                  [0.4, 1.0, 2.2]))
@@ -465,7 +514,6 @@ class TestCdf:
         assert Gaussian(0.4, 1.7).cdf(math.inf) == 1.0
         np.testing.assert_array_equal(dist.cdf(np.array([-math.inf, math.inf])),
                                       [0.0, dist.cdf(math.inf)])
-        assert dist.event_probability(Interval(-math.inf, math.inf)) == dist.cdf(math.inf)
 
     @pytest.mark.parametrize("dist", DISTS, ids=["gaussian", "mixture"])
     def test_scalar_and_array_calls_agree(self, dist):
@@ -474,8 +522,6 @@ class TestCdf:
         assert got.shape == xs.shape
         assert [dist.cdf(float(x)) for x in xs] == list(got)
         np.testing.assert_array_equal(dist.cdf(xs.reshape(2, 3)), got.reshape(2, 3))
-        for lo, hi in ((-1.0, 0.4), (-math.inf, 2.25), (0.0, math.inf)):
-            assert dist.event_probability(Interval(lo, hi)) == float(dist.cdf(hi) - dist.cdf(lo))
 
     def test_mixture_cdf_is_weighted_component_cdfs(self):
         mix = self.DISTS[1]
@@ -710,9 +756,8 @@ class TestRowMatrices:
             assert max_second_order_b(src) == 0.0 and max_second_order_b(tgt) == T.min()
             assert task_distribution_tv(src, tgt) == _matched_tv(
                 w_s, w_t, lambda i, j: distributions_close(src.tasks[i], tgt.tasks[j])) < 1.0
-            events = [DiscreteEvent(tuple(i for i in range(m) if bits >> i & 1))
-                      for bits in range(2**m)]
-            want = max(variance_at(src, e) for e in events)
+            want = max(event_variance(w_s, outcome_probabilities(S, np.flatnonzero(mask)))
+                       for mask in _event_masks(m))
             assert sup_variance(src) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
@@ -738,7 +783,7 @@ def test_variance_bounds_property(raw_w, raw_p):
         (Categorical(np.roll(np.asarray(raw_p) / np.sum(raw_p), i)), w)
         for i, w in enumerate(weights)
     ])
-    event = DiscreteEvent(tuple(range(m // 2)))
-    v = variance_at(tasks, event)
+    variances = kernel_variances(tasks)
+    v = variances[tuple(range(m // 2))]
     assert 0.0 <= v <= 0.25 + 1e-12
-    assert variance_at(tasks, DiscreteEvent(tuple(range(m)))) == pytest.approx(0.0, abs=1e-12)
+    assert variances[tuple(range(m))] == pytest.approx(0.0, abs=1e-12)

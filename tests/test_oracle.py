@@ -35,9 +35,7 @@ from epibound.oracle import (
     CONSTRAINT_MODES,
     DEFAULT_ALPHAS,
     ThetaInstance,
-    compute_components,
     generate_theta_instance,
-    verify_theta_instance,
     StatementReport,
 )
 from epibound.seeding import generator
@@ -45,8 +43,24 @@ from helpers_oracle import reference_components
 
 
 def make_instance(source, target, model, predictor, constraint="none", epsilon=None, seed=0):
-    return OracleInstance.from_distributions(source, target, model, predictor, seed=seed,
-                                             constraint=constraint, epsilon=epsilon)
+    """An instance from the arrays of hand-made distributions.
+
+    A target on the source's task tuple reuses its rows (``T is S``), and a
+    target that is the source reuses its weights too, as ``generate_instance``'s do.
+    """
+    shared = target.tasks == source.tasks  # Categorical compares by identity
+    return OracleInstance(source.P, source.weights, source.P if shared else target.P,
+                          target.weights, model.P, predictor.p, seed, constraint, epsilon)
+
+
+def compute_components(inst):
+    """Exact components of one instance: a batch of one."""
+    return oracle._components([inst]).instance(0)
+
+
+def verify_theta(theta, alphas, b6_report, bayes_report):
+    """The finite-theta checks on one instance: a batch of one."""
+    oracle._verify_thetas([theta], np.array(alphas), b6_report, bayes_report)
 
 
 class TestGeneration:
@@ -120,9 +134,9 @@ class TestArrayInstances:
     def test_from_distributions_matches_generated(self, mode):
         for seed in range(20):
             inst = generate_instance(seed, InstanceConfig(constraint=mode))
-            rebuilt = OracleInstance.from_distributions(
-                inst.source, inst.target, inst.model, inst.predictor,
-                seed=inst.seed, constraint=inst.constraint, epsilon=inst.epsilon)
+            rebuilt = make_instance(inst.source, inst.target, inst.model, inst.predictor,
+                                    seed=inst.seed, constraint=inst.constraint,
+                                    epsilon=inst.epsilon)
             assert rebuilt.shared == inst.shared
             assert rebuilt.to_dict() == inst.to_dict()
             got, want = compute_components(rebuilt), compute_components(inst)
@@ -458,7 +472,7 @@ class TestAgreementWithEvaluateBound:
             rep = evaluate_bound("cor_bayesian", alpha=0.3, **setup)
             assert (rep.margin, rep.delta) == rep.rederive()
             report = StatementReport("cor_bayesian", keep_outcomes=True)
-            verify_theta_instance(theta, [0.3], StatementReport("lemma_b6"), report)
+            verify_theta(theta, [0.3], StatementReport("lemma_b6"), report)
             outcome = report.outcomes[0]
             assert outcome.delta == pytest.approx(rep.delta, rel=1e-12, abs=1e-15)
             assert outcome.exceedance == exact_exceedance(
@@ -626,7 +640,7 @@ class TestBatchedComponents:
         b6_alone = StatementReport("lemma_b6")
         cb_alone = StatementReport("cor_bayesian", keep_outcomes=True)
         for i in order:
-            verify_theta_instance(thetas[i], DEFAULT_ALPHAS, b6_alone, cb_alone)
+            verify_theta(thetas[i], DEFAULT_ALPHAS, b6_alone, cb_alone)
         assert dataclasses.asdict(b6) == dataclasses.asdict(b6_alone)
         # the batch checks each group of like-sized instances in turn
         cb.outcomes.sort(key=dataclasses.astuple)
@@ -640,7 +654,7 @@ class TestThetaInstances:
         b6 = StatementReport("lemma_b6")
         cb = StatementReport("cor_bayesian")
         for seed in range(300):
-            verify_theta_instance(generate_theta_instance(seed), DEFAULT_ALPHAS, b6, cb)
+            verify_theta(generate_theta_instance(seed), DEFAULT_ALPHAS, b6, cb)
         assert b6.violations == 0
         assert b6.min_slack >= -1e-10
         assert cb.violations == 0
@@ -704,11 +718,28 @@ class TestThetaInstances:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
-    def test_rejects_bad_alphas(self, bad):
-        cb = StatementReport("cor_bayesian")
+    def test_rejects_bad_alphas(self, bad, monkeypatch):
+        # the suite rejects the alphas before any finite-theta instance is checked
+        checked = []
+        monkeypatch.setattr(oracle, "_verify_thetas", lambda *args: checked.append(args))
         with pytest.raises(InvalidArgument):
-            verify_theta_instance(generate_theta_instance(1), [bad], StatementReport("lemma_b6"), cb)
-        assert cb.trials == 0
+            run_suite(1, alphas=[0.3, bad])
+        assert checked == []
+
+    @pytest.mark.parametrize("ranges, message", [
+        ({"m_range": (5, 2)}, r"m_range must be an ordered pair from 2, got \(5, 2\)"),
+        ({"m_range": (1, 3)}, r"m_range must be an ordered pair from 2, got \(1, 3\)"),
+        ({"m_range": (13, 13)}, "m <= 12"),
+        ({"theta_range": (3, 1)}, r"theta_range must be an ordered pair from 1, got \(3, 1\)"),
+        ({"theta_range": (0, 2)}, r"theta_range must be an ordered pair from 1, got \(0, 2\)"),
+    ], ids=["m-reversed", "m-below-2", "m-above-12", "theta-reversed", "theta-below-1"])
+    def test_rejects_bad_ranges(self, ranges, message):
+        # InstanceConfig's rules, with its error type and message
+        with pytest.raises(InvalidArgument, match=message):
+            generate_theta_instance(0, **ranges)
+        if "m_range" in ranges:
+            with pytest.raises(InvalidArgument, match=message):
+                InstanceConfig(**ranges)
 
 
 class TestSuite:
