@@ -38,10 +38,11 @@ from .distributions import (
     sup_variance,
     task_distribution_tv,
 )
-from .divergences import hellinger_sq, kl_exact, l1_distance, tv_exact
+from .divergences import _tv_floor, hellinger_sq, kl_exact, l1_distance, tv_exact
 from .errors import InvalidArgument, InvalidModelClass, PreconditionViolated
 
 CSV_HEADER = "statement_id,alpha,B,C,D,D_learner,margin,delta,epsilon,b_S,b_T"
+FLOOR_MARGIN = 1e-9  # best_approximation skips members whose TV floor exceeds B by more
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +99,21 @@ def best_approximation(
 
     Ties break toward the lowest enumeration index.  The minimum is the
     approximation bias B when ``target`` is the source barycenter.
+
+    Continuous members run ``tv_exact`` in the stable order of their ``_tv_floor`` (which
+    raise as it does, in index order) until a floor exceeds the least TV by ``FLOOR_MARGIN``:
+    floor and crossing TV, both lower bounds on TV, differ only where the grid misses crossings.
     """
     if (model.P is not None and isinstance(target, Categorical)
             and model.P.shape[1] == target.n_outcomes):
         dists = _tv(model.P, target.p)
-    else:  # continuous members; tv_exact raises on a target on another space
-        dists = np.array([tv_exact(member, target) for member in model.members])
+    else:  # a skipped member's TV stays inf
+        dists = np.full(len(model), np.inf)
+        floors = np.array([_tv_floor(member, target) for member in model.members])
+        for i in np.argsort(floors, kind="stable").tolist():
+            if floors[i] > dists.min() + FLOOR_MARGIN:
+                break
+            dists[i] = tv_exact(model.members[i], target)
     best_idx = int(dists.argmin())
     return model._item(best_idx), float(dists[best_idx])
 

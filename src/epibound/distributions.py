@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -186,6 +186,14 @@ class GaussianMixture(FirstOrderDistribution):
             raise InvalidArgument("mixture means must be finite")
         if not np.all((sd > 0) & (sd < math.inf)):
             raise InvalidArgument("mixture stddevs must be finite and strictly positive")
+        self._set(w, mu, sd)
+
+    @classmethod
+    def _of(cls, g: Gaussian) -> "GaussianMixture":
+        """The one-component mixture of a checked Gaussian, not checked again."""
+        return object.__new__(cls)._set(np.ones(1), np.array([g.mean]), np.array([g.stddev]))
+
+    def _set(self, w: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> "GaussianMixture":
         _freeze(self, "weights", w)
         _freeze(self, "means", mu)
         _freeze(self, "stddevs", sd)
@@ -193,11 +201,11 @@ class GaussianMixture(FirstOrderDistribution):
             _freeze(self, "_log_weights", np.log(w))
         _freeze(self, "_log_stddevs", np.log(sd))
         # One common mean, or one common log-weight, lets logpdf subtract it,
-        # or add it, as a scalar; every IG barycenter and one-component
-        # mixture has both.
+        # or add it, as a scalar; every IG barycenter has both.
         lw = self._log_weights
         object.__setattr__(self, "_common_mean", mu[0] if (mu == mu[0]).all() else None)
         object.__setattr__(self, "_common_log_weight", lw[0] if (lw == lw[0]).all() else None)
+        return self
 
     def cdf(self, x):
         """P(X <= x) at a float or an array of points, one component column per mean."""
@@ -213,7 +221,11 @@ class GaussianMixture(FirstOrderDistribution):
         # bytes depend on every last bit of these values.  With one common
         # mean, x - mu is taken once per point, and one common log-weight is
         # added as a scalar: the same operands, so the same roundings.
+        # one component is its own max: the log-sum-exp adds log(exp(0)) = 0.0 to it
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.weights.size == 1:
+            z2 = np.square(np.subtract(x, self.means[0]) / self.stddevs[0])
+            return z2 * -0.5 - self._log_stddevs[0] - 0.5 * LOG_2PI + self._log_weights[0] + 0.0
         if self._common_mean is None:
             comp = np.subtract(x[:, None], self.means)
             comp /= self.stddevs
@@ -285,19 +297,26 @@ def distributions_close(a: FirstOrderDistribution, b: FirstOrderDistribution) ->
 # ---------------------------------------------------------------------------
 
 
-class _Rows:
-    """The tasks or members (``_ITEMS``) of a finite family, with their rows as one matrix.
+# checked Gaussian items N(means[i], stddevs[i]), given as two parameter columns
+_GaussianColumns = NamedTuple("_GaussianColumns", [("means", np.ndarray), ("stddevs", np.ndarray)])
 
-    Categorical items on one space are also kept as the read-only matrix ``P``
-    of their rows; ``P`` is None for continuous items.  Items given as a (k, m)
-    array are checked once, as a matrix, and are then ``Categorical`` views of
-    its rows, each made on first access and kept.
+
+class _Rows:
+    """The tasks or members (``_ITEMS``) of a finite family, with their parameters as arrays.
+
+    Categorical items on one space are also kept as the read-only matrix ``P`` of their
+    rows, all-Gaussian ones as the read-only columns ``means`` and ``stddevs``, else None.
+    Items given as a (k, m) array or ``_GaussianColumns`` are views of it, made when read.
     """
 
     _ITEMS: str
+    means = stddevs = None
 
     def _init_rows(self, items, empty: Exception) -> tuple[int, bool]:
         """Keep ``items``; returns their count and whether they share one sample space."""
+        if isinstance(items, _GaussianColumns):
+            object.__delattr__(self, self._ITEMS)
+            return self._keep_columns(*items)
         array = isinstance(items, np.ndarray)
         items = np.ascontiguousarray(items, dtype=float) if array else tuple(items)
         if len(items) == 0:
@@ -307,6 +326,9 @@ class _Rows:
             object.__delattr__(self, self._ITEMS)
         else:
             object.__setattr__(self, self._ITEMS, items)
+            if all(isinstance(d, Gaussian) for d in items):
+                return self._keep_columns(np.array([d.mean for d in items]),
+                                          np.array([d.stddev for d in items]))
             spaces = set(map(_space, items))
             if len(spaces) > 1 or spaces == {None}:
                 return len(items), len(spaces) == 1
@@ -314,20 +336,29 @@ class _Rows:
         _freeze(self, "P", items)
         return len(items), True
 
+    def _keep_columns(self, means: np.ndarray, stddevs: np.ndarray) -> tuple[int, bool]:
+        _freeze(self, "means", means)
+        _freeze(self, "stddevs", stddevs)
+        return len(means), True
+
     def __getattr__(self, name: str):
-        if name != self._ITEMS or self.__dict__.get("P") is None:
+        if name != self._ITEMS or (params := self.means if self.P is None else self.P) is None:
             raise AttributeError(name)
         # setdefault keeps the first one made if two threads race
-        return self.__dict__.setdefault(name, tuple(map(self._item, range(len(self.P)))))
+        return self.__dict__.setdefault(name, tuple(map(self._item, range(len(params)))))
 
     def _item(self, i: int) -> FirstOrderDistribution:
-        """Item ``i``, without making the other rows' views."""
+        """Item ``i``, without making the other items' views."""
         if self._ITEMS in self.__dict__:
             return self.__dict__[self._ITEMS][i]
         views = self.__dict__.setdefault("_views", {})
-        if i not in views:  # a Categorical on a checked read-only row, not checked again
-            view = object.__new__(Categorical)
-            object.__setattr__(view, "p", self.P[i])
+        if i not in views:  # a view on checked read-only parameters, not checked again
+            if self.P is not None:
+                view = object.__new__(Categorical)
+                object.__setattr__(view, "p", self.P[i])
+            else:
+                view = object.__new__(Gaussian)
+                view.__dict__.update(mean=float(self.means[i]), stddev=float(self.stddevs[i]))
             views.setdefault(i, view)
         return views[i]
 
@@ -336,7 +367,7 @@ class _Rows:
 class FiniteTaskDistribution(_Rows):
     """Finitely many tasks with weights; the exact-computation workhorse.
 
-    ``tasks`` is a tuple of distributions on one space or a (k, m) array of rows.
+    ``tasks`` is a tuple of distributions on one space, (k, m) rows or ``_GaussianColumns``.
     """
 
     tasks: tuple[FirstOrderDistribution, ...]
@@ -365,7 +396,7 @@ class FiniteTaskDistribution(_Rows):
         return self.P is None
 
     def sample_task(self, rng: np.random.Generator) -> FirstOrderDistribution:
-        return self.tasks[int(rng.choice(self.n_tasks, p=self.weights))]
+        return self._item(int(rng.choice(self.n_tasks, p=self.weights)))
 
     def to_dict(self) -> dict:
         return {
@@ -415,9 +446,13 @@ class InverseGammaGaussianTasks:
         return np.sqrt(self.sample_variances(components, generator(seed)))
 
     def reify(self, components: int = DEFAULT_REIFY_COMPONENTS, seed: int = 0) -> FiniteTaskDistribution:
-        """Equal-weight finite approximation by ``components`` sampled tasks."""
-        tasks = tuple(Gaussian(self.mean, sd) for sd in self._sampled_stddevs(components, seed))
-        return FiniteTaskDistribution(tasks, np.full(components, 1.0 / components))
+        """Equal-weight finite approximation by ``components`` sampled tasks, held as columns."""
+        stddevs = self._sampled_stddevs(components, seed)
+        bad = ~((stddevs > 0) & (stddevs < math.inf))
+        if bad.any():  # Gaussian's own error, on the first stddev it rejects
+            Gaussian(self.mean, stddevs[bad.argmax()])
+        return FiniteTaskDistribution(_GaussianColumns(np.full(components, self.mean), stddevs),
+                                      np.full(components, 1.0 / components))
 
     def to_dict(self) -> dict:
         return {"kind": "ig_gaussian_tasks", "mean": self.mean, "shape": self.shape, "rate": self.rate}
@@ -456,17 +491,14 @@ def barycenter(
         return GaussianMixture(np.full(k, 1.0 / k), np.full(k, tasks.mean), stddevs)
     if tasks.P is not None:
         return Categorical(tasks.weights @ tasks.P)
+    if tasks.means is not None:
+        return GaussianMixture(tasks.weights, tasks.means, tasks.stddevs)
     weights, means, stds = [], [], []
     for w, t in zip(tasks.weights, tasks.tasks):
-        if isinstance(t, Gaussian):
-            weights.append(w)
-            means.append(t.mean)
-            stds.append(t.stddev)
-        else:
-            assert isinstance(t, GaussianMixture)
-            weights.extend(w * t.weights)
-            means.extend(t.means)
-            stds.extend(t.stddevs)
+        t = GaussianMixture._of(t) if isinstance(t, Gaussian) else t
+        weights.extend(w * t.weights)
+        means.extend(t.means)
+        stds.extend(t.stddevs)
     return GaussianMixture(np.asarray(weights), np.asarray(means), np.asarray(stds))
 
 
@@ -496,7 +528,9 @@ CONTINUOUS_EVENT_FAMILY = (
 
 def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
     """The pooled-moment grid of thresholds t_k of the half-line events (-inf, t_k]."""
-    moments = np.array([t.mean_std() for t in tasks.tasks])
+    # (k, 2) either way: ``weights @`` a strided column can round unlike a contiguous one
+    moments = (np.column_stack((tasks.means, tasks.stddevs)) if tasks.means is not None
+               else np.array([t.mean_std() for t in tasks.tasks]))
     pooled_mean = float(tasks.weights @ moments[:, 0])
     pooled_second = float(tasks.weights @ (moments[:, 1] ** 2 + moments[:, 0] ** 2))
     try:
@@ -513,25 +547,21 @@ def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
 def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
     """The largest Var(Q((-inf, t])) over the thresholds t of ``_thresholds``.
 
-    The (thresholds, tasks) matrix of Q((-inf, t]) is one ``ndtr`` call
-    when every task is a Gaussian, and is otherwise built one task's CDF
-    column at a time.  Each row q's variance is ``w @ (q - w @ q)**2``, two
+    The (thresholds, tasks) matrix of Q((-inf, t]) is one ``ndtr`` call on
+    the columns of an all-Gaussian family, and is otherwise built one task's
+    CDF column at a time.  Each row q's variance is ``w @ (q - w @ q)**2``, two
     dot products with ``w``: ``np.vecdot`` sums each row as ``w @ row``
     does, so Gaussian tasks give bitwise the per-threshold result, where
     one matrix-vector product over all rows would sum in another order.  A
     NaN variance raises NumericalFailure.
     """
     ts = _thresholds(fin)
-    if all(isinstance(t, Gaussian) for t in fin.tasks):
-        means = np.array([t.mean for t in fin.tasks])
-        stddevs = np.array([t.stddev for t in fin.tasks])
-        qa = np.subtract.outer(ts, means)
-        qa /= stddevs
+    if fin.means is not None:
+        qa = np.subtract.outer(ts, fin.means)
+        qa /= fin.stddevs
         ndtr(qa, out=qa)  # each entry rounds as Gaussian.cdf
     else:
-        qa = np.empty((ts.size, fin.n_tasks))
-        for i, t in enumerate(fin.tasks):
-            qa[:, i] = t.cdf(ts)
+        qa = np.column_stack([t.cdf(ts) for t in fin.tasks])
     w = fin.weights
     qa -= np.vecdot(qa, w)[:, None]
     np.square(qa, out=qa)

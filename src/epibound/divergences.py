@@ -43,6 +43,7 @@ CROSSING_GRID_PER_SD = 16   # crossing-search grid points per smallest component
 CROSSING_GRID_MAX = 1 << 20  # wider windows get a coarser grid, plus every component mean
 CROSSING_CHUNK = 1 << 16     # (points x components) per density evaluation
 CROSSING_BISECTIONS = 30     # halvings of each bracket, from the grid spacing; 3 per density pass
+TV_FLOOR_THRESHOLDS = 17     # evenly spaced thresholds of the crossing window in ``_tv_floor``
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
 # never rebinds: perfbench's tracer replaces this binding with a counting wrapper
@@ -153,10 +154,20 @@ def tv_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
     require_same_space(p, q)
     if isinstance(p, Categorical) and isinstance(q, Categorical):
         return float(0.5 * np.abs(p.p - q.p).sum())
-    if isinstance(p, Gaussian) and isinstance(q, Gaussian):
-        if abs(p.stddev - q.stddev) <= 1e-12 * max(p.stddev, q.stddev):
-            return float(2.0 * ndtr(abs(p.mean - q.mean) / (2.0 * p.stddev)) - 1.0)
+    if _equal_stddev_gaussians(p, q):
+        return float(2.0 * ndtr(abs(p.mean - q.mean) / (2.0 * p.stddev)) - 1.0)
     return _crossing_tv(_as_mixture(p), _as_mixture(q))
+
+
+def _tv_floor(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
+    """A lower bound on ``tv_exact(p, q)`` for continuous p, q, raising as it raises: 0 for a
+    closed form, else the largest CDF gap at ``TV_FLOOR_THRESHOLDS`` points of the window."""
+    require_same_space(p, q)
+    if _equal_stddev_gaussians(p, q):
+        return 0.0
+    p, q = _as_mixture(p), _as_mixture(q)
+    ts = np.linspace(*_crossing_grid(p, q)[:2], TV_FLOOR_THRESHOLDS)
+    return float(np.abs(p.cdf(ts) - q.cdf(ts)).max())
 
 
 def l1_distance(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
@@ -164,10 +175,14 @@ def l1_distance(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
     return 2.0 * tv_exact(p, q)
 
 
+def _equal_stddev_gaussians(p: FirstOrderDistribution, q: FirstOrderDistribution) -> bool:
+    """Whether ``tv_exact`` takes the pair by its Gaussian closed form."""
+    return (isinstance(p, Gaussian) and isinstance(q, Gaussian)
+            and abs(p.stddev - q.stddev) <= 1e-12 * max(p.stddev, q.stddev))
+
+
 def _as_mixture(d: Union[Gaussian, GaussianMixture]) -> GaussianMixture:
-    if isinstance(d, GaussianMixture):
-        return d
-    return GaussianMixture(np.ones(1), np.array([d.mean]), np.array([d.stddev]))
+    return d if isinstance(d, GaussianMixture) else GaussianMixture._of(d)
 
 
 def _log_gap(p: GaussianMixture, q: GaussianMixture, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -189,14 +204,7 @@ def _crossing_tv(p: GaussianMixture, q: GaussianMixture) -> float:
     is stationary at the crossings, so a root error e costs O(e^2), from
     below.  A window or grid size that overflows raises NumericalFailure.
     """
-    lo, hi = _window(p, q)
-    smallest = min(p.stddevs[p.weights > 0].min(), q.stddevs[q.weights > 0].min())
-    size = (hi - lo) / smallest * CROSSING_GRID_PER_SD  # finite only if lo and hi are
-    if not math.isfinite(size):
-        raise NumericalFailure(
-            f"TV crossing search over [{lo}, {hi}] at {CROSSING_GRID_PER_SD} points per "
-            f"stddev {smallest} is not finite")
-    n = min(CROSSING_GRID_MAX, math.ceil(size) + 1)
+    lo, hi, n = _crossing_grid(p, q)
     means = np.concatenate([p.means, q.means])
     xs = np.union1d(np.linspace(lo, hi, n), means[(means > lo) & (means < hi)])
     side = np.sign(_log_gap(p, q, xs, np.empty_like(xs)))
@@ -205,6 +213,18 @@ def _crossing_tv(p: GaussianMixture, q: GaussianMixture) -> float:
     cuts = np.sort(np.concatenate([xs[side == 0], 0.5 * (np.array(a) + np.array(b))]))
     gaps = p.cdf(cuts) - q.cdf(cuts)  # P - Q on (-inf, cut]; 0 at both ends of the line
     return min(1.0, 0.5 * float(np.abs(np.diff(gaps, prepend=0.0, append=0.0)).sum()))
+
+
+def _crossing_grid(p: GaussianMixture, q: GaussianMixture) -> tuple[float, float, int]:
+    """The crossing search's window [lo, hi] and grid size; NumericalFailure on an overflow."""
+    lo, hi = _window(p, q)
+    smallest = min(p.stddevs[p.weights > 0].min(), q.stddevs[q.weights > 0].min())
+    size = (hi - lo) / smallest * CROSSING_GRID_PER_SD  # finite only if lo and hi are
+    if not math.isfinite(size):
+        raise NumericalFailure(
+            f"TV crossing search over [{lo}, {hi}] at {CROSSING_GRID_PER_SD} points per "
+            f"stddev {smallest} is not finite")
+    return lo, hi, min(CROSSING_GRID_MAX, math.ceil(size) + 1)
 
 
 def _refine_crossings(p: GaussianMixture, q: GaussianMixture, a: list, b: list,

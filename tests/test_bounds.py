@@ -10,13 +10,16 @@ from scipy.special import ndtr
 
 from epibound import (
     Categorical,
+    EventMismatch,
     FiniteTaskDistribution,
     Gaussian,
+    GaussianMixture,
     GaussianParamDist,
     InvalidArgument,
     InvalidModelClass,
     InverseGammaGaussianTasks,
     ModelClass,
+    NumericalFailure,
     PreconditionViolated,
     barycenter,
     best_approximation,
@@ -29,6 +32,7 @@ from epibound import (
     finite_tasks,
     tv_exact,
 )
+from epibound import bounds, divergences
 from epibound.bounds import CSV_HEADER, STATEMENT_IDS, STATEMENTS
 from epibound.oracle import CONSTRAINT_MODES, InstanceConfig, generate_instance
 
@@ -96,6 +100,78 @@ class TestBestApproximation:
                         assert exc.assumption == "predictor_boundedness" and not covered
                     else:
                         assert covered
+
+    def test_branch_and_bound_equals_full_loop(self):
+        # the best index and the B bits of a full tv_exact loop, on 2,000 classes of 1
+        # to 20 members drawn with repeats (exact ties) from per-target pools, which
+        # hold closed-form pairs (floor 0) and small mixtures
+        rng = np.random.default_rng(22)
+        targets, pools = [], []
+        for t in range(36):
+            mean = rng.normal()
+            if t % 3 == 0:
+                target = Gaussian(mean, rng.uniform(0.5, 2.0))
+            elif t % 3 == 1:
+                target = barycenter(InverseGammaGaussianTasks(mean, rng.uniform(3.0, 20.0),
+                                                              rng.uniform(2.0, 10.0)),
+                                    components=8, seed=t)
+            else:
+                k = int(rng.integers(2, 4))
+                target = GaussianMixture(rng.dirichlet(np.ones(k)), mean + rng.normal(size=k),
+                                         rng.uniform(0.5, 2.0, k))
+            pool = [Gaussian(mean + rng.normal(), rng.uniform(0.5, 2.0)) for _ in range(32)]
+            pool += [GaussianMixture([0.5, 0.5], mean + rng.normal(size=2),
+                                     rng.uniform(0.5, 2.0, 2)) for _ in range(4)]
+            if isinstance(target, Gaussian):
+                pool += [Gaussian(mean + rng.normal(), target.stddev) for _ in range(4)]
+            targets.append(target)
+            pools.append(pool)
+        exact = {}
+
+        def cached_tv(p, q):  # the reference loop's values, computed once per pair
+            key = (id(p), id(q))
+            if key not in exact:
+                exact[key] = tv_exact(p, q)
+            return exact[key]
+
+        skipped = 0
+        for _ in range(2000):
+            t = int(rng.integers(len(targets)))
+            target, pool = targets[t], pools[t]
+            members = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 21))]
+            dists = [cached_tv(m, target) for m in members]
+            want = int(np.argmin(dists))
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bounds, "tv_exact", lambda p, q: calls.append(1) or cached_tv(p, q))
+                best, bias = best_approximation(ModelClass(tuple(members)), target)
+            assert best is members[want]
+            assert np.float64(bias).view(np.int64) == np.float64(dists[want]).view(np.int64)
+            skipped += len(members) - len(calls)
+        assert skipped > 10_000  # the floors do prune
+
+    @pytest.mark.parametrize("members, error", [
+        # the first member that fails raises, in index order, as the full loop did
+        ((Gaussian(0.0, 2.0), Gaussian(0.0, 0.5)), "stddev 1.0"),
+        ((Gaussian(1e308, 1.0), Gaussian(0.0, 0.5)), "stddev 0.5"),
+        # closed forms need no window, so an overflowing one raises nothing
+        ((Gaussian(1e308, 1.0),), None),
+        ((Gaussian(1e308, 1.0), Gaussian(-1e308, 1.0)), None),
+    ])
+    def test_overflowing_windows_raise_as_the_full_loop(self, members, error):
+        model, target = ModelClass(members), Gaussian(-1e308, 1.0)
+        if error is None:
+            best, bias = best_approximation(model, target)
+            assert (best, bias) == (members[-1], 1.0 if len(members) == 1 else 0.0)
+        else:
+            with pytest.raises(NumericalFailure, match=rf"^TV crossing search over \[nan, nan\] "
+                                                       rf"at 16 points per {error} is not finite$"):
+                best_approximation(model, target)
+
+    def test_categorical_class_against_continuous_target(self, binary_model):
+        with pytest.raises(EventMismatch, match=r"^distributions on different spaces: "
+                           r"categorical\(2 outcomes\) vs gaussian$"):
+            best_approximation(binary_model, Gaussian(0.0, 1.0))
 
     def test_empty_class(self):
         with pytest.raises(InvalidModelClass):
@@ -440,6 +516,18 @@ class TestReportBytes:
                 out.append(evaluate_bound(sid, model, Gaussian(1.1, 0.8), ig_s, target,
                                           alpha=0.2).to_dict())
         return out
+
+    def test_ig_bound_crossing_searches(self, monkeypatch):
+        # B's floors leave one of the three members to the crossing search, and C is a
+        # closed form: B, D and D_learner make 3 crossing searches (5 with every member)
+        calls = []
+        crossing_tv = divergences._crossing_tv
+        monkeypatch.setattr(divergences, "_crossing_tv",
+                            lambda p, q: calls.append(1) or crossing_tv(p, q))
+        evaluate_bound("thm1", ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8),
+                       Gaussian(1.1, 0.8), InverseGammaGaussianTasks(1.0, 20.0, 10.0),
+                       InverseGammaGaussianTasks(1.3, 17.0, 9.0), alpha=0.2)
+        assert len(calls) == 3
 
     def test_evaluate_bound_bytes_pinned(self):
         # SHA-256 of the reports' JSON; any change to a component, margin,

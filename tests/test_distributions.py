@@ -132,7 +132,9 @@ def reference_mixture_logpdf(mix: GaussianMixture, x) -> np.ndarray:
     with np.errstate(divide="ignore"):
         comp = comp + np.log(mix.weights)[None, :]
     mx = comp.max(axis=1, keepdims=True)
-    return mx[:, 0] + np.log(np.exp(comp - mx).sum(axis=1))
+    mx[~np.isfinite(mx)] = 0.0  # as logsumexp: a row of -inf gives -inf, not NaN
+    with np.errstate(divide="ignore"):
+        return mx[:, 0] + np.log(np.exp(comp - mx).sum(axis=1))
 
 
 # (mixture, whether it has one common mean, whether it has one common weight)
@@ -210,6 +212,23 @@ class TestMixtureLogpdf:
         assert np.array_equal(got[1:2], reference_mixture_logpdf(mix, x[1:2]))
         one = GaussianMixture([1.0], [1.0], [1e-160])
         assert np.array_equal(one.logpdf(x), Gaussian(1.0, 1e-160).logpdf(x))
+
+    @pytest.mark.parametrize("w, mu, sd", [
+        (1.0, 0.75, 1.3),
+        (1.0 - 1e-13, -2.5, 0.3),  # a log-weight that is not 0
+        (1.0, 0.0, math.exp(-0.5 * math.log(2.0 * math.pi))),  # 0 at x = 0
+        (1.0, 1e300, 1e-10),  # z**2 overflows off the mean
+    ])
+    def test_one_component_bitwise_equal_to_log_sum_exp(self, w, mu, sd):
+        mix = GaussianMixture([w], [mu], [sd])
+        x = np.concatenate([sample(mix, 200, seed=4), [mu, -0.0, 0.0, math.inf, -math.inf,
+                                                       math.nan, 1e308, -1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = mix.logpdf(x), reference_mixture_logpdf(mix, x)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        # as integers, so that -0.0 and 0.0 differ
+        assert np.array_equal(got[~np.isnan(want)].view(np.int64),
+                              want[~np.isnan(want)].view(np.int64))
 
     def test_one_component_equals_gaussian(self):
         x = np.linspace(-6.0, 7.0, 41)
@@ -643,6 +662,57 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(InvalidArgument):
             distribution_from_dict({"kind": "poisson", "lam": 2})
+
+
+class TestGaussianColumns:
+    """All-Gaussian task families kept as parameter columns."""
+
+    IG = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
+
+    def _as_objects(self):
+        """The tasks ``reify`` made before the columns: one checked Gaussian per stddev."""
+        stddevs = self.IG._sampled_stddevs(256, 0)
+        return FiniteTaskDistribution(tuple(Gaussian(self.IG.mean, sd) for sd in stddevs),
+                                      np.full(256, 1.0 / 256))
+
+    def test_reified_equals_tuple_of_gaussians(self):
+        fin, objects = self.IG.reify(), self._as_objects()
+        assert "tasks" not in vars(fin)
+        for a, b in ((fin.means, objects.means), (fin.stddevs, objects.stddevs)):
+            assert not a.flags.writeable and np.array_equal(a, b)
+        bary_a, bary_b = barycenter(fin), barycenter(objects)
+        for name in ("weights", "means", "stddevs"):
+            assert np.array_equal(getattr(bary_a, name), getattr(bary_b, name))
+        assert np.array_equal(_thresholds(fin), _thresholds(objects))
+        assert sup_variance(fin) == sup_variance(objects)
+        assert fin.to_dict() == objects.to_dict()
+
+    def test_views_equal_the_checked_gaussians(self, monkeypatch):
+        fin, objects = self.IG.reify(), self._as_objects()
+
+        def refuse(self):
+            raise AssertionError("view checked again")
+
+        monkeypatch.setattr(Gaussian, "__post_init__", refuse)
+        for view, task in zip(fin.tasks, objects.tasks):
+            assert type(view) is Gaussian and view.kind == "gaussian"
+            assert type(view.mean) is float and type(view.stddev) is float
+            assert (view.mean, view.stddev) == (task.mean, task.stddev)
+        assert fin.tasks is fin.tasks
+
+    def test_sample_task_makes_one_view(self):
+        fin = self.IG.reify()
+        task = fin.sample_task(np.random.default_rng(3))
+        assert "tasks" not in vars(fin) and list(vars(fin)["_views"].values()) == [task]
+        assert fin.tasks[list(vars(fin)["_views"])[0]] is task
+
+    @pytest.mark.parametrize("ig, got", [
+        ((0.0, 1e-3, 1.0), "inf"), ((0.0, 1e-2, 1e300), "inf"), ((0.0, 5.0, 1e-320), "0.0")])
+    def test_reify_rejects_bad_stddevs(self, ig, got):
+        with np.errstate(divide="ignore", over="ignore"):
+            with pytest.raises(InvalidArgument, match=rf"^stddev must be finite and strictly "
+                                                      rf"positive, got {got}$"):
+                InverseGammaGaussianTasks(*ig).reify()
 
 
 class TestRowMatrices:
