@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ._deferred import Deferred
-from .distributions import Gaussian
+from .distributions import Gaussian, _check_gaussians
 from .divergences import quad
 from .errors import InvalidArgument, NumericalFailure
 
@@ -70,19 +70,19 @@ class GaussianParamDist:
         c = np.asarray(self.covariance, dtype=float)
         if m.shape != (2,) or c.shape != (2, 2):
             raise InvalidArgument("mean must be a 2-vector and covariance 2x2")
-        if not (np.isfinite(m).all() and np.isfinite(c).all()):
-            raise InvalidArgument(f"mean and covariance entries must be finite, got mean "
-                                  f"{m.tolist()} and covariance {c.tolist()}")
-        if np.abs(c - c.T).max() > COV_SYM_TOL:
-            raise NumericalFailure("covariance must be symmetric to 1e-12")
-        c = 0.5 * (c + c.T)
-        eigvals = np.linalg.eigvalsh(c)
-        if eigvals.min() <= 0:
-            raise NumericalFailure(f"covariance must be positive definite, eigenvalues {eigvals}")
-        m.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "covariance", c)
+        self._set(m, _checked_covariances(m[None], c[None])[0])
+
+    @classmethod
+    def _of(cls, mean: np.ndarray, covariance: np.ndarray) -> "GaussianParamDist":
+        """A mean and covariance that ``_checked_covariances`` passed, not checked again."""
+        return object.__new__(cls)._set(mean, covariance)
+
+    def _set(self, mean: np.ndarray, covariance: np.ndarray) -> "GaussianParamDist":
+        mean.flags.writeable = False
+        covariance.flags.writeable = False
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", covariance)
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -94,6 +94,34 @@ class GaussianParamDist:
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianParamDist":
         return cls(np.asarray(data["mean"], dtype=float), np.asarray(data["cov"], dtype=float))
+
+
+def _checked_covariances(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """``GaussianParamDist``'s checks over (S, 2) means and (S, 2, 2) covariances.
+
+    Returns the symmetrised covariances.  Entry by entry, as one construction
+    at a time would: the first entry that fails raises its own error, a
+    non-finite entry before an asymmetric one before one that is not positive
+    definite.  Entries that fail an earlier check reach ``eigvalsh`` as the
+    identity, so a NaN cannot stop the whole stack.
+    """
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    covs_t = covs.transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):  # only a non-finite entry makes a NaN here
+        asym = np.abs(covs - covs_t).max(axis=(1, 2)) > COV_SYM_TOL
+        sym = 0.5 * (covs + covs_t)
+    ok = finite & ~asym
+    eigvals = np.linalg.eigvalsh(np.where(ok[:, None, None], sym, np.eye(2)))
+    bad = ~ok | (eigvals[:, 0] <= 0)  # ascending: column 0 is the least
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise InvalidArgument(f"mean and covariance entries must be finite, got mean "
+                                  f"{means[i].tolist()} and covariance {covs[i].tolist()}")
+        if asym[i]:
+            raise NumericalFailure("covariance must be symmetric to 1e-12")
+        raise NumericalFailure(f"covariance must be positive definite, eigenvalues {eigvals[i]}")
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,28 +164,56 @@ def posterior_update(model: NIGModel, data: SourceDataset) -> GaussianParamDist:
 
     Conditions with a fixed noise variance, the prior mean of the
     inverse-gamma component; the variance distribution stays at its prior.
+    This is the stacked kernel ``_posterior_stack`` on a stack of one
+    dataset: the experiments fit all sims of a grid point in one call, and
+    each of those posteriors is bit for bit this one.
+    """
+    means, covs = _posterior_stack(model, data.xi[None], data.x[None])
+    return GaussianParamDist._of(means[0], covs[0])
+
+
+def _posterior_stack(model: NIGModel, xi: np.ndarray,
+                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient posteriors of S datasets of n rows: (S, 2) means, (S, 2, 2) covariances.
+
+    ``xi`` is (S, n, 2) and ``x`` is (S, n).  The batched ``matmul``,
+    ``matvec``, ``inv`` and ``eigvalsh`` run their 2-D routine on each slice,
+    so entry s is bit for bit the posterior of dataset s alone.  Every entry
+    passes ``GaussianParamDist``'s checks; the first that fails raises its error.
     """
     nv = model.prior_noise_variance
-    X = data.xi
-    precision = np.eye(2) / model.sigma0_sq + X.T @ X / nv
+    xi_t = xi.transpose(0, 2, 1)
+    precision = np.eye(2) / model.sigma0_sq + xi_t @ xi / nv
     try:
         cov = np.linalg.inv(precision)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - sigma0_sq finite
         raise NumericalFailure("singular posterior precision") from exc
-    mean = cov @ (model.beta0 / model.sigma0_sq + X.T @ data.x / nv)
-    return GaussianParamDist(mean, 0.5 * (cov + cov.T))
+    mean = np.matvec(cov, model.beta0 / model.sigma0_sq + np.matvec(xi_t, x) / nv)
+    return mean, _checked_covariances(mean, 0.5 * (cov + cov.transpose(0, 2, 1)))
 
 
 def posterior_predictive(
     post: GaussianParamDist, xi, noise_variance: float
 ) -> Gaussian:
     """Predictive N(xi.mean, xi.cov.xi + noise_variance) at covariates xi."""
+    means, stddevs = _predictive_stack(post.mean[None], post.covariance[None], xi, noise_variance)
+    return Gaussian(means[0], stddevs[0])
+
+
+def _predictive_stack(means: np.ndarray, covs: np.ndarray, xi,
+                      noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """``posterior_predictive`` over (S, 2) means and (S, 2, 2) covariances: (S,) means, stddevs.
+
+    ``np.vecdot`` sums each entry as the one-posterior dot products do.  The
+    pairs pass ``Gaussian``'s checks; the first that fails raises its error.
+    """
     if noise_variance <= 0:
         raise InvalidArgument(f"noise variance must be > 0, got {noise_variance}")
     xi = np.asarray(xi, dtype=float).reshape(2)
-    mean = float(xi @ post.mean)
-    var = float(xi @ post.covariance @ xi) + noise_variance
-    return Gaussian(mean, math.sqrt(var))
+    mean = np.vecdot(means, xi)
+    stddev = np.sqrt(np.vecdot(xi @ covs, xi) + noise_variance)
+    _check_gaussians(mean, stddev)
+    return mean, stddev
 
 
 # ---------------------------------------------------------------------------

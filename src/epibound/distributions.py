@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -152,8 +152,8 @@ class Gaussian(FirstOrderDistribution):
         return ndtr((x - self.mean) / self.stddev)
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x, dtype=float) - self.mean) / self.stddev
-        return -0.5 * z**2 - math.log(self.stddev) - 0.5 * LOG_2PI
+        return _gaussian_logpdf(np.asarray(x, dtype=float), self.mean, self.stddev,
+                                math.log(self.stddev))
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(x))
@@ -166,6 +166,23 @@ class Gaussian(FirstOrderDistribution):
 
     def to_dict(self) -> dict:
         return {"kind": "gaussian", "mean": self.mean, "stddev": self.stddev}
+
+
+def _gaussian_logpdf(x, mean, stddev, log_stddev):
+    """The N(mean, stddev) log-density at ``x``; parameter columns broadcast against rows of x.
+
+    ``log_stddev`` comes from ``math.log``: numpy's ``log`` can round differently.
+    """
+    z = (x - mean) / stddev
+    return -0.5 * z**2 - log_stddev - 0.5 * LOG_2PI
+
+
+def _check_gaussians(means: np.ndarray, stddevs: np.ndarray) -> None:
+    """``Gaussian``'s checks on parameter columns: the first pair it rejects raises its error."""
+    bad = ~(np.isfinite(means) & (stddevs > 0) & (stddevs < math.inf))
+    if bad.any():
+        i = int(bad.argmax())
+        Gaussian(means[i], stddevs[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,10 +465,9 @@ class InverseGammaGaussianTasks:
     def reify(self, components: int = DEFAULT_REIFY_COMPONENTS, seed: int = 0) -> FiniteTaskDistribution:
         """Equal-weight finite approximation by ``components`` sampled tasks, held as columns."""
         stddevs = self._sampled_stddevs(components, seed)
-        bad = ~((stddevs > 0) & (stddevs < math.inf))
-        if bad.any():  # Gaussian's own error, on the first stddev it rejects
-            Gaussian(self.mean, stddevs[bad.argmax()])
-        return FiniteTaskDistribution(_GaussianColumns(np.full(components, self.mean), stddevs),
+        means = np.full(components, self.mean)
+        _check_gaussians(means, stddevs)
+        return FiniteTaskDistribution(_GaussianColumns(means, stddevs),
                                       np.full(components, 1.0 / components))
 
     def to_dict(self) -> dict:
@@ -632,25 +648,36 @@ def max_second_order_b(tasks: FiniteTaskDistribution) -> float:
 def task_distribution_tv(a: FiniteTaskDistribution, b: FiniteTaskDistribution) -> float:
     """TV distance between two finite task distributions over a merged support.
 
-    Support tasks are matched by parameter equality within ``PROB_TOL``;
-    unmatched tasks contribute their full weight.
+    Support tasks are matched by parameter equality within ``PROB_TOL``, as
+    ``distributions_close`` matches them; unmatched tasks contribute their
+    full weight.  Categorical rows on one space and all-Gaussian columns are
+    compared as one (k_a, k_b) matrix, other families one pair at a time.
     """
     if a.P is not None and b.P is not None and a.P.shape[1] == b.P.shape[1]:
-        near = (np.abs(a.P[:, None, :] - b.P) <= PROB_TOL).all(axis=2).tolist()
-        return _matched_tv(a.weights, b.weights, lambda i, j: near[i][j])
-    return _matched_tv(
-        a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j])
-    )
+        near = (np.abs(a.P[:, None, :] - b.P) <= PROB_TOL).all(axis=2)
+    elif a.means is not None and b.means is not None:
+        gap = np.abs(np.subtract.outer(a.means, b.means))
+        near = gap <= PROB_TOL
+        np.abs(np.subtract.outer(a.stddevs, b.stddevs, out=gap), out=gap)
+        near &= gap <= PROB_TOL
+    else:
+        near = np.array([[distributions_close(s, t) for t in b.tasks] for s in a.tasks],
+                        dtype=bool).reshape(a.n_tasks, b.n_tasks)
+    return _matched_tv(a.weights, b.weights, near)
 
 
-def _matched_tv(w_a: np.ndarray, w_b: np.ndarray, close: Callable[[int, int], bool]) -> float:
-    """Greedy-matching TV: each a-task takes the first unused b-task ``close`` to it."""
+def _matched_tv(w_a: np.ndarray, w_b: np.ndarray, near: np.ndarray) -> float:
+    """Greedy-matching TV: each a-task i takes the first unused b-task j with ``near[i, j]``."""
+    candidates = [[] for _ in range(len(w_a))]
+    rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])  # row-major: j ascending
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        candidates[i].append(j)
     used = [False] * len(w_b)
     total = 0.0
-    for i, wa in enumerate(w_a):
+    for wa, js in zip(w_a, candidates):
         wb = 0.0
-        for j in range(len(w_b)):
-            if not used[j] and close(i, j):
+        for j in js:
+            if not used[j]:
                 used[j] = True
                 wb = float(w_b[j])
                 break

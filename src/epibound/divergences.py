@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .distributions import (
     FirstOrderDistribution,
     Gaussian,
     GaussianMixture,
+    _gaussian_logpdf,
     require_same_space,
 )
 from .errors import EventMismatch, InvalidArgument, NumericalFailure, SupportViolation
@@ -39,6 +40,7 @@ from .seeding import generator
 QUAD_ABS_TOL = 1e-9
 QUAD_SPAN = 10.0  # integration window: each mean +- span * stddev, merged
 DEFAULT_MC_SAMPLES = 400
+MC_SUPPORT_GAP = "q density vanished at a sampled point"  # kl_mc's SupportViolation
 CROSSING_GRID_PER_SD = 16   # crossing-search grid points per smallest component stddev
 CROSSING_GRID_MAX = 1 << 20  # wider windows get a coarser grid, plus every component mean
 CROSSING_CHUNK = 1 << 16     # (points x components) per density evaluation
@@ -374,7 +376,7 @@ def kl_mc(
     xs = p.sample(n_samples, generator(seed))
     log_ratio = p.logpdf(xs) - q.logpdf(xs)  # type: ignore[union-attr]
     if not np.all(np.isfinite(log_ratio)):
-        raise SupportViolation("q density vanished at a sampled point")
+        raise SupportViolation(MC_SUPPORT_GAP)
     value = float(log_ratio.mean())
     stderr = float(log_ratio.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return DivergenceResult(
@@ -415,3 +417,33 @@ def tv_upper_pinsker(
         stderr_estimate=base.stderr_estimate,
         clamped=base.clamped,
     )
+
+
+def _gaussian_pinsker_mc(p_means: np.ndarray, p_stddevs: np.ndarray, q_means: np.ndarray,
+                         q_stddevs: np.ndarray, rngs: Sequence[np.random.Generator],
+                         n_samples: int) -> np.ndarray:
+    """``tv_upper_pinsker(p_s, q_s, n_samples, rngs[s], force_mc=True).value`` for every s.
+
+    p_s is N(p_means[s], p_stddevs[s]) and q_s likewise; the pairs are taken
+    as checked.  Row s draws from ``rngs[s]`` what ``kl_mc`` draws, and each
+    step rounds as that call's: the (S, n_samples) log-densities broadcast
+    one parameter column per pair, each log stddev from ``math.log``, and a
+    row's mean sums as ``np.mean`` of that row alone.  A row whose log-ratio
+    is not finite, where ``kl_mc`` raises SupportViolation(MC_SUPPORT_GAP),
+    is NaN.
+    """
+    if n_samples < 1:
+        raise InvalidArgument("n_samples must be >= 1")
+    xs = np.array([rng.normal(m, sd, size=n_samples)
+                   for rng, m, sd in zip(rngs, p_means.tolist(), p_stddevs.tolist())])
+    log_ratio = _column_logpdf(xs, p_means, p_stddevs) - _column_logpdf(xs, q_means, q_stddevs)
+    finite = np.isfinite(log_ratio).all(axis=1)
+    log_ratio[~finite] = 0.0  # its mean is not read
+    kl = np.where(finite, log_ratio.mean(axis=1), np.nan)
+    return np.sqrt(np.where(kl < 0.0, 0.0, kl) / 2.0)  # the clamp of kl_mc: NaN stays NaN
+
+
+def _column_logpdf(xs: np.ndarray, means: np.ndarray, stddevs: np.ndarray) -> np.ndarray:
+    """Row s of ``xs`` under N(means[s], stddevs[s]), as ``Gaussian.logpdf`` rounds it."""
+    log_stddevs = np.array([math.log(sd) for sd in stddevs.tolist()])
+    return _gaussian_logpdf(xs, means[:, None], stddevs[:, None], log_stddevs[:, None])

@@ -16,6 +16,15 @@ sim index): a run derives every row's seed, the child seeds (row seed, k)
 of its streams and their Generators' words in three hash passes before any
 row runs, so serial and parallel schedules write identical CSV bytes.
 
+A grid point runs its sims as arrays.  Each sim draws its source data,
+picks and Monte Carlo samples from its own streams, in the per-sim order;
+the posteriors are one stacked fit (``bayes._posterior_stack``), and the
+predictives and the predictor-target Pinsker bounds are (sims,) and
+(sims, kl_samples) arrays (``divergences._gaussian_pinsker_mc``).  Every
+value rounds as one sim at a time would, so the CSV bytes are those of
+fitting and scoring each row alone.  ``posterior_mass_near`` and the
+negative-transfer C and D, against sampled mixtures, run per sim.
+
 ``ndtri`` loads ``scipy.special`` at the first neighborhood target and then
 rebinds to scipy's ufunc; ``build_manifest`` imports ``scipy`` for its
 version.  Negative-transfer rows load neither.  See ``_deferred``.
@@ -41,10 +50,10 @@ from .bayes import (
     GaussianParamDist,
     NIGModel,
     SourceDataset,
+    _posterior_stack,
+    _predictive_stack,
     empty_dataset,
     posterior_mass_near,
-    posterior_predictive,
-    posterior_update,
 )
 from .bounds import LOSSES, STATEMENTS, ModelClass, evaluate_bound
 from .distributions import (
@@ -53,11 +62,12 @@ from .distributions import (
     GaussianMixture,
     InverseGammaGaussianTasks,
     TaskDistribution,
+    _check_gaussians,
     barycenter,
     distribution_from_dict,
     task_distribution_from_dict,
 )
-from .divergences import tv_upper_pinsker
+from .divergences import MC_SUPPORT_GAP, _gaussian_pinsker_mc, tv_upper_pinsker
 from .errors import InvalidArgument, SupportViolation
 from .seeding import derive_seed, derive_seeds, generator, generator_from_words, stream_words
 from .workers import map_payloads
@@ -231,13 +241,26 @@ def neighborhood_target(source_task: Gaussian, eps_tilde: float) -> Gaussian:
         raise InvalidArgument(f"eps_tilde must lie in [0, 1), got {eps_tilde}")
     if eps_tilde == 0.0:
         return source_task
-    dmu = 2.0 * source_task.stddev * float(ndtri((1.0 + eps_tilde) / 2.0))
-    return Gaussian(source_task.mean + dmu, source_task.stddev)
+    return Gaussian(_shifted_mean(source_task.mean, source_task.stddev, eps_tilde),
+                    source_task.stddev)
 
 
-def _fit_predictor(data: SourceDataset) -> tuple[GaussianParamDist, Gaussian]:
-    post = posterior_update(PRIOR, data)
-    return post, posterior_predictive(post, TARGET_COVARIATES, PRIOR.prior_noise_variance)
+def _shifted_mean(mean, stddev, eps_tilde):
+    """``neighborhood_target``'s mean for eps_tilde in (0, 1); floats or arrays."""
+    return mean + 2.0 * stddev * ndtri((1.0 + eps_tilde) / 2.0)
+
+
+def _fit_predictors(data: Sequence[SourceDataset]):
+    """The coefficient posteriors of one grid point's datasets and their predictives.
+
+    (S, 2) posterior means, (S, 2, 2) covariances, and the (S,) means and
+    stddevs of the predictives at ``TARGET_COVARIATES``: each entry is bit
+    for bit ``posterior_update`` and ``posterior_predictive`` of its dataset.
+    """
+    means, covs = _posterior_stack(PRIOR, np.stack([d.xi for d in data]),
+                                   np.stack([d.x for d in data]))
+    return (means, covs,
+            *_predictive_stack(means, covs, TARGET_COVARIATES, PRIOR.prior_noise_variance))
 
 
 # ---------------------------------------------------------------------------
@@ -245,71 +268,102 @@ def _fit_predictor(data: SourceDataset) -> tuple[GaussianParamDist, Gaussian]:
 # ---------------------------------------------------------------------------
 
 
-def _neighborhood_row(config: ExperimentConfig, g: int, s: int, row_seed: int,
-                      rngs: Sequence[np.random.Generator]) -> ExperimentRecord:
-    data_rng, pick_rng, kl_rng = rngs
-    eps = config.epsilon_grid[g]
-    data = sample_source_data(config, config.n_source_tasks, data_rng)
-    post, predictor = _fit_predictor(data)
-
-    i = int(pick_rng.integers(config.n_source_tasks))
-    eps_tilde = float(pick_rng.uniform(0.0, eps))
-    source_task_i = Gaussian(
-        float(config.beta_source @ TARGET_COVARIATES),
-        math.sqrt(float(data.task_variances[i])),
-    )
-    target = neighborhood_target(source_task_i, eps_tilde)
-
-    er = tv_upper_pinsker(predictor, target, n_samples=config.kl_samples,
-                          seed=kl_rng, force_mc=True).value
-    mass = posterior_mass_near(post, config.beta_source, POSTERIOR_MASS_RADIUS)
-    return ExperimentRecord(
-        sim=s, seed=row_seed, n=config.n_source_tasks, epsilon=eps,
-        epistemic_error=er, C=None, D=None, looseness=None, posterior_mass=mass,
-    )
+def _drop(config: ExperimentConfig, point: str, s: int, reason) -> None:
+    log.warning("%s row (%s, sim=%d) dropped: %s", config.scenario, point, s, reason)
 
 
-def _negative_transfer_row(config: ExperimentConfig, g: int, s: int, row_seed: int,
-                           rngs: Sequence[np.random.Generator], bary_s: GaussianMixture,
-                           bary_t: GaussianMixture) -> ExperimentRecord:
-    data_rng, target_rng, er_rng, c_rng, d_rng = rngs
-    n = config.n_grid[g]
-    data = sample_source_data(config, n, data_rng)
-    _, predictor = _fit_predictor(data)
-    target = target_task(config, target_rng)
+def _neighborhood_point(config: ExperimentConfig, g: int, point: str, row_seeds: Sequence[int],
+                        rngs: Sequence[Sequence[np.random.Generator]]) -> list:
+    """Every sim of epsilon grid point ``g``; ``rngs[s]`` holds sim s's three streams.
 
-    er = tv_upper_pinsker(predictor, target, n_samples=config.kl_samples,
-                          seed=er_rng, force_mc=True).value
-    c = tv_upper_pinsker(predictor, bary_s, n_samples=config.kl_samples,
-                         seed=c_rng, force_mc=True).value
-    d = tv_upper_pinsker(bary_s, bary_t, n_samples=config.kl_samples,
-                         seed=d_rng, force_mc=True).value
-    return ExperimentRecord(
-        sim=s, seed=row_seed, n=n, epsilon=None, epistemic_error=er,
-        C=c, D=d, looseness=er - (c + d), posterior_mass=None,
-    )
+    The sims' source data, source-task and eps-tilde picks and kl_mc draws
+    come from their own streams in the per-sim order.  The posteriors,
+    predictives, targets and Pinsker bounds are (S, ...) arrays;
+    ``posterior_mass_near`` runs per sim.  A sim whose KL log-ratio is not
+    finite is dropped.
+    """
+    eps, n = config.epsilon_grid[g], config.n_source_tasks
+    data = [sample_source_data(config, n, r[0]) for r in rngs]
+    means, covs, pred_means, pred_stddevs = _fit_predictors(data)
 
+    picks = [int(r[1].integers(n)) for r in rngs]  # each sim's pick, then its eps-tilde
+    eps_tilde = np.array([float(r[1].uniform(0.0, eps)) for r in rngs])
+    source_mean = float(config.beta_source @ TARGET_COVARIATES)
+    stddevs = np.sqrt([d.task_variances[i] for d, i in zip(data, picks)])
+    target_means = np.where(eps_tilde == 0.0, source_mean,
+                            _shifted_mean(source_mean, stddevs, eps_tilde))
+    _check_gaussians(target_means, stddevs)
 
-def _run_grid_point(payload) -> list:
-    """Every sim of one grid point; a row whose divergence hits a support gap is dropped."""
-    row, config, g, point, row_seeds, words = payload
+    er = _gaussian_pinsker_mc(pred_means, pred_stddevs, target_means, stddevs,
+                              [r[2] for r in rngs], config.kl_samples)
     records = []
-    for s, (row_seed, streams) in enumerate(zip(row_seeds, words)):
-        try:
-            records.append(row(config, g, s, row_seed, list(map(generator_from_words, streams))))
-        except SupportViolation as exc:
-            log.warning("%s row (%s, sim=%d) dropped: %s", config.scenario, point, s, exc)
+    for s, row_seed in enumerate(row_seeds):
+        if math.isnan(er[s]):
+            _drop(config, point, s, MC_SUPPORT_GAP)
+            continue
+        post = GaussianParamDist._of(means[s], covs[s])
+        records.append(ExperimentRecord(
+            sim=s, seed=row_seed, n=n, epsilon=eps, epistemic_error=float(er[s]), C=None,
+            D=None, looseness=None,
+            posterior_mass=posterior_mass_near(post, config.beta_source, POSTERIOR_MASS_RADIUS),
+        ))
     return records
 
 
-def _run_grid(row, config: ExperimentConfig, exp_id: int, streams: int,
+def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
+                             row_seeds: Sequence[int],
+                             rngs: Sequence[Sequence[np.random.Generator]],
+                             bary_s: GaussianMixture, bary_t: GaussianMixture) -> list:
+    """Every sim of n grid point ``g``; ``rngs[s]`` holds sim s's five streams.
+
+    The fit and the predictor-target Pinsker bound ``er`` are arrays over the
+    sims, as in ``_neighborhood_point``; C and D take ``tv_upper_pinsker``
+    per sim.  A sim whose ``er`` log-ratio is not finite, or whose C or D
+    raises SupportViolation, is dropped.
+    """
+    n = config.n_grid[g]
+    data = [sample_source_data(config, n, r[0]) for r in rngs]
+    _, _, pred_means, pred_stddevs = _fit_predictors(data)
+    targets = [target_task(config, r[1]) for r in rngs]
+    er = _gaussian_pinsker_mc(pred_means, pred_stddevs, np.array([t.mean for t in targets]),
+                              np.array([t.stddev for t in targets]), [r[2] for r in rngs],
+                              config.kl_samples)
+    records = []
+    for s, (row_seed, r) in enumerate(zip(row_seeds, rngs)):
+        if math.isnan(er[s]):
+            _drop(config, point, s, MC_SUPPORT_GAP)
+            continue
+        predictor = Gaussian(pred_means[s], pred_stddevs[s])
+        try:
+            c = tv_upper_pinsker(predictor, bary_s, n_samples=config.kl_samples,
+                                 seed=r[3], force_mc=True).value
+            d = tv_upper_pinsker(bary_s, bary_t, n_samples=config.kl_samples,
+                                 seed=r[4], force_mc=True).value
+        except SupportViolation as exc:
+            _drop(config, point, s, exc)
+            continue
+        records.append(ExperimentRecord(
+            sim=s, seed=row_seed, n=n, epsilon=None, epistemic_error=float(er[s]),
+            C=c, D=d, looseness=float(er[s]) - (c + d), posterior_mass=None,
+        ))
+    return records
+
+
+def _run_grid_point(payload) -> list:
+    """One grid point's records, from its sims' seeds and stream words."""
+    point_fn, config, g, point, row_seeds, words = payload
+    rngs = [list(map(generator_from_words, streams)) for streams in words]
+    return point_fn(config, g, point, row_seeds, rngs)
+
+
+def _run_grid(point_fn, config: ExperimentConfig, exp_id: int, streams: int,
               points: Sequence[str], threads: int) -> list:
-    """``row(config, g, s, row_seed, rngs)`` over the grid points, named by ``points``, and the sims.
+    """``point_fn(config, g, point, row_seeds, rngs)`` over the grid points, named by ``points``.
 
     Row (g, s) has the seed ``derive_seed(master_seed, exp_id, g, s)`` and
     ``streams`` Generators, stream k seeded with ``derive_seed(row_seed, k)``.
-    All of them are derived here, before dispatch; rows build their
-    Generators from the words.  One payload per grid point, in the
+    All of them are derived here, before dispatch; each grid point builds
+    its sims' Generators from the words.  One payload per grid point, in the
     processes ``workers.worker_count`` allows.
     """
     grid, sim = np.divmod(np.arange(len(points) * config.sims), config.sims)
@@ -317,7 +371,8 @@ def _run_grid(row, config: ExperimentConfig, exp_id: int, streams: int,
     children = derive_seeds(np.repeat(row_seeds, streams), np.tile(np.arange(streams), grid.size))
     words = stream_words(children).reshape(len(points), config.sims, streams, 4)
     row_seeds = row_seeds.reshape(len(points), config.sims).tolist()
-    payloads = [(row, config, g, point, row_seeds[g], words[g]) for g, point in enumerate(points)]
+    payloads = [(point_fn, config, g, point, row_seeds[g], words[g])
+                for g, point in enumerate(points)]
     chunks = map_payloads(_run_grid_point, payloads, threads)
     return [rec for chunk in chunks for rec in chunk]
 
@@ -328,7 +383,7 @@ def run_neighborhood_experiment(config: ExperimentConfig, threads: int = 1) -> l
         raise InvalidArgument("neighborhood experiment needs an epsilon grid")
     points = [f"eps={e}" for e in config.epsilon_grid]
     # streams: source data, the source task and eps-tilde pick, the kl_mc draws
-    return _run_grid(_neighborhood_row, config, _EXP_NEIGHBORHOOD, 3, points, threads)
+    return _run_grid(_neighborhood_point, config, _EXP_NEIGHBORHOOD, 3, points, threads)
 
 
 def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1) -> list:
@@ -340,10 +395,10 @@ def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1)
                    seed=derive_seed(config.master_seed, _EXP_BARYCENTER, stream))
         for stream, which in enumerate(("source", "target"))
     )
-    row = functools.partial(_negative_transfer_row, bary_s=bary_s, bary_t=bary_t)
+    point_fn = functools.partial(_negative_transfer_point, bary_s=bary_s, bary_t=bary_t)
     points = [f"n={n}" for n in config.n_grid]
     # streams: source data, target task, the kl_mc draws of er, C and D
-    return _run_grid(row, config, _EXP_NEGATIVE_TRANSFER, 5, points, threads)
+    return _run_grid(point_fn, config, _EXP_NEGATIVE_TRANSFER, 5, points, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -428,10 +428,10 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
     dist_tv = _tv(w_s[:, :k], w_t[:, :k])
     if not shared.all():
         # task_distribution_tv's matching, with source task i close to target task j
-        close = (gaps.max(axis=3) <= PROB_TOL).transpose(0, 2, 1).tolist()
+        close = (gaps.max(axis=3) <= PROB_TOL).transpose(0, 2, 1)
         for b in np.flatnonzero(~shared):
-            near = close[b]
-            dist_tv[b] = _matched_tv(insts[b].w_s, insts[b].w_t, lambda i, j: near[i][j])
+            w_s_b, w_t_b = insts[b].w_s, insts[b].w_t
+            dist_tv[b] = _matched_tv(w_s_b, w_t_b, close[b, :len(w_s_b), :len(w_t_b)])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(T > 0, T / np.where(pred > 0, pred, np.nan)[:, None, :], 1.0)

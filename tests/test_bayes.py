@@ -17,7 +17,13 @@ from epibound import (
     posterior_predictive,
     posterior_update,
 )
-from epibound.bayes import empty_dataset, gaussian_param_kl
+from epibound.bayes import (
+    _checked_covariances,
+    _posterior_stack,
+    _predictive_stack,
+    empty_dataset,
+    gaussian_param_kl,
+)
 from helpers_oracle import grid_posterior_moments
 
 SIGMA_BAR_SQ = 10.0 / 19.0  # prior mean of IG(20, 10)
@@ -84,6 +90,63 @@ class TestPosteriorUpdate:
         b = posterior_update(NIGModel(), shuffled)
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
         np.testing.assert_allclose(a.covariance, b.covariance, atol=1e-12)
+
+
+class TestPosteriorStack:
+    @staticmethod
+    def _stack(rng, sims, n):
+        xi = rng.uniform(0.0, 1.0, size=(sims, n, 2))
+        return xi, rng.normal(xi @ np.array([0.0, 1.0]), 0.7)
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 50])
+    def test_entries_equal_one_dataset_updates(self, n):
+        rng = np.random.default_rng(n)
+        xi, x = self._stack(rng, 9, n)
+        means, covs = _posterior_stack(NIGModel(), xi, x)
+        for s in range(9):
+            post = posterior_update(NIGModel(), SourceDataset(xi[s], x[s]))
+            assert means[s].tobytes() == post.mean.tobytes()
+            assert covs[s].tobytes() == post.covariance.tobytes()
+
+    def test_predictives_round_as_the_one_posterior_formula(self):
+        # the dot products posterior_predictive took before it ran on a stack of one
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(40, 2, 2))
+        covs, means = a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(2), rng.normal(size=(40, 2))
+        for xi in (np.array([1.0, 1.0]), rng.normal(size=2), 7.3 * rng.normal(size=2)):
+            got_mean, got_sd = _predictive_stack(means, covs, xi, SIGMA_BAR_SQ)
+            for s in range(40):
+                assert got_mean[s] == float(xi @ means[s])
+                assert got_sd[s] == math.sqrt(float(xi @ covs[s] @ xi) + SIGMA_BAR_SQ)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_response_raises_as_its_dataset_alone(self, bad):
+        xi, x = self._stack(np.random.default_rng(32), 5, 10)
+        x[2, 4], x[4, 0] = bad, -bad  # the third dataset is the first to fail
+        with pytest.raises(InvalidArgument) as alone:
+            posterior_update(NIGModel(), SourceDataset(xi[2], x[2]))
+        with pytest.raises(InvalidArgument) as stacked:
+            _posterior_stack(NIGModel(), xi, x)
+        assert str(stacked.value) == str(alone.value)
+        assert "mean and covariance entries must be finite" in str(alone.value)
+
+    def test_checks_run_entry_by_entry(self):
+        # entry 1 is not positive definite, entry 2 not finite, entry 3 not symmetric:
+        # a stack of a good entry and the entries from ``first`` on raises entry
+        # first's error, as one GaussianParamDist at a time would
+        means = np.zeros((4, 2))
+        covs = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], np.full((2, 2), math.nan),
+                         [[1.0, 0.5], [0.0, 1.0]]])
+        for first in range(1, 4):
+            with pytest.raises((InvalidArgument, NumericalFailure)) as one:
+                GaussianParamDist(means[first], covs[first])
+            keep = [0, *range(first, 4)]
+            with pytest.raises(type(one.value)) as stacked:
+                _checked_covariances(means[keep], covs[keep])
+            assert str(stacked.value) == str(one.value)
+        sym = _checked_covariances(means[:1], covs[:1])
+        np.testing.assert_array_equal(sym, covs[:1])
 
 
 class TestPosteriorPredictive:

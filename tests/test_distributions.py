@@ -37,6 +37,7 @@ from epibound.distributions import (
     max_first_order_b,
     max_second_order_b,
 )
+from helpers_oracle import reference_matched_tv
 
 
 def event_variance(w, q):
@@ -812,7 +813,7 @@ class TestRowMatrices:
         # the per-task loops the matrix code replaced, kept as the reference;
         # the arithmetic is the same, so the results are bit for bit equal
         from epibound import tv_exact
-        from epibound.distributions import _matched_tv, distributions_close
+        from epibound.distributions import distributions_close
 
         rng = np.random.default_rng(3)
         for m in (2, 5, 9, 12):
@@ -824,7 +825,7 @@ class TestRowMatrices:
             np.testing.assert_array_equal(barycenter(src).p, w_s @ rows)
             assert diameter(src) == max(tv_exact(a, b) for a in src.tasks for b in src.tasks)
             assert max_second_order_b(src) == 0.0 and max_second_order_b(tgt) == T.min()
-            assert task_distribution_tv(src, tgt) == _matched_tv(
+            assert task_distribution_tv(src, tgt) == reference_matched_tv(
                 w_s, w_t, lambda i, j: distributions_close(src.tasks[i], tgt.tasks[j])) < 1.0
             want = max(event_variance(w_s, outcome_probabilities(S, np.flatnonzero(mask)))
                        for mask in _event_masks(m))
@@ -841,6 +842,49 @@ class TestTaskDistributionTV:
         a = finite_tasks([(Categorical([0.3, 0.7]), 1.0)])
         b = finite_tasks([(Categorical([0.9, 0.1]), 1.0)])
         assert task_distribution_tv(a, b) == pytest.approx(1.0)
+
+    def test_gaussian_columns_equal_per_pair_reference(self):
+        # one (k_a, k_b) column comparison against one distributions_close call per pair;
+        # the parameter pools hold pairs exactly PROB_TOL apart (close) and one ulp
+        # further (not close), and repeat values so that the greedy order matters
+        from epibound.distributions import PROB_TOL, distributions_close
+
+        past = np.nextafter(PROB_TOL, 1.0)
+        mean_pool = np.array([0.0, PROB_TOL, -PROB_TOL, 2 * PROB_TOL, past, 0.3])
+        sd_pool = np.array([PROB_TOL, 2 * PROB_TOL, PROB_TOL + past, 0.5, 0.5 + 2**-40])
+        assert 2 * PROB_TOL - PROB_TOL == PROB_TOL  # the pools' gaps are exact
+        rng = np.random.default_rng(17)
+        seen = set()
+        for _ in range(300):
+            fams = []
+            for k in rng.integers(1, 13, size=2):
+                fams.append(FiniteTaskDistribution(
+                    tuple(Gaussian(m, sd) for m, sd in zip(rng.choice(mean_pool, k),
+                                                           rng.choice(sd_pool, k))),
+                    rng.dirichlet(np.ones(k))))
+            a, b = fams
+            assert a.means is not None and b.means is not None
+            want = reference_matched_tv(
+                a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j]))
+            got = task_distribution_tv(a, b)
+            assert got == want
+            seen.add(got == 0.0)
+        assert seen == {True, False}
+        ig = [InverseGammaGaussianTasks(1.0, 20.0, 10.0).reify(64, seed=s) for s in (1, 1, 2)]
+        for a, b in ((ig[0], ig[1]), (ig[0], ig[2])):
+            assert task_distribution_tv(a, b) == reference_matched_tv(
+                a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j]))
+
+    def test_mixed_families_match_per_pair(self):
+        # families without one matrix of parameters are compared one pair at a time
+        from epibound.distributions import distributions_close
+
+        mix = GaussianMixture(np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        a = finite_tasks([(Gaussian(0.0, 1.0), 0.3), (mix, 0.7)])
+        b = finite_tasks([(mix, 0.6), (Gaussian(0.0, 1.0), 0.2), (mix, 0.2)])
+        want = reference_matched_tv(
+            a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j]))
+        assert task_distribution_tv(a, b) == want == pytest.approx(0.2)
 
 
 @settings(deadline=None, max_examples=60)

@@ -14,6 +14,7 @@ from epibound import (
     InvalidArgument,
     InverseGammaGaussianTasks,
     ModelClass,
+    SourceDataset,
     barycenter,
     finite_tasks,
     l1_distance,
@@ -38,6 +39,7 @@ from epibound.experiments import (
     write_experiment_output,
 )
 from epibound.seeding import derive_seed, generator
+from helpers_experiments import reference_run
 
 IG_MEAN = 10.0 / 19.0
 
@@ -258,18 +260,15 @@ class TestNegativeTransferExperiment:
 
 
 class TestDroppedRows:
-    @pytest.mark.parametrize("kind", ["neighborhood", "negative_transfer"])
+    # neighborhood rows make no per-row divergence call: they drop a row in the
+    # array Monte Carlo KL, as test_non_finite_log_ratio_drops_only_its_row checks
+    @pytest.mark.parametrize("kind", ["negative_transfer"])
     def test_support_violation_drops_only_its_row(self, kind, monkeypatch, caplog):
-        if kind == "neighborhood":
-            cfg = ExperimentConfig.neighborhood([0.1, 0.3], sims=3, master_seed=61)
-            run, exp_id, point = run_neighborhood_experiment, _EXP_NEIGHBORHOOD, "eps=0.3"
-        else:
-            cfg = ExperimentConfig.negative_transfer("pos", n_grid=[1, 4], sims=3, master_seed=62)
-            run, exp_id, point = run_negative_transfer_experiment, _EXP_NEGATIVE_TRANSFER, "n=4"
-        clean = run(cfg)
-        bad_row = derive_seed(cfg.master_seed, exp_id, 1, 2)  # grid point 1, sim 2
-        # rows hand kl_mc the Generator of their stream 2; this is that row's, undrawn
-        bad_state = generator(derive_seed(bad_row, 2)).bit_generator.state
+        cfg = ExperimentConfig.negative_transfer("pos", n_grid=[1, 4], sims=3, master_seed=62)
+        clean = run_negative_transfer_experiment(cfg)
+        bad_row = derive_seed(cfg.master_seed, _EXP_NEGATIVE_TRANSFER, 1, 2)  # point 1, sim 2
+        # rows hand C's tv_upper_pinsker the Generator of stream 3; this is that row's, undrawn
+        bad_state = generator(derive_seed(bad_row, 3)).bit_generator.state
         real = experiments.tv_upper_pinsker
 
         def flaky(*args, seed, **kw):
@@ -279,11 +278,85 @@ class TestDroppedRows:
 
         monkeypatch.setattr(experiments, "tv_upper_pinsker", flaky)
         with caplog.at_level(logging.WARNING, logger=experiments.__name__):
-            kept = run(cfg)
+            kept = run_negative_transfer_experiment(cfg)
         assert len(kept) == len(clean) - 1
         assert kept == [r for r in clean if r.seed != bad_row]
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == [f"{cfg.scenario} row ({point}, sim=2) dropped: injected"]
+        assert warnings == [f"{cfg.scenario} row (n=4, sim=2) dropped: injected"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["neighborhood", "negative_transfer"])
+    def test_non_finite_log_ratio_drops_only_its_row(self, kind, monkeypatch, caplog):
+        # the row's er target gets stddev 1e-160: its log-density underflows to -inf at
+        # every sample, so the Monte Carlo log-ratio is not finite and the row is dropped
+        if kind == "neighborhood":
+            cfg = ExperimentConfig.neighborhood([0.1, 0.3], sims=3, master_seed=61)
+            run, exp_id, point = run_neighborhood_experiment, _EXP_NEIGHBORHOOD, "eps=0.3"
+            # the target's scale is the picked source task's: make every task's 1e-160
+            name, real = "sample_source_data", experiments.sample_source_data
+
+            def tiny(out):
+                return SourceDataset(out.xi, out.x, np.full(out.x.size, 1e-320))
+        else:
+            cfg = ExperimentConfig.negative_transfer("pos", n_grid=[1, 4], sims=3, master_seed=62)
+            run, exp_id, point = run_negative_transfer_experiment, _EXP_NEGATIVE_TRANSFER, "n=4"
+            name, real = "target_task", experiments.target_task
+
+            def tiny(out):
+                return Gaussian(out.mean, 1e-160)
+        clean = run(cfg)
+        bad_row = derive_seed(cfg.master_seed, exp_id, 1, 2)  # grid point 1, sim 2
+        calls = []
+
+        def patched(*args):
+            out = real(*args)
+            calls.append(1)
+            return tiny(out) if len(calls) == cfg.sims + 3 else out  # serial: point 1, sim 2
+
+        monkeypatch.setattr(experiments, name, patched)
+        with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+            kept = run(cfg)
+        assert len(calls) == 2 * cfg.sims
+        assert records_to_csv(kept) == records_to_csv([r for r in clean if r.seed != bad_row])
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            f"{cfg.scenario} row ({point}, sim=2) dropped: q density vanished at a sampled point"]
+        # the per-row reference drops the same row with the same warning
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+            calls.clear()
+            assert reference_run(kind, cfg) == kept
+        assert [r.getMessage() for r in caplog.records] == warnings
+
+
+class TestGridPointArrays:
+    """The grid-point arrays against the per-row reference, byte for byte."""
+
+    @staticmethod
+    def _configs(kind: str) -> list:
+        rng = np.random.default_rng(23)
+        out = []
+        for sims in (1, 5, 37):
+            seed = int(rng.integers(2**32, 2**64, dtype=np.uint64))  # a five-word row path
+            kl = int(rng.choice([1, 7, 400]))
+            if kind == "neighborhood":
+                out.append(ExperimentConfig.neighborhood(
+                    (0.0, 0.05, 1.0), sims=sims, master_seed=seed, kl_samples=kl,
+                    n_source_tasks=int(rng.integers(1, 30))))
+            else:
+                scenario = ("pos", "neg", "posneg")[int(rng.integers(3))]
+                out.append(ExperimentConfig.negative_transfer(
+                    scenario, (0, 1, 50), sims=sims, master_seed=seed, kl_samples=kl))
+        return out
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["neighborhood", "negative_transfer"])
+    def test_csv_equals_per_row_reference(self, kind, threads):
+        run = {"neighborhood": run_neighborhood_experiment,
+               "negative_transfer": run_negative_transfer_experiment}[kind]
+        for cfg in self._configs(kind):
+            want = records_to_csv(reference_run(kind, cfg))
+            assert records_to_csv(run(cfg, threads=threads)) == want, cfg.to_dict()
 
 
 class TestRecordsAndManifest:
