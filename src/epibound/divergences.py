@@ -3,9 +3,9 @@
 Exact paths (categorical summation, Gaussian closed forms, continuous TV
 from the density crossings) are preferred wherever they exist.  Quadrature
 backs the remaining continuous cases of Hellinger, KL, entropy and
-cross-entropy, and a seeded Monte Carlo KL estimator with the Pinsker upper
-bound sqrt(KL/2) mirrors the methodology of the synthetic experiments, which
-select it explicitly.
+cross-entropy.  The seeded Monte Carlo KL estimator ``kl_mc`` and the
+synthetic experiments' Pinsker upper bounds sqrt(KL/2) share one row
+kernel, ``_mc_kl``, on (rows, samples) log-ratio arrays.
 
 ``scipy.integrate`` is loaded at the first quadrature, and ``scipy.special``
 at the first Gaussian TV in closed form, not at import (see ``_deferred``).
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -34,7 +34,7 @@ from .distributions import (
     _gaussian_logpdf,
     require_same_space,
 )
-from .errors import EventMismatch, InvalidArgument, NumericalFailure, SupportViolation
+from .errors import EventMismatch, InvalidArgument, NumericalFailure, SupportViolation, require_int
 from .seeding import generator
 
 QUAD_ABS_TOL = 1e-9
@@ -363,21 +363,22 @@ def kl_mc(
 ) -> DivergenceResult:
     """Monte Carlo estimate of KL(p || q) from ``n_samples`` draws of p.
 
-    Categorical pairs short-circuit to the exact summation.  The raw
-    estimator is unbiased but can dip negative for near-identical
-    distributions; negative estimates clamp to 0 with ``clamped`` set.
-    ``seed`` is any 64-bit integer, or a Generator to draw from.
+    Categorical pairs short-circuit to the exact summation, clamped to 0
+    where it rounds below.  Otherwise the estimate is ``_mc_kl`` on a stack
+    of one log-ratio row: unbiased, but it can dip negative for
+    near-identical distributions; negative estimates clamp to 0 with
+    ``clamped`` set.  ``seed`` is any 64-bit integer, or a Generator to draw
+    from.
     """
     require_same_space(p, q)
     if isinstance(p, Categorical) and isinstance(q, Categorical):
-        return DivergenceResult(value=kl_exact(p, q), method="exact_discrete")
-    if n_samples < 1:
-        raise InvalidArgument("n_samples must be >= 1")
+        return DivergenceResult(value=max(kl_exact(p, q), 0.0), method="exact_discrete")
+    n_samples = require_int("n_samples", n_samples, 1)
     xs = p.sample(n_samples, generator(seed))
     log_ratio = p.logpdf(xs) - q.logpdf(xs)  # type: ignore[union-attr]
-    if not np.all(np.isfinite(log_ratio)):
+    value = float(_mc_kl(log_ratio[None])[0])
+    if math.isnan(value):
         raise SupportViolation(MC_SUPPORT_GAP)
-    value = float(log_ratio.mean())
     stderr = float(log_ratio.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return DivergenceResult(
         value=max(value, 0.0),
@@ -393,54 +394,53 @@ def tv_upper_pinsker(
     q: FirstOrderDistribution,
     n_samples: int = DEFAULT_MC_SAMPLES,
     seed: int | np.random.Generator = 0,
-    force_mc: bool = False,
 ) -> DivergenceResult:
     """Pinsker upper bound sqrt(KL/2) on the TV distance.
 
-    KL comes from the exact path when one exists (categorical pairs, single
-    Gaussian pairs) unless ``force_mc`` selects the sampling estimator, which
-    draws with ``kl_mc``'s ``seed``.  Negative Monte Carlo KL is clamped to 0
-    and flagged.
+    KL comes from the closed form for single Gaussian pairs and otherwise
+    from ``kl_mc`` with its ``seed``, which sums categorical pairs exactly.
+    Negative Monte Carlo KL is clamped to 0 and flagged.
     """
     require_same_space(p, q)
-    exact_available = (isinstance(p, Categorical) and isinstance(q, Categorical)) or (
-        isinstance(p, Gaussian) and isinstance(q, Gaussian)
-    )
-    if exact_available and not force_mc:
+    if isinstance(p, Gaussian) and isinstance(q, Gaussian):
         kl = kl_exact(p, q)
         return DivergenceResult(value=math.sqrt(max(kl, 0.0) / 2.0), method="pinsker_upper")
     base = kl_mc(p, q, n_samples=n_samples, seed=seed)
-    return DivergenceResult(
-        value=math.sqrt(base.value / 2.0),
-        method="pinsker_upper",
-        mc_samples=base.mc_samples,
-        stderr_estimate=base.stderr_estimate,
-        clamped=base.clamped,
-    )
+    return replace(base, value=math.sqrt(base.value / 2.0), method="pinsker_upper")
 
 
-def _gaussian_pinsker_mc(p_means: np.ndarray, p_stddevs: np.ndarray, q_means: np.ndarray,
-                         q_stddevs: np.ndarray, rngs: Sequence[np.random.Generator],
-                         n_samples: int) -> np.ndarray:
-    """``tv_upper_pinsker(p_s, q_s, n_samples, rngs[s], force_mc=True).value`` for every s.
+def _mc_kl(log_ratio: np.ndarray) -> np.ndarray:
+    """The Monte Carlo KL of each row of an (S, n) log-ratio array: its mean, NaN if not finite.
 
-    p_s is N(p_means[s], p_stddevs[s]) and q_s likewise; the pairs are taken
-    as checked.  Row s draws from ``rngs[s]`` what ``kl_mc`` draws, and each
-    step rounds as that call's: the (S, n_samples) log-densities broadcast
-    one parameter column per pair, each log stddev from ``math.log``, and a
-    row's mean sums as ``np.mean`` of that row alone.  A row whose log-ratio
-    is not finite, where ``kl_mc`` raises SupportViolation(MC_SUPPORT_GAP),
-    is NaN.
+    A row's mean sums as ``np.mean`` of that row alone.  A row that is not
+    finite, where ``kl_mc`` raises SupportViolation(MC_SUPPORT_GAP), is NaN;
+    it is zeroed in ``log_ratio`` first, so its mean raises no warning.
     """
-    if n_samples < 1:
-        raise InvalidArgument("n_samples must be >= 1")
-    xs = np.array([rng.normal(m, sd, size=n_samples)
-                   for rng, m, sd in zip(rngs, p_means.tolist(), p_stddevs.tolist())])
-    log_ratio = _column_logpdf(xs, p_means, p_stddevs) - _column_logpdf(xs, q_means, q_stddevs)
     finite = np.isfinite(log_ratio).all(axis=1)
-    log_ratio[~finite] = 0.0  # its mean is not read
-    kl = np.where(finite, log_ratio.mean(axis=1), np.nan)
-    return np.sqrt(np.where(kl < 0.0, 0.0, kl) / 2.0)  # the clamp of kl_mc: NaN stays NaN
+    log_ratio[~finite] = 0.0
+    return np.where(finite, log_ratio.mean(axis=1), np.nan)
+
+
+def _pinsker_mc(log_ratio: np.ndarray) -> np.ndarray:
+    """The Pinsker bound sqrt(KL/2) of each row's ``_mc_kl``, a negative KL clamped to 0.
+
+    Row s is bit for bit ``math.sqrt(kl_mc(p_s, q_s, n, rng_s).value / 2.0)``
+    when it holds that call's log-ratios; a NaN row stays NaN.
+    """
+    return np.sqrt(np.maximum(_mc_kl(log_ratio), 0.0) / 2.0)
+
+
+def _gaussian_draws(means: np.ndarray, stddevs: np.ndarray, rngs: Sequence[np.random.Generator],
+                    n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, n_samples) draws of N(means[s], stddevs[s]) from ``rngs[s]``, and their log-densities.
+
+    Row s draws what ``Gaussian.sample`` draws, as ``kl_mc`` does, and its
+    log-densities round as ``Gaussian.logpdf``'s.  The pairs are taken as
+    checked.
+    """
+    xs = np.array([rng.normal(m, sd, size=n_samples)
+                   for rng, m, sd in zip(rngs, means.tolist(), stddevs.tolist())])
+    return xs, _column_logpdf(xs, means, stddevs)
 
 
 def _column_logpdf(xs: np.ndarray, means: np.ndarray, stddevs: np.ndarray) -> np.ndarray:

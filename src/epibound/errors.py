@@ -48,3 +48,14 @@ class InvalidArgument(EpiboundError, ValueError):
 
 class GenerationFailure(EpiboundError):
     """Random instance generation could not satisfy the requested constraints."""
+
+
+def require_int(name: str, value, low=None) -> int:
+    """``value`` as an int: InvalidArgument for a bool, a non-integer such as 2.5 or "5",
+    or an int below ``low``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    value = value.__index__()
+    if low is not None and value < low:
+        raise InvalidArgument(f"{name} must be >= {low}, got {value}")
+    return value

@@ -10,7 +10,7 @@ Two experiment families over a two-covariate Bayesian linear regression:
   looseness er - (C + D) recorded against the number of source tasks.
 
 All TV-distance proxies use the Pinsker upper bound on a seeded Monte Carlo
-KL estimate, selected explicitly to mirror the reference methodology.  Rows
+KL estimate, as the reference methodology does, Gaussian pairs included.  Rows
 derive their random streams from (master seed, experiment id, grid index,
 sim index): a run derives every row's seed, the child seeds (row seed, k)
 of its streams and their Generators' words in three hash passes before any
@@ -18,12 +18,13 @@ row runs, so serial and parallel schedules write identical CSV bytes.
 
 A grid point runs its sims as arrays.  Each sim draws its source data,
 picks and Monte Carlo samples from its own streams, in the per-sim order;
-the posteriors are one stacked fit (``bayes._posterior_stack``), and the
-predictives and the predictor-target Pinsker bounds are (sims,) and
-(sims, kl_samples) arrays (``divergences._gaussian_pinsker_mc``).  Every
-value rounds as one sim at a time would, so the CSV bytes are those of
-fitting and scoring each row alone.  ``posterior_mass_near`` and the
-negative-transfer C and D, against sampled mixtures, run per sim.
+the posteriors are one stacked fit (``bayes._posterior_stack``), the
+predictives are (sims,) arrays, and every Pinsker bound (er, and the
+negative-transfer C and D) comes from a (sims, kl_samples) log-ratio
+array through ``divergences._pinsker_mc``.  A sampled mixture's
+log-density takes one sim's row at a time.  Every value rounds as one sim
+at a time would, so the CSV bytes are those of fitting and scoring each
+row alone with ``kl_mc``.  ``posterior_mass_near`` runs per sim.
 
 ``ndtri`` loads ``scipy.special`` at the first neighborhood target and then
 rebinds to scipy's ufunc; ``build_manifest`` imports ``scipy`` for its
@@ -67,8 +68,8 @@ from .distributions import (
     distribution_from_dict,
     task_distribution_from_dict,
 )
-from .divergences import MC_SUPPORT_GAP, _gaussian_pinsker_mc, tv_upper_pinsker
-from .errors import InvalidArgument, SupportViolation
+from .divergences import MC_SUPPORT_GAP, _column_logpdf, _gaussian_draws, _pinsker_mc
+from .errors import InvalidArgument, require_int
 from .seeding import derive_seed, derive_seeds, generator, generator_from_words, stream_words
 from .workers import map_payloads
 
@@ -108,18 +109,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("beta_source", "beta_target"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(2)
+            raw = getattr(self, name)
+            try:
+                v = np.array(raw, dtype=float)
+            except (TypeError, ValueError):
+                v = np.full(0, np.nan)
+            if v.size != 2 or not np.isfinite(v).all():
+                raise InvalidArgument(f"{name} must be two finite numbers, got {raw!r}")
+            v = v.reshape(2)
             v.flags.writeable = False
             object.__setattr__(self, name, v)
         object.__setattr__(self, "epsilon_grid", tuple(float(e) for e in self.epsilon_grid))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid",
+                           tuple(require_int("n grid entry", n, 0) for n in self.n_grid))
         for name in ("sims", "n_source_tasks", "kl_samples"):
-            if getattr(self, name) < 1:
-                raise InvalidArgument(f"{name} must be >= 1")
+            object.__setattr__(self, name, require_int(name, getattr(self, name), 1))
+        object.__setattr__(self, "master_seed", require_int("master_seed", self.master_seed))
         if not all(0.0 <= e <= 1.0 for e in self.epsilon_grid):  # false for a NaN
             raise InvalidArgument(f"epsilons must lie in [0, 1], got {self.epsilon_grid}")
-        if any(n < 0 for n in self.n_grid):
-            raise InvalidArgument(f"n grid entries must be >= 0, got {self.n_grid}")
 
     @classmethod
     def neighborhood(
@@ -144,28 +151,17 @@ class ExperimentConfig:
                    n_grid=tuple(n_grid), sims=sims, master_seed=master_seed, **kw)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "beta_source": self.beta_source.tolist(),
-            "beta_target": self.beta_target.tolist(),
-            "epsilon_grid": list(self.epsilon_grid),
-            "n_grid": list(self.n_grid),
-            "sims": self.sims,
-            "kl_samples": self.kl_samples,
-            "master_seed": self.master_seed,
-            "n_source_tasks": self.n_source_tasks,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("beta_source", "beta_target", "epsilon_grid", "n_grid"):
+            out[name] = np.asarray(out[name]).tolist()
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidArgument(f"unknown experiment config keys: {', '.join(unknown)}")
-        kw = dict(data)
-        for key in ("beta_source", "beta_target"):
-            if key in kw:
-                kw[key] = np.asarray(kw[key], dtype=float)
-        return cls(**kw)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -268,8 +264,12 @@ def _fit_predictors(data: Sequence[SourceDataset]):
 # ---------------------------------------------------------------------------
 
 
-def _drop(config: ExperimentConfig, point: str, s: int, reason) -> None:
-    log.warning("%s row (%s, sim=%d) dropped: %s", config.scenario, point, s, reason)
+def _kept(config: ExperimentConfig, point: str, *bounds: np.ndarray) -> list:
+    """The sims with no NaN Pinsker bound; each other sim is dropped, with ``kl_mc``'s warning."""
+    dropped = np.isnan(bounds).any(axis=0).tolist()
+    for s in np.flatnonzero(dropped).tolist():
+        log.warning("%s row (%s, sim=%d) dropped: %s", config.scenario, point, s, MC_SUPPORT_GAP)
+    return [s for s, bad in enumerate(dropped) if not bad]
 
 
 def _neighborhood_point(config: ExperimentConfig, g: int, point: str, row_seeds: Sequence[int],
@@ -294,20 +294,15 @@ def _neighborhood_point(config: ExperimentConfig, g: int, point: str, row_seeds:
                             _shifted_mean(source_mean, stddevs, eps_tilde))
     _check_gaussians(target_means, stddevs)
 
-    er = _gaussian_pinsker_mc(pred_means, pred_stddevs, target_means, stddevs,
-                              [r[2] for r in rngs], config.kl_samples)
-    records = []
-    for s, row_seed in enumerate(row_seeds):
-        if math.isnan(er[s]):
-            _drop(config, point, s, MC_SUPPORT_GAP)
-            continue
-        post = GaussianParamDist._of(means[s], covs[s])
-        records.append(ExperimentRecord(
-            sim=s, seed=row_seed, n=n, epsilon=eps, epistemic_error=float(er[s]), C=None,
-            D=None, looseness=None,
-            posterior_mass=posterior_mass_near(post, config.beta_source, POSTERIOR_MASS_RADIUS),
-        ))
-    return records
+    xs, log_p = _gaussian_draws(pred_means, pred_stddevs, [r[2] for r in rngs],
+                                config.kl_samples)
+    er = _pinsker_mc(log_p - _column_logpdf(xs, target_means, stddevs))
+    return [ExperimentRecord(
+        sim=s, seed=row_seeds[s], n=n, epsilon=eps, epistemic_error=float(er[s]), C=None,
+        D=None, looseness=None,
+        posterior_mass=posterior_mass_near(GaussianParamDist._of(means[s], covs[s]),
+                                           config.beta_source, POSTERIOR_MASS_RADIUS),
+    ) for s in _kept(config, point, er)]
 
 
 def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
@@ -316,37 +311,29 @@ def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
                              bary_s: GaussianMixture, bary_t: GaussianMixture) -> list:
     """Every sim of n grid point ``g``; ``rngs[s]`` holds sim s's five streams.
 
-    The fit and the predictor-target Pinsker bound ``er`` are arrays over the
-    sims, as in ``_neighborhood_point``; C and D take ``tv_upper_pinsker``
-    per sim.  A sim whose ``er`` log-ratio is not finite, or whose C or D
-    raises SupportViolation, is dropped.
+    The fit and the Pinsker bounds are arrays over the sims, as in
+    ``_neighborhood_point``: ``er`` of the predictor against the target on
+    stream 2, C of the predictor against the source barycenter on stream 3,
+    and D of the source against the target barycenter on stream 4.  A
+    mixture's log-density takes one sim's row at a time.  A sim whose
+    log-ratio is not finite in any of the three is dropped.
     """
-    n = config.n_grid[g]
+    n, k = config.n_grid[g], config.kl_samples
     data = [sample_source_data(config, n, r[0]) for r in rngs]
     _, _, pred_means, pred_stddevs = _fit_predictors(data)
     targets = [target_task(config, r[1]) for r in rngs]
-    er = _gaussian_pinsker_mc(pred_means, pred_stddevs, np.array([t.mean for t in targets]),
-                              np.array([t.stddev for t in targets]), [r[2] for r in rngs],
-                              config.kl_samples)
-    records = []
-    for s, (row_seed, r) in enumerate(zip(row_seeds, rngs)):
-        if math.isnan(er[s]):
-            _drop(config, point, s, MC_SUPPORT_GAP)
-            continue
-        predictor = Gaussian(pred_means[s], pred_stddevs[s])
-        try:
-            c = tv_upper_pinsker(predictor, bary_s, n_samples=config.kl_samples,
-                                 seed=r[3], force_mc=True).value
-            d = tv_upper_pinsker(bary_s, bary_t, n_samples=config.kl_samples,
-                                 seed=r[4], force_mc=True).value
-        except SupportViolation as exc:
-            _drop(config, point, s, exc)
-            continue
-        records.append(ExperimentRecord(
-            sim=s, seed=row_seed, n=n, epsilon=None, epistemic_error=float(er[s]),
-            C=c, D=d, looseness=float(er[s]) - (c + d), posterior_mass=None,
-        ))
-    return records
+    xs, log_p = _gaussian_draws(pred_means, pred_stddevs, [r[2] for r in rngs], k)
+    er = _pinsker_mc(log_p - _column_logpdf(xs, np.array([t.mean for t in targets]),
+                                            np.array([t.stddev for t in targets])))
+    xs, log_p = _gaussian_draws(pred_means, pred_stddevs, [r[3] for r in rngs], k)
+    c = _pinsker_mc(log_p - np.array([bary_s.logpdf(x) for x in xs]))
+    xs = np.array([bary_s.sample(k, r[4]) for r in rngs])
+    d = _pinsker_mc(np.array([bary_s.logpdf(x) - bary_t.logpdf(x) for x in xs]))
+    looseness = er - (c + d)
+    return [ExperimentRecord(
+        sim=s, seed=row_seeds[s], n=n, epsilon=None, epistemic_error=float(er[s]),
+        C=float(c[s]), D=float(d[s]), looseness=float(looseness[s]), posterior_mass=None,
+    ) for s in _kept(config, point, er, c, d)]
 
 
 def _run_grid_point(payload) -> list:
@@ -417,8 +404,7 @@ def monte_carlo_verify(setup: dict, trials: int, seed: int) -> dict:
     exceedance frequency stays within two binomial standard errors of delta
     (vacuously when delta >= 1).
     """
-    if trials < 1:
-        raise InvalidArgument("trials must be >= 1")
+    trials = require_int("trials", trials, 1)
     rng = generator(seed)  # a seed out of range fails before the bound is evaluated
     predictor = setup["predictor"]
     source: TaskDistribution = setup["source"]

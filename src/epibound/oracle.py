@@ -46,7 +46,7 @@ from .bounds import (
     _pow2,
     _require_alpha,
 )
-from .errors import GenerationFailure, InvalidArgument, InvalidTaskDistribution
+from .errors import GenerationFailure, InvalidArgument, InvalidTaskDistribution, require_int
 from .seeding import derive_seeds, generator, generator_from_words, normalize_seed, stream_words
 from .workers import map_payloads, worker_count
 
@@ -870,8 +870,7 @@ def run_suite(
     one range per worker process that ``workers.worker_count`` allows, and
     partial aggregates merge in order.
     """
-    if n_instances < 1:
-        raise InvalidArgument(f"n_instances must be >= 1, got {n_instances}")
+    n_instances = require_int("n_instances", n_instances, 1)
     normalize_seed(seed)  # a seed out of range fails here, before any worker starts
     alphas = tuple(_alpha_array(alphas).tolist())
     bounds = np.linspace(0, n_instances, worker_count(threads, n_instances) + 1).astype(int)

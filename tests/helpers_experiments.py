@@ -1,8 +1,8 @@
 """The per-row experiment code the grid-point arrays replaced, kept as their reference.
 
 Each row fits its own posterior and predictor, builds its own ``Gaussian``
-target and calls ``tv_upper_pinsker`` once per divergence.  ``reference_run``
-seeds every row one ``derive_seed`` at a time, and reads
+target and takes each divergence's Pinsker bound sqrt(KL/2) from one
+``kl_mc`` call.  ``reference_run`` seeds every row one ``derive_seed`` at a time, and reads
 ``sample_source_data`` and ``target_task`` off the module, so a test's
 monkeypatch reaches both paths.  The array path must write the same CSV bytes.
 """
@@ -13,7 +13,7 @@ import math
 from epibound import experiments
 from epibound.bayes import posterior_mass_near, posterior_predictive, posterior_update
 from epibound.distributions import Gaussian, barycenter
-from epibound.divergences import tv_upper_pinsker
+from epibound.divergences import kl_mc
 from epibound.errors import SupportViolation
 from epibound.experiments import (
     _EXP_BARYCENTER,
@@ -35,6 +35,10 @@ def _fit_predictor(data):
     return post, posterior_predictive(post, TARGET_COVARIATES, PRIOR.prior_noise_variance)
 
 
+def _pinsker(p, q, config, rng):
+    return math.sqrt(kl_mc(p, q, n_samples=config.kl_samples, seed=rng).value / 2.0)
+
+
 def _neighborhood_row(config, g, s, rngs):
     data_rng, pick_rng, kl_rng = rngs
     eps = config.epsilon_grid[g]
@@ -49,8 +53,7 @@ def _neighborhood_row(config, g, s, rngs):
     )
     target = neighborhood_target(source_task_i, eps_tilde)
 
-    er = tv_upper_pinsker(predictor, target, n_samples=config.kl_samples,
-                          seed=kl_rng, force_mc=True).value
+    er = _pinsker(predictor, target, config, kl_rng)
     mass = posterior_mass_near(post, config.beta_source, POSTERIOR_MASS_RADIUS)
     return dict(n=config.n_source_tasks, epsilon=eps, epistemic_error=er, C=None, D=None,
                 looseness=None, posterior_mass=mass)
@@ -63,12 +66,9 @@ def _negative_transfer_row(config, g, s, rngs, bary_s, bary_t):
     _, predictor = _fit_predictor(data)
     target = experiments.target_task(config, target_rng)
 
-    er = tv_upper_pinsker(predictor, target, n_samples=config.kl_samples,
-                          seed=er_rng, force_mc=True).value
-    c = tv_upper_pinsker(predictor, bary_s, n_samples=config.kl_samples,
-                         seed=c_rng, force_mc=True).value
-    d = tv_upper_pinsker(bary_s, bary_t, n_samples=config.kl_samples,
-                         seed=d_rng, force_mc=True).value
+    er = _pinsker(predictor, target, config, er_rng)
+    c = _pinsker(predictor, bary_s, config, c_rng)
+    d = _pinsker(bary_s, bary_t, config, d_rng)
     return dict(n=n, epsilon=None, epistemic_error=er, C=c, D=d, looseness=er - (c + d),
                 posterior_mass=None)
 

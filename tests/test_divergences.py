@@ -17,6 +17,7 @@ from epibound import (
     EventMismatch,
     Gaussian,
     GaussianMixture,
+    InvalidArgument,
     InverseGammaGaussianTasks,
     ModelClass,
     NumericalFailure,
@@ -374,6 +375,19 @@ class TestKL:
         assert res.stderr_estimate is None
         assert res.value == pytest.approx(KL_37_55, abs=1e-15)
 
+    def test_mc_exact_path_clamps_rounding_below_zero(self):
+        # the exact sum of a near-identical pair rounds below 0; it raised InvalidArgument
+        p = np.array([0.08613363399126246, 0.38470834467826415, 0.5291580213304734])
+        q = p + np.array([1e-13, -1e-13, 0.0])
+        assert kl_exact(Categorical(p), Categorical(q)) < 0.0
+        assert kl_mc(Categorical(p), Categorical(q)).value == 0.0
+        assert tv_upper_pinsker(Categorical(p), Categorical(q)).value == 0.0
+
+    @pytest.mark.parametrize("bad", [2.5, "7", True, 0])
+    def test_mc_rejects_sample_counts_that_are_not_positive_integers(self, bad):
+        with pytest.raises(InvalidArgument, match="^n_samples must be"):
+            kl_mc(Gaussian(0, 1), Gaussian(1, 1), n_samples=bad)
+
     def test_mc_calibration_many_seeds(self):
         p, q = Gaussian(0.0, 1.0), Gaussian(0.8, 1.3)
         truth = kl_exact(p, q)
@@ -407,14 +421,62 @@ class TestPinsker:
         assert res.value >= tv_exact(Gaussian(0, 1), Gaussian(1, 1)) == pytest.approx(0.3829, abs=1e-4)
 
     def test_forced_mc_records_samples(self):
-        res = tv_upper_pinsker(Gaussian(0, 1), Gaussian(1, 1), n_samples=400, seed=2, force_mc=True)
+        # the sampling estimate on a pair with a closed form
+        res = kl_mc(Gaussian(0, 1), Gaussian(1, 1), n_samples=400, seed=2)
         assert res.mc_samples == 400
         assert res.stderr_estimate is not None
+        assert math.sqrt(res.value / 2.0) == pytest.approx(0.5, abs=0.1)
 
     def test_mixture_uses_mc(self):
         mix = GaussianMixture([0.5, 0.5], [0.0, 2.0], [1.0, 1.0])
         res = tv_upper_pinsker(Gaussian(0, 1), mix, n_samples=400, seed=4)
         assert res.mc_samples == 400
+
+
+class TestMonteCarloRows:
+    """The row kernel behind kl_mc and the experiments' Pinsker bounds, against kl_mc."""
+
+    BARY = barycenter(InverseGammaGaussianTasks(1.0, 20.0, 10.0), seed=3)
+    PAIRS = {
+        "gaussian-gaussian": (Gaussian(0.3, 0.8), Gaussian(-0.5, 1.7)),
+        "gaussian-mixture": (Gaussian(1.2, 0.9), BARY),
+        "mixture-mixture": (BARY, GaussianMixture([0.2, 0.8], [0.0, 2.0], [1.0, 0.5])),
+    }
+
+    @staticmethod
+    def _log_ratio(p, q, n, seed):
+        xs = p.sample(n, np.random.default_rng(seed))
+        return p.logpdf(xs) - q.logpdf(xs)
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_rows_equal_kl_mc_bit_for_bit(self, pair, n):
+        p, q = self.PAIRS[pair]
+        seeds = [5, 6, 2**64 - 1]
+        stack = np.array([self._log_ratio(p, q, n, seed) for seed in seeds])
+        kl = divergences._mc_kl(stack.copy())
+        bounds = divergences._pinsker_mc(stack)
+        for i, seed in enumerate(seeds):
+            res = kl_mc(p, q, n, seed)
+            assert max(float(kl[i]), 0.0) == res.value
+            assert (kl[i] < 0.0) == res.clamped
+            assert float(bounds[i]) == math.sqrt(res.value / 2.0)
+            one = divergences._pinsker_mc(self._log_ratio(p, q, n, seed)[None])
+            assert one.tolist() == [bounds[i]]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning",
+                                "ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_row_that_is_not_finite_is_nan(self):
+        # a stddev of 1e-160 underflows the log-density to -inf at every sample
+        p, q = Gaussian(0.0, 1.0), Gaussian(0.0, 1e-160)
+        with pytest.raises(SupportViolation, match=divergences.MC_SUPPORT_GAP):
+            kl_mc(p, q, 7, seed=5)
+        good = self._log_ratio(p, Gaussian(0.5, 1.0), 7, 6)
+        stack = np.array([good, self._log_ratio(p, q, 7, 5), good])
+        with np.errstate(all="raise"):  # the bad row's mean raises no warning
+            bounds = divergences._pinsker_mc(stack)
+        assert math.isnan(bounds[1])
+        assert bounds[0] == bounds[2] == math.sqrt(kl_mc(p, Gaussian(0.5, 1.0), 7, 6).value / 2)
 
 
 class TestEntropyFamily:

@@ -25,13 +25,13 @@ from epibound import (
     sample_source_data,
     target_task,
 )
-from epibound import experiments
-from epibound.divergences import tv_exact, tv_upper_pinsker
-from epibound.errors import SupportViolation
+from epibound import divergences, experiments
+from epibound.divergences import kl_mc, tv_exact, tv_upper_pinsker
 from epibound.experiments import (
     _EXP_NEGATIVE_TRANSFER,
     _EXP_NEIGHBORHOOD,
     CSV_HEADER,
+    MC_SUPPORT_GAP,
     ExperimentConfig,
     build_manifest,
     records_to_csv,
@@ -221,6 +221,18 @@ class TestNegativeTransferExperiment:
             "75c16ca027506bb233c1d3ccfa84c329fc40f88a3d5cd8324d9d294041cd95b4"
         )
 
+    def test_csv_bytes_pinned_without_kl_mc(self, monkeypatch):
+        # the runner takes every Pinsker bound from the row kernel, not from kl_mc
+        def unused(*args, **kw):
+            raise AssertionError("kl_mc called")
+
+        monkeypatch.setattr(divergences, "kl_mc", unused)
+        cfg = ExperimentConfig.negative_transfer("neg", n_grid=(1, 4), sims=3, master_seed=13)
+        csv = records_to_csv(run_negative_transfer_experiment(cfg))
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "75c16ca027506bb233c1d3ccfa84c329fc40f88a3d5cd8324d9d294041cd95b4"
+        )
+
     def test_one_row_run_pinned(self):
         # a batch of one row, recorded with per-row scalar seeding
         cfg = ExperimentConfig.negative_transfer("posneg", n_grid=(3,), sims=1, master_seed=19)
@@ -248,8 +260,8 @@ class TestNegativeTransferExperiment:
                 tgt = target_task(cfg, derive_seed(row_seed, 1))
                 exact_tv = tv_exact(pred, tgt)
                 assert tv_upper_pinsker(pred, tgt).value >= exact_tv - 1e-12
-                er_mc = tv_upper_pinsker(pred, tgt, n_samples=cfg.kl_samples,
-                                         seed=derive_seed(row_seed, 2), force_mc=True).value
+                er_mc = math.sqrt(kl_mc(pred, tgt, n_samples=cfg.kl_samples,
+                                        seed=derive_seed(row_seed, 2)).value / 2.0)
                 mc_undershoots += int(er_mc < exact_tv)
                 rows += 1
         assert mc_undershoots <= 0.1 * rows
@@ -259,30 +271,57 @@ class TestNegativeTransferExperiment:
             ExperimentConfig.negative_transfer("sideways", n_grid=[1])
 
 
+class _InfiniteNormals:
+    """A Generator whose ``normal`` draws are all +inf; its other draws are the real ones."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def normal(self, *args, **kw):
+        return np.full_like(self._rng.normal(*args, **kw), np.inf)
+
+
 class TestDroppedRows:
-    # neighborhood rows make no per-row divergence call: they drop a row in the
-    # array Monte Carlo KL, as test_non_finite_log_ratio_drops_only_its_row checks
+    # neighborhood rows draw no stream for C or D: they drop a row in the
+    # Monte Carlo KL of er, as test_non_finite_log_ratio_drops_only_its_row checks
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning",
+                                "ignore:invalid value encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("kind", ["negative_transfer"])
     def test_support_violation_drops_only_its_row(self, kind, monkeypatch, caplog):
+        # a row whose C (stream 3) or D (stream 4) Generator draws +inf has a NaN
+        # log-ratio there; that row alone drops, with kl_mc's support warning
         cfg = ExperimentConfig.negative_transfer("pos", n_grid=[1, 4], sims=3, master_seed=62)
         clean = run_negative_transfer_experiment(cfg)
-        bad_row = derive_seed(cfg.master_seed, _EXP_NEGATIVE_TRANSFER, 1, 2)  # point 1, sim 2
-        # rows hand C's tv_upper_pinsker the Generator of stream 3; this is that row's, undrawn
-        bad_state = generator(derive_seed(bad_row, 3)).bit_generator.state
-        real = experiments.tv_upper_pinsker
+        real = experiments.generator_from_words
+        cases = [{(1, 2): 3}, {(0, 1): 4}, {(1, 2): 3, (0, 1): 4}]  # (grid point, sim): stream
+        for bad in cases:
+            seeds = {(g, s): derive_seed(cfg.master_seed, _EXP_NEGATIVE_TRANSFER, g, s)
+                     for g, s in bad}
+            states = [generator(derive_seed(seeds[gs], k)).bit_generator.state
+                      for gs, k in bad.items()]
+            hits = []
 
-        def flaky(*args, seed, **kw):
-            if seed.bit_generator.state == bad_state:
-                raise SupportViolation("injected")
-            return real(*args, seed=seed, **kw)
+            def patched(words):
+                rng = real(words)
+                if rng.bit_generator.state not in states:
+                    return rng
+                hits.append(1)
+                return _InfiniteNormals(rng)
 
-        monkeypatch.setattr(experiments, "tv_upper_pinsker", flaky)
-        with caplog.at_level(logging.WARNING, logger=experiments.__name__):
-            kept = run_negative_transfer_experiment(cfg)
-        assert len(kept) == len(clean) - 1
-        assert kept == [r for r in clean if r.seed != bad_row]
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == [f"{cfg.scenario} row (n=4, sim=2) dropped: injected"]
+            monkeypatch.setattr(experiments, "generator_from_words", patched)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+                kept = run_negative_transfer_experiment(cfg)
+            assert len(hits) == len(bad)
+            assert records_to_csv(kept) == records_to_csv(
+                [r for r in clean if r.seed not in seeds.values()])
+            warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            assert warnings == [
+                f"{cfg.scenario} row ({('n=1', 'n=4')[g]}, sim={s}) dropped: {MC_SUPPORT_GAP}"
+                for g, s in sorted(bad)]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     @pytest.mark.parametrize("kind", ["neighborhood", "negative_transfer"])
@@ -359,6 +398,48 @@ class TestGridPointArrays:
             assert records_to_csv(run(cfg, threads=threads)) == want, cfg.to_dict()
 
 
+class TestConfigChecks:
+    """Counts, seeds and coefficients that are not what they claim raise InvalidArgument."""
+
+    @pytest.mark.parametrize("name", ["sims", "kl_samples", "n_source_tasks", "master_seed"])
+    @pytest.mark.parametrize("bad", [2.5, "5", True])
+    def test_rejects_counts_that_are_not_integers(self, name, bad):
+        # 2.5 raised a bare TypeError mid-run; master_seed=1.5 drew as seed 1
+        with pytest.raises(InvalidArgument, match=rf"^{name} must be an integer, got {bad!r}$"):
+            ExperimentConfig(**{name: bad})
+        with pytest.raises(InvalidArgument, match=rf"^{name} must be an integer"):
+            ExperimentConfig.from_dict({name: bad})
+
+    def test_rejects_n_grid_entries_that_are_not_integers(self):
+        # 2.7 was truncated to 2
+        with pytest.raises(InvalidArgument, match=r"^n grid entry must be an integer, got 2.7$"):
+            ExperimentConfig.negative_transfer("pos", n_grid=[1, 2.7])
+        with pytest.raises(InvalidArgument, match=r"^n grid entry must be >= 0, got -1$"):
+            ExperimentConfig.from_dict({"n_grid": [-1]})
+
+    def test_accepts_numpy_integers_as_ints(self):
+        cfg = ExperimentConfig.negative_transfer("pos", n_grid=[np.int64(1), 2], sims=np.int64(2),
+                                                 master_seed=np.uint64(2**64 - 1))
+        assert cfg.to_dict()["n_grid"] == [1, 2]
+        assert type(cfg.sims) is int and type(cfg.master_seed) is int
+        json.dumps(cfg.to_dict())
+
+    @pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], [1.0], [0.0, float("nan")],
+                                     [float("inf"), 1.0], "ab", [[1.0], [2.0, 3.0]], None])
+    @pytest.mark.parametrize("name", ["beta_source", "beta_target"])
+    def test_rejects_coefficients_that_are_not_two_finite_numbers(self, name, bad):
+        # [1, 2, 3] raised a bare ValueError and a NaN entry was accepted
+        with pytest.raises(InvalidArgument, match=rf"^{name} must be two finite numbers"):
+            ExperimentConfig.from_dict({name: bad})
+
+    def test_coefficients_are_copied(self):
+        beta = np.array([0.5, 1.5])
+        cfg = ExperimentConfig(beta_source=beta)
+        assert beta.flags.writeable and not cfg.beta_source.flags.writeable
+        beta[0] = 9.0
+        assert cfg.beta_source.tolist() == [0.5, 1.5]
+
+
 class TestRecordsAndManifest:
     def test_csv_header_exact(self):
         assert CSV_HEADER == "sim,seed,n,epsilon,epistemic_error,C,D,looseness,posterior_mass,runtime_ms"
@@ -396,6 +477,15 @@ class TestRecordsAndManifest:
 
 
 class TestMonteCarloVerify:
+    @pytest.mark.parametrize("bad", [2.5, "10", 0])
+    def test_rejects_trial_counts_that_are_not_positive_integers(self, bad, binary_model,
+                                                                 binary_predictor, binary_source,
+                                                                 binary_target):
+        setup = {"predictor": binary_predictor, "source": binary_source, "target": binary_target,
+                 "model": binary_model, "statement_id": "thm1", "alpha": 0.05}
+        with pytest.raises(InvalidArgument, match="^trials must be"):
+            monte_carlo_verify(setup, trials=bad, seed=7)
+
     def test_matches_exact_enumeration(self, binary_model, binary_predictor, binary_source):
         target = finite_tasks([
             (Categorical([0.35, 0.65]), 0.5),

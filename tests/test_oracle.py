@@ -743,6 +743,14 @@ class TestThetaInstances:
 
 
 class TestSuite:
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True])
+    def test_rejects_instance_counts_that_are_not_integers(self, bad, monkeypatch):
+        # 2.5 ran 2 instances and reported n_instances 2.5
+        monkeypatch.setattr(oracle, "map_payloads", lambda *args: pytest.fail("suite ran"))
+        message = rf"^n_instances must be an integer, got {bad!r}$"
+        with pytest.raises(InvalidArgument, match=message):
+            run_suite(bad)
+
     def test_small_suite_statements_clean(self):
         report = run_suite(400, seed=2024)
         for sid, rep in report.statements.items():

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epibound import Gaussian, InverseGammaGaussianTasks, InvalidArgument, barycenter
+from epibound import (
+    Gaussian,
+    GaussianMixture,
+    InvalidArgument,
+    InverseGammaGaussianTasks,
+    barycenter,
+)
 from epibound.divergences import kl_mc, tv_upper_pinsker
 from epibound.oracle import generate_instance, generate_theta_instance, run_suite
 from epibound.seeding import (
@@ -135,9 +141,11 @@ class TestNegativeSeeds:
         assert kl_mc(p, q, seed=-1) == kl_mc(p, q, seed=2**64 - 1)
 
     def test_tv_upper_pinsker(self):
-        p, q = Gaussian(0.0, 1.0), Gaussian(0.5, 2.0)
-        a = tv_upper_pinsker(p, q, n_samples=50, seed=-1, force_mc=True)
-        assert a == tv_upper_pinsker(p, q, n_samples=50, seed=2**64 - 1, force_mc=True)
+        # a mixture takes the Monte Carlo path, which draws with the seed
+        p, q = Gaussian(0.0, 1.0), GaussianMixture([0.5, 0.5], [0.5, 1.0], [2.0, 1.0])
+        a = tv_upper_pinsker(p, q, n_samples=50, seed=-1)
+        assert a.mc_samples == 50
+        assert a == tv_upper_pinsker(p, q, n_samples=50, seed=2**64 - 1)
 
     def test_reify(self):
         tasks = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
