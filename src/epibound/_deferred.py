@@ -3,8 +3,9 @@
 ``import epibound`` loads numpy and the standard library only.  The rest is
 loaded by the first call that needs it:
 
-* ``scipy.special`` (``ndtr``, ``ndtri``), about half of a cold import through
-  scipy's array-API shim, at the first Gaussian CDF or quantile;
+* ``scipy.special`` (``ndtr``, ``ndtri``, ``gammainccinv``), about half of a
+  cold import through scipy's array-API shim, at the first Gaussian CDF or
+  quantile, or the first reified inverse-gamma family;
 * ``scipy.integrate`` (``quad``), which pulls in scipy.optimize,
   scipy.sparse.linalg and scipy.linalg, at the first quadrature;
 * ``concurrent.futures.process`` (``ProcessPoolExecutor``), with

@@ -245,7 +245,7 @@ def posterior_mass_near(post: GaussianParamDist, center, radius: float) -> float
     exact conditional-Gaussian probability of the inner coordinate (valid
     for correlated posteriors, unlike the naive product rule).
     """
-    if radius <= 0:
+    if not radius > 0:  # also rejects NaN
         raise InvalidArgument(f"radius must be > 0, got {radius}")
     center = np.asarray(center, dtype=float).reshape(2)
     if math.isinf(radius):

@@ -23,7 +23,6 @@ from .distributions import (
     CONTINUOUS_EVENT_FAMILY,
     PROB_TOL,
     Categorical,
-    FiniteTaskDistribution,
     FirstOrderDistribution,
     Gaussian,
     TaskDistribution,
@@ -123,21 +122,9 @@ def convergence_gap(predictor: FirstOrderDistribution, best: FirstOrderDistribut
     return tv_exact(predictor, best)
 
 
-def _reify_pair(
-    source: TaskDistribution, target: TaskDistribution
-) -> tuple[FiniteTaskDistribution, FiniteTaskDistribution]:
-    """Finite source and target; the source is reified with seed 0, a target unequal to it with 1.
-
-    Equal parametric families compare equal by value and share one reification.
-    """
-    src = as_finite(source)
-    return src, (src if source == target else as_finite(target, seed=1))
-
-
 def distribution_shift(source: TaskDistribution, target: TaskDistribution) -> float:
-    """TV between the source and target barycenters (D), as ``evaluate_bound`` reifies them."""
-    src, tgt = _reify_pair(source, target)
-    return tv_exact(barycenter(src), barycenter(tgt))
+    """TV between the source and target barycenters (D)."""
+    return tv_exact(barycenter(source), barycenter(target))
 
 
 def distribution_shift_learner(
@@ -442,7 +429,7 @@ def evaluate_bound(
         raise InvalidArgument(f"unknown statement id {statement_id!r}")
     _require_alpha(alpha)
 
-    src, tgt = _reify_pair(source, target)
+    src, tgt = as_finite(source), as_finite(target)
     bary_s, bary_t = barycenter(src), barycenter(tgt)
     best, B = best_approximation(model, bary_s)
     C = convergence_gap(predictor, best)

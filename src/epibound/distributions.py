@@ -4,16 +4,18 @@ First-order distributions live on a sample space (a finite outcome set or
 the real line) and play the role of tasks, predictors and barycenters.
 Second-order ("task") distributions are distributions over tasks: either a
 finite weighted support, used for all exact computations, or a parametric
-sampler (Gaussian tasks whose variance follows an inverse gamma law), used
-by the synthetic experiments.
+family (Gaussian tasks whose variance follows an inverse gamma law), used
+by the synthetic experiments and reified at fixed quantile nodes.
 
 All types are immutable values after construction and safe to share across
 threads.  Sampling takes an explicit seed and owns a private generator per
-call.
+call; no summary functional samples.
 
-``ndtr``, the Gaussian CDF, loads ``scipy.special`` at its first call (a
-Gaussian or mixture ``cdf``, or a thresholded task matrix) and then rebinds
-to scipy's ufunc; finite instances never load it.  See ``_deferred``.
+``ndtr``, the Gaussian CDF, and ``gammainccinv``, the inverse upper
+regularised gamma function, load ``scipy.special`` at their first call (a
+Gaussian or mixture ``cdf``, a thresholded task matrix, or a reification)
+and then rebind to scipy's ufuncs; finite instances never load them.  See
+``_deferred``.
 """
 
 from __future__ import annotations
@@ -28,10 +30,17 @@ from typing import Iterable, NamedTuple, Optional, Union
 import numpy as np
 
 from ._deferred import Deferred
-from .errors import EventMismatch, InvalidArgument, InvalidTaskDistribution, NumericalFailure
+from .errors import (
+    EventMismatch,
+    InvalidArgument,
+    InvalidTaskDistribution,
+    NumericalFailure,
+    require_int,
+)
 from .seeding import generator
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
+gammainccinv = Deferred("scipy.special", "gammainccinv", globals())
 
 PROB_TOL = 1e-12          # normalization tolerance; out-of-tolerance input is rejected
 SUP_ENUM_MAX_OUTCOMES = 12  # full 2^m event enumeration refused above this
@@ -210,6 +219,10 @@ class GaussianMixture(FirstOrderDistribution):
         """The one-component mixture of a checked Gaussian, not checked again."""
         return object.__new__(cls)._set(np.ones(1), np.array([g.mean]), np.array([g.stddev]))
 
+    def _shifted(self, c: float) -> "GaussianMixture":
+        """This mixture moved by -c, not checked again."""
+        return object.__new__(GaussianMixture)._set(self.weights, self.means - c, self.stddevs)
+
     def _set(self, w: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> "GaussianMixture":
         _freeze(self, "weights", w)
         _freeze(self, "means", mu)
@@ -267,9 +280,7 @@ class GaussianMixture(FirstOrderDistribution):
         return rng.normal(self.means[comp], self.stddevs[comp])
 
     def mean_std(self) -> tuple[float, float]:
-        m = float(self.weights @ self.means)
-        second = float(self.weights @ (self.stddevs**2 + self.means**2))
-        return m, math.sqrt(max(second - m * m, 0.0))
+        return _pooled_moments(self.weights, self.means, self.stddevs)
 
     def to_dict(self) -> dict:
         return {
@@ -278,6 +289,13 @@ class GaussianMixture(FirstOrderDistribution):
             "means": self.means.tolist(),
             "stddevs": self.stddevs.tolist(),
         }
+
+
+def _pooled_moments(w: np.ndarray, means: np.ndarray, stddevs: np.ndarray) -> tuple[float, float]:
+    """Mean and stddev of the mixture of N(means[i], stddevs[i]) with weights ``w``; the
+    variance is taken about the mean, as the square of a mean past 1.3e154 overflows."""
+    m = float(w @ means)
+    return m, math.sqrt(float(w @ (stddevs**2 + (means - m) ** 2)))
 
 
 def _space(d: FirstOrderDistribution) -> Optional[int]:
@@ -456,19 +474,18 @@ class InverseGammaGaussianTasks:
         v = float(self.sample_variances(1, rng)[0])
         return Gaussian(self.mean, math.sqrt(v))
 
-    def _sampled_stddevs(self, components: int, seed: int) -> np.ndarray:
-        """The stddevs of the ``components`` tasks that ``reify`` and ``barycenter`` draw."""
-        if components < 1:
-            raise InvalidArgument("component budget must be >= 1")
-        return np.sqrt(self.sample_variances(components, generator(seed)))
+    def reify(self, components: int = DEFAULT_REIFY_COMPONENTS) -> FiniteTaskDistribution:
+        """Equal weights on the ``components`` midpoint quantiles of the variance law, as columns.
 
-    def reify(self, components: int = DEFAULT_REIFY_COMPONENTS, seed: int = 0) -> FiniteTaskDistribution:
-        """Equal-weight finite approximation by ``components`` sampled tasks, held as columns."""
-        stddevs = self._sampled_stddevs(components, seed)
-        means = np.full(components, self.mean)
+        Task i has variance ``rate / gammainccinv(shape, (i + 0.5) / k)``, the
+        (i + 0.5) / k quantile of IG(shape, rate): 1 / v is Gamma(shape, rate), and
+        its upper tail is the lower tail of v.
+        """
+        k = require_int("component budget", components, 1)
+        stddevs = np.sqrt(self.rate / gammainccinv(self.shape, (np.arange(k) + 0.5) / k))
+        means = np.full(k, self.mean)
         _check_gaussians(means, stddevs)
-        return FiniteTaskDistribution(_GaussianColumns(means, stddevs),
-                                      np.full(components, 1.0 / components))
+        return FiniteTaskDistribution(_GaussianColumns(means, stddevs), np.full(k, 1.0 / k))
 
     def to_dict(self) -> dict:
         return {"kind": "ig_gaussian_tasks", "mean": self.mean, "shape": self.shape, "rate": self.rate}
@@ -477,11 +494,9 @@ class InverseGammaGaussianTasks:
 TaskDistribution = Union[FiniteTaskDistribution, InverseGammaGaussianTasks]
 
 
-def as_finite(tasks: TaskDistribution, seed: int = 0) -> FiniteTaskDistribution:
-    """Reify parametric task distributions by their default 256 tasks; pass finite ones through."""
-    if isinstance(tasks, FiniteTaskDistribution):
-        return tasks
-    return tasks.reify(seed=seed)
+def as_finite(tasks: TaskDistribution) -> FiniteTaskDistribution:
+    """Reify parametric task distributions at their default 256 nodes; pass finite ones through."""
+    return tasks if isinstance(tasks, FiniteTaskDistribution) else tasks.reify()
 
 
 # ---------------------------------------------------------------------------
@@ -489,22 +504,13 @@ def as_finite(tasks: TaskDistribution, seed: int = 0) -> FiniteTaskDistribution:
 # ---------------------------------------------------------------------------
 
 
-def barycenter(
-    tasks: TaskDistribution,
-    components: int = DEFAULT_REIFY_COMPONENTS,
-    seed: int = 0,
-) -> FirstOrderDistribution:
+def barycenter(tasks: TaskDistribution) -> FirstOrderDistribution:
     """Mixture distribution assigning each event E_{Q ~ tasks}[Q(event)].
 
-    Exact for finite task distributions.  A parametric family is
-    approximated by the equal-weight mixture of ``components`` sampled
-    tasks, built straight from their stddevs: it equals the barycenter of
-    ``tasks.reify(components, seed)`` bit for bit.
+    Exact for finite task distributions; a parametric family is reified as
+    ``as_finite`` reifies it.
     """
-    if isinstance(tasks, InverseGammaGaussianTasks):
-        stddevs = tasks._sampled_stddevs(components, seed)
-        k = stddevs.size
-        return GaussianMixture(np.full(k, 1.0 / k), np.full(k, tasks.mean), stddevs)
+    tasks = as_finite(tasks)
     if tasks.P is not None:
         return Categorical(tasks.weights @ tasks.P)
     if tasks.means is not None:
@@ -544,17 +550,11 @@ CONTINUOUS_EVENT_FAMILY = (
 
 def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
     """The pooled-moment grid of thresholds t_k of the half-line events (-inf, t_k]."""
-    # (k, 2) either way: ``weights @`` a strided column can round unlike a contiguous one
-    moments = (np.column_stack((tasks.means, tasks.stddevs)) if tasks.means is not None
-               else np.array([t.mean_std() for t in tasks.tasks]))
-    pooled_mean = float(tasks.weights @ moments[:, 0])
-    pooled_second = float(tasks.weights @ (moments[:, 1] ** 2 + moments[:, 0] ** 2))
-    try:
-        pooled_std = math.sqrt(max(pooled_second - pooled_mean**2, 1e-300))
-    except OverflowError:
-        raise NumericalFailure(
-            f"half-line threshold grid: the square of the pooled mean {pooled_mean} "
-            f"overflows") from None
+    if tasks.means is not None:
+        means, stddevs = tasks.means, tasks.stddevs
+    else:  # contiguous columns: ``weights @`` a strided column can round unlike them
+        means, stddevs = map(np.array, zip(*(t.mean_std() for t in tasks.tasks)))
+    pooled_mean, pooled_std = _pooled_moments(tasks.weights, means, stddevs)
     span = DEFAULT_THRESHOLD_SPAN
     return np.linspace(pooled_mean - span * pooled_std, pooled_mean + span * pooled_std,
                        DEFAULT_THRESHOLDS)
@@ -693,9 +693,7 @@ def _matched_tv(w_a: np.ndarray, w_b: np.ndarray, near: np.ndarray) -> float:
 
 def sample(dist: FirstOrderDistribution, count: int, seed: int) -> np.ndarray:
     """Deterministic draw of ``count`` values; a private generator per call."""
-    if count < 1:
-        raise InvalidArgument("count must be >= 1")
-    return dist.sample(count, generator(seed))
+    return dist.sample(require_int("count", count, 1), generator(seed))
 
 
 def sample_task(tasks: TaskDistribution, seed: int) -> FirstOrderDistribution:

@@ -114,6 +114,7 @@ def _pdf(d: FirstOrderDistribution) -> Callable[[float], float]:
 def _quad_on_p_support(p: FirstOrderDistribution, q: FirstOrderDistribution,
                        term: Callable[[float, float], float]) -> float:
     """The integral of ``term(p(x), q(x))`` where p(x) > 0; SupportViolation where q vanishes."""
+    p, q = _centered(p, q)
     pf, qf = _pdf(p), _pdf(q)
     lo, hi = _window(p, q)
 
@@ -158,7 +159,7 @@ def tv_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
         return float(0.5 * np.abs(p.p - q.p).sum())
     if _equal_stddev_gaussians(p, q):
         return float(2.0 * ndtr(abs(p.mean - q.mean) / (2.0 * p.stddev)) - 1.0)
-    return _crossing_tv(_as_mixture(p), _as_mixture(q))
+    return _crossing_tv(*_centered(_as_mixture(p), _as_mixture(q)))
 
 
 def _tv_floor(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
@@ -185,6 +186,20 @@ def _equal_stddev_gaussians(p: FirstOrderDistribution, q: FirstOrderDistribution
 
 def _as_mixture(d: Union[Gaussian, GaussianMixture]) -> GaussianMixture:
     return d if isinstance(d, GaussianMixture) else GaussianMixture._of(d)
+
+
+def _centered(*dists: Union[Gaussian, GaussianMixture]) -> tuple:
+    """``dists`` as they are, or, where floats about the first one's mean are coarser than
+    a crossing-grid step of the smallest stddev, as mixtures moved by that mean.
+
+    Every divergence, and the entropy, is shift invariant; at mean 1e200 the window
+    mean +- 10 stddevs would round to the mean, and every integral to 0.
+    """
+    c = dists[0].mean_std()[0]
+    smallest = min(_as_mixture(d).stddevs.min() for d in dists)
+    if not np.spacing(abs(c)) * CROSSING_GRID_PER_SD > smallest:  # a NaN mean stays
+        return dists
+    return tuple(_as_mixture(d)._shifted(c) for d in dists)
 
 
 def _log_gap(p: GaussianMixture, q: GaussianMixture, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -288,6 +303,7 @@ def hellinger_sq(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
             log_bc = 0.5 * math.log(2.0 * p.stddev * q.stddev / spread) - (
                 (p.mean - q.mean) ** 2 / (4.0 * spread))
         return max(0.0, -math.expm1(log_bc))  # log_bc <= 0 up to rounding
+    p, q = _centered(p, q)
     pf, qf = _pdf(p), _pdf(q)
     lo, hi = _window(p, q)
     return min(1.0, 0.5 * _quad(lambda x: (math.sqrt(pf(x)) - math.sqrt(qf(x))) ** 2, lo, hi))
@@ -305,6 +321,7 @@ def entropy(p: FirstOrderDistribution) -> float:
     if isinstance(p, Gaussian):
         with _closed_form("the entropy", p):
             return 0.5 * math.log(2.0 * math.pi * math.e * p.stddev**2)
+    (p,) = _centered(p)
     pf = _pdf(p)
     lo, hi = _window(p)
 

@@ -58,13 +58,13 @@ from .bayes import (
 )
 from .bounds import LOSSES, STATEMENTS, ModelClass, evaluate_bound
 from .distributions import (
+    DEFAULT_REIFY_COMPONENTS,
     FiniteTaskDistribution,
     Gaussian,
     GaussianMixture,
     InverseGammaGaussianTasks,
     TaskDistribution,
     _check_gaussians,
-    barycenter,
     distribution_from_dict,
     task_distribution_from_dict,
 )
@@ -203,6 +203,13 @@ def _task_distribution_at_target(
     """Source/target task distribution evaluated at the target covariates."""
     beta = config.beta_source if which == "source" else config.beta_target
     return InverseGammaGaussianTasks(float(beta @ TARGET_COVARIATES), *IG_TASKS)
+
+
+def _sampled_barycenter(tasks: InverseGammaGaussianTasks, seed: int) -> GaussianMixture:
+    """The negative-transfer barycenter: the equal-weight mixture of 256 tasks drawn on ``seed``."""
+    k = DEFAULT_REIFY_COMPONENTS
+    stddevs = np.sqrt(tasks.sample_variances(k, generator(seed)))
+    return GaussianMixture(np.full(k, 1.0 / k), np.full(k, tasks.mean), stddevs)
 
 
 def sample_source_data(config: ExperimentConfig, n: int,
@@ -378,8 +385,8 @@ def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1)
     if not config.n_grid:
         raise InvalidArgument("negative-transfer experiment needs an n grid")
     bary_s, bary_t = (
-        barycenter(_task_distribution_at_target(config, which),
-                   seed=derive_seed(config.master_seed, _EXP_BARYCENTER, stream))
+        _sampled_barycenter(_task_distribution_at_target(config, which),
+                            derive_seed(config.master_seed, _EXP_BARYCENTER, stream))
         for stream, which in enumerate(("source", "target"))
     )
     point_fn = functools.partial(_negative_transfer_point, bary_s=bary_s, bary_t=bary_t)

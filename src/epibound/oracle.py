@@ -84,8 +84,8 @@ ALL_STATEMENTS = PROB_STATEMENTS + LEMMA_STATEMENTS
 
 
 def _require_range(name: str, pair, low: int) -> None:
-    """Reject a ``name`` that is not an ordered pair from ``low``; an ``m_range`` stops at 12."""
-    lo, hi = pair
+    """Reject a ``name`` that is not an ordered integer pair from ``low``; m_range stops at 12."""
+    lo, hi = (require_int(f"each end of {name}", end) for end in pair)
     if not low <= lo <= hi:
         raise InvalidArgument(f"{name} must be an ordered pair from {low}, got {(lo, hi)}")
     if name == "m_range" and hi > 12:
@@ -871,6 +871,7 @@ def run_suite(
     partial aggregates merge in order.
     """
     n_instances = require_int("n_instances", n_instances, 1)
+    max_outcomes = require_int("max_outcomes", max_outcomes, 2)
     normalize_seed(seed)  # a seed out of range fails here, before any worker starts
     alphas = tuple(_alpha_array(alphas).tolist())
     bounds = np.linspace(0, n_instances, worker_count(threads, n_instances) + 1).astype(int)
@@ -928,6 +929,8 @@ def negative_transfer_scan(
     strictly decrease at every step; in the negative-transfer geometry
     (target behind the start point) it must strictly increase.
     """
+    n_instances = require_int("n_instances", n_instances, 1)
+    n_points = require_int("n_points", n_points, 2)  # one point has no step to check
     rng_master = generator(seed)
     lambdas = np.linspace(0.0, 1.0, n_points)
     violations = {"positive": 0, "negative": 0}

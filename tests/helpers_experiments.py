@@ -12,7 +12,7 @@ import math
 
 from epibound import experiments
 from epibound.bayes import posterior_mass_near, posterior_predictive, posterior_update
-from epibound.distributions import Gaussian, barycenter
+from epibound.distributions import Gaussian
 from epibound.divergences import kl_mc
 from epibound.errors import SupportViolation
 from epibound.experiments import (
@@ -22,6 +22,7 @@ from epibound.experiments import (
     POSTERIOR_MASS_RADIUS,
     PRIOR,
     TARGET_COVARIATES,
+    _sampled_barycenter,
     _task_distribution_at_target,
     neighborhood_target,
 )
@@ -83,8 +84,8 @@ def reference_run(kind: str, config) -> list:
     else:
         exp_id, streams = _EXP_NEGATIVE_TRANSFER, 5
         bary_s, bary_t = (
-            barycenter(_task_distribution_at_target(config, which),
-                       seed=derive_seed(config.master_seed, _EXP_BARYCENTER, stream))
+            _sampled_barycenter(_task_distribution_at_target(config, which),
+                                derive_seed(config.master_seed, _EXP_BARYCENTER, stream))
             for stream, which in enumerate(("source", "target"))
         )
 

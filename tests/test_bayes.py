@@ -228,10 +228,13 @@ class TestPosteriorMass:
         p = GaussianParamDist(np.zeros(2), np.eye(2))
         assert posterior_mass_near(p, (0.0, 0.0), 1e-6) == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
     def test_invalid_radius(self):
         p = GaussianParamDist(np.zeros(2), np.eye(2))
         with pytest.raises(InvalidArgument):
             posterior_mass_near(p, (0.0, 0.0), 0.0)
+        with pytest.raises(InvalidArgument, match="radius must be > 0, got nan"):
+            posterior_mass_near(p, (0.0, 0.0), math.nan)
 
     def test_correlated_against_mc(self):
         cov = np.array([[1.0, 0.6], [0.6, 1.0]])

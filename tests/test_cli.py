@@ -235,7 +235,8 @@ class TestBoundCommand:
         assert run.stderr.count("\n") == 1 and run.stdout == ""
 
     def test_equal_families_share_one_reification(self, tmp_path, capsys):
-        # two equal families read from a file are two objects; they still mean no shift
+        # two equal families read from a file are two objects; reified at the same nodes,
+        # they still mean no shift
         data = json.loads(json.dumps({**IG_INSTANCE, "target": IG_INSTANCE["source"]}))
         path = tmp_path / "ig.json"
         path.write_text(json.dumps(data))
@@ -247,7 +248,7 @@ class TestBoundCommand:
         report = evaluate_bound("lemma2", setup["model"], setup["predictor"], tasks, tasks,
                                 alpha=0.2)
         assert row == report.to_csv_row()
-        assert report.D == 0.0 and report.delta == pytest.approx(0.018915, abs=1e-6)
+        assert report.D == 0.0 and report.delta == pytest.approx(0.018208, abs=1e-6)
 
     def test_vanishing_predictor_stddev_is_full_tv(self, tmp_path, capsys):
         # the predictor's log-density is -inf off its mean; a NaN there would make C read 0.0
@@ -605,6 +606,19 @@ class TestSubprocessDeterminism:
         assert fresh.stdout == capsys.readouterr().out.encode()
         assert fresh_report == out.read_bytes()
 
+    def test_fresh_ig_bounds_agree(self, tmp_path):
+        # an inverse-gamma family is reified at fixed quantile nodes: no seed, no state
+        path, out = tmp_path / "ig.json", tmp_path / "report.json"
+        path.write_text(json.dumps(IG_INSTANCE))
+        runs = []
+        for _ in range(2):
+            run = subprocess.run(
+                [sys.executable, "-m", "epibound.cli", "bound", "--statement", "thm1",
+                 "--instance", str(path), "--alpha", "0.2", "--out", str(out)],
+                check=True, capture_output=True)
+            runs.append((run.stdout, out.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_fresh_processes_agree(self, tmp_path):
         cmd = ["experiment", "neighborhood", "--epsilons", "0.2", "--sims", "3",
                "--seed", "19"]
@@ -704,6 +718,7 @@ import scipy.special
 direct = {"distributions.ndtr": distributions.ndtr is scipy.special.ndtr,
           "divergences.ndtr": divergences.ndtr is scipy.special.ndtr,
           "bayes.ndtr": bayes.ndtr is scipy.special.ndtr,
+          "distributions.gammainccinv": distributions.gammainccinv is scipy.special.gammainccinv,
           "experiments.ndtri": experiments.ndtri is scipy.special.ndtri}
 print(json.dumps({"after": after, "outputs": outputs, "direct": direct}))
 """

@@ -1,5 +1,6 @@
 """Distribution types, summary functionals and their invariants."""
 
+import inspect
 import math
 
 import numpy as np
@@ -32,11 +33,13 @@ from epibound import (
 from epibound.distributions import (
     DEFAULT_THRESHOLDS,
     _event_masks,
+    as_finite,
     _event_variances,
     _thresholds,
     max_first_order_b,
     max_second_order_b,
 )
+from epibound.experiments import _sampled_barycenter
 from helpers_oracle import reference_matched_tv
 
 
@@ -141,7 +144,7 @@ def reference_mixture_logpdf(mix: GaussianMixture, x) -> np.ndarray:
 # (mixture, whether it has one common mean, whether it has one common weight)
 LOGPDF_MIXTURES = {
     "common-mean-equal-weights": (
-        barycenter(InverseGammaGaussianTasks(-0.4, 3.0, 2.0), components=64, seed=11), True, True),
+        barycenter(InverseGammaGaussianTasks(-0.4, 3.0, 2.0).reify(64)), True, True),
     "common-mean-unequal-weights": (
         GaussianMixture([0.1, 0.2, 0.3, 0.4], [0.5] * 4, [0.3, 1.0, 2.0, 4.5]), True, False),
     "distinct-means-equal-weights": (
@@ -181,7 +184,7 @@ class TestMixtureLogpdf:
         assert np.array_equal(got[1:2], reference_mixture_logpdf(mix, [1.0]))
 
     def test_bitwise_equal_to_reference_on_sampled_barycenter(self):
-        mix = barycenter(InverseGammaGaussianTasks(10.0 / 19.0, 3.0, 2.0), components=256, seed=5)
+        mix = _sampled_barycenter(InverseGammaGaussianTasks(10.0 / 19.0, 3.0, 2.0), 5)
         assert mix.weights.size == 256
         x = sample(mix, 400, seed=7)
         before = x.copy()
@@ -280,19 +283,21 @@ class TestBarycenter:
 
     @pytest.mark.parametrize("k", [1, 16, 256])
     def test_parametric_equals_reified(self, k):
-        # built straight from the sampled stddevs, bit for bit the reified barycenter
+        # the equal-weight mixture of the reified columns; a family itself at 256 nodes
         fam = InverseGammaGaussianTasks(mean=2.0, shape=20.0, rate=10.0)
-        for seed in (0, 3, 987654321, 2**62 + 5):
-            direct, reified = barycenter(fam, k, seed), barycenter(fam.reify(k, seed))
-            for name in ("weights", "means", "stddevs"):
-                assert np.array_equal(getattr(direct, name), getattr(reified, name)), name
+        fin = fam.reify(k)
+        mix = barycenter(fin)
+        assert np.array_equal(mix.weights, np.full(k, 1.0 / k))
+        assert np.array_equal(mix.means, fin.means) and np.array_equal(mix.stddevs, fin.stddevs)
+        direct, reified = barycenter(fam), barycenter(fam.reify())
+        for name in ("weights", "means", "stddevs"):
+            assert np.array_equal(getattr(direct, name), getattr(reified, name)), name
 
     def test_parametric_rejects_zero_components(self):
         fam = InverseGammaGaussianTasks(mean=0.0, shape=20.0, rate=10.0)
-        with pytest.raises(InvalidArgument):
-            barycenter(fam, 0, 1)
-        with pytest.raises(InvalidArgument):
-            fam.reify(0, 1)
+        for bad in (0, 2.5):
+            with pytest.raises(InvalidArgument, match="component budget"):
+                fam.reify(bad)
 
 
 class TestVariance:
@@ -379,7 +384,7 @@ class TestSupVariance:
     def test_parametric_reified_sup_variance(self):
         fam = InverseGammaGaussianTasks(mean=0.0, shape=20.0, rate=10.0)
         v = sup_variance(fam)
-        assert v == sup_variance(fam.reify(seed=0))
+        assert v == sup_variance(fam.reify())
         assert 0.0 <= v <= 0.25
 
     def test_event_masks_shared_and_read_only(self):
@@ -405,7 +410,7 @@ class TestHalfLineSupVariance:
         for _ in range(8):
             family = InverseGammaGaussianTasks(rng.uniform(-2, 2), rng.uniform(1, 30),
                                                rng.uniform(0.5, 15))
-            tasks = family.reify(components, seed=int(rng.integers(2**31)))
+            tasks = family.reify(components)
             assert sup_variance(tasks) == reference_sup_variance(tasks)
 
     def test_mixture_tasks_match_event_loop(self):
@@ -442,7 +447,7 @@ class TestHalfLineSupVariance:
             weights = rng.dirichlet(np.full(components, 0.5))
             weights[::3] = 0.0
             weights /= weights.sum()
-            tasks = FiniteTaskDistribution(family.reify(components, seed=7).tasks, weights)
+            tasks = FiniteTaskDistribution(family.reify(components).tasks, weights)
             assert sup_variance(tasks) == reference_sup_variance(tasks)
 
     @pytest.mark.parametrize("n", [2, 9, 128])
@@ -466,8 +471,9 @@ class TestHalfLineSupVariance:
             sup_variance(tasks)
 
     def test_overflowing_pooled_mean_raises(self):
+        # means 1e160 apart: the pooled variance, taken about the pooled mean, overflows
         tasks = finite_tasks([(Gaussian(1e160, 1.0), 0.5), (Gaussian(0.0, 1.0), 0.5)])
-        with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="overflows"):
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="NaN"):
             sup_variance(tasks)
 
     def test_gaussian_and_mixture_tasks_take_the_column_loop(self, monkeypatch):
@@ -512,13 +518,13 @@ class TestIntervalGap:
         i, j = where
         assert event_variance(w, interval_probabilities(tasks, ts[i], ts[j])) == pytest.approx(
             best, rel=1e-12)
-        assert best == pytest.approx(3.026325e-3, abs=5e-10)
+        assert best == pytest.approx(2.913334e-3, abs=5e-10)
         half = sup_variance(tasks)
-        assert half == pytest.approx(7.565813e-4, abs=5e-11)
+        assert half == pytest.approx(7.283335e-4, abs=5e-11)
         assert best / half == pytest.approx(4.0, abs=1e-9)
         bary = barycenter(tasks)
         m2_tv = float(w @ np.array([tv_exact(t, bary) for t in tasks.tasks]) ** 2)
-        assert m2_tv == pytest.approx(3.0749e-3, abs=5e-8)
+        assert m2_tv == pytest.approx(2.9519e-3, abs=5e-8)
         assert half < best < m2_tv
 
 
@@ -625,6 +631,8 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(InvalidArgument):
             sample(Gaussian(0, 1), 0, seed=1)
+        with pytest.raises(InvalidArgument, match=r"^count must be an integer, got 2\.5$"):
+            sample(Gaussian(0, 1), 2.5, seed=1)
 
     def test_parametric_task_sampling(self):
         fam = InverseGammaGaussianTasks(mean=1.0, shape=20.0, rate=10.0)
@@ -633,8 +641,8 @@ class TestSampling:
 
     def test_reify_deterministic(self):
         fam = InverseGammaGaussianTasks(mean=0.0, shape=20.0, rate=10.0)
-        a = fam.reify(64, seed=3)
-        b = fam.reify(64, seed=3)
+        a = fam.reify(64)
+        b = fam.reify(64)
         assert all(x.stddev == y.stddev for x, y in zip(a.tasks, b.tasks))
         assert a.n_tasks == 64
 
@@ -672,7 +680,7 @@ class TestGaussianColumns:
 
     def _as_objects(self):
         """The tasks ``reify`` made before the columns: one checked Gaussian per stddev."""
-        stddevs = self.IG._sampled_stddevs(256, 0)
+        stddevs = self.IG.reify().stddevs
         return FiniteTaskDistribution(tuple(Gaussian(self.IG.mean, sd) for sd in stddevs),
                                       np.full(256, 1.0 / 256))
 
@@ -708,12 +716,37 @@ class TestGaussianColumns:
         assert fin.tasks[list(vars(fin)["_views"])[0]] is task
 
     @pytest.mark.parametrize("ig, got", [
-        ((0.0, 1e-3, 1.0), "inf"), ((0.0, 1e-2, 1e300), "inf"), ((0.0, 5.0, 1e-320), "0.0")])
+        ((0.0, 1e-3, 1.0), "inf"), ((0.0, 1e-2, 1e300), "inf"), ((0.0, 5.0, 1e-323), "0.0")])
     def test_reify_rejects_bad_stddevs(self, ig, got):
         with np.errstate(divide="ignore", over="ignore"):
             with pytest.raises(InvalidArgument, match=rf"^stddev must be finite and strictly "
                                                       rf"positive, got {got}$"):
                 InverseGammaGaussianTasks(*ig).reify()
+
+
+class TestQuantileNodes:
+    """Parametric families reified at the midpoint quantiles of their variance law."""
+
+    def test_nodes_are_midpoint_quantiles(self):
+        from scipy.stats import invgamma
+
+        fam = InverseGammaGaussianTasks(0.7, 3.5, 2.0)
+        for k in (1, 7, 256):
+            fin = fam.reify(k)
+            want = np.sqrt(invgamma.ppf((np.arange(k) + 0.5) / k, 3.5, scale=2.0))
+            np.testing.assert_allclose(fin.stddevs, want, rtol=1e-12)
+            assert np.array_equal(fin.weights, np.full(k, 1.0 / k))
+            assert np.all(fin.means == 0.7) and np.all(np.diff(fin.stddevs) > 0)
+
+    def test_no_seed_is_accepted(self):
+        params = {f: list(inspect.signature(f).parameters) for f in (
+            InverseGammaGaussianTasks.reify, as_finite, barycenter)}
+        assert list(params.values()) == [["self", "components"], ["tasks"], ["tasks"]]
+        fam = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
+        for call in (lambda: fam.reify(seed=0), lambda: as_finite(fam, seed=0),
+                     lambda: barycenter(fam, seed=0), lambda: barycenter(fam, 256)):
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestRowMatrices:
@@ -870,7 +903,7 @@ class TestTaskDistributionTV:
             assert got == want
             seen.add(got == 0.0)
         assert seen == {True, False}
-        ig = [InverseGammaGaussianTasks(1.0, 20.0, 10.0).reify(64, seed=s) for s in (1, 1, 2)]
+        ig = [InverseGammaGaussianTasks(1.0, 20.0, rate).reify(64) for rate in (10.0, 10.0, 11.0)]
         for a, b in ((ig[0], ig[1]), (ig[0], ig[2])):
             assert task_distribution_tv(a, b) == reference_matched_tv(
                 a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j]))

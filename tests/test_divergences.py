@@ -33,8 +33,8 @@ from epibound import (
     tv_upper_pinsker,
 )
 
-# means past 1.3e154: the mixture's second moment overflows and its stddev is NaN
-NAN_WINDOW_MIXTURE = GaussianMixture([0.5, 0.5], [1e160, 0.0], [1.0, 1.0])
+# a zero-weight component 1e160 from the mean: 0 * inf makes the mixture's stddev NaN
+NAN_WINDOW_MIXTURE = GaussianMixture([1.0, 0.0], [0.0, 1e160], [1.0, 1.0])
 P37 = Categorical([0.3, 0.7])
 P55 = Categorical([0.5, 0.5])
 KL_37_55 = 0.3 * math.log(0.6) + 0.7 * math.log(1.4)  # hand formula
@@ -147,8 +147,8 @@ def accuracy_corpus(seed=20261018, components=32):
                                            rng.uniform(8, 12))
         predictor = Gaussian(mean + rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.0))
         members = ModelClass.gaussian_mean_grid(mean - 0.5, mean + 0.5, 0.5, 0.8).members
-        bary_s = barycenter(source, components, seed=i)
-        bary_t = barycenter(target, components, seed=i + 1)
+        bary_s = barycenter(source.reify(components))
+        bary_t = barycenter(target.reify(components))
         pairs += [(m, bary_s) for m in members]
         pairs += [(predictor, bary_s), (bary_s, bary_t), (predictor, members[1]),
                   (members[2], bary_t)]
@@ -285,8 +285,8 @@ def refinement_corpus(seed=20261019):
                                            rng.uniform(8, 12))
         predictor = Gaussian(mean + rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.0))
         components = 256 if i % 3 == 0 else 64
-        bary_s = barycenter(source, components, seed=i)
-        bary_t = barycenter(target, components, seed=i + 1)
+        bary_s = barycenter(source.reify(components))
+        bary_t = barycenter(target.reify(components))
         pairs += [(predictor, bary_s), (bary_s, bary_t), (bary_t, predictor)]
     pairs += [(gaussian(), gaussian()) for _ in range(50)]
     pairs += [mirrored_pair(0.3, 0.5, 0.5), mirrored_pair(0.2, 2.0, 0.25)]
@@ -329,6 +329,20 @@ class TestCrossingRefinement:
         # N(1, 1e-160) has log-density -inf off its mean, where z**2 overflows; a NaN
         # gap there would hide both crossings and give TV 0
         assert tv_exact(Gaussian(1.0, 1e-160), Gaussian(1.2, 0.8)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far", [1e200, -3e17])
+    def test_far_from_zero_reads_as_at_zero(self, far):
+        # at mean 1e200 the squared means overflowed the moments; there, and at -3e17,
+        # mean +- 10 stddevs rounds to the mean, so the window is taken about p's mean
+        assert tv_exact(Gaussian(far, 1.0), Gaussian(far, 2.0)) == tv_exact(
+            Gaussian(0.0, 1.0), Gaussian(0.0, 2.0)) == pytest.approx(0.3227, abs=1e-4)
+        mix = GaussianMixture([0.5, 0.5], [far, far], [1.0, 2.0])
+        assert mix.mean_std() == (far, math.sqrt(2.5))
+        at_zero = GaussianMixture([0.5, 0.5], [0.0, 0.0], [1.0, 2.0])
+        for fn, args in ((entropy, ()), (hellinger_sq, (1.5,)), (kl_exact, (1.5,))):
+            assert fn(mix, *(Gaussian(far, s) for s in args)) == fn(
+                at_zero, *(Gaussian(0.0, s) for s in args)), fn.__name__
 
     @pytest.mark.parametrize("p, q", [
         (Gaussian(0.0, 1e200), Gaussian(0.0, 1.0)),  # the window's stddev overflows
@@ -436,7 +450,7 @@ class TestPinsker:
 class TestMonteCarloRows:
     """The row kernel behind kl_mc and the experiments' Pinsker bounds, against kl_mc."""
 
-    BARY = barycenter(InverseGammaGaussianTasks(1.0, 20.0, 10.0), seed=3)
+    BARY = barycenter(InverseGammaGaussianTasks(1.0, 20.0, 10.0))
     PAIRS = {
         "gaussian-gaussian": (Gaussian(0.3, 0.8), Gaussian(-0.5, 1.7)),
         "gaussian-mixture": (Gaussian(1.2, 0.9), BARY),

@@ -732,7 +732,10 @@ class TestThetaInstances:
         ({"m_range": (13, 13)}, "m <= 12"),
         ({"theta_range": (3, 1)}, r"theta_range must be an ordered pair from 1, got \(3, 1\)"),
         ({"theta_range": (0, 2)}, r"theta_range must be an ordered pair from 1, got \(0, 2\)"),
-    ], ids=["m-reversed", "m-below-2", "m-above-12", "theta-reversed", "theta-below-1"])
+        ({"m_range": (2, 2.5)}, r"each end of m_range must be an integer, got 2\.5"),
+        ({"theta_range": (1.5, 3)}, r"each end of theta_range must be an integer, got 1\.5"),
+    ], ids=["m-reversed", "m-below-2", "m-above-12", "theta-reversed", "theta-below-1",
+            "m-not-integer", "theta-not-integer"])
     def test_rejects_bad_ranges(self, ranges, message):
         # InstanceConfig's rules, with its error type and message
         with pytest.raises(InvalidArgument, match=message):
@@ -750,6 +753,12 @@ class TestSuite:
         message = rf"^n_instances must be an integer, got {bad!r}$"
         with pytest.raises(InvalidArgument, match=message):
             run_suite(bad)
+
+    def test_rejects_max_outcomes_that_is_not_an_integer(self, monkeypatch):
+        # 2.5 ran instances on up to 2 outcomes and reported max_outcomes 2.5
+        monkeypatch.setattr(oracle, "map_payloads", lambda *args: pytest.fail("suite ran"))
+        with pytest.raises(InvalidArgument, match=r"^max_outcomes must be an integer, got 2\.5$"):
+            run_suite(3, max_outcomes=2.5)
 
     def test_small_suite_statements_clean(self):
         report = run_suite(400, seed=2024)
@@ -877,6 +886,16 @@ class TestNegativeTransferScan:
     def test_zero_violations(self):
         res = negative_transfer_scan(seed=0, n_instances=25, n_points=101)
         assert res["total_violations"] == 0
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"n_instances": 2.5}, r"^n_instances must be an integer, got 2\.5$"),
+        ({"n_points": 0}, r"^n_points must be >= 2, got 0$"),
+        ({"n_points": 1}, r"^n_points must be >= 2, got 1$"),
+    ], ids=["instances-not-integer", "no-points", "one-point"])
+    def test_rejects_bad_counts(self, counts, message):
+        # one point has no step, so its monotonicity check passed on nothing
+        with pytest.raises(InvalidArgument, match=message):
+            negative_transfer_scan(**counts)
 
     def test_deterministic(self):
         assert negative_transfer_scan(seed=3, n_instances=5) == negative_transfer_scan(

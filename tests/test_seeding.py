@@ -16,9 +16,9 @@ from epibound import (
     GaussianMixture,
     InvalidArgument,
     InverseGammaGaussianTasks,
-    barycenter,
 )
 from epibound.divergences import kl_mc, tv_upper_pinsker
+from epibound.experiments import _sampled_barycenter
 from epibound.oracle import generate_instance, generate_theta_instance, run_suite
 from epibound.seeding import (
     derive_seed,
@@ -147,14 +147,10 @@ class TestNegativeSeeds:
         assert a.mc_samples == 50
         assert a == tv_upper_pinsker(p, q, n_samples=50, seed=2**64 - 1)
 
-    def test_reify(self):
-        tasks = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
-        a, b = tasks.reify(10, seed=-1), tasks.reify(10, seed=2**64 - 1)
-        assert [t.stddev for t in a.tasks] == [t.stddev for t in b.tasks]
-
     def test_barycenter(self):
+        # the negative-transfer experiment's sampled barycenters
         tasks = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
-        a, b = barycenter(tasks, seed=-1), barycenter(tasks, seed=2**64 - 1)
+        a, b = _sampled_barycenter(tasks, -1), _sampled_barycenter(tasks, 2**64 - 1)
         np.testing.assert_array_equal(a.stddevs, b.stddevs)
 
     @pytest.mark.parametrize("seed", [-1, 2**64 - 1])
