@@ -13,7 +13,9 @@ loaded by the first call that needs it:
 * ``scipy`` itself, for its version, when an experiment writes its manifest.
 
 The oracle suite, categorical ``bound`` and ``verify`` requests and the
-negative-transfer rows load none of them.
+negative-transfer rows load none of them.  Neighborhood rows load
+``scipy.special`` and, only for a posterior mass that quad's first step
+does not settle, ``scipy.integrate``.
 """
 
 from __future__ import annotations

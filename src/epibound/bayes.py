@@ -6,9 +6,11 @@ variance is plugged in as the prior mean of the inverse-gamma component,
 leaving the variance distribution at its prior.  The coefficient posterior
 is then a closed-form bivariate Gaussian.
 
-``scipy.integrate`` and ``scipy.special`` are loaded at the first
-``posterior_mass_near``, not at import; see ``_deferred``.  Its ``quad`` is
-``divergences.quad``, and ``ndtr`` rebinds to scipy's ufunc at its first call.
+``scipy.special`` is loaded at the first posterior mass, not at import, and
+``scipy.integrate`` only when ``posterior_mass_near`` integrates: called
+directly, or for a row of ``_posterior_mass_stack`` that quad's first step
+does not settle; see ``_deferred``.  Its ``quad`` is ``divergences.quad``,
+and ``ndtr`` rebinds to scipy's ufunc at its first call.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .errors import InvalidArgument, NumericalFailure
 ndtr = Deferred("scipy.special", "ndtr", globals())
 
 COV_SYM_TOL = 1e-12
+MASS_EPSABS, MASS_EPSREL = 1e-6, 1e-9  # posterior_mass_near's quadrature tolerances
+OUTER_SDS = 38.5  # Phi(-38.5), about 1.5e-324, rounds to 0: no mass lies beyond
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,16 +242,44 @@ def param_tv_upper(p1: GaussianParamDist, p2: GaussianParamDist) -> float:
     return math.sqrt(max(gaussian_param_kl(p1, p2), 0.0) / 2.0)
 
 
+def _checked_square(center, radius: float) -> np.ndarray:
+    """The square's ``center`` as a finite 2-vector.
+
+    A radius not > 0, or a centre that is not two finite numbers, raises
+    ``InvalidArgument``.
+    """
+    if not radius > 0:  # also rejects NaN
+        raise InvalidArgument(f"radius must be > 0, got {radius}")
+    try:
+        c = np.asarray(center, dtype=float)
+    except (TypeError, ValueError):
+        c = np.full(0, np.nan)
+    if c.size != 2 or not np.isfinite(c).all():
+        raise InvalidArgument(f"center must be two finite numbers, got {center!r}")
+    return c.reshape(2)
+
+
+def _outer_limits(center: np.ndarray, radius: float, m1, sd1):
+    """The outer integral's limits: the square's, narrowed to ``m1 ± OUTER_SDS * sd1``.
+
+    The outer coordinate's mass beyond that rounds to 0, so the narrowing
+    drops none; it keeps a posterior far narrower than the square from
+    falling between every quadrature node.  A limit moves only where it
+    narrows.
+    """
+    return (np.maximum(center[0] - radius, m1 - OUTER_SDS * sd1),
+            np.minimum(center[0] + radius, m1 + OUTER_SDS * sd1))
+
+
 def posterior_mass_near(post: GaussianParamDist, center, radius: float) -> float:
     """Probability of the axis-aligned square of half-width ``radius``.
 
     The outer coordinate is integrated by adaptive quadrature against the
     exact conditional-Gaussian probability of the inner coordinate (valid
-    for correlated posteriors, unlike the naive product rule).
+    for correlated posteriors, unlike the naive product rule), over the
+    square's side narrowed by ``_outer_limits``.
     """
-    if not radius > 0:  # also rejects NaN
-        raise InvalidArgument(f"radius must be > 0, got {radius}")
-    center = np.asarray(center, dtype=float).reshape(2)
+    center = _checked_square(center, radius)
     if math.isinf(radius):
         return 1.0
     m1, m2 = post.mean
@@ -257,6 +289,9 @@ def posterior_mass_near(post: GaussianParamDist, center, radius: float) -> float
     cond_var = s22 - s12**2 / s11
     cond_sd = math.sqrt(max(cond_var, 1e-300))
     sd1 = math.sqrt(s11)
+    lo, hi = _outer_limits(center, radius, m1, sd1)
+    if not lo < hi:
+        return 0.0
 
     def integrand(u: float) -> float:
         # u is the first coordinate; inner interval handled in closed form
@@ -265,5 +300,109 @@ def posterior_mass_near(post: GaussianParamDist, center, radius: float) -> float
         z = (u - m1) / sd1
         return float(inner) * math.exp(-0.5 * z * z) / (sd1 * math.sqrt(2.0 * math.pi))
 
-    val, _ = quad(integrand, center[0] - radius, center[0] + radius, epsabs=1e-6, epsrel=1e-9, limit=200)
+    val, _ = quad(integrand, lo, hi, epsabs=MASS_EPSABS, epsrel=MASS_EPSREL, limit=200)
     return min(max(val, 0.0), 1.0)
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983): the Kronrod
+# abscissae descend to the centre; the 10-point Gauss rule uses every second one.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980305201, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_KRONROD_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # dqk21 adds the pairs at Gauss nodes first
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
+
+def _sum_left_to_right(terms: np.ndarray) -> np.ndarray:
+    """Each row's sum, added strictly left to right as a scalar loop would (not pairwise)."""
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _posterior_mass_stack(means: np.ndarray, covs: np.ndarray, center,
+                          radius: float) -> np.ndarray:
+    """``posterior_mass_near`` of S posteriors, (S, 2) means and (S, 2, 2) covariances: (S,).
+
+    Bit for bit the scalar path.  Each row replays ``quad``'s first step as
+    arrays: the integrand at the 21 Kronrod nodes of the row's outer limits,
+    then dqk21's sums in its order of additions and dqagse's first accuracy
+    test.  A row that passes returns that first estimate, as ``quad`` does.
+    Every other row, including one on which ``quad`` warns of roundoff
+    (``ier == 2``), runs ``posterior_mass_near`` itself.  The exponentials go
+    through ``math.exp`` and ``s12**2`` is squared per row: numpy's SIMD
+    ``exp`` and the array square ``x*x`` round unlike the scalar path's libm
+    ``exp`` and ``pow``.
+    """
+    center = _checked_square(center, radius)
+    if math.isinf(radius):
+        return np.ones(len(means))
+    m1, m2 = means[:, 0], means[:, 1]
+    s11, s12, s22 = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]
+    cond_sd = np.sqrt(np.maximum(s22 - np.array([c**2 for c in s12]) / s11, 1e-300))
+    sd1 = np.sqrt(s11)
+    lo, hi = _outer_limits(center, radius, m1, sd1)
+    # a row with no mass near the square integrates over [m1, m1]: exactly 0, which the
+    # scalar path returns without integrating
+    lo, hi = (np.where(lo < hi, lim, m1) for lim in (lo, hi))
+    centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    absc = hlgth[:, None] * _XGK[:10]
+    u = np.concatenate([centr[:, None], centr[:, None] - absc, centr[:, None] + absc], axis=1)
+
+    d = u - m1[:, None]  # the integrand at the (S, 21) nodes, as posterior_mass_near takes it
+    cm = m2[:, None] + (s12 / s11)[:, None] * d
+    cond_sd = cond_sd[:, None]
+    inner = ndtr((center[1] + radius - cm) / cond_sd) - ndtr((center[1] - radius - cm) / cond_sd)
+    z = d / sd1[:, None]
+    w = -0.5 * z * z
+    dens = np.array(list(map(math.exp, w.ravel().tolist()))).reshape(w.shape)
+    f = inner * dens / (sd1 * math.sqrt(2.0 * math.pi))[:, None]
+
+    fc, f1, f2 = f[:, :1], f[:, 1:11], f[:, 11:]  # the centre, then centr -/+ absc
+    fsum = f1 + f2
+    resk = _sum_left_to_right(np.concatenate(
+        [_WGK[10] * fc, _WGK[_KRONROD_ORDER] * fsum[:, _KRONROD_ORDER]], axis=1))
+    resg = _sum_left_to_right(_WG * fsum[:, 1::2])
+    resabs = _sum_left_to_right(np.concatenate(
+        [np.abs(_WGK[10] * fc),
+         _WGK[_KRONROD_ORDER] * (np.abs(f1) + np.abs(f2))[:, _KRONROD_ORDER]], axis=1))
+    reskh = (resk * 0.5)[:, None]
+    resasc = _sum_left_to_right(np.concatenate(
+        [_WGK[10] * np.abs(fc - reskh),
+         _WGK[:10] * (np.abs(f1 - reskh) + np.abs(f2 - reskh))], axis=1))
+
+    result = resk * hlgth  # hlgth >= 0: dqk21's |hlgth| is hlgth
+    resabs = resabs * hlgth
+    resasc = resasc * hlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = 200.0 * abserr / resasc
+    # dqk21's min(1, pow(x, 1.5)) per row, through libm's pow; pow(min(1, x), 1.5) is the
+    # same number and cannot overflow
+    scaled = resasc * np.array([min(1.0, x) ** 1.5 for x in ratio.tolist()])
+    abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
+    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                      np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
+
+    errbnd = np.maximum(MASS_EPSABS, MASS_EPSREL * np.abs(result))
+    roundoff = (abserr <= (100.0 * _EPMACH) * resabs) & (abserr > errbnd)  # quad's ier == 2
+    # dqagse names dqk21's resasc "resabs" in this test
+    accepted = ~roundoff & (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0))
+    out = np.minimum(np.maximum(result, 0.0), 1.0)
+    for s in np.flatnonzero(~accepted).tolist():
+        out[s] = posterior_mass_near(GaussianParamDist._of(means[s], covs[s]), center, radius)
+    return out

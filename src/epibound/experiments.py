@@ -22,13 +22,17 @@ the posteriors are one stacked fit (``bayes._posterior_stack``), the
 predictives are (sims,) arrays, and every Pinsker bound (er, and the
 negative-transfer C and D) comes from a (sims, kl_samples) log-ratio
 array through ``divergences._pinsker_mc``.  A sampled mixture's
-log-density takes one sim's row at a time.  Every value rounds as one sim
-at a time would, so the CSV bytes are those of fitting and scoring each
-row alone with ``kl_mc``.  ``posterior_mass_near`` runs per sim.
+log-density takes one sim's row at a time.  A neighborhood run takes the
+posterior masses of all its grid points in one
+``bayes._posterior_mass_stack``, which replays quad's first step as arrays
+and integrates only a row that step does not settle.  Every value rounds
+as one sim at a time would, so the CSV bytes are those of fitting and
+scoring each row alone with ``kl_mc`` and ``posterior_mass_near``.
 
 ``ndtri`` loads ``scipy.special`` at the first neighborhood target and then
 rebinds to scipy's ufunc; ``build_manifest`` imports ``scipy`` for its
-version.  Negative-transfer rows load neither.  See ``_deferred``.
+version.  Negative-transfer rows load neither, and neighborhood rows load
+``scipy.integrate`` only for a mass that needs quadrature.  See ``_deferred``.
 """
 
 from __future__ import annotations
@@ -51,10 +55,10 @@ from .bayes import (
     GaussianParamDist,
     NIGModel,
     SourceDataset,
+    _posterior_mass_stack,
     _posterior_stack,
     _predictive_stack,
     empty_dataset,
-    posterior_mass_near,
 )
 from .bounds import LOSSES, STATEMENTS, ModelClass, evaluate_bound
 from .distributions import (
@@ -212,18 +216,22 @@ def _sampled_barycenter(tasks: InverseGammaGaussianTasks, seed: int) -> Gaussian
     return GaussianMixture(np.full(k, 1.0 / k), np.full(k, tasks.mean), stddevs)
 
 
-def sample_source_data(config: ExperimentConfig, n: int,
-                       seed: int | np.random.Generator) -> SourceDataset:
+def sample_source_data(config: ExperimentConfig, n: int, seed: int | np.random.Generator,
+                       tasks: Optional[InverseGammaGaussianTasks] = None) -> SourceDataset:
     """n source tasks, one observation each: xi ~ U(0,1)^2, x ~ N(beta.xi, sd_i).
 
     Task noise variances draw i.i.d. from IG(IG_TASKS); they ride along in
     ``task_variances`` for target construction but are not learner-visible.
-    ``seed`` is an int or a Generator to draw from.
+    ``seed`` is an int or a Generator to draw from.  ``tasks`` is the
+    config's source family at the target covariates, built here when not
+    given; a grid point builds it once for all its sims.
     """
     rng = generator(seed)
     if n == 0:
         return empty_dataset()
-    variances = _task_distribution_at_target(config, "source").sample_variances(n, rng)
+    if tasks is None:
+        tasks = _task_distribution_at_target(config, "source")
+    variances = tasks.sample_variances(n, rng)
     xi = rng.uniform(0.0, 1.0, size=(n, 2))
     x = rng.normal(xi @ config.beta_source, np.sqrt(variances))
     return SourceDataset(xi, x, task_variances=variances)
@@ -280,17 +288,20 @@ def _kept(config: ExperimentConfig, point: str, *bounds: np.ndarray) -> list:
 
 
 def _neighborhood_point(config: ExperimentConfig, g: int, point: str, row_seeds: Sequence[int],
-                        rngs: Sequence[Sequence[np.random.Generator]]) -> list:
+                        rngs: Sequence[Sequence[np.random.Generator]]) -> tuple:
     """Every sim of epsilon grid point ``g``; ``rngs[s]`` holds sim s's three streams.
 
     The sims' source data, source-task and eps-tilde picks and kl_mc draws
     come from their own streams in the per-sim order.  The posteriors,
-    predictives, targets and Pinsker bounds are (S, ...) arrays;
-    ``posterior_mass_near`` runs per sim.  A sim whose KL log-ratio is not
-    finite is dropped.
+    predictives, targets and Pinsker bounds are (S, ...) arrays.  A sim
+    whose KL log-ratio is not finite is dropped.  Returns each kept sim's
+    (sim, seed, n, epsilon, epistemic error) and their (K, 2) posterior
+    means and (K, 2, 2) covariances: the run takes the posterior masses of
+    every grid point in one ``bayes._posterior_mass_stack``.
     """
     eps, n = config.epsilon_grid[g], config.n_source_tasks
-    data = [sample_source_data(config, n, r[0]) for r in rngs]
+    tasks = _task_distribution_at_target(config, "source")
+    data = [sample_source_data(config, n, r[0], tasks) for r in rngs]
     means, covs, pred_means, pred_stddevs = _fit_predictors(data)
 
     picks = [int(r[1].integers(n)) for r in rngs]  # each sim's pick, then its eps-tilde
@@ -304,12 +315,8 @@ def _neighborhood_point(config: ExperimentConfig, g: int, point: str, row_seeds:
     xs, log_p = _gaussian_draws(pred_means, pred_stddevs, [r[2] for r in rngs],
                                 config.kl_samples)
     er = _pinsker_mc(log_p - _column_logpdf(xs, target_means, stddevs))
-    return [ExperimentRecord(
-        sim=s, seed=row_seeds[s], n=n, epsilon=eps, epistemic_error=float(er[s]), C=None,
-        D=None, looseness=None,
-        posterior_mass=posterior_mass_near(GaussianParamDist._of(means[s], covs[s]),
-                                           config.beta_source, POSTERIOR_MASS_RADIUS),
-    ) for s in _kept(config, point, er)]
+    kept = _kept(config, point, er)
+    return [(s, row_seeds[s], n, eps, float(er[s])) for s in kept], means[kept], covs[kept]
 
 
 def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
@@ -326,7 +333,8 @@ def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
     log-ratio is not finite in any of the three is dropped.
     """
     n, k = config.n_grid[g], config.kl_samples
-    data = [sample_source_data(config, n, r[0]) for r in rngs]
+    tasks = _task_distribution_at_target(config, "source")
+    data = [sample_source_data(config, n, r[0], tasks) for r in rngs]
     _, _, pred_means, pred_stddevs = _fit_predictors(data)
     targets = [target_task(config, r[1]) for r in rngs]
     xs, log_p = _gaussian_draws(pred_means, pred_stddevs, [r[2] for r in rngs], k)
@@ -344,7 +352,7 @@ def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
 
 
 def _run_grid_point(payload) -> list:
-    """One grid point's records, from its sims' seeds and stream words."""
+    """One grid point's ``point_fn`` result, from its sims' seeds and stream words."""
     point_fn, config, g, point, row_seeds, words = payload
     rngs = [list(map(generator_from_words, streams)) for streams in words]
     return point_fn(config, g, point, row_seeds, rngs)
@@ -358,7 +366,7 @@ def _run_grid(point_fn, config: ExperimentConfig, exp_id: int, streams: int,
     ``streams`` Generators, stream k seeded with ``derive_seed(row_seed, k)``.
     All of them are derived here, before dispatch; each grid point builds
     its sims' Generators from the words.  One payload per grid point, in the
-    processes ``workers.worker_count`` allows.
+    processes ``workers.worker_count`` allows; returns the points' results in order.
     """
     grid, sim = np.divmod(np.arange(len(points) * config.sims), config.sims)
     row_seeds = derive_seeds(config.master_seed, exp_id, grid, sim)
@@ -367,17 +375,26 @@ def _run_grid(point_fn, config: ExperimentConfig, exp_id: int, streams: int,
     row_seeds = row_seeds.reshape(len(points), config.sims).tolist()
     payloads = [(point_fn, config, g, point, row_seeds[g], words[g])
                 for g, point in enumerate(points)]
-    chunks = map_payloads(_run_grid_point, payloads, threads)
-    return [rec for chunk in chunks for rec in chunk]
+    return map_payloads(_run_grid_point, payloads, threads)
 
 
 def run_neighborhood_experiment(config: ExperimentConfig, threads: int = 1) -> list:
-    """Sweep over neighborhood sizes; one record per simulation."""
+    """Sweep over neighborhood sizes; one record per simulation.
+
+    The grid points run as ``_run_grid`` schedules them; the posterior
+    masses of all their kept rows are then one ``_posterior_mass_stack``,
+    in this process.
+    """
     if not config.epsilon_grid:
         raise InvalidArgument("neighborhood experiment needs an epsilon grid")
     points = [f"eps={e}" for e in config.epsilon_grid]
     # streams: source data, the source task and eps-tilde pick, the kl_mc draws
-    return _run_grid(_neighborhood_point, config, _EXP_NEIGHBORHOOD, 3, points, threads)
+    rows, means, covs = zip(*_run_grid(_neighborhood_point, config, _EXP_NEIGHBORHOOD, 3,
+                                       points, threads))
+    masses = _posterior_mass_stack(np.concatenate(means), np.concatenate(covs),
+                                   config.beta_source, POSTERIOR_MASS_RADIUS)
+    return [ExperimentRecord(*row, C=None, D=None, looseness=None, posterior_mass=m)
+            for row, m in zip((row for point in rows for row in point), masses.tolist())]
 
 
 def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1) -> list:
@@ -392,7 +409,8 @@ def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1)
     point_fn = functools.partial(_negative_transfer_point, bary_s=bary_s, bary_t=bary_t)
     points = [f"n={n}" for n in config.n_grid]
     # streams: source data, target task, the kl_mc draws of er, C and D
-    return _run_grid(point_fn, config, _EXP_NEGATIVE_TRANSFER, 5, points, threads)
+    chunks = _run_grid(point_fn, config, _EXP_NEGATIVE_TRANSFER, 5, points, threads)
+    return [rec for chunk in chunks for rec in chunk]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Conjugate posterior, predictive, parameter-space TV and mass queries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from epibound import (
     posterior_predictive,
     posterior_update,
 )
+from epibound import bayes
 from epibound.bayes import (
     _checked_covariances,
+    _posterior_mass_stack,
     _posterior_stack,
     _predictive_stack,
     empty_dataset,
@@ -236,6 +239,42 @@ class TestPosteriorMass:
         with pytest.raises(InvalidArgument, match="radius must be > 0, got nan"):
             posterior_mass_near(p, (0.0, 0.0), math.nan)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("center", [
+        (math.nan, 0.0), (0.0, math.inf), (0.0,), (0.0, 1.0, 2.0), "ab", None,
+        [[0.0], [1.0, 2.0]],
+    ], ids=["nan", "inf", "one", "three", "text", "none", "ragged"])
+    def test_invalid_center(self, center):
+        p = GaussianParamDist(np.zeros(2), np.eye(2))
+        with pytest.raises(InvalidArgument, match="center must be two finite numbers"):
+            posterior_mass_near(p, center, 0.5)
+        with pytest.raises(InvalidArgument, match="center must be two finite numbers"):
+            _posterior_mass_stack(p.mean[None], p.covariance[None], center, 0.5)
+
+    def test_posterior_narrower_than_the_nodes(self):
+        # on [-0.25, 0.25] no Kronrod node lies within 1,000 sd of the spike: quad read 0.0
+        p = GaussianParamDist(np.array([0.2499, 0.0]), np.diag([1e-12, 1.0]))
+        expected = 2 * ndtr(0.25) - 1
+        assert expected == pytest.approx(0.19741, abs=1e-5)
+        assert posterior_mass_near(p, (0.0, 0.0), 0.25) == pytest.approx(expected, abs=1e-9)
+        assert _posterior_mass_stack(p.mean[None], p.covariance[None], (0.0, 0.0),
+                                     0.25)[0] == pytest.approx(expected, abs=1e-9)
+
+    def test_independent_product_rule(self):
+        rng = np.random.default_rng(44)
+        count, center, radius = 400, np.array([0.3, -0.2]), 0.25
+        sd = 10 ** rng.uniform(-4, 2, (count, 2))
+        means = center + rng.uniform(-1.5, 1.5, (count, 2)) * np.maximum(sd, radius)
+        covs = np.zeros((count, 2, 2))
+        covs[:, 0, 0], covs[:, 1, 1] = sd[:, 0] ** 2, sd[:, 1] ** 2
+        expected = np.prod(ndtr((center + radius - means) / sd)
+                           - ndtr((center - radius - means) / sd), axis=1)
+        scalar = [posterior_mass_near(GaussianParamDist(m, c), center, radius)
+                  for m, c in zip(means, covs)]
+        np.testing.assert_allclose(scalar, expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_posterior_mass_stack(means, covs, center, radius), expected,
+                                   rtol=0, atol=1e-9)
+
     def test_correlated_against_mc(self):
         cov = np.array([[1.0, 0.6], [0.6, 1.0]])
         p = GaussianParamDist(np.array([0.2, -0.1]), cov)
@@ -244,6 +283,68 @@ class TestPosteriorMass:
         xs = rng.multivariate_normal(p.mean, cov, size=400000)
         mc = np.mean(np.all(np.abs(xs) <= 0.8, axis=1))
         assert val == pytest.approx(mc, abs=4 * math.sqrt(mc * (1 - mc) / 400000))
+
+
+class TestPosteriorMassStack:
+    """The stacked first quadrature step against ``posterior_mass_near``, bit for bit."""
+
+    @staticmethod
+    def _batch(rng, count: int):
+        """Posteriors with sd1 in [1e-4, 1e2], |rho| up to 0.999, and a centre up to 40 sd out."""
+        sd = 10 ** rng.uniform(-4, 2, (count, 2))
+        rho = rng.uniform(-0.999, 0.999, count)
+        covs = np.empty((count, 2, 2))
+        covs[:, 0, 0], covs[:, 1, 1] = sd[:, 0] ** 2, sd[:, 1] ** 2
+        covs[:, 0, 1] = covs[:, 1, 0] = rho * sd[:, 0] * sd[:, 1]
+        center = rng.normal(0.0, 2.0, 2)
+        offsets = rng.normal(0.0, 1.0, (count, 2)) * rng.choice([0.5, 3.0, 8.0, 40.0], (count, 1))
+        return center + offsets * sd, covs, center, float(10 ** rng.uniform(-2, 0.5))
+
+    def test_bitwise_equal_to_the_scalar_path(self, monkeypatch):
+        calls = []
+
+        def counting(*args, _quad=bayes.quad, **kwargs):
+            calls.append(1)
+            return _quad(*args, **kwargs)
+
+        monkeypatch.setattr(bayes, "quad", counting)
+        rng = np.random.default_rng(45)
+        rows = fallbacks = 0
+        for _ in range(10):
+            means, covs, center, radius = self._batch(rng, 1000)
+            calls.clear()
+            with warnings.catch_warnings(record=True) as stack_warnings:
+                warnings.simplefilter("always")
+                stack = _posterior_mass_stack(means, covs, center, radius)
+            fallbacks += len(calls)
+            with warnings.catch_warnings(record=True) as scalar_warnings:
+                warnings.simplefilter("always")
+                scalar = np.array([posterior_mass_near(GaussianParamDist._of(m, c), center, radius)
+                                   for m, c in zip(means, covs)])
+            assert stack.tobytes() == scalar.tobytes()
+            # the arrays warn of nothing; a row quad warns on runs the scalar path, warning kept
+            assert ([str(w.message) for w in stack_warnings]
+                    == [str(w.message) for w in scalar_warnings])
+            rows += len(means)
+        assert 0 < fallbacks < rows  # both the first step and the scalar path ran
+
+    def test_a_row_quad_warns_on_keeps_its_warning(self):
+        from scipy.integrate import IntegrationWarning
+
+        mean = np.array([-5.877042553715268e-06, -125.20681740860502])
+        cov = np.array([[4.401745986339243e-10, 0.01202573410681535],
+                        [0.01202573410681535, 332863.2936849623]])
+        radius = 0.0010935698796058714
+        with pytest.warns(IntegrationWarning):
+            scalar = posterior_mass_near(GaussianParamDist(mean, cov), (0.0, 0.0), radius)
+        with pytest.warns(IntegrationWarning):
+            stack = _posterior_mass_stack(mean[None], cov[None], (0.0, 0.0), radius)
+        assert stack.tobytes() == np.array([scalar]).tobytes()
+
+    def test_infinite_radius_and_no_rows(self):
+        means, covs = np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1))
+        np.testing.assert_array_equal(_posterior_mass_stack(means, covs, (0, 0), math.inf), 1.0)
+        assert _posterior_mass_stack(means[:0], covs[:0], (0, 0), 0.5).shape == (0,)
 
 
 class TestSourceDataset:
