@@ -216,22 +216,18 @@ def _sampled_barycenter(tasks: InverseGammaGaussianTasks, seed: int) -> Gaussian
     return GaussianMixture(np.full(k, 1.0 / k), np.full(k, tasks.mean), stddevs)
 
 
-def sample_source_data(config: ExperimentConfig, n: int, seed: int | np.random.Generator,
-                       tasks: Optional[InverseGammaGaussianTasks] = None) -> SourceDataset:
+def sample_source_data(config: ExperimentConfig, n: int,
+                       seed: int | np.random.Generator) -> SourceDataset:
     """n source tasks, one observation each: xi ~ U(0,1)^2, x ~ N(beta.xi, sd_i).
 
     Task noise variances draw i.i.d. from IG(IG_TASKS); they ride along in
     ``task_variances`` for target construction but are not learner-visible.
-    ``seed`` is an int or a Generator to draw from.  ``tasks`` is the
-    config's source family at the target covariates, built here when not
-    given; a grid point builds it once for all its sims.
+    ``seed`` is an int or a Generator to draw from.
     """
     rng = generator(seed)
     if n == 0:
         return empty_dataset()
-    if tasks is None:
-        tasks = _task_distribution_at_target(config, "source")
-    variances = tasks.sample_variances(n, rng)
+    variances = _task_distribution_at_target(config, "source").sample_variances(n, rng)
     xi = rng.uniform(0.0, 1.0, size=(n, 2))
     x = rng.normal(xi @ config.beta_source, np.sqrt(variances))
     return SourceDataset(xi, x, task_variances=variances)
@@ -300,8 +296,7 @@ def _neighborhood_point(config: ExperimentConfig, g: int, point: str, row_seeds:
     every grid point in one ``bayes._posterior_mass_stack``.
     """
     eps, n = config.epsilon_grid[g], config.n_source_tasks
-    tasks = _task_distribution_at_target(config, "source")
-    data = [sample_source_data(config, n, r[0], tasks) for r in rngs]
+    data = [sample_source_data(config, n, r[0]) for r in rngs]
     means, covs, pred_means, pred_stddevs = _fit_predictors(data)
 
     picks = [int(r[1].integers(n)) for r in rngs]  # each sim's pick, then its eps-tilde
@@ -333,8 +328,7 @@ def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
     log-ratio is not finite in any of the three is dropped.
     """
     n, k = config.n_grid[g], config.kl_samples
-    tasks = _task_distribution_at_target(config, "source")
-    data = [sample_source_data(config, n, r[0], tasks) for r in rngs]
+    data = [sample_source_data(config, n, r[0]) for r in rngs]
     _, _, pred_means, pred_stddevs = _fit_predictors(data)
     targets = [target_task(config, r[1]) for r in rngs]
     xs, log_p = _gaussian_draws(pred_means, pred_stddevs, [r[2] for r in rngs], k)
@@ -383,7 +377,9 @@ def run_neighborhood_experiment(config: ExperimentConfig, threads: int = 1) -> l
 
     The grid points run as ``_run_grid`` schedules them; the posterior
     masses of all their kept rows are then one ``_posterior_mass_stack``,
-    in this process.
+    in this process.  With ``threads > 1`` a row that needs quadrature
+    therefore integrates here, serially, not in a worker; the cost of that
+    case is unmeasured, as no experiment config tried sends a row there.
     """
     if not config.epsilon_grid:
         raise InvalidArgument("neighborhood experiment needs an epsilon grid")

@@ -4,8 +4,6 @@ import hashlib
 import json
 import logging
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -67,13 +65,6 @@ class TestSourceData:
     def test_covariates_in_unit_square(self):
         data = sample_source_data(ExperimentConfig(), 100, seed=4)
         assert np.all((data.xi >= 0) & (data.xi <= 1))
-
-    def test_given_family_draws_as_the_built_one(self):
-        cfg = ExperimentConfig(beta_source=np.array([0.5, 2.0]))
-        tasks = experiments._task_distribution_at_target(cfg, "source")
-        a, b = sample_source_data(cfg, 20, 6), sample_source_data(cfg, 20, 6, tasks)
-        for name in ("xi", "x", "task_variances"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("seed", [5, -1])
     def test_generator_seed_draws_as_its_int(self, seed):
@@ -181,16 +172,6 @@ class TestNeighborhoodExperiment:
 # the benchmark's neighborhood calls: 4 epsilons, 5 sims, master seed 3_000_000 + call
 BENCH_EPSILONS, BENCH_SIMS, BENCH_SEED = (0.05, 0.15, 0.3, 0.5), 5, 3_000_000
 
-# run in a fresh interpreter: one benchmark neighborhood call, then what it loaded
-FRESH_NEIGHBORHOOD_SCRIPT = f"""
-import sys
-from epibound.experiments import ExperimentConfig, run_neighborhood_experiment
-
-cfg = ExperimentConfig.neighborhood({BENCH_EPSILONS}, sims={BENCH_SIMS}, master_seed={BENCH_SEED})
-rows = run_neighborhood_experiment(cfg)
-print(len(rows), "scipy.integrate" in sys.modules)
-"""
-
 
 class TestNoQuadrature:
     """On the benchmark's posteriors every mass passes quad's first step in the stacked kernel."""
@@ -210,11 +191,6 @@ class TestNoQuadrature:
             rows += len(run_neighborhood_experiment(cfg))
         assert rows == 512 * len(BENCH_EPSILONS) * BENCH_SIMS
         assert calls == []
-
-    def test_fresh_run_leaves_scipy_integrate_unloaded(self):
-        run = subprocess.run([sys.executable, "-c", FRESH_NEIGHBORHOOD_SCRIPT],
-                             check=True, capture_output=True, text=True)
-        assert run.stdout.split() == [str(len(BENCH_EPSILONS) * BENCH_SIMS), "False"]
 
 
 class TestPosteriorMassAssociation:
