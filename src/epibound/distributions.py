@@ -293,8 +293,11 @@ class GaussianMixture(FirstOrderDistribution):
 
 def _pooled_moments(w: np.ndarray, means: np.ndarray, stddevs: np.ndarray) -> tuple[float, float]:
     """Mean and stddev of the mixture of N(means[i], stddevs[i]) with weights ``w``; the
-    variance is taken about the mean, as the square of a mean past 1.3e154 overflows."""
+    variance is taken about the mean, as the square of a mean past 1.3e154 overflows.  A
+    weight-0 component adds a 0 term: 0 * inf would make the variance NaN."""
     m = float(w @ means)
+    live = w > 0
+    means, stddevs = np.where(live, means, m), np.where(live, stddevs, 0.0)
     return m, math.sqrt(float(w @ (stddevs**2 + (means - m) ** 2)))
 
 

@@ -16,18 +16,20 @@ sim index): a run derives every row's seed, the child seeds (row seed, k)
 of its streams and their Generators' words in three hash passes before any
 row runs, so serial and parallel schedules write identical CSV bytes.
 
-A grid point runs its sims as arrays.  Each sim draws its source data,
-picks and Monte Carlo samples from its own streams, in the per-sim order;
-the posteriors are one stacked fit (``bayes._posterior_stack``), the
-predictives are (sims,) arrays, and every Pinsker bound (er, and the
-negative-transfer C and D) comes from a (sims, kl_samples) log-ratio
-array through ``divergences._pinsker_mc``.  A sampled mixture's
-log-density takes one sim's row at a time.  A neighborhood run takes the
-posterior masses of all its grid points in one
-``bayes._posterior_mass_stack``, which replays quad's first step as arrays
-and integrates only a row that step does not settle.  Every value rounds
-as one sim at a time would, so the CSV bytes are those of fitting and
-scoring each row alone with ``kl_mc`` and ``posterior_mass_near``.
+A run's rows go in contiguous blocks, which may straddle grid points:
+one block per worker, more for a run with many Monte Carlo samples.  Each
+row draws its source data, picks and Monte Carlo samples from its own
+streams, in the per-sim order, and the source data go straight into
+(rows, n, ...) arrays.  A block's posteriors are one stacked fit
+(``bayes._posterior_stack``; per grid point of a negative-transfer block,
+whose n differ), the predictives are (rows,) arrays, every Pinsker bound
+(er, and the negative-transfer C and D) comes from a (rows, kl_samples)
+log-ratio array through ``divergences._pinsker_mc``, and the neighborhood
+posterior masses are one ``bayes._posterior_mass_stack``, which replays
+quad's first step as arrays and integrates only a row that step does not
+settle.  A sampled mixture's log-density takes one row at a time.  Every
+value rounds as one sim at a time would, so the CSV bytes are those of
+fitting and scoring each row alone with ``kl_mc`` and ``posterior_mass_near``.
 
 ``ndtri`` loads ``scipy.special`` at the first neighborhood target and then
 rebinds to scipy's ufunc; ``build_manifest`` imports ``scipy`` for its
@@ -58,7 +60,6 @@ from .bayes import (
     _posterior_mass_stack,
     _posterior_stack,
     _predictive_stack,
-    empty_dataset,
 )
 from .bounds import LOSSES, STATEMENTS, ModelClass, evaluate_bound
 from .distributions import (
@@ -75,7 +76,7 @@ from .distributions import (
 from .divergences import MC_SUPPORT_GAP, _column_logpdf, _gaussian_draws, _pinsker_mc
 from .errors import InvalidArgument, require_int
 from .seeding import derive_seed, derive_seeds, generator, generator_from_words, stream_words
-from .workers import map_payloads
+from .workers import map_payloads, worker_count
 
 ndtri = Deferred("scipy.special", "ndtri", globals())
 
@@ -93,6 +94,9 @@ SCENARIO_BETAS = {
 IG_TASKS = (20.0, 10.0)  # (concentration, rate) of the source and target task variances
 PRIOR = NIGModel()
 POSTERIOR_MASS_RADIUS = 0.25
+# the most Monte Carlo samples (rows x kl_samples) a block holds: 2 MiB per float array,
+# about a 500-sim grid point at 400 samples
+BLOCK_ELEMENTS = 1 << 18
 
 _EXP_NEIGHBORHOOD = 1
 _EXP_NEGATIVE_TRANSFER = 2
@@ -222,15 +226,33 @@ def sample_source_data(config: ExperimentConfig, n: int,
 
     Task noise variances draw i.i.d. from IG(IG_TASKS); they ride along in
     ``task_variances`` for target construction but are not learner-visible.
-    ``seed`` is an int or a Generator to draw from.
+    ``seed`` is an int or a Generator to draw from.  This is ``_source_draws``
+    on a stack of one sim: the experiments draw a block's sims in one call.
     """
-    rng = generator(seed)
-    if n == 0:
-        return empty_dataset()
-    variances = _task_distribution_at_target(config, "source").sample_variances(n, rng)
+    variances, xi, x = _source_draws(config, n, [generator(seed)])
+    return SourceDataset(xi[0], x[0], task_variances=variances[0])
+
+
+def _source_draw(tasks: InverseGammaGaussianTasks, beta: np.ndarray, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sim's source data from ``rng``, in its order: the n task variances, xi, then x."""
+    variances = tasks.sample_variances(n, rng)
     xi = rng.uniform(0.0, 1.0, size=(n, 2))
-    x = rng.normal(xi @ config.beta_source, np.sqrt(variances))
-    return SourceDataset(xi, x, task_variances=variances)
+    return variances, xi, rng.normal(xi @ beta, np.sqrt(variances))
+
+
+def _source_draws(config: ExperimentConfig, n: int, rngs: Sequence[np.random.Generator]):
+    """The source data of R sims, sim r from ``rngs[r]``: (R, n) variances, (R, n, 2) xi, (R, n) x.
+
+    Each row is drawn by ``_source_draw`` alone, so it is bit for bit that
+    sim's ``sample_source_data``.
+    """
+    tasks = _task_distribution_at_target(config, "source")
+    shape = (len(rngs), n)
+    variances, xi, x = np.empty(shape), np.empty((*shape, 2)), np.empty(shape)
+    for r, rng in enumerate(rngs):
+        variances[r], xi[r], x[r] = _source_draw(tasks, config.beta_source, n, rng)
+    return variances, xi, x
 
 
 def target_task(config: ExperimentConfig, seed: int | np.random.Generator) -> Gaussian:
@@ -257,15 +279,14 @@ def _shifted_mean(mean, stddev, eps_tilde):
     return mean + 2.0 * stddev * ndtri((1.0 + eps_tilde) / 2.0)
 
 
-def _fit_predictors(data: Sequence[SourceDataset]):
-    """The coefficient posteriors of one grid point's datasets and their predictives.
+def _fit_predictors(xi: np.ndarray, x: np.ndarray):
+    """The posteriors of (R, n, 2) covariates and (R, n) responses, and their predictives.
 
-    (S, 2) posterior means, (S, 2, 2) covariances, and the (S,) means and
+    (R, 2) posterior means, (R, 2, 2) covariances, and the (R,) means and
     stddevs of the predictives at ``TARGET_COVARIATES``: each entry is bit
     for bit ``posterior_update`` and ``posterior_predictive`` of its dataset.
     """
-    means, covs = _posterior_stack(PRIOR, np.stack([d.xi for d in data]),
-                                   np.stack([d.x for d in data]))
+    means, covs = _posterior_stack(PRIOR, xi, x)
     return (means, covs,
             *_predictive_stack(means, covs, TARGET_COVARIATES, PRIOR.prior_noise_variance))
 
@@ -275,34 +296,34 @@ def _fit_predictors(data: Sequence[SourceDataset]):
 # ---------------------------------------------------------------------------
 
 
-def _kept(config: ExperimentConfig, point: str, *bounds: np.ndarray) -> list:
-    """The sims with no NaN Pinsker bound; each other sim is dropped, with ``kl_mc``'s warning."""
-    dropped = np.isnan(bounds).any(axis=0).tolist()
-    for s in np.flatnonzero(dropped).tolist():
-        log.warning("%s row (%s, sim=%d) dropped: %s", config.scenario, point, s, MC_SUPPORT_GAP)
-    return [s for s, bad in enumerate(dropped) if not bad]
+def _kept(config: ExperimentConfig, points: Sequence[str], g: list, s: list,
+          *bounds: np.ndarray) -> np.ndarray:
+    """The rows with no NaN Pinsker bound; each other row is dropped, with ``kl_mc``'s warning."""
+    dropped = np.isnan(bounds).any(axis=0)
+    for r in np.flatnonzero(dropped).tolist():
+        log.warning("%s row (%s, sim=%d) dropped: %s", config.scenario, points[g[r]], s[r],
+                    MC_SUPPORT_GAP)
+    return np.flatnonzero(~dropped)
 
 
-def _neighborhood_point(config: ExperimentConfig, g: int, point: str, row_seeds: Sequence[int],
-                        rngs: Sequence[Sequence[np.random.Generator]]) -> tuple:
-    """Every sim of epsilon grid point ``g``; ``rngs[s]`` holds sim s's three streams.
+def _neighborhood_block(config: ExperimentConfig, points: Sequence[str], g: list, s: list,
+                        seeds: list, rngs: list) -> list:
+    """The records of a block of neighborhood rows; ``rngs[r]`` holds row r's three streams.
 
-    The sims' source data, source-task and eps-tilde picks and kl_mc draws
-    come from their own streams in the per-sim order.  The posteriors,
-    predictives, targets and Pinsker bounds are (S, ...) arrays.  A sim
-    whose KL log-ratio is not finite is dropped.  Returns each kept sim's
-    (sim, seed, n, epsilon, epistemic error) and their (K, 2) posterior
-    means and (K, 2, 2) covariances: the run takes the posterior masses of
-    every grid point in one ``bayes._posterior_mass_stack``.
+    The rows' source data, source-task and eps-tilde picks and kl_mc draws
+    come from their own streams in the per-sim order; eps-tilde is drawn
+    below the row's own epsilon.  The posteriors, predictives, targets,
+    Pinsker bounds and posterior masses are (R, ...) arrays.  A row whose
+    KL log-ratio is not finite is dropped.
     """
-    eps, n = config.epsilon_grid[g], config.n_source_tasks
-    data = [sample_source_data(config, n, r[0]) for r in rngs]
-    means, covs, pred_means, pred_stddevs = _fit_predictors(data)
+    n, eps = config.n_source_tasks, [config.epsilon_grid[point] for point in g]
+    variances, xi, x = _source_draws(config, n, [r[0] for r in rngs])
+    means, covs, pred_means, pred_stddevs = _fit_predictors(xi, x)
 
-    picks = [int(r[1].integers(n)) for r in rngs]  # each sim's pick, then its eps-tilde
-    eps_tilde = np.array([float(r[1].uniform(0.0, eps)) for r in rngs])
+    picks = [int(r[1].integers(n)) for r in rngs]  # each row's pick, then its eps-tilde
+    eps_tilde = np.array([float(r[1].uniform(0.0, e)) for r, e in zip(rngs, eps)])
     source_mean = float(config.beta_source @ TARGET_COVARIATES)
-    stddevs = np.sqrt([d.task_variances[i] for d, i in zip(data, picks)])
+    stddevs = np.sqrt(variances[np.arange(len(rngs)), picks])
     target_means = np.where(eps_tilde == 0.0, source_mean,
                             _shifted_mean(source_mean, stddevs, eps_tilde))
     _check_gaussians(target_means, stddevs)
@@ -310,26 +331,34 @@ def _neighborhood_point(config: ExperimentConfig, g: int, point: str, row_seeds:
     xs, log_p = _gaussian_draws(pred_means, pred_stddevs, [r[2] for r in rngs],
                                 config.kl_samples)
     er = _pinsker_mc(log_p - _column_logpdf(xs, target_means, stddevs))
-    kept = _kept(config, point, er)
-    return [(s, row_seeds[s], n, eps, float(er[s])) for s in kept], means[kept], covs[kept]
+    kept = _kept(config, points, g, s, er)
+    masses = _posterior_mass_stack(means[kept], covs[kept], config.beta_source,
+                                   POSTERIOR_MASS_RADIUS)
+    return [ExperimentRecord(sim=s[r], seed=seeds[r], n=n, epsilon=eps[r],
+                             epistemic_error=float(er[r]), C=None, D=None, looseness=None,
+                             posterior_mass=m)
+            for r, m in zip(kept.tolist(), masses.tolist())]
 
 
-def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
-                             row_seeds: Sequence[int],
-                             rngs: Sequence[Sequence[np.random.Generator]],
-                             bary_s: GaussianMixture, bary_t: GaussianMixture) -> list:
-    """Every sim of n grid point ``g``; ``rngs[s]`` holds sim s's five streams.
+def _negative_transfer_block(config: ExperimentConfig, points: Sequence[str], g: list, s: list,
+                             seeds: list, rngs: list, bary_s: GaussianMixture,
+                             bary_t: GaussianMixture) -> list:
+    """The records of a block of negative-transfer rows; ``rngs[r]`` holds row r's five streams.
 
-    The fit and the Pinsker bounds are arrays over the sims, as in
-    ``_neighborhood_point``: ``er`` of the predictor against the target on
-    stream 2, C of the predictor against the source barycenter on stream 3,
-    and D of the source against the target barycenter on stream 4.  A
-    mixture's log-density takes one sim's row at a time.  A sim whose
-    log-ratio is not finite in any of the three is dropped.
+    The source data and the fit are drawn per grid-point segment of the
+    block, as its rows' n differ.  The Pinsker bounds are arrays over the
+    block: ``er`` of the predictor against the target on stream 2, C of the
+    predictor against the source barycenter on stream 3, and D of the source
+    against the target barycenter on stream 4.  A mixture's log-density
+    takes one row at a time.  A row whose log-ratio is not finite in any of
+    the three is dropped.
     """
-    n, k = config.n_grid[g], config.kl_samples
-    data = [sample_source_data(config, n, r[0]) for r in rngs]
-    _, _, pred_means, pred_stddevs = _fit_predictors(data)
+    k = config.kl_samples
+    pred_means, pred_stddevs = np.empty(len(rngs)), np.empty(len(rngs))
+    for point in sorted(set(g)):
+        seg = np.flatnonzero(np.equal(g, point))
+        _, xi, x = _source_draws(config, config.n_grid[point], [rngs[r][0] for r in seg])
+        _, _, pred_means[seg], pred_stddevs[seg] = _fit_predictors(xi, x)
     targets = [target_task(config, r[1]) for r in rngs]
     xs, log_p = _gaussian_draws(pred_means, pred_stddevs, [r[2] for r in rngs], k)
     er = _pinsker_mc(log_p - _column_logpdf(xs, np.array([t.mean for t in targets]),
@@ -340,57 +369,59 @@ def _negative_transfer_point(config: ExperimentConfig, g: int, point: str,
     d = _pinsker_mc(np.array([bary_s.logpdf(x) - bary_t.logpdf(x) for x in xs]))
     looseness = er - (c + d)
     return [ExperimentRecord(
-        sim=s, seed=row_seeds[s], n=n, epsilon=None, epistemic_error=float(er[s]),
-        C=float(c[s]), D=float(d[s]), looseness=float(looseness[s]), posterior_mass=None,
-    ) for s in _kept(config, point, er, c, d)]
+        sim=s[r], seed=seeds[r], n=config.n_grid[g[r]], epsilon=None,
+        epistemic_error=float(er[r]), C=float(c[r]), D=float(d[r]),
+        looseness=float(looseness[r]), posterior_mass=None,
+    ) for r in _kept(config, points, g, s, er, c, d).tolist()]
 
 
-def _run_grid_point(payload) -> list:
-    """One grid point's ``point_fn`` result, from its sims' seeds and stream words."""
-    point_fn, config, g, point, row_seeds, words = payload
+def _run_block(payload) -> list:
+    """One block's records, from its rows' seeds and stream words."""
+    block_fn, config, points, g, s, seeds, words = payload
     rngs = [list(map(generator_from_words, streams)) for streams in words]
-    return point_fn(config, g, point, row_seeds, rngs)
+    return block_fn(config, points, g, s, seeds, rngs)
 
 
-def _run_grid(point_fn, config: ExperimentConfig, exp_id: int, streams: int,
+def _run_grid(block_fn, config: ExperimentConfig, exp_id: int, streams: int,
               points: Sequence[str], threads: int) -> list:
-    """``point_fn(config, g, point, row_seeds, rngs)`` over the grid points, named by ``points``.
+    """``block_fn(config, points, g, s, seeds, rngs)`` over blocks of rows; their records in order.
 
-    Row (g, s) has the seed ``derive_seed(master_seed, exp_id, g, s)`` and
-    ``streams`` Generators, stream k seeded with ``derive_seed(row_seed, k)``.
-    All of them are derived here, before dispatch; each grid point builds
-    its sims' Generators from the words.  One payload per grid point, in the
-    processes ``workers.worker_count`` allows; returns the points' results in order.
+    Row (g, s), sim s of the grid point named ``points[g]``, has the seed
+    ``derive_seed(master_seed, exp_id, g, s)`` and ``streams`` Generators,
+    stream k seeded with ``derive_seed(row_seed, k)``.  All of them are
+    derived here, before dispatch.  The rows, in grid-major order, are cut
+    into ``workers.worker_count`` contiguous blocks, or more where a block
+    would hold over ``BLOCK_ELEMENTS`` Monte Carlo samples; a block may
+    straddle grid points.  Row r of a block is sim ``s[r]`` of grid point
+    ``g[r]``, and builds its Generators ``rngs[r]`` from the words.  The
+    blocks run in the processes ``workers.map_payloads`` allows.
     """
-    grid, sim = np.divmod(np.arange(len(points) * config.sims), config.sims)
+    rows = len(points) * config.sims
+    grid, sim = np.divmod(np.arange(rows), config.sims)
     row_seeds = derive_seeds(config.master_seed, exp_id, grid, sim)
-    children = derive_seeds(np.repeat(row_seeds, streams), np.tile(np.arange(streams), grid.size))
-    words = stream_words(children).reshape(len(points), config.sims, streams, 4)
-    row_seeds = row_seeds.reshape(len(points), config.sims).tolist()
-    payloads = [(point_fn, config, g, point, row_seeds[g], words[g])
-                for g, point in enumerate(points)]
-    return map_payloads(_run_grid_point, payloads, threads)
+    children = derive_seeds(np.repeat(row_seeds, streams), np.tile(np.arange(streams), rows))
+    words = stream_words(children).reshape(rows, streams, 4)
+    blocks = max(worker_count(threads, len(points)),
+                 -(-rows * config.kl_samples // BLOCK_ELEMENTS))
+    cuts = np.linspace(0, rows, min(blocks, rows) + 1).astype(int).tolist()
+    grid, sim, row_seeds = grid.tolist(), sim.tolist(), row_seeds.tolist()
+    payloads = [(block_fn, config, points, grid[a:b], sim[a:b], row_seeds[a:b], words[a:b])
+                for a, b in zip(cuts, cuts[1:])]
+    return [rec for block in map_payloads(_run_block, payloads, threads) for rec in block]
 
 
 def run_neighborhood_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     """Sweep over neighborhood sizes; one record per simulation.
 
-    The grid points run as ``_run_grid`` schedules them; the posterior
-    masses of all their kept rows are then one ``_posterior_mass_stack``,
-    in this process.  With ``threads > 1`` a row that needs quadrature
-    therefore integrates here, serially, not in a worker; the cost of that
-    case is unmeasured, as no experiment config tried sends a row there.
+    The rows run in the blocks ``_run_grid`` schedules, each block with its
+    posterior masses, so a mass that needs quadrature integrates in the
+    block's worker.
     """
     if not config.epsilon_grid:
         raise InvalidArgument("neighborhood experiment needs an epsilon grid")
     points = [f"eps={e}" for e in config.epsilon_grid]
     # streams: source data, the source task and eps-tilde pick, the kl_mc draws
-    rows, means, covs = zip(*_run_grid(_neighborhood_point, config, _EXP_NEIGHBORHOOD, 3,
-                                       points, threads))
-    masses = _posterior_mass_stack(np.concatenate(means), np.concatenate(covs),
-                                   config.beta_source, POSTERIOR_MASS_RADIUS)
-    return [ExperimentRecord(*row, C=None, D=None, looseness=None, posterior_mass=m)
-            for row, m in zip((row for point in rows for row in point), masses.tolist())]
+    return _run_grid(_neighborhood_block, config, _EXP_NEIGHBORHOOD, 3, points, threads)
 
 
 def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1) -> list:
@@ -402,11 +433,10 @@ def run_negative_transfer_experiment(config: ExperimentConfig, threads: int = 1)
                             derive_seed(config.master_seed, _EXP_BARYCENTER, stream))
         for stream, which in enumerate(("source", "target"))
     )
-    point_fn = functools.partial(_negative_transfer_point, bary_s=bary_s, bary_t=bary_t)
+    block_fn = functools.partial(_negative_transfer_block, bary_s=bary_s, bary_t=bary_t)
     points = [f"n={n}" for n in config.n_grid]
     # streams: source data, target task, the kl_mc draws of er, C and D
-    chunks = _run_grid(point_fn, config, _EXP_NEGATIVE_TRANSFER, 5, points, threads)
-    return [rec for chunk in chunks for rec in chunk]
+    return _run_grid(block_fn, config, _EXP_NEGATIVE_TRANSFER, 5, points, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Each row fits its own posterior and predictor, builds its own ``Gaussian``
 target and takes each divergence's Pinsker bound sqrt(KL/2) from one
 ``kl_mc`` call.  ``reference_run`` seeds every row one ``derive_seed`` at a time, and reads
 ``sample_source_data`` and ``target_task`` off the module, so a test's
-monkeypatch reaches both paths.  The array path must write the same CSV bytes.
+monkeypatch of ``target_task``, or of ``_source_draw`` (the one-sim draw that
+``sample_source_data`` and the blocks share), reaches both paths.  The array
+path must write the same CSV bytes.
 """
 
 import logging

@@ -218,6 +218,21 @@ class TestBoundCommand:
         assert run.stderr.startswith("error: ") and run.stderr.endswith(" is not finite\n")
         assert run.stderr.count("\n") == 1 and run.stdout == ""
 
+    def test_far_zero_weight_task_changes_nothing(self, tmp_path, capsys):
+        # a finite Gaussian source with a weight-0 task at mean 1e160: 0 * inf made its
+        # pooled stddev NaN, and the TV crossing search over [nan, nan] failed
+        tasks = [{"w": 1.0, "dist": {"kind": "gaussian", "mean": 0.0, "stddev": 1.0}},
+                 {"w": 0.0, "dist": {"kind": "gaussian", "mean": 1e160, "stddev": 1.0}}]
+        outs = []
+        for source_tasks in (tasks, tasks[:1]):
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps({**IG_INSTANCE, "source": {
+                "kind": "finite_tasks", "tasks": source_tasks}}))
+            code = main(["bound", "--statement", "thm1", "--instance", str(path),
+                         "--alpha", "0.2"])
+            outs.append((code, *capsys.readouterr()))
+        assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][2] == ""
+
     def test_overflowing_closed_form_is_usage_error(self, tmp_path):
         # a Gaussian predictor at mean 1.5e154 and N(0, 1) everywhere else: the
         # squared mean gap in the Hellinger closed form of the verify loss overflows

@@ -33,8 +33,10 @@ from epibound import (
     tv_upper_pinsker,
 )
 
-# a zero-weight component 1e160 from the mean: 0 * inf makes the mixture's stddev NaN
-NAN_WINDOW_MIXTURE = GaussianMixture([1.0, 0.0], [0.0, 1e160], [1.0, 1.0])
+# a zero-weight component 1e160 from the mean, and the mixture without it: 0 * inf in the
+# pooled moments made the first's stddev NaN
+FAR_DEAD_MIXTURE = GaussianMixture([1.0, 0.0], [0.0, 1e160], [1.0, 1.0])
+ONE_COMPONENT_MIXTURE = GaussianMixture([1.0], [0.0], [1.0])
 P37 = Categorical([0.3, 0.7])
 P55 = Categorical([0.5, 0.5])
 KL_37_55 = 0.3 * math.log(0.6) + 0.7 * math.log(1.4)  # hand formula
@@ -348,13 +350,21 @@ class TestCrossingRefinement:
         (Gaussian(0.0, 1e200), Gaussian(0.0, 1.0)),  # the window's stddev overflows
         (Gaussian(1e308, 1.0), Gaussian(-1e308, 2.0)),  # its width overflows
         (Gaussian(0.0, 1e300), Gaussian(0.0, 1e-20)),  # its grid size overflows
-        (Gaussian(0.0, 1.0), NAN_WINDOW_MIXTURE),  # the mixture's moments are NaN
-    ], ids=["stddev", "width", "grid", "nan-moment"])
+    ], ids=["stddev", "width", "grid"])
     def test_non_finite_search_raises(self, p, q):
-        for a, b in ((p, q), (q, p)):  # a NaN window end counts in either order
+        for a, b in ((p, q), (q, p)):
             with np.errstate(all="ignore"), pytest.raises(
                     NumericalFailure, match=r"^TV crossing search over .* is not finite$"):
                 tv_exact(a, b)
+
+    def test_far_zero_weight_component_changes_nothing(self):
+        # its moments were NaN, and the search over [nan, nan] raised; logpdf still
+        # squares the component's z-score past overflow, to a density of 0
+        assert FAR_DEAD_MIXTURE.mean_std() == ONE_COMPONENT_MIXTURE.mean_std() == (0.0, 1.0)
+        p = Gaussian(0.0, 1.0)
+        with np.errstate(over="ignore"):
+            assert tv_exact(p, FAR_DEAD_MIXTURE) == tv_exact(p, ONE_COMPONENT_MIXTURE)
+            assert tv_exact(FAR_DEAD_MIXTURE, p) == tv_exact(ONE_COMPONENT_MIXTURE, p)
 
 
 class TestKL:
@@ -536,13 +546,12 @@ class TestEntropyFamily:
         assert cross_entropy(p, q) - entropy(p) - kl_exact(p, q) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("fn", [hellinger_sq, kl_exact, cross_entropy])
-    def test_nan_window_raises_in_both_orders(self, fn):
-        # Python's min and max keep a NaN only when it comes first
-        p, q = Gaussian(0.0, 1.0), NAN_WINDOW_MIXTURE
-        for a, b in ((p, q), (q, p)):
-            with np.errstate(all="ignore"), pytest.raises(
-                    NumericalFailure, match=r"^quadrature window \[nan, nan\] is not finite$"):
-                fn(a, b)
+    def test_far_zero_weight_component_changes_nothing(self, fn):
+        # its NaN moments made a [nan, nan] quadrature window, in either order
+        p = Gaussian(0.0, 1.0)
+        with np.errstate(over="ignore"):
+            assert fn(p, FAR_DEAD_MIXTURE) == fn(p, ONE_COMPONENT_MIXTURE)
+            assert fn(FAR_DEAD_MIXTURE, p) == fn(ONE_COMPONENT_MIXTURE, p)
 
     def test_infinite_window_raises(self):
         wide = GaussianMixture([0.5, 0.5], [0.0, 1.0], [1e200, 1.0])  # its variance overflows

@@ -14,7 +14,6 @@ from epibound import (
     InvalidArgument,
     InverseGammaGaussianTasks,
     ModelClass,
-    SourceDataset,
     barycenter,
     finite_tasks,
     l1_distance,
@@ -38,7 +37,7 @@ from epibound.experiments import (
     setup_from_dict,
     write_experiment_output,
 )
-from epibound.seeding import derive_seed, generator
+from epibound.seeding import derive_seed, generator, generator_from_words
 from helpers_experiments import reference_run
 
 IG_MEAN = 10.0 / 19.0
@@ -308,6 +307,23 @@ class _InfiniteNormals:
         return np.full_like(self._rng.normal(*args, **kw), np.inf)
 
 
+def _infinite_normals_at(monkeypatch, bad: dict) -> list:
+    """Make stream ``bad[row_seed]`` of each row listed an ``_InfiniteNormals``; returns hits."""
+    states = [generator(derive_seed(row_seed, k)).bit_generator.state
+              for row_seed, k in bad.items()]
+    hits = []
+
+    def patched(words):
+        rng = generator_from_words(words)
+        if rng.bit_generator.state not in states:
+            return rng
+        hits.append(1)
+        return _InfiniteNormals(rng)
+
+    monkeypatch.setattr(experiments, "generator_from_words", patched)
+    return hits
+
+
 class TestDroppedRows:
     # neighborhood rows draw no stream for C or D: they drop a row in the
     # Monte Carlo KL of er, as test_non_finite_log_ratio_drops_only_its_row checks
@@ -319,23 +335,11 @@ class TestDroppedRows:
         # log-ratio there; that row alone drops, with kl_mc's support warning
         cfg = ExperimentConfig.negative_transfer("pos", n_grid=[1, 4], sims=3, master_seed=62)
         clean = run_negative_transfer_experiment(cfg)
-        real = experiments.generator_from_words
         cases = [{(1, 2): 3}, {(0, 1): 4}, {(1, 2): 3, (0, 1): 4}]  # (grid point, sim): stream
         for bad in cases:
             seeds = {(g, s): derive_seed(cfg.master_seed, _EXP_NEGATIVE_TRANSFER, g, s)
                      for g, s in bad}
-            states = [generator(derive_seed(seeds[gs], k)).bit_generator.state
-                      for gs, k in bad.items()]
-            hits = []
-
-            def patched(words):
-                rng = real(words)
-                if rng.bit_generator.state not in states:
-                    return rng
-                hits.append(1)
-                return _InfiniteNormals(rng)
-
-            monkeypatch.setattr(experiments, "generator_from_words", patched)
+            hits = _infinite_normals_at(monkeypatch, {seeds[gs]: k for gs, k in bad.items()})
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger=experiments.__name__):
                 kept = run_negative_transfer_experiment(cfg)
@@ -355,11 +359,13 @@ class TestDroppedRows:
         if kind == "neighborhood":
             cfg = ExperimentConfig.neighborhood([0.1, 0.3], sims=3, master_seed=61)
             run, exp_id, point = run_neighborhood_experiment, _EXP_NEIGHBORHOOD, "eps=0.3"
-            # the target's scale is the picked source task's: make every task's 1e-160
-            name, real = "sample_source_data", experiments.sample_source_data
+            # the target's scale is the picked source task's: make every task's 1e-160, in
+            # the one-sim draw that the blocks and sample_source_data both make
+            name, real = "_source_draw", experiments._source_draw
 
             def tiny(out):
-                return SourceDataset(out.xi, out.x, np.full(out.x.size, 1e-320))
+                variances, xi, x = out
+                return np.full_like(variances, 1e-320), xi, x
         else:
             cfg = ExperimentConfig.negative_transfer("pos", n_grid=[1, 4], sims=3, master_seed=62)
             run, exp_id, point = run_negative_transfer_experiment, _EXP_NEGATIVE_TRANSFER, "n=4"
@@ -392,6 +398,10 @@ class TestDroppedRows:
         assert [r.getMessage() for r in caplog.records] == warnings
 
 
+RUNS = {"neighborhood": run_neighborhood_experiment,
+        "negative_transfer": run_negative_transfer_experiment}
+
+
 class TestGridPointArrays:
     """The grid-point arrays against the per-row reference, byte for byte."""
 
@@ -415,11 +425,98 @@ class TestGridPointArrays:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["neighborhood", "negative_transfer"])
     def test_csv_equals_per_row_reference(self, kind, threads):
-        run = {"neighborhood": run_neighborhood_experiment,
-               "negative_transfer": run_negative_transfer_experiment}[kind]
+        run = RUNS[kind]
         for cfg in self._configs(kind):
             want = records_to_csv(reference_run(kind, cfg))
             assert records_to_csv(run(cfg, threads=threads)) == want, cfg.to_dict()
+
+
+BLOCK_CONFIGS = {
+    "neighborhood": ExperimentConfig.neighborhood((0.05, 0.2, 0.45), sims=5, master_seed=71),
+    "negative_transfer": ExperimentConfig.negative_transfer("neg", (1, 4), sims=5,
+                                                            master_seed=72),
+}
+
+
+class TestRowBlocks:
+    """Blocks of rows that straddle grid points, against the per-row reference byte for byte."""
+
+    @staticmethod
+    def _blocks(monkeypatch) -> list:
+        """Patch ``_run_block`` to list the grid points each block holds, in dispatch order."""
+        real, blocks = experiments._run_block, []
+
+        def recording(payload):
+            _, _, _, g, *_ = payload
+            blocks.append(sorted(set(g)))
+            return real(payload)
+
+        monkeypatch.setattr(experiments, "_run_block", recording)
+        return blocks
+
+    @pytest.mark.parametrize("kind, threads, rows_per_block, want", [
+        ("neighborhood", 2, None, [[0, 1], [1, 2]]),
+        ("neighborhood", 3, None, [[0], [1], [2]]),
+        ("neighborhood", 1, 4, [[0], [0, 1], [1, 2], [2]]),  # 15 rows within the element budget
+        ("negative_transfer", 2, None, [[0], [1]]),
+        ("negative_transfer", 3, None, [[0], [1]]),  # no more blocks than grid points
+        ("negative_transfer", 1, 4, [[0], [0, 1], [1]]),
+    ])
+    def test_csv_equals_per_row_reference(self, kind, threads, rows_per_block, want,
+                                          serial_pools, monkeypatch):
+        cfg = BLOCK_CONFIGS[kind]
+        if rows_per_block:
+            monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", rows_per_block * cfg.kl_samples)
+        blocks = self._blocks(monkeypatch)
+        csv = records_to_csv(RUNS[kind](cfg, threads=threads))
+        assert blocks == want
+        assert serial_pools == ([] if threads == 1 else [len(want)])
+        assert csv == records_to_csv(reference_run(kind, cfg))
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning",
+                                "ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("kind, threads, rows_per_block, bad", [
+        # (grid point, sim): the stream whose normal draws are +inf, er's or C's
+        ("neighborhood", 2, None, {(0, 4): 2, (1, 1): 2, (1, 3): 2}),
+        ("negative_transfer", 1, 4, {(0, 4): 3, (1, 0): 3}),
+    ])
+    def test_drops_keep_their_grid_point_labels(self, kind, threads, rows_per_block, bad,
+                                                serial_pools, monkeypatch, caplog):
+        # a block holds the drops of both its grid points, each named by its own point
+        cfg = BLOCK_CONFIGS[kind]
+        if rows_per_block:
+            monkeypatch.setattr(experiments, "BLOCK_ELEMENTS", rows_per_block * cfg.kl_samples)
+        clean = RUNS[kind](cfg)
+        exp_id = _EXP_NEIGHBORHOOD if kind == "neighborhood" else _EXP_NEGATIVE_TRANSFER
+        seeds = {gs: derive_seed(cfg.master_seed, exp_id, *gs) for gs in bad}
+        hits = _infinite_normals_at(monkeypatch, {seeds[gs]: k for gs, k in bad.items()})
+        blocks = self._blocks(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+            kept = RUNS[kind](cfg, threads=threads)
+        assert [0, 1] in blocks and len(hits) == len(bad)
+        assert records_to_csv(kept) == records_to_csv(
+            [r for r in clean if r.seed not in seeds.values()])
+        points = ([f"eps={e}" for e in cfg.epsilon_grid] if kind == "neighborhood"
+                  else [f"n={n}" for n in cfg.n_grid])
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"{cfg.scenario} row ({points[g]}, sim={s}) dropped: {MC_SUPPORT_GAP}"
+            for g, s in sorted(bad)]
+
+
+class TestOneStackPerBlock:
+    """A serial run fits and takes the masses of all its grid points in one stack each."""
+
+    def test_benchmark_config_makes_one_stack_of_each(self, monkeypatch):
+        rows = {}  # kernel: the rows of each of its calls
+        for name, stack in (("_posterior_stack", 1), ("_posterior_mass_stack", 0)):
+            def counting(*args, _real=getattr(experiments, name), _name=name, _stack=stack):
+                rows.setdefault(_name, []).append(len(args[_stack]))
+                return _real(*args)
+
+            monkeypatch.setattr(experiments, name, counting)
+        cfg = ExperimentConfig.neighborhood(BENCH_EPSILONS, sims=BENCH_SIMS, master_seed=BENCH_SEED)
+        assert len(run_neighborhood_experiment(cfg)) == 20
+        assert rows == {"_posterior_stack": [20], "_posterior_mass_stack": [20]}
 
 
 class TestConfigChecks:
