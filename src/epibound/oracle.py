@@ -9,9 +9,11 @@ learning, the two total-variation-neighborhood assumptions) to hold by
 construction.  A suite draws each instance from its own seed as an
 unchecked record, whose constructor never runs, and checks them a chunk at
 a time as padded arrays: every probability row and weight vector once per
-chunk, then every statement, with the per-instance results bit for bit.  A
-chunk's seeds and Generators come from ``seeding``'s batch kernel, with
-the bytes of one ``derive_seed`` and one ``default_rng`` per instance.
+chunk, then all statements in one pass, with the per-instance results bit
+for bit.  A chunk's seeds and Generators come from ``seeding``'s batch
+kernel, with the bytes of one ``derive_seed`` and one ``default_rng`` per
+instance.  Flat Dirichlet rows are drawn as numpy draws them, from
+exponentials, into C-contiguous arrays: BLAS rounds a product by its strides.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import prod
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -182,25 +185,57 @@ class OracleInstance:
         }
 
 
-def _project_into_ball(t: np.ndarray, s: np.ndarray, eps: float) -> np.ndarray:
-    """Clip t into an L-inf box around s, renormalize, shrink until TV <= eps."""
-    eta = eps
-    for _ in range(1000):
-        clipped = np.clip(t, np.maximum(s - eta, 0.0), np.minimum(s + eta, 1.0))
-        total = clipped.sum()
-        if total > 0:
+def _flat_dirichlet(rng: np.random.Generator, *shapes: tuple) -> list[np.ndarray]:
+    """Consecutive ``rng.dirichlet(np.ones(n), size)`` draws, one per shape ``(*size, n)``.
+
+    One exponential draw serves them all, bit for bit, and each array is a
+    C-contiguous piece of its buffer.
+    """
+    sizes = [prod(shape) for shape in shapes]
+    e, out, start = rng.standard_exponential(sum(sizes)), [], 0
+    for shape, size in zip(shapes, sizes):
+        out.append(_scale_rows(e[start:start + size].reshape(shape)))
+        start += size
+    return out
+
+
+def _scale_rows(e: np.ndarray) -> np.ndarray:
+    """Standard exponential rows ``e`` scaled in place into flat Dirichlet rows.
+
+    numpy multiplies a row by ``1.0 /`` its sum added left to right, which
+    ``np.sum`` is not from 8 entries on.  One row takes a scalar: faster.
+    """
+    e *= 1.0 / (np.add.accumulate(e)[-1] if e.ndim == 1 else np.add.accumulate(e, 1)[:, -1:])
+    return e
+
+
+_HALVINGS = 4  # etas per pass; the suite's rows settle within 2 halvings, 3 with m up to 12
+
+
+def _project_rows(raw: np.ndarray, anchors: np.ndarray, eps: float) -> np.ndarray:
+    """Each row of ``raw`` clipped into an L-inf box around its row of ``anchors``
+    and renormalized, with the first half-width ``eps, eps/2, ...`` that puts it
+    within TV ``eps``: all rows and ``_HALVINGS`` half-widths in one array pass.
+    """
+    out, rows, eta = np.empty_like(raw), np.arange(len(raw)), eps
+    for _ in range(1000 // _HALVINGS):
+        etas = []
+        for _ in range(_HALVINGS):
+            etas.append(eta)
+            eta *= 0.5  # halved as the one-row loop halves it
+        anchor, half = anchors[rows, None, :], np.array(etas)[:, None]
+        clipped = np.clip(raw[rows, None, :], np.maximum(anchor - half, 0.0),
+                          np.minimum(anchor + half, 1.0))
+        total = clipped.sum(axis=2, keepdims=True)  # over a row's own m entries, as alone
+        with np.errstate(divide="ignore", invalid="ignore"):
             cand = clipped / total
-            if 0.5 * np.abs(cand - s).sum() <= eps:
-                return cand
-        eta *= 0.5
+            inside = (total[..., 0] > 0) & (0.5 * np.abs(cand - anchor).sum(axis=2) <= eps)
+        done = inside.any(axis=1)
+        out[rows[done]] = cand[done, inside.argmax(axis=1)[done]]
+        rows = rows[~done]
+        if rows.size == 0:
+            return out
     raise GenerationFailure(f"could not project a task into the TV {eps}-ball")
-
-
-_FLAT = np.ones(64)  # flat-simplex Dirichlet parameters; a slice draws as np.ones(n) does
-
-
-def _flat(n: int) -> np.ndarray:
-    return _FLAT[:n] if n <= _FLAT.size else np.ones(n)
 
 
 def _unchecked(cls, **values):
@@ -220,20 +255,17 @@ def _draw_instance(seed: int, config: InstanceConfig, rng: np.random.Generator) 
     k_s = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
     k_t = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
 
-    flat_m, flat_s, flat_t = _flat(m), _flat(k_s), _flat(k_t)
-
-    S = rng.dirichlet(flat_m, size=k_s)
-    w_s = rng.dirichlet(flat_s)
+    S, w_s = _flat_dirichlet(rng, (k_s, m), (k_s,))
 
     n_members = int(rng.integers(config.members_range[0], config.members_range[1] + 1))
-    members = rng.dirichlet(flat_m, size=n_members)
+    members, = _flat_dirichlet(rng, (n_members, m))
 
     if config.constraint == "perfect_no_shift":
         pred = w_s @ S
     elif rng.random() < 0.5:
         pred = members[int(rng.integers(n_members))]
     else:
-        pred = rng.dirichlet(flat_m)
+        pred, = _flat_dirichlet(rng, (m,))
 
     epsilon = config.epsilon
     if config.constraint in ("assumption1", "assumption2") and epsilon is None:
@@ -242,14 +274,15 @@ def _draw_instance(seed: int, config: InstanceConfig, rng: np.random.Generator) 
     if config.constraint in ("no_shift", "perfect_no_shift"):
         T, w_t = S, w_s
     elif config.constraint == "assumption1":
-        rows = []
-        for _ in range(k_t):
-            anchor = S[int(rng.integers(k_s))]
-            raw = rng.dirichlet(flat_m)
-            rows.append(_project_into_ball(raw, anchor, epsilon))
-        T, w_t = np.stack(rows), rng.dirichlet(flat_t)
+        # each target row draws its anchor's index, then its own row
+        anchors, raw = np.empty(k_t, dtype=int), np.empty((k_t, m))
+        for i in range(k_t):
+            anchors[i] = rng.integers(k_s)
+            rng.standard_exponential(out=raw[i])
+        T = _project_rows(_scale_rows(raw), S[anchors], epsilon)
+        w_t, = _flat_dirichlet(rng, (k_t,))
     elif config.constraint == "assumption2":
-        raw = rng.dirichlet(flat_s)
+        raw, = _flat_dirichlet(rng, (k_s,))
         dist = 0.5 * np.abs(w_s - raw).sum()
         if dist > epsilon:
             raw = w_s + (epsilon / dist) * (1.0 - 1e-12) * (raw - w_s)
@@ -259,8 +292,7 @@ def _draw_instance(seed: int, config: InstanceConfig, rng: np.random.Generator) 
             raise GenerationFailure("assumption-2 weight projection failed")
         T, w_t = S, raw
     else:
-        T = rng.dirichlet(flat_m, size=k_t)
-        w_t = rng.dirichlet(flat_t)
+        T, w_t = _flat_dirichlet(rng, (k_t, m), (k_t,))
 
     return _unchecked(OracleInstance, S=S, w_s=w_s, T=T, w_t=w_t, members=members, pred=pred,
                       seed=seed, constraint=config.constraint, epsilon=epsilon)
@@ -397,9 +429,13 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
         w_t[b, :inst.w_t.size] = inst.w_t
         pred[b, :inst.m] = inst.pred
         bary_s[b, :inst.m] = bs = inst.w_s @ inst.S
-        bary_t[b, :inst.m] = bt = inst.w_t @ inst.T
         vs = _event_variances(inst.S, inst.w_s, bs)
-        vt = _event_variances(inst.T, inst.w_t, bt)
+        if inst.shared and inst.w_t is inst.w_s:  # no shift: the target is the source
+            bt, vt = bs, vs
+        else:
+            bt = inst.w_t @ inst.T
+            vt = _event_variances(inst.T, inst.w_t, bt)
+        bary_t[b, :inst.m] = bt
         var_s[b, :vs.size], var_s[b, vs.size:] = vs, vs[0]
         var_t[b, :vt.size], var_t[b, vt.size:] = vt, vt[0]
     for P in (pred, S, T, members):
@@ -514,34 +550,38 @@ class StatementReport:
         self.skips += count
         self.skip_reasons[reason] += count
 
-    def _record(self, slacks: np.ndarray, violated: np.ndarray) -> None:
-        if slacks.size:
-            self.trials += slacks.size
-            self.violations += int(np.count_nonzero(violated))
-            self.min_slack = min(self.min_slack, float(slacks.min()))
-            self.max_slack = max(self.max_slack, float(slacks.max()))
 
-    def record_batch(self, alphas: np.ndarray, exceedances: np.ndarray,
-                     deltas: np.ndarray) -> np.ndarray:
-        """One outcome per instance (row) and alpha (column); True where violated.
+def _record(reports: Sequence[StatementReport], ok: np.ndarray, slacks: np.ndarray,
+            violated: np.ndarray, outcomes: tuple = ()) -> list[np.ndarray]:
+    """Record statement ``s`` of a stack into ``reports[s]``; return each one's violating rows.
 
-        ``AlphaOutcome``s are kept only with ``keep_outcomes``.
-        """
-        slacks = deltas - exceedances
-        violated = exceedances > deltas + VIOLATION_TOL
-        self._record(slacks, violated)
-        if self.keep_outcomes:
-            self.outcomes.extend(map(
-                AlphaOutcome, np.broadcast_to(alphas, slacks.shape).ravel().tolist(),
-                exceedances.ravel().tolist(), deltas.ravel().tolist(), slacks.ravel().tolist(),
-                violated.ravel().tolist()))
-        return violated
+    ``ok`` (s, batch) marks the instances a statement checks, and ``slacks``
+    and ``violated`` are (s, batch, alphas) or, for lemmas, (s, batch, 1).  A
+    statement's least and greatest slack come from its own checked instances.
+    ``outcomes``, a probability stack's alphas, exceedances and deltas, feed
+    the ``AlphaOutcome``s of the reports that keep them.
+    """
+    checked = ok[..., None]
+    violated &= checked
+    trials = (ok.sum(axis=1) * slacks.shape[2]).tolist()
+    counts = violated.sum(axis=(1, 2)).tolist()
+    lows = np.where(checked, slacks, np.inf).min(axis=(1, 2)).tolist()
+    highs = np.where(checked, slacks, -np.inf).max(axis=(1, 2)).tolist()
+    for s, report in enumerate(reports):
+        if trials[s]:
+            report.trials += trials[s]
+            report.violations += counts[s]
+            report.min_slack = min(report.min_slack, lows[s])
+            report.max_slack = max(report.max_slack, highs[s])
+        if report.keep_outcomes and outcomes:
+            alphas, exceedances, deltas = outcomes
+            picked = (a[s, ok[s]] for a in (exceedances, deltas, slacks, violated))
+            report.outcomes.extend(map(AlphaOutcome, *(a.ravel().tolist() for a in (
+                np.broadcast_to(alphas, slacks[s, ok[s]].shape), *picked))))
+    return [np.flatnonzero(v.any(axis=1)) if n else _NO_HITS for v, n in zip(violated, counts)]
 
-    def record_slacks(self, slacks: np.ndarray) -> np.ndarray:
-        """One deterministic inequality per slack, a (batch, 1) column; True where violated."""
-        violated = slacks < -SLACK_TOL
-        self._record(slacks, violated)
-        return violated
+
+_NO_HITS = np.zeros(0, dtype=int)
 
 
 def _alpha_array(alphas: Sequence[float]) -> np.ndarray:
@@ -572,41 +612,62 @@ _LEMMAS = {
 }
 
 
-def _check(statement_id: str, comp, alphas: np.ndarray, attempted: np.ndarray,
-           report: StatementReport) -> np.ndarray:
-    """Check one statement on the ``attempted`` instances of a batch.
+def _check(statement_ids: Sequence[str], comp, alphas: np.ndarray, attempts: np.ndarray,
+           reports: Sequence[StatementReport]) -> list[np.ndarray]:
+    """Check statement ``s`` of ``statement_ids`` on the instances of a batch that
+    ``attempts[:, s]`` marks, into ``reports[s]``.
 
     A probability statement's exceedance ``P(loss >= margin)`` at every alpha
-    of every instance is one masked sum over the target tasks; a lemma gets
-    one slack per instance.  An instance whose hypotheses fail is skipped
-    under the first failing one.  Components are (batch, 1) columns, so every
-    value rounds as it does for one instance and one alpha.  Returns the
+    of every instance is one masked sum over the target tasks, shared by the
+    statements with its loss and margin function; each delta function and
+    each precondition is evaluated once too.  A lemma gets one slack per
+    instance.  An instance whose hypotheses fail is skipped under the first
+    failing one.  Components are (batch, 1) columns, so every value rounds as
+    it does for one instance and one alpha.  Returns, per statement, the
     batch positions of the instances with a violation.
     """
-    statement = STATEMENTS.get(statement_id)
-    if statement is None:
-        slack, preconditions = _LEMMAS[statement_id]
-    else:
-        preconditions = statement.preconditions
-    ok = attempted
+    values: dict = {}  # precondition masks, exceedances and deltas, by the function behind them
+    probs, lemmas = [], []  # (position, checked instances, exceedances, deltas) and (..., slacks)
     with np.errstate(divide="ignore", invalid="ignore"):  # raised by the skipped instances
-        for p in preconditions:
-            holds = np.ravel(p.holds(comp))
-            failed = int(np.count_nonzero(ok & ~holds))
-            if failed:
-                report.skip(p.assumption, failed)
-                ok = ok & holds
-        if statement is None:
-            violated = report.record_slacks(slack(comp)[ok])
-        else:
-            margins = statement.margin(comp, alphas)
-            deltas = np.broadcast_to(statement.delta(comp, alphas), (ok.size, alphas.size))
-            # one row of alphas per instance; the grouping keeps each sum bit for bit
-            # the sum of the selected weights of the instance's own target tasks
-            exceedances = np.where(comp.losses[statement.loss][:, None, :] >= margins[..., None],
-                                   comp.t_weights[:, None, :], 0.0).sum(axis=2)
-            violated = report.record_batch(alphas, exceedances[ok], deltas[ok])
-    return np.flatnonzero(ok)[violated.any(axis=1)]
+        for s, (sid, ok, attempted) in enumerate(zip(statement_ids, attempts.T,
+                                                     attempts.any(axis=0).tolist())):
+            if not attempted:
+                continue
+            statement = STATEMENTS.get(sid)
+            slack, preconditions = (_LEMMAS[sid] if statement is None
+                                    else (None, statement.preconditions))
+            for p in preconditions:
+                if p.holds not in values:
+                    values[p.holds] = np.ravel(p.holds(comp))
+                failed = int(np.count_nonzero(ok & ~values[p.holds]))
+                if failed:
+                    reports[s].skip(p.assumption, failed)
+                    ok = ok & values[p.holds]
+            if statement is None:
+                lemmas.append((s, ok, slack(comp)))
+                continue
+            key = (statement.loss, statement.margin)
+            if key not in values:
+                # one row of alphas per instance; the grouping keeps each sum bit for bit
+                # the sum of the selected weights of the instance's own target tasks
+                margins = statement.margin(comp, alphas)
+                selected = comp.losses[statement.loss][:, None, :] >= margins[..., None]
+                values[key] = np.where(selected, comp.t_weights[:, None, :], 0.0).sum(axis=2)
+            if statement.delta not in values:
+                values[statement.delta] = np.broadcast_to(statement.delta(comp, alphas),
+                                                          (ok.size, alphas.size))
+            probs.append((s, ok, values[key], values[statement.delta]))
+        found = {}  # position -> violating rows
+        if probs:
+            at, checked, exceedances, deltas = map(np.array, zip(*probs))
+            found.update(zip(at.tolist(), _record(
+                [reports[s] for s in at], checked, deltas - exceedances,
+                exceedances > deltas + VIOLATION_TOL, (alphas, exceedances, deltas))))
+        if lemmas:
+            at, checked, slacks = map(np.array, zip(*lemmas))
+            found.update(zip(at.tolist(), _record([reports[s] for s in at], checked, slacks,
+                                                  slacks < -SLACK_TOL)))
+    return [found.get(s, _NO_HITS) for s in range(len(statement_ids))]
 
 
 def verify_statement(
@@ -625,7 +686,8 @@ def verify_statement(
     if statement_id not in _LEMMAS and statement_id not in _INSTANCE_STATEMENTS:
         raise InvalidArgument(f"{statement_id!r} is not verified on finite instances")
     report = StatementReport(statement_id, keep_outcomes=True)
-    _check(statement_id, _components([instance]), alpha_arr, np.ones(1, dtype=bool), report)
+    _check([statement_id], _components([instance]), alpha_arr, np.ones((1, 1), dtype=bool),
+           [report])
     return report
 
 
@@ -676,13 +738,8 @@ def _draw_theta_instance(seed: int, rng: np.random.Generator, m_range=(2, 6),
     j = int(rng.integers(theta_range[0], theta_range[1] + 1))
     r = int(rng.integers(2, 9))
     k_t = int(rng.integers(2, 7))
-    flat_m, flat_j = _flat(m), _flat(j)
-    theta_pmfs = rng.dirichlet(flat_m, size=j)
-    source_weights = rng.dirichlet(flat_j)
-    candidates = rng.dirichlet(flat_j, size=r)
-    p1 = rng.dirichlet(flat_j)
-    T = rng.dirichlet(flat_m, size=k_t)
-    w_t = rng.dirichlet(_flat(k_t))
+    theta_pmfs, weights, T, w_t = _flat_dirichlet(rng, (j, m), (r + 2, j), (k_t, m), (k_t,))
+    source_weights, candidates, p1 = weights[0], weights[1:-1], weights[-1]
     return _unchecked(ThetaInstance, theta_pmfs=theta_pmfs, source_weights=source_weights,
                       candidates=candidates, p1=p1, T=T, w_t=w_t, seed=seed)
 
@@ -748,8 +805,10 @@ def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,
     """Check C <= parameter TV and the Bayesian bound, one group of like sizes at a time."""
     for group in _groups([(inst.T.shape[1], inst.p1.size, inst.T.shape[0]) for inst in insts]):
         comp = _theta_components([insts[g] for g in group])
-        b6_report.record_slacks(comp.param_tv - comp.C)
-        _check("cor_bayesian", comp, alphas, np.ones(group.size, dtype=bool), bayes_report)
+        b6 = (comp.param_tv - comp.C)[None]
+        _record([b6_report], np.ones((1, group.size), dtype=bool), b6, b6 < -SLACK_TOL)
+        _check(["cor_bayesian"], comp, alphas, np.ones((group.size, 1), dtype=bool),
+               [bayes_report])
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +871,14 @@ _CHECKED = tuple(sid for sid in ALL_STATEMENTS if sid in _INSTANCE_STATEMENTS or
 _ATTEMPTS = {mode: [sid in sids for sid in _CHECKED] for mode, sids in _MODE_STATEMENTS.items()}
 
 
+@lru_cache(maxsize=16)
+def _mode_configs(config_type, max_outcomes: int) -> dict:
+    """The ``config_type`` of each constraint mode on up to ``max_outcomes`` outcomes, built once
+    per class and count, so that a substituted ``InstanceConfig`` takes effect."""
+    return {mode: config_type(m_range=(2, max_outcomes), constraint=mode)
+            for mode in CONSTRAINT_MODES}
+
+
 def _run_range(args) -> dict:
     seed, start, stop, alphas, max_outcomes = args
     alphas = np.asarray(alphas)
@@ -819,7 +886,7 @@ def _run_range(args) -> dict:
     loos = np.empty(stop - start)
     violated: list[tuple] = []  # (instance index, rank in its mode's statements, id, seed)
     modes = CONSTRAINT_MODES
-    configs = {mode: InstanceConfig(m_range=(2, max_outcomes), constraint=mode) for mode in modes}
+    configs = _mode_configs(InstanceConfig, max_outcomes)
     for lo in range(start, stop, _CHUNK):
         # the instance seeds (seed, i), the theta seeds (seed, i, 777) and the
         # Generators of both, one hash pass each
@@ -833,11 +900,10 @@ def _run_range(args) -> dict:
             comp = _components(batch)
             loos[group + (lo - start)] = _looseness(batch, comp)
             attempts = np.array([_ATTEMPTS[inst.constraint] for inst in batch])
-            for s, sid in enumerate(_CHECKED):
-                if attempts[:, s].any():
-                    hits = _check(sid, comp, alphas, attempts[:, s], statements[sid])
-                    violated.extend((lo + g, _MODE_STATEMENTS[insts[g].constraint].index(sid),
-                                     sid, insts[g].seed) for g in group[hits])
+            for sid, hits in zip(_CHECKED, _check(_CHECKED, comp, alphas, attempts,
+                                                    [statements[sid] for sid in _CHECKED])):
+                violated.extend((lo + g, _MODE_STATEMENTS[insts[g].constraint].index(sid),
+                                 sid, insts[g].seed) for g in group[hits])
         thetas = [_draw_theta_instance(s, generator_from_words(w))
                   for s, w in zip(theta_seeds.tolist(), words[index.size:])]
         _verify_thetas(thetas, alphas, statements["lemma_b6"], statements["cor_bayesian"])

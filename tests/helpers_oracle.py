@@ -126,3 +126,95 @@ def reference_components(inst):
         "dist_tv": dist_tv,
         "support_covered": not leaks[live].any(),
     }
+
+
+def reference_project_into_ball(t, s, eps):
+    """Clip t into an L-inf box around s, renormalize, shrink until TV <= eps.
+
+    The scalar loop ``oracle._project_rows`` replaced, one row and one eta at
+    a time: the reference it must equal bit for bit.
+    """
+    from epibound.errors import GenerationFailure
+
+    eta = eps
+    for _ in range(1000):
+        clipped = np.clip(t, np.maximum(s - eta, 0.0), np.minimum(s + eta, 1.0))
+        total = clipped.sum()
+        if total > 0:
+            cand = clipped / total
+            if 0.5 * np.abs(cand - s).sum() <= eps:
+                return cand
+        eta *= 0.5
+    raise GenerationFailure(f"could not project a task into the TV {eps}-ball")
+
+
+def reference_draw_instance(seed, config, rng):
+    """``oracle._draw_instance`` as it drew with one ``rng.dirichlet`` per block and
+    one scalar projection per ``assumption1`` target row: the bit-for-bit reference."""
+    from epibound.errors import GenerationFailure
+    from epibound.oracle import OracleInstance, _unchecked
+
+    m = int(rng.integers(config.m_range[0], config.m_range[1] + 1))
+    k_s = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
+    k_t = int(rng.integers(config.tasks_range[0], config.tasks_range[1] + 1))
+
+    S = rng.dirichlet(np.ones(m), size=k_s)
+    w_s = rng.dirichlet(np.ones(k_s))
+
+    n_members = int(rng.integers(config.members_range[0], config.members_range[1] + 1))
+    members = rng.dirichlet(np.ones(m), size=n_members)
+
+    if config.constraint == "perfect_no_shift":
+        pred = w_s @ S
+    elif rng.random() < 0.5:
+        pred = members[int(rng.integers(n_members))]
+    else:
+        pred = rng.dirichlet(np.ones(m))
+
+    epsilon = config.epsilon
+    if config.constraint in ("assumption1", "assumption2") and epsilon is None:
+        epsilon = float(rng.uniform(0.02, 0.5))
+
+    if config.constraint in ("no_shift", "perfect_no_shift"):
+        T, w_t = S, w_s
+    elif config.constraint == "assumption1":
+        rows = []
+        for _ in range(k_t):
+            anchor = S[int(rng.integers(k_s))]
+            raw = rng.dirichlet(np.ones(m))
+            rows.append(reference_project_into_ball(raw, anchor, epsilon))
+        T, w_t = np.stack(rows), rng.dirichlet(np.ones(k_t))
+    elif config.constraint == "assumption2":
+        raw = rng.dirichlet(np.ones(k_s))
+        dist = 0.5 * np.abs(w_s - raw).sum()
+        if dist > epsilon:
+            raw = w_s + (epsilon / dist) * (1.0 - 1e-12) * (raw - w_s)
+            raw = np.maximum(raw, 0.0)
+            raw = raw / raw.sum()
+        if 0.5 * np.abs(w_s - raw).sum() > epsilon:
+            raise GenerationFailure("assumption-2 weight projection failed")
+        T, w_t = S, raw
+    else:
+        T = rng.dirichlet(np.ones(m), size=k_t)
+        w_t = rng.dirichlet(np.ones(k_t))
+
+    return _unchecked(OracleInstance, S=S, w_s=w_s, T=T, w_t=w_t, members=members, pred=pred,
+                      seed=seed, constraint=config.constraint, epsilon=epsilon)
+
+
+def reference_draw_theta_instance(seed, rng, m_range=(2, 6), theta_range=(2, 8)):
+    """``oracle._draw_theta_instance`` as it drew with six ``rng.dirichlet`` calls."""
+    from epibound.oracle import ThetaInstance, _unchecked
+
+    m = int(rng.integers(m_range[0], m_range[1] + 1))
+    j = int(rng.integers(theta_range[0], theta_range[1] + 1))
+    r = int(rng.integers(2, 9))
+    k_t = int(rng.integers(2, 7))
+    theta_pmfs = rng.dirichlet(np.ones(m), size=j)
+    source_weights = rng.dirichlet(np.ones(j))
+    candidates = rng.dirichlet(np.ones(j), size=r)
+    p1 = rng.dirichlet(np.ones(j))
+    T = rng.dirichlet(np.ones(m), size=k_t)
+    w_t = rng.dirichlet(np.ones(k_t))
+    return _unchecked(ThetaInstance, theta_pmfs=theta_pmfs, source_weights=source_weights,
+                      candidates=candidates, p1=p1, T=T, w_t=w_t, seed=seed)

@@ -1,5 +1,6 @@
 """Instance generation, exact statement verification and the suite runner."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -28,7 +29,7 @@ from epibound import (
     verify_statement,
 )
 from epibound.bounds import LOSSES, STATEMENT_IDS, STATEMENTS
-from epibound.errors import InvalidTaskDistribution
+from epibound.errors import GenerationFailure, InvalidTaskDistribution
 from epibound.divergences import cross_entropy, entropy, hellinger_sq, l1_distance, tv_exact
 from epibound import oracle
 from epibound.oracle import (
@@ -39,7 +40,12 @@ from epibound.oracle import (
     StatementReport,
 )
 from epibound.seeding import generator
-from helpers_oracle import reference_components
+from helpers_oracle import (
+    reference_components,
+    reference_draw_instance,
+    reference_draw_theta_instance,
+    reference_project_into_ball,
+)
 
 
 def make_instance(source, target, model, predictor, constraint="none", epsilon=None, seed=0):
@@ -221,6 +227,123 @@ class TestOneRecord:
             assert type(checked) is ThetaInstance
             assert_same_arrays(checked, drawn, THETA_ARRAYS)
             assert checked.seed == drawn.seed == seed
+
+
+def assert_same_draw(got, want, names):
+    """Bit-equal, C-contiguous arrays, as the reference drawer's."""
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+        assert a.tobytes() == b.tobytes(), name
+        assert a.flags.c_contiguous, name
+
+
+class TestFlatDirichlet:
+    """``_flat_dirichlet`` against ``Generator.dirichlet`` on flat parameters."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_generator_dirichlet(self, n):
+        for size in (None, *range(1, 21)):
+            shape = (n,) if size is None else (size, n)
+            a, b = generator(100 * n + (size or 0)), generator(100 * n + (size or 0))
+            got, = oracle._flat_dirichlet(a, shape)
+            want = b.dirichlet(np.ones(n), size)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, size)
+            assert got.flags.c_contiguous
+            assert a.random() == b.random()
+
+    def test_merged_blocks_match_separate_calls(self):
+        rng = np.random.default_rng(11)
+        for trial in range(600):
+            shapes = []
+            for _ in range(int(rng.integers(1, 7))):
+                n = int(rng.integers(1, 13))
+                shapes.append((n,) if rng.random() < 0.3 else (int(rng.integers(1, 21)), n))
+            a, b = generator(trial), generator(trial)
+            got = oracle._flat_dirichlet(a, *shapes)
+            for shape, block in zip(shapes, got):
+                want = b.dirichlet(np.ones(shape[-1]), shape[:-1] or None)
+                assert block.shape == want.shape and block.tobytes() == want.tobytes(), shapes
+                assert block.flags.c_contiguous
+            assert a.random() == b.random()
+
+    def test_a_blocked_sum_would_differ(self):
+        # the sequential row sum is what numpy's dirichlet does: from 8 entries on,
+        # np.sum adds in blocks and scales some rows differently
+        e = generator(3).standard_exponential((2000, 12))
+        want = np.add.accumulate(e, axis=1)[:, -1:]
+        assert not np.array_equal(e * (1.0 / e.sum(axis=1, keepdims=True)), e * (1.0 / want))
+
+
+class TestProjectRows:
+    """The one-pass ``_project_rows`` against the scalar halving loop it replaced."""
+
+    def test_matches_scalar_loop(self):
+        rng = np.random.default_rng(12)
+        rows = 0
+        while rows < 6000:
+            m, k = int(rng.integers(2, 13)), int(rng.integers(1, 13))
+            eps = float(rng.uniform(0.02, 0.5))
+            raw, anchors = rng.dirichlet(np.ones(m), k), rng.dirichlet(np.ones(m), k)
+            got = oracle._project_rows(raw, anchors, eps)
+            want = np.stack([reference_project_into_ball(t, s, eps) for t, s in zip(raw, anchors)])
+            assert got.tobytes() == want.tobytes(), (m, k, eps)
+            rows += k
+
+    def test_rows_past_the_first_pass(self):
+        # a flat raw row against a vertex anchor at m = 12 takes 4 halvings at
+        # eps 0.02 and 0.1, one past the first pass; the other rows settle sooner
+        m = 12
+        vertex, flat = np.eye(m)[1], np.full(m, 1.0 / m)
+        raw = np.stack([flat, np.eye(m)[0], flat, generator(1).dirichlet(np.ones(m))])
+        anchors = np.stack([vertex, vertex, generator(2).dirichlet(np.full(m, 0.05)), vertex])
+        for eps in (0.02, 0.1, 0.5):
+            got = oracle._project_rows(raw, anchors, eps)
+            want = np.stack([reference_project_into_ball(t, s, eps) for t, s in zip(raw, anchors)])
+            assert got.tobytes() == want.tobytes(), eps
+        assert oracle._HALVINGS == 4  # what the rows above were picked against
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan")])
+    def test_no_eta_fits(self, eps):
+        raw, anchors = np.full((1, 3), 1.0 / 3), np.eye(3)[:1]
+        with pytest.raises(GenerationFailure, match="could not project"):
+            reference_project_into_ball(raw[0], anchors[0], eps)
+        with pytest.raises(GenerationFailure, match="could not project"):
+            oracle._project_rows(raw, anchors, eps)
+
+
+class TestDrawersMatchReferences:
+    """The drawers against the ``rng.dirichlet`` drawers they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("mode", CONSTRAINT_MODES)
+    def test_instances(self, mode):
+        configs = [
+            InstanceConfig(constraint=mode),
+            InstanceConfig(m_range=(2, 12), tasks_range=(2, 12), constraint=mode),
+            InstanceConfig(m_range=(2, 12), tasks_range=(1, 1), constraint=mode),
+            InstanceConfig(m_range=(2, 12), tasks_range=(2, 12), members_range=(1, 3),
+                           constraint=mode, epsilon=0.02),
+        ]
+        for seed in range(2000):
+            config = configs[seed % len(configs)]
+            a, b = generator(seed), generator(seed)
+            got = oracle._draw_instance(seed, config, a)
+            want = reference_draw_instance(seed, config, b)
+            assert_same_draw(got, want, INSTANCE_ARRAYS)
+            assert (got.seed, got.constraint, got.epsilon) == (
+                want.seed, want.constraint, want.epsilon)
+            assert got.shared is want.shared and (got.w_t is got.w_s) is (want.w_t is want.w_s)
+            assert a.random() == b.random(), seed
+
+    @pytest.mark.parametrize("ranges", [{}, {"m_range": (2, 12), "theta_range": (1, 12)}])
+    def test_theta_instances(self, ranges):
+        for seed in range(2000):
+            a, b = generator(seed), generator(seed)
+            got = oracle._draw_theta_instance(seed, a, **ranges)
+            want = reference_draw_theta_instance(seed, b, **ranges)
+            assert_same_draw(got, want, THETA_ARRAYS)
+            assert got.seed == want.seed
+            assert a.random() == b.random(), seed
 
 
 class TestVerifyStatement:
@@ -616,9 +739,11 @@ class TestBatchedComponents:
         for group in oracle._instance_groups(insts):
             batch = [insts[g] for g in group]
             comp = oracle._components(batch)
-            for sid in oracle._CHECKED:
-                together = StatementReport(sid, keep_outcomes=True)
-                hits = oracle._check(sid, comp, alphas, np.ones(len(batch), dtype=bool), together)
+            # every statement in one call, sharing exceedances and deltas
+            reports = [StatementReport(sid, keep_outcomes=True) for sid in oracle._CHECKED]
+            attempts = np.ones((len(batch), len(oracle._CHECKED)), dtype=bool)
+            all_hits = oracle._check(oracle._CHECKED, comp, alphas, attempts, reports)
+            for sid, hits, together in zip(oracle._CHECKED, all_hits, reports):
                 alone = StatementReport(sid, keep_outcomes=True)
                 hit_alone = []
                 for b, inst in enumerate(batch):
@@ -629,6 +754,26 @@ class TestBatchedComponents:
                         hit_alone.append(b)
                 assert hits.tolist() == hit_alone, sid
                 assert dataclasses.asdict(together) == dataclasses.asdict(alone), sid
+
+    def test_shared_exceedances_and_deltas_computed_once(self):
+        # under assumption2, thm1, cor_eps and cor_eps_dist share one tv exceedance
+        # (5 distinct loss and margin pairs for 7 probability statements), and the
+        # five statements with the Chebyshev delta read sup_var_target once
+        insts = [generate_instance(seed, InstanceConfig(constraint="assumption2"))
+                 for seed in range(6)]
+        comp, reads = oracle._components(insts), collections.Counter()
+
+        class Counting:
+            def __getattr__(self, name):
+                reads[name] += 1
+                return getattr(comp, name)
+
+        attempts = np.array([oracle._ATTEMPTS["assumption2"]] * len(insts))
+        reports = [StatementReport(sid) for sid in oracle._CHECKED]
+        oracle._check(oracle._CHECKED, Counting(), np.array(DEFAULT_ALPHAS), attempts, reports)
+        assert reads["losses"] == 5
+        assert reads["sup_var_target"] == 1
+        assert sum(r.trials for r in reports) > 0
 
     def test_theta_chunk_equals_batches_of_one(self):
         thetas = [generate_theta_instance(seed) for seed in range(40)]
