@@ -25,6 +25,7 @@ from .distributions import (
     Gaussian,
     GaussianMixture,
     InverseGammaGaussianTasks,
+    StudentT,
     barycenter,
     diameter,
     distribution_from_dict,
@@ -94,7 +95,7 @@ __all__ = [
     "PreconditionViolated", "SupportViolation",
     # distributions
     "Categorical", "FiniteTaskDistribution", "FirstOrderDistribution",
-    "Gaussian", "GaussianMixture", "InverseGammaGaussianTasks", "barycenter",
+    "Gaussian", "GaussianMixture", "InverseGammaGaussianTasks", "StudentT", "barycenter",
     "diameter", "distribution_from_dict", "finite_tasks", "sample",
     "sample_task", "sup_variance", "task_distribution_from_dict",
     "task_distribution_tv",

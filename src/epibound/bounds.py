@@ -429,39 +429,45 @@ def evaluate_bound(
         raise InvalidArgument(f"unknown statement id {statement_id!r}")
     _require_alpha(alpha)
 
-    src, tgt = as_finite(source), as_finite(target)
-    bary_s, bary_t = barycenter(src), barycenter(tgt)
+    bary_s, bary_t = barycenter(source), barycenter(target)
     best, B = best_approximation(model, bary_s)
     C = convergence_gap(predictor, best)
     D = tv_exact(bary_s, bary_t)
     D_learner = distribution_shift_learner(best, bary_t, B)
     # every other component is computed only if the statement reads it: the
-    # diameter and sup-variance of a reified parametric source take seconds
+    # diameter and sup-variance of a reified parametric source take seconds.
+    # ``_src`` and ``_tgt``, the task distributions as finite ones, are inputs
+    # that reports leave out: a parametric family is reified only for the
+    # components defined on its tasks, and an equal source and target share
+    # one reification.
     comp = _Lazy({
         "B": lambda: B, "C": lambda: C, "D": lambda: D, "D_learner": lambda: D_learner,
-        "sup_var_target": lambda: sup_variance(tgt),
-        "sup_var_source": lambda: sup_variance(src),
-        "diam_source": lambda: diameter(src),
+        "_src": lambda: as_finite(source),
+        "_tgt": lambda: comp._src if target == source else as_finite(target),
+        "sup_var_target": lambda: sup_variance(comp._tgt),
+        "sup_var_source": lambda: sup_variance(comp._src),
+        "diam_source": lambda: diameter(comp._src),
         "param_tv": lambda: _param_tv(_given(param_posterior, "param_posterior"),
                                       _given(param_best, "param_best")),
         "epsilon": lambda: _given(epsilon, "epsilon"),
-        "max_b_S": lambda: min(max_first_order_b(src), max_second_order_b(src)),
+        "max_b_S": lambda: min(max_first_order_b(comp._src), max_second_order_b(comp._src)),
         "b_S": lambda: max(comp.max_b_S, 0.0) if b_source is None else b_source,
-        "max_b_T": lambda: max_first_order_b(tgt),
+        "max_b_T": lambda: max_first_order_b(comp._tgt),
         "b_T": lambda: max(comp.max_b_T, 0.0) if b_target is None else b_target,
-        "dist_tv": lambda: task_distribution_tv(src, tgt),
+        "dist_tv": lambda: task_distribution_tv(comp._src, comp._tgt),
         "no_shift": lambda: comp.dist_tv <= PROB_TOL,
         "tv_pred_bary_s": lambda: tv_exact(predictor, bary_s),
         # read only once the source is categorical, being b_S-bounded
         "max_tv_to_source": lambda: float(
-            _tv(tgt.P[:, None, :], src.P).min(axis=1)[tgt.weights > 0].max()),
-        "finite_space": lambda: isinstance(predictor, Categorical) and not tgt.is_continuous,
+            _tv(target.P[:, None, :], source.P).min(axis=1)[target.weights > 0].max()),
+        "finite_space": lambda: isinstance(predictor, Categorical) and not target.is_continuous,
         "b_pred": lambda: float(predictor.p[predictor.p > 0].min()) if b_pred is None else b_pred,
         # read only once finite_space holds
-        "support_covered": lambda: not ((tgt.P > 0) & (predictor.p <= 0))[tgt.weights > 0].any(),
+        "support_covered": lambda: not (
+            (target.P > 0) & (predictor.p <= 0))[target.weights > 0].any(),
     })
     extras: dict = {"sup_var_target": comp.sup_var_target}
-    if tgt.is_continuous:
+    if target.is_continuous:
         extras["event_family"] = CONTINUOUS_EVENT_FAMILY
 
     unmet = statement.unmet(comp)
@@ -469,7 +475,8 @@ def evaluate_bound(
         raise PreconditionViolated(unmet.assumption, unmet.detail)
     comp.reads.clear()
     margin, delta = statement.margin(comp, alpha), statement.delta(comp, alpha)
-    extras.update((k, v) for k, v in comp.reads.items() if k not in ("B", "C", "D", "D_learner"))
+    extras.update((k, v) for k, v in comp.reads.items()
+                  if k not in ("B", "C", "D", "D_learner") and not k.startswith("_"))
     return BoundReport(
         statement_id=statement_id,
         alpha=alpha,

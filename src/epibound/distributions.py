@@ -5,17 +5,18 @@ the real line) and play the role of tasks, predictors and barycenters.
 Second-order ("task") distributions are distributions over tasks: either a
 finite weighted support, used for all exact computations, or a parametric
 family (Gaussian tasks whose variance follows an inverse gamma law), used
-by the synthetic experiments and reified at fixed quantile nodes.
+by the synthetic experiments.  A family's barycenter is its exact Student-t;
+functionals of its tasks reify it at fixed quantile nodes.
 
 All types are immutable values after construction and safe to share across
 threads.  Sampling takes an explicit seed and owns a private generator per
 call; no summary functional samples.
 
-``ndtr``, the Gaussian CDF, and ``gammainccinv``, the inverse upper
-regularised gamma function, load ``scipy.special`` at their first call (a
-Gaussian or mixture ``cdf``, a thresholded task matrix, or a reification)
-and then rebind to scipy's ufuncs; finite instances never load them.  See
-``_deferred``.
+``ndtr``, the Gaussian CDF, ``stdtr``, the Student-t CDF, and
+``gammainccinv``, the inverse upper regularised gamma function, load
+``scipy.special`` at their first call (a Gaussian, mixture or t ``cdf``, a
+thresholded task matrix, or a reification) and then rebind to scipy's
+ufuncs; finite instances never load them.  See ``_deferred``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .seeding import generator
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
 gammainccinv = Deferred("scipy.special", "gammainccinv", globals())
+stdtr = Deferred("scipy.special", "stdtr", globals())
 
 PROB_TOL = 1e-12          # normalization tolerance; out-of-tolerance input is rejected
 SUP_ENUM_MAX_OUTCOMES = 12  # full 2^m event enumeration refused above this
@@ -97,7 +99,7 @@ def _tv(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 class FirstOrderDistribution:
-    """Common surface of categorical / Gaussian / Gaussian-mixture values."""
+    """Common surface of categorical / Gaussian / Gaussian-mixture / Student-t values."""
 
     kind: str
 
@@ -301,6 +303,61 @@ def _pooled_moments(w: np.ndarray, means: np.ndarray, stddevs: np.ndarray) -> tu
     return m, math.sqrt(float(w @ (stddevs**2 + (means - m) ** 2)))
 
 
+@dataclass(frozen=True, eq=False)
+class StudentT(FirstOrderDistribution):
+    """Student's t with ``df`` degrees of freedom, location ``loc`` and scale ``scale``.
+
+    The barycenter of Gaussian tasks N(loc, sqrt(v)) with v ~ IG(df / 2, df * scale^2 / 2)
+    (Andrews & Mallows 1974).  Its variance is infinite for df <= 2, and its mean is
+    undefined for df <= 1.
+    """
+
+    df: float
+    loc: float
+    scale: float
+    kind: str = field(default="student_t", init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("df", "loc", "scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not 0 < self.df < math.inf:
+            raise InvalidArgument(f"df must be finite and strictly positive, got {self.df}")
+        if not math.isfinite(self.loc):
+            raise InvalidArgument(f"loc must be finite, got {self.loc}")
+        if not 0 < self.scale < math.inf:
+            raise InvalidArgument(f"scale must be finite and strictly positive, got {self.scale}")
+        object.__setattr__(self, "_log_norm", math.lgamma(0.5 * (self.df + 1.0))
+                           - math.lgamma(0.5 * self.df) - 0.5 * math.log(self.df * math.pi)
+                           - math.log(self.scale))
+
+    def _shifted(self, c: float) -> "StudentT":
+        """This t moved by -c."""
+        return StudentT(self.df, self.loc - c, self.scale)
+
+    def cdf(self, x):
+        """P(X <= x) at a float or an array of points."""
+        return stdtr(self.df, (x - self.loc) / self.scale)
+
+    def logpdf(self, x: np.ndarray) -> np.ndarray:
+        z = (np.atleast_1d(np.asarray(x, dtype=float)) - self.loc) / self.scale
+        return self._log_norm - 0.5 * (self.df + 1.0) * np.log1p(z * z / self.df)
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(self.logpdf(x))
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self.loc + self.scale * rng.standard_t(self.df, size=count)
+
+    def mean_std(self) -> tuple[float, float]:
+        """NaN for the mean at df <= 1, inf for the stddev at df <= 2."""
+        mean = self.loc if self.df > 1.0 else math.nan
+        std = self.scale * math.sqrt(self.df / (self.df - 2.0)) if self.df > 2.0 else math.inf
+        return mean, std
+
+    def to_dict(self) -> dict:
+        return {"kind": "student_t", "df": self.df, "loc": self.loc, "scale": self.scale}
+
+
 def _space(d: FirstOrderDistribution) -> Optional[int]:
     """The sample space of ``d``: its outcome count, or None for the real line."""
     return d.n_outcomes if isinstance(d, Categorical) else None
@@ -321,6 +378,8 @@ def distributions_close(a: FirstOrderDistribution, b: FirstOrderDistribution) ->
         return a.n_outcomes == b.n_outcomes and bool(np.all(np.abs(a.p - b.p) <= PROB_TOL))
     if isinstance(a, Gaussian):
         return abs(a.mean - b.mean) <= PROB_TOL and abs(a.stddev - b.stddev) <= PROB_TOL
+    if isinstance(a, StudentT):
+        return all(abs(getattr(a, k) - getattr(b, k)) <= PROB_TOL for k in ("df", "loc", "scale"))
     assert isinstance(a, GaussianMixture) and isinstance(b, GaussianMixture)
     return (
         a.weights.size == b.weights.size
@@ -510,16 +569,19 @@ def as_finite(tasks: TaskDistribution) -> FiniteTaskDistribution:
 def barycenter(tasks: TaskDistribution) -> FirstOrderDistribution:
     """Mixture distribution assigning each event E_{Q ~ tasks}[Q(event)].
 
-    Exact for finite task distributions; a parametric family is reified as
-    ``as_finite`` reifies it.
+    Exact: the IG-Gaussian family N(mean, sqrt(v)), v ~ IG(shape, rate), has the
+    Student-t barycenter with df 2 shape, location mean and scale sqrt(rate / shape).
     """
-    tasks = as_finite(tasks)
+    if isinstance(tasks, InverseGammaGaussianTasks):
+        return StudentT(2.0 * tasks.shape, tasks.mean, math.sqrt(tasks.rate / tasks.shape))
     if tasks.P is not None:
         return Categorical(tasks.weights @ tasks.P)
     if tasks.means is not None:
         return GaussianMixture(tasks.weights, tasks.means, tasks.stddevs)
     weights, means, stds = [], [], []
     for w, t in zip(tasks.weights, tasks.tasks):
+        if isinstance(t, StudentT):
+            raise InvalidTaskDistribution("the barycenter of Student-t tasks is not a Gaussian mixture")
         t = GaussianMixture._of(t) if isinstance(t, Gaussian) else t
         weights.extend(w * t.weights)
         means.extend(t.means)
@@ -720,6 +782,8 @@ def distribution_from_dict(data: dict) -> FirstOrderDistribution:
             np.asarray(data["means"], dtype=float),
             np.asarray(data["stddevs"], dtype=float),
         )
+    if kind == "student_t":
+        return StudentT(float(data["df"]), float(data["loc"]), float(data["scale"]))
     raise InvalidArgument(f"unknown first-order distribution kind: {kind!r}")
 
 

@@ -8,12 +8,14 @@ synthetic experiments' Pinsker upper bounds sqrt(KL/2) share one row
 kernel, ``_mc_kl``, on (rows, samples) log-ratio arrays.
 
 ``scipy.integrate`` is loaded at the first quadrature, and ``scipy.special``
-at the first Gaussian TV in closed form, not at import (see ``_deferred``).
-Only the mixture fallbacks here and ``bayes.posterior_mass_near`` integrate.
+at the first Gaussian TV in closed form or the first crossing search on a
+Student-t, not at import (see ``_deferred``).  Only the mixture and t
+fallbacks here and ``bayes.posterior_mass_near`` integrate.
 A window that is not finite (overflowing or NaN moments) raises
 NumericalFailure, in quadrature, the crossing search and the closed forms.
 Every quadrature calls the module global ``quad``, which stays the same
-forwarding object; ``ndtr`` rebinds to scipy's ufunc at its first call.
+forwarding object; ``ndtr`` and ``stdtrit`` rebind to scipy's ufuncs at their
+first call.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .distributions import (
     FirstOrderDistribution,
     Gaussian,
     GaussianMixture,
+    StudentT,
     _gaussian_logpdf,
     require_same_space,
 )
@@ -46,8 +49,10 @@ CROSSING_GRID_MAX = 1 << 20  # wider windows get a coarser grid, plus every comp
 CROSSING_CHUNK = 1 << 16     # (points x components) per density evaluation
 CROSSING_BISECTIONS = 30     # halvings of each bracket, from the grid spacing; 3 per density pass
 TV_FLOOR_THRESHOLDS = 17     # evenly spaced thresholds of the crossing window in ``_tv_floor``
+TAIL_MASS = 1e-12            # a t's crossing grid reaches its TAIL_MASS and 1 - TAIL_MASS quantiles
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
+stdtrit = Deferred("scipy.special", "stdtrit", globals())
 # never rebinds: perfbench's tracer replaces this binding with a counting wrapper
 quad = Deferred("scipy.integrate", "quad")
 
@@ -81,15 +86,19 @@ class DivergenceResult:
 
 
 def _window(*dists: FirstOrderDistribution) -> tuple[float, float]:
-    """Each distribution's mean +- ``QUAD_SPAN`` stddevs, merged.
+    """Each distribution's mean +- ``QUAD_SPAN`` stddevs, merged; a t's loc +- that many scales.
 
+    A t's window does not rely on its moments: its variance is infinite at df <= 2.
+    Its mass outside is 1.9e-12 at df 40, 3.2e-9 at df 20 and 1.7e-4 at df 5;
+    the crossing search adds the grid of ``_tail_points`` beyond it, and
+    quadrature leaves that mass out.
     A NaN end (a mixture's overflowing moments) makes both ends NaN: Python's
     ``min`` and ``max`` would drop it when it comes second, so the window
     would depend on the argument order.
     """
     los, his = [], []
     for d in dists:
-        m, s = d.mean_std()
+        m, s = (d.loc, d.scale) if isinstance(d, StudentT) else d.mean_std()
         s = max(s, 1e-12)
         los.append(m - QUAD_SPAN * s)
         his.append(m + QUAD_SPAN * s)
@@ -106,7 +115,7 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def _pdf(d: FirstOrderDistribution) -> Callable[[float], float]:
-    if isinstance(d, Gaussian) or isinstance(d, GaussianMixture):
+    if isinstance(d, (Gaussian, GaussianMixture, StudentT)):
         return lambda x: float(d.pdf(np.array([x]))[0])
     raise EventMismatch(f"no density for kind {d.kind}")
 
@@ -151,8 +160,8 @@ def tv_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
 
     Categorical pairs use half the L1 distance of probability vectors;
     equal-stddev Gaussian pairs the closed form 2*Phi(|dmu|/(2*sigma)) - 1;
-    other continuous pairs split the line where the densities cross and sum
-    the CDF mass gaps of the pieces.
+    other continuous pairs (Gaussians, mixtures and Student-t's) split the
+    line where the densities cross and sum the CDF mass gaps of the pieces.
     """
     require_same_space(p, q)
     if isinstance(p, Categorical) and isinstance(q, Categorical):
@@ -184,46 +193,61 @@ def _equal_stddev_gaussians(p: FirstOrderDistribution, q: FirstOrderDistribution
             and abs(p.stddev - q.stddev) <= 1e-12 * max(p.stddev, q.stddev))
 
 
-def _as_mixture(d: Union[Gaussian, GaussianMixture]) -> GaussianMixture:
-    return d if isinstance(d, GaussianMixture) else GaussianMixture._of(d)
+# the kinds that the crossing search takes: a Gaussian enters it as a one-component mixture
+_Searchable = Union[GaussianMixture, StudentT]
 
 
-def _centered(*dists: Union[Gaussian, GaussianMixture]) -> tuple:
-    """``dists`` as they are, or, where floats about the first one's mean are coarser than
-    a crossing-grid step of the smallest stddev, as mixtures moved by that mean.
+def _as_mixture(d: Union[Gaussian, GaussianMixture, StudentT]) -> _Searchable:
+    return GaussianMixture._of(d) if isinstance(d, Gaussian) else d
+
+
+def _centered(*dists: Union[Gaussian, GaussianMixture, StudentT]) -> tuple:
+    """``dists`` as they are, or, where floats about the first one's mean (a t's loc) are
+    coarser than a crossing-grid step of the smallest stddev or scale, moved by that mean,
+    a Gaussian as a mixture.
 
     Every divergence, and the entropy, is shift invariant; at mean 1e200 the window
     mean +- 10 stddevs would round to the mean, and every integral to 0.
     """
-    c = dists[0].mean_std()[0]
-    smallest = min(_as_mixture(d).stddevs.min() for d in dists)
+    first = dists[0]
+    c = first.loc if isinstance(first, StudentT) else first.mean_std()[0]
+    smallest = min(_parts(_as_mixture(d))[2].min() for d in dists)
     if not np.spacing(abs(c)) * CROSSING_GRID_PER_SD > smallest:  # a NaN mean stays
         return dists
     return tuple(_as_mixture(d)._shifted(c) for d in dists)
 
 
-def _log_gap(p: GaussianMixture, q: GaussianMixture, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _parts(d: _Searchable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A mixture's component weights, means and stddevs; a t's 1, loc and scale."""
+    if isinstance(d, StudentT):
+        return np.ones(1), np.array([d.loc]), np.array([d.scale])
+    return d.weights, d.means, d.stddevs
+
+
+def _log_gap(p: _Searchable, q: _Searchable, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """log p(x) - log q(x) into ``out``, in chunks that bound the (points, components) buffers."""
-    step = max(1, CROSSING_CHUNK // max(p.weights.size, q.weights.size))
+    step = max(1, CROSSING_CHUNK // max(_parts(p)[0].size, _parts(q)[0].size))
     for i in range(0, x.size, step):
         np.subtract(p.logpdf(x[i:i + step]), q.logpdf(x[i:i + step]), out=out[i:i + step])
     return out
 
 
-def _crossing_tv(p: GaussianMixture, q: GaussianMixture) -> float:
+def _crossing_tv(p: _Searchable, q: _Searchable) -> float:
     """TV as (1/2) sum_i |P(I_i) - Q(I_i)| over the pieces I_i between density crossings.
 
     The crossings are the sign changes of log p - log q on a grid over the
     quadrature window, spaced at a fraction of the smallest component
-    stddev and holding every component mean, refined together by
+    stddev (or t scale) and holding every component mean (or t loc), with
+    each t's ``_tail_points`` beyond it, refined together by
     ``_refine_crossings``; grid points where the gap is exactly 0 are cuts
     as they are.  Any partition gives a lower bound on TV, and P(A) - Q(A)
     is stationary at the crossings, so a root error e costs O(e^2), from
     below.  A window or grid size that overflows raises NumericalFailure.
     """
     lo, hi, n = _crossing_grid(p, q)
-    means = np.concatenate([p.means, q.means])
-    xs = np.union1d(np.linspace(lo, hi, n), means[(means > lo) & (means < hi)])
+    means = np.concatenate([_parts(p)[1], _parts(q)[1]])
+    xs = np.union1d(np.linspace(lo, hi, n), np.concatenate(
+        [means[(means > lo) & (means < hi)], _tail_points(p, lo, hi), _tail_points(q, lo, hi)]))
     side = np.sign(_log_gap(p, q, xs, np.empty_like(xs)))
     i = np.flatnonzero(side[:-1] * side[1:] < 0)
     a, b = _refine_crossings(p, q, xs[i].tolist(), xs[i + 1].tolist(), side[i].tolist())
@@ -232,10 +256,27 @@ def _crossing_tv(p: GaussianMixture, q: GaussianMixture) -> float:
     return min(1.0, 0.5 * float(np.abs(np.diff(gaps, prepend=0.0, append=0.0)).sum()))
 
 
-def _crossing_grid(p: GaussianMixture, q: GaussianMixture) -> tuple[float, float, int]:
+def _tail_points(d: _Searchable, lo: float, hi: float) -> np.ndarray:
+    """Points of a t outside [lo, hi], out to its ``TAIL_MASS`` quantiles; none for a mixture.
+
+    They step by a factor ``2 ** (1 / CROSSING_GRID_PER_SD)`` in the distance from the loc,
+    up to 2**256 scales (beyond which a t of df 0.05 still holds 6.3e-5 of its mass on each
+    side): outside every mixture's window only t tails are left, whose log-densities are
+    smooth in the log of that distance.
+    """
+    if not isinstance(d, StudentT):
+        return np.empty(0)
+    octaves = math.log2(min(-float(stdtrit(d.df, TAIL_MASS)), 2.0**256))
+    steps = np.exp2(np.arange(1, math.ceil(octaves * CROSSING_GRID_PER_SD) + 1)
+                    / CROSSING_GRID_PER_SD) * d.scale
+    xs = np.concatenate([d.loc - steps, d.loc + steps])
+    return xs[((xs < lo) | (xs > hi)) & np.isfinite(xs)]
+
+
+def _crossing_grid(p: _Searchable, q: _Searchable) -> tuple[float, float, int]:
     """The crossing search's window [lo, hi] and grid size; NumericalFailure on an overflow."""
     lo, hi = _window(p, q)
-    smallest = min(p.stddevs[p.weights > 0].min(), q.stddevs[q.weights > 0].min())
+    smallest = min(sd[w > 0].min() for w, _, sd in map(_parts, (p, q)))
     size = (hi - lo) / smallest * CROSSING_GRID_PER_SD  # finite only if lo and hi are
     if not math.isfinite(size):
         raise NumericalFailure(
@@ -244,7 +285,7 @@ def _crossing_grid(p: GaussianMixture, q: GaussianMixture) -> tuple[float, float
     return lo, hi, min(CROSSING_GRID_MAX, math.ceil(size) + 1)
 
 
-def _refine_crossings(p: GaussianMixture, q: GaussianMixture, a: list, b: list,
+def _refine_crossings(p: _Searchable, q: _Searchable, a: list, b: list,
                       side_a: list) -> tuple[list, list]:
     """Halve every bracket [a_j, b_j] ``CROSSING_BISECTIONS`` times; the refined ends.
 

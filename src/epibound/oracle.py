@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from math import prod
 from types import SimpleNamespace
@@ -339,7 +339,7 @@ class _Components:
     broadcasts it against a row of alphas.  Per-task arrays are (batch, k),
     padded past an instance's ``k_t`` target tasks with zero-weight copies of
     its first one; per-event variances are (batch, 2^m), padded with copies
-    of the first event's.  ``instance`` cuts one instance out.
+    of the first event's.
     """
 
     B: np.ndarray
@@ -365,30 +365,10 @@ class _Components:
     losses: dict                  # loss name -> its value on each target task
     var_s_events: np.ndarray      # per-event source variances
     var_t_events: np.ndarray
-    k_t: np.ndarray               # (batch,) target task counts
-    m: np.ndarray                 # (batch,) outcome counts
     finite_space = True  # oracle instances are categorical
     # b_S and b_T are already the largest valid values
     max_b_S = property(lambda self: self.b_S)
     max_b_T = property(lambda self: self.b_T)
-
-    def instance(self, b: int) -> "_Components":
-        """Instance ``b`` alone: Python scalars, (k_t,) per-task and (2^m,) per-event arrays."""
-        k, m = int(self.k_t[b]), int(self.m[b])
-        return _Components(
-            **{name: getattr(self, name)[b, 0].item() for name in _SCALARS},
-            t_weights=self.t_weights[b, :k],
-            losses={name: v[b, :k] for name, v in self.losses.items()},
-            var_s_events=self.var_s_events[b, :2**m],
-            var_t_events=self.var_t_events[b, :2**m],
-            k_t=k,
-            m=m,
-        )
-
-
-_SCALARS = tuple(f.name for f in fields(_Components)
-                 if f.name not in ("t_weights", "losses", "var_s_events", "var_t_events",
-                                   "k_t", "m"))
 
 
 def _instance_groups(insts: Sequence[OracleInstance]) -> list[np.ndarray]:
@@ -504,8 +484,6 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
         losses={"tv": ers, "l1": 2.0 * ers, "hellinger_sq": hell_t, "excess_ce": kl_t_pred},
         var_s_events=var_s,
         var_t_events=var_t,
-        k_t=np.array([inst.T.shape[0] for inst in insts]),
-        m=np.array([inst.m for inst in insts]),
     )
 
 

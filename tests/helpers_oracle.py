@@ -1,5 +1,7 @@
 """Independent brute-force oracles shared by module and acceptance tests."""
 
+import dataclasses
+
 import numpy as np
 
 
@@ -42,6 +44,24 @@ def reference_matched_tv(w_a, w_b, close) -> float:
         total += abs(wa - wb)
     total += float(sum(w for w, u in zip(w_b, used) if not u))
     return 0.5 * total
+
+
+def component_instance(comp, b, inst):
+    """Instance ``b`` of a batch of ``oracle._components`` alone, ``inst`` being that instance.
+
+    Scalar components become Python scalars, per-task ones ``(k_t,)`` arrays and
+    per-event variances ``(2^m,)`` arrays, cut at the instance's own counts.
+    """
+    k, events = inst.T.shape[0], 2**inst.m
+    per_instance = {
+        "t_weights": comp.t_weights[b, :k],
+        "losses": {name: v[b, :k] for name, v in comp.losses.items()},
+        "var_s_events": comp.var_s_events[b, :events],
+        "var_t_events": comp.var_t_events[b, :events],
+    }
+    scalars = {f.name: getattr(comp, f.name)[b, 0].item() for f in dataclasses.fields(comp)
+               if f.name not in per_instance}
+    return dataclasses.replace(comp, **scalars, **per_instance)
 
 
 def reference_components(inst):

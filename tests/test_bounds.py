@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from epibound import (
     ModelClass,
     NumericalFailure,
     PreconditionViolated,
+    StudentT,
     barycenter,
     best_approximation,
     chebyshev_delta,
@@ -203,7 +205,7 @@ class TestComponents:
         assert distribution_shift(a, b) == pytest.approx(1.0)
 
     def test_distribution_shift_is_the_reported_d(self, binary_source, binary_target):
-        # D as evaluate_bound computes it, each family reified at its 256 quantile nodes
+        # D as evaluate_bound computes it, between the families' exact t barycenters
         ig_s = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
         ig_t = InverseGammaGaussianTasks(1.3, 17.0, 9.0)
         model = ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8)
@@ -216,10 +218,10 @@ class TestComponents:
             report = evaluate_bound("thm1", model, predictor, source, target, alpha=0.2)
             assert distribution_shift(source, target) == report.D
         assert distribution_shift(ig_s, ig_s) == 0.0
-        # an equal family, as a file read in twice gives it, reifies at the same nodes
+        # an equal family, as a file read in twice gives it, has the same t
         assert distribution_shift(ig_s, InverseGammaGaussianTasks(1.0, 20.0, 10.0)) == 0.0
         d = distribution_shift(ig_s, ig_t)
-        assert d == tv_exact(barycenter(ig_s.reify()), barycenter(ig_t.reify()))
+        assert d == tv_exact(StudentT(40.0, 1.0, math.sqrt(0.5)), StudentT(34.0, 1.3, math.sqrt(9 / 17)))
 
     def test_learner_shift(self):
         v = distribution_shift_learner(Categorical([0.5, 0.5]), Categorical([0.6, 0.4]), bias=0.1)
@@ -498,10 +500,71 @@ class TestQuantileNodeConvergence:
             return evaluate_bound("thm1", model, Gaussian(1.1, 0.8), src, tgt, alpha=0.2)
 
         coarse, fine = (report(source.reify(k), target.reify(k)) for k in (256, 4096))
-        assert report(source, target).to_dict() == coarse.to_dict()  # 256 nodes by default
+        default = report(source, target)  # exact t barycenters, the tasks at 256 nodes
+        assert default.extras == coarse.extras
         for name in ("B", "C", "D"):
+            assert abs(getattr(default, name) - getattr(fine, name)) <= 1e-3, name
             assert abs(getattr(coarse, name) - getattr(fine, name)) <= 1e-3, name
         assert abs(coarse.extras["sup_var_target"] - fine.extras["sup_var_target"]) <= 1e-3
+
+    @pytest.mark.parametrize("family", [
+        InverseGammaGaussianTasks(1.0, 20.0, 10.0), InverseGammaGaussianTasks(1.3, 17.0, 9.0),
+        InverseGammaGaussianTasks(1.0, 3.0, 2.0), InverseGammaGaussianTasks(0.8, 5.0, 2.0),
+    ])
+    def test_t_barycenter_is_the_4096_node_limit(self, family):
+        assert tv_exact(barycenter(family), barycenter(family.reify(4096))) <= 1e-4
+
+    @pytest.mark.parametrize("shape", [0.6, 1.0])
+    def test_infinite_variance_families_evaluate(self, shape):
+        # df 2 shape <= 2: the t barycenters have no variance, and no mean at shape 0.6
+        model = ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8)
+        source = InverseGammaGaussianTasks(1.0, shape, 10.0)
+        target = InverseGammaGaussianTasks(1.3, shape, 9.0)
+        exact = evaluate_bound("thm1", model, Gaussian(1.1, 0.8), source, target, alpha=0.2)
+        fine = evaluate_bound("thm1", model, Gaussian(1.1, 0.8), source.reify(4096),
+                              target.reify(4096), alpha=0.2)
+        for name in ("B", "D", "D_learner"):
+            assert abs(getattr(exact, name) - getattr(fine, name)) <= 1e-3, name
+
+
+class TestParametricReification:
+    MODEL = ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8)
+
+    @staticmethod
+    def _count_reifications(monkeypatch) -> list:
+        calls = []
+        reify = InverseGammaGaussianTasks.reify
+        monkeypatch.setattr(InverseGammaGaussianTasks, "reify",
+                            lambda self, *a: calls.append(self) or reify(self, *a))
+        return calls
+
+    @pytest.mark.parametrize("sid", ["thm1", "thm2", "cor_l1", "cor_hellinger"])
+    def test_only_the_target_is_reified(self, sid, monkeypatch):
+        calls = self._count_reifications(monkeypatch)
+        ig_s = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
+        ig_t = InverseGammaGaussianTasks(1.3, 17.0, 9.0)
+        evaluate_bound(sid, self.MODEL, Gaussian(1.1, 0.8), ig_s, ig_t, alpha=0.2)
+        assert calls == [ig_t]
+
+    def test_equal_families_share_one_reification(self, monkeypatch):
+        calls = self._count_reifications(monkeypatch)
+        ig_s = InverseGammaGaussianTasks(1.0, 20.0, 10.0)
+        report = evaluate_bound("lemma2", self.MODEL, Gaussian(1.1, 0.8), ig_s,
+                                InverseGammaGaussianTasks(1.0, 20.0, 10.0), alpha=0.2)
+        assert len(calls) == 1 and report.D == 0.0
+
+    def test_no_mixture_density_of_many_components(self, monkeypatch):
+        # the barycenters are t's: no crossing search, floor or density evaluates a mixture
+        # of more than one component (a Gaussian enters the search as a one-component one)
+        sizes = []
+        logpdf = GaussianMixture.logpdf
+        monkeypatch.setattr(GaussianMixture, "logpdf",
+                            lambda self, x: sizes.append(self.weights.size) or logpdf(self, x))
+        for sid in ("thm1", "thm2", "cor_l1", "cor_hellinger"):
+            evaluate_bound(sid, self.MODEL, Gaussian(1.1, 0.8),
+                           InverseGammaGaussianTasks(1.0, 20.0, 10.0),
+                           InverseGammaGaussianTasks(1.3, 17.0, 9.0), alpha=0.2)
+        assert sizes and set(sizes) == {1}
 
 
 class TestReportBytes:
@@ -558,4 +621,4 @@ class TestReportBytes:
     def test_ig_evaluate_bound_bytes_pinned(self):
         text = json.dumps(self._ig_reports(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "b85773021fdbb6596560b89e86dd22043a3a24b49fdb3cae9d591306a35a5d6f")
+            "61b6b5f754ccb42fc8d780cae452955d9c8d19d0f0f56d2f2395141423aead15")

@@ -607,6 +607,38 @@ IG_INSTANCE = {
 }
 
 
+class TestStudentTInstances:
+    T = {"kind": "student_t", "df": 40.0, "loc": 1.0, "scale": 0.75}
+
+    def test_t_predictor_and_member(self, tmp_path, capsys):
+        data = {**IG_INSTANCE, "predictor": self.T,
+                "model": {"members": [*IG_INSTANCE["model"]["members"], self.T]}}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        assert main(["bound", "--statement", "thm1", "--instance", str(path),
+                     "--alpha", "0.2"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        setup = experiments.setup_from_dict(data)
+        report = evaluate_bound("thm1", setup["model"], setup["predictor"], setup["source"],
+                                setup["target"], alpha=0.2)
+        assert row == report.to_csv_row()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("df", 0.0, "df must be finite and strictly positive"),
+        ("df", math.inf, "df must be finite and strictly positive"),
+        ("scale", -1.0, "scale must be finite and strictly positive"),
+        ("loc", math.nan, "loc must be finite"),
+    ])
+    def test_bad_parameters_are_usage_errors(self, key, value, message, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({**IG_INSTANCE, "predictor": {**self.T, key: value}}))
+        assert main(["bound", "--statement", "thm1", "--instance", str(path),
+                     "--alpha", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}, got ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 class TestSubprocessDeterminism:
     @pytest.mark.parametrize("instance", [WORKED_INSTANCE, IG_INSTANCE], ids=["finite", "ig"])
     def test_fresh_bound_matches_in_process(self, instance, tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Distribution types, summary functionals and their invariants."""
 
 import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from epibound import (
     Categorical,
@@ -19,6 +21,7 @@ from epibound import (
     ModelClass,
     NumericalFailure,
     PreconditionViolated,
+    StudentT,
     barycenter,
     diameter,
     distribution_from_dict,
@@ -283,21 +286,82 @@ class TestBarycenter:
 
     @pytest.mark.parametrize("k", [1, 16, 256])
     def test_parametric_equals_reified(self, k):
-        # the equal-weight mixture of the reified columns; a family itself at 256 nodes
+        # the equal-weight mixture of the reified columns; a family itself is its exact t
         fam = InverseGammaGaussianTasks(mean=2.0, shape=20.0, rate=10.0)
         fin = fam.reify(k)
         mix = barycenter(fin)
         assert np.array_equal(mix.weights, np.full(k, 1.0 / k))
         assert np.array_equal(mix.means, fin.means) and np.array_equal(mix.stddevs, fin.stddevs)
-        direct, reified = barycenter(fam), barycenter(fam.reify())
-        for name in ("weights", "means", "stddevs"):
-            assert np.array_equal(getattr(direct, name), getattr(reified, name)), name
+        direct = barycenter(fam)
+        assert isinstance(direct, StudentT)
+        assert direct.to_dict() == StudentT(40.0, 2.0, math.sqrt(10.0 / 20.0)).to_dict()
 
     def test_parametric_rejects_zero_components(self):
         fam = InverseGammaGaussianTasks(mean=0.0, shape=20.0, rate=10.0)
         for bad in (0, 2.5):
             with pytest.raises(InvalidArgument, match="component budget"):
                 fam.reify(bad)
+
+
+class TestStudentT:
+    @pytest.mark.parametrize("df", [0.5, 1.0, 1.7, 2.0, 3.0, 10.0, 40.0, 200.0])
+    def test_logpdf_and_cdf_match_scipy(self, df):
+        t = StudentT(df, 0.7, 1.9)
+        x = np.concatenate([np.linspace(-60.0, 60.0, 1_001), [-1e8, 1e8, 0.7]])
+        ref = stats.t(df, loc=0.7, scale=1.9)
+        np.testing.assert_allclose(t.logpdf(x), ref.logpdf(x), rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(t.pdf(x), ref.pdf(x), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(t.cdf(x), ref.cdf(x), rtol=1e-12, atol=1e-300)
+
+    def test_sample_moments(self):
+        df, loc, scale, n = 10.0, -1.5, 2.0, 200_000
+        t = StudentT(df, loc, scale)
+        x = sample(t, n, seed=4)
+        mean, std = t.mean_std()
+        var = std * std
+        kurtosis = 3.0 + 6.0 / (df - 4.0)
+        assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / n)
+        assert abs(x.var(ddof=1) - var) <= 4.0 * var * math.sqrt((kurtosis - 1.0) / n)
+
+    def test_moments_where_they_exist(self):
+        assert StudentT(4.0, 1.0, 2.0).mean_std() == (1.0, 2.0 * math.sqrt(2.0))
+        assert StudentT(2.0, 1.0, 2.0).mean_std() == (1.0, math.inf)
+        mean, std = StudentT(1.0, 1.0, 2.0).mean_std()
+        assert math.isnan(mean) and std == math.inf
+
+    def test_roundtrip(self):
+        t = StudentT(7.5, -0.25, 3.0)
+        back = distribution_from_dict(json.loads(json.dumps(t.to_dict())))
+        assert isinstance(back, StudentT) and back.to_dict() == t.to_dict()
+        assert back.to_dict() == {"kind": "student_t", "df": 7.5, "loc": -0.25, "scale": 3.0}
+
+    @pytest.mark.parametrize("df, loc, scale, match", [
+        (0.0, 0.0, 1.0, "df"), (-1.0, 0.0, 1.0, "df"), (math.inf, 0.0, 1.0, "df"),
+        (math.nan, 0.0, 1.0, "df"), (3.0, math.nan, 1.0, "loc"), (3.0, math.inf, 1.0, "loc"),
+        (3.0, 0.0, 0.0, "scale"), (3.0, 0.0, -2.0, "scale"), (3.0, 0.0, math.inf, "scale"),
+    ])
+    def test_bad_parameters_raise(self, df, loc, scale, match):
+        with pytest.raises(InvalidArgument, match=match):
+            StudentT(df, loc, scale)
+
+    def test_barycenter_is_the_ig_family_marginal(self):
+        # the t density is the IG mixture of the Gaussian densities, by quadrature over v
+        fam = InverseGammaGaussianTasks(mean=0.4, shape=3.5, rate=2.0)
+        t = barycenter(fam)
+        ig = stats.invgamma(fam.shape, scale=fam.rate)
+        for x in (-3.0, 0.4, 1.1, 6.0):
+            want = integrate.quad(lambda v: ig.pdf(v) * stats.norm.pdf(x, 0.4, math.sqrt(v)),
+                                  0, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
+            assert t.pdf(np.array([x]))[0] == pytest.approx(want, rel=1e-9)
+
+    def test_t_tasks_match_by_parameters(self):
+        a = finite_tasks([(StudentT(3.0, 0.0, 1.0), 0.5), (StudentT(5.0, 1.0, 2.0), 0.5)])
+        b = finite_tasks([(StudentT(5.0, 1.0, 2.0), 0.5), (StudentT(3.0, 0.0, 1.0 + 1e-6), 0.5)])
+        assert task_distribution_tv(a, a) == 0.0 and task_distribution_tv(a, b) == 0.5
+
+    def test_t_tasks_have_no_mixture_barycenter(self):
+        with pytest.raises(InvalidTaskDistribution, match="Student-t"):
+            barycenter(finite_tasks([(StudentT(3.0, 0.0, 1.0), 1.0)]))
 
 
 class TestVariance:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr
@@ -21,6 +22,7 @@ from epibound import (
     InverseGammaGaussianTasks,
     ModelClass,
     NumericalFailure,
+    StudentT,
     SupportViolation,
     barycenter,
     cross_entropy,
@@ -98,6 +100,8 @@ class TestTVExact:
 def _components(d):
     if isinstance(d, Gaussian):
         return np.ones(1), np.array([d.mean]), np.array([d.stddev])
+    if isinstance(d, StudentT):  # its loc and scale, for the grid
+        return np.ones(1), np.array([d.loc]), np.array([d.scale])
     return d.weights, d.means, d.stddevs
 
 
@@ -108,27 +112,56 @@ def reference_tv(p, q, per_sd=128, max_points=2_000_000):
     points per smallest component stddev (eight times the density of the
     crossing search under test), capped at ``max_points``.  Each sign change
     of log p - log q is refined by brentq, and quad integrates the density
-    gap, evaluated from the component formula, over every smooth piece.
+    gap, evaluated from the component formula, over every smooth piece.  A
+    Student-t enters the grid as one component of its loc and scale, the grid
+    also reaches its 1e-15 and 1 - 1e-15 quantiles, its density is the power
+    form scaled to scipy's density at the loc, quad also splits at loc +- 10^k scales and adds the density gap beyond the
+    grid, out to infinity.
     """
     (wp, mp, sp), (wq, mq, sq) = _components(p), _components(q)
     means, sds = np.concatenate([mp, mq]), np.concatenate([sp, sq])
     lo, hi = float((means - 12 * sds).min()), float((means + 12 * sds).max())
+    ts = [d for d in (p, q) if isinstance(d, StudentT)]
+    decades = [t.loc + sign * t.scale * 10.0**k for t in ts for sign in (-1, 1) for k in range(-1, 16)]
+    for t in ts:
+        reach = -stats.t.ppf(1e-15, t.df) * t.scale
+        lo, hi = min(lo, t.loc - reach), max(hi, t.loc + reach)
     xs = np.linspace(lo, hi, min(max_points, int((hi - lo) / sds.min() * per_sd) + 1))
 
     def gap(x):
         return p.logpdf(x) - q.logpdf(x)
 
-    sign = np.concatenate([np.sign(gap(xs[i:i + 4096])) for i in range(0, xs.size, 4096)])
-    roots = [xs[i] if sign[i] == 0 else
-             brentq(lambda x: float(gap(np.array([x]))[0]), xs[i], xs[i + 1],
-                    xtol=1e-15, rtol=8.9e-16)
-             for i in np.flatnonzero(sign[:-1] * sign[1:] <= 0) if sign[i] == 0 or sign[i + 1] != 0]
+    if ts:
+        def density(d):
+            if isinstance(d, StudentT):
+                peak, power = stats.t.pdf(d.loc, d.df, d.loc, d.scale), -(d.df + 1) / 2
+                return lambda x: peak * (1 + ((x - d.loc) / d.scale) ** 2 / d.df) ** power
+            w, m, sd = _components(d)
+            return lambda x: (w / sd) @ np.exp(-0.5 * ((x - m) / sd) ** 2) / math.sqrt(2 * math.pi)
+
+        pf, qf = density(p), density(q)
+        return _reference_pieces(gap, lambda x: abs(pf(x) - qf(x)), xs, lo, hi,
+                                 [x for x in decades if lo < x < hi])
+
     coef = np.concatenate([wp / sp, -wq / sq]) / math.sqrt(2 * math.pi)
 
     def density_gap(x):
         return abs(coef @ np.exp(-0.5 * ((x - means) / sds) ** 2))
 
-    cuts = [lo, *roots, hi]
+    return _reference_pieces(gap, density_gap, xs, lo, hi)
+
+
+def _reference_pieces(gap, density_gap, xs, lo, hi, splits=None):
+    """Half the quad of ``density_gap`` over the pieces between the brentq roots of ``gap``
+    on the grid ``xs`` over [lo, hi]; given ``splits``, also between those points, and
+    over (-inf, lo] and [hi, inf)."""
+    sign = np.concatenate([np.sign(gap(xs[i:i + 4096])) for i in range(0, xs.size, 4096)])
+    roots = [xs[i] if sign[i] == 0 else
+             brentq(lambda x: float(gap(np.array([x]))[0]), xs[i], xs[i + 1],
+                    xtol=1e-15, rtol=8.9e-16)
+             for i in np.flatnonzero(sign[:-1] * sign[1:] <= 0) if sign[i] == 0 or sign[i + 1] != 0]
+    cuts = [lo, *roots, hi] if splits is None else [
+        -math.inf, *sorted([lo, *roots, *splits, hi]), math.inf]
     return 0.5 * sum(quad(density_gap, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
                      for a, b in zip(cuts[:-1], cuts[1:]) if b > a)
 
@@ -293,6 +326,76 @@ def refinement_corpus(seed=20261019):
     pairs += [(gaussian(), gaussian()) for _ in range(50)]
     pairs += [mirrored_pair(0.3, 0.5, 0.5), mirrored_pair(0.2, 2.0, 0.25)]
     return pairs
+
+
+def t_corpus(seed=20261020):
+    """Continuous pairs with a Student-t: the TV pairs of six IG instances, as the
+    benchmark's bound requests draw them, with their exact t barycenters; random t's
+    against Gaussians, mixtures and t's; and heavy tails whose crossings lie beyond
+    +- 10 scales."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(6):
+        mean = float(rng.uniform(0.5, 1.5))
+        source = InverseGammaGaussianTasks(mean, rng.uniform(15, 25), rng.uniform(8, 12))
+        target = InverseGammaGaussianTasks(mean + rng.uniform(-0.5, 0.5), rng.uniform(15, 25),
+                                           rng.uniform(8, 12))
+        predictor = Gaussian(mean + rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.0))
+        members = ModelClass.gaussian_mean_grid(mean - 0.5, mean + 0.5, 0.5, 0.8).members
+        bary_s, bary_t = barycenter(source), barycenter(target)
+        pairs += [(m, bary_s) for m in members]
+        pairs += [(predictor, bary_s), (bary_s, bary_t), (members[2], bary_t)]
+
+    def student():
+        return StudentT(math.exp(rng.uniform(math.log(3.0), math.log(100.0))),
+                        rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.1), math.log(3.0))))
+
+    for _ in range(8):
+        pairs.append((student(), Gaussian(rng.uniform(-3, 3), math.exp(rng.uniform(-2.0, 1.0)))))
+        k = int(rng.integers(2, 6))
+        pairs.append((GaussianMixture(rng.dirichlet(np.ones(k)), rng.uniform(-3, 3, k),
+                                      np.exp(rng.uniform(-2.0, 0.7, k))), student()))
+        pairs.append((student(), student()))
+    pairs += [(StudentT(3.0, 0.0, 1.0), StudentT(5.0, 0.1, 1.1)),
+              (StudentT(3.0, 0.0, 1.0), Gaussian(0.0, 1.5)),
+              (StudentT(3.0, 0.0, 1.0), StudentT(4.0, 0.0, 3.0))]
+    return pairs
+
+
+class TestStudentTCrossing:
+    def test_corpus_matches_reference(self):
+        pairs = t_corpus()
+        assert len(pairs) >= 60
+        errors = [abs(tv_exact(p, q) - reference_tv(p, q)) for p, q in pairs]
+        assert max(errors) <= 1e-9
+        for p, q in pairs[::5]:
+            assert tv_exact(q, p) == pytest.approx(tv_exact(p, q), abs=1e-14)
+            assert tv_exact(p, p) == 0.0
+
+    def test_tails_past_the_window_carry_crossings(self, monkeypatch):
+        # the heavier tail of t(3) overtakes t(4) at scale 3 past the window [-30, 30]:
+        # the window alone misses that crossing and 2.2e-8 of the TV
+        p, q = StudentT(3.0, 0.0, 1.0), StudentT(4.0, 0.0, 3.0)
+        assert divergences._window(p, q) == (-30.0, 30.0)
+        tv = tv_exact(p, q)
+        assert tv == pytest.approx(reference_tv(p, q), abs=1e-12)
+        monkeypatch.setattr(divergences, "_tail_points", lambda d, lo, hi: np.empty(0))
+        assert tv - tv_exact(p, q) > 1e-8
+
+    @pytest.mark.parametrize("shape", [0.05, 0.3, 0.6, 1.0])
+    def test_heavy_tails_evaluate(self, shape):
+        t = barycenter(InverseGammaGaussianTasks(1.0, shape, 10.0))
+        tv = tv_exact(Gaussian(1.1, 0.8), t)
+        assert 0.0 < tv < 1.0 and divergences._tv_floor(Gaussian(1.1, 0.8), t) <= tv
+
+    def test_quadrature_functionals_accept_the_ig_barycenter(self):
+        t = barycenter(InverseGammaGaussianTasks(1.0, 20.0, 10.0))
+        g = Gaussian(1.1, 0.8)
+        assert entropy(t) == pytest.approx(stats.t(t.df, t.loc, t.scale).entropy(), abs=1e-9)
+        fine = barycenter(InverseGammaGaussianTasks(1.0, 20.0, 10.0).reify(4096))
+        for fn in (hellinger_sq, kl_exact, cross_entropy):
+            assert fn(t, g) == pytest.approx(fn(fine, g), abs=1e-4), fn.__name__
+            assert fn(g, t) == pytest.approx(fn(g, fine), abs=1e-4), fn.__name__
 
 
 class TestCrossingRefinement:

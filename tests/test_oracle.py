@@ -41,6 +41,7 @@ from epibound.oracle import (
 )
 from epibound.seeding import generator
 from helpers_oracle import (
+    component_instance,
     reference_components,
     reference_draw_instance,
     reference_draw_theta_instance,
@@ -61,7 +62,7 @@ def make_instance(source, target, model, predictor, constraint="none", epsilon=N
 
 def compute_components(inst):
     """Exact components of one instance: a batch of one."""
-    return oracle._components([inst]).instance(0)
+    return component_instance(oracle._components([inst]), 0, inst)
 
 
 def verify_theta(theta, alphas, b6_report, bayes_report):
@@ -688,7 +689,8 @@ class TestBatchedComponents:
             for group in oracle._instance_groups([insts[i] for i in chunk]):
                 comp = oracle._components([insts[i] for i in chunk[group]])
                 for b, i in enumerate(chunk[group]):
-                    assert_matches_reference(comp.instance(b), wants[i], f"instance {i}")
+                    assert_matches_reference(component_instance(comp, b, insts[i]), wants[i],
+                                             f"instance {i}")
         for i in range(0, len(insts), 7):
             assert_matches_reference(compute_components(insts[i]), wants[i], f"single {i}")
 
@@ -705,7 +707,7 @@ class TestBatchedComponents:
                     margins = np.broadcast_to(statement.margin(comp, alphas), (group.size, 10))
                     deltas = statement.delta(comp, alphas)
                 for b in range(group.size):
-                    one = comp.instance(b)
+                    one = component_instance(comp, b, insts[group[b]])
                     if statement.unmet(one) is not None:
                         continue
                     for a, alpha in enumerate(DEFAULT_ALPHAS):

@@ -8,6 +8,7 @@ from epibound import bayes, bounds, cli, distributions, divergences, oracle
 
 def test_every_export_is_an_attribute():
     assert [name for name in epibound.__all__ if not hasattr(epibound, name)] == []
+    assert epibound.StudentT is distributions.StudentT and "StudentT" in epibound.__all__
 
 
 def test_removed_names_are_gone():
@@ -35,8 +36,12 @@ def test_removed_names_are_gone():
         (oracle.OracleInstance, "from_distributions"),
         (oracle, "compute_components"),
         (oracle, "verify_theta_instance"),
+        # test-only oracle code, now in the tests' helpers
+        (oracle._Components, "instance"),
+        (oracle, "_SCALARS"),
     ]
     assert [(owner.__name__, name) for owner, name in removed if name in vars(owner)] == []
     assert not {"DiscreteEvent", "Interval", "variance_at"} & set(epibound.__all__)
     assert [f.name for f in dataclasses.fields(bayes.SourceDataset)] == [
         "xi", "x", "task_variances"]
+    assert not {"k_t", "m"} & {f.name for f in dataclasses.fields(oracle._Components)}
