@@ -45,15 +45,12 @@ from .divergences import (
     kl_mc,
     l1_distance,
     tv_exact,
-    tv_upper_pinsker,
 )
 from .bounds import (
     BoundReport,
     ModelClass,
     best_approximation,
-    chebyshev_delta,
     convergence_gap,
-    distribution_shift,
     distribution_shift_learner,
     epistemic_error,
     evaluate_bound,
@@ -101,11 +98,10 @@ __all__ = [
     "task_distribution_tv",
     # divergences
     "DivergenceResult", "cross_entropy", "entropy", "hellinger_sq", "kl_exact",
-    "kl_mc", "l1_distance", "tv_exact", "tv_upper_pinsker",
+    "kl_mc", "l1_distance", "tv_exact",
     # bounds
-    "BoundReport", "ModelClass", "best_approximation", "chebyshev_delta",
-    "convergence_gap", "distribution_shift", "distribution_shift_learner",
-    "epistemic_error", "evaluate_bound",
+    "BoundReport", "ModelClass", "best_approximation", "convergence_gap",
+    "distribution_shift_learner", "epistemic_error", "evaluate_bound",
     # bayes
     "GaussianParamDist", "NIGModel", "SourceDataset", "param_tv_upper",
     "posterior_mass_near", "posterior_predictive", "posterior_update",

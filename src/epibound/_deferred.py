@@ -22,24 +22,22 @@ does not settle, ``scipy.integrate``.
 from __future__ import annotations
 
 import importlib
-from typing import Optional
 
 
 class Deferred:
     """``module.name``, imported at the first call.
 
-    Given ``namespace``, the ``globals()`` of the module that binds it, the
-    first call also replaces that module's binding of ``name`` with the loaded
-    object: later calls reach it directly, with no frame of this class on
-    their path.  Without one, every call forwards through this object, so a
-    binding that is replaced from outside (perfbench's tracer wraps the
-    module global ``quad`` of ``divergences`` and ``bayes``) never changes
-    under the replacement.
+    ``namespace`` is the ``globals()`` of the module that binds it.  The
+    first call replaces that module's binding of ``name`` with the loaded
+    object, so later calls reach it directly, with no frame of this class on
+    their path.  A binding that was replaced from outside (perfbench's tracer
+    wraps the module global ``quad`` of ``divergences`` and ``bayes``) is
+    kept: the replacement's calls forward through this object.
     """
 
     __slots__ = ("module", "name", "_namespace", "_loaded")
 
-    def __init__(self, module: str, name: str, namespace: Optional[dict] = None):
+    def __init__(self, module: str, name: str, namespace: dict):
         self.module, self.name = module, name
         self._namespace, self._loaded = namespace, None
 
@@ -47,7 +45,7 @@ class Deferred:
         """The named object, imported on the first call."""
         if self._loaded is None:
             self._loaded = getattr(importlib.import_module(self.module), self.name)
-            if self._namespace is not None and self._namespace.get(self.name) is self:
+            if self._namespace.get(self.name) is self:
                 self._namespace[self.name] = self._loaded
         return self._loaded
 

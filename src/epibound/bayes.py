@@ -9,8 +9,8 @@ is then a closed-form bivariate Gaussian.
 ``scipy.special`` is loaded at the first posterior mass, not at import, and
 ``scipy.integrate`` only when ``posterior_mass_near`` integrates: called
 directly, or for a row of ``_posterior_mass_stack`` that quad's first step
-does not settle; see ``_deferred``.  Its ``quad`` is ``divergences.quad``,
-and ``ndtr`` rebinds to scipy's ufunc at its first call.
+does not settle; see ``_deferred``.  ``quad`` and ``ndtr`` rebind to
+scipy's at their first call.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 
 from ._deferred import Deferred
 from .distributions import Gaussian, _check_gaussians
-from .divergences import quad
-from .errors import InvalidArgument, NumericalFailure
+from .errors import InvalidArgument, NumericalFailure, require_finite_pair
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
+quad = Deferred("scipy.integrate", "quad", globals())
 
 COV_SYM_TOL = 1e-12
 MASS_EPSABS, MASS_EPSREL = 1e-6, 1e-9  # posterior_mass_near's quadrature tolerances
@@ -154,10 +154,6 @@ class SourceDataset:
             object.__setattr__(self, "task_variances", tv)
 
 
-def empty_dataset() -> SourceDataset:
-    return SourceDataset(np.zeros((0, 2)), np.zeros(0))
-
-
 # ---------------------------------------------------------------------------
 # Posterior update
 # ---------------------------------------------------------------------------
@@ -250,13 +246,7 @@ def _checked_square(center, radius: float) -> np.ndarray:
     """
     if not radius > 0:  # also rejects NaN
         raise InvalidArgument(f"radius must be > 0, got {radius}")
-    try:
-        c = np.asarray(center, dtype=float)
-    except (TypeError, ValueError):
-        c = np.full(0, np.nan)
-    if c.size != 2 or not np.isfinite(c).all():
-        raise InvalidArgument(f"center must be two finite numbers, got {center!r}")
-    return c.reshape(2)
+    return require_finite_pair("center", center)
 
 
 def _outer_limits(center: np.ndarray, radius: float, m1, sd1):

@@ -122,11 +122,6 @@ def convergence_gap(predictor: FirstOrderDistribution, best: FirstOrderDistribut
     return tv_exact(predictor, best)
 
 
-def distribution_shift(source: TaskDistribution, target: TaskDistribution) -> float:
-    """TV between the source and target barycenters (D)."""
-    return tv_exact(barycenter(source), barycenter(target))
-
-
 def distribution_shift_learner(
     best: FirstOrderDistribution, target_bary: FirstOrderDistribution, bias: float
 ) -> float:
@@ -139,12 +134,6 @@ def epistemic_error(
 ) -> float:
     """TV from the predictor to the realized target task."""
     return tv_exact(predictor, target_task)
-
-
-def chebyshev_delta(tasks: TaskDistribution, alpha: float) -> float:
-    """sup-variance over alpha^2, unclipped (values > 1 signal vacuity)."""
-    _require_alpha(alpha)
-    return sup_variance(tasks) / (alpha * alpha)
 
 
 def _require_alpha(alpha: float) -> None:
@@ -347,25 +336,14 @@ class BoundReport:
 
     def to_csv_row(self) -> str:
         x = self.extras
+        return ",".join([self.statement_id, *map(_csv_field, (
+            self.alpha, self.B, self.C, self.D, self.D_learner, self.margin, self.delta,
+            x.get("epsilon"), x.get("b_S"), x.get("b_T")))])
 
-        def fmt(v) -> str:
-            return "" if v is None else repr(float(v))
 
-        return ",".join(
-            [
-                self.statement_id,
-                fmt(self.alpha),
-                fmt(self.B),
-                fmt(self.C),
-                fmt(self.D),
-                fmt(self.D_learner),
-                fmt(self.margin),
-                fmt(self.delta),
-                fmt(x.get("epsilon")),
-                fmt(x.get("b_S")),
-                fmt(x.get("b_T")),
-            ]
-        )
+def _csv_field(v) -> str:
+    """A CSV field: blank for None, else the float's repr."""
+    return "" if v is None else repr(float(v))
 
 
 # ---------------------------------------------------------------------------

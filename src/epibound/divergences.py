@@ -13,16 +13,14 @@ Student-t, not at import (see ``_deferred``).  Only the mixture and t
 fallbacks here and ``bayes.posterior_mass_near`` integrate.
 A window that is not finite (overflowing or NaN moments) raises
 NumericalFailure, in quadrature, the crossing search and the closed forms.
-Every quadrature calls the module global ``quad``, which stays the same
-forwarding object; ``ndtr`` and ``stdtrit`` rebind to scipy's ufuncs at their
-first call.
+``quad``, ``ndtr`` and ``stdtrit`` rebind to scipy's at their first call.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -53,22 +51,19 @@ TAIL_MASS = 1e-12            # a t's crossing grid reaches its TAIL_MASS and 1 -
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
 stdtrit = Deferred("scipy.special", "stdtrit", globals())
-# never rebinds: perfbench's tracer replaces this binding with a counting wrapper
-quad = Deferred("scipy.integrate", "quad")
+quad = Deferred("scipy.integrate", "quad", globals())
 
 
 @dataclass(frozen=True)
 class DivergenceResult:
     """One computed divergence with provenance.
 
-    ``stderr_estimate`` is present only for Monte Carlo values; for
-    ``pinsker_upper`` results it refers to the underlying KL estimate.
-    ``clamped`` flags a negative Monte Carlo KL clamped to 0 before the
-    Pinsker square root.
+    ``stderr_estimate`` is present only for Monte Carlo values.  ``clamped``
+    flags a negative Monte Carlo KL clamped to 0.
     """
 
     value: float
-    method: str  # exact_discrete | gaussian_closed_form | quadrature | monte_carlo | pinsker_upper
+    method: str  # exact_discrete | monte_carlo
     mc_samples: Optional[int] = None
     stderr_estimate: Optional[float] = None
     clamped: bool = False
@@ -409,7 +404,7 @@ def kl_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo KL and the Pinsker upper bound
+# Monte Carlo KL and its Pinsker rows
 # ---------------------------------------------------------------------------
 
 
@@ -445,26 +440,6 @@ def kl_mc(
         stderr_estimate=stderr,
         clamped=value < 0.0,
     )
-
-
-def tv_upper_pinsker(
-    p: FirstOrderDistribution,
-    q: FirstOrderDistribution,
-    n_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int | np.random.Generator = 0,
-) -> DivergenceResult:
-    """Pinsker upper bound sqrt(KL/2) on the TV distance.
-
-    KL comes from the closed form for single Gaussian pairs and otherwise
-    from ``kl_mc`` with its ``seed``, which sums categorical pairs exactly.
-    Negative Monte Carlo KL is clamped to 0 and flagged.
-    """
-    require_same_space(p, q)
-    if isinstance(p, Gaussian) and isinstance(q, Gaussian):
-        kl = kl_exact(p, q)
-        return DivergenceResult(value=math.sqrt(max(kl, 0.0) / 2.0), method="pinsker_upper")
-    base = kl_mc(p, q, n_samples=n_samples, seed=seed)
-    return replace(base, value=math.sqrt(base.value / 2.0), method="pinsker_upper")
 
 
 def _mc_kl(log_ratio: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ Public functions raise these instead of bare ValueError/RuntimeError so
 callers can distinguish contract violations from numerical trouble.
 """
 
+import numpy as np
+
 
 class EpiboundError(Exception):
     """Base error for this package."""
@@ -59,3 +61,14 @@ def require_int(name: str, value, low=None) -> int:
     if low is not None and value < low:
         raise InvalidArgument(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def require_finite_pair(name: str, raw) -> np.ndarray:
+    """``raw`` as a fresh 2-vector: InvalidArgument unless it is two finite numbers."""
+    try:
+        v = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        v = np.full(0, np.nan)
+    if v.size != 2 or not np.isfinite(v).all():
+        raise InvalidArgument(f"{name} must be two finite numbers, got {raw!r}")
+    return v.reshape(2)

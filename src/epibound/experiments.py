@@ -61,7 +61,7 @@ from .bayes import (
     _posterior_stack,
     _predictive_stack,
 )
-from .bounds import LOSSES, STATEMENTS, ModelClass, evaluate_bound
+from .bounds import LOSSES, STATEMENTS, ModelClass, _csv_field, evaluate_bound
 from .distributions import (
     DEFAULT_REIFY_COMPONENTS,
     FiniteTaskDistribution,
@@ -74,7 +74,7 @@ from .distributions import (
     task_distribution_from_dict,
 )
 from .divergences import MC_SUPPORT_GAP, _column_logpdf, _gaussian_draws, _pinsker_mc
-from .errors import InvalidArgument, require_int
+from .errors import InvalidArgument, require_finite_pair, require_int
 from .seeding import derive_seed, derive_seeds, generator, generator_from_words, stream_words
 from .workers import map_payloads, worker_count
 
@@ -117,14 +117,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("beta_source", "beta_target"):
-            raw = getattr(self, name)
-            try:
-                v = np.array(raw, dtype=float)
-            except (TypeError, ValueError):
-                v = np.full(0, np.nan)
-            if v.size != 2 or not np.isfinite(v).all():
-                raise InvalidArgument(f"{name} must be two finite numbers, got {raw!r}")
-            v = v.reshape(2)
+            v = require_finite_pair(name, getattr(self, name))
             v.flags.writeable = False
             object.__setattr__(self, name, v)
         object.__setattr__(self, "epsilon_grid", tuple(float(e) for e in self.epsilon_grid))
@@ -185,13 +178,10 @@ class ExperimentRecord:
     posterior_mass: Optional[float]
 
     def to_csv_row(self) -> str:
-        def fmt(v) -> str:
-            return "" if v is None else repr(float(v))
-
         return ",".join([
-            str(self.sim), str(self.seed), str(self.n), fmt(self.epsilon),
-            fmt(self.epistemic_error), fmt(self.C), fmt(self.D),
-            fmt(self.looseness), fmt(self.posterior_mass),
+            str(self.sim), str(self.seed), str(self.n), *map(_csv_field, (
+                self.epsilon, self.epistemic_error, self.C, self.D, self.looseness,
+                self.posterior_mass)),
             "",  # runtime_ms stays blank: wall time would break determinism
         ])
 

@@ -77,7 +77,7 @@ _MODE_STATEMENTS = {
 _INSTANCE_STATEMENTS = {
     sid for sids in _MODE_STATEMENTS.values() for sid in sids if sid in STATEMENTS
 }
-_THETA_STATEMENTS = ("cor_bayesian",)  # verified on finite-theta instances
+_THETA_STATEMENTS = ("lemma_b6", "cor_bayesian")  # verified on finite-theta instances only
 PROB_STATEMENTS = tuple(
     sid for sid in STATEMENTS if sid in _INSTANCE_STATEMENTS or sid in _THETA_STATEMENTS
 )
@@ -574,8 +574,9 @@ def _b8_slack(c) -> np.ndarray:
     return (bound - c.var_t_events).min(axis=1, keepdims=True)
 
 
-# each deterministic lemma on finite instances: its slack, and the hypotheses it needs
+# each deterministic lemma: its slack, and the hypotheses it needs
 _LEMMAS = {
+    "lemma_b6": (lambda c: c.param_tv - c.C, ()),  # on finite-theta instances only
     "lemma_b2": (lambda c: c.B + c.C - c.tv_pred_bary_s, ()),
     "lemma_b7": (lambda c: c.B + c.C + c.D_learner - c.tv_pred_bary_t, ()),
     "prop1": (lambda c: c.D - c.D_learner, ()),
@@ -588,6 +589,8 @@ _LEMMAS = {
                      "first-order boundedness fails"),
     )),
 }
+# every statement checked on finite instances
+_CHECKED = tuple(sid for sid in ALL_STATEMENTS if sid not in _THETA_STATEMENTS)
 
 
 def _check(statement_ids: Sequence[str], comp, alphas: np.ndarray, attempts: np.ndarray,
@@ -658,10 +661,11 @@ def verify_statement(
     A probability statement gets one outcome per alpha: the exceedance
     ``P(loss >= margin)`` is a weighted sum over the enumerated target
     support, compared with delta.  A deterministic lemma gets one slack.
-    ``cor_bayesian`` is checked on ``run_suite``'s finite-theta instances.
+    ``lemma_b6`` and ``cor_bayesian`` are checked on ``run_suite``'s
+    finite-theta instances.
     """
     alpha_arr = _alpha_array(alphas)
-    if statement_id not in _LEMMAS and statement_id not in _INSTANCE_STATEMENTS:
+    if statement_id not in _CHECKED:
         raise InvalidArgument(f"{statement_id!r} is not verified on finite instances")
     report = StatementReport(statement_id, keep_outcomes=True)
     _check([statement_id], _components([instance]), alpha_arr, np.ones((1, 1), dtype=bool),
@@ -782,11 +786,8 @@ def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,
                    b6_report: StatementReport, bayes_report: StatementReport) -> None:
     """Check C <= parameter TV and the Bayesian bound, one group of like sizes at a time."""
     for group in _groups([(inst.T.shape[1], inst.p1.size, inst.T.shape[0]) for inst in insts]):
-        comp = _theta_components([insts[g] for g in group])
-        b6 = (comp.param_tv - comp.C)[None]
-        _record([b6_report], np.ones((1, group.size), dtype=bool), b6, b6 < -SLACK_TOL)
-        _check(["cor_bayesian"], comp, alphas, np.ones((group.size, 1), dtype=bool),
-               [bayes_report])
+        _check(_THETA_STATEMENTS, _theta_components([insts[g] for g in group]), alphas,
+               np.ones((group.size, 2), dtype=bool), [b6_report, bayes_report])
 
 
 # ---------------------------------------------------------------------------
@@ -844,8 +845,7 @@ class OracleReport:
         return lines
 
 
-# every statement checked on finite instances, and for each mode whether it attempts it
-_CHECKED = tuple(sid for sid in ALL_STATEMENTS if sid in _INSTANCE_STATEMENTS or sid in _LEMMAS)
+# for each mode, whether it attempts each statement checked on finite instances
 _ATTEMPTS = {mode: [sid in sids for sid in _CHECKED] for mode, sids in _MODE_STATEMENTS.items()}
 
 

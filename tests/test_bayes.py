@@ -24,7 +24,6 @@ from epibound.bayes import (
     _posterior_mass_stack,
     _posterior_stack,
     _predictive_stack,
-    empty_dataset,
     gaussian_param_kl,
 )
 from helpers_oracle import grid_posterior_moments
@@ -46,7 +45,7 @@ class TestNIGModel:
 
 class TestPosteriorUpdate:
     def test_empty_data_returns_prior(self):
-        post = posterior_update(NIGModel(), empty_dataset())
+        post = posterior_update(NIGModel(), SourceDataset(np.zeros((0, 2)), np.zeros(0)))
         np.testing.assert_allclose(post.mean, [0.0, 0.0])
         np.testing.assert_allclose(post.covariance, np.eye(2))
 

@@ -25,18 +25,22 @@ from epibound import (
     StudentT,
     barycenter,
     best_approximation,
-    chebyshev_delta,
     convergence_gap,
-    distribution_shift,
     distribution_shift_learner,
     epistemic_error,
     evaluate_bound,
     finite_tasks,
+    sup_variance,
     tv_exact,
 )
 from epibound import bounds, divergences
 from epibound.bounds import CSV_HEADER, STATEMENT_IDS, STATEMENTS
 from epibound.oracle import CONSTRAINT_MODES, InstanceConfig, generate_instance
+
+
+def shift(source, target) -> float:
+    """D: the TV between the source and target barycenters."""
+    return tv_exact(barycenter(source), barycenter(target))
 
 
 class TestBestApproximation:
@@ -198,11 +202,11 @@ class TestComponents:
         assert v == pytest.approx(0.1974, abs=1e-4)
 
     def test_distribution_shift(self, binary_source, binary_target):
-        assert distribution_shift(binary_source, binary_source) == 0.0
-        assert distribution_shift(binary_source, binary_target) == pytest.approx(0.2, abs=1e-12)
+        assert shift(binary_source, binary_source) == 0.0
+        assert shift(binary_source, binary_target) == pytest.approx(0.2, abs=1e-12)
         a = finite_tasks([(Categorical([1.0, 0.0]), 1.0)])
         b = finite_tasks([(Categorical([0.0, 1.0]), 1.0)])
-        assert distribution_shift(a, b) == pytest.approx(1.0)
+        assert shift(a, b) == pytest.approx(1.0)
 
     def test_distribution_shift_is_the_reported_d(self, binary_source, binary_target):
         # D as evaluate_bound computes it, between the families' exact t barycenters
@@ -216,11 +220,11 @@ class TestComponents:
             (binary_source, binary_target, binary_model, Categorical([0.4, 0.6])),
         ):
             report = evaluate_bound("thm1", model, predictor, source, target, alpha=0.2)
-            assert distribution_shift(source, target) == report.D
-        assert distribution_shift(ig_s, ig_s) == 0.0
+            assert shift(source, target) == report.D
+        assert shift(ig_s, ig_s) == 0.0
         # an equal family, as a file read in twice gives it, has the same t
-        assert distribution_shift(ig_s, InverseGammaGaussianTasks(1.0, 20.0, 10.0)) == 0.0
-        d = distribution_shift(ig_s, ig_t)
+        assert shift(ig_s, InverseGammaGaussianTasks(1.0, 20.0, 10.0)) == 0.0
+        d = shift(ig_s, ig_t)
         assert d == tv_exact(StudentT(40.0, 1.0, math.sqrt(0.5)), StudentT(34.0, 1.3, math.sqrt(9 / 17)))
 
     def test_learner_shift(self):
@@ -237,14 +241,20 @@ class TestComponents:
         assert er == pytest.approx(0.35, abs=1e-12)
         assert er <= 0.15 + 0.1 + 0.25 + 0.2  # bound sanity on the worked instance
 
-    def test_chebyshev_delta(self, binary_source):
-        assert chebyshev_delta(binary_source, 0.15) == pytest.approx(0.01 / 0.0225, abs=1e-10)
+    def test_chebyshev_delta(self, binary_source, binary_model, binary_predictor):
+        # thm1's delta: the target's sup-variance over alpha^2, unclipped
+        def delta(target, alpha):
+            return evaluate_bound("thm1", binary_model, binary_predictor, binary_source,
+                                  target, alpha).delta
+
+        assert delta(binary_source, 0.15) == pytest.approx(0.01 / 0.0225, abs=1e-10)
+        assert delta(binary_source, 0.15) == sup_variance(binary_source) / (0.15 * 0.15)
         point = finite_tasks([(Categorical([0.2, 0.8]), 1.0)])
-        assert chebyshev_delta(point, 0.3) == 0.0
-        assert chebyshev_delta(binary_source, 0.05) == pytest.approx(4.0, abs=1e-10)  # vacuous
-        for bad in (0.0, float("nan"), float("inf")):
-            with pytest.raises(InvalidArgument):
-                chebyshev_delta(binary_source, bad)
+        assert delta(point, 0.3) == 0.0
+        assert delta(binary_source, 0.05) == pytest.approx(4.0, abs=1e-10)  # vacuous
+        for bad in (0.0, -0.1, float("nan"), float("inf"), 1e-200):
+            with pytest.raises(InvalidArgument, match="^alpha "):
+                delta(binary_source, bad)
 
 
 class TestEvaluateBound:

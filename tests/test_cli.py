@@ -709,9 +709,10 @@ def integrals():
 lazy = integrals()
 after_quad = "scipy.integrate" in sys.modules
 from scipy.integrate import quad
+rebound = [divergences.quad is quad, bayes.quad is quad]
 divergences.quad = bayes.quad = quad
 print(json.dumps({"codes": codes, "after_cli": after_cli, "after_quad": after_quad,
-                  "lazy": lazy, "direct": integrals()}))
+                  "rebound": rebound, "lazy": lazy, "direct": integrals()}))
 """
 
 
@@ -783,6 +784,8 @@ class TestColdStart:
         assert out["codes"] == [0, 0, 0]
         assert out["after_cli"] is False
         assert out["after_quad"] is True
+        # the first quadrature rebinds each module's quad to scipy's
+        assert out["rebound"] == [True, True]
         assert out["lazy"] == out["direct"]
 
     def test_scipy_and_process_pool_load_at_first_use(self, tmp_path):

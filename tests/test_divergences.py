@@ -1,6 +1,5 @@
 """Divergence values, identities and estimator behavior."""
 
-import inspect
 import math
 
 import numpy as np
@@ -13,6 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from epibound import bayes, divergences
+from epibound._deferred import Deferred
 from epibound import (
     Categorical,
     EventMismatch,
@@ -32,7 +32,6 @@ from epibound import (
     kl_mc,
     l1_distance,
     tv_exact,
-    tv_upper_pinsker,
 )
 
 # a zero-weight component 1e160 from the mean, and the mixture without it: 0 * inf in the
@@ -508,7 +507,6 @@ class TestKL:
         q = p + np.array([1e-13, -1e-13, 0.0])
         assert kl_exact(Categorical(p), Categorical(q)) < 0.0
         assert kl_mc(Categorical(p), Categorical(q)).value == 0.0
-        assert tv_upper_pinsker(Categorical(p), Categorical(q)).value == 0.0
 
     @pytest.mark.parametrize("bad", [2.5, "7", True, 0])
     def test_mc_rejects_sample_counts_that_are_not_positive_integers(self, bad):
@@ -531,21 +529,25 @@ class TestKL:
 
 
 class TestPinsker:
+    """The Pinsker bound sqrt(KL/2) on TV, from ``kl_exact`` or ``kl_mc``."""
+
     def test_categorical_example(self):
-        res = tv_upper_pinsker(P37, P55)
-        assert res.value == pytest.approx(math.sqrt(KL_37_55 / 2), abs=1e-15)
-        assert res.value == pytest.approx(0.2028, abs=1e-4)
-        assert res.value >= tv_exact(P37, P55)
-        assert res.method == "pinsker_upper"
+        res = kl_mc(P37, P55)
+        bound = math.sqrt(res.value / 2)
+        assert bound == pytest.approx(math.sqrt(KL_37_55 / 2), abs=1e-15)
+        assert bound == pytest.approx(0.2028, abs=1e-4)
+        assert bound >= tv_exact(P37, P55)
+        assert res.method == "exact_discrete"
         assert res.mc_samples is None
 
     def test_identity(self):
-        assert tv_upper_pinsker(P37, P37).value == 0.0
+        assert math.sqrt(kl_mc(P37, P37).value / 2) == 0.0
+        assert math.sqrt(kl_exact(Gaussian(0, 1), Gaussian(0, 1)) / 2) == 0.0
 
     def test_gaussian_closed_forms(self):
-        res = tv_upper_pinsker(Gaussian(0, 1), Gaussian(1, 1))
-        assert res.value == pytest.approx(0.5, abs=1e-15)
-        assert res.value >= tv_exact(Gaussian(0, 1), Gaussian(1, 1)) == pytest.approx(0.3829, abs=1e-4)
+        bound = math.sqrt(kl_exact(Gaussian(0, 1), Gaussian(1, 1)) / 2)
+        assert bound == pytest.approx(0.5, abs=1e-15)
+        assert bound >= tv_exact(Gaussian(0, 1), Gaussian(1, 1)) == pytest.approx(0.3829, abs=1e-4)
 
     def test_forced_mc_records_samples(self):
         # the sampling estimate on a pair with a closed form
@@ -556,8 +558,9 @@ class TestPinsker:
 
     def test_mixture_uses_mc(self):
         mix = GaussianMixture([0.5, 0.5], [0.0, 2.0], [1.0, 1.0])
-        res = tv_upper_pinsker(Gaussian(0, 1), mix, n_samples=400, seed=4)
-        assert res.mc_samples == 400
+        res = kl_mc(Gaussian(0, 1), mix, n_samples=400, seed=4)
+        assert res.method == "monte_carlo" and res.mc_samples == 400
+        assert math.sqrt(res.value / 2) >= tv_exact(Gaussian(0, 1), mix)
 
 
 class TestMonteCarloRows:
@@ -726,7 +729,8 @@ class TestLazyQuadrature:
     def test_every_quadrature_calls_the_module_binding(self, monkeypatch):
         calls = []
         for module in (divergences, bayes):
-            assert not inspect.isfunction(module.quad)
+            # a Deferred until the module's first quadrature, scipy's own quad after it
+            assert module.quad is quad or isinstance(module.quad, Deferred)
 
             def counting(*args, _quad=module.quad, _name=module.__name__, **kwargs):
                 calls.append(_name)

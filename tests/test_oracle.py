@@ -395,9 +395,11 @@ class TestVerifyStatement:
         rep = verify_statement(inst, "lemma_b8")
         assert rep.skips == 1
 
-    def test_unknown_statement(self, worked):
-        with pytest.raises(Exception):
-            verify_statement(worked, "lemma99")
+    # the finite-theta statements are checked only on run_suite's finite-theta instances
+    @pytest.mark.parametrize("sid", ["lemma99", "lemma_b6", "cor_bayesian"])
+    def test_unknown_statement(self, worked, sid):
+        with pytest.raises(InvalidArgument, match="is not verified on finite instances"):
+            verify_statement(worked, sid)
 
 
 class TestLooseness:

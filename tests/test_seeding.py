@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from epibound import (
     Gaussian,
-    GaussianMixture,
     InvalidArgument,
     InverseGammaGaussianTasks,
 )
-from epibound.divergences import kl_mc, tv_upper_pinsker
+from epibound.divergences import kl_mc
 from epibound.experiments import _sampled_barycenter
 from epibound.oracle import generate_instance, generate_theta_instance, run_suite
 from epibound.seeding import (
@@ -139,13 +138,6 @@ class TestNegativeSeeds:
     def test_kl_mc(self):
         p, q = Gaussian(0.0, 1.0), Gaussian(0.0, 2.0)
         assert kl_mc(p, q, seed=-1) == kl_mc(p, q, seed=2**64 - 1)
-
-    def test_tv_upper_pinsker(self):
-        # a mixture takes the Monte Carlo path, which draws with the seed
-        p, q = Gaussian(0.0, 1.0), GaussianMixture([0.5, 0.5], [0.5, 1.0], [2.0, 1.0])
-        a = tv_upper_pinsker(p, q, n_samples=50, seed=-1)
-        assert a.mc_samples == 50
-        assert a == tv_upper_pinsker(p, q, n_samples=50, seed=2**64 - 1)
 
     def test_barycenter(self):
         # the negative-transfer experiment's sampled barycenters
