@@ -52,7 +52,6 @@ from .bounds import (
     best_approximation,
     convergence_gap,
     distribution_shift_learner,
-    epistemic_error,
     evaluate_bound,
 )
 from .bayes import (
@@ -68,7 +67,6 @@ from .oracle import (
     InstanceConfig,
     OracleInstance,
     generate_instance,
-    looseness,
     negative_transfer_scan,
     run_suite,
     verify_statement,
@@ -101,12 +99,12 @@ __all__ = [
     "kl_mc", "l1_distance", "tv_exact",
     # bounds
     "BoundReport", "ModelClass", "best_approximation", "convergence_gap",
-    "distribution_shift_learner", "epistemic_error", "evaluate_bound",
+    "distribution_shift_learner", "evaluate_bound",
     # bayes
     "GaussianParamDist", "NIGModel", "SourceDataset", "param_tv_upper",
     "posterior_mass_near", "posterior_predictive", "posterior_update",
     # oracle
-    "InstanceConfig", "OracleInstance", "generate_instance", "looseness",
+    "InstanceConfig", "OracleInstance", "generate_instance",
     "negative_transfer_scan", "run_suite", "verify_statement",
     # experiments
     "ExperimentConfig", "ExperimentRecord", "monte_carlo_verify",

@@ -4,9 +4,10 @@
 loaded by the first call that needs it:
 
 * ``scipy.special`` (``ndtr``, ``ndtri``, ``stdtr``, ``stdtrit``,
-  ``gammainccinv``), about half of a cold import through scipy's array-API
-  shim, at the first Gaussian or Student-t CDF or quantile, or the first
-  reified inverse-gamma family;
+  ``gammainccinv``, ``digamma``, ``betaln``), about half of a cold import
+  through scipy's array-API shim, at the first Gaussian or Student-t CDF or
+  quantile, the first Student-t entropy, or the first reified inverse-gamma
+  family;
 * ``scipy.integrate`` (``quad``), which pulls in scipy.optimize,
   scipy.sparse.linalg and scipy.linalg, at the first quadrature;
 * ``concurrent.futures.process`` (``ProcessPoolExecutor``), with

@@ -129,13 +129,6 @@ def distribution_shift_learner(
     return tv_exact(best, target_bary) - bias
 
 
-def epistemic_error(
-    predictor: FirstOrderDistribution, target_task: FirstOrderDistribution
-) -> float:
-    """TV from the predictor to the realized target task."""
-    return tv_exact(predictor, target_task)
-
-
 def _require_alpha(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 0):  # also rejects NaN
         raise InvalidArgument(f"alpha must be finite and > 0, got {alpha}")

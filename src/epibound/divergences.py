@@ -1,19 +1,21 @@
 """Distances and divergences between first-order distributions.
 
-Exact paths (categorical summation, Gaussian closed forms, continuous TV
-from the density crossings) are preferred wherever they exist.  Quadrature
+Exact paths (categorical summation, Gaussian closed forms, the Student-t
+entropy and KL(t || Gaussian) in closed form, continuous TV from the
+density crossings) are preferred wherever they exist.  Quadrature
 backs the remaining continuous cases of Hellinger, KL, entropy and
 cross-entropy.  The seeded Monte Carlo KL estimator ``kl_mc`` and the
 synthetic experiments' Pinsker upper bounds sqrt(KL/2) share one row
 kernel, ``_mc_kl``, on (rows, samples) log-ratio arrays.
 
 ``scipy.integrate`` is loaded at the first quadrature, and ``scipy.special``
-at the first Gaussian TV in closed form or the first crossing search on a
-Student-t, not at import (see ``_deferred``).  Only the mixture and t
-fallbacks here and ``bayes.posterior_mass_near`` integrate.
-A window that is not finite (overflowing or NaN moments) raises
+at the first Gaussian TV in closed form, the first crossing search on a
+Student-t or its first entropy, not at import (see ``_deferred``).  Only
+the mixture and t fallbacks here and ``bayes.posterior_mass_near``
+integrate.  A window that is not finite (overflowing or NaN moments) raises
 NumericalFailure, in quadrature, the crossing search and the closed forms.
-``quad``, ``ndtr`` and ``stdtrit`` rebind to scipy's at their first call.
+``quad``, ``ndtr``, ``stdtrit``, ``digamma`` and ``betaln`` rebind to
+scipy's at their first call.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ TAIL_MASS = 1e-12            # a t's crossing grid reaches its TAIL_MASS and 1 -
 
 ndtr = Deferred("scipy.special", "ndtr", globals())
 stdtrit = Deferred("scipy.special", "stdtrit", globals())
+digamma = Deferred("scipy.special", "digamma", globals())
+betaln = Deferred("scipy.special", "betaln", globals())
 quad = Deferred("scipy.integrate", "quad", globals())
 
 
@@ -135,13 +139,13 @@ def _quad_on_p_support(p: FirstOrderDistribution, q: FirstOrderDistribution,
 
 
 @contextlib.contextmanager
-def _closed_form(what: str, *dists: Gaussian):
-    """NumericalFailure for a Gaussian closed form whose float arithmetic fails: an
+def _closed_form(what: str, *dists: Union[Gaussian, StudentT]):
+    """NumericalFailure for a closed form whose float arithmetic fails: an
     overflowing power, or a variance that underflows to 0 as a divisor or in a log."""
     try:
         yield
     except (OverflowError, ZeroDivisionError, ValueError):
-        at = " and ".join(f"Gaussian(mean={d.mean!r}, stddev={d.stddev!r})" for d in dists)
+        at = " and ".join(map(repr, dists))
         raise NumericalFailure(f"the closed form of {what} over- or underflows at {at}") from None
 
 
@@ -350,6 +354,13 @@ def hellinger_sq(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _t_entropy(p: StudentT) -> float:
+    """The entropy of a Student-t in closed form; quadrature would drop its heavy tails."""
+    half, half1 = 0.5 * p.df, 0.5 * (p.df + 1.0)
+    return float(math.log(p.scale) + half1 * (digamma(half1) - digamma(half))
+                 + 0.5 * math.log(p.df) + betaln(half, 0.5))
+
+
 def entropy(p: FirstOrderDistribution) -> float:
     if isinstance(p, Categorical):
         pos = p.p[p.p > 0]
@@ -357,6 +368,8 @@ def entropy(p: FirstOrderDistribution) -> float:
     if isinstance(p, Gaussian):
         with _closed_form("the entropy", p):
             return 0.5 * math.log(2.0 * math.pi * math.e * p.stddev**2)
+    if isinstance(p, StudentT):
+        return _t_entropy(p)
     (p,) = _centered(p)
     pf = _pdf(p)
     lo, hi = _window(p)
@@ -399,6 +412,16 @@ def kl_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
                 math.log(q.stddev / p.stddev)
                 + (p.stddev**2 + (p.mean - q.mean) ** 2) / (2.0 * q.stddev**2)
                 - 0.5
+            )
+    if isinstance(p, StudentT) and isinstance(q, Gaussian):
+        # -H(p) - E_p[log q], with p's second moment, which is infinite at df <= 2
+        if p.df <= 2.0:
+            return math.inf
+        with _closed_form("the KL divergence", p, q):
+            return (
+                -_t_entropy(p)
+                + 0.5 * math.log(2.0 * math.pi * q.stddev**2)
+                + (p.scale**2 * p.df / (p.df - 2.0) + (p.loc - q.mean) ** 2) / (2.0 * q.stddev**2)
             )
     return _quad_on_p_support(p, q, lambda pv, qv: pv * math.log(pv / qv))
 

@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from math import prod
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -372,75 +373,90 @@ class _Components:
 
 
 def _instance_groups(insts: Sequence[OracleInstance]) -> list[np.ndarray]:
-    return _groups([(inst.m, inst.S.shape[0], inst.T.shape[0]) for inst in insts])
+    return _groups([(inst.pred.size, inst.S.shape[0], inst.T.shape[0]) for inst in insts])
+
+
+def _stack(rows: Sequence[tuple], source_variances: bool = False) -> SimpleNamespace:
+    """The components both instance kinds read, for a batch that ``_groups`` put together,
+    from one ``(S, w_s, T, w_t, members, pred)`` per instance.
+
+    The rows are stacked into padded arrays: tasks and members padded with
+    copies of row 0 (weight 0 for tasks), outcomes with zero columns.  Every
+    matrix product (barycenters, per-event variances, the source's when
+    ``source_variances``) runs on one instance's own arrays, because BLAS
+    rounds a product by its shape.  The rest is elementwise, sums over padded
+    axes that the grouping keeps exact, and minima and maxima, which copies
+    leave unchanged; ``argmin`` returns the first minimum, so a padded member
+    is never the best one.  No row is checked here: each caller checks its
+    own, in its own order, and a row passes or fails padded as it does alone.
+    """
+    n = len(rows)
+    ms = [row[5].size for row in rows]
+    m = max(ms)
+    k_s, k_t, r = (max(row[i].shape[0] for row in rows) for i in (0, 2, 4))
+    S, T, members = np.zeros((n, k_s, m)), np.zeros((n, k_t, m)), np.zeros((n, r, m))
+    w_s, w_t = np.zeros((n, k_s)), np.zeros((n, k_t))
+    pred, bary_s, bary_t = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m))
+    var_s = np.empty((n, 2 ** m)) if source_variances else None
+    var_t = np.empty((n, 2 ** m))
+    for b, (S_b, w_s_b, T_b, w_t_b, members_b, pred_b) in enumerate(rows):
+        mb = ms[b]
+        _put_rows(S[b], S_b)
+        _put_rows(T[b], T_b)
+        _put_rows(members[b], members_b)
+        w_s[b, :w_s_b.size] = w_s_b
+        w_t[b, :w_t_b.size] = w_t_b
+        pred[b, :mb] = pred_b
+        bary_s[b, :mb] = bs = w_s_b @ S_b
+        if source_variances:
+            vs = _event_variances(S_b, w_s_b, bs)
+            var_s[b, :vs.size], var_s[b, vs.size:] = vs, vs[0]
+        if source_variances and T_b is S_b and w_t_b is w_s_b:  # no shift: the source again
+            bt, vt = bs, vs
+        else:
+            bt = w_t_b @ T_b
+            vt = _event_variances(T_b, w_t_b, bt)
+        bary_t[b, :mb] = bt
+        var_t[b, :vt.size], var_t[b, vt.size:] = vt, vt[0]
+
+    dists = _tv(members, bary_s[:, None, :])
+    best_idx = dists.argmin(axis=1)
+    best = members[np.arange(n), best_idx]
+    return SimpleNamespace(
+        ms=ms, S=S, T=T, members=members, w_s=w_s, w_t=w_t, pred=pred, bary_s=bary_s,
+        bary_t=bary_t, var_s=var_s, var_t=var_t, best_idx=best_idx, best=best,
+        B=np.take_along_axis(dists, best_idx[:, None], 1), C=_tv(pred, best)[:, None],
+        D=_tv(bary_s, bary_t)[:, None], sup_var_target=var_t.max(axis=1)[:, None],
+        tv_losses=_tv(T, pred[:, None, :]),
+    )
 
 
 def _components(insts: Sequence[OracleInstance]) -> _Components:
-    """Exact components of a batch of instances that ``_instance_groups`` put together.
-
-    The instances are stacked into padded arrays: tasks and members padded
-    with copies of row 0 (weight 0 for tasks), outcomes with zero columns.
-    Every matrix product (barycenters, per-event variances) runs on one
-    instance's own arrays, because BLAS rounds a product by its shape.  The
-    rest is elementwise, sums over padded axes that the grouping keeps exact,
-    and minima and maxima, which copies leave unchanged; ``argmin`` returns
-    the first minimum, so a padded member is never the best one.
+    """Exact components of a batch of instances that ``_instance_groups`` put together:
+    ``_stack``'s, then those only the instance statements read.
 
     Every probability row and weight vector is checked in the padded arrays,
-    with ``OracleInstance``'s rules and error types.  Padding adds only copies
-    of row 0 and zeros, and the grouping keeps each row sum bit for bit, so a
-    row passes or fails as it does alone.
+    with ``OracleInstance``'s rules and error types, before any is read.
     """
-    n = len(insts)
-    m = max(inst.m for inst in insts)
-    k_s = max(inst.S.shape[0] for inst in insts)
-    k_t = max(inst.T.shape[0] for inst in insts)
-    events = 2 ** m
-    S, T = np.zeros((n, k_s, m)), np.zeros((n, k_t, m))
-    members = np.zeros((n, max(inst.members.shape[0] for inst in insts), m))
-    w_s, w_t = np.zeros((n, k_s)), np.zeros((n, k_t))
-    pred, bary_s, bary_t = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m))
-    var_s, var_t = np.empty((n, events)), np.empty((n, events))
-    for b, inst in enumerate(insts):
-        _put_rows(S[b], inst.S)
-        _put_rows(T[b], inst.T)
-        _put_rows(members[b], inst.members)
-        w_s[b, :inst.w_s.size] = inst.w_s
-        w_t[b, :inst.w_t.size] = inst.w_t
-        pred[b, :inst.m] = inst.pred
-        bary_s[b, :inst.m] = bs = inst.w_s @ inst.S
-        vs = _event_variances(inst.S, inst.w_s, bs)
-        if inst.shared and inst.w_t is inst.w_s:  # no shift: the target is the source
-            bt, vt = bs, vs
-        else:
-            bt = inst.w_t @ inst.T
-            vt = _event_variances(inst.T, inst.w_t, bt)
-        bary_t[b, :inst.m] = bt
-        var_s[b, :vs.size], var_s[b, vs.size:] = vs, vs[0]
-        var_t[b, :vt.size], var_t[b, vt.size:] = vt, vt[0]
-    for P in (pred, S, T, members):
+    st = _stack(list(map(attrgetter("S", "w_s", "T", "w_t", "members", "pred"), insts)), True)
+    S, T, w_s, w_t, pred = st.S, st.T, st.w_s, st.w_t, st.pred
+    for P in (pred, S, T, st.members):
         _check_rows(P)
     for w in (w_s, w_t):
         _check_rows(w, InvalidTaskDistribution, "task weights")
 
-    rows = np.arange(n)
-    dists = _tv(members, bary_s[:, None, :])
-    best_idx = dists.argmin(axis=1)
-    best = members[rows, best_idx]
-    B = dists[rows, best_idx]
     diam = _tv(S[:, :, None, :], S[:, None, :, :]).max(axis=(1, 2))
-    outcomes = np.arange(m) < np.array([inst.m for inst in insts])[:, None]
+    outcomes = np.arange(S.shape[2]) < np.array(st.ms)[:, None]
     s_min = np.where(outcomes[:, None, :], S, np.inf).min(axis=(1, 2))  # padding excluded
     b_S_first = _first_order_b(w_s)
 
-    ers = _tv(T, pred[:, None, :])
     hell_t = 0.5 * ((np.sqrt(T) - np.sqrt(pred)[:, None, :]) ** 2).sum(axis=2)
     gaps = np.abs(T[:, :, None, :] - S[:, None, :, :])  # (batch, k_t, k_s, m)
     cross = 0.5 * gaps.sum(axis=3)
-    shared = np.array([inst.shared for inst in insts])
+    shared = np.array([inst.T is inst.S for inst in insts])
     # a shared instance has k_s == k_t <= k, and the grouping makes k its own
     # task count when k >= 8, so this sum is exact where it is used
-    k = min(k_s, k_t)
+    k = min(S.shape[1], T.shape[1])
     dist_tv = _tv(w_s[:, :k], w_t[:, :k])
     if not shared.all():
         # task_distribution_tv's matching, with source task i close to target task j
@@ -456,25 +472,26 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
     leaks = nan.any(axis=2)
     kl_t_pred = np.where(leaks, np.inf, np.where(nan, 0.0, kl_rows).sum(axis=2))
     live = w_t > 0  # zero-weight target tasks, padding included, are never drawn
+    ers = st.tv_losses
 
     def col(v) -> np.ndarray:
         return np.asarray(v)[:, None]
 
     return _Components(
-        B=col(B),
-        C=col(_tv(pred, best)),
-        D=col(_tv(bary_s, bary_t)),
-        D_learner=col(_tv(best, bary_t) - B),
-        sup_var_target=col(var_t.max(axis=1)),
-        sup_var_source=col(var_s.max(axis=1)),
+        B=st.B,
+        C=st.C,
+        D=st.D,
+        D_learner=col(_tv(st.best, st.bary_t)) - st.B,
+        sup_var_target=st.sup_var_target,
+        sup_var_source=col(st.var_s.max(axis=1)),
         diam_source=col(diam),
         epsilon=col([np.nan if inst.epsilon is None else inst.epsilon for inst in insts]),
         b_S=col(np.minimum(b_S_first, np.where(s_min <= 0, 0.0, np.minimum(1.0, s_min)))),
         b_S_first=col(b_S_first),
         b_T=col(_first_order_b(w_t)),
         b_pred=col(np.where(pred > 0, pred, np.inf).min(axis=1)),
-        tv_pred_bary_s=col(_tv(pred, bary_s)),
-        tv_pred_bary_t=col(_tv(pred, bary_t)),
+        tv_pred_bary_s=col(_tv(pred, st.bary_s)),
+        tv_pred_bary_t=col(_tv(pred, st.bary_t)),
         shared_support=col(shared),
         no_shift=col(dist_tv <= PROB_TOL),
         max_tv_to_source=col(np.where(live, cross.min(axis=2), -np.inf).max(axis=1)),
@@ -482,20 +499,14 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
         support_covered=col(~(leaks & live).any(axis=1)),
         t_weights=w_t,
         losses={"tv": ers, "l1": 2.0 * ers, "hellinger_sq": hell_t, "excess_ce": kl_t_pred},
-        var_s_events=var_s,
-        var_t_events=var_t,
+        var_s_events=st.var_s,
+        var_t_events=st.var_t,
     )
 
 
-def _looseness(insts: Sequence[OracleInstance], comp: _Components) -> np.ndarray:
+def _looseness(comp: _Components) -> np.ndarray:
     """Per instance: the mean of tv(pred, Q_t) over the exact target weights, minus (C + D)."""
-    er = [inst.w_t @ tv[:inst.w_t.size] for inst, tv in zip(insts, comp.losses["tv"])]
-    return np.array(er) - (comp.C + comp.D)[:, 0]
-
-
-def looseness(instance: OracleInstance) -> float:
-    """Mean over exact target weights of tv(pred, Q_t), minus (C + D)."""
-    return float(_looseness([instance], _components([instance]))[0])
+    return np.vecdot(comp.t_weights, comp.losses["tv"]) - (comp.C + comp.D)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -734,52 +745,29 @@ def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> Th
 
 
 def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
-    """The components ``cor_bayesian`` and ``lemma_b6`` read, for a batch as ``_components``.
+    """The components ``cor_bayesian`` and ``lemma_b6`` read, for a batch as ``_components``:
+    ``_stack``'s on the derived instance, plus ``param_tv``.
 
-    Rows are checked in the padded arrays, as ``_components`` checks them.
+    The derived instance has source tasks ``theta_pmfs``, members
+    ``candidates @ theta_pmfs`` and predictor ``p1 @ theta_pmfs``.  The rows
+    are checked in the padded arrays, in ``ThetaInstance``'s order.
     """
-    n = len(insts)
-    m = max(inst.T.shape[1] for inst in insts)
-    j = max(inst.p1.size for inst in insts)
-    r = max(inst.candidates.shape[0] for inst in insts)
-    k_t = max(inst.T.shape[0] for inst in insts)
-    predictives, candidates = np.zeros((n, r, m)), np.zeros((n, r, j))
-    theta_pmfs, source_weights = np.zeros((n, j, m)), np.zeros((n, j))
-    T, w_t, p1 = np.zeros((n, k_t, m)), np.zeros((n, k_t)), np.zeros((n, j))
-    bary_s, bary_t, predictor = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m))
-    sup_var = np.empty(n)
+    st = _stack([(t.theta_pmfs, t.source_weights, t.T, t.w_t, t.candidates @ t.theta_pmfs,
+                  t.p1 @ t.theta_pmfs) for t in insts])
+    n, j = st.w_s.shape
+    candidates, p1 = np.zeros((n, st.members.shape[1], j)), np.zeros((n, j))
     for b, inst in enumerate(insts):
-        mb = inst.T.shape[1]
-        _put_rows(theta_pmfs[b], inst.theta_pmfs)
-        source_weights[b, :inst.source_weights.size] = inst.source_weights
-        bary_s[b, :mb] = inst.source_weights @ inst.theta_pmfs
-        _put_rows(predictives[b], inst.candidates @ inst.theta_pmfs)
         _put_rows(candidates[b], inst.candidates)
         p1[b, :inst.p1.size] = inst.p1
-        predictor[b, :mb] = inst.p1 @ inst.theta_pmfs
-        _put_rows(T[b], inst.T)
-        w_t[b, :inst.w_t.size] = inst.w_t
-        bary_t[b, :mb] = bt = inst.w_t @ inst.T
-        sup_var[b] = _event_variances(inst.T, inst.w_t, bt).max()
-    _check_rows(T)
-    _check_rows(w_t, InvalidTaskDistribution, "task weights")
-    _check_rows(theta_pmfs)
+    _check_rows(st.T)
+    _check_rows(st.w_t, InvalidTaskDistribution, "task weights")
+    _check_rows(st.S)
     _check_rows(candidates)
-    _check_rows(source_weights, what="source_weights")
+    _check_rows(st.w_s, what="source_weights")
     _check_rows(p1, what="p1")
-
-    rows = np.arange(n)
-    dists = _tv(predictives, bary_s[:, None, :])
-    star = dists.argmin(axis=1)
-    return SimpleNamespace(
-        B=dists[rows, star][:, None],
-        C=_tv(predictor, predictives[rows, star])[:, None],
-        param_tv=_tv(p1, candidates[rows, star])[:, None],
-        D=_tv(bary_s, bary_t)[:, None],
-        sup_var_target=sup_var[:, None],
-        t_weights=w_t,
-        losses={"tv": _tv(T, predictor[:, None, :])},
-    )
+    return SimpleNamespace(B=st.B, C=st.C, D=st.D, sup_var_target=st.sup_var_target,
+                           t_weights=st.w_t, losses={"tv": st.tv_losses},
+                           param_tv=_tv(p1, candidates[np.arange(n), st.best_idx])[:, None])
 
 
 def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,
@@ -866,24 +854,25 @@ def _run_range(args) -> dict:
     modes = CONSTRAINT_MODES
     configs = _mode_configs(InstanceConfig, max_outcomes)
     for lo in range(start, stop, _CHUNK):
-        # the instance seeds (seed, i), the theta seeds (seed, i, 777) and the
-        # Generators of both, one hash pass each
+        # the instance seeds (seed, i), hashed as (seed, i, 0), the theta seeds
+        # (seed, i, 777) and the Generators of both, one hash pass each
         index = np.arange(lo, min(lo + _CHUNK, stop))
-        inst_seeds, theta_seeds = derive_seeds(seed, index), derive_seeds(seed, index, 777)
-        words = stream_words(np.concatenate([inst_seeds, theta_seeds]))
+        seeds = derive_seeds(seed, np.concatenate([index, index]), np.repeat([0, 777], index.size))
+        words = stream_words(seeds)
+        inst_seeds, theta_seeds = seeds[:index.size].tolist(), seeds[index.size:].tolist()
         insts = [_draw_instance(s, configs[modes[i % len(modes)]], generator_from_words(w))
-                 for i, s, w in zip(index.tolist(), inst_seeds.tolist(), words)]
+                 for i, s, w in zip(index.tolist(), inst_seeds, words)]
         for group in _instance_groups(insts):
             batch = [insts[g] for g in group]
             comp = _components(batch)
-            loos[group + (lo - start)] = _looseness(batch, comp)
+            loos[group + (lo - start)] = _looseness(comp)
             attempts = np.array([_ATTEMPTS[inst.constraint] for inst in batch])
             for sid, hits in zip(_CHECKED, _check(_CHECKED, comp, alphas, attempts,
                                                     [statements[sid] for sid in _CHECKED])):
                 violated.extend((lo + g, _MODE_STATEMENTS[insts[g].constraint].index(sid),
                                  sid, insts[g].seed) for g in group[hits])
         thetas = [_draw_theta_instance(s, generator_from_words(w))
-                  for s, w in zip(theta_seeds.tolist(), words[index.size:])]
+                  for s, w in zip(theta_seeds, words[index.size:])]
         _verify_thetas(thetas, alphas, statements["lemma_b6"], statements["cor_bayesian"])
     details = [{"statement": sid, "instance_seed": inst_seed, "mode": modes[i % len(modes)]}
                for i, _, sid, inst_seed in sorted(violated)[:50]]
@@ -915,6 +904,8 @@ def run_suite(
     partial aggregates merge in order.
     """
     n_instances = require_int("n_instances", n_instances, 1)
+    if n_instances > 2**32:  # instance i's seed path (seed, i, 0) is (seed, i) while i < 2**32
+        raise InvalidArgument(f"n_instances must be <= 2**32, got {n_instances}")
     max_outcomes = require_int("max_outcomes", max_outcomes, 2)
     normalize_seed(seed)  # a seed out of range fails here, before any worker starts
     alphas = tuple(_alpha_array(alphas).tolist())

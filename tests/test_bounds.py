@@ -27,7 +27,6 @@ from epibound import (
     best_approximation,
     convergence_gap,
     distribution_shift_learner,
-    epistemic_error,
     evaluate_bound,
     finite_tasks,
     sup_variance,
@@ -236,8 +235,9 @@ class TestComponents:
         assert v == pytest.approx(-0.05, abs=1e-12)
 
     def test_epistemic_error(self, binary_predictor):
-        assert epistemic_error(binary_predictor, binary_predictor) == 0.0
-        er = epistemic_error(Categorical([0.25, 0.75]), Categorical([0.6, 0.4]))
+        # the epistemic error is the TV from the predictor to the realized target task
+        assert tv_exact(binary_predictor, binary_predictor) == 0.0
+        er = tv_exact(Categorical([0.25, 0.75]), Categorical([0.6, 0.4]))
         assert er == pytest.approx(0.35, abs=1e-12)
         assert er <= 0.15 + 0.1 + 0.25 + 0.2  # bound sanity on the worked instance
 

@@ -22,7 +22,6 @@ from epibound import (
     evaluate_bound,
     finite_tasks,
     generate_instance,
-    looseness,
     monte_carlo_verify,
     negative_transfer_scan,
     run_suite,
@@ -63,6 +62,11 @@ def make_instance(source, target, model, predictor, constraint="none", epsilon=N
 def compute_components(inst):
     """Exact components of one instance: a batch of one."""
     return component_instance(oracle._components([inst]), 0, inst)
+
+
+def looseness(inst):
+    """The suite's looseness of one instance: a batch of one."""
+    return float(oracle._looseness(oracle._components([inst]))[0])
 
 
 def verify_theta(theta, alphas, b6_report, bayes_report):
@@ -730,7 +734,7 @@ class TestBatchedComponents:
         insts = component_instances()
         for group in oracle._instance_groups(insts):
             batch = [insts[g] for g in group]
-            got = oracle._looseness(batch, oracle._components(batch))
+            got = oracle._looseness(oracle._components(batch))
             for inst, value in zip(batch, got.tolist()):
                 want = reference_components(inst)
                 assert value == float(want["t_weights"] @ want["losses"]["tv"]) - (
@@ -796,6 +800,35 @@ class TestBatchedComponents:
         cb_alone.outcomes.sort(key=dataclasses.astuple)
         assert dataclasses.asdict(cb) == dataclasses.asdict(cb_alone)
         assert cb.trials == len(thetas) * len(DEFAULT_ALPHAS)
+
+
+def derived_instance(theta):
+    """The oracle instance a finite-theta instance stands for: source tasks the
+    theta pmfs, members and predictor their mixtures."""
+    return OracleInstance(theta.theta_pmfs, theta.source_weights, theta.T, theta.w_t,
+                          theta.candidates @ theta.theta_pmfs, theta.p1 @ theta.theta_pmfs,
+                          theta.seed, "none", None)
+
+
+class TestOneEngine:
+    def test_theta_components_are_the_derived_instances(self):
+        thetas = [generate_theta_instance(seed) for seed in range(700)]
+        thetas += [generate_theta_instance(seed, m_range=(7, 9), theta_range=(7, 10))
+                   for seed in range(300)]
+        order = np.random.default_rng(5).permutation(len(thetas))
+        for start in range(0, len(order), 256):  # the suite's chunk size
+            chunk = [thetas[i] for i in order[start:start + 256]]
+            keys = [(t.T.shape[1], t.p1.size, t.T.shape[0]) for t in chunk]
+            for group in oracle._groups(keys):
+                batch = [chunk[g] for g in group]
+                derived = [derived_instance(t) for t in batch]
+                assert [g.tolist() for g in oracle._instance_groups(derived)] == [
+                    list(range(len(batch)))]
+                got, want = oracle._theta_components(batch), oracle._components(derived)
+                for name in ("B", "C", "D", "sup_var_target", "t_weights"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                                  strict=True, err_msg=name)
+                np.testing.assert_array_equal(got.losses["tv"], want.losses["tv"], strict=True)
 
 
 class TestThetaInstances:
@@ -903,6 +936,13 @@ class TestSuite:
         with pytest.raises(InvalidArgument, match=message):
             run_suite(bad)
 
+    def test_rejects_more_instances_than_one_seed_word_indexes(self, monkeypatch):
+        # instance i's seed path (seed, i, 0) hashes as (seed, i) only while i < 2**32
+        monkeypatch.setattr(oracle, "map_payloads", lambda *args: pytest.fail("suite ran"))
+        with pytest.raises(InvalidArgument,
+                           match=r"^n_instances must be <= 2\*\*32, got 4294967297$"):
+            run_suite(2**32 + 1)
+
     def test_rejects_max_outcomes_that_is_not_an_integer(self, monkeypatch):
         # 2.5 ran instances on up to 2 outcomes and reported max_outcomes 2.5
         monkeypatch.setattr(oracle, "map_payloads", lambda *args: pytest.fail("suite ran"))
@@ -954,37 +994,83 @@ class TestSuite:
         monkeypatch.setattr(oracle, "_CHUNK", 1)
         assert run_suite(60, seed=9, max_outcomes=9).to_dict() == want
 
-    @pytest.mark.parametrize("drawer, field, error", [
-        ("_draw_instance", "members", InvalidArgument),
-        ("_draw_instance", "w_t", InvalidTaskDistribution),
-        ("_draw_theta_instance", "theta_pmfs", InvalidArgument),
-        ("_draw_theta_instance", "source_weights", InvalidArgument),
-    ])
-    @pytest.mark.parametrize("corrupt", ["negative", "off_sum", "nan"])
-    def test_every_drawn_row_checked(self, monkeypatch, drawer, field, error, corrupt):
-        # one bad row in one of the 20 instances, as the instance constructors reject
-        # it; the last row, which padding never copies
-        draw, calls = getattr(oracle, drawer), []
+    @staticmethod
+    def _corrupt_eighth(monkeypatch, drawer, corrupts, calls):
+        """Corrupt, in the 8th record ``drawer`` returns, the last row of each field of
+        ``corrupts`` (field -> how): the last row, which padding never copies."""
+        draw = getattr(oracle, drawer)
 
         def corrupted(*args, **kwargs):
             out = draw(*args, **kwargs)
             calls.append(None)
             if len(calls) != 8:
                 return out
-            bad = getattr(out, field).copy()
-            row = bad[-1] if bad.ndim == 2 else bad
-            if corrupt == "negative":
-                row[0], row[1] = -row[1], row[0] + 2 * row[1]  # still sums to 1
-            elif corrupt == "off_sum":
-                row[0] += 1e-9
-            else:
-                row[:] = np.nan
-            return oracle._unchecked(type(out), **dict(vars(out), **{field: bad}))
+            bad = {}
+            for field, corrupt in corrupts.items():
+                bad[field] = getattr(out, field).copy()
+                row = bad[field][-1] if bad[field].ndim == 2 else bad[field]
+                if corrupt == "negative":
+                    row[0], row[1] = -row[1], row[0] + 2 * row[1]  # still sums to 1
+                elif corrupt == "off_sum":
+                    row[0] += 1e-9
+                else:
+                    row[:] = np.nan
+            return oracle._unchecked(type(out), **dict(vars(out), **bad))
 
         monkeypatch.setattr(oracle, drawer, corrupted)
-        with pytest.raises(error):
+
+    # each field's name in the messages, and its bad row's sum after "off_sum"
+    ROW_MESSAGES = {
+        ("_draw_instance", "members"): ("probabilities", "1.000000001"),
+        ("_draw_instance", "w_t"): ("task weights", "1.000000001"),
+        ("_draw_theta_instance", "T"): ("probabilities", "1.0000000010000003"),
+        ("_draw_theta_instance", "w_t"): ("task weights", "1.000000001"),
+        ("_draw_theta_instance", "theta_pmfs"): ("probabilities", "1.0000000009999999"),
+        ("_draw_theta_instance", "candidates"): ("probabilities", "1.0000000009999999"),
+        ("_draw_theta_instance", "source_weights"): ("source_weights", "1.000000001"),
+        ("_draw_theta_instance", "p1"): ("p1", "1.0000000009999999"),
+    }
+
+    @pytest.mark.parametrize("drawer, field, error", [
+        ("_draw_instance", "members", InvalidArgument),
+        ("_draw_instance", "w_t", InvalidTaskDistribution),
+        ("_draw_theta_instance", "theta_pmfs", InvalidArgument),
+        ("_draw_theta_instance", "source_weights", InvalidArgument),
+        ("_draw_theta_instance", "T", InvalidArgument),
+        ("_draw_theta_instance", "w_t", InvalidTaskDistribution),
+        ("_draw_theta_instance", "candidates", InvalidArgument),
+        ("_draw_theta_instance", "p1", InvalidArgument),
+    ])
+    @pytest.mark.parametrize("corrupt", ["negative", "off_sum", "nan"])
+    def test_every_drawn_row_checked(self, monkeypatch, drawer, field, error, corrupt):
+        # one bad row in one of the 20 instances, rejected with the type the instance
+        # constructors raise and the message of the row itself, as recorded when each
+        # instance kind had its own component pass
+        calls = []
+        self._corrupt_eighth(monkeypatch, drawer, {field: corrupt}, calls)
+        what, total = self.ROW_MESSAGES[drawer, field]
+        with pytest.raises(error) as raised:
             run_suite(20)
+        assert str(raised.value) == {
+            "negative": f"{what} must be nonnegative",
+            "off_sum": f"{what} must sum to 1 within 1e-12, got np.float64({total})",
+            "nan": f"{what} must sum to 1 within 1e-12, got np.float64(nan)",
+        }[corrupt]
         assert len(calls) == 20
+
+    @pytest.mark.parametrize("first, then", [
+        ("T", "w_t"), ("w_t", "theta_pmfs"), ("theta_pmfs", "candidates"),
+        ("candidates", "source_weights"), ("source_weights", "p1"),
+    ])
+    def test_theta_rows_checked_in_order(self, monkeypatch, first, then):
+        # the first bad field in ThetaInstance's order gives the message, not a row
+        # derived from it: a NaN row in ``first``, a negative one in ``then``
+        self._corrupt_eighth(monkeypatch, "_draw_theta_instance",
+                             {first: "nan", then: "negative"}, [])
+        what, _ = self.ROW_MESSAGES["_draw_theta_instance", first]
+        with pytest.raises((InvalidArgument, InvalidTaskDistribution),
+                           match=rf"^{what} must sum to 1 within 1e-12, got np.float64\(nan\)$"):
+            run_suite(20)
 
     def test_suite_builds_no_instance_objects(self, monkeypatch):
         def refuse(self):

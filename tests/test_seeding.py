@@ -90,6 +90,21 @@ def test_trailing_zero_words_free_up_to_the_pool():
     assert derive_seeds(2**40, 2**41, 0).tolist() == [derive_seed(2**40, 2**41, 0)]
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**64 - 1, -1])
+def test_trailing_zero_free_while_the_index_is_one_word(seed):
+    # the suite hashes instance i's path (seed, i) as (seed, i, 0), next to the
+    # theta paths (seed, i, 777), in one pass; it stops at 2**32 instances
+    index = np.array([0, 1, 2**31, 2**32 - 2, 2**32 - 1], np.uint64)
+    tags = np.repeat([0, 777], index.size)
+    both = derive_seeds(seed, np.concatenate([index, index]), tags)
+    assert both.tolist() == derive_seeds(seed, index).tolist() + derive_seeds(
+        seed, index, 777).tolist()
+    assert both[:index.size].tolist() == [derive_seed(seed, i) for i in index.tolist()]
+    # a two-word index with a two-word seed fills the pool: the zero is mixed in
+    two_words = normalize_seed(seed) >= 2**32
+    assert (derive_seeds(seed, 2**32, 0) != derive_seeds(seed, 2**32))[0] == two_words
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.lists(element, min_size=1, max_size=8))
 def test_generators_match_default_rng(seeds):
