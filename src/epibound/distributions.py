@@ -625,28 +625,70 @@ def _thresholds(tasks: FiniteTaskDistribution) -> np.ndarray:
                        DEFAULT_THRESHOLDS)
 
 
+PRUNE_FIRST_ROWS = 32  # rows of the largest bounds that ``_half_line_sup_variance`` computes first
+
+
+def _row_variances(qa: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w @ (q - w @ q)**2`` of each row q of ``qa``, in place.  ``np.vecdot`` sums each
+    row alone, as ``w @ row`` does, so a row's variance is one float in any stack of rows."""
+    qa -= np.vecdot(qa, w)[:, None]
+    np.square(qa, out=qa)
+    return np.vecdot(qa, w)
+
+
+def _gaussian_row_variances(ts: np.ndarray, fin: FiniteTaskDistribution) -> np.ndarray:
+    """``_row_variances`` of the (thresholds, tasks) matrix of Q((-inf, t]), one ``ndtr`` call."""
+    qa = np.subtract.outer(ts, fin.means)
+    qa /= fin.stddevs
+    ndtr(qa, out=qa)  # each entry rounds as Gaussian.cdf
+    return _row_variances(qa, fin.weights)
+
+
 def _half_line_sup_variance(fin: FiniteTaskDistribution) -> float:
     """The largest Var(Q((-inf, t])) over the thresholds t of ``_thresholds``.
 
-    The (thresholds, tasks) matrix of Q((-inf, t]) is one ``ndtr`` call on
-    the columns of an all-Gaussian family, and is otherwise built one task's
-    CDF column at a time.  Each row q's variance is ``w @ (q - w @ q)**2``, two
-    dot products with ``w``: ``np.vecdot`` sums each row as ``w @ row``
-    does, so Gaussian tasks give bitwise the per-threshold result, where
-    one matrix-vector product over all rows would sum in another order.  A
-    NaN variance raises NumericalFailure.
+    A family with a mixture or t task builds the (thresholds, tasks) matrix
+    of Q((-inf, t]) one task's CDF column at a time.  All-Gaussian columns
+    compute only the rows that can hold the maximum.  Each column's
+    standardised threshold lies between those of the column extremes::
+
+        z_lo(t) <= (t - mu_j) / sd_j <= z_hi(t),
+        z_hi = max((t - mu_min) / sd_min, (t - mu_min) / sd_max),
+        z_lo = min((t - mu_max) / sd_min, (t - mu_max) / sd_max),
+
+    and, rounding being monotone, the computed floats keep that order.  So
+    row t's values lie in [ndtr(z_lo), ndtr(z_hi)], and by Popoviciu's
+    inequality (1935) its variance is at most (ndtr(z_hi) - ndtr(z_lo))^2 / 4.
+    The range is padded by ``8 * (PROB_TOL + tasks * eps)``: the weights sum
+    to 1 only within PROB_TOL, which moves the computed mean off the
+    weighted mean; each dot product errs relatively by up to
+    ``tasks * eps / 2``; and ``ndtr`` may step down by an ulp where it
+    should rise.  The rows of the ``PRUNE_FIRST_ROWS`` largest bounds are
+    computed first, then every other row whose bound is not below their
+    largest variance, which includes the row of the maximum.  Each row is
+    the float that the full matrix gives it, as ``_row_variances`` sums
+    rows alone.  A NaN bound, or a NaN among the first rows, is never below,
+    so a NaN row is always computed, and a NaN variance raises
+    NumericalFailure.
     """
     ts = _thresholds(fin)
-    if fin.means is not None:
-        qa = np.subtract.outer(ts, fin.means)
-        qa /= fin.stddevs
-        ndtr(qa, out=qa)  # each entry rounds as Gaussian.cdf
+    if fin.means is None:
+        variances = _row_variances(np.column_stack([t.cdf(ts) for t in fin.tasks]), fin.weights)
     else:
-        qa = np.column_stack([t.cdf(ts) for t in fin.tasks])
-    w = fin.weights
-    qa -= np.vecdot(qa, w)[:, None]
-    np.square(qa, out=qa)
-    variances = np.vecdot(qa, w)
+        means, sds = fin.means, fin.stddevs
+        below, above = ts - means.min(), ts - means.max()
+        sd_min, sd_max = sds.min(), sds.max()
+        bounds = ndtr(np.maximum(below / sd_min, below / sd_max))
+        bounds -= ndtr(np.minimum(above / sd_min, above / sd_max))
+        bounds += 8.0 * (PROB_TOL + means.size * np.finfo(float).eps)
+        np.square(bounds, out=bounds)
+        bounds /= 4.0
+        first = np.argpartition(bounds, -PRUNE_FIRST_ROWS)[-PRUNE_FIRST_ROWS:]
+        variances = _gaussian_row_variances(ts[first], fin)
+        rest = ~(bounds < variances.max())
+        rest[first] = False
+        if rest.any():
+            variances = np.concatenate((variances, _gaussian_row_variances(ts[rest], fin)))
     if np.isnan(variances).any():
         raise NumericalFailure(
             f"half-line sup-variance is NaN on the thresholds [{ts[0]}, {ts[-1]}]")

@@ -395,6 +395,15 @@ def cross_entropy(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float
                 0.5 * math.log(2.0 * math.pi * q.stddev**2)
                 + (p.stddev**2 + (p.mean - q.mean) ** 2) / (2.0 * q.stddev**2)
             )
+    if isinstance(p, StudentT) and isinstance(q, Gaussian):
+        # with p's second moment, which is infinite at df <= 2
+        if p.df <= 2.0:
+            return math.inf
+        with _closed_form("the cross-entropy", p, q):
+            return (
+                0.5 * math.log(2.0 * math.pi * q.stddev**2)
+                + (p.scale**2 * p.df / (p.df - 2.0) + (p.loc - q.mean) ** 2) / (2.0 * q.stddev**2)
+            )
     return _quad_on_p_support(p, q, lambda pv, qv: -pv * math.log(qv))
 
 

@@ -25,6 +25,7 @@ from epibound import (
     barycenter,
     diameter,
     distribution_from_dict,
+    distributions,
     evaluate_bound,
     finite_tasks,
     sample,
@@ -468,14 +469,35 @@ def reference_sup_variance(tasks):
 
 
 class TestHalfLineSupVariance:
-    @pytest.mark.parametrize("components", [16, 64, 256])
-    def test_bitwise_equal_to_event_loop_on_ig_reifications(self, components):
+    @pytest.mark.parametrize("components, shapes, rates", [
+        (16, (1, 30), (0.5, 15)),
+        (64, (1, 30), (0.5, 15)),
+        (256, (1, 30), (0.5, 15)),
+        (256, (0.5, 0.5), (0.5, 15)),  # heavy tails: no row prunes
+        (256, (1.0, 1.0), (0.5, 15)),
+        (256, (15, 25), (8, 12)),  # the IG range of perfbench's bound-verify
+    ], ids=["16", "64", "256", "shape-0.5", "shape-1", "bound-verify-range"])
+    def test_bitwise_equal_to_event_loop_on_ig_reifications(self, components, shapes, rates):
         rng = np.random.default_rng(components)
         for _ in range(8):
-            family = InverseGammaGaussianTasks(rng.uniform(-2, 2), rng.uniform(1, 30),
-                                               rng.uniform(0.5, 15))
+            family = InverseGammaGaussianTasks(rng.uniform(-2, 2), rng.uniform(*shapes),
+                                               rng.uniform(*rates))
             tasks = family.reify(components)
             assert sup_variance(tasks) == reference_sup_variance(tasks)
+
+    def test_gaussian_columns_compute_under_half_the_matrix(self, monkeypatch):
+        # the rows whose Popoviciu bound is below a computed variance are never evaluated
+        tasks = InverseGammaGaussianTasks(1.0, 20.0, 10.0).reify()
+        expected = reference_sup_variance(tasks)
+        entries = []
+
+        def counting(x, *args, _ndtr=distributions.ndtr, **kwargs):
+            entries.append(np.size(x))
+            return _ndtr(x, *args, **kwargs)
+
+        monkeypatch.setattr(distributions, "ndtr", counting)
+        assert sup_variance(tasks) == expected
+        assert 0 < sum(entries) < DEFAULT_THRESHOLDS * tasks.n_tasks / 2
 
     def test_mixture_tasks_match_event_loop(self):
         rng = np.random.default_rng(4)
@@ -487,18 +509,22 @@ class TestHalfLineSupVariance:
             ] + [(Gaussian(0.3, 0.9), 0.0)])
             assert sup_variance(tasks) == pytest.approx(reference_sup_variance(tasks), abs=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 40, 256])
-    def test_bitwise_equal_to_event_loop_on_gaussian_lists(self, n):
+    @pytest.mark.parametrize("n, identical", [
+        (1, False), (2, False), (7, False), (40, False), (256, False), (40, True),
+    ], ids=["1", "2", "7", "40", "256", "40-identical"])
+    def test_bitwise_equal_to_event_loop_on_gaussian_lists(self, n, identical):
         rng = np.random.default_rng(n)
         for _ in range(6):
             weights = rng.dirichlet(np.ones(n))
             if n > 2:
                 weights[1] = 0.0
                 weights /= weights.sum()
+            means = rng.uniform(-3, 3, n)
+            stddevs = np.exp(rng.uniform(math.log(0.05), math.log(3.0), n))
+            if identical:  # every variance is 0 up to the rounding of the weighted mean
+                means[:], stddevs[:] = means[0], stddevs[0]
             tasks = finite_tasks(
-                (Gaussian(m, s), w) for m, s, w in zip(
-                    rng.uniform(-3, 3, n), np.exp(rng.uniform(math.log(0.05), math.log(3.0), n)),
-                    weights))
+                (Gaussian(m, s), w) for m, s, w in zip(means, stddevs, weights))
             assert sup_variance(tasks) == reference_sup_variance(tasks)
 
     @pytest.mark.parametrize("components", [3, 64, 256])
@@ -514,7 +540,7 @@ class TestHalfLineSupVariance:
             tasks = FiniteTaskDistribution(family.reify(components).tasks, weights)
             assert sup_variance(tasks) == reference_sup_variance(tasks)
 
-    @pytest.mark.parametrize("n", [2, 9, 128])
+    @pytest.mark.parametrize("n", [1, 2, 9, 128])
     def test_bitwise_equal_to_event_loop_on_spread_gaussian_families(self, n):
         # distinct means far apart against stddevs over four decades
         rng = np.random.default_rng(200 + n)

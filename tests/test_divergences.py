@@ -637,10 +637,27 @@ class TestEntropyFamily:
                    for lo, hi in ((-math.inf, 0.3), (0.3, math.inf)))
         assert got == pytest.approx(want, abs=1e-10)
 
-    def test_student_t_closed_form_failure_is_typed(self):
-        with pytest.raises(NumericalFailure, match=r"^the closed form of the KL divergence "
+    @pytest.mark.parametrize("df", [0.5, 1.0, 1.2, 2.0, 2.5, 3.0, 5.0, 30.0, 200.0])
+    def test_student_t_cross_entropy_to_gaussian_in_closed_form(self, df):
+        # quadrature over loc +- 10 scales read 3.9231 for 4.7002 at df 3, and a
+        # finite 6.9199 at df 1.2, where p's infinite second moment makes it infinite
+        got = cross_entropy(StudentT(df, 0.3, 1.7), Gaussian(-0.2, 1.1))
+        if df <= 2.0:
+            assert got == math.inf
+            return
+        t, g = stats.t(df, 0.3, 1.7), stats.norm(-0.2, 1.1)
+        want = sum(quad(lambda x: -t.pdf(x) * g.logpdf(x), lo, hi,
+                        limit=500, epsabs=1e-13, epsrel=1e-13)[0]
+                   for lo, hi in ((-math.inf, 0.3), (0.3, math.inf)))
+        assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("fn, what", [(kl_exact, "the KL divergence"),
+                                          (cross_entropy, "the cross-entropy")],
+                             ids=["kl", "cross-entropy"])
+    def test_student_t_closed_form_failure_is_typed(self, fn, what):
+        with pytest.raises(NumericalFailure, match=rf"^the closed form of {what} "
                            r"over- or underflows at StudentT\(df=3\.0"):
-            kl_exact(StudentT(3.0, 0.0, 1.0), Gaussian(0.0, 1e-200))
+            fn(StudentT(3.0, 0.0, 1.0), Gaussian(0.0, 1e-200))
 
     def test_entropy_mixture_quadrature(self):
         # a one-component mixture must match the Gaussian closed form
