@@ -6,8 +6,8 @@ loaded by the first call that needs it:
 * ``scipy.special`` (``ndtr``, ``ndtri``, ``stdtr``, ``stdtrit``,
   ``gammainccinv``, ``digamma``, ``betaln``), about half of a cold import
   through scipy's array-API shim, at the first Gaussian or Student-t CDF or
-  quantile, the first Student-t entropy, or the first reified inverse-gamma
-  family;
+  quantile, the first Student-t entropy or t of df above 1e3, or the first
+  reified inverse-gamma family;
 * ``scipy.integrate`` (``quad``), which pulls in scipy.optimize,
   scipy.sparse.linalg and scipy.linalg, at the first quadrature;
 * ``concurrent.futures.process`` (``ProcessPoolExecutor``), with

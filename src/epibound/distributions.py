@@ -12,11 +12,11 @@ All types are immutable values after construction and safe to share across
 threads.  Sampling takes an explicit seed and owns a private generator per
 call; no summary functional samples.
 
-``ndtr``, the Gaussian CDF, ``stdtr``, the Student-t CDF, and
-``gammainccinv``, the inverse upper regularised gamma function, load
-``scipy.special`` at their first call (a Gaussian, mixture or t ``cdf``, a
-thresholded task matrix, or a reification) and then rebind to scipy's
-ufuncs; finite instances never load them.  See ``_deferred``.
+``ndtr`` and ``stdtr``, the Gaussian and Student-t CDFs, ``betaln``, the log beta
+function, and ``gammainccinv``, the inverse upper regularised gamma function, load
+``scipy.special`` at their first call (a Gaussian, mixture or t ``cdf``, a t of df
+above ``T_LGAMMA_MAX_DF``, a thresholded task matrix, or a reification) and then
+rebind to scipy's ufuncs; finite instances never load them.  See ``_deferred``.
 """
 
 from __future__ import annotations
@@ -43,12 +43,14 @@ from .seeding import generator
 ndtr = Deferred("scipy.special", "ndtr", globals())
 gammainccinv = Deferred("scipy.special", "gammainccinv", globals())
 stdtr = Deferred("scipy.special", "stdtr", globals())
+betaln = Deferred("scipy.special", "betaln", globals())
 
 PROB_TOL = 1e-12          # normalization tolerance; out-of-tolerance input is rejected
 SUP_ENUM_MAX_OUTCOMES = 12  # full 2^m event enumeration refused above this
 DEFAULT_REIFY_COMPONENTS = 256
 DEFAULT_THRESHOLDS = 401
 DEFAULT_THRESHOLD_SPAN = 6.0  # threshold grid spans pooled mean +- span * pooled stddev
+T_LGAMMA_MAX_DF = 1e3  # a Student-t's normalising constant from lgamma up to this df
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -326,9 +328,11 @@ class StudentT(FirstOrderDistribution):
             raise InvalidArgument(f"loc must be finite, got {self.loc}")
         if not 0 < self.scale < math.inf:
             raise InvalidArgument(f"scale must be finite and strictly positive, got {self.scale}")
-        object.__setattr__(self, "_log_norm", math.lgamma(0.5 * (self.df + 1.0))
-                           - math.lgamma(0.5 * self.df) - 0.5 * math.log(self.df * math.pi)
-                           - math.log(self.scale))
+        # lgamma's difference cancels (0.92 lost at df 1e15); the betaln form does not
+        log_norm = (math.lgamma(0.5 * (self.df + 1.0)) - math.lgamma(0.5 * self.df)
+                    - 0.5 * math.log(self.df * math.pi) if self.df <= T_LGAMMA_MAX_DF
+                    else -float(betaln(0.5 * self.df, 0.5)) - 0.5 * math.log(self.df))
+        object.__setattr__(self, "_log_norm", log_norm - math.log(self.scale))
 
     def _shifted(self, c: float) -> "StudentT":
         """This t moved by -c."""

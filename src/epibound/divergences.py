@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def _window(*dists: FirstOrderDistribution) -> tuple[float, float]:
 
     A t's window does not rely on its moments: its variance is infinite at df <= 2.
     Its mass outside is 1.9e-12 at df 40, 3.2e-9 at df 20 and 1.7e-4 at df 5;
-    the crossing search adds the grid of ``_tail_points`` beyond it, and
+    the crossing search adds its tail points (see ``_search``) beyond it, and
     quadrature leaves that mass out.
     A NaN end (a mixture's overflowing moments) makes both ends NaN: Python's
     ``min`` and ``max`` would drop it when it comes second, so the window
@@ -167,18 +167,19 @@ def tv_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
         return float(0.5 * np.abs(p.p - q.p).sum())
     if _equal_stddev_gaussians(p, q):
         return float(2.0 * ndtr(abs(p.mean - q.mean) / (2.0 * p.stddev)) - 1.0)
-    return _crossing_tv(*_centered(_as_mixture(p), _as_mixture(q)))
+    return _crossing_tv(*_centered(p, q))
 
 
 def _tv_floor(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
     """A lower bound on ``tv_exact(p, q)`` for continuous p, q, raising as it raises: 0 for a
-    closed form, else the largest CDF gap at ``TV_FLOOR_THRESHOLDS`` points of the window."""
+    closed form, else the largest CDF gap of the two ``_search`` records' forms at
+    ``TV_FLOOR_THRESHOLDS`` points of the window that the records' moments give."""
     require_same_space(p, q)
     if _equal_stddev_gaussians(p, q):
         return 0.0
-    p, q = _as_mixture(p), _as_mixture(q)
+    p, q = _search(p), _search(q)
     ts = np.linspace(*_crossing_grid(p, q)[:2], TV_FLOOR_THRESHOLDS)
-    return float(np.abs(p.cdf(ts) - q.cdf(ts)).max())
+    return float(np.abs(p.form.cdf(ts) - q.form.cdf(ts)).max())
 
 
 def l1_distance(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
@@ -192,12 +193,48 @@ def _equal_stddev_gaussians(p: FirstOrderDistribution, q: FirstOrderDistribution
             and abs(p.stddev - q.stddev) <= 1e-12 * max(p.stddev, q.stddev))
 
 
-# the kinds that the crossing search takes: a Gaussian enters it as a one-component mixture
-_Searchable = Union[GaussianMixture, StudentT]
+class _Search(NamedTuple):
+    """What the crossing search reads from one distribution alone (see ``_search``)."""
+
+    form: Union[GaussianMixture, StudentT]  # searched: a Gaussian as a one-component mixture
+    mean: float  # the window's mean and stddev, as ``mean_std()`` gives them to ``_window``:
+    std: float  # the form's mean_std(), or a t's loc and scale
+    smallest: np.float64  # the smallest component stddev (a t's scale) ...
+    smallest_live: np.float64  # ... and the smallest of a component of positive weight
+    means: np.ndarray  # the component means (a t's loc)
+    tails: np.ndarray  # a t's finite tail points, before the window filter; none for a mixture
+    step: int  # points per density evaluation, so that (points x components) <= CROSSING_CHUNK
+
+    def mean_std(self) -> tuple[float, float]:
+        return self.mean, self.std
 
 
-def _as_mixture(d: Union[Gaussian, GaussianMixture, StudentT]) -> _Searchable:
-    return GaussianMixture._of(d) if isinstance(d, Gaussian) else d
+def _search(d: Union[Gaussian, GaussianMixture, StudentT]) -> _Search:
+    """``d``'s crossing-search record, built at its first search or ``_centered`` call and kept
+    on the frozen ``d``: arrays, floats and distributions only, so that ``d`` still pickles,
+    and ``setdefault`` keeps the first one made if two threads race.
+
+    A t's tail points reach its ``TAIL_MASS`` quantiles, stepping by a factor
+    ``2 ** (1 / CROSSING_GRID_PER_SD)`` in the distance from the loc, up to 2**256 scales
+    (beyond which a t of df 0.05 still holds 6.3e-5 of its mass on each side): outside every
+    mixture's window only t tails are left, smooth in the log of that distance.
+    """
+    if "_search" in d.__dict__:
+        return d.__dict__["_search"]
+    if isinstance(d, StudentT):
+        octaves = math.log2(min(-float(stdtrit(d.df, TAIL_MASS)), 2.0**256))
+        steps = np.exp2(np.arange(1, math.ceil(octaves * CROSSING_GRID_PER_SD) + 1)
+                        / CROSSING_GRID_PER_SD) * d.scale
+        tails = np.concatenate([d.loc - steps, d.loc + steps])
+        scale = np.float64(d.scale)
+        record = _Search(d, d.loc, d.scale, scale, scale, np.array([d.loc]),
+                         tails[np.isfinite(tails)], CROSSING_CHUNK)
+    else:
+        form = GaussianMixture._of(d) if isinstance(d, Gaussian) else d
+        w, sd = form.weights, form.stddevs
+        record = _Search(form, *form.mean_std(), sd.min(), sd[w > 0].min(), form.means,
+                         np.empty(0), max(1, CROSSING_CHUNK // w.size))
+    return d.__dict__.setdefault("_search", record)
 
 
 def _centered(*dists: Union[Gaussian, GaussianMixture, StudentT]) -> tuple:
@@ -208,74 +245,50 @@ def _centered(*dists: Union[Gaussian, GaussianMixture, StudentT]) -> tuple:
     Every divergence, and the entropy, is shift invariant; at mean 1e200 the window
     mean +- 10 stddevs would round to the mean, and every integral to 0.
     """
-    first = dists[0]
-    c = first.loc if isinstance(first, StudentT) else first.mean_std()[0]
-    smallest = min(_parts(_as_mixture(d))[2].min() for d in dists)
-    if not np.spacing(abs(c)) * CROSSING_GRID_PER_SD > smallest:  # a NaN mean stays
-        return dists
-    return tuple(_as_mixture(d)._shifted(c) for d in dists)
+    records = [_search(d) for d in dists]
+    c = records[0].mean
+    if not np.spacing(abs(c)) * CROSSING_GRID_PER_SD > min(r.smallest for r in records):
+        return dists  # a NaN mean stays
+    return tuple(r.form._shifted(c) for r in records)
 
 
-def _parts(d: _Searchable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A mixture's component weights, means and stddevs; a t's 1, loc and scale."""
-    if isinstance(d, StudentT):
-        return np.ones(1), np.array([d.loc]), np.array([d.scale])
-    return d.weights, d.means, d.stddevs
-
-
-def _log_gap(p: _Searchable, q: _Searchable, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log p(x) - log q(x) into ``out``, in chunks that bound the (points, components) buffers."""
-    step = max(1, CROSSING_CHUNK // max(_parts(p)[0].size, _parts(q)[0].size))
-    for i in range(0, x.size, step):
-        np.subtract(p.logpdf(x[i:i + step]), q.logpdf(x[i:i + step]), out=out[i:i + step])
-    return out
-
-
-def _crossing_tv(p: _Searchable, q: _Searchable) -> float:
+def _crossing_tv(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
     """TV as (1/2) sum_i |P(I_i) - Q(I_i)| over the pieces I_i between density crossings.
 
-    The crossings are the sign changes of log p - log q on a grid over the
-    quadrature window, spaced at a fraction of the smallest component
-    stddev (or t scale) and holding every component mean (or t loc), with
-    each t's ``_tail_points`` beyond it, refined together by
-    ``_refine_crossings``; grid points where the gap is exactly 0 are cuts
-    as they are.  Any partition gives a lower bound on TV, and P(A) - Q(A)
-    is stationary at the crossings, so a root error e costs O(e^2), from
-    below.  A window or grid size that overflows raises NumericalFailure.
+    The crossings are the sign changes of log p - log q on a grid over the quadrature
+    window, spaced at a fraction of the smallest component stddev (or t scale) and holding
+    every component mean (or t loc), with each t's tail points beyond it, refined together
+    by ``_refine_crossings``; grid points where the gap is exactly 0 are cuts as they are.
+    Any partition gives a lower bound on TV, and P(A) - Q(A) is stationary at the
+    crossings, so a root error e costs O(e^2), from below.  A window or grid size that
+    overflows raises NumericalFailure.  The window, stddevs, means, tail points and chunk
+    step are read from the two ``_search`` records; densities and CDFs are their forms'.
     """
-    lo, hi, n = _crossing_grid(p, q)
-    means = np.concatenate([_parts(p)[1], _parts(q)[1]])
+    rp, rq = _search(p), _search(q)
+    lo, hi, n = _crossing_grid(rp, rq)
+    p, q, step = rp.form, rq.form, min(rp.step, rq.step)
+
+    def sides(x: np.ndarray) -> np.ndarray:  # the signs of log p(x) - log q(x), in chunks
+        gap = np.empty_like(x)
+        for i in range(0, x.size, step):
+            np.subtract(p.logpdf(x[i:i + step]), q.logpdf(x[i:i + step]), out=gap[i:i + step])
+        return np.sign(gap, out=gap)
+
+    means, tails = np.concatenate([rp.means, rq.means]), np.concatenate([rp.tails, rq.tails])
     xs = np.union1d(np.linspace(lo, hi, n), np.concatenate(
-        [means[(means > lo) & (means < hi)], _tail_points(p, lo, hi), _tail_points(q, lo, hi)]))
-    side = np.sign(_log_gap(p, q, xs, np.empty_like(xs)))
+        [means[(means > lo) & (means < hi)], tails[(tails < lo) | (tails > hi)]]))
+    side = sides(xs)
     i = np.flatnonzero(side[:-1] * side[1:] < 0)
-    a, b = _refine_crossings(p, q, xs[i].tolist(), xs[i + 1].tolist(), side[i].tolist())
+    a, b = _refine_crossings(sides, xs[i].tolist(), xs[i + 1].tolist(), side[i].tolist())
     cuts = np.sort(np.concatenate([xs[side == 0], 0.5 * (np.array(a) + np.array(b))]))
     gaps = p.cdf(cuts) - q.cdf(cuts)  # P - Q on (-inf, cut]; 0 at both ends of the line
     return min(1.0, 0.5 * float(np.abs(np.diff(gaps, prepend=0.0, append=0.0)).sum()))
 
 
-def _tail_points(d: _Searchable, lo: float, hi: float) -> np.ndarray:
-    """Points of a t outside [lo, hi], out to its ``TAIL_MASS`` quantiles; none for a mixture.
-
-    They step by a factor ``2 ** (1 / CROSSING_GRID_PER_SD)`` in the distance from the loc,
-    up to 2**256 scales (beyond which a t of df 0.05 still holds 6.3e-5 of its mass on each
-    side): outside every mixture's window only t tails are left, whose log-densities are
-    smooth in the log of that distance.
-    """
-    if not isinstance(d, StudentT):
-        return np.empty(0)
-    octaves = math.log2(min(-float(stdtrit(d.df, TAIL_MASS)), 2.0**256))
-    steps = np.exp2(np.arange(1, math.ceil(octaves * CROSSING_GRID_PER_SD) + 1)
-                    / CROSSING_GRID_PER_SD) * d.scale
-    xs = np.concatenate([d.loc - steps, d.loc + steps])
-    return xs[((xs < lo) | (xs > hi)) & np.isfinite(xs)]
-
-
-def _crossing_grid(p: _Searchable, q: _Searchable) -> tuple[float, float, int]:
+def _crossing_grid(p: _Search, q: _Search) -> tuple[float, float, int]:
     """The crossing search's window [lo, hi] and grid size; NumericalFailure on an overflow."""
     lo, hi = _window(p, q)
-    smallest = min(sd[w > 0].min() for w, _, sd in map(_parts, (p, q)))
+    smallest = min(p.smallest_live, q.smallest_live)
     size = (hi - lo) / smallest * CROSSING_GRID_PER_SD  # finite only if lo and hi are
     if not math.isfinite(size):
         raise NumericalFailure(
@@ -284,18 +297,17 @@ def _crossing_grid(p: _Searchable, q: _Searchable) -> tuple[float, float, int]:
     return lo, hi, min(CROSSING_GRID_MAX, math.ceil(size) + 1)
 
 
-def _refine_crossings(p: _Searchable, q: _Searchable, a: list, b: list,
+def _refine_crossings(sides: Callable[[np.ndarray], np.ndarray], a: list, b: list,
                       side_a: list) -> tuple[list, list]:
     """Halve every bracket [a_j, b_j] ``CROSSING_BISECTIONS`` times; the refined ends.
 
-    ``side_a[j]`` is the sign of the gap at ``a_j``.  Each halving moves
-    ``a_j`` to the midpoint where the gap there has that sign, closes the
-    bracket on the midpoint where the gap is exactly 0, and otherwise (NaN
-    included) moves ``b_j``.  The halvings run three at a time: one density
-    pass takes the 7 midpoints those three halvings can visit, and each
-    bracket then walks its own path through them.  The midpoints round as
-    one halving at a time would, so the ends are bit for bit those of
-    ``CROSSING_BISECTIONS`` single-halving passes, from a third of the
+    ``sides(x)`` is the sign of the gap at each point of ``x``, and ``side_a[j]`` the sign
+    at ``a_j``.  Each halving moves ``a_j`` to the midpoint where the gap there has that
+    sign, closes the bracket on the midpoint where the gap is exactly 0, and otherwise (NaN
+    included) moves ``b_j``.  The halvings run three at a time: one density pass takes the
+    7 midpoints those three halvings can visit, and each bracket then walks its own path
+    through them.  The midpoints round as one halving at a time would, so the ends are bit
+    for bit those of ``CROSSING_BISECTIONS`` single-halving passes, from a third of the
     density calls; closed brackets drop out of later passes.
     """
     active = list(range(len(a)))
@@ -311,8 +323,7 @@ def _refine_crossings(p: _Searchable, q: _Searchable, a: list, b: list,
             left, right = (lo + m) * 0.5, (m + hi) * 0.5
             mids += (m, left, right, (lo + left) * 0.5, (left + m) * 0.5, (m + right) * 0.5,
                      (right + hi) * 0.5)
-        x = np.array(mids)
-        signs = np.sign(_log_gap(p, q, x, np.empty_like(x))).tolist()
+        signs = sides(np.array(mids)).tolist()
         still = []
         for base, j in zip(range(0, len(mids), 7), active):
             k = 0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -611,15 +612,22 @@ class TestReportBytes:
 
     def test_ig_bound_crossing_searches(self, monkeypatch):
         # B's floors leave one of the three members to the crossing search, and C is a
-        # closed form: B, D and D_learner make 3 crossing searches (5 with every member)
+        # closed form: B, D and D_learner make 3 crossing searches (5 with every member).
+        # Each distribution builds its search record once: a quantile for the tail points
+        # of each barycenter, and a one-component mixture for each member (4 and 5 before)
         calls = []
         crossing_tv = divergences._crossing_tv
         monkeypatch.setattr(divergences, "_crossing_tv",
-                            lambda p, q: calls.append(1) or crossing_tv(p, q))
+                            lambda p, q: calls.append("search") or crossing_tv(p, q))
+        stdtrit, of = divergences.stdtrit, GaussianMixture._of.__func__
+        monkeypatch.setattr(divergences, "stdtrit",
+                            lambda *args: calls.append("stdtrit") or stdtrit(*args))
+        monkeypatch.setattr(GaussianMixture, "_of",
+                            classmethod(lambda cls, g: calls.append("_of") or of(cls, g)))
         evaluate_bound("thm1", ModelClass.gaussian_mean_grid(0.5, 1.5, 0.5, 0.8),
                        Gaussian(1.1, 0.8), InverseGammaGaussianTasks(1.0, 20.0, 10.0),
                        InverseGammaGaussianTasks(1.3, 17.0, 9.0), alpha=0.2)
-        assert len(calls) == 3
+        assert Counter(calls) == {"search": 3, "stdtrit": 2, "_of": 3}
 
     # SHA-256 of the reports' JSON; any change to a component, margin, delta, extra or
     # precondition verdict changes it

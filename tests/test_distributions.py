@@ -36,6 +36,7 @@ from epibound import (
 )
 from epibound.distributions import (
     DEFAULT_THRESHOLDS,
+    T_LGAMMA_MAX_DF,
     _event_masks,
     as_finite,
     _event_variances,
@@ -313,6 +314,10 @@ class TestStudentT:
         np.testing.assert_allclose(t.logpdf(x), ref.logpdf(x), rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(t.pdf(x), ref.pdf(x), rtol=1e-12, atol=0)
         np.testing.assert_allclose(t.cdf(x), ref.cdf(x), rtol=1e-12, atol=1e-300)
+
+    def test_normalising_constant_is_continuous_where_its_forms_part(self):
+        below, above = T_LGAMMA_MAX_DF, math.nextafter(T_LGAMMA_MAX_DF, math.inf)
+        assert abs(StudentT(below, 0.0, 1.0)._log_norm - StudentT(above, 0.0, 1.0)._log_norm) <= 1e-12
 
     def test_sample_moments(self):
         df, loc, scale, n = 10.0, -1.5, 2.0, 200_000

@@ -1,6 +1,9 @@
 """Divergence values, identities and estimator behavior."""
 
 import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from epibound import (
     l1_distance,
     tv_exact,
 )
+import helpers_crossing
 
 # a zero-weight component 1e160 from the mean, and the mixture without it: 0 * inf in the
 # pooled moments made the first's stddev NaN
@@ -259,14 +263,14 @@ def reference_crossing_tv(p, q):
     reference.  Returns the TV, the number of brackets, and the number of
     midpoints where the gap was exactly 0.
     """
-    p, q = divergences._as_mixture(p), divergences._as_mixture(q)
-    lo, hi = divergences._window(p, q)
+    p, q = helpers_crossing.as_mixture(p), helpers_crossing.as_mixture(q)
+    lo, hi = helpers_crossing.window(p, q)
     smallest = min(p.stddevs[p.weights > 0].min(), q.stddevs[q.weights > 0].min())
     n = min(divergences.CROSSING_GRID_MAX,
             math.ceil((hi - lo) / smallest * divergences.CROSSING_GRID_PER_SD) + 1)
     means = np.concatenate([p.means, q.means])
     xs = np.union1d(np.linspace(lo, hi, n), means[(means > lo) & (means < hi)])
-    side = np.sign(divergences._log_gap(p, q, xs, np.empty_like(xs)))
+    side = np.sign(helpers_crossing.log_gap(p, q, xs, np.empty_like(xs)))
     i = np.flatnonzero(side[:-1] * side[1:] < 0)
     a, b, side_a = xs[i], xs[i + 1], side[i]
     mid, side_mid = np.empty_like(a), np.empty_like(a)
@@ -274,7 +278,7 @@ def reference_crossing_tv(p, q):
     for _ in range(divergences.CROSSING_BISECTIONS):
         np.add(a, b, out=mid)
         mid *= 0.5
-        np.sign(divergences._log_gap(p, q, mid, side_mid), out=side_mid)
+        np.sign(helpers_crossing.log_gap(p, q, mid, side_mid), out=side_mid)
         zeros += int((side_mid == 0).sum())
         same = side_mid == side_a
         np.copyto(a, mid, where=same | (side_mid == 0))
@@ -371,14 +375,15 @@ class TestStudentTCrossing:
             assert tv_exact(q, p) == pytest.approx(tv_exact(p, q), abs=1e-14)
             assert tv_exact(p, p) == 0.0
 
-    def test_tails_past_the_window_carry_crossings(self, monkeypatch):
+    def test_tails_past_the_window_carry_crossings(self):
         # the heavier tail of t(3) overtakes t(4) at scale 3 past the window [-30, 30]:
         # the window alone misses that crossing and 2.2e-8 of the TV
         p, q = StudentT(3.0, 0.0, 1.0), StudentT(4.0, 0.0, 3.0)
         assert divergences._window(p, q) == (-30.0, 30.0)
         tv = tv_exact(p, q)
         assert tv == pytest.approx(reference_tv(p, q), abs=1e-12)
-        monkeypatch.setattr(divergences, "_tail_points", lambda d, lo, hi: np.empty(0))
+        for d in (p, q):  # their search records without the tail points
+            d.__dict__["_search"] = divergences._search(d)._replace(tails=np.empty(0))
         assert tv - tv_exact(p, q) > 1e-8
 
     @pytest.mark.parametrize("shape", [0.05, 0.3, 0.6, 1.0])
@@ -386,6 +391,15 @@ class TestStudentTCrossing:
         t = barycenter(InverseGammaGaussianTasks(1.0, shape, 10.0))
         tv = tv_exact(Gaussian(1.1, 0.8), t)
         assert 0.0 < tv < 1.0 and divergences._tv_floor(Gaussian(1.1, 0.8), t) <= tv
+
+    def test_huge_df_reaches_the_gaussian_limit(self):
+        # the t's constant, as a difference of lgammas, lost 0.92 at df 1e15, where TV read 0
+        g = Gaussian(0.0, 2.0)
+        limit = tv_exact(Gaussian(0.0, 1.0), g)
+        for df in [*10.0 ** np.arange(8, 301, 4), 1e15]:
+            t = StudentT(df, 0.0, 1.0)
+            assert abs(tv_exact(t, g) - limit) <= 1e-7
+            assert tv_exact(t, g) >= divergences._tv_floor(t, g)
 
     def test_quadrature_functionals_accept_the_ig_barycenter(self):
         t = barycenter(InverseGammaGaussianTasks(1.0, 20.0, 10.0))
@@ -411,23 +425,25 @@ class TestCrossingRefinement:
         assert zeros[-1] > 0 and zeros[-2] > 0  # the exact-0 rule closes the mirrored brackets
 
     def test_ten_density_passes(self, monkeypatch):
-        calls = []
+        sizes = []
+        logpdf = GaussianMixture.logpdf
+        monkeypatch.setattr(GaussianMixture, "logpdf",
+                            lambda self, x: sizes.append(np.size(x)) or logpdf(self, x))
 
-        def counting(p, q, x, out):
-            calls.append(x.size)
-            return log_gap(p, q, x, out)
+        def passes():  # each pass evaluates p, then q, at the same points
+            assert sizes[::2] == sizes[1::2]
+            points = sizes[::2]
+            sizes.clear()
+            return points
 
-        log_gap = divergences._log_gap
-        monkeypatch.setattr(divergences, "_log_gap", counting)
         tv_exact(Gaussian(0.0, 1.0), Gaussian(0.5, 1.7))  # two crossings
+        calls = passes()
         assert len(calls) == 1 + 10 and calls[1:] == [2 * 7] * 10
-        calls.clear()
         tv_exact(*mirrored_pair(0.3, 0.5, 0.5))  # one bracket, closed by its first midpoint
-        assert len(calls) == 1 + 1
-        calls.clear()
+        assert len(passes()) == 1 + 1
         mix = GaussianMixture([0.2, 0.8], [0.0, 1.0], [0.3, 1.5])
         tv_exact(mix, GaussianMixture([0.2, 0.8], [0.0, 1.0], [0.3, 1.5]))  # no crossing
-        assert len(calls) == 1
+        assert len(passes()) == 1
 
     def test_vanishing_density_is_not_nan(self):
         # N(1, 1e-160) has log-density -inf off its mean, where z**2 overflows; a NaN
@@ -467,6 +483,108 @@ class TestCrossingRefinement:
         with np.errstate(over="ignore"):
             assert tv_exact(p, FAR_DEAD_MIXTURE) == tv_exact(p, ONE_COMPONENT_MIXTURE)
             assert tv_exact(FAR_DEAD_MIXTURE, p) == tv_exact(ONE_COMPONENT_MIXTURE, p)
+
+
+def record_corpus(seed=20261021):
+    """2,081 continuous pairs for the search records' bit identity.
+
+    Gaussians with unequal stddevs, t's of df 0.5 to 60, mixtures with zero-weight
+    components, pairs about means up to 1e15 (where ``_centered`` moves them), and pairs
+    whose window, its width or its grid size overflows, in both orders.
+    """
+    rng = np.random.default_rng(seed)
+
+    def stddevs(k=None):
+        return np.exp(rng.uniform(math.log(0.2), math.log(2.0), k))
+
+    def gaussian(at=0.0):
+        return Gaussian(at + rng.uniform(-3, 3), stddevs())
+
+    def student(at=0.0):
+        return StudentT(math.exp(rng.uniform(math.log(0.5), math.log(60.0))),
+                        at + rng.uniform(-3, 3), stddevs())
+
+    def mixture(at=0.0):
+        k = int(rng.integers(1, 6))
+        w = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+        w[rng.integers(k)] += 0.1
+        return GaussianMixture(w / w.sum(), at + rng.uniform(-3, 3, k), stddevs(k))
+
+    def any_kind(at=0.0):
+        return (gaussian, student, mixture)[int(rng.integers(3))](at)
+
+    pairs = [(gaussian(), gaussian()) for _ in range(300)]
+    pairs += [(any_kind(), any_kind()) for _ in range(1000)]
+    for _ in range(500):  # from about 1e12 on, a float step exceeds a grid step
+        at = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(3.0, 15.0))
+        pairs.append((any_kind(at), any_kind(at)))
+    raising = [  # against any other distribution
+        Gaussian(0.0, 1e200), Gaussian(0.0, 1e300), Gaussian(1e308, 1.0), Gaussian(-1e308, 2.0),
+        StudentT(0.5, 1e308, 1.0), GaussianMixture([0.5, 0.5], [0.0, 1.0], [1e200, 1.0]),
+        GaussianMixture([0.5, 0.5], [-1.5e308, 1.5e308], [1.0, 1.0]),
+    ]
+    extreme = [*raising, Gaussian(0.0, 1e-20), StudentT(3.0, 0.0, 1e300)]
+    pairs += [(d, e) for d in extreme for e in extreme]
+    for _ in range(200):
+        d, other = raising[int(rng.integers(len(raising)))], any_kind()
+        pairs.append((d, other) if rng.random() < 0.5 else (other, d))
+    return pairs
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as the hex of its float, or the type and message of what it raised."""
+    try:
+        return float(fn(*args)).hex()
+    except Exception as e:  # noqa: BLE001 - every error must match the reference's
+        return type(e), str(e)
+
+
+class TestSearchRecords:
+    """Each distribution's crossing-search record, built once, changes no bit."""
+
+    def test_bitwise_equal_to_the_rebuilding_search(self):
+        pairs = record_corpus()
+        assert len(pairs) >= 2000
+        raised = 0
+        with np.errstate(all="ignore"):
+            for k, (p, q) in enumerate(pairs):
+                tv, floor = outcome(helpers_crossing.tv, p, q), outcome(helpers_crossing.tv_floor, p, q)
+                l1 = tv if isinstance(tv, tuple) else (2.0 * float.fromhex(tv)).hex()
+                # half the pairs build their records in the floor, half in the TV
+                if k % 2:
+                    assert outcome(divergences._tv_floor, p, q) == floor
+                assert outcome(tv_exact, p, q) == tv
+                assert outcome(l1_distance, p, q) == l1
+                assert outcome(divergences._tv_floor, p, q) == floor
+                raised += isinstance(tv, tuple)
+        assert raised >= 250
+
+    def test_searched_distributions_pickle_and_keep_their_surface(self):
+        pairs = [(Gaussian(0.3, 0.7), StudentT(5.0, 0.1, 1.2)),
+                 (GaussianMixture([0.4, 0.6, 0.0], [-1.0, 1.0, 2.0], [0.5, 0.8, 0.3]),
+                  Gaussian(0.2, 1.5))]
+        for p, q in pairs:
+            surface = [(d.to_dict(), repr(d)) for d in (p, q)]
+            tv, floor = tv_exact(p, q), divergences._tv_floor(p, q)
+            assert "_search" in vars(p) and "_search" in vars(q)
+            assert [(d.to_dict(), repr(d)) for d in (p, q)] == surface
+            p2, q2 = pickle.loads(pickle.dumps((p, q)))
+            assert [(d.to_dict(), repr(d)) for d in (p2, q2)] == surface
+            assert tv_exact(p2, q2) == tv == helpers_crossing.tv(p, q)
+            assert divergences._tv_floor(p2, q2) == floor == helpers_crossing.tv_floor(p, q)
+
+    def test_threads_racing_to_build_records_give_the_reference_bits(self):
+        pairs = record_corpus()[300:500]  # fresh objects of every kind, no records yet
+        expected = [outcome(helpers_crossing.tv, p, q) for p, q in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:  # each pair twice in a row, so that both workers search it at once
+            with np.errstate(all="ignore"), ThreadPoolExecutor(max_workers=2) as ex:
+                got = list(ex.map(lambda pq: outcome(tv_exact, *pq),
+                                  [pq for pq in pairs for _ in range(2)], timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [e for e in expected for _ in range(2)]
 
 
 class TestKL:
