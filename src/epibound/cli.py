@@ -82,7 +82,7 @@ def _parse_n_grid(text: str) -> tuple:
     return tuple(out)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> object:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -145,6 +145,8 @@ def _load_setup(path: str, verify: bool = False) -> dict:
     """A bound instance or, with ``verify``, a verify setup file, deserialized; missing keys
     and values of the wrong type are usage errors."""
     data = _load_json(path)
+    if not isinstance(data, dict):
+        raise SystemExit(_usage_fail(f"{path} must hold a JSON object, got {type(data).__name__}"))
     try:
         setup = setup_from_dict(data)
         if verify:  # the statement and its scalar inputs come from the file
@@ -229,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"epibound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser by name, which main runs directly
 
     p_oracle = sub.add_parser("oracle", help="run the exact verification suite")
     p_oracle.add_argument("--instances", type=int, default=1000)
@@ -283,8 +286,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()  # parses alone only an argv that names no command: help, version, errors
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args, extra = (command or parser).parse_known_args(argv[1:] if command else argv)
+        if extra:  # as parse_args reports them
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:

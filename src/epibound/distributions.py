@@ -64,14 +64,14 @@ def _freeze(obj, name: str, value: np.ndarray) -> None:
 def _check_rows(P: np.ndarray, error=InvalidArgument, what: str = "probabilities") -> None:
     """Every row of ``P`` (or ``P`` itself when 1-D) is nonnegative and sums to 1.
 
-    The first bad row gives the message, as checking the rows one at a time
-    would: a negative entry before a bad sum.
+    A row-by-row check's first bad row gives the message: a negative entry before a bad sum.
+    The extreme sums bound every rounded ``|s - 1|``; empty rows fail on them, before ``P.min()``.
     """
     sums = P.sum(axis=-1)
-    gaps = abs(sums - 1.0)
-    if (P < 0).any() or not (gaps if P.ndim == 1 else gaps.max()) <= PROB_TOL:  # NaN fails
+    hi, lo = (sums, sums) if P.ndim == 1 else (sums.max(), sums.min())  # bound every |s - 1|
+    if not (abs(lo - 1) <= PROB_TOL and abs(hi - 1) <= PROB_TOL and P.min() >= 0):  # NaN fails
         negative = np.ravel((P < 0).any(axis=-1))
-        first = np.flatnonzero(negative | ~(np.ravel(gaps) <= PROB_TOL))[0]
+        first = np.flatnonzero(negative | ~(np.ravel(abs(sums - 1.0)) <= PROB_TOL))[0]
         if negative[first]:
             raise error(f"{what} must be nonnegative")
         raise error(f"{what} must sum to 1 within {PROB_TOL}, got {np.ravel(sums)[first]!r}")

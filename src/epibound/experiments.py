@@ -518,7 +518,7 @@ def setup_from_dict(data: dict) -> dict:
 
 
 def write_output(path, text: str) -> None:
-    """Write ``text`` to ``path`` in place, creating its parent directories.
+    """Write ``text`` to ``path`` in place, creating its missing parent directories.
 
     Every output file of the library goes through here.  The file is opened
     without truncation and cut to the new length after the write: on ext4,
@@ -528,10 +528,12 @@ def write_output(path, text: str) -> None:
     file keeps its inode.  A crash mid-write can leave old and new bytes
     mixed; every output can be rebuilt from its manifest.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     data = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:  # a missing parent, made only now: rewrites pay no mkdir
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         written = 0
         while written < len(data):

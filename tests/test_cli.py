@@ -86,18 +86,14 @@ class TestBoundCommand:
         (("source", "tasks", 0, "w"), "a"),
         (("predictor", "p"), "ab"),
         (("model",), {"members": 3}),
-        ((), [WORKED_INSTANCE]),
-    ], ids=["source-int", "predictor-list", "weight-str", "p-str", "members-int", "list"])
+    ], ids=["source-int", "predictor-list", "weight-str", "p-str", "members-int"])
     @pytest.mark.parametrize("command", ["bound", "verify"])
     def test_malformed_instance_is_usage_error(self, path, value, command, tmp_path, capsys):
         data = json.loads(json.dumps({**WORKED_INSTANCE, "statement_id": "thm1", "alpha": 0.2}))
-        if path:
-            parent = data
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = value
-        else:
-            data = value
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         argv = (["bound", "--statement", "thm1", "--instance", str(bad), "--alpha", "0.2"]
@@ -105,6 +101,21 @@ class TestBoundCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad} is malformed: ") and captured.out == ""
+
+    @pytest.mark.parametrize("value, kind", [
+        ([1, 2], "list"), ([WORKED_INSTANCE], "list"), (3, "int"), (None, "NoneType"),
+        ("x", "str"),
+    ], ids=["list", "list-of-instance", "int", "null", "str"])
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_top_level_not_an_object_is_usage_error(self, value, kind, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(value))
+        argv = (["bound", "--statement", "thm1", "--instance", str(bad), "--alpha", "0.2"]
+                if command == "bound" else ["verify", "--setup", str(bad), "--trials", "10"])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad} must hold a JSON object, got {kind}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}",
@@ -905,6 +916,39 @@ class TestUsage:
 
     def test_bad_alpha_list(self, capsys):
         assert main(["oracle", "--alphas", "0.1,zebra"]) == 2
+
+
+class TestWriteOutputDirectories:
+    """Parents are made only when the open finds one missing."""
+
+    def test_only_a_missing_parent_makes_directories(self, tmp_path, monkeypatch):
+        calls = []
+        real_mkdir = os.mkdir
+
+        def counting_mkdir(*args, **kwargs):
+            calls.append(Path(args[0]))
+            return real_mkdir(*args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", counting_mkdir)
+        path = tmp_path / "a" / "b" / "report.json"
+        write_output(path, "first")
+        assert path.read_text() == "first" and set(calls) == {path.parent, path.parent.parent}
+        made = len(calls)
+        write_output(path, "second")
+        write_output(tmp_path / "other.json", "new file in an existing directory")
+        assert len(calls) == made and path.read_text() == "second"
+
+    def test_out_under_a_regular_file_is_usage_error(self, instance_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        out = taken / "report.json"
+        argv = ["bound", "--statement", "thm1", "--instance", str(instance_file),
+                "--alpha", "0.15", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 20] Not a directory: '{out}'\n"
+        assert taken.read_text() == "a file"
 
 
 class TestWriteOutput:

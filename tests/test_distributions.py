@@ -36,7 +36,9 @@ from epibound import (
 )
 from epibound.distributions import (
     DEFAULT_THRESHOLDS,
+    PROB_TOL,
     T_LGAMMA_MAX_DF,
+    _check_rows,
     _event_masks,
     as_finite,
     _event_variances,
@@ -842,6 +844,81 @@ class TestQuantileNodes:
                      lambda: barycenter(fam, seed=0), lambda: barycenter(fam, 256)):
             with pytest.raises(TypeError):
                 call()
+
+
+def reference_check_rows(P, error=InvalidArgument, what="probabilities"):
+    """The row check as written with ``(P < 0).any()`` and a max over every row's gap."""
+    sums = P.sum(axis=-1)
+    gaps = abs(sums - 1.0)
+    if (P < 0).any() or not (gaps if P.ndim == 1 else gaps.max()) <= PROB_TOL:  # NaN fails
+        negative = np.ravel((P < 0).any(axis=-1))
+        first = np.flatnonzero(negative | ~(np.ravel(gaps) <= PROB_TOL))[0]
+        if negative[first]:
+            raise error(f"{what} must be nonnegative")
+        raise error(f"{what} must sum to 1 within {PROB_TOL}, got {np.ravel(sums)[first]!r}")
+
+
+def check_outcome(check, P, *args):
+    """None when ``check`` accepts ``P``, else the type and message of what it raised."""
+    try:
+        check(P, *args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+def row_check_cases():
+    """Valid and invalid arrays of one, two and three axes, named."""
+    rng = np.random.default_rng(34)
+    rows = rng.dirichlet(np.ones(3), size=(4, 5))
+    cases = {"1d": rows[0, 0], "2d": rows[0], "3d-padded": rows,
+             "empty-1d": np.zeros(0), "empty-rows": np.zeros((2, 0)), "no-rows": np.zeros((0, 3)),
+             "negative-zero": np.array([[-0.0, 1.0], [0.5, 0.5]])}
+    for name, value in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf), ("negative", -0.25)]:
+        for shape in ("1d", "2d", "3d-padded"):
+            bad = cases[shape].copy()
+            bad[(2, 3, 1)[-bad.ndim:]] = value
+            cases[f"{name}-{shape}"] = bad
+    for off in (2e-12, -2e-12, 5e-13, -5e-13):  # first bad row: a sum at [1, 2], a sign at [3, 0]
+        bad = rows.copy()
+        bad[1, 2, 0] += off
+        cases[f"sum{off:+.0e}-1d"] = bad[1, 2]
+        cases[f"sum{off:+.0e}-2d"] = bad[1]
+        bad[3, 0, :] = [1.5, -0.5, 0.0]
+        cases[f"sum{off:+.0e}-before-sign-3d"] = bad
+    # every float sum from just inside to just outside the tolerance, alone and among valid rows
+    for edge in (1.0 - PROB_TOL, 1.0 + PROB_TOL):
+        for step in range(-3, 4):
+            total = np.float64(edge)
+            for _ in range(abs(step)):
+                total = np.nextafter(total, math.copysign(np.inf, step))
+            row = np.array([total, 0.0, 0.0])
+            cases[f"edge{edge - 1:+.0e}{step:+d}-1d"] = row
+            cases[f"edge{edge - 1:+.0e}{step:+d}-2d"] = np.stack([rows[0, 0], row, rows[0, 1]])
+    return cases
+
+
+class TestRowCheckParity:
+    """``_check_rows`` accepts and rejects what the full-pass check does, with its messages."""
+
+    @pytest.mark.parametrize("name, P", list(row_check_cases().items()))
+    def test_matches_the_full_pass_check(self, name, P):
+        for args in [(), (InvalidTaskDistribution, "task weights")]:
+            assert check_outcome(_check_rows, P, *args) == check_outcome(reference_check_rows, P,
+                                                                         *args)
+
+    def test_cases_cover_both_outcomes(self):
+        outcomes = [check_outcome(reference_check_rows, P) for P in row_check_cases().values()]
+        assert any(o is None for o in outcomes)
+        assert {o[1].split(",")[0] for o in outcomes if o} >= {
+            "probabilities must be nonnegative", "probabilities must sum to 1 within 1e-12"}
+        assert (ValueError, "zero-size array to reduction operation maximum which has no identity"
+                ) in outcomes
+
+    def test_empty_rows_report_their_sum(self):
+        with pytest.raises(InvalidArgument) as info:
+            FiniteTaskDistribution(np.zeros((2, 0)), np.array([0.5, 0.5]))
+        assert str(info.value) == "probabilities must sum to 1 within 1e-12, got np.float64(0.0)"
 
 
 class TestRowMatrices:
