@@ -7,10 +7,10 @@ leaving the variance distribution at its prior.  The coefficient posterior
 is then a closed-form bivariate Gaussian.
 
 ``scipy.special`` is loaded at the first posterior mass, not at import, and
-``scipy.integrate`` only when ``posterior_mass_near`` integrates: called
-directly, or for a row of ``_posterior_mass_stack`` that quad's first step
-does not settle; see ``_deferred``.  ``quad`` and ``ndtr`` rebind to
-scipy's at their first call.
+``scipy.integrate`` only for a mass that quad's first step does not settle:
+such a row of ``_posterior_mass_stack`` (``posterior_mass_near`` is its
+stack of one) runs ``_quad_mass``; see ``_deferred``.  ``quad`` and
+``ndtr`` rebind to scipy's at their first call.
 """
 
 from __future__ import annotations
@@ -267,21 +267,15 @@ def posterior_mass_near(post: GaussianParamDist, center, radius: float) -> float
     The outer coordinate is integrated by adaptive quadrature against the
     exact conditional-Gaussian probability of the inner coordinate (valid
     for correlated posteriors, unlike the naive product rule), over the
-    square's side narrowed by ``_outer_limits``.
+    square's side narrowed by ``_outer_limits``.  This is
+    ``_posterior_mass_stack`` on a stack of one posterior.
     """
-    center = _checked_square(center, radius)
-    if math.isinf(radius):
-        return 1.0
-    m1, m2 = post.mean
-    s11 = post.covariance[0, 0]
-    s12 = post.covariance[0, 1]
-    s22 = post.covariance[1, 1]
-    cond_var = s22 - s12**2 / s11
-    cond_sd = math.sqrt(max(cond_var, 1e-300))
-    sd1 = math.sqrt(s11)
-    lo, hi = _outer_limits(center, radius, m1, sd1)
-    if not lo < hi:
-        return 0.0
+    return float(_posterior_mass_stack(post.mean[None], post.covariance[None], center,
+                                       radius)[0])
+
+
+def _quad_mass(m1, m2, s11, s12, cond_sd, sd1, lo, hi, center, radius) -> float:
+    """One posterior's mass by ``quad`` over the outer limits [lo, hi], in [0, 1]."""
 
     def integrand(u: float) -> float:
         # u is the first coordinate; inner interval handled in closed form
@@ -328,15 +322,15 @@ def _posterior_mass_stack(means: np.ndarray, covs: np.ndarray, center,
                           radius: float) -> np.ndarray:
     """``posterior_mass_near`` of S posteriors, (S, 2) means and (S, 2, 2) covariances: (S,).
 
-    Bit for bit the scalar path.  Each row replays ``quad``'s first step as
-    arrays: the integrand at the 21 Kronrod nodes of the row's outer limits,
-    then dqk21's sums in its order of additions and dqagse's first accuracy
-    test.  A row that passes returns that first estimate, as ``quad`` does.
-    Every other row, including one on which ``quad`` warns of roundoff
-    (``ier == 2``), runs ``posterior_mass_near`` itself.  The exponentials go
-    through ``math.exp`` and ``s12**2`` is squared per row: numpy's SIMD
-    ``exp`` and the array square ``x*x`` round unlike the scalar path's libm
-    ``exp`` and ``pow``.
+    Bit for bit ``_quad_mass`` on each row.  Each row replays ``quad``'s first
+    step as arrays: the integrand at the 21 Kronrod nodes of the row's outer
+    limits, then dqk21's sums in its order of additions and dqagse's first
+    accuracy test.  A row that passes returns that first estimate, as ``quad``
+    does.  Every other row, including one on which ``quad`` warns of roundoff
+    (``ier == 2``), runs ``_quad_mass`` on its own entries.  The exponentials
+    go through ``math.exp`` and ``s12**2`` is squared per row: numpy's SIMD
+    ``exp`` and the array square ``x*x`` round unlike the scalar integrand's
+    libm ``exp`` and ``pow``.
     """
     center = _checked_square(center, radius)
     if math.isinf(radius):
@@ -353,10 +347,10 @@ def _posterior_mass_stack(means: np.ndarray, covs: np.ndarray, center,
     absc = hlgth[:, None] * _XGK[:10]
     u = np.concatenate([centr[:, None], centr[:, None] - absc, centr[:, None] + absc], axis=1)
 
-    d = u - m1[:, None]  # the integrand at the (S, 21) nodes, as posterior_mass_near takes it
+    d = u - m1[:, None]  # the integrand at the (S, 21) nodes, as _quad_mass takes it
     cm = m2[:, None] + (s12 / s11)[:, None] * d
-    cond_sd = cond_sd[:, None]
-    inner = ndtr((center[1] + radius - cm) / cond_sd) - ndtr((center[1] - radius - cm) / cond_sd)
+    inner = (ndtr((center[1] + radius - cm) / cond_sd[:, None])
+             - ndtr((center[1] - radius - cm) / cond_sd[:, None]))
     z = d / sd1[:, None]
     w = -0.5 * z * z
     dens = np.array(list(map(math.exp, w.ravel().tolist()))).reshape(w.shape)
@@ -394,5 +388,6 @@ def _posterior_mass_stack(means: np.ndarray, covs: np.ndarray, center,
     accepted = ~roundoff & (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0))
     out = np.minimum(np.maximum(result, 0.0), 1.0)
     for s in np.flatnonzero(~accepted).tolist():
-        out[s] = posterior_mass_near(GaussianParamDist._of(means[s], covs[s]), center, radius)
+        out[s] = _quad_mass(m1[s], m2[s], s11[s], s12[s], cond_sd[s], sd1[s], lo[s], hi[s],
+                            center, radius)
     return out

@@ -105,10 +105,6 @@ class FirstOrderDistribution:
 
     kind: str
 
-    @property
-    def is_continuous(self) -> bool:
-        return self.kind != "categorical"
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 

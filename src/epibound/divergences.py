@@ -11,9 +11,10 @@ kernel, ``_mc_kl``, on (rows, samples) log-ratio arrays.
 ``scipy.integrate`` is loaded at the first quadrature, and ``scipy.special``
 at the first Gaussian TV in closed form, the first crossing search on a
 Student-t or its first entropy, not at import (see ``_deferred``).  Only
-the mixture and t fallbacks here and ``bayes.posterior_mass_near``
-integrate.  A window that is not finite (overflowing or NaN moments) raises
-NumericalFailure, in quadrature, the crossing search and the closed forms.
+the mixture and t fallbacks here, all through ``_integrate``, and
+``bayes._quad_mass`` integrate.  A window that is not finite (overflowing
+or NaN moments) raises NumericalFailure, in quadrature, the crossing
+search and the closed forms.
 ``quad``, ``ndtr``, ``stdtrit``, ``digamma`` and ``betaln`` rebind to
 scipy's at their first call.
 """
@@ -37,7 +38,7 @@ from .distributions import (
     _gaussian_logpdf,
     require_same_space,
 )
-from .errors import EventMismatch, InvalidArgument, NumericalFailure, SupportViolation, require_int
+from .errors import InvalidArgument, NumericalFailure, SupportViolation, require_int
 from .seeding import generator
 
 QUAD_ABS_TOL = 1e-9
@@ -106,27 +107,25 @@ def _window(*dists: FirstOrderDistribution) -> tuple[float, float]:
     return min(los), max(his)
 
 
-def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
+def _integrate(term: Callable[..., float], *dists: FirstOrderDistribution) -> float:
+    """The integral of ``term(x, *density functions)`` over the merged ``_window`` of
+    ``dists``, moved by ``_centered``; NumericalFailure where that window is not finite.
+
+    ``term`` calls a density only where it needs its value, so ``_on_p_support``
+    reads no q density off p's support."""
+    dists = _centered(*dists)
+    lo, hi = _window(*dists)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalFailure(f"quadrature window [{lo}, {hi}] is not finite")
-    val, _ = quad(fn, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=400)
-    return val
+    densities = [lambda x, d=d: float(d.pdf(np.array([x]))[0]) for d in dists]
+    return quad(lambda x: term(x, *densities), lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10,
+                limit=400)[0]
 
 
-def _pdf(d: FirstOrderDistribution) -> Callable[[float], float]:
-    if isinstance(d, (Gaussian, GaussianMixture, StudentT)):
-        return lambda x: float(d.pdf(np.array([x]))[0])
-    raise EventMismatch(f"no density for kind {d.kind}")
+def _on_p_support(term: Callable[[float, float], float]) -> Callable[..., float]:
+    """``term(p(x), q(x))`` where p(x) > 0, else 0; SupportViolation where q vanishes there."""
 
-
-def _quad_on_p_support(p: FirstOrderDistribution, q: FirstOrderDistribution,
-                       term: Callable[[float, float], float]) -> float:
-    """The integral of ``term(p(x), q(x))`` where p(x) > 0; SupportViolation where q vanishes."""
-    p, q = _centered(p, q)
-    pf, qf = _pdf(p), _pdf(q)
-    lo, hi = _window(p, q)
-
-    def integrand(x: float) -> float:
+    def on_support(x: float, pf: Callable[[float], float], qf: Callable[[float], float]) -> float:
         pv = pf(x)
         if pv <= 0:
             return 0.0
@@ -135,7 +134,7 @@ def _quad_on_p_support(p: FirstOrderDistribution, q: FirstOrderDistribution,
             raise SupportViolation(f"q density vanished at x={x}")
         return term(pv, qv)
 
-    return _quad(integrand, lo, hi)
+    return on_support
 
 
 @contextlib.contextmanager
@@ -354,10 +353,8 @@ def hellinger_sq(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
             log_bc = 0.5 * math.log(2.0 * p.stddev * q.stddev / spread) - (
                 (p.mean - q.mean) ** 2 / (4.0 * spread))
         return max(0.0, -math.expm1(log_bc))  # log_bc <= 0 up to rounding
-    p, q = _centered(p, q)
-    pf, qf = _pdf(p), _pdf(q)
-    lo, hi = _window(p, q)
-    return min(1.0, 0.5 * _quad(lambda x: (math.sqrt(pf(x)) - math.sqrt(qf(x))) ** 2, lo, hi))
+    return min(1.0, 0.5 * _integrate(lambda x, pf, qf: (math.sqrt(pf(x)) - math.sqrt(qf(x))) ** 2,
+                                     p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +378,12 @@ def entropy(p: FirstOrderDistribution) -> float:
             return 0.5 * math.log(2.0 * math.pi * math.e * p.stddev**2)
     if isinstance(p, StudentT):
         return _t_entropy(p)
-    (p,) = _centered(p)
-    pf = _pdf(p)
-    lo, hi = _window(p)
 
-    def integrand(x: float) -> float:
+    def term(x: float, pf: Callable[[float], float]) -> float:
         v = pf(x)
         return 0.0 if v <= 0 else -v * math.log(v)
 
-    return _quad(integrand, lo, hi)
+    return _integrate(term, p)
 
 
 def cross_entropy(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
@@ -415,7 +409,7 @@ def cross_entropy(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float
                 0.5 * math.log(2.0 * math.pi * q.stddev**2)
                 + (p.scale**2 * p.df / (p.df - 2.0) + (p.loc - q.mean) ** 2) / (2.0 * q.stddev**2)
             )
-    return _quad_on_p_support(p, q, lambda pv, qv: -pv * math.log(qv))
+    return _integrate(_on_p_support(lambda pv, qv: -pv * math.log(qv)), p, q)
 
 
 def kl_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
@@ -443,7 +437,7 @@ def kl_exact(p: FirstOrderDistribution, q: FirstOrderDistribution) -> float:
                 + 0.5 * math.log(2.0 * math.pi * q.stddev**2)
                 + (p.scale**2 * p.df / (p.df - 2.0) + (p.loc - q.mean) ** 2) / (2.0 * q.stddev**2)
             )
-    return _quad_on_p_support(p, q, lambda pv, qv: pv * math.log(pv / qv))
+    return _integrate(_on_p_support(lambda pv, qv: pv * math.log(pv / qv)), p, q)
 
 
 # ---------------------------------------------------------------------------

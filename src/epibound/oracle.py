@@ -332,46 +332,6 @@ def _put_rows(out: np.ndarray, P: np.ndarray) -> None:
     out[k:, :m] = P[0]
 
 
-@dataclass(frozen=True)
-class _Components:
-    """Exact components of a batch of instances, under the names ``bounds.STATEMENTS`` reads.
-
-    A scalar component is a (batch, 1) column, so that a margin or delta
-    broadcasts it against a row of alphas.  Per-task arrays are (batch, k),
-    padded past an instance's ``k_t`` target tasks with zero-weight copies of
-    its first one; per-event variances are (batch, 2^m), padded with copies
-    of the first event's.
-    """
-
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    D_learner: np.ndarray
-    sup_var_target: np.ndarray
-    sup_var_source: np.ndarray
-    diam_source: np.ndarray
-    epsilon: np.ndarray           # NaN where the instance has none
-    b_S: np.ndarray               # the largest b the source is first- and second-order bounded by
-    b_S_first: np.ndarray         # the largest b the source is first-order bounded by
-    b_T: np.ndarray               # the largest b the target is first-order bounded by
-    b_pred: np.ndarray            # the predictor's smallest positive probability
-    tv_pred_bary_s: np.ndarray
-    tv_pred_bary_t: np.ndarray
-    shared_support: np.ndarray    # identical task tuples (weights may differ)
-    no_shift: np.ndarray          # identical task distributions
-    max_tv_to_source: np.ndarray  # over drawable target tasks: TV to the nearest source task
-    dist_tv: np.ndarray           # TV between the two task distributions
-    support_covered: np.ndarray   # every drawable target task inside the predictor's support
-    t_weights: np.ndarray
-    losses: dict                  # loss name -> its value on each target task
-    var_s_events: np.ndarray      # per-event source variances
-    var_t_events: np.ndarray
-    finite_space = True  # oracle instances are categorical
-    # b_S and b_T are already the largest valid values
-    max_b_S = property(lambda self: self.b_S)
-    max_b_T = property(lambda self: self.b_T)
-
-
 def _instance_groups(insts: Sequence[OracleInstance]) -> list[np.ndarray]:
     return _groups([(inst.pred.size, inst.S.shape[0], inst.T.shape[0]) for inst in insts])
 
@@ -431,9 +391,18 @@ def _stack(rows: Sequence[tuple], source_variances: bool = False) -> SimpleNames
     )
 
 
-def _components(insts: Sequence[OracleInstance]) -> _Components:
-    """Exact components of a batch of instances that ``_instance_groups`` put together:
-    ``_stack``'s, then those only the instance statements read.
+def _components(insts: Sequence[OracleInstance]) -> SimpleNamespace:
+    """Exact components of a batch of instances that ``_instance_groups`` put together,
+    under the names ``bounds.STATEMENTS`` reads: ``_stack``'s, then those only the
+    instance statements read.
+
+    A scalar component is a (batch, 1) column, so that a margin or delta
+    broadcasts it against a row of alphas.  Per-task arrays are (batch, k),
+    padded past an instance's ``k_t`` target tasks with zero-weight copies of
+    its first one; per-event variances are (batch, 2^m), padded with copies of
+    the first event's.  ``b_S`` is the largest b the source is first- and
+    second-order bounded by, and ``b_T`` the largest the target is first-order
+    bounded by, so they are their own ``max_b_S`` and ``max_b_T``.
 
     Every probability row and weight vector is checked in the padded arrays,
     with ``OracleInstance``'s rules and error types, before any is read.
@@ -477,34 +446,27 @@ def _components(insts: Sequence[OracleInstance]) -> _Components:
     def col(v) -> np.ndarray:
         return np.asarray(v)[:, None]
 
-    return _Components(
-        B=st.B,
-        C=st.C,
-        D=st.D,
-        D_learner=col(_tv(st.best, st.bary_t)) - st.B,
-        sup_var_target=st.sup_var_target,
-        sup_var_source=col(st.var_s.max(axis=1)),
+    b_S = col(np.minimum(b_S_first, np.where(s_min <= 0, 0.0, np.minimum(1.0, s_min))))
+    b_T = col(_first_order_b(w_t))
+    return SimpleNamespace(
+        B=st.B, C=st.C, D=st.D, D_learner=col(_tv(st.best, st.bary_t)) - st.B,
+        sup_var_target=st.sup_var_target, sup_var_source=col(st.var_s.max(axis=1)),
         diam_source=col(diam),
         epsilon=col([np.nan if inst.epsilon is None else inst.epsilon for inst in insts]),
-        b_S=col(np.minimum(b_S_first, np.where(s_min <= 0, 0.0, np.minimum(1.0, s_min)))),
-        b_S_first=col(b_S_first),
-        b_T=col(_first_order_b(w_t)),
-        b_pred=col(np.where(pred > 0, pred, np.inf).min(axis=1)),
-        tv_pred_bary_s=col(_tv(pred, st.bary_s)),
-        tv_pred_bary_t=col(_tv(pred, st.bary_t)),
-        shared_support=col(shared),
-        no_shift=col(dist_tv <= PROB_TOL),
+        b_S=b_S, max_b_S=b_S, b_S_first=col(b_S_first), b_T=b_T, max_b_T=b_T,
+        b_pred=col(np.where(pred > 0, pred, np.inf).min(axis=1)),  # smallest positive
+        tv_pred_bary_s=col(_tv(pred, st.bary_s)), tv_pred_bary_t=col(_tv(pred, st.bary_t)),
+        shared_support=col(shared),  # identical task tuples; the weights may differ
+        no_shift=col(dist_tv <= PROB_TOL), dist_tv=col(dist_tv),
+        # over the target tasks that can be drawn: TV to the nearest source task
         max_tv_to_source=col(np.where(live, cross.min(axis=2), -np.inf).max(axis=1)),
-        dist_tv=col(dist_tv),
         support_covered=col(~(leaks & live).any(axis=1)),
-        t_weights=w_t,
+        t_weights=w_t, var_s_events=st.var_s, var_t_events=st.var_t, finite_space=True,
         losses={"tv": ers, "l1": 2.0 * ers, "hellinger_sq": hell_t, "excess_ce": kl_t_pred},
-        var_s_events=st.var_s,
-        var_t_events=st.var_t,
     )
 
 
-def _looseness(comp: _Components) -> np.ndarray:
+def _looseness(comp: SimpleNamespace) -> np.ndarray:
     """Per instance: the mean of tv(pred, Q_t) over the exact target weights, minus (C + D)."""
     return np.vecdot(comp.t_weights, comp.losses["tv"]) - (comp.C + comp.D)[:, 0]
 

@@ -1,8 +1,9 @@
 """The per-row experiment code the grid-point arrays replaced, kept as their reference.
 
 Each row fits its own posterior and predictor, builds its own ``Gaussian``
-target and takes each divergence's Pinsker bound sqrt(KL/2) from one
-``kl_mc`` call.  ``reference_run`` seeds every row one ``derive_seed`` at a time, and reads
+target, takes each divergence's Pinsker bound sqrt(KL/2) from one
+``kl_mc`` call and its posterior mass from ``quad_posterior_mass``.
+``reference_run`` seeds every row one ``derive_seed`` at a time, and reads
 ``sample_source_data`` and ``target_task`` off the module, so a test's
 monkeypatch of ``target_task``, or of ``_source_draw`` (the one-sim draw that
 ``sample_source_data`` and the blocks share), reaches both paths.  The array
@@ -13,7 +14,7 @@ import logging
 import math
 
 from epibound import experiments
-from epibound.bayes import posterior_mass_near, posterior_predictive, posterior_update
+from epibound.bayes import posterior_predictive, posterior_update
 from epibound.distributions import Gaussian
 from epibound.divergences import kl_mc
 from epibound.errors import SupportViolation
@@ -29,6 +30,7 @@ from epibound.experiments import (
     neighborhood_target,
 )
 from epibound.seeding import derive_seed, generator
+from helpers_oracle import quad_posterior_mass
 
 log = logging.getLogger("epibound.experiments")
 
@@ -57,7 +59,7 @@ def _neighborhood_row(config, g, s, rngs):
     target = neighborhood_target(source_task_i, eps_tilde)
 
     er = _pinsker(predictor, target, config, kl_rng)
-    mass = posterior_mass_near(post, config.beta_source, POSTERIOR_MASS_RADIUS)
+    mass = quad_posterior_mass(post, config.beta_source, POSTERIOR_MASS_RADIUS)
     return dict(n=config.n_source_tasks, epsilon=eps, epistemic_error=er, C=None, D=None,
                 looseness=None, posterior_mass=mass)
 

@@ -1,6 +1,7 @@
 """Independent brute-force oracles shared by module and acceptance tests."""
 
-import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +28,40 @@ def grid_posterior_moments(model, data, noise_variance, n=401, lo=-5.0, hi=5.0):
         [(w * (b1 - m1) * (b2 - m2)).sum() / z, (w * (b2 - m2) ** 2).sum() / z],
     ])
     return np.array([m1, m2]), cov
+
+
+def quad_posterior_mass(post, center, radius):
+    """The posterior mass of a square by adaptive quadrature, one posterior at a time.
+
+    This is the scalar path that ``bayes._posterior_mass_stack`` replays and
+    falls back to, kept as the reference it must equal bit for bit, warnings
+    included: ``quad`` over the outer coordinate, narrowed to its mean +-
+    ``OUTER_SDS`` sds, of the inner coordinate's conditional-Gaussian probability.
+    """
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    from epibound.bayes import MASS_EPSABS, MASS_EPSREL, OUTER_SDS
+
+    center = np.asarray(center, dtype=float)
+    m1, m2 = post.mean
+    s11, s12, s22 = post.covariance[0, 0], post.covariance[0, 1], post.covariance[1, 1]
+    cond_sd = math.sqrt(max(s22 - s12**2 / s11, 1e-300))
+    sd1 = math.sqrt(s11)
+    lo = max(center[0] - radius, m1 - OUTER_SDS * sd1)
+    hi = min(center[0] + radius, m1 + OUTER_SDS * sd1)
+    if not lo < hi:
+        return 0.0
+
+    def integrand(u):
+        cm = m2 + s12 / s11 * (u - m1)
+        inner = (ndtr((center[1] + radius - cm) / cond_sd)
+                 - ndtr((center[1] - radius - cm) / cond_sd))
+        z = (u - m1) / sd1
+        return float(inner) * math.exp(-0.5 * z * z) / (sd1 * math.sqrt(2.0 * math.pi))
+
+    val, _ = quad(integrand, lo, hi, epsabs=MASS_EPSABS, epsrel=MASS_EPSREL, limit=200)
+    return min(max(val, 0.0), 1.0)
 
 
 def reference_matched_tv(w_a, w_b, close) -> float:
@@ -59,9 +94,9 @@ def component_instance(comp, b, inst):
         "var_s_events": comp.var_s_events[b, :events],
         "var_t_events": comp.var_t_events[b, :events],
     }
-    scalars = {f.name: getattr(comp, f.name)[b, 0].item() for f in dataclasses.fields(comp)
-               if f.name not in per_instance}
-    return dataclasses.replace(comp, **scalars, **per_instance)
+    scalars = {name: v[b, 0].item() for name, v in vars(comp).items()
+               if name not in per_instance and isinstance(v, np.ndarray)}
+    return SimpleNamespace(**{**vars(comp), **scalars, **per_instance})
 
 
 def reference_components(inst):

@@ -1,5 +1,6 @@
 """Conjugate posterior, predictive, parameter-space TV and mass queries."""
 
+import json
 import math
 import warnings
 
@@ -26,7 +27,7 @@ from epibound.bayes import (
     _predictive_stack,
     gaussian_param_kl,
 )
-from helpers_oracle import grid_posterior_moments
+from helpers_oracle import grid_posterior_moments, quad_posterior_mass
 
 SIGMA_BAR_SQ = 10.0 / 19.0  # prior mean of IG(20, 10)
 
@@ -200,6 +201,15 @@ class TestParamTV:
         ]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_dict_round_trip(self):
+        p = GaussianParamDist(np.array([0.2, -0.1]), np.array([[0.5, 0.2], [0.2, 0.3]]))
+        data = json.loads(json.dumps(p.to_dict()))
+        assert data == {"kind": "gaussian_param", "mean": [0.2, -0.1],
+                        "cov": [[0.5, 0.2], [0.2, 0.3]]}
+        back = GaussianParamDist.from_dict(data)
+        assert back.mean.tobytes() == p.mean.tobytes()
+        assert back.covariance.tobytes() == p.covariance.tobytes()
+
     def test_non_pd_covariance(self):
         with pytest.raises(NumericalFailure):
             GaussianParamDist(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -285,7 +295,7 @@ class TestPosteriorMass:
 
 
 class TestPosteriorMassStack:
-    """The stacked first quadrature step against ``posterior_mass_near``, bit for bit."""
+    """The stacked first quadrature step against the scalar quad path, bit for bit."""
 
     @staticmethod
     def _batch(rng, count: int):
@@ -318,10 +328,10 @@ class TestPosteriorMassStack:
             fallbacks += len(calls)
             with warnings.catch_warnings(record=True) as scalar_warnings:
                 warnings.simplefilter("always")
-                scalar = np.array([posterior_mass_near(GaussianParamDist._of(m, c), center, radius)
-                                   for m, c in zip(means, covs)])
+                scalar = np.array([quad_posterior_mass(GaussianParamDist._of(m, c), center,
+                                                       radius) for m, c in zip(means, covs)])
             assert stack.tobytes() == scalar.tobytes()
-            # the arrays warn of nothing; a row quad warns on runs the scalar path, warning kept
+            # the arrays warn of nothing; a row quad warns on runs _quad_mass, warning kept
             assert ([str(w.message) for w in stack_warnings]
                     == [str(w.message) for w in scalar_warnings])
             rows += len(means)
@@ -335,10 +345,12 @@ class TestPosteriorMassStack:
                         [0.01202573410681535, 332863.2936849623]])
         radius = 0.0010935698796058714
         with pytest.warns(IntegrationWarning):
-            scalar = posterior_mass_near(GaussianParamDist(mean, cov), (0.0, 0.0), radius)
+            scalar = quad_posterior_mass(GaussianParamDist(mean, cov), (0.0, 0.0), radius)
         with pytest.warns(IntegrationWarning):
             stack = _posterior_mass_stack(mean[None], cov[None], (0.0, 0.0), radius)
         assert stack.tobytes() == np.array([scalar]).tobytes()
+        with pytest.warns(IntegrationWarning):  # the public stack of one
+            assert posterior_mass_near(GaussianParamDist(mean, cov), (0.0, 0.0), radius) == scalar
 
     def test_infinite_radius_and_no_rows(self):
         means, covs = np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1))

@@ -473,6 +473,26 @@ class TestBayesianParameters:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert math.isfinite(float(row[6]))  # the margin
 
+    @pytest.mark.parametrize("kind", ["categorical", "gaussian_param"])
+    def test_parameter_posteriors_load_from_their_dicts(self, kind, tmp_path, capsys):
+        from epibound import Categorical, GaussianParamDist
+
+        if kind == "categorical":
+            posterior, best = Categorical([0.2, 0.5, 0.3]), Categorical([0.3, 0.4, 0.3])
+        else:
+            posterior = GaussianParamDist([0.2, -0.1], [[0.5, 0.2], [0.2, 0.3]])
+            best = GaussianParamDist([0.0, 0.1], [[0.4, 0.0], [0.0, 0.6]])
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps({**WORKED_INSTANCE, "param_posterior": posterior.to_dict(),
+                                    "param_best": best.to_dict()}))
+        assert main(["bound", "--statement", "cor_bayesian", "--instance", str(path),
+                     "--alpha", "0.2"]) == 0
+        setup = experiments.setup_from_dict(WORKED_INSTANCE)
+        report = evaluate_bound("cor_bayesian", setup["model"], setup["predictor"],
+                                setup["source"], setup["target"], alpha=0.2,
+                                param_posterior=posterior, param_best=best)
+        assert capsys.readouterr().out.splitlines()[1] == report.to_csv_row()
+
 
 class TestArrayBackedRequests:
     def test_categorical_objects_do_not_grow_with_tasks_or_members(self, tmp_path, monkeypatch,
@@ -618,6 +638,15 @@ IG_INSTANCE = {
 }
 
 
+class TestContinuousSourceEpsilon:
+    def test_eps_statement_on_an_ig_source_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ig.json"
+        path.write_text(json.dumps(IG_INSTANCE))
+        assert main(["bound", "--statement", "cor_eps", "--instance", str(path),
+                     "--alpha", "0.2", "--epsilon", "0.1"]) == 2
+        assert "source_boundedness" in capsys.readouterr().err
+
+
 class TestStudentTInstances:
     T = {"kind": "student_t", "df": 40.0, "loc": 1.0, "scale": 0.75}
 
@@ -712,10 +741,14 @@ from epibound import GaussianMixture, bayes, divergences
 
 p = GaussianMixture([0.3, 0.7], [-1.0, 1.5], [0.6, 1.2])
 q = GaussianMixture([0.5, 0.5], [0.0, 2.0], [1.0, 0.4])
-post = bayes.GaussianParamDist(np.array([0.2, -0.1]), np.array([[0.5, 0.2], [0.2, 0.3]]))
+# a narrow, strongly correlated posterior that quad's first step does not settle
+post = bayes.GaussianParamDist(np.array([-5.877042553715268e-06, -125.20681740860502]),
+                               np.array([[4.401745986339243e-10, 0.01202573410681535],
+                                         [0.01202573410681535, 332863.2936849623]]))
 
 def integrals():
-    return [divergences.hellinger_sq(p, q), bayes.posterior_mass_near(post, [0.1, 0.0], 0.6)]
+    return [divergences.hellinger_sq(p, q),
+            bayes.posterior_mass_near(post, [0.0, 0.0], 0.0010935698796058714)]
 
 lazy = integrals()
 after_quad = "scipy.integrate" in sys.modules

@@ -274,6 +274,18 @@ class TestBarycenter:
         np.testing.assert_allclose(bary.means, [0.0, 2.0])
         np.testing.assert_allclose(bary.stddevs, [1.0, 1.0])
 
+    def test_mixture_and_gaussian_tasks_pool_their_components(self):
+        tasks = finite_tasks([(GaussianMixture([0.4, 0.6], [0, 1], [1, 2]), 0.3),
+                              (Gaussian(3, 0.5), 0.7)])
+        bary = barycenter(tasks)
+        assert isinstance(bary, GaussianMixture)
+        np.testing.assert_allclose(bary.weights, [0.12, 0.18, 0.7], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(bary.means, [0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(bary.stddevs, [1.0, 2.0, 0.5])
+        model = ModelClass((Gaussian(0, 1), Gaussian(2, 1.5)))
+        report = evaluate_bound("thm1", model, Gaussian(1.5, 1.2), tasks, tasks, alpha=0.3)
+        assert report.rederive() == (report.margin, report.delta)
+
     def test_convexity_over_events(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -701,6 +713,17 @@ class TestBoundedness:
             with pytest.raises(PreconditionViolated, match="source_boundedness"):
                 evaluate_bound("cor_eps", model, Categorical([0.4, 0.6]), tasks, tasks,
                                alpha=0.2, epsilon=0.1, b_source=b_source)
+
+    @pytest.mark.parametrize("sid", ["cor_eps", "cor_eps_dist", "cor_bayes_eps",
+                                     "cor_bayes_eps_dist"])
+    @pytest.mark.parametrize("family", ["ig", "two_gaussians"])
+    def test_continuous_source_is_never_second_order_bounded(self, sid, family):
+        tasks = (InverseGammaGaussianTasks(1.0, 20.0, 10.0) if family == "ig"
+                 else finite_tasks([(Gaussian(0, 1), 0.5), (Gaussian(2, 1), 0.5)]))
+        model = ModelClass(tuple(Gaussian(m, 0.8) for m in (0.5, 1.0, 1.5)))
+        with pytest.raises(PreconditionViolated) as exc:
+            evaluate_bound(sid, model, Gaussian(1.1, 0.8), tasks, tasks, alpha=0.3, epsilon=0.1)
+        assert exc.value.assumption == "source_boundedness"
 
 
 class TestSampling:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -860,12 +860,13 @@ class TestEntropyFamily:
         # over most of the window of a wide q, where the integrand is 0
         p = GaussianMixture([1.0], [0.0], [0.05])
         q = GaussianMixture([0.3, 0.7], [0.0, 1.0], [5.0, 2.0])
-        pf, qf = divergences._pdf(p), divergences._pdf(q)
+        pf, qf = ((lambda x, d=d: float(d.pdf(np.array([x]))[0])) for d in (p, q))
         lo, hi = divergences._window(p, q)
         assert pf(lo) == 0.0 and pf(hi) == 0.0
 
         def reference(term):
-            return divergences._quad(lambda x: 0.0 if pf(x) <= 0 else term(pf(x), qf(x)), lo, hi)
+            return quad(lambda x: 0.0 if pf(x) <= 0 else term(pf(x), qf(x)), lo, hi,
+                        epsabs=divergences.QUAD_ABS_TOL, epsrel=1e-10, limit=400)[0]
 
         assert kl_exact(p, q) == reference(lambda pv, qv: pv * math.log(pv / qv))
         assert cross_entropy(p, q) == reference(lambda pv, qv: -pv * math.log(qv))
@@ -906,8 +907,13 @@ class TestLazyQuadrature:
             fn(*args)
             assert calls and set(calls) == {"epibound.divergences"}, fn.__name__
         calls.clear()
-        post = bayes.GaussianParamDist(np.array([0.2, -0.1]), np.array([[0.5, 0.2], [0.2, 0.3]]))
-        bayes.posterior_mass_near(post, [0.1, 0.0], 0.6)
+        # a narrow, strongly correlated posterior that quad's first step does not settle
+        post = bayes.GaussianParamDist(
+            np.array([-5.877042553715268e-06, -125.20681740860502]),
+            np.array([[4.401745986339243e-10, 0.01202573410681535],
+                      [0.01202573410681535, 332863.2936849623]]))
+        with pytest.warns(IntegrationWarning):
+            bayes.posterior_mass_near(post, [0.0, 0.0], 0.0010935698796058714)
         assert calls and set(calls) == {"epibound.bayes"}
 
 

@@ -18,6 +18,7 @@ UNREFERENCED_EXPORTS = {
     "kl_mc": "criterion 3 estimator; kernel reference for _mc_kl",
     "negative_transfer_scan": "criterion 7 scan",
     "neighborhood_target": "kernel reference for the stacked neighborhood targets",
+    "posterior_mass_near": "the stack of one of _posterior_mass_stack",
     "posterior_predictive": "kernel reference for _predictive_stack",
     "posterior_update": "criterion 4 posterior; kernel reference for _posterior_stack",
     "sample": "seeded draws from one distribution: its sample method with a seed, not a Generator",
@@ -58,8 +59,12 @@ def test_removed_names_are_gone():
         (oracle, "compute_components"),
         (oracle, "verify_theta_instance"),
         # test-only oracle code, now in the tests' helpers
-        (oracle._Components, "instance"),
         (oracle, "_SCALARS"),
+        # second copies of a concept: the components dataclass beside the namespace, and
+        # the quadrature setups that divergences._integrate replaced
+        (oracle, "_Components"),
+        *((divergences, name) for name in ("_pdf", "_quad", "_quad_on_p_support")),
+        (distributions.FirstOrderDistribution, "is_continuous"),  # no caller
         # recomputations of what the statement table and the row kernels compute
         *((owner, name) for owner in (epibound, bounds)
           for name in ("chebyshev_delta", "distribution_shift")),
@@ -76,7 +81,7 @@ def test_removed_names_are_gone():
     assert not {"DiscreteEvent", "Interval", "variance_at"} & set(epibound.__all__)
     assert [f.name for f in dataclasses.fields(bayes.SourceDataset)] == [
         "xi", "x", "task_variances"]
-    assert not {"k_t", "m"} & {f.name for f in dataclasses.fields(oracle._Components)}
+    assert not {"k_t", "m"} & set(vars(oracle._components([oracle.generate_instance(0)])))
     # every Deferred rebinds the module global it is bound to
     namespace = inspect.signature(Deferred).parameters["namespace"]
     assert namespace.default is inspect.Parameter.empty
