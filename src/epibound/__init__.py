@@ -27,7 +27,6 @@ from .distributions import (
     InverseGammaGaussianTasks,
     StudentT,
     barycenter,
-    diameter,
     distribution_from_dict,
     finite_tasks,
     sample,
@@ -91,7 +90,7 @@ __all__ = [
     # distributions
     "Categorical", "FiniteTaskDistribution", "FirstOrderDistribution",
     "Gaussian", "GaussianMixture", "InverseGammaGaussianTasks", "StudentT", "barycenter",
-    "diameter", "distribution_from_dict", "finite_tasks", "sample",
+    "distribution_from_dict", "finite_tasks", "sample",
     "sample_task", "sup_variance", "task_distribution_from_dict",
     "task_distribution_tv",
     # divergences

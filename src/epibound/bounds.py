@@ -4,9 +4,9 @@ The decomposition splits a margin of epistemic error into task variability
 (alpha), approximation bias B, lack of convergence C and distribution shift
 D (or its learner-perceived variant).  Every statement has the form
 ``P_{Q ~ target}(loss(predictor, Q) >= margin) <= delta`` and is defined
-once, in ``STATEMENTS``.  ``evaluate_bound`` turns one statement plus one
-instance into a BoundReport holding every component, the margin and the
-tail probability delta, all re-derivable from the stored fields.
+once, in ``STATEMENTS``; every finite component once, in ``COMPONENTS``.
+``evaluate_bound`` turns one statement plus one instance into a BoundReport
+holding the components, the margin and delta, re-derivable from its fields.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,17 +23,19 @@ from .distributions import (
     CONTINUOUS_EVENT_FAMILY,
     PROB_TOL,
     Categorical,
+    FiniteTaskDistribution,
     FirstOrderDistribution,
     Gaussian,
     TaskDistribution,
     _distributions_from_dicts,
+    _event_masks,
+    _event_variances,
+    _first_order_b,
+    _matched_tv,
     _Rows,
     _tv,
     as_finite,
     barycenter,
-    diameter,
-    max_first_order_b,
-    max_second_order_b,
     sup_variance,
     task_distribution_tv,
 )
@@ -154,9 +156,10 @@ class Precondition:
 class Statement:
     """``P_{Q ~ target}(loss(predictor, Q) >= margin) <= delta``.
 
-    ``margin`` and ``delta`` take the components and alpha.  Components are
-    read by name: objects computed on first use in ``evaluate_bound``,
-    stored values in ``BoundReport.rederive``, exact arrays in the oracle.
+    ``margin`` and ``delta`` take the components and alpha, read by name.  On
+    finite inputs both readers of ``COMPONENTS`` supply them: the oracle its
+    arrays per batch, ``evaluate_bound`` a stack of one, lazily; continuous
+    inputs get objects, ``BoundReport.rederive`` the stored values.
     """
 
     loss: str  # a key of LOSSES
@@ -291,6 +294,163 @@ STATEMENT_IDS = tuple(STATEMENTS)
 
 
 # ---------------------------------------------------------------------------
+# The finite component table
+# ---------------------------------------------------------------------------
+
+
+class _Lazy:
+    """Components computed on first read, ``makers[name](self)``, over the ``given``
+    attributes; ``reads`` records every read of a made component."""
+
+    def __init__(self, makers: dict, given=()):
+        self.__dict__.update(given)
+        self._makers, self._values, self.reads = makers, {}, {}
+
+    def __getattr__(self, name: str):
+        if name not in self._values:
+            if name not in self._makers:
+                raise AttributeError(name)
+            self._values[name] = self._makers[name](self)
+        value = self.reads[name] = self._values[name]
+        return value
+
+
+def _put_rows(out: np.ndarray, P: np.ndarray) -> None:
+    """``P`` into the top-left of ``out``, its first row repeated below it."""
+    k, m = P.shape
+    out[:k, :m] = P
+    out[k:, :m] = P[0]
+
+
+def _stacked(rows: Sequence[tuple]) -> dict:
+    """The inputs of ``COMPONENTS`` for a batch of ``(S, w_s, T, w_t, members, pred)``
+    rows: ``_rows`` themselves, their padded arrays and both barycenters, ``w @ P``.
+
+    Tasks and members are padded with copies of row 0 (weight 0 for tasks), outcomes
+    with zero columns.  Every matrix product runs on one row's own arrays, as BLAS rounds
+    a product by its shape; sums run over axes that ``oracle._groups`` keeps exact, and
+    minima and maxima ignore copies.  No row is checked here.
+    """
+    n, ms = len(rows), [row[5].size for row in rows]
+    m = max(ms)
+    k_s, k_t, r = (max(row[i].shape[0] for row in rows) for i in (0, 2, 4))
+    S, T, members = np.zeros((n, k_s, m)), np.zeros((n, k_t, m)), np.zeros((n, r, m))
+    w_s, w_t, pred, bary_s, bary_t = (np.zeros((n, k)) for k in (k_s, k_t, m, m, m))
+    for b, (S_b, w_s_b, T_b, w_t_b, members_b, pred_b) in enumerate(rows):
+        _put_rows(S[b], S_b)
+        _put_rows(T[b], T_b)
+        _put_rows(members[b], members_b)
+        w_s[b, :w_s_b.size] = w_s_b
+        w_t[b, :w_t_b.size] = w_t_b
+        pred[b, :ms[b]] = pred_b
+        bary_s[b, :ms[b]] = w_s_b @ S_b
+        bary_t[b, :ms[b]] = w_t_b @ T_b
+    return {"_rows": rows, "_ms": ms, "_S": S, "_T": T, "_members": members, "_w_s": w_s,
+            "_w_t": w_t, "_pred": pred, "_bary_s": bary_s, "_bary_t": bary_t}
+
+
+def _col(v) -> np.ndarray:
+    return np.asarray(v)[:, None]
+
+
+def _variances(c, side: int) -> np.ndarray:
+    """Per-event variances of each row's source (``side`` 0) or target (2), padded with copies
+    of the first event's; a row whose target is its source, weights too, reuses the source's."""
+    bary = c._bary_s if side == 0 else c._bary_t
+    if len(c._rows) == 1:  # a stack of one: nothing to pad
+        return _event_variances(c._rows[0][side], c._rows[0][side + 1], bary[0])[None]
+    out = np.empty((len(c._rows), len(_event_masks(max(c._ms)))))  # refuses m > 12 first
+    for b, row in enumerate(c._rows):
+        if side == 2 and row[2] is row[0] and row[3] is row[1]:
+            out[b] = c.var_s_events[b]
+            continue
+        v = _event_variances(row[side], row[side + 1], bary[b, :c._ms[b]].copy())
+        out[b, :v.size], out[b, v.size:] = v, v[0]
+    return out
+
+
+def _max_b_S(c) -> np.ndarray:
+    """The largest b the source is first- and second-order bounded by; second-order,
+    each task's smallest outcome probability (0 without full support) bounds it."""
+    outcomes = np.arange(c._S.shape[2]) < np.array(c._ms)[:, None]  # padding excluded
+    on_support = outcomes[:, None, :] & c._live_s[:, :, None]
+    s_min = np.where(on_support, c._S, np.inf).min(axis=(1, 2))
+    return np.minimum(c.b_S_first, _col(np.where(s_min <= 0, 0.0, np.minimum(1.0, s_min))))
+
+
+def _dist_tv(c) -> np.ndarray:
+    """TV between each row's task distributions, as ``task_distribution_tv`` matches their
+    tasks; 0 where the target is the source, tasks and weights alike."""
+    same = [row[2] is row[0] and row[3] is row[1] for row in c._rows]
+    dist_tv = np.zeros(len(same))
+    if not all(same):
+        close = (c._gaps.max(axis=3) <= PROB_TOL).transpose(0, 2, 1)  # source i, target j
+        for b, (_, w_s, _, w_t, *_) in enumerate(c._rows):
+            if not same[b]:
+                dist_tv[b] = _matched_tv(w_s, w_t, close[b, :w_s.size, :w_t.size])
+    return _col(dist_tv)
+
+
+def _losses(c) -> dict:
+    """Each target task's loss under every ``LOSSES`` name, as (batch, k) arrays."""
+    T, pred, leaks = c._T, c._pred[:, None, :], c._leaks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(T > 0, T / np.where(pred > 0, pred, np.nan), 1.0)
+        kl_rows = np.where(T > 0, T * np.log(ratio), 0.0)  # NaN where leaks
+    excess_ce = np.where(leaks.any(axis=2), np.inf, np.where(leaks, 0.0, kl_rows).sum(axis=2))
+    hellinger_sq = 0.5 * ((np.sqrt(T) - np.sqrt(pred)) ** 2).sum(axis=2)
+    tv = c._tv_losses
+    return {"tv": tv, "l1": 2.0 * tv, "hellinger_sq": hellinger_sq, "excess_ce": excess_ce}
+
+
+# Each finite component, defined once as an array function of a stack (``_stacked``'s
+# inputs and the other entries, read by name).  A scalar component is a (batch, 1)
+# column, which a margin or delta broadcasts against a row of alphas; per-task arrays
+# are (batch, k), per-event variances (batch, 2^m); "_" marks an intermediate.  The
+# oracle evaluates every entry per batch, ``evaluate_bound`` those it reads on a stack
+# of one.  A task of zero weight is never drawn: it is off the support, on either side.
+COMPONENTS: dict[str, Callable[[Any], Any]] = {
+    "_member_tvs": lambda c: _tv(c._members, c._bary_s[:, None, :]),
+    "_best_idx": lambda c: c._member_tvs.argmin(axis=1),  # the first minimum: never padding
+    "_best": lambda c: c._members[np.arange(len(c._rows)), c._best_idx],
+    "B": lambda c: c._member_tvs.min(axis=1, keepdims=True),
+    "C": lambda c: _col(_tv(c._pred, c._best)),
+    "D": lambda c: _col(_tv(c._bary_s, c._bary_t)),
+    "D_learner": lambda c: _col(_tv(c._best, c._bary_t)) - c.B,
+    "var_s_events": lambda c: _variances(c, 0),
+    "var_t_events": lambda c: _variances(c, 2),
+    "sup_var_source": lambda c: _col(c.var_s_events.max(axis=1)),
+    "sup_var_target": lambda c: _col(c.var_t_events.max(axis=1)),
+    "_live_s": lambda c: c._w_s > 0,
+    "diam_source": lambda c: _col(np.where(
+        c._live_s[:, :, None] & c._live_s[:, None, :],
+        _tv(c._S[:, :, None, :], c._S[:, None, :, :]), 0.0).max(axis=(1, 2))),
+    "b_S_first": lambda c: _col(_first_order_b(c._w_s)),
+    "max_b_S": _max_b_S,
+    "b_S": lambda c: c.max_b_S,
+    "max_b_T": lambda c: _col(_first_order_b(c._w_t)),
+    "b_T": lambda c: c.max_b_T,
+    "b_pred": lambda c: _col(np.where(c._pred > 0, c._pred, np.inf).min(axis=1)),
+    "tv_pred_bary_s": lambda c: _col(_tv(c._pred, c._bary_s)),
+    "tv_pred_bary_t": lambda c: _col(_tv(c._pred, c._bary_t)),
+    "shared_support": lambda c: _col([row[2] is row[0] for row in c._rows]),  # T is S
+    "_gaps": lambda c: np.abs(c._T[:, :, None, :] - c._S[:, None, :, :]),  # (batch, k_t, k_s, m)
+    "dist_tv": _dist_tv,
+    "no_shift": lambda c: c.dist_tv <= PROB_TOL,
+    # over the target tasks that can be drawn: TV to the nearest source task
+    "max_tv_to_source": lambda c: _col(np.where(c._w_t > 0, np.where(
+        c._live_s[:, None, :], 0.5 * c._gaps.sum(axis=3), np.inf).min(axis=2),
+        -np.inf).max(axis=1)),
+    "_leaks": lambda c: (c._T > 0) & (c._pred[:, None, :] <= 0),  # mass the predictor lacks
+    "support_covered": lambda c: _col(~(c._leaks.any(axis=2) & (c._w_t > 0)).any(axis=1)),
+    "finite_space": lambda c: np.ones((len(c._rows), 1), dtype=bool),
+    "t_weights": lambda c: c._w_t,
+    "_tv_losses": lambda c: _tv(c._T, c._pred[:, None, :]),
+    "losses": _losses,
+}
+
+
+# ---------------------------------------------------------------------------
 # Bound reports
 # ---------------------------------------------------------------------------
 
@@ -358,19 +518,48 @@ def _given(value, name: str):
     return value
 
 
-class _Lazy:
-    """Components computed on first read; ``reads`` records every read."""
+# the entries that are not (batch, 1) columns: per-event and per-task arrays
+_NOT_COLUMNS = ("var_s_events", "var_t_events", "t_weights", "losses")
+# a column a statement reads, as the Python scalar of ``_arrays``' (1, 1) column
+_SCALARS = {name: (lambda c, name=name: getattr(c._arrays, name).item()) for name in COMPONENTS
+            if not name.startswith("_") and name not in _NOT_COLUMNS}
 
-    def __init__(self, makers: dict):
-        self._makers, self._values, self.reads = makers, {}, {}
 
-    def __getattr__(self, name: str):
-        if name not in self._values:
-            if name not in self._makers:
-                raise AttributeError(name)
-            self._values[name] = self._makers[name]()
-        value = self.reads[name] = self._values[name]
-        return value
+def _finite_components(model: ModelClass, predictor, source, target) -> Optional[_Lazy]:
+    """``COMPONENTS`` read lazily on a stack of one if all inputs are categorical on one
+    space, else None."""
+    m = predictor.p.size if isinstance(predictor, Categorical) else None
+    if m is None or model.P is None or model.P.shape[1] != m or not all(
+            isinstance(t, FiniteTaskDistribution) and t.P is not None and t.P.shape[1] == m
+            for t in (source, target)):
+        return None
+    return _Lazy(COMPONENTS, _stacked(
+        [(source.P, source.weights, target.P, target.weights, model.P, predictor.p)]))
+
+
+def _object_makers(model: ModelClass, predictor: FirstOrderDistribution,
+                   source: TaskDistribution, target: TaskDistribution) -> dict:
+    """The components continuous inputs reach, on the objects; inputs on mixed spaces raise.
+
+    No statement reads more: no continuous space is finite, and a continuous source is
+    never second-order bounded.  ``_src`` and ``_tgt``, the task distributions reified
+    only when read (an equal source and target share one), stay out of reports.
+    """
+    bary_s, bary_t = barycenter(source), barycenter(target)
+    best, B = best_approximation(model, bary_s)
+    C = convergence_gap(predictor, best)
+    D = tv_exact(bary_s, bary_t)
+    D_learner = distribution_shift_learner(best, bary_t, B)
+    return {
+        "B": lambda c: B, "C": lambda c: C, "D": lambda c: D, "D_learner": lambda c: D_learner,
+        "_src": lambda c: as_finite(source),
+        "_tgt": lambda c: c._src if target == source else as_finite(target),
+        "sup_var_target": lambda c: sup_variance(c._tgt),
+        "dist_tv": lambda c: task_distribution_tv(c._src, c._tgt),
+        "no_shift": lambda c: c.dist_tv <= PROB_TOL,
+        "tv_pred_bary_s": lambda c: tv_exact(predictor, bary_s),
+        "finite_space": lambda c: False, "max_b_S": lambda c: 0.0, "b_S": lambda c: 0.0,
+    }
 
 
 def evaluate_bound(
@@ -389,6 +578,11 @@ def evaluate_bound(
 ) -> BoundReport:
     """Evaluate one bound statement into a BoundReport.
 
+    Inputs categorical on one space read ``COMPONENTS`` on a stack of one,
+    lazily: a statement computes only the components it reads.  Any other
+    input is evaluated on the objects.  ``epsilon``, ``b_source``,
+    ``b_target``, ``b_pred`` and the parameter TV are applied on top.
+
     Raises PreconditionViolated when the statement's hypotheses fail on the
     instance (perfect learning, no shift, boundedness, neighborhood
     membership), InvalidModelClass / EventMismatch on malformed inputs.
@@ -400,43 +594,16 @@ def evaluate_bound(
         raise InvalidArgument(f"unknown statement id {statement_id!r}")
     _require_alpha(alpha)
 
-    bary_s, bary_t = barycenter(source), barycenter(target)
-    best, B = best_approximation(model, bary_s)
-    C = convergence_gap(predictor, best)
-    D = tv_exact(bary_s, bary_t)
-    D_learner = distribution_shift_learner(best, bary_t, B)
-    # every other component is computed only if the statement reads it: the
-    # diameter and sup-variance of a reified parametric source take seconds.
-    # ``_src`` and ``_tgt``, the task distributions as finite ones, are inputs
-    # that reports leave out: a parametric family is reified only for the
-    # components defined on its tasks, and an equal source and target share
-    # one reification.
-    comp = _Lazy({
-        "B": lambda: B, "C": lambda: C, "D": lambda: D, "D_learner": lambda: D_learner,
-        "_src": lambda: as_finite(source),
-        "_tgt": lambda: comp._src if target == source else as_finite(target),
-        "sup_var_target": lambda: sup_variance(comp._tgt),
-        "sup_var_source": lambda: sup_variance(comp._src),
-        "diam_source": lambda: diameter(comp._src),
-        "param_tv": lambda: _param_tv(_given(param_posterior, "param_posterior"),
-                                      _given(param_best, "param_best")),
-        "epsilon": lambda: _given(epsilon, "epsilon"),
-        "max_b_S": lambda: min(max_first_order_b(comp._src), max_second_order_b(comp._src)),
-        "b_S": lambda: max(comp.max_b_S, 0.0) if b_source is None else b_source,
-        "max_b_T": lambda: max_first_order_b(comp._tgt),
-        "b_T": lambda: max(comp.max_b_T, 0.0) if b_target is None else b_target,
-        "dist_tv": lambda: task_distribution_tv(comp._src, comp._tgt),
-        "no_shift": lambda: comp.dist_tv <= PROB_TOL,
-        "tv_pred_bary_s": lambda: tv_exact(predictor, bary_s),
-        # read only once the source is categorical, being b_S-bounded
-        "max_tv_to_source": lambda: float(
-            _tv(target.P[:, None, :], source.P).min(axis=1)[target.weights > 0].max()),
-        "finite_space": lambda: isinstance(predictor, Categorical) and not target.is_continuous,
-        "b_pred": lambda: float(predictor.p[predictor.p > 0].min()) if b_pred is None else b_pred,
-        # read only once finite_space holds
-        "support_covered": lambda: not (
-            (target.P > 0) & (predictor.p <= 0))[target.weights > 0].any(),
-    })
+    arrays = _finite_components(model, predictor, source, target)
+    makers = _object_makers(model, predictor, source, target) if arrays is None else dict(_SCALARS)
+    makers["epsilon"] = lambda c: _given(epsilon, "epsilon")
+    makers["param_tv"] = lambda c: _param_tv(_given(param_posterior, "param_posterior"),
+                                             _given(param_best, "param_best"))
+    for name, value in (("b_S", b_source), ("b_T", b_target), ("b_pred", b_pred)):
+        if value is not None:
+            makers[name] = lambda c, value=value: value
+    comp = _Lazy(makers, {"_arrays": arrays})
+    B, C, D, D_learner = comp.B, comp.C, comp.D, comp.D_learner
     extras: dict = {"sup_var_target": comp.sup_var_target}
     if target.is_continuous:
         extras["event_family"] = CONTINUOUS_EVENT_FAMILY

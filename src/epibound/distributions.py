@@ -591,7 +591,11 @@ def barycenter(tasks: TaskDistribution) -> FirstOrderDistribution:
 
 @functools.lru_cache(maxsize=None)
 def _event_masks(m: int) -> np.ndarray:
-    """All 2^m events of an m-outcome space as 0/1 rows; one shared read-only array per m."""
+    """All 2^m events of an m-outcome space as 0/1 rows, for m up to ``SUP_ENUM_MAX_OUTCOMES``;
+    one shared read-only array per m."""
+    if m > SUP_ENUM_MAX_OUTCOMES:
+        raise InvalidArgument(f"sup-variance enumerates all 2^m events of an m-outcome space, "
+                              f"for at most {SUP_ENUM_MAX_OUTCOMES} outcomes; this space has {m}")
     masks = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
     masks.flags.writeable = False
     return masks
@@ -601,8 +605,8 @@ def _event_variances(P: np.ndarray, w: np.ndarray, bary: np.ndarray) -> np.ndarr
     """Var(Q(A)) of every event A of ``_event_masks``, for tasks ``P`` with weights ``w``.
 
     ``bary`` is ``w @ P``.  The one kernel behind every categorical
-    sup-variance, in ``sup_variance`` and the oracle alike, so that both
-    round every per-event variance the same way.
+    sup-variance, in ``sup_variance`` and ``bounds.COMPONENTS`` alike, so
+    that both round every per-event variance the same way.
     """
     masks = _event_masks(P.shape[1])
     return w @ (P @ masks.T - bary @ masks.T) ** 2
@@ -705,51 +709,15 @@ def sup_variance(tasks: TaskDistribution) -> float:
     fin = as_finite(tasks)
     P = fin.P
     if P is not None:
-        if P.shape[1] > SUP_ENUM_MAX_OUTCOMES:
-            raise InvalidArgument(
-                f"sup-variance enumerates all 2^m events of an m-outcome space, for at "
-                f"most {SUP_ENUM_MAX_OUTCOMES} outcomes; this space has {P.shape[1]}"
-            )
         return float(_event_variances(P, fin.weights, fin.weights @ P).max())
     return _half_line_sup_variance(fin)
 
 
-def diameter(tasks: TaskDistribution) -> float:
-    """Max pairwise TV distance over the support."""
-    from .divergences import tv_exact
-
-    fin = as_finite(tasks)
-    if fin.P is not None:
-        return float(_tv(fin.P[:, None, :], fin.P).max())
-    best = 0.0
-    for i in range(fin.n_tasks):
-        for j in range(i + 1, fin.n_tasks):
-            best = max(best, tv_exact(fin.tasks[i], fin.tasks[j]))
-    return best
-
-
-def max_first_order_b(tasks: FiniteTaskDistribution) -> float:
-    """Largest b with every support weight in [b, 1-b] (<= 0 means unbounded)."""
-    return float(_first_order_b(tasks.weights))
-
-
 def _first_order_b(weights: np.ndarray) -> np.ndarray:
-    """``max_first_order_b`` of each row of weights; zero weights are off the support."""
+    """The largest b with every support weight in [b, 1-b], per row of weights (<= 0 means
+    unbounded); zero weights are off the support."""
     return np.minimum(np.where(weights > 0, weights, np.inf).min(axis=-1),
                       1.0 - weights.max(axis=-1))
-
-
-def max_second_order_b(tasks: FiniteTaskDistribution) -> float:
-    """Largest b with every task's nonempty proper events in [b, 1-b].
-
-    For a categorical task this requires full support; the binding constraint
-    is then the smallest outcome probability.  Continuous tasks admit events
-    of arbitrarily small probability, hence are never second-order bounded.
-    """
-    P = tasks.P
-    if P is None:
-        return 0.0
-    return 0.0 if (P <= 0).any() else min(1.0, float(P.min()))
 
 
 def task_distribution_tv(a: FiniteTaskDistribution, b: FiniteTaskDistribution) -> float:
@@ -774,22 +742,25 @@ def task_distribution_tv(a: FiniteTaskDistribution, b: FiniteTaskDistribution) -
 
 
 def _matched_tv(w_a: np.ndarray, w_b: np.ndarray, near: np.ndarray) -> float:
-    """Greedy-matching TV: each a-task i takes the first unused b-task j with ``near[i, j]``."""
-    candidates = [[] for _ in range(len(w_a))]
-    rows, cols = np.divmod(np.flatnonzero(near), near.shape[1])  # row-major: j ascending
-    for i, j in zip(rows.tolist(), cols.tolist()):
+    """Greedy-matching TV: each a-task i takes the first unused b-task j with ``near[i, j]``.
+
+    A task of zero weight is off the support and takes no match, on either side.
+    """
+    w_a, w_b = w_a.tolist(), w_b.tolist()
+    candidates = [[] for _ in w_a]
+    for i, j in zip(*(ax.tolist() for ax in near.nonzero())):  # row-major: j ascending
         candidates[i].append(j)
     used = [False] * len(w_b)
     total = 0.0
     for wa, js in zip(w_a, candidates):
         wb = 0.0
-        for j in js:
-            if not used[j]:
+        for j in js if wa > 0 else ():
+            if not used[j] and w_b[j] > 0:
                 used[j] = True
-                wb = float(w_b[j])
+                wb = w_b[j]
                 break
         total += abs(wa - wb)
-    total += float(sum(w for w, u in zip(w_b, used) if not u))
+    total += sum(w for w, u in zip(w_b, used) if not u)
     return 0.5 * total
 
 

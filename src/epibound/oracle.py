@@ -10,10 +10,12 @@ construction.  A suite draws each instance from its own seed as an
 unchecked record, whose constructor never runs, and checks them a chunk at
 a time as padded arrays: every probability row and weight vector once per
 chunk, then all statements in one pass, with the per-instance results bit
-for bit.  A chunk's seeds and Generators come from ``seeding``'s batch
-kernel, with the bytes of one ``derive_seed`` and one ``default_rng`` per
-instance.  Flat Dirichlet rows are drawn as numpy draws them, from
-exponentials, into C-contiguous arrays: BLAS rounds a product by its strides.
+for bit.  The components are every entry of ``bounds.COMPONENTS`` (the table
+``evaluate_bound`` reads on a stack of one), evaluated per batch.  A chunk's
+seeds and Generators come from ``seeding``'s batch kernel, with the bytes of
+one ``derive_seed`` and one ``default_rng`` per instance.  Flat Dirichlet
+rows are drawn as numpy draws them, from exponentials, into C-contiguous
+arrays: BLAS rounds a product by its strides.
 """
 
 from __future__ import annotations
@@ -30,25 +32,26 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import (
-    PROB_TOL,
     Categorical,
     FiniteTaskDistribution,
     _check_rows,
     _check_tasks,
-    _event_variances,
-    _first_order_b,
     _freeze,
-    _matched_tv,
     _tv,
 )
 from .bounds import (
     _EPS_DISTANCE,
     _EPS_NEIGHBORHOOD,
+    COMPONENTS,
     STATEMENTS,
     ModelClass,
     Precondition,
+    _col,
+    _Lazy,
     _pow2,
+    _put_rows,
     _require_alpha,
+    _stacked,
 )
 from .errors import GenerationFailure, InvalidArgument, InvalidTaskDistribution, require_int
 from .seeding import derive_seeds, generator, generator_from_words, normalize_seed, stream_words
@@ -325,145 +328,26 @@ def _groups(sizes: Sequence[tuple]) -> list[np.ndarray]:
     return [np.array(g) for g in groups.values()]
 
 
-def _put_rows(out: np.ndarray, P: np.ndarray) -> None:
-    """``P`` into the top-left of ``out``, its first row repeated below it."""
-    k, m = P.shape
-    out[:k, :m] = P
-    out[k:, :m] = P[0]
-
-
 def _instance_groups(insts: Sequence[OracleInstance]) -> list[np.ndarray]:
     return _groups([(inst.pred.size, inst.S.shape[0], inst.T.shape[0]) for inst in insts])
 
 
-def _stack(rows: Sequence[tuple], source_variances: bool = False) -> SimpleNamespace:
-    """The components both instance kinds read, for a batch that ``_groups`` put together,
-    from one ``(S, w_s, T, w_t, members, pred)`` per instance.
-
-    The rows are stacked into padded arrays: tasks and members padded with
-    copies of row 0 (weight 0 for tasks), outcomes with zero columns.  Every
-    matrix product (barycenters, per-event variances, the source's when
-    ``source_variances``) runs on one instance's own arrays, because BLAS
-    rounds a product by its shape.  The rest is elementwise, sums over padded
-    axes that the grouping keeps exact, and minima and maxima, which copies
-    leave unchanged; ``argmin`` returns the first minimum, so a padded member
-    is never the best one.  No row is checked here: each caller checks its
-    own, in its own order, and a row passes or fails padded as it does alone.
-    """
-    n = len(rows)
-    ms = [row[5].size for row in rows]
-    m = max(ms)
-    k_s, k_t, r = (max(row[i].shape[0] for row in rows) for i in (0, 2, 4))
-    S, T, members = np.zeros((n, k_s, m)), np.zeros((n, k_t, m)), np.zeros((n, r, m))
-    w_s, w_t = np.zeros((n, k_s)), np.zeros((n, k_t))
-    pred, bary_s, bary_t = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m))
-    var_s = np.empty((n, 2 ** m)) if source_variances else None
-    var_t = np.empty((n, 2 ** m))
-    for b, (S_b, w_s_b, T_b, w_t_b, members_b, pred_b) in enumerate(rows):
-        mb = ms[b]
-        _put_rows(S[b], S_b)
-        _put_rows(T[b], T_b)
-        _put_rows(members[b], members_b)
-        w_s[b, :w_s_b.size] = w_s_b
-        w_t[b, :w_t_b.size] = w_t_b
-        pred[b, :mb] = pred_b
-        bary_s[b, :mb] = bs = w_s_b @ S_b
-        if source_variances:
-            vs = _event_variances(S_b, w_s_b, bs)
-            var_s[b, :vs.size], var_s[b, vs.size:] = vs, vs[0]
-        if source_variances and T_b is S_b and w_t_b is w_s_b:  # no shift: the source again
-            bt, vt = bs, vs
-        else:
-            bt = w_t_b @ T_b
-            vt = _event_variances(T_b, w_t_b, bt)
-        bary_t[b, :mb] = bt
-        var_t[b, :vt.size], var_t[b, vt.size:] = vt, vt[0]
-
-    dists = _tv(members, bary_s[:, None, :])
-    best_idx = dists.argmin(axis=1)
-    best = members[np.arange(n), best_idx]
-    return SimpleNamespace(
-        ms=ms, S=S, T=T, members=members, w_s=w_s, w_t=w_t, pred=pred, bary_s=bary_s,
-        bary_t=bary_t, var_s=var_s, var_t=var_t, best_idx=best_idx, best=best,
-        B=np.take_along_axis(dists, best_idx[:, None], 1), C=_tv(pred, best)[:, None],
-        D=_tv(bary_s, bary_t)[:, None], sup_var_target=var_t.max(axis=1)[:, None],
-        tv_losses=_tv(T, pred[:, None, :]),
-    )
-
-
 def _components(insts: Sequence[OracleInstance]) -> SimpleNamespace:
-    """Exact components of a batch of instances that ``_instance_groups`` put together,
-    under the names ``bounds.STATEMENTS`` reads: ``_stack``'s, then those only the
-    instance statements read.
-
-    A scalar component is a (batch, 1) column, so that a margin or delta
-    broadcasts it against a row of alphas.  Per-task arrays are (batch, k),
-    padded past an instance's ``k_t`` target tasks with zero-weight copies of
-    its first one; per-event variances are (batch, 2^m), padded with copies of
-    the first event's.  ``b_S`` is the largest b the source is first- and
-    second-order bounded by, and ``b_T`` the largest the target is first-order
-    bounded by, so they are their own ``max_b_S`` and ``max_b_T``.
+    """Every entry of ``bounds.COMPONENTS`` but the intermediates, for a batch of
+    instances that ``_instance_groups`` put together, plus each one's ``epsilon``.
 
     Every probability row and weight vector is checked in the padded arrays,
     with ``OracleInstance``'s rules and error types, before any is read.
     """
-    st = _stack(list(map(attrgetter("S", "w_s", "T", "w_t", "members", "pred"), insts)), True)
-    S, T, w_s, w_t, pred = st.S, st.T, st.w_s, st.w_t, st.pred
-    for P in (pred, S, T, st.members):
-        _check_rows(P)
-    for w in (w_s, w_t):
-        _check_rows(w, InvalidTaskDistribution, "task weights")
-
-    diam = _tv(S[:, :, None, :], S[:, None, :, :]).max(axis=(1, 2))
-    outcomes = np.arange(S.shape[2]) < np.array(st.ms)[:, None]
-    s_min = np.where(outcomes[:, None, :], S, np.inf).min(axis=(1, 2))  # padding excluded
-    b_S_first = _first_order_b(w_s)
-
-    hell_t = 0.5 * ((np.sqrt(T) - np.sqrt(pred)[:, None, :]) ** 2).sum(axis=2)
-    gaps = np.abs(T[:, :, None, :] - S[:, None, :, :])  # (batch, k_t, k_s, m)
-    cross = 0.5 * gaps.sum(axis=3)
-    shared = np.array([inst.T is inst.S for inst in insts])
-    # a shared instance has k_s == k_t <= k, and the grouping makes k its own
-    # task count when k >= 8, so this sum is exact where it is used
-    k = min(S.shape[1], T.shape[1])
-    dist_tv = _tv(w_s[:, :k], w_t[:, :k])
-    if not shared.all():
-        # task_distribution_tv's matching, with source task i close to target task j
-        close = (gaps.max(axis=3) <= PROB_TOL).transpose(0, 2, 1)
-        for b in np.flatnonzero(~shared):
-            w_s_b, w_t_b = insts[b].w_s, insts[b].w_t
-            dist_tv[b] = _matched_tv(w_s_b, w_t_b, close[b, :len(w_s_b), :len(w_t_b)])
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(T > 0, T / np.where(pred > 0, pred, np.nan)[:, None, :], 1.0)
-        kl_rows = np.where(T > 0, T * np.log(ratio), 0.0)
-    nan = np.isnan(kl_rows)  # target mass where the predictor has none
-    leaks = nan.any(axis=2)
-    kl_t_pred = np.where(leaks, np.inf, np.where(nan, 0.0, kl_rows).sum(axis=2))
-    live = w_t > 0  # zero-weight target tasks, padding included, are never drawn
-    ers = st.tv_losses
-
-    def col(v) -> np.ndarray:
-        return np.asarray(v)[:, None]
-
-    b_S = col(np.minimum(b_S_first, np.where(s_min <= 0, 0.0, np.minimum(1.0, s_min))))
-    b_T = col(_first_order_b(w_t))
+    stack = _stacked(list(map(attrgetter("S", "w_s", "T", "w_t", "members", "pred"), insts)))
+    for P in ("_pred", "_S", "_T", "_members"):
+        _check_rows(stack[P])
+    for w in ("_w_s", "_w_t"):
+        _check_rows(stack[w], InvalidTaskDistribution, "task weights")
+    table = _Lazy(COMPONENTS, stack)
     return SimpleNamespace(
-        B=st.B, C=st.C, D=st.D, D_learner=col(_tv(st.best, st.bary_t)) - st.B,
-        sup_var_target=st.sup_var_target, sup_var_source=col(st.var_s.max(axis=1)),
-        diam_source=col(diam),
-        epsilon=col([np.nan if inst.epsilon is None else inst.epsilon for inst in insts]),
-        b_S=b_S, max_b_S=b_S, b_S_first=col(b_S_first), b_T=b_T, max_b_T=b_T,
-        b_pred=col(np.where(pred > 0, pred, np.inf).min(axis=1)),  # smallest positive
-        tv_pred_bary_s=col(_tv(pred, st.bary_s)), tv_pred_bary_t=col(_tv(pred, st.bary_t)),
-        shared_support=col(shared),  # identical task tuples; the weights may differ
-        no_shift=col(dist_tv <= PROB_TOL), dist_tv=col(dist_tv),
-        # over the target tasks that can be drawn: TV to the nearest source task
-        max_tv_to_source=col(np.where(live, cross.min(axis=2), -np.inf).max(axis=1)),
-        support_covered=col(~(leaks & live).any(axis=1)),
-        t_weights=w_t, var_s_events=st.var_s, var_t_events=st.var_t, finite_space=True,
-        losses={"tv": ers, "l1": 2.0 * ers, "hellinger_sq": hell_t, "excess_ce": kl_t_pred},
-    )
+        **{name: getattr(table, name) for name in COMPONENTS if not name.startswith("_")},
+        epsilon=_col([np.nan if inst.epsilon is None else inst.epsilon for inst in insts]))
 
 
 def _looseness(comp: SimpleNamespace) -> np.ndarray:
@@ -708,28 +592,29 @@ def generate_theta_instance(seed: int, m_range=(2, 6), theta_range=(2, 8)) -> Th
 
 def _theta_components(insts: Sequence[ThetaInstance]) -> SimpleNamespace:
     """The components ``cor_bayesian`` and ``lemma_b6`` read, for a batch as ``_components``:
-    ``_stack``'s on the derived instance, plus ``param_tv``.
+    only these entries of ``bounds.COMPONENTS`` on the derived instance, plus ``param_tv``.
 
     The derived instance has source tasks ``theta_pmfs``, members
     ``candidates @ theta_pmfs`` and predictor ``p1 @ theta_pmfs``.  The rows
     are checked in the padded arrays, in ``ThetaInstance``'s order.
     """
-    st = _stack([(t.theta_pmfs, t.source_weights, t.T, t.w_t, t.candidates @ t.theta_pmfs,
-                  t.p1 @ t.theta_pmfs) for t in insts])
-    n, j = st.w_s.shape
-    candidates, p1 = np.zeros((n, st.members.shape[1], j)), np.zeros((n, j))
+    stack = _stacked([(t.theta_pmfs, t.source_weights, t.T, t.w_t, t.candidates @ t.theta_pmfs,
+                       t.p1 @ t.theta_pmfs) for t in insts])
+    n, j = stack["_w_s"].shape
+    candidates, p1 = np.zeros((n, stack["_members"].shape[1], j)), np.zeros((n, j))
     for b, inst in enumerate(insts):
         _put_rows(candidates[b], inst.candidates)
         p1[b, :inst.p1.size] = inst.p1
-    _check_rows(st.T)
-    _check_rows(st.w_t, InvalidTaskDistribution, "task weights")
-    _check_rows(st.S)
+    _check_rows(stack["_T"])
+    _check_rows(stack["_w_t"], InvalidTaskDistribution, "task weights")
+    _check_rows(stack["_S"])
     _check_rows(candidates)
-    _check_rows(st.w_s, what="source_weights")
+    _check_rows(stack["_w_s"], what="source_weights")
     _check_rows(p1, what="p1")
-    return SimpleNamespace(B=st.B, C=st.C, D=st.D, sup_var_target=st.sup_var_target,
-                           t_weights=st.w_t, losses={"tv": st.tv_losses},
-                           param_tv=_tv(p1, candidates[np.arange(n), st.best_idx])[:, None])
+    table = _Lazy(COMPONENTS, stack)
+    return SimpleNamespace(B=table.B, C=table.C, D=table.D, sup_var_target=table.sup_var_target,
+                           t_weights=table.t_weights, losses={"tv": table._tv_losses},
+                           param_tv=_tv(p1, candidates[np.arange(n), table._best_idx])[:, None])
 
 
 def _verify_thetas(insts: Sequence[ThetaInstance], alphas: np.ndarray,

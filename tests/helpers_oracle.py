@@ -65,14 +65,15 @@ def quad_posterior_mass(post, center, radius):
 
 
 def reference_matched_tv(w_a, w_b, close) -> float:
-    """Greedy-matching TV, one ``close(i, j)`` call per pair looked at: each a-task
-    takes the first unused b-task close to it, and unmatched tasks count in full."""
+    """Greedy-matching TV, one ``close(i, j)`` call per pair looked at: each a-task of
+    positive weight takes the first unused b-task of positive weight close to it, and
+    unmatched tasks count in full."""
     used = [False] * len(w_b)
     total = 0.0
     for i, wa in enumerate(w_a):
         wb = 0.0
-        for j in range(len(w_b)):
-            if not used[j] and close(i, j):
+        for j in range(len(w_b) if wa > 0 else 0):
+            if not used[j] and w_b[j] > 0 and close(i, j):
                 used[j] = True
                 wb = float(w_b[j])
                 break
@@ -119,6 +120,8 @@ def reference_components(inst):
     def second_order_b(P):
         return 0.0 if (P <= 0).any() else min(1.0, float(P.min()))
 
+    live_s = inst.w_s > 0  # zero-weight tasks are off the support, on either side
+
     S, T, w_s, w_t = inst.S, inst.T, inst.w_s, inst.w_t
     members, pred = inst.members, inst.pred
     bary_s, bary_t = w_s @ S, w_t @ T
@@ -134,18 +137,15 @@ def reference_components(inst):
     masks = _event_masks(inst.m)
     var_s = w_s @ ((S @ masks.T) - bary_s @ masks.T) ** 2
     var_t = w_t @ ((T @ masks.T) - bary_t @ masks.T) ** 2
-    diam = float(0.5 * np.abs(S[:, None, :] - S[None, :, :]).sum(axis=2).max())
+    diam = float(0.5 * np.abs(S[live_s, None, :] - S[None, live_s, :]).sum(axis=2).max())
 
     ers = tv_vec(T, pred)
     hell_t = 0.5 * ((np.sqrt(T) - np.sqrt(pred)[None, :]) ** 2).sum(axis=1)
 
     gaps = np.abs(T[:, None, :] - S[None, :, :])
     cross = 0.5 * gaps.sum(axis=2)
-    if inst.shared:
-        dist_tv = float(0.5 * np.abs(w_s - w_t).sum())
-    else:
-        close = (gaps.max(axis=2) <= PROB_TOL).T
-        dist_tv = reference_matched_tv(w_s, w_t, lambda i, j: close[i, j])
+    close = (gaps.max(axis=2) <= PROB_TOL).T  # shared rows too: one matching rule
+    dist_tv = reference_matched_tv(w_s, w_t, lambda i, j: close[i, j])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(T > 0, T / np.where(pred > 0, pred, np.nan), 1.0)
@@ -165,7 +165,7 @@ def reference_components(inst):
         "sup_var_source": float(var_s.max()),
         "diam_source": diam,
         "epsilon": np.nan if inst.epsilon is None else inst.epsilon,
-        "b_S": min(b_S_first, second_order_b(S)),
+        "b_S": min(b_S_first, second_order_b(S[live_s])),
         "b_S_first": b_S_first,
         "b_T": first_order_b(w_t),
         "b_pred": float(pred[pred > 0].min()),
@@ -177,7 +177,7 @@ def reference_components(inst):
         "var_t_events": var_t,
         "shared_support": inst.shared,
         "no_shift": dist_tv <= PROB_TOL,
-        "max_tv_to_source": float(cross.min(axis=1)[live].max()),
+        "max_tv_to_source": float(cross[:, live_s].min(axis=1)[live].max()),
         "dist_tv": dist_tv,
         "support_covered": not leaks[live].any(),
     }

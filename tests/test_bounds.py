@@ -31,6 +31,7 @@ from epibound import (
     evaluate_bound,
     finite_tasks,
     sup_variance,
+    task_distribution_tv,
     tv_exact,
 )
 from epibound import bounds, divergences
@@ -396,6 +397,89 @@ class TestEvaluateBound:
         d = rep.to_dict()
         assert d["statement_id"] == "thm2"
         assert d["margin"] == rep.margin
+
+
+class TestFiniteTable:
+    """``evaluate_bound`` on inputs categorical on one space reads ``bounds.COMPONENTS``."""
+
+    def test_thm1_computes_only_what_it_reads(self, monkeypatch):
+        # one event-variance matrix, the target's; no source variances, diameter,
+        # divergence losses, boundedness or matching
+        source = finite_tasks([(Categorical([0.3, 0.7]), 0.5), (Categorical([0.5, 0.5]), 0.5)])
+        target = finite_tasks([(Categorical([0.2, 0.8]), 0.4), (Categorical([0.6, 0.4]), 0.6)])
+        computed, variances = [], []
+        for name, fn in bounds.COMPONENTS.items():
+            monkeypatch.setitem(bounds.COMPONENTS, name,
+                                lambda c, _fn=fn, _name=name: computed.append(_name) or _fn(c))
+        event_variances = bounds._event_variances
+        monkeypatch.setattr(bounds, "_event_variances",
+                            lambda P, *args: variances.append(P) or event_variances(P, *args))
+        model = ModelClass((Categorical([0.4, 0.6]), Categorical([0.1, 0.9])))
+        evaluate_bound("thm1", model, Categorical([0.3, 0.7]), source, target, alpha=0.2)
+        assert sorted(computed) == sorted([
+            "_member_tvs", "_best_idx", "_best", "B", "C", "D", "D_learner", "var_t_events",
+            "sup_var_target"])
+        assert len(variances) == 1 and variances[0] is target.P
+
+    def test_barycenter_summing_to_one_within_twice_the_tolerance(self, tmp_path, capsys):
+        # every row and the weights sum to 1 within PROB_TOL, the barycenter only within
+        # 2 PROB_TOL: no Categorical of it is built, so the instance is evaluated
+        from epibound.cli import main
+        from epibound.oracle import OracleInstance, verify_statement
+
+        rows = np.array([[0.5 + 9e-13, 0.5], [0.3 + 9e-13, 0.7]])
+        weights = np.array([0.5 + 9e-13, 0.5])
+        assert abs((weights @ rows).sum() - 1.0) > 1e-12
+        tasks = FiniteTaskDistribution(rows, weights)
+        model, pred = ModelClass(rows), Categorical(rows[1])
+        rep = evaluate_bound("thm1", model, pred, tasks, tasks, alpha=0.2)
+        inst = OracleInstance(rows, weights, rows, weights, rows, rows[1], 0, "none", None)
+        assert rep.delta == verify_statement(inst, "thm1", [0.2]).outcomes[0].delta
+        instance = {"model": model.to_dict(), "predictor": pred.to_dict(),
+                    "source": tasks.to_dict(), "target": tasks.to_dict()}
+        (tmp_path / "instance.json").write_text(json.dumps(instance))
+        (tmp_path / "setup.json").write_text(json.dumps(
+            {**instance, "statement_id": "thm1", "alpha": 0.2}))
+        assert main(["bound", "--statement", "thm1", "--instance",
+                     str(tmp_path / "instance.json"), "--alpha", "0.2"]) == 0
+        assert repr(rep.delta) in capsys.readouterr().out
+        assert main(["verify", "--setup", str(tmp_path / "setup.json"), "--trials", "100"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == rep.delta
+
+    def test_zero_weight_task_takes_no_match(self):
+        # the zero-weight copy of A must not take the target's A from the weighted one
+        A, B_ = [0.3, 0.7], [0.6, 0.4]
+        source = FiniteTaskDistribution(np.array([A, A, B_]), np.array([0.0, 0.5, 0.5]))
+        target = FiniteTaskDistribution(np.array([A, B_]), np.array([0.5, 0.5]))
+        assert task_distribution_tv(source, target) == task_distribution_tv(target, source) == 0.0
+        model = ModelClass((Categorical([0.4, 0.6]), Categorical([0.45, 0.55])))
+        bary = Categorical([0.45, 0.55])
+        for sid in ("lemma1", "lemma2"):
+            rep = evaluate_bound(sid, model, bary, source, target, alpha=0.2)
+            assert rep == evaluate_bound(sid, model, bary, target, target, alpha=0.2)
+        # the same holds where the target's rows are the source's own array object
+        S = np.array([A, A, B_])
+        source = FiniteTaskDistribution(S, np.array([0.5, 0.0, 0.5]))
+        for rows in (S, S.copy()):
+            target = FiniteTaskDistribution(rows, np.array([0.0, 0.5, 0.5]))
+            assert task_distribution_tv(source, target) == 0.0
+            for sid in ("lemma1", "lemma2"):
+                rep = evaluate_bound(sid, model, bary, source, target, alpha=0.2)
+                assert rep == evaluate_bound(sid, model, bary, source, source, alpha=0.2)
+
+    @pytest.mark.parametrize("sid", ["cor_eps", "cor_eps_dist"])
+    def test_zero_weight_source_task_is_off_the_support(self, sid):
+        rows = np.array([[0.5, 0.5], [0.4, 0.6], [1.0, 0.0]])
+        source = FiniteTaskDistribution(rows, np.array([0.5, 0.5, 0.0]))
+        live = FiniteTaskDistribution(rows[:2], np.array([0.5, 0.5]))
+        target = FiniteTaskDistribution(rows[:2].copy(), np.array([0.55, 0.45]))
+        model = ModelClass((Categorical([0.45, 0.55]),))
+        pred = Categorical([0.45, 0.55])
+        reports = [evaluate_bound(sid, model, pred, s, target, alpha=0.3, epsilon=0.1)
+                   for s in (source, live)]
+        assert reports[0].to_dict() == reports[1].to_dict()
+        if sid == "cor_eps":
+            assert reports[0].extras["diam_source"] == pytest.approx(0.1, abs=1e-15)
 
 
 class TestInvariants:

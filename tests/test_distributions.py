@@ -23,7 +23,7 @@ from epibound import (
     PreconditionViolated,
     StudentT,
     barycenter,
-    diameter,
+    bounds,
     distribution_from_dict,
     distributions,
     evaluate_bound,
@@ -43,8 +43,6 @@ from epibound.distributions import (
     as_finite,
     _event_variances,
     _thresholds,
-    max_first_order_b,
-    max_second_order_b,
 )
 from epibound.experiments import _sampled_barycenter
 from helpers_oracle import reference_matched_tv
@@ -70,6 +68,15 @@ def kernel_variances(tasks):
     v = _event_variances(tasks.P, tasks.weights, tasks.weights @ tasks.P)
     return {tuple(np.flatnonzero(mask).tolist()): x
             for mask, x in zip(_event_masks(tasks.P.shape[1]), v.tolist())}
+
+
+def table_of(source, target=None):
+    """``bounds.COMPONENTS`` on ``source`` and ``target`` (the source by default), a stack of
+    one whose member and predictor are the first source task: each component as a scalar."""
+    first = source._item(0)
+    table = bounds._finite_components(ModelClass((first,)), first, source,
+                                      source if target is None else target)
+    return lambda name: getattr(table, name).item()
 
 
 def two_task_binary():
@@ -668,43 +675,53 @@ class TestCdf:
 
 class TestDiameter:
     def test_two_task_example(self):
-        assert diameter(two_task_binary()) == pytest.approx(0.2, abs=1e-12)
+        assert table_of(two_task_binary())("diam_source") == pytest.approx(0.2, abs=1e-12)
 
     def test_singleton(self):
-        assert diameter(finite_tasks([(Categorical([0.3, 0.7]), 1.0)])) == 0.0
+        assert table_of(finite_tasks([(Categorical([0.3, 0.7]), 1.0)]))("diam_source") == 0.0
 
     def test_disjoint_supports(self):
         tasks = finite_tasks([(Categorical([1.0, 0.0]), 0.5), (Categorical([0.0, 1.0]), 0.5)])
-        assert diameter(tasks) == pytest.approx(1.0, abs=0)
+        assert table_of(tasks)("diam_source") == pytest.approx(1.0, abs=0)
 
     def test_zero_iff_identical(self):
         same = finite_tasks([(Categorical([0.4, 0.6]), 0.5), (Categorical([0.4, 0.6]), 0.5)])
-        assert diameter(same) <= 1e-12
-        assert diameter(two_task_binary()) > 1e-12
+        assert table_of(same)("diam_source") <= 1e-12
+        assert table_of(two_task_binary())("diam_source") > 1e-12
 
-    def test_gaussian_support(self):
-        tasks = finite_tasks([(Gaussian(0, 1), 0.5), (Gaussian(2, 1), 0.5)])
-        assert diameter(tasks) == pytest.approx(0.6826894921370859, abs=1e-9)
+    def test_zero_weight_tasks_are_off_the_support(self):
+        # a source task of weight 0 is never drawn: it widens no diameter and
+        # bounds no event, as a target task of weight 0 reaches no neighbourhood
+        rows = [[0.5, 0.5], [0.4, 0.6], [1.0, 0.0]]
+        table = table_of(FiniteTaskDistribution(np.array(rows), np.array([0.5, 0.5, 0.0])))
+        live = table_of(FiniteTaskDistribution(np.array(rows[:2]), np.array([0.5, 0.5])))
+        for name in ("diam_source", "max_b_S", "max_tv_to_source"):
+            assert table(name) == live(name), name
+        assert table("diam_source") == pytest.approx(0.1, abs=1e-15)
+        assert table("max_b_S") == 0.4
 
 
 class TestBoundedness:
     def test_first_order_true(self):
-        assert max_first_order_b(two_task_binary()) >= 0.25
+        assert table_of(two_task_binary())("max_b_T") >= 0.25
 
     def test_first_order_impossible_b(self):
-        assert max_first_order_b(two_task_binary()) < 0.6
+        assert table_of(two_task_binary())("max_b_T") < 0.6
 
     def test_second_order_point_mass_task(self):
-        tasks = finite_tasks([(Categorical([1.0, 0.0]), 1.0)])
-        assert max_second_order_b(tasks) == 0.0
+        # the first-order b is positive, so only the second-order rule reads 0
+        table = table_of(finite_tasks([(Categorical([1.0, 0.0]), 0.5),
+                                       (Categorical([0.5, 0.5]), 0.5)]))
+        assert table("b_S_first") == 0.5
+        assert table("max_b_S") == 0.0
 
     def test_second_order_full_support(self):
-        assert 0.25 <= max_second_order_b(two_task_binary()) < 0.31
+        assert 0.25 <= table_of(two_task_binary())("max_b_S") < 0.31
 
     def test_exact_max_b(self):
-        tasks = two_task_binary()
-        assert max_first_order_b(tasks) == pytest.approx(0.5)
-        assert max_second_order_b(tasks) == pytest.approx(0.3)
+        table = table_of(two_task_binary())
+        assert table("b_S_first") == table("max_b_T") == pytest.approx(0.5)
+        assert table("max_b_S") == pytest.approx(0.3)  # the second-order b binds
 
     def test_b_out_of_domain(self):
         model = ModelClass((Categorical([0.4, 0.6]),))
@@ -1051,8 +1068,11 @@ class TestRowMatrices:
             src, tgt = FiniteTaskDistribution(S, w_s), FiniteTaskDistribution(T, w_t)
             rows = np.stack([t.p for t in src.tasks])
             np.testing.assert_array_equal(barycenter(src).p, w_s @ rows)
-            assert diameter(src) == max(tv_exact(a, b) for a in src.tasks for b in src.tasks)
-            assert max_second_order_b(src) == 0.0 and max_second_order_b(tgt) == T.min()
+            source, target = table_of(src), table_of(tgt)
+            assert source("diam_source") == max(
+                tv_exact(a, b) for a in src.tasks for b in src.tasks)
+            assert source("max_b_S") == 0.0
+            assert target("max_b_S") == min(target("b_S_first"), T.min())
             assert task_distribution_tv(src, tgt) == reference_matched_tv(
                 w_s, w_t, lambda i, j: distributions_close(src.tasks[i], tgt.tasks[j])) < 1.0
             want = max(event_variance(w_s, outcome_probabilities(S, np.flatnonzero(mask)))

@@ -626,7 +626,8 @@ class TestAgreementWithEvaluateBound:
 
 
 def handmade_instances():
-    """Instances with copied, zero-weight and out-of-support target rows.
+    """Instances with copied, zero-weight and out-of-support target rows, and
+    sources with zero-weight rows.
 
     One target reuses the source's weights array with other tasks.
     """
@@ -647,6 +648,13 @@ def handmade_instances():
              for mode, eps in (("none", None), ("assumption1", 0.1))]
     one = finite_tasks([(p[2], 1.0)])
     insts.append(make_instance(one, one, ModelClass((p[2],)), p[2]))
+    # source tasks of zero weight: a copy of a weighted one, and a point mass far from the rest
+    for rows, w in (([[0.3, 0.7], [0.3, 0.7], [0.6, 0.4]], [0.0, 0.5, 0.5]),
+                    ([[0.5, 0.5], [0.4, 0.6], [1.0, 0.0]], [0.5, 0.5, 0.0])):
+        zero = FiniteTaskDistribution(np.array(rows), np.array(w))
+        insts += [make_instance(zero, t, model, p[1], constraint="assumption1", epsilon=0.1)
+                  for t in (targets[0], finite_tasks([(Categorical([0.6, 0.4]), 0.5),
+                                                      (Categorical([0.3, 0.7]), 0.5)]))]
     rng = np.random.default_rng(5)
     for m in (3, 8, 9):
         tasks = finite_tasks([(Categorical(rng.dirichlet(np.ones(m))), w)

@@ -76,9 +76,15 @@ def test_removed_names_are_gone():
         (bounds, "epistemic_error"),
         (epibound, "looseness"),
         (oracle, "looseness"),
+        # second copies of the finite components, now the one table bounds.COMPONENTS:
+        # the oracle's stacking pass and the object functionals only evaluate_bound read
+        (oracle, "_stack"),
+        *((owner, "diameter") for owner in (epibound, distributions)),
+        (distributions, "max_first_order_b"),
+        (distributions, "max_second_order_b"),
     ]
     assert [(owner.__name__, name) for owner, name in removed if name in vars(owner)] == []
-    assert not {"DiscreteEvent", "Interval", "variance_at"} & set(epibound.__all__)
+    assert not {"DiscreteEvent", "Interval", "variance_at", "diameter"} & set(epibound.__all__)
     assert [f.name for f in dataclasses.fields(bayes.SourceDataset)] == [
         "xi", "x", "task_variances"]
     assert not {"k_t", "m"} & set(vars(oracle._components([oracle.generate_instance(0)])))
