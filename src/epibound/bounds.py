@@ -299,19 +299,28 @@ STATEMENT_IDS = tuple(STATEMENTS)
 
 
 class _Lazy:
-    """Components computed on first read, ``makers[name](self)``, over the ``given``
-    attributes; ``reads`` records every read of a made component."""
+    """Components computed on first read, ``makers[name](self)``, and kept as attributes
+    beside the ``given`` ones."""
 
     def __init__(self, makers: dict, given=()):
         self.__dict__.update(given)
-        self._makers, self._values, self.reads = makers, {}, {}
+        self._makers = makers
 
     def __getattr__(self, name: str):
-        if name not in self._values:
-            if name not in self._makers:
-                raise AttributeError(name)
-            self._values[name] = self._makers[name](self)
-        value = self.reads[name] = self._values[name]
+        if name not in self._makers:
+            raise AttributeError(name)
+        value = self.__dict__[name] = self._makers[name](self)
+        return value
+
+
+class _Reads:
+    """``comp`` as a margin or delta reads it: ``reads`` records every attribute read."""
+
+    def __init__(self, comp):
+        self._comp, self.reads = comp, {}
+
+    def __getattr__(self, name: str):
+        value = self.reads[name] = getattr(self._comp, name)
         return value
 
 
@@ -329,24 +338,30 @@ def _stacked(rows: Sequence[tuple]) -> dict:
     Tasks and members are padded with copies of row 0 (weight 0 for tasks), outcomes
     with zero columns.  Every matrix product runs on one row's own arrays, as BLAS rounds
     a product by its shape; sums run over axes that ``oracle._groups`` keeps exact, and
-    minima and maxima ignore copies.  No row is checked here.
+    minima and maxima ignore copies.  A stack of one has nothing to pad: its arrays are
+    views of the row's own.  No row is checked here.
     """
-    n, ms = len(rows), [row[5].size for row in rows]
-    m = max(ms)
-    k_s, k_t, r = (max(row[i].shape[0] for row in rows) for i in (0, 2, 4))
-    S, T, members = np.zeros((n, k_s, m)), np.zeros((n, k_t, m)), np.zeros((n, r, m))
-    w_s, w_t, pred, bary_s, bary_t = (np.zeros((n, k)) for k in (k_s, k_t, m, m, m))
-    for b, (S_b, w_s_b, T_b, w_t_b, members_b, pred_b) in enumerate(rows):
-        _put_rows(S[b], S_b)
-        _put_rows(T[b], T_b)
-        _put_rows(members[b], members_b)
-        w_s[b, :w_s_b.size] = w_s_b
-        w_t[b, :w_t_b.size] = w_t_b
-        pred[b, :ms[b]] = pred_b
-        bary_s[b, :ms[b]] = w_s_b @ S_b
-        bary_t[b, :ms[b]] = w_t_b @ T_b
-    return {"_rows": rows, "_ms": ms, "_S": S, "_T": T, "_members": members, "_w_s": w_s,
-            "_w_t": w_t, "_pred": pred, "_bary_s": bary_s, "_bary_t": bary_t}
+    ms = [row[5].size for row in rows]
+    if len(rows) == 1:
+        S, w_s, T, w_t, _, _ = rows[0]
+        arrays = [a[None] for a in rows[0]] + [(w_s @ S)[None], (w_t @ T)[None]]
+    else:
+        n, m = len(rows), max(ms)
+        k_s, k_t, r = (max(row[i].shape[0] for row in rows) for i in (0, 2, 4))
+        S, T, members = np.zeros((n, k_s, m)), np.zeros((n, k_t, m)), np.zeros((n, r, m))
+        w_s, w_t, pred, bary_s, bary_t = (np.zeros((n, k)) for k in (k_s, k_t, m, m, m))
+        for b, (S_b, w_s_b, T_b, w_t_b, members_b, pred_b) in enumerate(rows):
+            _put_rows(S[b], S_b)
+            _put_rows(T[b], T_b)
+            _put_rows(members[b], members_b)
+            w_s[b, :w_s_b.size] = w_s_b
+            w_t[b, :w_t_b.size] = w_t_b
+            pred[b, :ms[b]] = pred_b
+            bary_s[b, :ms[b]] = w_s_b @ S_b
+            bary_t[b, :ms[b]] = w_t_b @ T_b
+        arrays = [S, w_s, T, w_t, members, pred, bary_s, bary_t]
+    return dict(zip(("_S", "_w_s", "_T", "_w_t", "_members", "_pred", "_bary_s", "_bary_t"),
+                    arrays), _rows=rows, _ms=ms)
 
 
 def _col(v) -> np.ndarray:
@@ -518,23 +533,19 @@ def _given(value, name: str):
     return value
 
 
-# the entries that are not (batch, 1) columns: per-event and per-task arrays
-_NOT_COLUMNS = ("var_s_events", "var_t_events", "t_weights", "losses")
-# a column a statement reads, as the Python scalar of ``_arrays``' (1, 1) column
-_SCALARS = {name: (lambda c, name=name: getattr(c._arrays, name).item()) for name in COMPONENTS
-            if not name.startswith("_") and name not in _NOT_COLUMNS}
+def _scalar(value):
+    """A (1, 1) column or numpy scalar as its Python float or bool, as reports hold them."""
+    return value.item() if hasattr(value, "item") else value
 
 
-def _finite_components(model: ModelClass, predictor, source, target) -> Optional[_Lazy]:
-    """``COMPONENTS`` read lazily on a stack of one if all inputs are categorical on one
-    space, else None."""
+def _finite_row(model: ModelClass, predictor, source, target) -> Optional[tuple]:
+    """The row ``(S, w_s, T, w_t, members, pred)`` of inputs categorical on one space, else None."""
     m = predictor.p.size if isinstance(predictor, Categorical) else None
     if m is None or model.P is None or model.P.shape[1] != m or not all(
             isinstance(t, FiniteTaskDistribution) and t.P is not None and t.P.shape[1] == m
             for t in (source, target)):
         return None
-    return _Lazy(COMPONENTS, _stacked(
-        [(source.P, source.weights, target.P, target.weights, model.P, predictor.p)]))
+    return source.P, source.weights, target.P, target.weights, model.P, predictor.p
 
 
 def _object_makers(model: ModelClass, predictor: FirstOrderDistribution,
@@ -589,40 +600,52 @@ def evaluate_bound(
     The report's extras hold sup_var_target and every component the
     statement's margin and delta read, so ``rederive`` can recompute them.
     """
+    return _evaluate(statement_id, alpha, _finite_row(model, predictor, source, target),
+                     (model, predictor, source, target), epsilon, b_source, b_target,
+                     param_posterior, param_best, b_pred)
+
+
+def _evaluate(statement_id: str, alpha: float, row: Optional[tuple], objects: tuple = (),
+              epsilon=None, b_source=None, b_target=None, param_posterior=None, param_best=None,
+              b_pred=None) -> BoundReport:
+    """``evaluate_bound`` on the checked row ``(S, w_s, T, w_t, members, pred)`` of an
+    instance categorical on one space, whose ``COMPONENTS`` are read lazily on its stack of
+    one, or, where ``row`` is None, on ``objects``, ``(model, predictor, source, target)``."""
     statement = STATEMENTS.get(statement_id)
     if statement is None:
         raise InvalidArgument(f"unknown statement id {statement_id!r}")
     _require_alpha(alpha)
-
-    arrays = _finite_components(model, predictor, source, target)
-    makers = _object_makers(model, predictor, source, target) if arrays is None else dict(_SCALARS)
+    if row is None:
+        makers, given, continuous = _object_makers(*objects), {}, objects[3].is_continuous
+    else:
+        makers, given, continuous = dict(COMPONENTS), _stacked([row]), False
     makers["epsilon"] = lambda c: _given(epsilon, "epsilon")
     makers["param_tv"] = lambda c: _param_tv(_given(param_posterior, "param_posterior"),
                                              _given(param_best, "param_best"))
     for name, value in (("b_S", b_source), ("b_T", b_target), ("b_pred", b_pred)):
         if value is not None:
             makers[name] = lambda c, value=value: value
-    comp = _Lazy(makers, {"_arrays": arrays})
+    comp = _Lazy(makers, given)
     B, C, D, D_learner = comp.B, comp.C, comp.D, comp.D_learner
     extras: dict = {"sup_var_target": comp.sup_var_target}
-    if target.is_continuous:
+    if continuous:
         extras["event_family"] = CONTINUOUS_EVENT_FAMILY
 
     unmet = statement.unmet(comp)
     if unmet is not None:
         raise PreconditionViolated(unmet.assumption, unmet.detail)
-    comp.reads.clear()
-    margin, delta = statement.margin(comp, alpha), statement.delta(comp, alpha)
-    extras.update((k, v) for k, v in comp.reads.items()
+    read = _Reads(comp)  # the extras: what the margin and delta read themselves
+    margin, delta = statement.margin(read, alpha), statement.delta(read, alpha)
+    extras.update((k, v) for k, v in read.reads.items()
                   if k not in ("B", "C", "D", "D_learner") and not k.startswith("_"))
     return BoundReport(
         statement_id=statement_id,
         alpha=alpha,
-        B=B,
-        C=C,
-        D=D,
-        D_learner=D_learner,
-        margin=float(margin),
-        delta=float(delta),
-        extras=extras,
+        B=_scalar(B),
+        C=_scalar(C),
+        D=_scalar(D),
+        D_learner=_scalar(D_learner),
+        margin=float(_scalar(margin)),
+        delta=float(_scalar(delta)),
+        extras={k: _scalar(v) for k, v in extras.items()},
     )

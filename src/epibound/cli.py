@@ -18,8 +18,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import CSV_HEADER as BOUND_CSV_HEADER
-from .bounds import evaluate_bound
-from .errors import EpiboundError
+from .bounds import _evaluate, evaluate_bound
+from .distributions import _categorical_rows, _check_rows
+from .errors import EpiboundError, InvalidArgument
 from .experiments import (
     ExperimentConfig,
     monte_carlo_verify,
@@ -82,10 +83,11 @@ def _parse_n_grid(text: str) -> tuple:
     return tuple(out)
 
 
-def _load_json(path: str) -> object:
+def _load_json(path: str) -> dict:
+    """The JSON object in ``path``; a file that holds anything else is a usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise SystemExit(_usage_fail(f"file not found: {path}"))
     except UnicodeDecodeError:
@@ -94,6 +96,9 @@ def _load_json(path: str) -> object:
         raise SystemExit(
             _usage_fail(f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
         )
+    if not isinstance(data, dict):
+        raise SystemExit(_usage_fail(f"{path} must hold a JSON object, got {type(data).__name__}"))
+    return data
 
 
 def _usage_fail(msg: str) -> int:
@@ -141,12 +146,9 @@ def _cmd_oracle(args) -> int:
     return VIOLATION_ERROR if report.total_violations else 0
 
 
-def _load_setup(path: str, verify: bool = False) -> dict:
-    """A bound instance or, with ``verify``, a verify setup file, deserialized; missing keys
-    and values of the wrong type are usage errors."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise SystemExit(_usage_fail(f"{path} must hold a JSON object, got {type(data).__name__}"))
+def _load_setup(path: str, data: dict, verify: bool = False) -> dict:
+    """``data``, a bound instance or, with ``verify``, a verify setup read from ``path``,
+    deserialized; missing keys and values of the wrong type are usage errors."""
     try:
         setup = setup_from_dict(data)
         if verify:  # the statement and its scalar inputs come from the file
@@ -164,23 +166,69 @@ def _load_setup(path: str, verify: bool = False) -> dict:
         raise SystemExit(_usage_fail(f"{path} is malformed: {exc}"))
 
 
+def _finite_rows(data: dict):
+    """The checked arrays ``(S, w_s, T, w_t, members, pred)`` of a bound instance whose
+    predictor, model members and tasks are all categorical rows on one space, else None.
+
+    The rows are read as ``setup_from_dict`` reads them, into one array whose row check
+    passes exactly when every constructor's checks do.  Any other instance, or one that
+    fails a check, is left to ``setup_from_dict`` and ``evaluate_bound``, which give its
+    errors.
+    """
+    if data.get("param_posterior") is not None or data.get("param_best") is not None:
+        return None
+    dists, weights = [data.get("predictor")], []
+    for side in ("source", "target"):
+        tasks = data.get(side)
+        entries = tasks.get("tasks") if isinstance(tasks, dict) and tasks.get(
+            "kind") == "finite_tasks" else None
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and "dist" in e and isinstance(e.get("w"), (int, float))
+                for e in entries):
+            return None
+        dists += [e["dist"] for e in entries]
+        weights.append([e["w"] for e in entries])
+    model = data.get("model")
+    members = model.get("members") if isinstance(model, dict) else None
+    if not (isinstance(members, list) and members and all(weights)):  # none may be empty
+        return None
+    rows = _categorical_rows(dists + members)
+    if rows is None:
+        return None
+    k_s, k = len(weights[0]), len(dists)
+    w = np.asarray(weights[0] + weights[1], dtype=float)
+    w_s, w_t = w[:k_s], w[k_s:]
+    try:
+        for P in (rows, w_s, w_t):
+            _check_rows(P)
+    except InvalidArgument:
+        return None
+    return rows[1:k_s + 1], w_s, rows[k_s + 1:k], w_t, rows[k:], rows[0]
+
+
 def _cmd_bound(args) -> int:
-    setup = _load_setup(args.instance)
-    if setup.get("model") is None:
-        raise SystemExit(_usage_fail(f"{args.instance} is missing key 'model'"))
-    report = evaluate_bound(
-        args.statement,
-        model=setup["model"],
-        predictor=setup["predictor"],
-        source=setup["source"],
-        target=setup["target"],
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        b_source=args.bS,
-        b_target=args.bT,
-        param_posterior=setup.get("param_posterior"),
-        param_best=setup.get("param_best"),
-    )
+    data = _load_json(args.instance)
+    rows = _finite_rows(data)
+    if rows is not None:
+        report = _evaluate(args.statement, args.alpha, rows, epsilon=args.epsilon,
+                           b_source=args.bS, b_target=args.bT)
+    else:
+        setup = _load_setup(args.instance, data)
+        if setup.get("model") is None:
+            raise SystemExit(_usage_fail(f"{args.instance} is missing key 'model'"))
+        report = evaluate_bound(
+            args.statement,
+            model=setup["model"],
+            predictor=setup["predictor"],
+            source=setup["source"],
+            target=setup["target"],
+            alpha=args.alpha,
+            epsilon=args.epsilon,
+            b_source=args.bS,
+            b_target=args.bT,
+            param_posterior=setup.get("param_posterior"),
+            param_best=setup.get("param_best"),
+        )
     lines = [BOUND_CSV_HEADER, report.to_csv_row()]
     if args.out:
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -213,7 +261,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    setup = _load_setup(args.setup, verify=True)
+    setup = _load_setup(args.setup, _load_json(args.setup), verify=True)
     result = monte_carlo_verify(setup, trials=args.trials, seed=args.seed)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0 if result["pass"] else VIOLATION_ERROR

@@ -723,10 +723,12 @@ def _first_order_b(weights: np.ndarray) -> np.ndarray:
 def task_distribution_tv(a: FiniteTaskDistribution, b: FiniteTaskDistribution) -> float:
     """TV distance between two finite task distributions over a merged support.
 
-    Support tasks are matched by parameter equality within ``PROB_TOL``, as
-    ``distributions_close`` matches them; unmatched tasks contribute their
-    full weight.  Categorical rows on one space and all-Gaussian columns are
-    compared as one (k_a, k_b) matrix, other families one pair at a time.
+    Support tasks are joined by parameter equality within ``PROB_TOL``, as
+    ``distributions_close`` matches them, and each group of joined tasks
+    adds the gap of its two weights (``_matched_tv``); a task joined to none
+    adds its full weight.  Categorical rows on one space and all-Gaussian
+    columns are compared as one (k_a, k_b) matrix, other families one pair at
+    a time.
     """
     if a.P is not None and b.P is not None and a.P.shape[1] == b.P.shape[1]:
         near = (np.abs(a.P[:, None, :] - b.P) <= PROB_TOL).all(axis=2)
@@ -742,25 +744,37 @@ def task_distribution_tv(a: FiniteTaskDistribution, b: FiniteTaskDistribution) -
 
 
 def _matched_tv(w_a: np.ndarray, w_b: np.ndarray, near: np.ndarray) -> float:
-    """Greedy-matching TV: each a-task i takes the first unused b-task j with ``near[i, j]``.
+    """TV over the groups of tasks that ``near`` joins: 0.5 * sum |a-weight - b-weight|.
 
-    A task of zero weight is off the support and takes no match, on either side.
+    A group is a connected set of a- and b-tasks, ``near[i, j]`` joining a-task i and
+    b-task j; a task of zero weight is off the support and joins none.  So duplicates of a
+    task pool their weights.  Each group's weights are summed in index order, the groups
+    with an a-task in the order of their first one, then the b-tasks alone in theirs: a
+    group of one a-task and at most one b-task adds ``abs(w_a[i] - w_b[j])``.
     """
-    w_a, w_b = w_a.tolist(), w_b.tolist()
-    candidates = [[] for _ in w_a]
-    for i, j in zip(*(ax.tolist() for ax in near.nonzero())):  # row-major: j ascending
-        candidates[i].append(j)
-    used = [False] * len(w_b)
+    w = w_a.tolist() + w_b.tolist()
+    k = w_a.size
+    root = list(range(len(w)))  # a-task i is node i, b-task j node k + j; roots are least
+    for i, j in zip(*(ax.tolist() for ax in near.nonzero())):
+        j += k
+        if w[i] > 0 and w[j] > 0:
+            while root[i] != i:
+                i = root[i]
+            while root[j] != j:
+                j = root[j]
+            root[max(i, j)] = min(i, j)
+    a_sum, b_sum = [0.0] * k, [0.0] * k  # each group's weights, at its root
+    for x, wx in enumerate(w):
+        r = x
+        while root[r] != r:
+            r = root[r]
+        if r < k:
+            (a_sum if x < k else b_sum)[r] += wx
     total = 0.0
-    for wa, js in zip(w_a, candidates):
-        wb = 0.0
-        for j in js if wa > 0 else ():
-            if not used[j] and w_b[j] > 0:
-                used[j] = True
-                wb = w_b[j]
-                break
-        total += abs(wa - wb)
-    total += sum(w for w, u in zip(w_b, used) if not u)
+    for r in range(k):
+        if root[r] == r:
+            total += abs(a_sum[r] - b_sum[r])
+    total += sum(w[x] for x in range(k, len(w)) if root[x] == x)  # a b-task alone
     return 0.5 * total
 
 
@@ -806,12 +820,18 @@ def _distributions_from_dicts(items: list) -> Union[np.ndarray, tuple]:
     Any other list, or rows that form no such array, becomes a tuple of objects
     read one at a time, so that the first bad one raises its own error.
     """
+    P = _categorical_rows(items)
+    return tuple(distribution_from_dict(d) for d in items) if P is None else P
+
+
+def _categorical_rows(items: list) -> Optional[np.ndarray]:
+    """The JSON forms of categorical items as one unchecked (k, m) array of rows, else None."""
     if items and all(isinstance(d, dict) and d.get("kind") == "categorical" for d in items):
         with contextlib.suppress(TypeError, ValueError):
             P = np.asarray([d.get("p") for d in items], dtype=float)
             if P.ndim == 2 and P.shape[1] > 0:
                 return P
-    return tuple(distribution_from_dict(d) for d in items)
+    return None
 
 
 def task_distribution_from_dict(data: dict) -> TaskDistribution:

@@ -65,20 +65,28 @@ def quad_posterior_mass(post, center, radius):
 
 
 def reference_matched_tv(w_a, w_b, close) -> float:
-    """Greedy-matching TV, one ``close(i, j)`` call per pair looked at: each a-task of
-    positive weight takes the first unused b-task of positive weight close to it, and
-    unmatched tasks count in full."""
-    used = [False] * len(w_b)
+    """TV over groups of tasks, one ``close(i, j)`` call per pair of positive weights.
+
+    Each group of a- and b-tasks of positive weight that ``close`` connects adds |its
+    a-weight - its b-weight|, each side summed in index order, in the order of its first
+    a-task; every b-task in no group then adds its weight."""
+    edges = [(i, j) for i in range(len(w_a)) for j in range(len(w_b))
+             if w_a[i] > 0 and w_b[j] > 0 and close(i, j)]
+    seen_a, seen_b = set(), set()
     total = 0.0
-    for i, wa in enumerate(w_a):
-        wb = 0.0
-        for j in range(len(w_b) if wa > 0 else 0):
-            if not used[j] and w_b[j] > 0 and close(i, j):
-                used[j] = True
-                wb = float(w_b[j])
-                break
-        total += abs(wa - wb)
-    total += float(sum(w for w, u in zip(w_b, used) if not u))
+    for first in range(len(w_a)):
+        if first in seen_a:
+            continue
+        group_a, group_b, size = {first}, set(), 0
+        while size != len(group_a) + len(group_b):  # grow the group until it stops
+            size = len(group_a) + len(group_b)
+            group_b |= {j for i, j in edges if i in group_a}
+            group_a |= {i for i, j in edges if j in group_b}
+        seen_a |= group_a
+        seen_b |= group_b
+        total += abs(sum(float(w_a[i]) for i in sorted(group_a))
+                     - sum(float(w_b[j]) for j in sorted(group_b)))
+    total += float(sum(w for j, w in enumerate(w_b) if j not in seen_b))
     return 0.5 * total
 
 

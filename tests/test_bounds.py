@@ -403,23 +403,71 @@ class TestFiniteTable:
     """``evaluate_bound`` on inputs categorical on one space reads ``bounds.COMPONENTS``."""
 
     def test_thm1_computes_only_what_it_reads(self, monkeypatch):
-        # one event-variance matrix, the target's; no source variances, diameter,
-        # divergence losses, boundedness or matching
+        # one unpadded stack of one read through one _Lazy; one event-variance matrix, the
+        # target's; no source variances, diameter, divergence losses, boundedness or matching
         source = finite_tasks([(Categorical([0.3, 0.7]), 0.5), (Categorical([0.5, 0.5]), 0.5)])
         target = finite_tasks([(Categorical([0.2, 0.8]), 0.4), (Categorical([0.6, 0.4]), 0.6)])
-        computed, variances = [], []
+        computed, variances, tables, padded = [], [], [], []
         for name, fn in bounds.COMPONENTS.items():
             monkeypatch.setitem(bounds.COMPONENTS, name,
                                 lambda c, _fn=fn, _name=name: computed.append(_name) or _fn(c))
         event_variances = bounds._event_variances
         monkeypatch.setattr(bounds, "_event_variances",
                             lambda P, *args: variances.append(P) or event_variances(P, *args))
+        lazy_init, put_rows = bounds._Lazy.__init__, bounds._put_rows
+        monkeypatch.setattr(bounds._Lazy, "__init__",
+                            lambda self, *args: tables.append(self) or lazy_init(self, *args))
+        monkeypatch.setattr(bounds, "_put_rows", lambda *args: padded.append(args))
         model = ModelClass((Categorical([0.4, 0.6]), Categorical([0.1, 0.9])))
-        evaluate_bound("thm1", model, Categorical([0.3, 0.7]), source, target, alpha=0.2)
+        rep = evaluate_bound("thm1", model, Categorical([0.3, 0.7]), source, target, alpha=0.2)
         assert sorted(computed) == sorted([
             "_member_tvs", "_best_idx", "_best", "B", "C", "D", "D_learner", "var_t_events",
             "sup_var_target"])
         assert len(variances) == 1 and variances[0] is target.P
+        assert len(tables) == 1 and padded == []
+        assert tables[0]._S.base is source.P and tables[0]._members.base is model.P
+        assert set(rep.extras) == {"sup_var_target"}
+
+    def test_extras_are_what_margin_and_delta_read(self):
+        # not what a component reads while it is made: b_S reads max_b_S, sup_var_source
+        # var_s_events, and neither is an extra
+        inst = generate_instance(11, InstanceConfig(constraint="assumption2"))
+        model, pred = ModelClass(inst.members), Categorical(inst.pred)
+        source = FiniteTaskDistribution(inst.S, inst.w_s)
+        target = FiniteTaskDistribution(inst.T, inst.w_t)
+        for sid, extras in (
+                ("cor_eps", {"b_S", "b_T", "diam_source", "epsilon", "sup_var_source"}),
+                ("cor_eps_dist", {"b_S", "b_T", "epsilon", "sup_var_source"}),
+                ("cor_ce", {"b_pred"}), ("thm2", set())):
+            rep = evaluate_bound(sid, model, pred, source, target, 0.2, epsilon=inst.epsilon)
+            assert set(rep.extras) == extras | {"sup_var_target"}, sid
+
+    @pytest.mark.parametrize("sid", STATEMENT_IDS)
+    def test_reports_hold_python_numbers(self, sid):
+        # B, C, D, D_learner, margin, delta and every extra are Python floats and bools,
+        # from which rederive gives the same margin and delta bit for bit
+        params = dict(param_posterior=Categorical([0.2, 0.5, 0.3]),
+                      param_best=Categorical([0.3, 0.4, 0.3]))
+        reports = []
+        for seed, mode in enumerate(CONSTRAINT_MODES):
+            inst = generate_instance(20 + seed, InstanceConfig(constraint=mode))
+            args = (ModelClass(inst.members), Categorical(inst.pred),
+                    FiniteTaskDistribution(inst.S, inst.w_s),
+                    FiniteTaskDistribution(inst.T, inst.w_t), 0.2)
+            eps = 0.3 if inst.epsilon is None else inst.epsilon
+            for given in ({}, {"epsilon": eps}, {"epsilon": eps, "b_source": 0.05},
+                          {"epsilon": eps, "b_source": 0.05, "b_target": 0.01},
+                          {"b_pred": 1e-3}, params, {"epsilon": eps, **params}):
+                try:
+                    reports.append(evaluate_bound(sid, *args, **given))
+                except (PreconditionViolated, InvalidArgument):
+                    continue
+        assert reports
+        for rep in reports:
+            values = [rep.B, rep.C, rep.D, rep.D_learner, rep.margin, rep.delta,
+                      *rep.extras.values()]
+            assert {type(v) for v in values} <= {float, bool}, rep
+            assert rep.rederive() == (rep.margin, rep.delta)
 
     def test_barycenter_summing_to_one_within_twice_the_tolerance(self, tmp_path, capsys):
         # every row and the weights sum to 1 within PROB_TOL, the barycenter only within

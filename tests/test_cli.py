@@ -537,6 +537,92 @@ class TestArrayBackedRequests:
         assert sum(code == 0 for code in codes.values()) >= 12
 
 
+def _finite_case(edit) -> dict:
+    data = json.loads(json.dumps(WORKED_INSTANCE))
+    edit(data)
+    return data
+
+
+# malformed finite instances, with the exit code and stderr that ``bound`` gave when every
+# instance was read by ``setup_from_dict``; "{path}" stands for the instance's path
+MALFORMED_FINITE = {
+    "negative-member": (
+        lambda d: d["model"]["members"].__setitem__(1, _categorical([-0.25, 1.25])),
+        2, "error: probabilities must be nonnegative\n"),
+    "task-row-sum": (
+        lambda d: d["target"]["tasks"][0]["dist"].__setitem__("p", [0.6, 0.5]),
+        2, "error: probabilities must sum to 1 within 1e-12, got np.float64(1.1)\n"),
+    "weights-sum": (
+        lambda d: d["source"]["tasks"][1].__setitem__("w", 0.6),
+        2, "error: task weights must sum to 1 within 1e-12, got np.float64(1.1)\n"),
+    "missing-weight": (
+        lambda d: d["source"]["tasks"][1].pop("w"), 2, "error: {path} is missing key 'w'\n"),
+    "members-other-m": (
+        lambda d: d["model"].__setitem__("members", [_categorical([0.2, 0.3, 0.5])]),
+        2, "error: distributions on different spaces: categorical(3 outcomes) "
+           "vs categorical(2 outcomes)\n"),
+    "ragged-task-rows": (
+        lambda d: d["target"]["tasks"].append({"w": 0.0, "dist": _categorical([0.2, 0.3, 0.5])}),
+        2, "error: all tasks must share one sample space\n"),
+    "gaussian-task": (
+        lambda d: d["source"]["tasks"].__setitem__(1, {"w": 0.5, "dist": _GAUSSIAN_MEMBER}),
+        2, "error: all tasks must share one sample space\n"),
+    "missing-model": (lambda d: d.pop("model"), 2, "error: {path} is missing key 'model'\n"),
+    "not-an-object": (None, 2, "error: {path} must hold a JSON object, got list\n"),
+}
+
+
+class TestFiniteRows:
+    """A finite ``bound`` request reads its instance as rows, with no distribution objects."""
+
+    @pytest.mark.parametrize("mode", ["none", "no_shift", "perfect_no_shift", "assumption1",
+                                      "assumption2"])
+    def test_builds_no_distribution_objects(self, mode, tmp_path, monkeypatch, capsys):
+        from epibound import Categorical, FiniteTaskDistribution, ModelClass
+        from epibound.bounds import CSV_HEADER, STATEMENT_IDS
+        from epibound.errors import EpiboundError
+        from epibound.oracle import DEFAULT_ALPHAS, InstanceConfig, generate_instance
+
+        made = []
+        for cls in (Categorical, FiniteTaskDistribution, ModelClass):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, _init=cls.__post_init__: (
+                made.append(type(self).__name__), _init(self))[1])
+        out = tmp_path / "report.json"
+        for seed in range(3):
+            inst = generate_instance(seed, InstanceConfig(constraint=mode)).to_dict()
+            path = tmp_path / f"instance_{seed}.json"
+            path.write_text(json.dumps(inst))
+            setup = experiments.setup_from_dict(inst)
+            epsilon = 0.3 if inst["epsilon"] is None else inst["epsilon"]
+            for k, sid in enumerate(STATEMENT_IDS):
+                alpha = DEFAULT_ALPHAS[(seed + k) % len(DEFAULT_ALPHAS)]
+                try:
+                    report = evaluate_bound(sid, setup["model"], setup["predictor"],
+                                            setup["source"], setup["target"], alpha=alpha,
+                                            epsilon=epsilon)
+                    want = (0, f"{CSV_HEADER}\n{report.to_csv_row()}\nreport written to {out}\n",
+                            "", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+                except EpiboundError as exc:
+                    want = (2, "", f"error: {exc}\n", None)
+                out.unlink(missing_ok=True)
+                made.clear()
+                code = main(["bound", "--statement", sid, "--instance", str(path), "--alpha",
+                             repr(alpha), "--epsilon", repr(epsilon), "--out", str(out)])
+                captured = capsys.readouterr()
+                written = out.read_text() if out.exists() else None
+                assert (code, captured.out, captured.err, written) == want, (seed, sid)
+                assert made == [], (seed, sid)
+
+    @pytest.mark.parametrize("case", list(MALFORMED_FINITE))
+    def test_malformed_finite_instances_keep_their_errors(self, case, tmp_path, capsys):
+        edit, code, err = MALFORMED_FINITE[case]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps([WORKED_INSTANCE] if edit is None else _finite_case(edit)))
+        assert main(["bound", "--statement", "thm1", "--instance", str(path),
+                     "--alpha", "0.2"]) == code
+        assert capsys.readouterr() == ("", err.replace("{path}", str(path)))
+
+
 class TestOracleCommand:
     def test_clean_run_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -40,6 +40,7 @@ from epibound.distributions import (
     T_LGAMMA_MAX_DF,
     _check_rows,
     _event_masks,
+    _matched_tv,
     as_finite,
     _event_variances,
     _thresholds,
@@ -74,8 +75,9 @@ def table_of(source, target=None):
     """``bounds.COMPONENTS`` on ``source`` and ``target`` (the source by default), a stack of
     one whose member and predictor are the first source task: each component as a scalar."""
     first = source._item(0)
-    table = bounds._finite_components(ModelClass((first,)), first, source,
-                                      source if target is None else target)
+    row = bounds._finite_row(ModelClass((first,)), first, source,
+                             source if target is None else target)
+    table = bounds._Lazy(bounds.COMPONENTS, bounds._stacked([row]))
     return lambda name: getattr(table, name).item()
 
 
@@ -1132,7 +1134,25 @@ class TestTaskDistributionTV:
         b = finite_tasks([(mix, 0.6), (Gaussian(0.0, 1.0), 0.2), (mix, 0.2)])
         want = reference_matched_tv(
             a.weights, b.weights, lambda i, j: distributions_close(a.tasks[i], b.tasks[j]))
-        assert task_distribution_tv(a, b) == want == pytest.approx(0.2)
+        # b's two copies of the mixture pool their weights: |0.3 - 0.2| + |0.7 - 0.8|
+        assert task_distribution_tv(a, b) == want == pytest.approx(0.1)
+
+    def test_split_weight_duplicates_are_no_shift(self):
+        # a task split into copies of smaller weight is the same task distribution
+        from epibound import ModelClass, evaluate_bound
+
+        p0, p1 = [0.3, 0.7], [0.5, 0.5]
+        source = FiniteTaskDistribution(np.array([p0, p1]), np.array([0.5, 0.5]))
+        target = FiniteTaskDistribution(np.array([p0, p0, p1]), np.array([0.25, 0.25, 0.5]))
+        assert task_distribution_tv(source, target) == task_distribution_tv(target, source) == 0.0
+        model = ModelClass((Categorical([0.4, 0.6]), Categorical([0.2, 0.8])))
+        for sid in ("lemma1", "lemma2"):
+            rep = evaluate_bound(sid, model, Categorical([0.4, 0.6]), source, target, alpha=0.2)
+            assert rep.to_dict() == evaluate_bound(sid, model, Categorical([0.4, 0.6]), source,
+                                                   source, alpha=0.2).to_dict()
+        # copies on either side pool, a chain of tasks each within PROB_TOL of the next too
+        near = np.array([[True, True, False], [False, True, True]])
+        assert _matched_tv(np.array([0.5, 0.5]), np.array([0.2, 0.4, 0.4]), near) == 0.0
 
 
 @settings(deadline=None, max_examples=60)
